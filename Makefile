@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-sim bench-smoke profile suite-quick crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fleet-smoke fuzz-smoke cover
+.PHONY: build test verify bench bench-sim bench-smoke bench-e2e bench-gate profile suite-quick crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fleet-smoke fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -9,13 +9,15 @@ test: build
 	$(GO) test ./...
 
 # verify is the CI gate for the scheduler and the parallel harness: vet
-# everything, then run the simulator core, the host pool, and the bench
-# harness under the race detector. -short trims workload sizes (the
-# golden determinism tests still run, on reduced cases) so the gate
-# finishes in minutes even on a single-core host.
+# everything, then run the simulator core, the host pool, the bench
+# harness, and the collector's eager-vs-default equivalence sweeps under
+# the race detector. -short trims workload sizes (the golden determinism
+# tests still run, on reduced cases) so the gate finishes in minutes even
+# on a single-core host.
 verify: build
 	$(GO) vet ./...
 	$(GO) test -race -short -count=1 ./internal/memsim ./internal/par ./internal/bench ./internal/fleet
+	$(GO) test -race -short -count=1 -run 'Equivalence|Golden' ./internal/gc
 	$(GO) test -run TestYoungGCSteadyStateAllocs -count=1 ./internal/gc
 
 # crash-smoke runs a reduced power-failure campaign: deterministic crash
@@ -82,6 +84,23 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkYoungGC|BenchmarkMixedGC|BenchmarkEvacuateHot' -benchtime=1x -benchmem -count=1 .
 	./scripts/bench_guard.sh
+
+# bench-e2e runs the repository benchmark (BENCHMARK.json: four workloads,
+# one child process each) and archives every run's full record under
+# results/, named after the commit; compare two archives with
+# `go run ./benchmarks --compare a.jsonl b.jsonl`.
+bench-e2e: build
+	$(GO) run ./benchmarks --out results/bench-$$(git rev-parse --short HEAD).jsonl
+
+# bench-gate is the CI guard against virtual drift: a short gc-pagerank run
+# at the pinned seed 1 must report every iteration's fingerprint equal to
+# benchmarks/expected.json ("correct":true) with no failed operation. A
+# scheduler change that moves a virtual number fails here, not only in
+# `go test`.
+bench-gate: build
+	@out=$$($(GO) run ./benchmarks --workload gc-pagerank --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+	echo "$$out"; \
+	echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]'
 
 # profile records flamegraph-ready CPU and allocation profiles of the GC
 # hot path under results/ (see scripts/profile_gc.sh).

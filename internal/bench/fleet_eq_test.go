@@ -8,7 +8,7 @@ import (
 // determinism net at the bench layer: the whole BENCH_fleet table (CSV
 // bytes and notes) must be identical at -parallel 1, 2, and 8, in both
 // scheduler modes (the eager-yield reference and the default
-// delegated/batched scheduler), and across repeated runs with the same
+// horizon + delegation scheduler), and across repeated runs with the same
 // seed. Per-instance op streams are pinned by the fleet package's own
 // determinism test; this one guards the full experiment pipeline the
 // archive is generated from.

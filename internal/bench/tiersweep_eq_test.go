@@ -12,14 +12,13 @@ import (
 // TestTierSweepPointSchedulerEquivalence pins the scheduler-mode
 // equivalence contract on a full application run in the tier-sweep's
 // hardest configuration (young generation on remote DRAM inside the
-// three-tier topology): the eager-yield reference, the delegated
-// scheduler with batching disabled, and the delegated scheduler with the
-// default batch window must produce the identical result — total time,
-// GC time, and per-tier traffic. The gc package's equivalence tests
-// cover collector-only cycles; this one covers the mutator/allocation
-// path of a whole workload, which is where a regression in the
-// delegation or batching discipline would otherwise only surface as a
-// silent drift in the archived sweep figures.
+// three-tier topology): the eager-yield reference and the default
+// scheduler must produce the identical result — total time, GC time, and
+// per-tier traffic. The gc package's equivalence tests cover
+// collector-only cycles; this one covers the mutator/allocation path of a
+// whole workload, which is where a regression in the delegation
+// discipline would otherwise only surface as a silent drift in the
+// archived sweep figures.
 func TestTierSweepPointSchedulerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full app run; skipped in -short")
@@ -33,10 +32,9 @@ func TestTierSweepPointSchedulerEquivalence(t *testing.T) {
 		total, gcTime memsim.Time
 		tiers         map[string]memsim.DeviceStats
 	}
-	run := func(eager bool, window int) snap {
+	run := func(eager bool) snap {
 		mc := machineConfig(false)
 		mc.EagerYield = eager
-		mc.BatchWindow = window
 		mc.Tiers = tierSweepSpecs()
 		m := memsim.NewMachine(mc)
 		hc := heapConfig(memsim.NVM, false)
@@ -61,25 +59,14 @@ func TestTierSweepPointSchedulerEquivalence(t *testing.T) {
 		}
 		return s
 	}
-	ref := run(true, 1)
-	for _, mode := range []struct {
-		name   string
-		eager  bool
-		window int
-	}{
-		{"delegated-unbatched", false, 1},
-		{"delegated-batched", false, 0},
-	} {
-		got := run(mode.eager, mode.window)
-		if got.total != ref.total || got.gcTime != ref.gcTime {
-			t.Errorf("%s: total %d gc %d, eager reference total %d gc %d",
-				mode.name, got.total, got.gcTime, ref.total, ref.gcTime)
-		}
-		for name, want := range ref.tiers {
-			if got.tiers[name] != want {
-				t.Errorf("%s: tier %s stats %+v, eager reference %+v",
-					mode.name, name, got.tiers[name], want)
-			}
+	ref, got := run(true), run(false)
+	if got.total != ref.total || got.gcTime != ref.gcTime {
+		t.Errorf("default scheduler: total %d gc %d, eager reference total %d gc %d",
+			got.total, got.gcTime, ref.total, ref.gcTime)
+	}
+	for name, want := range ref.tiers {
+		if got.tiers[name] != want {
+			t.Errorf("default scheduler: tier %s stats %+v, eager reference %+v", name, got.tiers[name], want)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import "math"
 // choice is load-bearing for the property-test net: for nearest-rank
 // quantiles the merged p-quantile is provably sandwiched between the
 // minimum and maximum of the per-instance p-quantiles (see DESIGN.md
-// §15), a bound that interpolated sample quantiles violate on small
+// §14), a bound that interpolated sample quantiles violate on small
 // inputs. Nearest-rank is also the conventional reading of "p999" for
 // SLO reporting: the smallest observed latency x such that at least
 // 99.9% of requests completed within x.

@@ -248,10 +248,6 @@ func (c *cycle) destOf(a heap.Address) *destRegion {
 // (Section 3.2: "the GC thread stops allocating new cache regions and
 // directly copies objects into NVM").
 func (c *cycle) newDest(w *memsim.Worker, kind heap.RegionKind, cacheable bool) (*destRegion, bool) {
-	// The free pools are shared LIFOs and destByRegion is read by every
-	// worker's destOf; the claim must run at its settled position.
-	w.BatchPause()
-	defer w.BatchResume()
 	final, ok := c.h.ClaimRegion(kind, c.destDevice(kind))
 	if !ok {
 		c.fail(fmt.Errorf("gc: heap exhausted while claiming a %v region: %w", kind, ErrTierExhausted))
@@ -283,7 +279,6 @@ func (c *cycle) retireDest(w *memsim.Worker, d *destRegion) {
 	if d == nil {
 		return
 	}
-	w.Drain() // d.full is read by every worker's flush trigger
 	d.full = true
 	c.maybeAsyncFlush(w, d)
 }
@@ -292,10 +287,6 @@ func (c *cycle) maybeAsyncFlush(w *memsim.Worker, d *destRegion) {
 	if !c.opt.AsyncFlush || !d.cached() || d.flushed {
 		return
 	}
-	// The trigger fields are written by every worker touching this
-	// region; settle so the fire-or-not decision reads them at this
-	// call's exact position.
-	w.Drain()
 	if d.full && !d.stolen && d.pending == 0 && d.labHolds == 0 {
 		c.flush(w, d, true)
 	}
@@ -307,11 +298,6 @@ func (c *cycle) flush(w *memsim.Worker, d *destRegion, async bool) {
 	used := d.phys.UsedBytes()
 	chunk := c.opt.flushChunk()
 	d.final.Top = d.final.Start + heap.Address(used)
-	// Batch window: the source is this cycle's fully written scratch
-	// region and the destination a region only this worker writes back,
-	// so no other runnable worker can observe either side before the
-	// queued operations settle.
-	w.BatchBegin()
 	for off := int64(0); off < used; off += chunk {
 		n := chunk
 		if used-off < n {
@@ -325,11 +311,6 @@ func (c *cycle) flush(w *memsim.Worker, d *destRegion, async bool) {
 			c.h.CopyWords(w, dst, src, int64(n)/heap.WordBytes)
 		}
 	}
-	w.BatchEnd()
-	// When this flush runs nested inside a traversal window, BatchEnd
-	// above does not settle; the publication below (flushed flag, region
-	// table, free-pool return) is shared state and must land settled.
-	w.Drain()
 	d.flushed = true
 	c.destByRegion[d.phys.Index] = nil
 	c.h.Retire(d.phys)
@@ -434,18 +415,12 @@ func (gw *gcWorker) persistFlush() {
 			c.persistLines = pd.DirtyLines()
 		}
 	}
-	// Batch window: a CLWB has no issue-time effect at all — cache
-	// cleaning, the device write, and the persistence-domain transition
-	// all happen at settlement — and the stripes are disjoint across
-	// workers. PersistFence is itself a flush point for the queue.
-	gw.w.BatchBegin()
 	var flushed int64
 	for i := gw.id; i < len(c.persistLines); i += c.threads {
 		line := c.persistLines[i]
 		gw.w.CLWB(c.h.DevOf(line), line)
 		flushed++
 	}
-	gw.w.BatchEnd()
 	gw.w.PersistFence()
 	c.stats.PersistFlushedLines += flushed
 }
@@ -485,10 +460,6 @@ func (l *labState) remaining() int64 {
 // scanRoots pushes this worker's stride of the root list.
 func (gw *gcWorker) scanRoots() {
 	c := gw.c
-	// No batch window here: the work stack is NOT private — idle peers
-	// observe it through steal/stealReady, so each push must become
-	// visible at its unbatched position (right after the preceding
-	// operation settles), not en bloc at window open or close.
 	for i := gw.id; i < len(c.rootSlots); i += c.threads {
 		slot := c.rootSlots[i]
 		gw.w.Advance(8) // remembered-set iteration overhead
@@ -576,15 +547,6 @@ func (gw *gcWorker) stealReady() bool {
 func (gw *gcWorker) processSlot(slot heap.Address) {
 	c, h, w := gw.c, gw.c.h, gw.w
 
-	// Batch window over the whole iteration: the slot word, the copy
-	// destination, and the per-worker bookkeeping are private, so their
-	// charged operations queue and settle at their exact global-order
-	// positions. Every genuinely shared access inside — header-map
-	// probes, the forwarding CAS, shared allocator claims, work-stack
-	// pushes, remembered-set appends — sits behind a BatchPause or an
-	// explicit Drain, which settles the clock so the access lands at the
-	// position unbatched execution gives it.
-	w.BatchBegin()
 	ref := gw.readWordRetry(slot) // step 1: fetch the reference (random read)
 	if ref != 0 {
 		if h.InCSetAt(ref) {
@@ -600,20 +562,13 @@ func (gw *gcWorker) processSlot(slot heap.Address) {
 			// evacuate the target's region.
 			finalSlot := c.finalAddrOf(slot)
 			if fr := h.RegionOf(finalSlot); fr != nil && fr.Kind == heap.RegionOld && fr != r {
-				// The remset is appended to by every worker; defer the
-				// append to its settled position so the edge lands in
-				// arrival order.
-				w.HostOp(hostRemSetAdd, &r.RemSet, uint64(finalSlot), 0)
+				r.RemSet.Add(finalSlot)
 			}
 		}
 	}
-	w.BatchEnd()
 	c.stats.SlotsProcessed++
 
-	// Async-flush tracking: this slot no longer blocks its region. Runs
-	// outside the window: the counter and the flush trigger it feeds are
-	// observed by every worker that processes or steals this region's
-	// slots.
+	// Async-flush tracking: this slot no longer blocks its region.
 	if d := c.destOf(slot); d != nil {
 		d.pending--
 		c.maybeAsyncFlush(w, d)
@@ -630,10 +585,6 @@ func (gw *gcWorker) processSlot(slot heap.Address) {
 func (gw *gcWorker) updateSlot(slot, oldAddr, newAddr heap.Address) {
 	c, h := gw.c, gw.c.h
 	if c.pl != nil {
-		// The journal and the persistence-domain tracking behind the
-		// slot store are shared; keep the whole persist path unbatched.
-		gw.w.BatchPause()
-		defer gw.w.BatchResume()
 		if r := h.RegionOf(slot); r == nil || !r.ClaimedInGC {
 			if err := c.pl.append(gw.w, slot, oldAddr); err != nil {
 				c.fail(err)
@@ -641,7 +592,7 @@ func (gw *gcWorker) updateSlot(slot, oldAddr, newAddr heap.Address) {
 			}
 		}
 	}
-	h.WriteWordSettled(gw.w, slot, newAddr)
+	h.WriteWord(gw.w, slot, newAddr)
 	finalSlot := c.finalAddrOf(slot)
 	fr := h.RegionOf(finalSlot)
 	if fr == nil {
@@ -656,10 +607,7 @@ func (gw *gcWorker) updateSlot(slot, oldAddr, newAddr heap.Address) {
 		nr := h.RegionOf(newAddr)
 		if nr != nil && nr != fr && !nr.InCSet &&
 			(nr.Kind == heap.RegionSurvivor || nr.Kind == heap.RegionOld) {
-			// Every worker appends to this remset; the append is deferred
-			// to its settled position so the edge lands in arrival order
-			// without waking this worker.
-			gw.w.HostOp(hostRemSetAdd, &nr.RemSet, uint64(finalSlot), 0)
+			nr.RemSet.Add(finalSlot)
 			gw.w.Advance(15)
 		}
 	}
@@ -671,21 +619,14 @@ func (gw *gcWorker) evacuate(ref heap.Address) heap.Address {
 	c, h, w := gw.c, gw.c.h, gw.w
 
 	// Forwarding lookup: DRAM header map first (if enabled), then the
-	// NVM header. Both the map entries and the mark word are contended
-	// across workers (racing installs forward the same object), so the
-	// probes run outside the batch window, at settled positions.
+	// NVM header.
 	if c.hm != nil {
-		w.BatchPause()
-		v := c.hm.Get(w, ref)
-		w.BatchResume()
-		if v != 0 {
+		if v := c.hm.Get(w, ref); v != 0 {
 			c.stats.HeaderMapHits++
 			return v
 		}
 	}
-	w.BatchPause()
 	mark := gw.readWordRetry(heap.MarkAddr(ref))
-	w.BatchResume()
 	if heap.IsForwarded(mark) {
 		return heap.ForwardingAddr(mark)
 	}
@@ -761,11 +702,6 @@ func (gw *gcWorker) evacuate(ref heap.Address) heap.Address {
 // that ended up installed (final, or a racing winner's address).
 func (gw *gcWorker) installForward(ref, final heap.Address, oldMark uint64) heap.Address {
 	c, h, w := gw.c, gw.c.h, gw.w
-	// The map probe sequence and the forwarding CAS arbitrate races
-	// between workers; they run paused, at settled positions, so the
-	// winner is the same at any batch window size.
-	w.BatchPause()
-	defer w.BatchResume()
 	if c.hm != nil {
 		if v := c.hm.Put(w, ref, final); v != 0 {
 			if v == final {
@@ -819,38 +755,10 @@ func (gw *gcWorker) retractCopy(phys heap.Address, size int64) {
 	// Space wasted: the full copy remains as a parseable dead object.
 }
 
-// Static HostOp targets (see memsim.Worker.HostOp): deferred host effects
-// must be package-level functions taking an environment pointer and scalar
-// arguments so that deferring them allocates nothing per call.
-
-// hostRemSetAdd appends a final slot address to a shared remembered set.
-func hostRemSetAdd(env any, a, _ uint64) {
-	env.(*heap.RemSet).Add(heap.Address(a))
-}
-
-// hostStackPush pushes a slot address onto a worker's steal-shared stack.
-func hostStackPush(env any, a, _ uint64) {
-	env.(*gcWorker).stack.push(heap.Address(a))
-}
-
-// hostAddPending credits freshly pushed slots against the destination
-// region holding the copy they came from.
-func hostAddPending(env any, a, n uint64) {
-	if d := env.(*cycle).destOf(heap.Address(a)); d != nil {
-		d.pending += int64(n)
-	}
-}
-
 // pushRefs pushes the reference slots of a freshly copied object (located
 // at its physical address) onto the work stack, prefetching referents.
 func (gw *gcWorker) pushRefs(phys heap.Address, k *heap.Klass, size int64) {
 	c, h, w := gw.c, gw.c.h, gw.w
-	// Pushes land on the steal-shared work stack and must surface at their
-	// exact per-operation positions, where thieves in either scheduling
-	// mode observe the identical stack contents. A push consumes no value,
-	// so inside a batch window it is deferred (HostOp) to settle with the
-	// charges — possibly on a delegating peer's goroutine — instead of
-	// pinning this worker with a settle-yield per push.
 	var pushed int64
 	pushOne := func(off int64) {
 		slot := heap.SlotAddr(phys, off)
@@ -871,7 +779,7 @@ func (gw *gcWorker) pushRefs(phys heap.Address, k *heap.Klass, size int64) {
 				}
 			}
 		}
-		w.HostOp(hostStackPush, gw, uint64(slot), 0)
+		gw.stack.push(slot)
 		w.Advance(4)
 		pushed++
 	}
@@ -887,9 +795,10 @@ func (gw *gcWorker) pushRefs(phys heap.Address, k *heap.Klass, size int64) {
 		}
 	}
 	if pushed > 0 {
-		// The pending counter feeds every worker's flush trigger; the
-		// increment lands at its settled position like the pushes it covers.
-		w.HostOp(hostAddPending, c, uint64(phys), uint64(pushed))
+		// The pending counter feeds every worker's flush trigger.
+		if d := c.destOf(phys); d != nil {
+			d.pending += pushed
+		}
 	}
 }
 

@@ -28,11 +28,7 @@ func (gw *gcWorker) allocDstPS(size int64, promote bool) (phys, final heap.Addre
 	gi := genIndex(promote)
 
 	if size >= c.directWords {
-		// The direct region is a bump allocator shared by every worker;
-		// the bump must happen at its settled position so copies land at
-		// the same addresses at any batch window size.
-		gw.w.BatchPause()
-		defer gw.w.BatchResume()
+		// The direct region is a bump allocator shared by every worker.
 		for c.err == nil {
 			d := c.sharedDirect[gi]
 			if d != nil {
@@ -66,10 +62,6 @@ func (gw *gcWorker) allocDstPS(size int64, promote bool) (phys, final heap.Addre
 // refillLAB releases the current LAB (plugging its tail with a filler
 // object) and carves a fresh one from the shared cached region.
 func (gw *gcWorker) refillLAB(lab *labState, promote bool) bool {
-	// LABs are carved from regions shared by all workers: the carve bump
-	// and region swaps must run at settled positions.
-	gw.w.BatchPause()
-	defer gw.w.BatchResume()
 	c := gw.c
 	gi := genIndex(promote)
 	gw.releaseLAB(lab)
@@ -104,9 +96,6 @@ func (gw *gcWorker) releaseLAB(lab *labState) {
 	if lab.d == nil {
 		return
 	}
-	// labHolds gates other workers' flush triggers; release settled.
-	gw.w.BatchPause()
-	defer gw.w.BatchResume()
 	if rem := lab.remaining(); rem >= heap.HeaderWords {
 		gw.c.h.WriteFiller(lab.phys, rem)
 		gw.w.Advance(10)

@@ -43,11 +43,10 @@ func eqScenarios() []eqScenario {
 // one run: populate + one young collection; returns the final virtual
 // time, the collection stats (including fault outcomes), and the
 // per-tier traffic in topology order.
-func reproRun(t *testing.T, sc eqScenario, eager bool, batch int, threads int, seed uint64) (memsim.Time, CollectionStats, []memsim.DeviceStats) {
+func reproRun(t *testing.T, sc eqScenario, eager bool, threads int, seed uint64) (memsim.Time, CollectionStats, []memsim.DeviceStats) {
 	cfg := memsim.DefaultConfig()
 	cfg.LLCBytes = 1 << 17
 	cfg.EagerYield = eager
-	cfg.BatchWindow = batch
 	if sc.tiers != nil {
 		cfg.Tiers = sc.tiers()
 	}
@@ -84,59 +83,50 @@ func reproRun(t *testing.T, sc eqScenario, eager bool, batch int, threads int, s
 	return m.Now(), st, traffic
 }
 
-// TestReproEquivalence is the quick tri-modal check on the default
-// topology: eager reference vs event-horizon scheduling vs batching, at
-// several worker counts and seeds.
+// TestReproEquivalence is the quick check on the default topology: the
+// eager reference vs the default scheduler (event horizon + delegated
+// accounting), at several worker counts and seeds.
 func TestReproEquivalence(t *testing.T) {
 	sc := eqScenarios()[0]
 	for _, th := range []int{2, 4, 8, 16} {
 		for _, seed := range []uint64{1, 2, 3, 4} {
-			base, st0, tr0 := reproRun(t, sc, true, 1, th, seed) // eager reference
-			hor, st1, tr1 := reproRun(t, sc, false, 1, th, seed) // horizon, no batching
-			bat, st2, tr2 := reproRun(t, sc, false, 0, th, seed) // horizon + batching
-			if hor != base || !reflect.DeepEqual(st0, st1) || !reflect.DeepEqual(tr0, tr1) {
-				t.Errorf("th=%d seed=%d: horizon diverged: now %d vs %d", th, seed, hor, base)
-			}
-			if bat != base || !reflect.DeepEqual(st0, st2) || !reflect.DeepEqual(tr0, tr2) {
-				t.Errorf("th=%d seed=%d: batched diverged: now %d vs %d", th, seed, bat, base)
+			base, st0, tr0 := reproRun(t, sc, true, th, seed)
+			def, st1, tr1 := reproRun(t, sc, false, th, seed)
+			if def != base || !reflect.DeepEqual(st0, st1) || !reflect.DeepEqual(tr0, tr1) {
+				t.Errorf("th=%d seed=%d: default scheduler diverged: now %d vs %d", th, seed, def, base)
 			}
 		}
 	}
 }
 
-// TestBatchWindowSweepEquivalence is the tentpole's golden equivalence
+// TestSchedulerModeEquivalence is the collector's golden equivalence
 // sweep: across the two-tier and three-tier topologies and a fault-armed
-// machine (seeded wear-out plus transient read faults), every batch
-// window size — disabled (1), small (4), default (64) and unbounded
-// (-1) — must reproduce the eager-yield reference bit-for-bit: final
+// machine (seeded wear-out plus transient read faults), the default
+// scheduler must reproduce the eager-yield reference bit-for-bit: final
 // virtual time, per-tier device traffic, and every fault outcome in
 // CollectionStats.Faults.
-func TestBatchWindowSweepEquivalence(t *testing.T) {
+func TestSchedulerModeEquivalence(t *testing.T) {
 	for _, sc := range eqScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, th := range []int{4, 16} {
 				for _, seed := range []uint64{1, 2} {
-					baseNow, baseSt, baseTr := reproRun(t, sc, true, 1, th, seed)
+					baseNow, baseSt, baseTr := reproRun(t, sc, true, th, seed)
 					if sc.fault && baseSt.Faults.TransientFaults == 0 && baseSt.Faults.UEsDiscovered == 0 {
 						t.Fatalf("th=%d seed=%d: fault arm fired no faults — the scenario exercises nothing", th, seed)
 					}
-					for _, win := range []int{1, 4, 64, -1} {
-						now, st, tr := reproRun(t, sc, false, win, th, seed)
-						if now != baseNow {
-							t.Errorf("th=%d seed=%d window=%d: final time %d, want %d", th, seed, win, now, baseNow)
-						}
-						if !reflect.DeepEqual(st.Faults, baseSt.Faults) {
-							t.Errorf("th=%d seed=%d window=%d: fault outcomes diverged:\n got %+v\nwant %+v",
-								th, seed, win, st.Faults, baseSt.Faults)
-						}
-						if !reflect.DeepEqual(st, baseSt) {
-							t.Errorf("th=%d seed=%d window=%d: stats diverged:\n got %+v\nwant %+v",
-								th, seed, win, st, baseSt)
-						}
-						if !reflect.DeepEqual(tr, baseTr) {
-							t.Errorf("th=%d seed=%d window=%d: per-tier traffic diverged:\n got %+v\nwant %+v",
-								th, seed, win, tr, baseTr)
-						}
+					now, st, tr := reproRun(t, sc, false, th, seed)
+					if now != baseNow {
+						t.Errorf("th=%d seed=%d: final time %d, want %d", th, seed, now, baseNow)
+					}
+					if !reflect.DeepEqual(st.Faults, baseSt.Faults) {
+						t.Errorf("th=%d seed=%d: fault outcomes diverged:\n got %+v\nwant %+v",
+							th, seed, st.Faults, baseSt.Faults)
+					}
+					if !reflect.DeepEqual(st, baseSt) {
+						t.Errorf("th=%d seed=%d: stats diverged:\n got %+v\nwant %+v", th, seed, st, baseSt)
+					}
+					if !reflect.DeepEqual(tr, baseTr) {
+						t.Errorf("th=%d seed=%d: per-tier traffic diverged:\n got %+v\nwant %+v", th, seed, tr, baseTr)
 					}
 				}
 			}

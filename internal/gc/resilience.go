@@ -46,14 +46,7 @@ func anyTierFaulty(m *memsim.Machine) bool {
 // With no fault model installed it is exactly one charged read.
 func (gw *gcWorker) readWordRetry(addr heap.Address) uint64 {
 	c, h, w := gw.c, gw.c.h, gw.w
-	if c.faulty {
-		// Transient-fault probes consult device fault state keyed by the
-		// reader's position; run the read unbatched so the probe sees
-		// the clock unbatched execution gives it.
-		w.BatchPause()
-		defer w.BatchResume()
-	}
-	v := h.ReadWordSettled(w, addr)
+	v := h.ReadWord(w, addr)
 	if !c.faulty {
 		return v
 	}
@@ -72,7 +65,7 @@ func (gw *gcWorker) readWordRetry(addr heap.Address) uint64 {
 		w.Advance(backoff)
 		c.stats.Faults.BackoffTime += backoff
 		backoff *= 2
-		v = h.ReadWordSettled(w, addr)
+		v = h.ReadWord(w, addr)
 		c.stats.Faults.Retries++
 	}
 	return v
@@ -114,17 +107,8 @@ func (c *cycle) destDevice(kind heap.RegionKind) *memsim.Device {
 func (gw *gcWorker) copyObject(ref heap.Address, size int64, promote bool, phys, final heap.Address) (heap.Address, heap.Address, bool) {
 	c, h, w := gw.c, gw.c.h, gw.w
 	for reroutes := 0; ; reroutes++ {
-		// Batch window around the copy itself: the destination is this
-		// worker's private bump allocation and the source payload is
-		// immutable during traversal (racing evacuators only CAS the
-		// header, which the copy's charge accounting never reads). The
-		// window nests inside the traversal window when processSlot is
-		// on the stack; the drain below settles the wear counters the
-		// copy advanced before the UE probe runs.
-		w.BatchBegin()
 		w.Advance(110 + size/8)
 		h.CopyWords(w, phys, ref, size)
-		w.BatchEnd()
 		if !c.faulty {
 			return phys, final, true
 		}
@@ -132,10 +116,6 @@ func (gw *gcWorker) copyObject(ref heap.Address, size int64, promote bool, phys,
 		if !dev.FaultEnabled() {
 			return phys, final, true
 		}
-		// Nested inside a traversal window BatchEnd above does not
-		// settle; drain so the wear the copy consumed is counted before
-		// the probe.
-		w.Drain()
 		line, bad := dev.PoisonedInRange(phys, size*heap.WordBytes)
 		if !bad {
 			return phys, final, true

@@ -244,9 +244,13 @@ func New(m *memsim.Machine, cfg Config) (*Heap, error) {
 	h.regions = make([]*Region, total)
 	h.regionTag = make([]uint8, total)
 	h.regionDev = make([]*memsim.Device, total)
+	h.freeHeap = make([]int, 0, cfg.HeapRegions)
+	h.freeCache = make([]int, 0, cfg.CacheRegions)
+	slab := make([]Region, total) // one allocation, not one per region
 	for i := 0; i < total; i++ {
 		start := h.heapStart + Address(i)*Address(cfg.RegionBytes)
-		r := &Region{
+		r := &slab[i]
+		*r = Region{
 			Index: i,
 			Start: start,
 			End:   start + Address(cfg.RegionBytes),
@@ -566,50 +570,14 @@ func (h *Heap) WriteWord(w *memsim.Worker, addr Address, v uint64) {
 	h.words[h.index(addr)] = v
 }
 
-// ReadWordSettled is ReadWord for words other simulated workers may
-// write concurrently (e.g. reference slots: a slot can appear once per
-// remembered edge in the root list, so duplicates of the same slot race).
-// The charge is issued first — inside a batch window it joins the queue —
-// and then every queued operation settles before the backing store is
-// read, so the value is exactly what unbatched execution reads at this
-// position in global operation order. Outside a window the drain is a
-// no-op and this is identical to ReadWord.
-func (h *Heap) ReadWordSettled(w *memsim.Worker, addr Address) uint64 {
-	w.ReadWord(h.DevOf(addr), addr)
-	w.Drain()
-	return h.words[h.index(addr)]
-}
-
-// WriteWordSettled is WriteWord with the same settled-position contract
-// as ReadWordSettled: the store becomes visible to other workers at its
-// exact unbatched position. Unlike a read, the store consumes no value,
-// so inside a batch window it is deferred (HostOp) rather than drained:
-// the backing-store mutation settles with the charge, possibly on a
-// delegating peer's goroutine, and the owner needs no wakeup.
-func (h *Heap) WriteWordSettled(w *memsim.Worker, addr Address, v uint64) {
-	h.pdStore(addr, WordBytes)
-	w.WriteWord(h.DevOf(addr), addr)
-	w.HostOp(hostStoreWord, h, uint64(addr), v)
-}
-
-// hostStoreWord is WriteWordSettled's deferred backing-store mutation — a
-// static HostOp target (allocation-free, see memsim.Worker.HostOp).
-func hostStoreWord(env any, a, v uint64) {
-	h := env.(*Heap)
-	h.words[h.index(Address(a))] = v
-}
-
 // CASWord models an atomic compare-and-swap on a word: it always pays a
 // random read; a successful swap additionally pays a random write.
 //
 // The logical compare-and-swap is applied to the backing store *before*
 // the timing charges: the charge operations yield to the scheduler, so
 // applying the effect first is what makes the operation atomic with
-// respect to other simulated workers. That argument needs the worker to
-// sit at its settled position in global operation order, so the CAS is a
-// flush point for any operations queued inside a batch window.
+// respect to other simulated workers.
 func (h *Heap) CASWord(w *memsim.Worker, addr Address, old, new uint64) (uint64, bool) {
-	w.Drain()
 	h.pdStore(addr, WordBytes)
 	idx := h.index(addr)
 	cur := h.words[idx]

@@ -38,10 +38,10 @@ type pbufKey struct {
 // a small FIFO staging buffer; a demand access promotes the line into the
 // cache and pays only the remaining transfer time.
 type Cache struct {
-	assoc      int
-	numSets    int
-	setMask    uint64
-	lines      []cacheLine // numSets * assoc
+	assoc   int
+	numSets int
+	setMask uint64
+	lines   []cacheLine // numSets * assoc
 	// keys mirrors lines with one packed (device, line-address) word per
 	// way (see lineKey; 0 = invalid), so the per-access way scan touches
 	// a dense tag array — two cache lines for a 16-way set — instead of
@@ -58,18 +58,6 @@ type Cache struct {
 	// byte-identical to finding the same way by scanning. A stale mru is
 	// harmless (keys[mru] no longer matches and the scan runs).
 	mru int
-
-	// owners tags each way with the worker that last touched it (worker
-	// id + 1; 0 = untouched), piggybacked on the packed-key arrays. The
-	// scheduler's batch filter consults it: a line still owned by the
-	// enqueueing worker (or absent) provably cannot carry another
-	// runnable worker's freshly cached state, so a queued private-window
-	// op may defer its settlement; a foreign-owned line conservatively
-	// forces the queue to drain first. acting is the tag of the worker
-	// whose operation is currently settling (set by execOp, so delegated
-	// settlement tags lines with the op's owner, not the runner).
-	owners []uint8
-	acting uint8
 
 	pbuf [prefetchBufferSize]prefetchEntry
 	// pbufIdx maps a staged (device, line) to its slot, replacing the
@@ -107,7 +95,6 @@ func NewCache(capacity int64, assoc int, hitLatency Time) *Cache {
 		setMask:    uint64(n - 1),
 		lines:      make([]cacheLine, n*assoc),
 		keys:       make([]uint64, n*assoc),
-		owners:     make([]uint8, n*assoc),
 		hitLatency: hitLatency,
 		pbufIdx:    make(map[pbufKey]int, prefetchBufferSize),
 	}
@@ -189,7 +176,6 @@ func (c *Cache) touchLine(dev *Device, lineAddr uint64, now Time, write, seq boo
 			l.dirty = true
 			l.seqDirty = seq
 		}
-		c.owners[i] = c.acting
 		c.hits++
 		return true, l.readyAt
 	}
@@ -203,7 +189,6 @@ func (c *Cache) touchLine(dev *Device, lineAddr uint64, now Time, write, seq boo
 				l.seqDirty = seq
 			}
 			c.mru = base + i
-			c.owners[base+i] = c.acting
 			c.hits++
 			return true, l.readyAt
 		}
@@ -247,26 +232,7 @@ func (c *Cache) installInSet(base int, dev *Device, lineAddr uint64, now Time, w
 	}
 	*victim = cacheLine{dev: dev, tag: lineAddr, dirty: write, seqDirty: write && seq, valid: true, lastUse: now, readyAt: readyAt}
 	c.keys[base+vi] = lineKey(dev, lineAddr)
-	c.owners[base+vi] = c.acting
 	c.mru = base + vi
-}
-
-// lineForeign reports whether the line is cached and owned by a worker
-// other than tag — evidence that another runnable worker's state sits on
-// the line, which conservatively ends a settlement batch (see
-// Worker.enqueue). Absent lines cannot carry foreign cached state.
-func (c *Cache) lineForeign(dev *Device, lineAddr uint64, tag uint8) bool {
-	key := lineKey(dev, lineAddr)
-	if i := c.mru; c.keys[i] == key {
-		return c.owners[i] != tag
-	}
-	base := int((lineAddr/LineSize)&c.setMask) * c.assoc
-	for i, k := range c.keys[base : base+c.assoc] {
-		if k == key {
-			return c.owners[base+i] != tag
-		}
-	}
-	return false
 }
 
 // touchRange probes every line spanned by [addr, addr+n) and returns the
@@ -296,7 +262,6 @@ func (c *Cache) touchRange(dev *Device, addr uint64, n int64, now Time, write, s
 				l.dirty = true
 				l.seqDirty = seq
 			}
-			c.owners[i] = c.acting
 			c.hits++
 			if l.readyAt > ready {
 				ready = l.readyAt
@@ -312,7 +277,6 @@ func (c *Cache) touchRange(dev *Device, addr uint64, n int64, now Time, write, s
 						l.seqDirty = seq
 					}
 					c.mru = base + i
-					c.owners[base+i] = c.acting
 					c.hits++
 					if l.readyAt > ready {
 						ready = l.readyAt
@@ -455,7 +419,6 @@ func (c *Cache) invalidateRange(dev *Device, addr uint64, n int64) {
 				l.valid = false
 				l.dirty = false
 				c.keys[base+i] = 0
-				c.owners[base+i] = 0
 				break
 			}
 		}

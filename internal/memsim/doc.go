@@ -3,10 +3,11 @@
 // garbage collector reproduction.
 //
 // All costs are expressed in virtual nanoseconds (Time). Parallel phases
-// (such as a stop-the-world GC with N threads) run one goroutine per
-// simulated worker under a cooperative scheduler that always resumes the
-// worker with the smallest virtual clock, so exactly one worker executes at
-// any instant and the simulation is fully deterministic.
+// (such as a stop-the-world GC with N threads) run one coroutine per
+// simulated worker, stepped by a single dispatcher loop on the calling
+// goroutine that always resumes the worker with the smallest virtual
+// clock, so exactly one worker executes at any instant and the simulation
+// is fully deterministic.
 //
 // The device model captures the NVM properties the paper identifies as the
 // root cause of copy-based GC slowdown:

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"iter"
 	"math"
 )
 
@@ -27,15 +28,6 @@ type Config struct {
 	// EagerYield starts the machine in the reference scheduling mode that
 	// yields before every device-visible operation (see SetEagerYield).
 	EagerYield bool
-
-	// BatchWindow caps how many charged operations a worker may queue
-	// inside a quiescence-epoch batch window (see Worker.BatchBegin)
-	// before settling them. 0 selects the default (64); 1 disables
-	// batching (every op settles at issue, the reference behavior); a
-	// negative value removes the cap (windows settle only at their end
-	// or at a flush point). Virtual-time results are bit-identical at
-	// any setting — the golden batch-sweep tests assert this.
-	BatchWindow int
 
 	// WatchdogSpins bounds consecutive Spin iterations before the deadlock
 	// watchdog inspects the phase: if every unfinished worker is also
@@ -90,8 +82,7 @@ type Machine struct {
 	now   Time
 	marks []PhaseMark
 
-	eagerYield  bool
-	batchWindow int // normalized Config.BatchWindow (see SetBatchWindow)
+	eagerYield bool
 
 	// Persistence domain and fault injection (see persist.go).
 	pd        *PersistDomain
@@ -128,7 +119,6 @@ func NewMachine(cfg Config) *Machine {
 		eagerYield: cfg.EagerYield,
 		wdSpins:    wd,
 	}
-	m.SetBatchWindow(cfg.BatchWindow)
 	m.DRAM = m.aliasTier("dram", false)
 	m.NVM = m.aliasTier("nvm", true)
 	return m
@@ -165,43 +155,14 @@ func (m *Machine) TierOf(dev *Device) *Tier { return m.topo.TierOf(dev) }
 // Now returns the machine's virtual clock (the end of the last phase).
 func (m *Machine) Now() Time { return m.now }
 
-// SetEagerYield switches the scheduler back to the pre-lookahead behavior
-// of yielding before every device-visible operation. Virtual-time results
-// are identical either way (the golden determinism tests assert this); the
-// eager mode exists as the reference implementation and costs two channel
-// handoffs per operation instead of one per horizon crossing.
+// SetEagerYield switches the scheduler to the reference behavior of
+// offering the CPU to the scheduler before every device-visible operation,
+// with no event-horizon lookahead and no delegated accounting. Virtual-time
+// results are identical either way (the golden determinism tests assert
+// this); the eager mode exists as the oracle the default mode is checked
+// against and costs a heap inspection per operation plus a coroutine
+// switch wherever the default mode would have delegated.
 func (m *Machine) SetEagerYield(on bool) { m.eagerYield = on }
-
-// defaultBatchWindow caps a batch window's queued operations: long enough
-// to cover a whole object copy or flush chunk (the hinted windows), short
-// enough that the scheduler heap never goes stale for a macroscopic
-// stretch of virtual time.
-const defaultBatchWindow = 64
-
-// SetBatchWindow adjusts the batch-window cap between phases (see
-// Config.BatchWindow): 0 restores the default, 1 disables batching, a
-// negative value removes the cap. Results are identical at any setting.
-func (m *Machine) SetBatchWindow(n int) {
-	switch {
-	case n == 0:
-		m.batchWindow = defaultBatchWindow
-	case n < 0:
-		m.batchWindow = -1
-	default:
-		m.batchWindow = n
-	}
-}
-
-// BatchWindow returns the normalized batch-window cap.
-func (m *Machine) BatchWindow() int { return m.batchWindow }
-
-// crashArmed reports whether an injected power-failure trigger is armed.
-// Batch windows refuse to activate while one is: crash triggers fire at
-// pre-settlement issue points (noteOp, the persistence domain's store
-// hook), so those runs keep strict per-op settlement.
-func (m *Machine) crashArmed() bool {
-	return m.faultTime > 0 || (m.fault != nil && m.fault.CrashAtStore > 0)
-}
 
 // Mark records a labeled point at the current virtual time.
 func (m *Machine) Mark(label string) {
@@ -223,71 +184,62 @@ func (m *Machine) Device(k Kind) *Device {
 // current virtual clock. It returns the phase's elapsed virtual time (the
 // latest worker finish) and advances the machine clock to the phase end.
 //
-// With n > 1 the workers run as goroutine coroutines under a
-// min-virtual-time-first scheduler: exactly one worker executes at a time,
-// and device operations are globally ordered by issue time, so the
-// simulation is deterministic. Worker bodies must not block on anything
-// other than the scheduler (use Worker.Spin in busy-wait loops).
+// With n > 1 each worker body runs on its own iter.Pull coroutine and Run
+// is the dispatcher: a single loop on the caller's goroutine that resumes
+// the worker with the smallest (virtual time, id) key, waits for it to
+// park or return, and resumes whichever worker it named as its successor.
+// Exactly one worker executes at a time and device operations are globally
+// ordered by issue time, so the simulation is deterministic; a switch is
+// two coroutine switches on the caller's own OS thread, with no run queue,
+// wake-up or lock traffic. Worker bodies must not block on anything other
+// than the scheduler (use Worker.Spin in busy-wait loops).
 //
-// The scheduler uses event-horizon lookahead: the worker it resumes is
-// handed the virtual time (and id, for tie-breaks) of the next-earliest
-// runnable worker, and keeps executing without a handoff for as long as its
-// own clock stays strictly ahead of that horizon. Every device-visible
-// operation it issues in that window is still the globally earliest
-// possible one, so the operation order — and therefore every virtual-time
-// result — is bit-identical to yielding before each operation
-// (SetEagerYield restores the reference behavior).
+// The scheduler uses event-horizon lookahead: a resumed worker reads the
+// key of the next-earliest runnable worker and keeps executing without a
+// switch for as long as its own key stays below that horizon. Every
+// device-visible operation it issues in that window is still the globally
+// earliest possible one, so the operation order — and therefore every
+// virtual-time result — is bit-identical to offering the CPU before each
+// operation (SetEagerYield restores that reference behavior).
+//
+// A panic in a worker body (other than the internal crash/watchdog unwind)
+// propagates out of Run on the caller's goroutine with its original value,
+// after every other worker's coroutine has been unwound and released.
 func (m *Machine) Run(n int, body func(*Worker)) Time {
 	start := m.now
 	if n <= 1 {
-		w := &Worker{id: 0, now: start, m: m, horizonKey: math.MaxInt64, ownerTag: 1}
+		w := &Worker{id: 0, now: start, m: m, horizonKey: math.MaxInt64}
 		runBody(w, body)
 		w.finished = true
-		if w.now > m.now {
-			m.now = w.now
-		}
-		if m.wdErr != nil {
-			err := m.wdErr
-			m.wdErr = nil
-			panic(err)
-		}
-		return m.now - start
+		return m.endPhase(start, w.now)
 	}
 
 	if n > maxWorkers {
 		panic("memsim: Run supports at most 256 workers per phase")
 	}
-	s := &scheduler{done: make(chan *Worker, n), q: make(workerQueue, 0, n)}
-	s.all = make([]*Worker, 0, n)
-	for i := 0; i < n; i++ {
-		w := &Worker{id: i, now: start, m: m, sched: s, resume: make(chan struct{}), ownerTag: uint8(i + 1)}
-		go func(w *Worker) {
-			<-w.resume
-			w.setHorizon()
-			runBody(w, body)
-			w.finished = true
-			w.finish()
-		}(w)
-		s.q = append(s.q, qent{w.qkey(), w})
-		s.all = append(s.all, w)
+	s := &scheduler{body: body, all: make([]Worker, n), q: make(workerQueue, n)}
+	for i := range s.all {
+		w := &s.all[i]
+		w.id, w.now, w.m, w.sched = i, start, m, s
+		w.resume, w.stop = iter.Pull(w.run)
+		// All workers start at the same time, so id order is already a
+		// valid heap under the (now, id) ordering.
+		s.q[i] = qent{w.qkey(), w}
 	}
-	// All workers start at the same time; the slice is already id-ordered,
-	// which is a valid heap under the (now, id) ordering.
-
-	// Hand the CPU to the earliest worker; from here on control passes
-	// worker-to-worker (yield/finish pop the successor and resume it
-	// directly), so a handoff costs one channel hop, not a round-trip
-	// through this goroutine. Run only collects completions.
-	first := s.q.pop()
-	first.resume <- struct{}{}
+	s.dispatchLoop()
 
 	end := start
-	for i := 0; i < n; i++ {
-		w := <-s.done
-		if w.now > end {
-			end = w.now
+	for i := range s.all {
+		if t := s.all[i].now; t > end {
+			end = t
 		}
 	}
+	return m.endPhase(start, end)
+}
+
+// endPhase advances the machine clock to the phase end, re-raises a
+// watchdog trip on the caller's goroutine, and returns the elapsed time.
+func (m *Machine) endPhase(start, end Time) Time {
 	if end > m.now {
 		m.now = end
 	}
@@ -300,8 +252,8 @@ func (m *Machine) Run(n int, body func(*Worker)) Time {
 }
 
 // runBody executes a worker body, absorbing the crashSignal unwind that an
-// injected fault or the deadlock watchdog uses to drain the phase. Any
-// other panic propagates.
+// injected fault, the deadlock watchdog or a stopping dispatcher uses to
+// drain the phase. Any other panic propagates.
 func runBody(w *Worker, body func(*Worker)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -314,20 +266,38 @@ func runBody(w *Worker, body func(*Worker)) {
 	body(w)
 }
 
-// scheduler is the shared state of one parallel phase. The runnable-worker
-// heap is only ever touched by the single currently-executing worker (or
-// by Run before the phase starts), so it needs no lock; the channel
-// handoffs provide the happens-before edges.
+// scheduler is the shared state of one parallel phase. Only one coroutine
+// of the phase (a worker, or the dispatcher between two workers) runs at
+// any instant and every switch is a direct coroutine transfer, so none of
+// it needs a lock.
 type scheduler struct {
 	q    workerQueue
-	done chan *Worker // buffered; receives each worker as its body returns
-	all  []*Worker    // every worker of the phase, for watchdog dumps
+	next *Worker // successor named by the worker that last parked or finished
+	all  []Worker
+	body func(*Worker)
+}
+
+// dispatchLoop is the phase's event loop: resume the earliest worker, and
+// when it parks (Worker.yield) or returns (Worker.finish) resume the
+// successor it left in next, until a finishing worker finds the heap
+// empty. If a worker body panics the panic surfaces from resume; the
+// deferred stop loop then unwinds every coroutine still parked (their park
+// reports false, see Worker.switchTo) so none outlives the phase.
+func (s *scheduler) dispatchLoop() {
+	defer func() {
+		for i := range s.all {
+			s.all[i].stop()
+		}
+	}()
+	for w := s.q.pop(); w != nil; w = s.next {
+		w.resume()
+	}
 }
 
 // workerQueue is a min-heap of runnable workers ordered by the packed
 // (now, id) scheduling key (see Worker.qkey). It is a concrete heap (not
 // container/heap) with the key stored inline next to the worker pointer,
-// because sift operations run on every scheduler handoff and spin
+// because sift operations run on every scheduler switch and spin
 // advancement: both the interface dispatch of the generic heap and the
 // two-field pointer-chasing comparison showed up as top-ten profile
 // entries under parallel GC phases. An entry's key is refreshed whenever
@@ -340,7 +310,7 @@ type qent struct {
 }
 
 // fixTop restores the heap property after q[0]'s key increased in place
-// (a handoff replace-top or a parked-spinner advancement).
+// (a switch's replace-top or a parked-spinner advancement).
 func (q workerQueue) fixTop() {
 	n := len(q)
 	i := 0

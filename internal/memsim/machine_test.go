@@ -1,14 +1,17 @@
 package memsim
 
 import (
+	"runtime"
 	"testing"
 )
 
-func testMachine() *Machine {
+func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.LLCBytes = 1 << 16
-	return NewMachine(cfg)
+	return cfg
 }
+
+func testMachine() *Machine { return NewMachine(testConfig()) }
 
 func TestRunSerialAdvancesClock(t *testing.T) {
 	m := testMachine()
@@ -80,6 +83,97 @@ func TestSharedStateInterleavingIsSafe(t *testing.T) {
 	})
 	if counter != 8*perWorker {
 		t.Fatalf("counter = %d, want %d", counter, 8*perWorker)
+	}
+}
+
+// TestWorkerPanicPropagatesFromRun: a panic in one worker body of a
+// parallel phase must surface from Run on the caller's goroutine with its
+// original value — where a test or caller can recover it — exactly as it
+// does in a single-worker phase, and must leave no coroutine behind.
+func TestWorkerPanicPropagatesFromRun(t *testing.T) {
+	type boom struct{ id int }
+	for _, n := range []int{1, 4} {
+		m := testMachine()
+		before := runtime.NumGoroutine()
+		unwound := 0
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			m.Run(n, func(w *Worker) {
+				defer func() { unwound++ }()
+				for i := 0; i < 100; i++ {
+					w.Read(m.NVM, uint64(w.ID()*4096+i*64), 8, false)
+					if w.ID() == n/2 && i == 50 {
+						panic(boom{w.ID()})
+					}
+				}
+			})
+			t.Errorf("n=%d: Run returned after a worker panic", n)
+		}()
+		if got != (boom{n / 2}) {
+			t.Errorf("n=%d: recovered %#v, want %#v", n, got, boom{n / 2})
+		}
+		if unwound != n {
+			t.Errorf("n=%d: %d worker bodies unwound, want %d", n, unwound, n)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("n=%d: %d goroutines after the panic, %d before", n, after, before)
+		}
+	}
+}
+
+// TestRunLeavesNoGoroutines: every worker coroutine is gone by the time Run
+// returns or panics — after a normal phase, after a crashSignal unwind
+// (an injected power failure) and after a watchdog trip. A leaked phase
+// would leave its 8 coroutines parked; the comparison is one-sided because
+// an earlier test's helper goroutine may still be exiting when before is
+// sampled.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	reads := func(m *Machine, n int) func(*Worker) {
+		return func(w *Worker) {
+			for i := 0; n < 0 || i < n; i++ {
+				w.Read(m.DRAM, uint64(w.ID()*4096+i*8), 8, false)
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"normal", func() {
+			m := testMachine()
+			m.Run(8, reads(m, 200))
+		}},
+		{"crash", func() {
+			m := testMachine()
+			m.InjectFault(FaultPlan{CrashAtTime: 5 * Microsecond})
+			m.Run(8, reads(m, -1))
+			if !m.Crashed() {
+				t.Error("crash: time trigger did not fire")
+			}
+		}},
+		{"watchdog", func() {
+			cfg := DefaultConfig()
+			cfg.WatchdogSpins = 256
+			m := NewMachine(cfg)
+			defer func() {
+				if _, ok := recover().(*WatchdogError); !ok {
+					t.Error("watchdog: deadlocked phase did not panic with *WatchdogError")
+				}
+			}()
+			m.Run(8, func(w *Worker) {
+				for {
+					w.Spin(60)
+				}
+			})
+		}},
+	}
+	for _, c := range cases {
+		before := runtime.NumGoroutine()
+		c.run()
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after Run, %d before", c.name, after, before)
+		}
 	}
 }
 

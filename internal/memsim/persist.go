@@ -462,6 +462,6 @@ func (m *Machine) MaterializeCrash() (CrashReport, error) {
 	return rep, nil
 }
 
-// crashSignal unwinds a worker goroutine when the machine halts. It is
+// crashSignal unwinds a worker body when the machine halts. It is
 // recovered by the scheduler's body wrapper, never by user code.
 type crashSignal struct{}

@@ -68,17 +68,18 @@ func (w *Worker) watchdogCheck() {
 	if m.wdErr != nil || m.halted {
 		return
 	}
-	workers := []*Worker{w}
+	workers := []Worker{*w}
 	if w.sched != nil {
 		workers = w.sched.all
 	}
-	for _, o := range workers {
-		if !o.finished && o.spinStreak < m.wdSpins {
+	for i := range workers {
+		if o := &workers[i]; !o.finished && o.spinStreak < m.wdSpins {
 			return
 		}
 	}
 	e := &WatchdogError{}
-	for _, o := range workers {
+	for i := range workers {
+		o := &workers[i]
 		e.Workers = append(e.Workers, WorkerDump{
 			ID: o.id, Now: o.now, LastOp: o.lastOp, LastDev: o.lastDev,
 			Addr: o.lastAddr, Spins: o.spinStreak, Since: o.spinSince,

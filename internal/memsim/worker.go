@@ -7,20 +7,27 @@ import (
 // Worker is one simulated hardware thread inside a phase. All memory
 // operations advance the worker's virtual clock; under a parallel phase
 // each device-visible operation is a potential yield point, but the worker
-// only hands off to the scheduler once its clock passes the event horizon
-// (the virtual time of the next-earliest runnable worker) — until then its
-// operations are provably the globally earliest, so device queueing stays
-// processed in global time order without the channel round-trip.
+// only switches away once its clock passes the event horizon (the virtual
+// time of the next-earliest runnable worker) — until then its operations
+// are provably the globally earliest, so device queueing stays processed
+// in global time order without a coroutine switch.
 type Worker struct {
-	id     int
-	now    Time
-	m      *Machine
-	sched  *scheduler
-	resume chan struct{}
+	id    int
+	now   Time
+	m     *Machine
+	sched *scheduler
+
+	// The worker's coroutine (see Machine.Run): the dispatcher calls resume
+	// to run the body until it parks or returns and stop to unwind it early;
+	// the body calls park to switch back to the dispatcher. All nil in a
+	// single-worker phase, which runs on the caller's stack.
+	resume func() (struct{}, bool)
+	park   func(struct{}) bool
+	stop   func()
 
 	// horizonKey is the packed scheduling key (see qkey) of the
-	// next-earliest runnable worker, set by the scheduler on resume. The
-	// worker may keep executing while qkey() < horizonKey, which is
+	// next-earliest runnable worker, read from the heap on every resume.
+	// The worker may keep executing while qkey() < horizonKey, which is
 	// exactly (now, id) < (horizon now, horizon id) lexicographically.
 	horizonKey Time
 
@@ -52,26 +59,9 @@ type Worker struct {
 	// for (set between noteOp and execOp). While the worker is parked at a
 	// yield with op pending, the running worker may execute the accounting
 	// on its behalf at exactly this worker's position in global time order
-	// (see yield), which skips the goroutine handoff entirely whenever the
-	// operation's cost moves this worker past the runner.
+	// (see yield), which skips the switch entirely whenever the operation's
+	// cost moves this worker past the runner.
 	op opDesc
-
-	// Quiescence-epoch batching (see BatchBegin): inside a hinted batch
-	// window, charged operations on provably private state are queued in
-	// ops (FIFO from opHead) instead of dispatched one at a time, and the
-	// queue settles later — each op at its exact position in global
-	// operation order, via drain or peer delegation (execHead). The
-	// worker's clock does not move while ops are queued; it is the issue
-	// time of the queue head. Invariant: op is pending only while the
-	// queue is empty (queued ops are older and always settle first).
-	ops        []opDesc
-	opHead     int
-	batchDepth int   // nesting depth of open batch windows
-	pauseDepth int   // nesting depth of open batch pauses (BatchPause)
-	batching   bool  // enqueue enabled (window open, not paused, legal)
-	batchOK    bool  // batching legal for the current outermost window
-	batchMax   int   // queue length that forces a drain; <0 = unbounded
-	ownerTag   uint8 // id+1, the LLC owner tag this worker stamps on lines
 }
 
 // opKind classifies a pending charged operation (see Worker.op).
@@ -84,8 +74,6 @@ const (
 	opNT              // non-temporal streaming store (WriteNT)
 	opPrefetch        // software prefetch (Prefetch)
 	opCLWB            // cache-line write-back (CLWB)
-	opAdvance         // CPU-only time advance queued inside a batch window
-	opHost            // deferred host-state mutation (see HostOp)
 )
 
 // opDesc captures everything execOp needs to run a charged operation's
@@ -103,18 +91,7 @@ type opDesc struct {
 	dev   *Device
 	addr  uint64
 	n     int64
-	// opHost: the deferred mutation, run at settlement as host(env, addr,
-	// uint64(n)). A static function plus an environment pointer and two
-	// scalars — not a closure — so deferring a host effect allocates
-	// nothing on the evacuation hot path.
-	host func(env any, a, b uint64)
-	env  any
 }
-
-// nonYielding reports whether a queued entry settles without a scheduling
-// point: CPU-only advances and deferred host effects, which on the owner's
-// goroutine run inline between charged operations (see drain).
-func nonYielding(k opKind) bool { return k == opAdvance || k == opHost }
 
 // noteOp records a real (non-spin) operation for watchdog dumps and ends
 // any spin streak. It also fires the armed time-based fault trigger: a
@@ -160,26 +137,40 @@ func (w *Worker) qkey() Time { return w.now<<8 | Time(w.id) }
 // ID returns the worker's index within its phase.
 func (w *Worker) ID() int { return w.id }
 
-// Now returns the worker's virtual clock. Reading the clock is a flush
-// point: any operations queued inside a batch window settle first, so the
-// returned time reflects every operation the worker has issued.
-func (w *Worker) Now() Time {
-	if w.opHead < len(w.ops) {
-		w.drain()
-	}
-	return w.now
-}
+// Now returns the worker's virtual clock.
+func (w *Worker) Now() Time { return w.now }
 
 // Machine returns the machine the worker runs on.
 func (w *Worker) Machine() *Machine { return w.m }
+
+// run is the body of the worker's coroutine: arm the event horizon on the
+// first resume, execute the phase body, and name a successor.
+func (w *Worker) run(park func(struct{}) bool) {
+	w.park = park
+	w.setHorizon()
+	runBody(w, w.sched.body)
+	w.finished = true
+	w.finish()
+}
+
+// switchTo parks the worker's coroutine and has the dispatcher resume
+// next. It returns when the dispatcher resumes this worker again. A false
+// park means the dispatcher is stopping the phase instead (another
+// worker's body panicked): unwind the body like a halt does.
+func (w *Worker) switchTo(next *Worker) {
+	w.sched.next = next
+	if !w.park(struct{}{}) {
+		panic(crashSignal{})
+	}
+}
 
 func (w *Worker) yield() {
 	if w.sched == nil {
 		return
 	}
 	// Event horizon: while this worker is still the globally earliest
-	// (ties broken by id, matching the scheduler heap), a handoff would
-	// resume it immediately — skip the channel ops entirely.
+	// (ties broken by id, matching the scheduler heap), a switch would
+	// resume it immediately — skip it entirely.
 	wkey := w.qkey()
 	if wkey < w.horizonKey {
 		return
@@ -188,7 +179,7 @@ func (w *Worker) yield() {
 	m := w.m
 	for {
 		if len(s.q) == 0 || wkey < s.q[0].key {
-			// Still the earliest (eager-yield's forced handoffs, or every
+			// Still the earliest (eager-yield's forced inspections, or every
 			// earlier worker was advanced past us in place): keep running
 			// with a re-armed horizon.
 			w.setHorizon()
@@ -201,59 +192,37 @@ func (w *Worker) yield() {
 				s.q.fixTop()
 				continue
 			}
-		} else if (next.op.kind != opNone ||
-			(next.opHead < len(next.ops) && !nonYielding(next.ops[next.opHead].kind))) &&
-			!m.eagerYield && !m.halted &&
+		} else if next.op.kind != opNone && !m.eagerYield && !m.halted &&
 			!(m.faultTime > 0 && next.now >= m.faultTime) {
-			// The earliest worker is parked at a yield with unsettled
-			// accounting: a single pending operation (dispatch) or a queue
-			// of batched ones (drain). Run the head on its behalf: the
+			// The earliest worker is parked at a yield with its operation's
+			// accounting still pending. Run it on the owner's behalf: the
 			// accounting executes at exactly the same position in global
-			// operation order as it would on the owner's goroutine, and its
+			// operation order as it would on the owner's coroutine, and its
 			// effects are confined to shared simulator state plus the
 			// owner's clock (see opDesc), so results are bit-identical. If
 			// the cost moves the owner past us it never needed the CPU at
-			// all — the handoff is skipped — and a whole batch can settle
-			// head by head across loop iterations without the owner ever
-			// resuming; otherwise the next iteration hands off to it as
-			// usual, and it resumes with the accounting already done.
-			//
-			// A queue head that is a CPU-only advance or a deferred host
-			// effect is deliberately NOT delegable. It marks the owner
-			// parked at a settled position with a run of non-yielding work
-			// queued, and on the owner's goroutine that run executes
-			// atomically with whatever live code follows the drain —
-			// Advance and HostOp create no scheduling point, so unbatched
-			// execution carries straight through the queued effects into
-			// the caller's next host statements (a work-stack take, a
-			// steal probe) before any peer can interleave. A delegate can
-			// replay the queued prefix but not the live continuation;
-			// running the prefix in place would advance the owner's clock
-			// past peers whose virtual times fall inside the run, letting
-			// them execute before the continuation that unbatched order
-			// puts first. Forcing a handoff instead resumes the owner at
-			// the settled position, and it replays prefix plus
-			// continuation inline, exactly like the reference.
-			next.execHead()
+			// all — the switch is skipped; otherwise the next iteration
+			// switches to it as usual, and it resumes with the accounting
+			// already done.
+			next.execOp()
 			s.q[0].key = next.qkey()
 			s.q.fixTop()
 			continue
 		}
-		// A real handoff is due: the earliest worker needs its goroutine to
+		// A real switch is due: the earliest worker needs its coroutine to
 		// make progress, must observe a halt/fault, or its awaited condition
 		// now holds. The heap is untouched since that worker reached the
-		// top, so handing off is push(w)+pop(top), which a replace-top with
+		// top, so switching is push(w)+pop(top), which a replace-top with
 		// one sift performs in half the heap work.
 		s.q[0] = qent{wkey, w}
 		s.q.fixTop()
-		next.resume <- struct{}{}
-		<-w.resume
+		w.switchTo(next)
 		w.setHorizon()
 		return
 	}
 }
 
-// dispatch is the tail of every delegable charged operation: yield at the
+// dispatch is the tail of every charged operation: yield at the
 // operation's interleaving point, run the accounting — unless a peer
 // already executed it on this worker's behalf while it was parked — and
 // yield once more at the settled clock. The second yield pins the host
@@ -264,168 +233,12 @@ func (w *Worker) yield() {
 // it, which worker's host code runs first at a virtual-time tie would
 // depend on who happened to hold the CPU — and host code mutates shared
 // collector state (region claims, forwarding installs) whose order must
-// not depend on the scheduling mode. Any batched operations still queued
-// settle first; they are older.
+// not depend on the scheduling mode.
 func (w *Worker) dispatch() {
-	if w.opHead < len(w.ops) {
-		d := w.op
-		w.op.kind = opNone
-		w.drain()
-		w.op = d
-	}
 	w.yield()
 	if w.op.kind != opNone {
 		w.execOp()
 		w.yield()
-	}
-}
-
-// execHead settles the worker's oldest unsettled operation: the batch
-// queue head if one is queued, else the pending single op. Called by the
-// owner (drain/dispatch) or by the running worker on a parked owner's
-// behalf (yield); either way the op runs at the owner's position in
-// global operation order.
-func (w *Worker) execHead() {
-	if w.opHead < len(w.ops) {
-		w.op = w.ops[w.opHead]
-		if w.opHead++; w.opHead == len(w.ops) {
-			w.ops = w.ops[:0]
-			w.opHead = 0
-		}
-	}
-	w.execOp()
-}
-
-// drain settles every queued batch operation in issue order, reproducing
-// the exact yield-key sequence of unbatched execution: device-visible
-// operations yield at their issue position and again at their settled
-// position (dispatch parity), while queued opAdvance and opHost entries
-// settle in place with no yield at all — unbatched Advance and HostOp
-// create no scheduling point, so neither may their queued forms, or a
-// peer could interleave between a settled operation and the host effect
-// that follows it where the reference scheduler admits no interleaving.
-// A parked owner's whole queue can still settle through peer delegation
-// with at most one goroutine handoff for the entire batch.
-//
-// There is deliberately no trailing yield: the last scheduling point of
-// the queue is the final charged entry's settle-yield, exactly as in
-// unbatched execution, where the host code and CPU advances that follow
-// the last device operation run inline until the next charged issue
-// point. A yield after a non-yielding tail would park the owner at the
-// post-advance clock and let earlier-keyed peers run before host code
-// (a work-stack take, a flush trigger) that the reference executes
-// atomically after the last settlement.
-func (w *Worker) drain() {
-	for w.opHead < len(w.ops) {
-		switch w.ops[w.opHead].kind {
-		case opAdvance, opHost:
-			w.execHead()
-		default:
-			w.yield()
-			// A peer may have settled this entry (and any number of charged
-			// successors) by delegation while we were parked; re-check the
-			// head, and only exec-and-settle it here if it is still charged —
-			// a non-yielding head must go through the case above so it
-			// settles in place without a scheduling point.
-			if w.opHead < len(w.ops) && !nonYielding(w.ops[w.opHead].kind) {
-				w.execHead()
-				w.yield()
-			}
-		}
-	}
-}
-
-// Drain settles any operations still queued inside a batch window. It is
-// invoked implicitly at every flush point (Now, Spin, fences, window
-// end); exposed for callers that need the clock and all shared simulator
-// state settled mid-window (e.g. before probing fault state).
-func (w *Worker) Drain() {
-	if w.opHead < len(w.ops) {
-		w.drain()
-	}
-}
-
-// BatchBegin opens a quiescence-epoch batch window: a code region whose
-// charged operations touch only state no other runnable worker can
-// observe before the event horizon (private destination regions,
-// per-worker GC scratch, lines whose LLC owner tag already belongs to
-// this worker). Inside the window, operations are queued instead of
-// dispatched and the worker keeps the CPU without yielding; the queue
-// settles at BatchEnd (or a flush point), each op at its exact position
-// in global operation order, so every virtual-time result is
-// bit-identical to unbatched execution at any window size. Windows nest.
-//
-// Batching never activates under the eager-yield reference scheduler,
-// in single-worker phases (no handoffs exist to save), with a batch
-// window of 1, or while a crash plan is armed — crash triggers fire at
-// pre-settlement issue points, so those runs keep per-op settlement.
-// Media-fault models (wear, transient reads) do NOT disable batching:
-// settlement replays line-granular wear counting and poisoning in exact
-// per-op order (see execOp), which the fault-determinism tests pin.
-func (w *Worker) BatchBegin() {
-	if w.batchDepth++; w.batchDepth > 1 {
-		return
-	}
-	m := w.m
-	w.batchOK = w.sched != nil && !m.eagerYield && !m.halted &&
-		m.batchWindow != 1 && !m.crashArmed()
-	w.batching = w.batchOK && w.pauseDepth == 0
-	w.batchMax = m.batchWindow
-}
-
-// BatchEnd closes the innermost batch window and, when the outermost
-// window closes, settles the queue. Every BatchBegin must be paired.
-func (w *Worker) BatchEnd() {
-	if w.batchDepth--; w.batchDepth == 0 {
-		w.batching = false
-		if w.opHead < len(w.ops) {
-			w.drain()
-		}
-	}
-}
-
-// BatchPause suspends any open batch window around code whose
-// host-visible effects must land at their exact unbatched positions —
-// shared map probes, forwarding-CAS races, work-stack pushes, shared
-// allocator bumps. The queue drains first, so the worker's clock is
-// settled when the paused code runs, and charged operations issued
-// before the matching BatchResume dispatch immediately, exactly as they
-// would outside a window. Pauses nest; a BatchBegin issued while paused
-// leaves batching off for the whole pause.
-func (w *Worker) BatchPause() {
-	if w.pauseDepth++; w.pauseDepth > 1 {
-		return
-	}
-	if !w.batching {
-		return
-	}
-	if w.opHead < len(w.ops) {
-		w.drain()
-	}
-	w.batching = false
-}
-
-// BatchResume reopens the window suspended by the matching BatchPause.
-func (w *Worker) BatchResume() {
-	if w.pauseDepth--; w.pauseDepth == 0 {
-		w.batching = w.batchOK && w.batchDepth > 0
-	}
-}
-
-// enqueue appends a charged operation to the batch queue. A word/range op
-// whose first line is cached under another worker's owner tag is evidence
-// the window's privacy assumption frayed; the queue conservatively drains
-// first (settling at the current, earlier position is always safe — it is
-// the unbatched behavior). The queue also drains when it reaches the
-// machine's batch window.
-func (w *Worker) enqueue(d opDesc) {
-	if (d.kind == opWord || d.kind == opRange) &&
-		w.m.LLC.lineForeign(d.dev, d.addr&^(LineSize-1), w.ownerTag) {
-		w.drain()
-	}
-	w.ops = append(w.ops, d)
-	if w.batchMax > 0 && len(w.ops)-w.opHead >= w.batchMax {
-		w.drain()
 	}
 }
 
@@ -439,12 +252,7 @@ func (w *Worker) execOp() {
 	op := w.op
 	w.op.kind = opNone
 	c := w.m.LLC
-	c.acting = w.ownerTag
 	switch op.kind {
-	case opAdvance:
-		w.now += Time(op.n)
-	case opHost:
-		op.host(op.env, op.addr, uint64(op.n))
 	case opWord, opRange:
 		var missBytes int64
 		var ready Time
@@ -518,7 +326,7 @@ func (w *Worker) execOp() {
 // spinning, replicates Spin's fault/watchdog bookkeeping and advances its
 // clock by the spin quantum. It reports false when the worker must be
 // resumed for real — the condition holds, or a halt/armed fault requires
-// the worker to unwind from its own goroutine.
+// the worker to unwind on its own coroutine.
 //
 // The condition closure runs under the cooperative scheduler at exactly
 // the interleaving point where the parked worker would have been resumed,
@@ -547,15 +355,13 @@ func (w *Worker) advanceSpin() bool {
 // streak accounting, fault windows — are identical to writing the loop
 // out; the difference is purely host-side: while the worker is the
 // earliest runnable one but would only spin, the scheduler advances its
-// clock in place (see advanceSpin) instead of paying a goroutine handoff
+// clock in place (see advanceSpin) instead of paying a coroutine switch
 // per quantum.
 //
 // cond must be free of charged memory operations and must not depend on
-// which goroutine evaluates it. Under eager-yield the literal loop runs.
+// which worker's coroutine evaluates it. Under eager-yield the literal loop
+// runs.
 func (w *Worker) SpinWait(d Time, cond func() bool) {
-	if w.opHead < len(w.ops) {
-		w.drain()
-	}
 	if w.sched == nil || w.m.eagerYield {
 		for !cond() {
 			w.Spin(d)
@@ -572,106 +378,51 @@ func (w *Worker) SpinWait(d Time, cond func() bool) {
 	w.spinCond = nil
 }
 
-// finish hands the CPU to the next runnable worker (if any) and reports
-// this worker's completion to Machine.Run. A queue left over from an
-// unclosed batch window settles first — unless the machine halted (crash
-// unwind), where unsettled ops are discarded exactly as un-issued ops of
-// an unwound body are.
+// finish names the next runnable worker (if any) as this worker's
+// successor; the coroutine then returns to the dispatcher for good.
 func (w *Worker) finish() {
-	if w.opHead < len(w.ops) {
-		if w.m.halted {
-			w.ops, w.opHead = w.ops[:0], 0
-		} else {
-			w.drain()
-		}
-	}
 	s := w.sched
-	s.done <- w
+	s.next = nil
 	if len(s.q) > 0 {
-		next := s.q.pop()
-		next.resume <- struct{}{}
+		s.next = s.q.pop()
 	}
 }
 
 // setHorizon primes the worker's event horizon from the runnable heap.
-// Each worker arms its own horizon right after it is resumed (and the
-// phase's first worker before its body starts): the waker completed every
-// queue mutation before the channel send, and nothing the waker executes
-// after the send touches the queue, so the freshly resumed worker reads
-// the exact queue state its horizon must reflect — without the waker
-// paying a cold-memory store into the sleeping worker's struct.
+// Each worker arms its own horizon right after it is resumed (and on its
+// first resume, before its body starts): the worker that parked or
+// finished completed every heap mutation before switching away and the
+// dispatcher touches nothing in between, so the freshly resumed worker
+// reads the exact heap state its horizon must reflect.
 func (w *Worker) setHorizon() {
 	if w.m.eagerYield {
-		// Reference mode: an unreachable horizon forces a handoff at
-		// every yield point.
+		// Reference mode: an unreachable horizon forces a heap inspection
+		// at every yield point.
 		w.horizonKey = math.MinInt64
 		return
 	}
 	if q := w.sched.q; len(q) > 0 {
 		w.horizonKey = q[0].key
 	} else {
-		// Sole runnable worker: run to completion without handoffs.
+		// Sole runnable worker: run to completion without switches.
 		w.horizonKey = math.MaxInt64
 	}
 }
 
 // Advance models CPU-only work of duration d (no scheduler yield; yields
-// happen at memory operations, which dominate GC time). Inside a batch
-// window the advance is queued with the window's other operations: the
-// clock is the issue time of the queue head and must not move early.
+// happen at memory operations, which dominate GC time).
 func (w *Worker) Advance(d Time) {
-	if w.batching {
-		if d > 0 {
-			w.enqueue(opDesc{kind: opAdvance, n: int64(d)})
-		}
-		return
-	}
 	if d > 0 {
 		w.now += d
 	}
 }
 
-// HostOp schedules a host-state mutation (a work-stack push, a reference
-// slot store, a remembered-set append) at the worker's settled position in
-// global operation order. Outside a batch window the worker is already
-// settled — every charged operation dispatches to completion — so fn runs
-// immediately. Inside a window the mutation is queued with the charged
-// operations and runs at settlement, in issue order, at the exact position
-// unbatched execution gives it. Because settlement may happen through peer
-// delegation (see yield), fn can run on another worker's goroutine: it
-// must be a plain mutation of simulated/collector state valid on any
-// goroutine under the cooperative scheduler, and must consume no value —
-// code that branches on shared state must settle and read it on its own
-// goroutine instead (ReadWordSettled, CASWord).
-//
-// fn must be a static (package-level) function; the data it operates on
-// arrives through env (an environment pointer) and the two scalars a, b.
-// This keeps deferral allocation-free — a capturing closure per deferred
-// push would put hundreds of thousands of allocations per cycle back on
-// the hot path the GC scratch arena exists to keep clean.
-//
-// This is what keeps provably order-insensitive-to-defer host effects
-// delegation-friendly: a parked owner's queued pushes and stores settle
-// at their exact positions on the running worker's goroutine, without
-// forcing a wakeup per effect.
-func (w *Worker) HostOp(fn func(env any, a, b uint64), env any, a, b uint64) {
-	if w.batching {
-		w.enqueue(opDesc{kind: opHost, host: fn, env: env, addr: a, n: int64(b)})
-		return
-	}
-	fn(env, a, b)
-}
-
 // Spin models one iteration of a busy-wait loop: it advances time by d and
 // yields so that other workers can make the awaited progress. Busy-wait
 // loops in worker bodies must call Spin or the simulation livelocks.
-// Spinning reads shared state, so it is a flush point for batched ops.
 func (w *Worker) Spin(d Time) {
 	if d < 1 {
 		d = 1
-	}
-	if w.opHead < len(w.ops) {
-		w.drain()
 	}
 	w.checkFault()
 	if w.spinStreak == 0 {
@@ -692,10 +443,6 @@ func (w *Worker) Read(dev *Device, addr uint64, n int64, seq bool) {
 		return
 	}
 	w.noteOp("read", dev, addr)
-	if w.batching {
-		w.enqueue(opDesc{kind: opRange, dev: dev, addr: addr, n: n, seq: seq})
-		return
-	}
 	w.op = opDesc{kind: opRange, dev: dev, addr: addr, n: n, seq: seq}
 	w.dispatch()
 }
@@ -710,10 +457,6 @@ func (w *Worker) Write(dev *Device, addr uint64, n int64, seq bool) {
 		return
 	}
 	w.noteOp("write", dev, addr)
-	if w.batching {
-		w.enqueue(opDesc{kind: opRange, write: true, dev: dev, addr: addr, n: n, seq: seq})
-		return
-	}
 	w.op = opDesc{kind: opRange, write: true, dev: dev, addr: addr, n: n, seq: seq}
 	w.dispatch()
 }
@@ -724,10 +467,6 @@ func (w *Worker) Write(dev *Device, addr uint64, n int64, seq bool) {
 // the one-line case, which dominates the GC's slot and header traffic.
 func (w *Worker) ReadWord(dev *Device, addr uint64) {
 	w.noteOp("read", dev, addr)
-	if w.batching {
-		w.enqueue(opDesc{kind: opWord, dev: dev, addr: addr})
-		return
-	}
 	w.op = opDesc{kind: opWord, dev: dev, addr: addr}
 	w.dispatch()
 }
@@ -737,10 +476,6 @@ func (w *Worker) ReadWord(dev *Device, addr uint64) {
 // specialized away (see ReadWord).
 func (w *Worker) WriteWord(dev *Device, addr uint64) {
 	w.noteOp("write", dev, addr)
-	if w.batching {
-		w.enqueue(opDesc{kind: opWord, write: true, dev: dev, addr: addr})
-		return
-	}
 	w.op = opDesc{kind: opWord, write: true, dev: dev, addr: addr}
 	w.dispatch()
 }
@@ -754,10 +489,6 @@ func (w *Worker) WriteNT(dev *Device, addr uint64, n int64) {
 		return
 	}
 	w.noteOp("write-nt", dev, addr)
-	if w.batching {
-		w.enqueue(opDesc{kind: opNT, dev: dev, addr: addr, n: n})
-		return
-	}
 	w.op = opDesc{kind: opNT, dev: dev, addr: addr, n: n}
 	w.dispatch()
 }
@@ -777,10 +508,6 @@ func (w *Worker) Fence() {
 // flushed line enters the persistence domain when that fence retires.
 func (w *Worker) CLWB(dev *Device, addr uint64) {
 	w.noteOp("clwb", dev, addr)
-	if w.batching {
-		w.enqueue(opDesc{kind: opCLWB, dev: dev, addr: addr})
-		return
-	}
 	w.op = opDesc{kind: opCLWB, dev: dev, addr: addr}
 	w.dispatch()
 }
@@ -789,11 +516,8 @@ func (w *Worker) CLWB(dev *Device, addr uint64) {
 // once every write-back this worker issued has completed, committing the
 // flushed lines to the persistence domain.
 func (w *Worker) PersistFence() {
-	if w.opHead < len(w.ops) {
-		w.drain() // flushDone is read below; queued CLWBs must settle
-	}
 	w.noteOp("persist-fence", nil, 0)
-	w.now += 30 // issue overhead, charged directly: the fence never batches
+	w.now += 30 // issue overhead
 	if w.flushDone > w.now {
 		w.now = w.flushDone
 	}
@@ -811,10 +535,6 @@ func (w *Worker) Prefetch(dev *Device, addr uint64, n int64, seq bool) {
 		return
 	}
 	w.noteOp("prefetch", dev, addr)
-	if w.batching {
-		w.enqueue(opDesc{kind: opPrefetch, dev: dev, addr: addr, n: n, seq: seq})
-		return
-	}
 	w.op = opDesc{kind: opPrefetch, dev: dev, addr: addr, n: n, seq: seq}
 	w.dispatch()
 }

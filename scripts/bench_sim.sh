@@ -50,7 +50,7 @@ END {
 	printf "{\n  \"generated_by\": \"scripts/bench_sim.sh\",\n" > out
 	printf "  \"baseline\": \"tree at baseline_commit (the commit that last regenerated this file); its recorded after_ns_per_op figures are these before_ns_per_op baselines; same host\",\n" >> out
 	printf "  \"baseline_commit\": \"%s\",\n", base >> out
-	printf "  \"baseline_note\": \"the baseline tree predates the batching equivalence oracle: its delegated scheduler diverged from the eager-yield reference at GC scale (no test compared them), so its figures time a subtly different simulation; this tree is byte-exact against the reference (TestBatchWindowSweepEquivalence) and pays the settle-yield discipline that exactness costs\",\n" >> out
+	printf "  \"baseline_note\": \"the baseline tree predates the batching equivalence oracle: its delegated scheduler diverged from the eager-yield reference at GC scale (no test compared them), so its figures time a subtly different simulation; this tree is byte-exact against the reference (TestSchedulerModeEquivalence) and pays the settle-yield discipline that exactness costs\",\n" >> out
 	printf "  \"measured_at_commit\": \"%s\",\n", head >> out
 	printf "  \"benchmarks\": {\n" >> out
 	sep = ""
