@@ -92,15 +92,18 @@ bench-smoke:
 bench-e2e: build
 	$(GO) run ./benchmarks --out results/bench-$$(git rev-parse --short HEAD).jsonl
 
-# bench-gate is the CI guard against virtual drift: a short gc-pagerank run
-# at the pinned seed 1 must report every iteration's fingerprint equal to
-# benchmarks/expected.json ("correct":true) with no failed operation. A
-# scheduler change that moves a virtual number fails here, not only in
+# bench-gate is the CI guard against virtual drift: short gc-pagerank and
+# fleet-serve runs at the pinned seed 1 must report every iteration's
+# fingerprint equal to benchmarks/expected.json ("correct":true) with no
+# failed operation. A scheduler change that moves a virtual number, or a
+# replay change that moves a fleet percentile, fails here, not only in
 # `go test`.
 bench-gate: build
-	@out=$$($(GO) run ./benchmarks --workload gc-pagerank --seed 1 --seconds 3 --trace 0 | tail -n 1); \
-	echo "$$out"; \
-	echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]'
+	@for w in gc-pagerank fleet-serve; do \
+		out=$$($(GO) run ./benchmarks --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+		echo "$$w $$out"; \
+		echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]' || exit 1; \
+	done
 
 # profile records flamegraph-ready CPU and allocation profiles of the GC
 # hot path under results/ (see scripts/profile_gc.sh).

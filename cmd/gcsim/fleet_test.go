@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -52,6 +53,8 @@ func TestFleetConfigValidateRejects(t *testing.T) {
 	}{
 		{"zero instances", func(fo *fleetOptions) { fo.instances = 0 }},
 		{"negative qps", func(fo *fleetOptions) { fo.qps = -1 }},
+		{"NaN qps", func(fo *fleetOptions) { fo.qps = math.NaN() }},
+		{"infinite qps", func(fo *fleetOptions) { fo.qps = math.Inf(1) }},
 		{"unknown workload", func(fo *fleetOptions) { fo.workload = "no-such" }},
 		{"negative hedge", func(fo *fleetOptions) { fo.hedgeUS = -1 }},
 		{"negative retry budget", func(fo *fleetOptions) { fo.retries = -1 }},

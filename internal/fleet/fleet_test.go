@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -152,11 +153,14 @@ func TestConfigValidate(t *testing.T) {
 		{"oversized fleet", func(c *Config) { c.Instances = MaxInstances + 1 }},
 		{"unknown scenario", func(c *Config) { c.Scenario = "no-such-workload" }},
 		{"zero qps", func(c *Config) { c.QPS = 0 }},
+		{"NaN qps", func(c *Config) { c.QPS = math.NaN() }},
+		{"infinite qps", func(c *Config) { c.QPS = math.Inf(1) }},
 		{"negative parallel", func(c *Config) { c.Parallel = -1 }},
 		{"negative scale", func(c *Config) { c.Scale = -1 }},
 		{"negative gc threads", func(c *Config) { c.GCThreads = -1 }},
 		{"negative hedge", func(c *Config) { c.HedgeAfter = -1 }},
 		{"bad theta", func(c *Config) { c.Theta = 1.5 }},
+		{"NaN theta", func(c *Config) { c.Theta = math.NaN() }},
 	}
 	for _, tc := range cases {
 		cfg := testConfig()

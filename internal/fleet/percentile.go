@@ -25,24 +25,38 @@ func MergeSorted(groups [][]float64) []float64 {
 	case 1:
 		return append([]float64(nil), groups[0]...)
 	}
-	mid := len(groups) / 2
-	return merge2(MergeSorted(groups[:mid]), MergeSorted(groups[mid:]))
+	n := 0
+	for _, g := range groups {
+		n += len(g)
+	}
+	return mergeRuns(groups, make([]float64, n), make([]float64, n))
 }
 
-func merge2(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	i, j := 0, 0
+// mergeRuns merges groups into the front of dst. The two halves are
+// merged one level down with the buffers' roles swapped, so every level
+// ping-pongs between the same two allocations; a single group is read
+// where it lies. dst and scratch hold at least the groups' total.
+func mergeRuns(groups [][]float64, dst, scratch []float64) []float64 {
+	if len(groups) == 1 {
+		return groups[0]
+	}
+	mid := len(groups) / 2
+	a := mergeRuns(groups[:mid], scratch, dst)
+	b := mergeRuns(groups[mid:], scratch[len(a):], dst[len(a):])
+	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] <= b[j] {
-			out = append(out, a[i])
+			dst[k] = a[i]
 			i++
 		} else {
-			out = append(out, b[j])
+			dst[k] = b[j]
 			j++
 		}
+		k++
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	k += copy(dst[k:], a[i:])
+	k += copy(dst[k:], b[j:])
+	return dst[:k]
 }
 
 // Quantile returns the nearest-rank p-quantile (p in 0..100) of an

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -55,8 +54,8 @@ type Traffic struct {
 
 // Validate rejects traffic parameters up front.
 func (tr Traffic) Validate() error {
-	if tr.QPS <= 0 {
-		return fmt.Errorf("fleet: arrival rate %g qps, want > 0", tr.QPS)
+	if !(tr.QPS > 0) || math.IsInf(tr.QPS, 0) { // !(x > 0), so NaN fails too
+		return fmt.Errorf("fleet: arrival rate %g qps, want finite and > 0", tr.QPS)
 	}
 	if tr.Service <= 0 {
 		return fmt.Errorf("fleet: service time %d, want > 0", tr.Service)
@@ -67,7 +66,7 @@ func (tr Traffic) Validate() error {
 	if tr.Tenants < 1 {
 		return fmt.Errorf("fleet: %d tenants, want >= 1", tr.Tenants)
 	}
-	if tr.Theta <= 0 || tr.Theta >= 1 {
+	if !(tr.Theta > 0 && tr.Theta < 1) {
 		return fmt.Errorf("fleet: zipfian theta %g outside (0, 1)", tr.Theta)
 	}
 	if tr.HedgeAfter < 0 {
@@ -132,18 +131,45 @@ type event struct {
 	inst int
 }
 
+// before is the event order: arrival time, then push order.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// eventHeap is a binary min-heap in that order; seq is unique, so the
+// order is total and the pop sequence is independent of the layout.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	*h = q
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i, c := 0, 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q[:n]
+	return q[n]
+}
 
 // router runs one traffic simulation. All state is host-side and the
 // loop is single-threaded, so the outcome is a pure function of the
@@ -153,8 +179,9 @@ type router struct {
 	tr    Traffic
 	tls   []*cassandra.Timeline
 	free  [][]memsim.Time // per-instance per-server next-free, in active time
-	evq   eventHeap
+	evq   eventHeap       // hedge and retry arms only; primaries are served in place
 	seq   int64
+	idle  []*request // finalized request records, reused by later arrivals
 	svc   *rand.Rand
 	stats Stats
 	perI  [][]float64
@@ -180,8 +207,12 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 
 	r := &router{tr: tr, tls: timelines, perI: make([][]float64, n)}
 	r.free = make([][]memsim.Time, n)
+	// Each series starts at the mean arrival share (capped: an absurd rate
+	// must not become an up-front allocation); only hotter shards grow.
+	share := int(min(tr.QPS*float64(window)/float64(memsim.Second), 1<<24)) / n
 	for i := range r.free {
 		r.free[i] = make([]memsim.Time, tr.Servers)
+		r.perI[i] = make([]float64, 0, share)
 	}
 	r.svc = rand.New(rand.NewPCG(tr.Seed, 0x5E12F1CE))
 	arr := rand.New(rand.NewPCG(tr.Seed, 0x0FE27A1F))
@@ -198,20 +229,30 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 	// Merge the arrival stream and the arm-event queue in time order;
 	// ties go to the queued event (deterministic either way — seq and
 	// the arrival sequence fix the order).
-	for !arrivalsDone || r.evq.Len() > 0 {
-		if r.evq.Len() > 0 && (arrivalsDone || r.evq[0].at <= nextT) {
-			e := heap.Pop(&r.evq).(event)
-			r.processArm(e)
+	for !arrivalsDone || len(r.evq) > 0 {
+		if len(r.evq) > 0 && (arrivalsDone || r.evq[0].at <= nextT) {
+			r.processArm(r.evq.pop())
 			continue
 		}
 		tenant := zipf.Next()
-		req := &request{
+		var req *request
+		if k := len(r.idle); k > 0 {
+			req, r.idle = r.idle[k-1], r.idle[:k-1]
+		} else {
+			req = new(request)
+		}
+		*req = request{
 			id: reqID, t0: nextT, tenant: tenant,
 			shard: int(tenant % int64(n)),
 			best:  math.MaxInt64, bestInst: -1, bestArm: -1,
 		}
 		reqID++
-		r.issue(req, req.shard, nextT)
+		// The drain above left every queued event later than nextT, and
+		// every arm issued from here on lands later still (a hedge at
+		// t0+HedgeAfter, a retry at its deadline), so the primary arm is
+		// the queue's next event: serve it without queueing it. It still
+		// takes its seq, so the tie-breaks among queued arms are unchanged.
+		r.processArm(r.arm(req, req.shard, nextT))
 		nextT += memsim.Time(arr.ExpFloat64()*meanGap) + 1
 		if nextT >= window {
 			arrivalsDone = true
@@ -224,12 +265,18 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 	return r.perI, r.stats, r.trace, nil
 }
 
-// issue schedules one arm of a request on an instance.
-func (r *router) issue(req *request, inst int, at memsim.Time) {
-	heap.Push(&r.evq, event{at: at, seq: r.seq, req: req, arm: req.arms, inst: inst})
+// arm numbers one more arm of a request: its event takes the next seq.
+func (r *router) arm(req *request, inst int, at memsim.Time) event {
+	e := event{at: at, seq: r.seq, req: req, arm: req.arms, inst: inst}
 	r.seq++
 	req.arms++
 	req.pending++
+	return e
+}
+
+// issue schedules a hedge or retry arm of a request on an instance.
+func (r *router) issue(req *request, inst int, at memsim.Time) {
+	r.evq.push(r.arm(req, inst, at))
 }
 
 // processArm serves one arm on its instance: FIFO over the instance's
@@ -322,4 +369,6 @@ func (r *router) finalize(req *request) {
 			Commits: req.commits, LatencyMs: lat,
 		})
 	}
+	// pending == 0: no queued event points at req any more.
+	r.idle = append(r.idle, req)
 }

@@ -1,7 +1,12 @@
 package fleet
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand/v2"
 	"reflect"
+	"sort"
 	"testing"
 
 	"nvmgc/internal/cassandra"
@@ -163,11 +168,14 @@ func TestTrafficValidate(t *testing.T) {
 	}{
 		{"zero qps", func(tr *Traffic) { tr.QPS = 0 }},
 		{"negative qps", func(tr *Traffic) { tr.QPS = -1 }},
+		{"NaN qps", func(tr *Traffic) { tr.QPS = math.NaN() }},
+		{"infinite qps", func(tr *Traffic) { tr.QPS = math.Inf(1) }},
 		{"zero service", func(tr *Traffic) { tr.Service = 0 }},
 		{"zero servers", func(tr *Traffic) { tr.Servers = 0 }},
 		{"zero tenants", func(tr *Traffic) { tr.Tenants = 0 }},
 		{"theta at 0", func(tr *Traffic) { tr.Theta = 0 }},
 		{"theta at 1", func(tr *Traffic) { tr.Theta = 1 }},
+		{"NaN theta", func(tr *Traffic) { tr.Theta = math.NaN() }},
 		{"negative hedge", func(tr *Traffic) { tr.HedgeAfter = -1 }},
 		{"negative retry", func(tr *Traffic) { tr.RetryAfter = -1 }},
 		{"negative budget", func(tr *Traffic) { tr.MaxRetries = -1 }},
@@ -184,5 +192,156 @@ func TestTrafficValidate(t *testing.T) {
 	}
 	if _, _, _, err := SimulateTraffic(syntheticTimelines(1, cassandra.Interval{}), 0, base); err == nil {
 		t.Error("zero window: accepted")
+	}
+}
+
+// replayHash folds one replay's whole outcome — fleet summary, router
+// stats, every request trace in finalization order — into an FNV-1a hash.
+func replayHash(t *testing.T, tls []*cassandra.Timeline, tr Traffic) (uint64, Stats, []RequestTrace) {
+	t.Helper()
+	perI, stats, traces, err := SimulateTraffic(tls, testWindow, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v|%+v|%+v", Summarize(MergeSorted(perI)), stats, traces)
+	return h.Sum64(), stats, traces
+}
+
+// TestReplayOutcomePinned holds the replay loop to the exact outcome the
+// push-every-arm implementation produced (hashes computed at commit
+// 0927122, before primary arms were served in place): any change to
+// event order, tie-breaks, or request bookkeeping moves a hash. The
+// three shapes: primary arms only; a hedge delay below the shortest
+// pause, so every request caught by a pause fans out; and a retry
+// timeout shorter than the hedge delay, so a hedged request's deadline
+// has already passed when its last arm lands and settle reissues at
+// `now`, not in the past.
+func TestReplayOutcomePinned(t *testing.T) {
+	ms, us := memsim.Millisecond, memsim.Microsecond
+	var tls []*cassandra.Timeline
+	for _, ps := range [][]cassandra.Interval{
+		{{Start: 6 * ms, End: 9 * ms}, {Start: 22 * ms, End: 30 * ms}},
+		{{Start: 7 * ms, End: 12 * ms}},
+		nil,
+		{{Start: 25 * ms, End: 27 * ms}},
+	} {
+		tls = append(tls, cassandra.NewTimeline(ps))
+	}
+	for _, sh := range []struct {
+		name                   string
+		hedgeAfter, retryAfter memsim.Time
+		want                   uint64
+	}{
+		{"no hedging", 0, 0, 0x73e52a671f879a39},
+		{"hedge-heavy", 300 * us, 0, 0x055939f185d81963},
+		{"retry-heavy", 1500 * us, 400 * us, 0x827db4c72086548a},
+	} {
+		tr := testTraffic()
+		tr.HedgeAfter, tr.RetryAfter, tr.MaxRetries = sh.hedgeAfter, sh.retryAfter, 3
+		got, stats, traces := replayHash(t, tls, tr)
+		if got != sh.want {
+			t.Errorf("%s: outcome hash %#x, want %#x (stats %+v)", sh.name, got, sh.want, stats)
+		}
+		// A hedged request settles at t0+HedgeAfter; with the deadline
+		// t0+RetryAfter already behind it, its retry is reissued at now.
+		reissuedNow := int64(0)
+		for _, tc := range traces {
+			if tc.Hedged && tc.Retries > 0 {
+				reissuedNow++
+			}
+		}
+		var shaped bool
+		switch sh.name {
+		case "no hedging":
+			shaped = stats.Hedged == 0 && stats.Retries == 0
+		case "hedge-heavy":
+			shaped = stats.Hedged*10 >= stats.Requests && stats.Retries == 0
+		case "retry-heavy":
+			shaped = reissuedNow > 0 && stats.Late > 0
+		}
+		if !shaped {
+			t.Errorf("%s: lost its shape: stats %+v, %d requests reissued at now", sh.name, stats, reissuedNow)
+		}
+	}
+}
+
+// TestEventHeapPopsInSortedOrder is the typed heap's whole contract: for
+// random pushes — few distinct arrival times, so most comparisons fall
+// to seq — interleaved with pops, it yields exactly sort order of
+// (at, seq).
+func TestEventHeapPopsInSortedOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.IntN(300)
+		var h eventHeap
+		var pushed, popped []event
+		for i := 0; i < n; i++ {
+			e := event{at: memsim.Time(rng.IntN(8)), seq: int64(i), arm: i}
+			h.push(e)
+			pushed = append(pushed, e)
+			// Pop mid-stream now and then; what is popped early must be
+			// the minimum of what is queued at that moment.
+			if rng.IntN(4) == 0 {
+				e := h.pop()
+				for _, q := range h {
+					if q.before(&e) {
+						t.Fatalf("round %d: popped %+v with %+v still queued", round, e, q)
+					}
+				}
+				h.push(e)
+			}
+		}
+		for len(h) > 0 {
+			popped = append(popped, h.pop())
+		}
+		sort.Slice(pushed, func(i, j int) bool {
+			if pushed[i].at != pushed[j].at {
+				return pushed[i].at < pushed[j].at
+			}
+			return pushed[i].seq < pushed[j].seq
+		})
+		if !reflect.DeepEqual(popped, pushed) {
+			t.Fatalf("round %d (n=%d): pop order differs from sort order", round, n)
+		}
+	}
+}
+
+// TestSimulateTrafficAllocs bounds a replay's host allocations by what
+// does not scale with its length: per-instance state and series, the
+// zipfian table, and one request record per request in flight at the
+// peak (the pause's hedged backlog, ~1400 here) — nothing per request.
+// Boxing events through container/heap cost three allocations a request
+// (150 000 for the first window); the second window doubles the request
+// count without adding a pause, and must cost no more than the first.
+func TestSimulateTrafficAllocs(t *testing.T) {
+	tls := syntheticTimelines(4, cassandra.Interval{Start: 100 * memsim.Millisecond, End: 108 * memsim.Millisecond})
+	tr := testTraffic()
+	tr.Record = false
+	tr.QPS = 250_000
+	tr.HedgeAfter = 2 * memsim.Millisecond
+	tr.RetryAfter = 2500 * memsim.Microsecond
+	tr.MaxRetries = 2
+	const bound, slack = 2000, 16 // slack: a few more slice doublings
+	var first float64
+	for i, window := range []memsim.Time{200 * memsim.Millisecond, 400 * memsim.Millisecond} {
+		var stats Stats
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if _, stats, _, err = SimulateTraffic(tls, window, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := int64(tr.QPS * float64(window) / float64(memsim.Second))
+		if stats.Requests < want*9/10 || stats.Hedged == 0 || stats.Retries == 0 {
+			t.Fatalf("window %d: %+v, want ~%d requests with hedges and retries", window, stats, want)
+		}
+		if i == 0 {
+			first = allocs
+		}
+		if allocs > bound || allocs > first+slack {
+			t.Errorf("%d requests cost %.0f allocations, want <= %d and <= %.0f (the shorter replay's) + %d",
+				stats.Requests, allocs, bound, first, slack)
+		}
 	}
 }

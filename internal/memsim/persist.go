@@ -95,6 +95,7 @@ type PersistDomain struct {
 
 	dirty   map[uint64]*lineShadow // line addr -> shadow (unpersisted)
 	pending map[uint64]*lineShadow // CLWB'd, awaiting fence
+	free    []*lineShadow          // shadows of persisted lines, reused by capture
 	seq     int64
 	stores  int64
 	stats   PersistStats
@@ -156,6 +157,17 @@ func (pd *PersistDomain) Stats() PersistStats {
 	return s
 }
 
+// persisted drops a line that reached the persistence domain from the
+// given map; its shadow is no longer referenced and goes back to capture.
+func (pd *PersistDomain) persisted(lines map[uint64]*lineShadow, la uint64) bool {
+	sh, ok := lines[la]
+	if ok {
+		delete(lines, la)
+		pd.free = append(pd.free, sh)
+	}
+	return ok
+}
+
 func (pd *PersistDomain) tracks(dev *Device, addr uint64) bool {
 	return !pd.disabled && pd.devs[dev] && pd.peek != nil && addr >= pd.lo && addr < pd.hi
 }
@@ -177,8 +189,13 @@ func (pd *PersistDomain) capture(addr uint64, n int64) {
 			sh.seq = pd.seq
 		} else {
 			pd.seq++
-			sh = &lineShadow{seq: pd.seq}
-			for i := range sh.words {
+			if k := len(pd.free); k > 0 {
+				sh, pd.free = pd.free[k-1], pd.free[:k-1]
+			} else {
+				sh = new(lineShadow)
+			}
+			sh.seq = pd.seq
+			for i := range sh.words { // overwrites every word of a reused shadow
 				sh.words[i] = pd.peek(la + uint64(i*8))
 			}
 			pd.dirty[la] = sh
@@ -244,8 +261,8 @@ func (pd *PersistDomain) OnNT(dev *Device, addr uint64, n int64) {
 	}
 	end := addr + uint64(n)
 	for la := first; la+LineSize <= end; la += LineSize {
-		delete(pd.dirty, la)
-		delete(pd.pending, la)
+		pd.persisted(pd.dirty, la)
+		pd.persisted(pd.pending, la)
 	}
 }
 
@@ -255,11 +272,10 @@ func (pd *PersistDomain) onEvict(dev *Device, lineAddr uint64) {
 	if pd.disabled || !pd.devs[dev] || pd.eADR {
 		return
 	}
-	if _, ok := pd.dirty[lineAddr]; ok {
-		delete(pd.dirty, lineAddr)
+	if pd.persisted(pd.dirty, lineAddr) {
 		pd.stats.EvictPersists++
 	}
-	delete(pd.pending, lineAddr)
+	pd.persisted(pd.pending, lineAddr)
 }
 
 // onCLWB moves a dirty line to pending (flushed, awaiting the fence).
@@ -292,9 +308,10 @@ func (pd *PersistDomain) onFence() {
 		return
 	}
 	pd.stats.Fences++
-	if len(pd.pending) > 0 {
-		pd.pending = make(map[uint64]*lineShadow)
+	for _, sh := range pd.pending {
+		pd.free = append(pd.free, sh)
 	}
+	clear(pd.pending)
 }
 
 // DirtyLines returns the addresses of all unpersisted lines in ascending

@@ -278,3 +278,86 @@ func TestPersistHooksDoNotChangeTiming(t *testing.T) {
 		t.Fatalf("timing changed with persistence enabled: %d vs %d", off, on)
 	}
 }
+
+// TestShadowRecyclingKeepsCrashImage walks lines through dirty → CLWB →
+// fence → dirty again, so capture reuses the shadows the fence released,
+// and then crashes between a CLWB and its fence. The dirty/pending sets
+// and the recovered image must be what per-line shadows give: a line that
+// was only partly written reverts to its own persisted words, never to
+// the words a reused shadow held for another line.
+func TestShadowRecyclingKeepsCrashImage(t *testing.T) {
+	cfg := DefaultConfig() // LLC large enough that nothing evicts
+	cfg.TraceBucket = 0
+	e := newPersistEnv(t, cfg, false)
+	const a, b, c, d, f = 0, 64, 128, 1024, 1088
+	fill := func(w *Worker, la, base uint64) {
+		for i := uint64(0); i < LineSize/8; i++ {
+			e.store(w, la+8*i, base+i)
+		}
+	}
+	expect := func(when string, dirty []uint64, pending int) {
+		t.Helper()
+		got := e.pd.DirtyLines()
+		if len(got) != len(dirty) {
+			t.Fatalf("%s: dirty lines %v, want %v", when, got, dirty)
+		}
+		for i := range got {
+			if got[i] != dirty[i] {
+				t.Fatalf("%s: dirty lines %v, want %v", when, got, dirty)
+			}
+		}
+		if s := e.pd.Stats(); s.DirtyLines != len(dirty) || s.PendingLines != pending {
+			t.Fatalf("%s: stats %d dirty / %d pending, want %d / %d", when, s.DirtyLines, s.PendingLines, len(dirty), pending)
+		}
+	}
+	e.m.InjectFault(FaultPlan{CrashAtTime: 1 << 40})
+	e.m.Run(1, func(w *Worker) {
+		for round, base := range []uint64{100, 200} {
+			// Round 1 re-dirties the lines round 0 persisted: its shadows
+			// are round 0's, released by the fence, now holding base 100.
+			for _, la := range []uint64{a, b, c} {
+				fill(w, la, base+la)
+			}
+			expect("dirtied", []uint64{a, b, c}, 0)
+			w.CLWB(e.m.NVM, a)
+			w.CLWB(e.m.NVM, b)
+			expect("two flushed", []uint64{c}, 2)
+			e.store(w, b, base+b) // re-stored while pending: dirty again
+			expect("re-stored", []uint64{b, c}, 1)
+			w.CLWB(e.m.NVM, b)
+			w.CLWB(e.m.NVM, c)
+			w.PersistFence()
+			expect("fenced", nil, 0)
+			if round == 0 && len(e.pd.free) != 3 {
+				t.Fatalf("fence released %d shadows, want 3", len(e.pd.free))
+			}
+		}
+		// Three released shadows hold lines a, b, c at base 100. Dirty two
+		// never-written lines with a single word each, and a again.
+		e.store(w, d+8, 7)
+		e.store(w, f+16, 8)
+		fill(w, a, 300)
+		if len(e.pd.free) != 0 {
+			t.Fatalf("%d shadows left unused, want all three recycled", len(e.pd.free))
+		}
+		w.CLWB(e.m.NVM, a)
+		w.CLWB(e.m.NVM, d)
+		expect("before crash", []uint64{f}, 2)
+		w.Spin(1 << 41)
+		w.Spin(1) // trip the time trigger: a and d flushed but unfenced
+	})
+	rep, err := e.m.MaterializeCrash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RevertedLines != 3 {
+		t.Errorf("RevertedLines = %d, want 3 (a, d, f)", rep.RevertedLines)
+	}
+	for i := uint64(0); i < LineSize/8; i++ {
+		for la, want := range map[uint64]uint64{a: 200 + a + i, b: 200 + b + i, c: 200 + c + i, d: 0, f: 0} {
+			if got := e.b[la+8*i]; got != want {
+				t.Errorf("line %d word %d = %d after recovery, want %d", la, i, got, want)
+			}
+		}
+	}
+}
