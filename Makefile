@@ -92,14 +92,15 @@ bench-smoke:
 bench-e2e: build
 	$(GO) run ./benchmarks --out results/bench-$$(git rev-parse --short HEAD).jsonl
 
-# bench-gate is the CI guard against virtual drift: short gc-pagerank and
-# fleet-serve runs at the pinned seed 1 must report every iteration's
+# bench-gate is the CI guard against virtual drift: a short run of each
+# benchmark workload at the pinned seed 1 must report every iteration's
 # fingerprint equal to benchmarks/expected.json ("correct":true) with no
-# failed operation. A scheduler change that moves a virtual number, or a
-# replay change that moves a fleet percentile, fails here, not only in
-# `go test`.
+# failed operation. A scheduler or cache change that moves a virtual
+# number, or a replay change that moves a fleet percentile, fails here,
+# not only in `go test`. config-matrix is the one workload that drives
+# onEvict under ADR, CLWB, the 3-tier device table and PS.
 bench-gate: build
-	@for w in gc-pagerank fleet-serve; do \
+	@for w in gc-pagerank mut-ycsb-b config-matrix fleet-serve; do \
 		out=$$($(GO) run ./benchmarks --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1); \
 		echo "$$w $$out"; \
 		echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]' || exit 1; \

@@ -1,34 +1,32 @@
 package memsim
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // LineSize is the cache line size in bytes.
 const LineSize = 64
 
-type cacheLine struct {
-	dev      *Device
-	tag      uint64 // line address (addr &^ (LineSize-1))
-	dirty    bool
-	seqDirty bool // dirtied by a streaming store: eviction coalesces
-	valid    bool
-	readyAt  Time // when an in-flight (prefetched) line becomes usable
-	lastUse  Time
-}
+// maxAssoc is the widest set: a way index owns its stamp's low 8 bits.
+const maxAssoc = 256
+
+// Dirty-state bits of Cache.flags.
+const (
+	flagDirty uint8 = 1 << iota
+	flagSeq         // dirtied by a streaming store: eviction coalesces
+)
 
 // prefetchBufferSize is the number of in-flight software-prefetched lines
 // staged outside the cache proper (prefetches fill a dedicated buffer, as
 // on real hardware, so speculation does not evict demand-fetched data).
 const prefetchBufferSize = 128
 
+// prefetchEntry is one staged line: its lineKey (0 = free slot) and the
+// time its transfer completes.
 type prefetchEntry struct {
-	dev     *Device
-	tag     uint64
+	key     uint64
 	readyAt Time
-	valid   bool
-}
-
-// pbufKey identifies a staged line for the O(1) prefetch-buffer index.
-type pbufKey struct {
-	dev *Device
-	tag uint64
 }
 
 // Cache is a shared, set-associative, write-allocate/write-back last-level
@@ -37,32 +35,51 @@ type pbufKey struct {
 // Non-temporal stores bypass and invalidate. Software prefetches land in
 // a small FIFO staging buffer; a demand access promotes the line into the
 // cache and pays only the remaining transfer time.
+//
+// Per-way state lives in dense parallel arrays indexed set*assoc+way, the
+// word arrays carved from one slab and the byte arrays from another:
+//
+//   - keys: the packed (device, line address) tag, see lineKey; 0 = invalid.
+//   - stamp: (lastUse+1)<<8 | way for a valid line, just way for an invalid
+//     one. The minimum stamp of a set therefore names the replacement
+//     victim — the first invalid way, else the least recently used, ties to
+//     the lowest way — and minStamp finds it without a data-dependent
+//     branch. Needs lastUse+1 < 2^55, the ~417-day virtual-time horizon
+//     Worker.qkey also relies on.
+//   - readyAt: when an in-flight (prefetched) line becomes usable. Only
+//     prefetch promotions store a nonzero value, so a hit reads it only
+//     while now < maxReady and otherwise reports 0; a ready time that is
+//     not in the caller's future costs the caller nothing either way.
+//   - flags: flagDirty | flagSeq; always 0 for an invalid way.
+//   - pred: the way predictor. Traffic re-touches lines — header then
+//     payload, CAS read then write, a hot row again — so the low bits of a
+//     line number (a superset of its set index) select one byte holding the
+//     way the line was last found or installed in, and find tries that way
+//     before scanning. The guess is verified against keys, so a stale or
+//     aliased entry costs only the scan.
 type Cache struct {
-	assoc   int
-	numSets int
-	setMask uint64
-	lines   []cacheLine // numSets * assoc
-	// keys mirrors lines with one packed (device, line-address) word per
-	// way (see lineKey; 0 = invalid), so the per-access way scan touches
-	// a dense tag array — two cache lines for a 16-way set — instead of
-	// striding through the full cacheLine structs. Every site that
-	// (in)validates or retags a line updates both arrays.
-	keys       []uint64
+	assoc      int
+	numSets    int
+	setMask    uint64
+	predMask   uint64
 	hitLatency Time
 
-	// mru is the index (into keys/lines) of the most recently touched
-	// line. GC traffic is heavily line-local — header then payload, CAS
-	// read then write, object init then reference init — so a single
-	// compare against keys[mru] short-circuits the way scan for the
-	// repeat-touch case. Pure lookup acceleration: the hit path taken is
-	// byte-identical to finding the same way by scanning. A stale mru is
-	// harmless (keys[mru] no longer matches and the scan runs).
-	mru int
+	keys    []uint64
+	stamp   []uint64
+	readyAt []uint64
+	flags   []uint8
+	pred    []uint8
+	// maxReady is the latest readyAt ever installed.
+	maxReady Time
+
+	// devs lists every device a line was installed for, to recover a dirty
+	// victim's *Device from its key; devBuf backs it for up to four tiers.
+	devs   []*Device
+	devBuf [4]*Device
 
 	pbuf [prefetchBufferSize]prefetchEntry
-	// pbufIdx maps a staged (device, line) to its slot, replacing the
-	// O(prefetchBufferSize) linear scans on every lookup/take.
-	pbufIdx  map[pbufKey]int
+	// pbufIdx maps a staged line's key to its slot.
+	pbufIdx  map[uint64]int
 	pbufNext int
 
 	hits           int64
@@ -78,26 +95,38 @@ type Cache struct {
 }
 
 // NewCache creates a cache with the given capacity in bytes and
-// associativity. The number of sets is rounded down to a power of two; a
-// capacity smaller than one set still yields a single set.
+// associativity (clamped to [1, 256]). The number of sets is rounded down
+// to a power of two; a capacity smaller than one set still yields a single
+// set.
 func NewCache(capacity int64, assoc int, hitLatency Time) *Cache {
-	if assoc < 1 {
-		assoc = 1
-	}
+	assoc = min(max(assoc, 1), maxAssoc)
 	sets := capacity / (LineSize * int64(assoc))
 	n := 1
 	for int64(n*2) <= sets {
 		n *= 2
 	}
-	return &Cache{
+	lines := n * assoc
+	preds := n << (bits.Len(uint(assoc)) - 1) // a power of two <= lines
+	words := make([]uint64, 3*lines)
+	bytes := make([]uint8, lines+preds)
+	c := &Cache{
 		assoc:      assoc,
 		numSets:    n,
 		setMask:    uint64(n - 1),
-		lines:      make([]cacheLine, n*assoc),
-		keys:       make([]uint64, n*assoc),
+		predMask:   uint64(preds - 1),
 		hitLatency: hitLatency,
-		pbufIdx:    make(map[pbufKey]int, prefetchBufferSize),
+		keys:       words[:lines:lines],
+		stamp:      words[lines : 2*lines : 2*lines],
+		readyAt:    words[2*lines:],
+		flags:      bytes[:lines:lines],
+		pred:       bytes[lines:],
+		pbufIdx:    make(map[uint64]int, prefetchBufferSize),
 	}
+	c.devs = c.devBuf[:0]
+	for i := range c.stamp {
+		c.stamp[i] = uint64(i % assoc)
+	}
+	return c
 }
 
 // lineKey packs a (device, line address) pair into one comparable word.
@@ -105,8 +134,30 @@ func NewCache(capacity int64, assoc int, hitLatency Time) *Cache {
 // information and addr>>6 keeps the key collision-free for addresses up
 // to 2^46 (the simulated address space sits at 1<<32); device ids are
 // nonzero and process-unique, so a key of 0 never matches a real line.
+// Consecutive lines have consecutive keys.
 func lineKey(dev *Device, lineAddr uint64) uint64 {
 	return lineAddr>>6 | dev.id<<40
+}
+
+// lineSpan returns the number of the first line of [addr, addr+n) and how
+// many lines the range spans (none if n <= 0).
+func lineSpan(addr uint64, n int64) (line uint64, count int) {
+	if n <= 0 {
+		return 0, 0
+	}
+	line = addr / LineSize
+	return line, int((addr+uint64(n)-1)/LineSize-line) + 1
+}
+
+// dirtyFlags is the flags byte a store leaves on its line (0 for a load).
+func dirtyFlags(write, seq bool) uint8 {
+	switch {
+	case !write:
+		return 0
+	case seq:
+		return flagDirty | flagSeq
+	}
+	return flagDirty
 }
 
 // CapacityBytes returns the modeled cache capacity.
@@ -135,178 +186,169 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // pbufTake removes and returns the prefetch-buffer entry for a line. The
-// len guard skips the key hash entirely when nothing is staged — the
-// common case for collectors that never prefetch.
-func (c *Cache) pbufTake(dev *Device, lineAddr uint64) (Time, bool) {
+// len guard skips the map call when nothing is staged, the common case.
+func (c *Cache) pbufTake(key uint64) (Time, bool) {
 	if len(c.pbufIdx) == 0 {
 		return 0, false
 	}
-	i, ok := c.pbufIdx[pbufKey{dev, lineAddr}]
+	i, ok := c.pbufIdx[key]
 	if !ok {
 		return 0, false
 	}
-	delete(c.pbufIdx, pbufKey{dev, lineAddr})
-	c.pbuf[i].valid = false
+	delete(c.pbufIdx, key)
+	c.pbuf[i].key = 0
 	return c.pbuf[i].readyAt, true
 }
 
-func (c *Cache) pbufContains(dev *Device, lineAddr uint64) bool {
-	if len(c.pbufIdx) == 0 {
-		return false
+// device resolves the device id packed in a cached line's key.
+func (c *Cache) device(id uint64) *Device {
+	for _, d := range c.devs {
+		if d.id == id {
+			return d
+		}
 	}
-	_, ok := c.pbufIdx[pbufKey{dev, lineAddr}]
-	return ok
+	panic("memsim: cached line of a device never installed")
 }
 
-// touchLine probes one line. On a miss it allocates the line (evicting LRU
-// and issuing the writeback if dirty). It reports whether the access hit
-// and the time the line becomes ready (for prefetched in-flight lines).
-// seq marks streaming accesses: lines dirtied by a stream write back as
-// sequential traffic (memory-controller write combining), while randomly
-// dirtied lines pay the device's random-access amplification on eviction.
-func (c *Cache) touchLine(dev *Device, lineAddr uint64, now Time, write, seq bool) (hit bool, ready Time) {
-	key := lineKey(dev, lineAddr)
-	// Repeat touch of the most recently used line: a (dev, line) pair
-	// maps to exactly one way cache-wide, so a key match at mru is the
-	// same hit the set scan below would find.
-	if i := c.mru; c.keys[i] == key {
-		l := &c.lines[i]
-		l.lastUse = now
-		if write {
-			l.dirty = true
-			l.seqDirty = seq
-		}
-		c.hits++
-		return true, l.readyAt
+// find returns the way of the set at base that holds key, or -1; line is
+// the key's line number. It is the cache's only set scan.
+func (c *Cache) find(base int, line, key uint64) int {
+	p := &c.pred[line&c.predMask]
+	if w := int(*p); c.keys[base+w] == key {
+		return w
 	}
-	base := int((lineAddr/LineSize)&c.setMask) * c.assoc
-	for i, k := range c.keys[base : base+c.assoc] {
+	for w, k := range c.keys[base : base+c.assoc] {
 		if k == key {
-			l := &c.lines[base+i]
-			l.lastUse = now
-			if write {
-				l.dirty = true
-				l.seqDirty = seq
-			}
-			c.mru = base + i
-			c.hits++
-			return true, l.readyAt
+			*p = uint8(w)
+			return w
 		}
 	}
-	// Prefetch staging buffer: promote the line into the cache; the
-	// caller pays only the remaining transfer time.
-	if readyAt, ok := c.pbufTake(dev, lineAddr); ok {
+	return -1
+}
+
+// minStamp returns the smallest stamp of a set. Which way holds it is as
+// good as random, so the reduction runs four independent lanes of a
+// branch-free min (valid for operands below 2^63) instead of a compare and
+// jump per way.
+func minStamp(s []uint64) uint64 {
+	const top = 1<<63 - 1
+	m0, m1, m2, m3 := uint64(top), uint64(top), uint64(top), uint64(top)
+	for ; len(s) >= 4; s = s[4:] {
+		d0 := int64(s[0]) - int64(m0)
+		d1 := int64(s[1]) - int64(m1)
+		d2 := int64(s[2]) - int64(m2)
+		d3 := int64(s[3]) - int64(m3)
+		m0 += uint64(d0 & (d0 >> 63))
+		m1 += uint64(d1 & (d1 >> 63))
+		m2 += uint64(d2 & (d2 >> 63))
+		m3 += uint64(d3 & (d3 >> 63))
+	}
+	for _, x := range s {
+		d := int64(x) - int64(m0)
+		m0 += uint64(d & (d >> 63))
+	}
+	d := int64(m1) - int64(m0)
+	m0 += uint64(d & (d >> 63))
+	d = int64(m3) - int64(m2)
+	m2 += uint64(d & (d >> 63))
+	d = int64(m2) - int64(m0)
+	return m0 + uint64(d&(d>>63))
+}
+
+// fill handles a probe that missed the set at base: it promotes the line
+// from the prefetch buffer — a hit for which the caller pays only the
+// remaining transfer time — or allocates it, either way replacing the
+// set's minStamp way and issuing the writeback if that way is dirty.
+func (c *Cache) fill(dev *Device, base int, line, key uint64, now Time, dirty uint8) (staged bool, ready Time) {
+	ready, staged = c.pbufTake(key)
+	if staged {
 		c.promoted++
 		c.hits++
-		c.installInSet(base, dev, lineAddr, now, write, seq, readyAt)
-		return true, readyAt
+		c.maxReady = max(c.maxReady, ready)
+	} else {
+		c.misses++
 	}
-	c.misses++
-	c.installInSet(base, dev, lineAddr, now, write, seq, 0)
-	return false, 0
-}
-
-// installInSet places a line into the set at the given base index (the
-// caller has already located it), evicting the LRU way with writeback if
-// dirty.
-func (c *Cache) installInSet(base int, dev *Device, lineAddr uint64, now Time, write, seq bool, readyAt Time) {
-	set := c.lines[base : base+c.assoc]
-	vi := 0
-	for i := range set {
-		l := &set[i]
-		if !l.valid {
-			vi = i
-			break
-		}
-		if l.lastUse < set[vi].lastUse {
-			vi = i
-		}
-	}
-	victim := &set[vi]
-	if victim.valid && victim.dirty {
+	m := minStamp(c.stamp[base : base+c.assoc])
+	i := base + int(m&0xff)
+	if c.flags[i]&flagDirty != 0 {
+		old := c.keys[i]
+		oldDev := c.device(old >> 40)
 		c.writebacks++
 		if c.onEvict != nil {
-			c.onEvict(victim.dev, victim.tag)
+			c.onEvict(oldDev, old<<24>>18)
 		}
-		victim.dev.access(now, opWrite, LineSize, victim.seqDirty)
+		oldDev.access(now, opWrite, LineSize, c.flags[i]&flagSeq != 0)
 	}
-	*victim = cacheLine{dev: dev, tag: lineAddr, dirty: write, seqDirty: write && seq, valid: true, lastUse: now, readyAt: readyAt}
-	c.keys[base+vi] = lineKey(dev, lineAddr)
-	c.mru = base + vi
+	c.keys[i] = key
+	c.stamp[i] = uint64(now+1)<<8 | m&0xff
+	c.flags[i] = dirty
+	if c.maxReady != 0 {
+		c.readyAt[i] = uint64(ready)
+	}
+	c.pred[line&c.predMask] = uint8(m)
+	if !slices.Contains(c.devs, dev) {
+		c.devs = append(c.devs, dev)
+	}
+	return staged, ready
 }
 
-// touchRange probes every line spanned by [addr, addr+n) and returns the
-// number of missing lines plus the latest ready time among hit lines.
-//
-// Contiguous lines map to consecutive sets, so the set index is advanced
-// incrementally instead of being recomputed per line, and the all-resident
-// fast path — every line hits — stays inside the probe loop and never
-// consults the prefetch buffer or the eviction logic.
-func (c *Cache) touchRange(dev *Device, addr uint64, n int64, now Time, write, seq bool) (missLines int, ready Time) {
-	if n <= 0 {
-		return 0, 0
+// hit records a demand access at time now to the valid way w of the set at
+// base and returns the line's ready time.
+func (c *Cache) hit(base, w int, now Time, dirty uint8) (ready Time) {
+	c.stamp[base+w] = uint64(now+1)<<8 | uint64(w)
+	if dirty != 0 {
+		c.flags[base+w] = dirty
 	}
-	first := addr &^ (LineSize - 1)
-	nLines := int((addr+uint64(n)-1)/LineSize-first/LineSize) + 1
-	assoc := c.assoc
-	base := int((first/LineSize)&c.setMask) * assoc
-	wrap := c.numSets * assoc
-	la := first
-	key := lineKey(dev, first) // consecutive lines: key advances by 1
-	for k := 0; k < nLines; k++ {
-		hit := false
-		if i := c.mru; c.keys[i] == key {
-			l := &c.lines[i]
-			l.lastUse = now
-			if write {
-				l.dirty = true
-				l.seqDirty = seq
-			}
-			c.hits++
-			if l.readyAt > ready {
-				ready = l.readyAt
-			}
-			hit = true
+	c.hits++
+	if now < c.maxReady {
+		ready = Time(c.readyAt[base+w])
+	}
+	return ready
+}
+
+// touchLine probes the line at lineAddr and reports whether the access hit
+// and the time an in-flight line becomes ready; see touchRange.
+func (c *Cache) touchLine(dev *Device, lineAddr uint64, now Time, write, seq bool) (hit bool, ready Time) {
+	line, key, dirty := lineAddr/LineSize, lineKey(dev, lineAddr), dirtyFlags(write, seq)
+	base := int(line&c.setMask) * c.assoc
+	if w := c.find(base, line, key); w >= 0 {
+		return true, c.hit(base, w, now, dirty)
+	}
+	return c.fill(dev, base, line, key, now, dirty)
+}
+
+// touchRange probes every line spanned by [addr, addr+n) at time now and
+// returns the number of missing lines plus the latest ready time among hit
+// lines. seq marks streaming accesses: lines dirtied by a stream write back
+// as sequential traffic (memory-controller write combining), while randomly
+// dirtied lines pay the device's random-access amplification on eviction.
+func (c *Cache) touchRange(dev *Device, addr uint64, n int64, now Time, write, seq bool) (missLines int, ready Time) {
+	line, count := lineSpan(addr, n)
+	key := lineKey(dev, line*LineSize)
+	dirty := dirtyFlags(write, seq)
+	for ; count > 0; count-- {
+		base := int(line&c.setMask) * c.assoc
+		if w := c.find(base, line, key); w >= 0 {
+			ready = max(ready, c.hit(base, w, now, dirty))
+		} else if staged, r := c.fill(dev, base, line, key, now, dirty); staged {
+			ready = max(ready, r)
 		} else {
-			for i, kk := range c.keys[base : base+assoc] {
-				if kk == key {
-					l := &c.lines[base+i]
-					l.lastUse = now
-					if write {
-						l.dirty = true
-						l.seqDirty = seq
-					}
-					c.mru = base + i
-					c.hits++
-					if l.readyAt > ready {
-						ready = l.readyAt
-					}
-					hit = true
-					break
-				}
-			}
+			missLines++
 		}
-		if !hit {
-			if readyAt, ok := c.pbufTake(dev, la); ok {
-				c.promoted++
-				c.hits++
-				c.installInSet(base, dev, la, now, write, seq, readyAt)
-				if readyAt > ready {
-					ready = readyAt
-				}
-			} else {
-				c.misses++
-				c.installInSet(base, dev, la, now, write, seq, 0)
-				missLines++
-			}
-		}
-		la += LineSize
+		line++
 		key++
-		if base += assoc; base == wrap {
-			base = 0
-		}
 	}
 	return missLines, ready
+}
+
+// present reports whether a line is cached or waiting in the prefetch
+// buffer, without modifying replacement state.
+func (c *Cache) present(line, key uint64) bool {
+	if c.find(int(line&c.setMask)*c.assoc, line, key) >= 0 {
+		return true
+	}
+	_, ok := c.pbufIdx[key]
+	return ok
 }
 
 // installPrefetch stages all missing lines of the range in the prefetch
@@ -316,25 +358,21 @@ func (c *Cache) touchRange(dev *Device, addr uint64, n int64, now Time, write, s
 // the device bandwidth the dropped prefetch consumed, so every such
 // overwrite is counted in CacheStats.PrefetchOverwrites.
 func (c *Cache) installPrefetch(dev *Device, addr uint64, n int64, now, readyAt Time) {
-	if n <= 0 {
-		return
-	}
-	first := addr &^ (LineSize - 1)
-	last := (addr + uint64(n) - 1) &^ (LineSize - 1)
-	for la := first; ; la += LineSize {
-		if !c.present(dev, la) && !c.pbufContains(dev, la) {
+	line, count := lineSpan(addr, n)
+	key := lineKey(dev, line*LineSize)
+	for ; count > 0; count-- {
+		if !c.present(line, key) {
 			slot := &c.pbuf[c.pbufNext]
-			if slot.valid {
+			if slot.key != 0 {
 				c.pbufOverwrites++
-				delete(c.pbufIdx, pbufKey{slot.dev, slot.tag})
+				delete(c.pbufIdx, slot.key)
 			}
-			*slot = prefetchEntry{dev: dev, tag: la, readyAt: readyAt, valid: true}
-			c.pbufIdx[pbufKey{dev, la}] = c.pbufNext
+			*slot = prefetchEntry{key: key, readyAt: readyAt}
+			c.pbufIdx[key] = c.pbufNext
 			c.pbufNext = (c.pbufNext + 1) % prefetchBufferSize
 		}
-		if la == last {
-			break
-		}
+		line++
+		key++
 	}
 }
 
@@ -342,62 +380,30 @@ func (c *Cache) installPrefetch(dev *Device, addr uint64, n int64, now, readyAt 
 // (the CLWB semantics) and reports whether the line was dirty. The device
 // write is charged by the caller, which also tracks its completion time.
 func (c *Cache) cleanLine(dev *Device, lineAddr uint64) bool {
-	key := lineKey(dev, lineAddr)
-	base := int((lineAddr/LineSize)&c.setMask) * c.assoc
-	for i, k := range c.keys[base : base+c.assoc] {
-		if k == key {
-			l := &c.lines[base+i]
-			wasDirty := l.dirty
-			l.dirty = false
-			l.seqDirty = false
-			return wasDirty
-		}
+	line := lineAddr / LineSize
+	base := int(line&c.setMask) * c.assoc
+	w := c.find(base, line, lineKey(dev, lineAddr))
+	if w < 0 {
+		return false
 	}
-	return false
-}
-
-func (c *Cache) present(dev *Device, lineAddr uint64) bool {
-	key := lineKey(dev, lineAddr)
-	base := int((lineAddr/LineSize)&c.setMask) * c.assoc
-	for _, k := range c.keys[base : base+c.assoc] {
-		if k == key {
-			return true
-		}
-	}
-	return false
+	wasDirty := c.flags[base+w]&flagDirty != 0
+	c.flags[base+w] = 0
+	return wasDirty
 }
 
 // missingLines counts lines of the range absent from both the cache and
 // the prefetch buffer without modifying state (used to size prefetch
 // transfers).
 func (c *Cache) missingLines(dev *Device, addr uint64, n int64) int {
-	if n <= 0 {
-		return 0
-	}
-	first := addr &^ (LineSize - 1)
-	nLines := int((addr+uint64(n)-1)/LineSize-first/LineSize) + 1
-	assoc := c.assoc
-	base := int((first/LineSize)&c.setMask) * assoc
-	wrap := c.numSets * assoc
-	key := lineKey(dev, first)
+	line, count := lineSpan(addr, n)
+	key := lineKey(dev, line*LineSize)
 	miss := 0
-	la := first
-	for k := 0; k < nLines; k++ {
-		cached := false
-		for _, kk := range c.keys[base : base+assoc] {
-			if kk == key {
-				cached = true
-				break
-			}
-		}
-		if !cached && !c.pbufContains(dev, la) {
+	for ; count > 0; count-- {
+		if !c.present(line, key) {
 			miss++
 		}
-		la += LineSize
-		key++ // consecutive lines differ only in the addr>>6 low bits
-		if base += assoc; base == wrap {
-			base = 0
-		}
+		line++
+		key++
 	}
 	return miss
 }
@@ -405,26 +411,17 @@ func (c *Cache) missingLines(dev *Device, addr uint64, n int64) int {
 // invalidateRange drops all lines of the range without writeback (used by
 // non-temporal stores, which overwrite memory directly).
 func (c *Cache) invalidateRange(dev *Device, addr uint64, n int64) {
-	if n <= 0 {
-		return
-	}
-	first := addr &^ (LineSize - 1)
-	last := (addr + uint64(n) - 1) &^ (LineSize - 1)
-	for la := first; ; la += LineSize {
-		base := int((la/LineSize)&c.setMask) * c.assoc
-		set := c.lines[base : base+c.assoc]
-		for i := range set {
-			l := &set[i]
-			if l.valid && l.dev == dev && l.tag == la {
-				l.valid = false
-				l.dirty = false
-				c.keys[base+i] = 0
-				break
-			}
+	line, count := lineSpan(addr, n)
+	key := lineKey(dev, line*LineSize)
+	for ; count > 0; count-- {
+		base := int(line&c.setMask) * c.assoc
+		if w := c.find(base, line, key); w >= 0 {
+			c.keys[base+w] = 0
+			c.stamp[base+w] = uint64(w)
+			c.flags[base+w] = 0
 		}
-		c.pbufTake(dev, la)
-		if la == last {
-			break
-		}
+		c.pbufTake(key)
+		line++
+		key++
 	}
 }

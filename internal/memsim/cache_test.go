@@ -169,11 +169,11 @@ func TestPrefetchOverwriteOnWrapIsCounted(t *testing.T) {
 		t.Fatalf("PrefetchOverwrites = %d, want 1", got)
 	}
 	// The overwritten (oldest) line is gone from the staging index...
-	if c.pbufContains(d, base) {
+	if c.present(base/LineSize, lineKey(d, base)) {
 		t.Fatal("overwritten line still indexed")
 	}
 	// ...the newcomer is staged...
-	if !c.pbufContains(d, extra) {
+	if !c.present(extra/LineSize, lineKey(d, extra)) {
 		t.Fatal("new line not staged")
 	}
 	// ...and a demand access to the victim misses (the prefetch was wasted).
@@ -182,7 +182,7 @@ func TestPrefetchOverwriteOnWrapIsCounted(t *testing.T) {
 	}
 	// Taking an entry frees its slot without counting an overwrite.
 	before := c.Stats().PrefetchOverwrites
-	if _, ok := c.pbufTake(d, extra); !ok {
+	if _, ok := c.pbufTake(lineKey(d, extra)); !ok {
 		t.Fatal("pbufTake failed")
 	}
 	if got := c.Stats().PrefetchOverwrites; got != before {

@@ -22,7 +22,9 @@
 //     bypasses the cache hierarchy.
 //
 // A shared set-associative last-level cache with write-allocate/write-back
-// semantics sits in front of both devices; software prefetches install
+// semantics sits in front of all devices; software prefetches install
 // lines with a future ready time so demand accesses pay only the remaining
-// latency.
+// latency. Its per-way state is parallel arrays (key, replacement stamp,
+// ready time, dirty flags) probed through a verified way predictor, with
+// exact LRU replacement as a branch-free minimum over the stamps; see Cache.
 package memsim
