@@ -9,15 +9,16 @@ test: build
 	$(GO) test ./...
 
 # verify is the CI gate for the scheduler and the parallel harness: vet
-# everything, then run the simulator core, the host pool, the bench
-# harness, and the collector's eager-vs-default equivalence sweeps under
-# the race detector. -short trims workload sizes (the golden determinism
+# everything, then run the simulator core (its Steps tests included), the
+# host pool, the bench harness, and the collector's eager-vs-default
+# equivalence sweeps and step-form differential tests under the race
+# detector. -short trims workload sizes (the golden determinism
 # tests still run, on reduced cases) so the gate finishes in minutes even
 # on a single-core host.
 verify: build
 	$(GO) vet ./...
 	$(GO) test -race -short -count=1 ./internal/memsim ./internal/par ./internal/bench ./internal/fleet
-	$(GO) test -race -short -count=1 -run 'Equivalence|Golden' ./internal/gc
+	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
 	$(GO) test -run TestYoungGCSteadyStateAllocs -count=1 ./internal/gc
 
 # crash-smoke runs a reduced power-failure campaign: deterministic crash
@@ -77,13 +78,12 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMachineRun|BenchmarkCacheTouchRange|BenchmarkYoungGC|BenchmarkMixedGC|BenchmarkEvacuateHot' -benchmem -count=1 .
 
-# bench-smoke runs the three GC microbenchmarks once each — a CI guard
-# that keeps the bench path itself compiling and running — then runs the
-# perf guard: BenchmarkYoungGC must stay within 25% of the recorded
-# floor in results/BENCH_sim.json (see scripts/bench_guard.sh).
+# bench-smoke runs the three GC microbenchmarks once each: it keeps the
+# bench path itself compiling and running. It asserts no speed — host-time
+# claims are paired runs of the repository benchmark (bench-e2e), and
+# bench-gate is the drift gate.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkYoungGC|BenchmarkMixedGC|BenchmarkEvacuateHot' -benchtime=1x -benchmem -count=1 .
-	./scripts/bench_guard.sh
 
 # bench-e2e runs the repository benchmark (BENCHMARK.json: four workloads,
 # one child process each) and archives every run's full record under

@@ -112,6 +112,10 @@ func main() {
 	if *parallel < 0 {
 		fatal(fmt.Errorf("-parallel %d: negative worker count (0 means all cores, 1 serial)", *parallel))
 	}
+	if err := checkThreads(*threads); err != nil {
+		fmt.Fprintln(os.Stderr, "gcsim:", err)
+		os.Exit(2)
+	}
 
 	if *apps {
 		for _, p := range workload.Profiles() {
@@ -584,6 +588,15 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 }
 
 func ms(t memsim.Time) float64 { return float64(t) / float64(memsim.Millisecond) }
+
+// checkThreads rejects a -threads value no parallel phase can hold, in
+// every mode, before any machine is built.
+func checkThreads(n int) error {
+	if n > memsim.MaxWorkers {
+		return fmt.Errorf("-threads %d: a collection runs at most %d GC threads", n, memsim.MaxWorkers)
+	}
+	return nil
+}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "gcsim:", err)

@@ -89,3 +89,20 @@ func TestValidatePlacement(t *testing.T) {
 		t.Errorf("-young-tier naming a tier absent from the explicit topology accepted")
 	}
 }
+
+// TestCheckThreads: a -threads value past the scheduler's worker limit is a
+// usage error (one line, exit 2), not a panic out of Machine.Run.
+func TestCheckThreads(t *testing.T) {
+	for _, n := range []int{1, 16, memsim.MaxWorkers} {
+		if err := checkThreads(n); err != nil {
+			t.Errorf("checkThreads(%d): %v", n, err)
+		}
+	}
+	err := checkThreads(300)
+	if err == nil {
+		t.Fatal("checkThreads accepted 300 threads")
+	}
+	if !strings.Contains(err.Error(), "300") || !strings.Contains(err.Error(), "256") {
+		t.Errorf("error should name the value and the limit: %v", err)
+	}
+}

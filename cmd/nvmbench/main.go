@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"nvmgc/internal/bench"
+	"nvmgc/internal/memsim"
 )
 
 func main() {
@@ -39,6 +40,11 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+
+	if *threads > memsim.MaxWorkers {
+		fmt.Fprintf(os.Stderr, "nvmbench: -threads %d: a collection runs at most %d GC threads\n", *threads, memsim.MaxWorkers)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range bench.All() {

@@ -123,8 +123,8 @@ func (c Config) Validate() error {
 	if c.Scale < 0 {
 		return fmt.Errorf("fleet: negative scale %g", c.Scale)
 	}
-	if c.GCThreads < 0 {
-		return fmt.Errorf("fleet: negative GC thread count %d", c.GCThreads)
+	if c.GCThreads < 0 || c.GCThreads > memsim.MaxWorkers {
+		return fmt.Errorf("fleet: GC thread count %d, want 0 (default) to %d", c.GCThreads, memsim.MaxWorkers)
 	}
 	if _, err := workload.ScenarioByName(d.Scenario); err != nil {
 		return fmt.Errorf("fleet: %w", err)

@@ -158,6 +158,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative parallel", func(c *Config) { c.Parallel = -1 }},
 		{"negative scale", func(c *Config) { c.Scale = -1 }},
 		{"negative gc threads", func(c *Config) { c.GCThreads = -1 }},
+		{"too many gc threads", func(c *Config) { c.GCThreads = memsim.MaxWorkers + 1 }},
 		{"negative hedge", func(c *Config) { c.HedgeAfter = -1 }},
 		{"bad theta", func(c *Config) { c.Theta = 1.5 }},
 		{"NaN theta", func(c *Config) { c.Theta = math.NaN() }},

@@ -132,6 +132,9 @@ func (b *base) collect(threads int, mode gcMode, oldCands []*heap.Region, markTi
 	if threads < 1 {
 		return CollectionStats{}, fmt.Errorf("gc: thread count %d", threads)
 	}
+	if threads > memsim.MaxWorkers {
+		return CollectionStats{}, fmt.Errorf("gc: thread count %d, at most %d workers fit one parallel phase", threads, memsim.MaxWorkers)
+	}
 	m := b.h.Machine()
 	tiers := m.Topology().Tiers()
 	tiers0 := make([]memsim.DeviceStats, len(tiers))

@@ -122,6 +122,11 @@ type cycle struct {
 
 	stats CollectionStats
 
+	// exits counts, per reason, how often a worker's drain machine handed
+	// control back to its owner (see drainExit). Not a statistic — tests
+	// read it to prove every blocking section is exercised.
+	exits [numDrainExits]int64
+
 	// Mid-phase invariant checks (Options.Check) run exactly once per
 	// barrier, by the first worker through it; the cooperative scheduler
 	// makes the uncharged check atomic before any worker resumes charged
@@ -172,7 +177,7 @@ func newCycle(h *heap.Heap, opt Options, threads int, hm *HeaderMap, pl *persist
 	c.bar.n = threads
 	for len(ar.workers) < threads {
 		gw := &gcWorker{id: len(ar.workers)}
-		gw.stealCond = gw.stealReady
+		gw.stealCond, gw.stepFn = gw.stealReady, gw.step
 		ar.workers = append(ar.workers, gw)
 	}
 	c.workers = ar.workers[:threads]
@@ -284,12 +289,16 @@ func (c *cycle) retireDest(w *memsim.Worker, d *destRegion) {
 }
 
 func (c *cycle) maybeAsyncFlush(w *memsim.Worker, d *destRegion) {
-	if !c.opt.AsyncFlush || !d.cached() || d.flushed {
-		return
-	}
-	if d.full && !d.stolen && d.pending == 0 && d.labHolds == 0 {
+	if c.asyncFlushDue(d) {
 		c.flush(w, d, true)
 	}
+}
+
+// asyncFlushDue reports whether d must be written back now, during
+// traversal (see destRegion).
+func (c *cycle) asyncFlushDue(d *destRegion) bool {
+	return c.opt.AsyncFlush && d.cached() && !d.flushed &&
+		d.full && !d.stolen && d.pending == 0 && d.labHolds == 0
 }
 
 // flush writes a cached destination back to its mapped NVM region and
@@ -433,9 +442,40 @@ type gcWorker struct {
 
 	stack workStack
 
-	// stealCond is the prebuilt stealReady method value handed to SpinWait,
-	// allocated once per worker instead of once per steal attempt.
+	// stealCond and stepFn are the prebuilt stealReady and step method
+	// values handed to SpinWait and Steps, allocated once per worker
+	// instead of once per steal attempt or drain.
 	stealCond func() bool
+	stepFn    func(*memsim.Worker) bool
+
+	// Registers of the drain machine (drain.go): its state, why it last
+	// left, and everything the loop body used to keep in locals.
+	st   drainState
+	exit drainExit
+
+	slot    heap.Address // slot being processed
+	ref     heap.Address // its referent
+	newAddr heap.Address // where the referent lives now
+	val     uint64       // word just loaded (slot, mark) or CAS witness
+	mark    uint64       // referent's mark word as last seen
+	k       *heap.Klass  // referent's klass, size, age and target generation
+	size    int64
+	age     int
+	promote bool
+
+	phys, final heap.Address // the copy: where its bytes go, what references record
+	winner      heap.Address // forwarding address that ended up installed
+	reroutes    int          // re-routes of this copy off poisoned lines so far
+	nextRef     int64        // reference slots of the copy visited so far
+	pushed      int64        // ... and pushed
+	pushSlot    heap.Address
+
+	probe     hmProbe      // header-map Get or Put under way
+	flushDest *destRegion  // exitFlush: the region to write back
+	jAddr     heap.Address // exitJournal: the word about to be mutated
+	jOld      uint64       // ... and its current value
+	retryAddr heap.Address // exitFaultRetry: the address whose read faulted
+	badLine   uint64       // exitReroute: the poisoned line under the copy
 
 	// G1: one private destination per generation.
 	surv, old *destRegion
@@ -467,22 +507,6 @@ func (gw *gcWorker) scanRoots() {
 			gw.w.Prefetch(c.h.DevOf(slot), slot, heap.WordBytes, false)
 		}
 		gw.stack.push(slot)
-	}
-}
-
-// drainLoop processes the work stack, stealing when empty, until global
-// termination.
-func (gw *gcWorker) drainLoop() {
-	c := gw.c
-	for c.err == nil {
-		slot, ok := gw.stack.take(c.opt.BFS)
-		if !ok {
-			slot, ok = gw.trySteal()
-			if !ok {
-				return
-			}
-		}
-		gw.processSlot(slot)
 	}
 }
 
@@ -541,199 +565,6 @@ func (gw *gcWorker) stealReady() bool {
 	return c.idle >= c.threads && c.allStacksEmpty()
 }
 
-// processSlot is one iteration of the paper's four-step loop
-// (Section 3.1): read the slot, evacuate the referent if it lives in the
-// collection set, and update the slot with the referent's new address.
-func (gw *gcWorker) processSlot(slot heap.Address) {
-	c, h, w := gw.c, gw.c.h, gw.w
-
-	ref := gw.readWordRetry(slot) // step 1: fetch the reference (random read)
-	if ref != 0 {
-		if h.InCSetAt(ref) {
-			newAddr := gw.evacuate(ref)
-			if c.err == nil && newAddr != ref {
-				gw.updateSlot(slot, ref, newAddr) // step 4: update (random write)
-			}
-		} else if h.KindAt(ref) == heap.RegionOld {
-			r := h.RegionOf(ref)
-			// Non-moving old target: if this slot's final home is a
-			// *different* old region (a freshly promoted copy), record
-			// the old-to-old edge so future mixed collections can
-			// evacuate the target's region.
-			finalSlot := c.finalAddrOf(slot)
-			if fr := h.RegionOf(finalSlot); fr != nil && fr.Kind == heap.RegionOld && fr != r {
-				r.RemSet.Add(finalSlot)
-			}
-		}
-	}
-	c.stats.SlotsProcessed++
-
-	// Async-flush tracking: this slot no longer blocks its region.
-	if d := c.destOf(slot); d != nil {
-		d.pending--
-		c.maybeAsyncFlush(w, d)
-	}
-}
-
-// updateSlot writes the new address and maintains remembered sets: an
-// old-space slot now pointing at a survivor region must be visible to the
-// next young collection. Under a persistence mode, slots that survive a
-// crash logically — root slots (region nil) and slots in regions that
-// pre-date this collection — are journaled with their old value before
-// the write; slots inside regions claimed by this GC are not (recovery
-// discards those regions wholesale).
-func (gw *gcWorker) updateSlot(slot, oldAddr, newAddr heap.Address) {
-	c, h := gw.c, gw.c.h
-	if c.pl != nil {
-		if r := h.RegionOf(slot); r == nil || !r.ClaimedInGC {
-			if err := c.pl.append(gw.w, slot, oldAddr); err != nil {
-				c.fail(err)
-				return
-			}
-		}
-	}
-	h.WriteWord(gw.w, slot, newAddr)
-	finalSlot := c.finalAddrOf(slot)
-	fr := h.RegionOf(finalSlot)
-	if fr == nil {
-		// Root slot (aux space): always rescanned, no remset needed.
-		return
-	}
-	// Only old-space slots need remembering; survivor regions are
-	// rescanned wholesale as part of the next collection set. Edges into
-	// survivor regions feed the next young GC; edges into other old
-	// regions feed future mixed GCs.
-	if fr.Kind == heap.RegionOld {
-		nr := h.RegionOf(newAddr)
-		if nr != nil && nr != fr && !nr.InCSet &&
-			(nr.Kind == heap.RegionSurvivor || nr.Kind == heap.RegionOld) {
-			nr.RemSet.Add(finalSlot)
-			gw.w.Advance(15)
-		}
-	}
-}
-
-// evacuate returns the (final NVM) address of ref's surviving copy,
-// copying it if this worker wins the forwarding race.
-func (gw *gcWorker) evacuate(ref heap.Address) heap.Address {
-	c, h, w := gw.c, gw.c.h, gw.w
-
-	// Forwarding lookup: DRAM header map first (if enabled), then the
-	// NVM header.
-	if c.hm != nil {
-		if v := c.hm.Get(w, ref); v != 0 {
-			c.stats.HeaderMapHits++
-			return v
-		}
-	}
-	mark := gw.readWordRetry(heap.MarkAddr(ref))
-	if heap.IsForwarded(mark) {
-		return heap.ForwardingAddr(mark)
-	}
-
-	// The info word shares the header cache line with the mark word.
-	info := h.Peek(heap.InfoAddr(ref))
-	k := h.Klasses.ByID(heap.InfoKlassID(info))
-	size := heap.InfoSize(info)
-	if k == nil || size < heap.HeaderWords {
-		c.fail(fmt.Errorf("gc: malformed object at %#x (info %#x)", ref, info))
-		return ref
-	}
-	age := heap.MarkAge(mark)
-	promote := age+1 >= c.promoteAge
-	if h.KindAt(ref) == heap.RegionOld {
-		// Mixed and full GCs compact old objects into fresh old regions;
-		// they never return to the young generation.
-		promote = true
-	}
-
-	phys, final, ok := gw.allocDst(size, promote)
-	if !ok {
-		if c.err != nil {
-			return ref
-		}
-		// Fall back to the other generation before giving up.
-		phys, final, ok = gw.allocDst(size, !promote)
-		if !ok {
-			c.fail(fmt.Errorf("gc: no space to evacuate %d words", size))
-			return ref
-		}
-		promote = !promote
-	}
-
-	// Step 2: copy the object (sequential read + sequential write), plus
-	// the CPU cost of size checks, klass decoding, barrier bookkeeping
-	// and allocation-cursor updates. Under a fault model the copy probes
-	// its destination for hard UEs and re-routes off poisoned lines.
-	phys, final, ok = gw.copyObject(ref, size, promote, phys, final)
-	if !ok {
-		return ref
-	}
-	newAge := age + 1
-	if promote {
-		newAge = 0
-	}
-	h.Poke(heap.MarkAddr(phys), heap.MarkWithAge(newAge))
-
-	// Step 3: install the forwarding pointer.
-	winner := gw.installForward(ref, final, mark)
-	if winner != final {
-		gw.retractCopy(phys, size)
-		c.stats.WastedCopies++
-		return winner
-	}
-
-	c.stats.ObjectsCopied++
-	c.stats.BytesCopied += size * heap.WordBytes
-	if promote {
-		c.stats.ObjectsPromoted++
-		c.stats.BytesPromoted += size * heap.WordBytes
-	}
-	if d := c.destOf(phys); d == nil && c.opt.WriteCache {
-		c.stats.CacheFallbackBytes += size * heap.WordBytes
-	}
-
-	gw.pushRefs(phys, k, size)
-	return final
-}
-
-// installForward records old->final, preferring the DRAM header map and
-// falling back to a CAS on the NVM object header. It returns the address
-// that ended up installed (final, or a racing winner's address).
-func (gw *gcWorker) installForward(ref, final heap.Address, oldMark uint64) heap.Address {
-	c, h, w := gw.c, gw.c.h, gw.w
-	if c.hm != nil {
-		if v := c.hm.Put(w, ref, final); v != 0 {
-			if v == final {
-				c.stats.HeaderMapInstalls++
-			}
-			return v
-		}
-		c.stats.HeaderMapFallbacks++
-	}
-	for {
-		if c.pl != nil {
-			// Journal the pre-forwarding mark before publishing the
-			// forwarding pointer into the NVM header, so recovery can
-			// restore the from-space object's header exactly. (With the
-			// header map, forwarding state is volatile DRAM and needs no
-			// journaling — only this fallback path touches NVM.)
-			if err := c.pl.append(w, heap.MarkAddr(ref), oldMark); err != nil {
-				c.fail(err)
-				return final
-			}
-		}
-		cur, ok := h.CASWord(w, heap.MarkAddr(ref), oldMark, heap.ForwardedMark(final))
-		if ok {
-			return final
-		}
-		if heap.IsForwarded(cur) {
-			return heap.ForwardingAddr(cur)
-		}
-		oldMark = cur
-	}
-}
-
 // retractCopy undoes a copy that lost the forwarding race; if later
 // allocation already moved the bump pointer the space is wasted but left
 // as a well-formed unreachable object.
@@ -755,63 +586,29 @@ func (gw *gcWorker) retractCopy(phys heap.Address, size int64) {
 	// Space wasted: the full copy remains as a parseable dead object.
 }
 
-// pushRefs pushes the reference slots of a freshly copied object (located
-// at its physical address) onto the work stack, prefetching referents.
-func (gw *gcWorker) pushRefs(phys heap.Address, k *heap.Klass, size int64) {
-	c, h, w := gw.c, gw.c.h, gw.w
-	var pushed int64
-	pushOne := func(off int64) {
-		slot := heap.SlotAddr(phys, off)
-		if c.pushPrefetch {
-			// Peek reads this worker's own fresh copy: private until the
-			// forwarding pointer published it, and immutable afterwards.
-			if val := h.Peek(slot); val != 0 {
-				if h.InCSetAt(val) {
-					if c.hm != nil {
-						// With the header map enabled, the forwarding
-						// lookup reads the DRAM map, not the NVM header —
-						// the paper extends the prefetching instructions
-						// accordingly (Section 4.3).
-						c.hm.PrefetchFor(w, val)
-					} else {
-						w.Prefetch(h.DevOf(val), heap.MarkAddr(val), memsim.LineSize, false)
-					}
-				}
-			}
-		}
-		gw.stack.push(slot)
-		w.Advance(4)
-		pushed++
-	}
-	if k.Array {
-		if k.ElemRef {
-			for off := int64(heap.HeaderWords); off < size; off++ {
-				pushOne(off)
-			}
-		}
-	} else {
-		for _, o := range k.RefOffsets {
-			pushOne(int64(o))
-		}
-	}
-	if pushed > 0 {
-		// The pending counter feeds every worker's flush trigger.
-		if d := c.destOf(phys); d != nil {
-			d.pending += pushed
-		}
-	}
-}
+// allocResult is the outcome of a destination claim.
+type allocResult uint8
+
+const (
+	allocOK         allocResult = iota
+	allocFailed                 // no region left; the collection has been failed
+	allocWouldBlock             // !block only: nothing done, call again with block
+)
 
 // allocDst returns space for a copy of the given size in the requested
 // generation, claiming destination regions (G1) or LABs (PS) as needed.
-func (gw *gcWorker) allocDst(size int64, promote bool) (phys, final heap.Address, ok bool) {
+// Retiring a full destination can write it back on the spot under
+// AsyncFlush, which blocks; with block false (the caller is a step, see
+// drain.go) allocDst reports allocWouldBlock instead, before it has
+// changed anything.
+func (gw *gcWorker) allocDst(size int64, promote, block bool) (phys, final heap.Address, res allocResult) {
 	if gw.c.ps {
-		return gw.allocDstPS(size, promote)
+		return gw.allocDstPS(size, promote, block)
 	}
-	return gw.allocDstG1(size, promote)
+	return gw.allocDstG1(size, promote, block)
 }
 
-func (gw *gcWorker) allocDstG1(size int64, promote bool) (phys, final heap.Address, ok bool) {
+func (gw *gcWorker) allocDstG1(size int64, promote, block bool) (phys, final heap.Address, res allocResult) {
 	c := gw.c
 	dp := &gw.surv
 	kind := heap.RegionSurvivor
@@ -822,14 +619,17 @@ func (gw *gcWorker) allocDstG1(size int64, promote bool) (phys, final heap.Addre
 	for {
 		if *dp != nil {
 			if p, f, ok := (*dp).alloc(size); ok {
-				return p, f, true
+				return p, f, allocOK
+			}
+			if !block && c.opt.AsyncFlush {
+				return 0, 0, allocWouldBlock
 			}
 			c.retireDest(gw.w, *dp)
 			*dp = nil
 		}
 		d, ok := c.newDest(gw.w, kind, true)
 		if !ok {
-			return 0, 0, false
+			return 0, 0, allocFailed
 		}
 		*dp = d
 	}

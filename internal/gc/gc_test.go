@@ -39,6 +39,7 @@ type graphSpec struct {
 	arrayProb  float64 // allocate a primitive array instead of a node
 	arrayWords int64
 	oldHolders int // long-lived old objects holding young refs
+	hotRoots   int // extra root slots all holding the last eden object
 	seed       uint64
 }
 
@@ -124,6 +125,9 @@ func populate(t *testing.T, h *heap.Heap, m *memsim.Machine, spec graphSpec) {
 				}
 			}
 			prev = a
+		}
+		for i := 0; i < spec.hotRoots && prev != 0; i++ {
+			h.Roots.Add(w, prev)
 		}
 	})
 }

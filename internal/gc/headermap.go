@@ -77,41 +77,8 @@ func (hm *HeaderMap) valueAddr(idx uint64) heap.Address { return hm.base + idx*1
 // bounded probe found no slot — the caller must fall back to the NVM
 // header. Put never overwrites an existing entry for old.
 func (hm *HeaderMap) Put(w *memsim.Worker, old, new heap.Address) heap.Address {
-	idx := hm.hash(old)
-	for cnt := 0; cnt < headerMapSearchBound; cnt++ {
-		idx = (idx + 1) & hm.mask
-		probedKey := hm.h.ReadWord(w, hm.keyAddr(idx))
-		if probedKey != old {
-			if probedKey != 0 {
-				continue // occupied by another object
-			}
-			cur, ok := hm.h.CASWord(w, hm.keyAddr(idx), 0, old)
-			if ok {
-				// Claimed: publish the value.
-				hm.h.WriteWord(w, hm.valueAddr(idx), new)
-				hm.used++
-				return new
-			}
-			if cur == old {
-				// Another thread claimed this entry for the same
-				// object; wait for it to publish.
-				return hm.waitValue(w, idx)
-			}
-			continue // lost the slot to a different object
-		}
-		// Entry belongs to old (installed or in flight).
-		return hm.waitValue(w, idx)
-	}
-	return 0
-}
-
-func (hm *HeaderMap) waitValue(w *memsim.Worker, idx uint64) heap.Address {
-	for {
-		if v := hm.h.ReadWord(w, hm.valueAddr(idx)); v != 0 {
-			return v
-		}
-		w.Spin(40)
-	}
+	p := hm.probe(old, new, true)
+	return p.run(w)
 }
 
 // Get returns the new address recorded for old, or 0 if the map holds no
@@ -119,25 +86,145 @@ func (hm *HeaderMap) waitValue(w *memsim.Worker, idx uint64) heap.Address {
 // and bound match Put so every entry Put could have used is searched;
 // an empty key terminates early (entries are never deleted during GC).
 func (hm *HeaderMap) Get(w *memsim.Worker, old heap.Address) heap.Address {
-	idx := hm.hash(old)
-	for cnt := 0; cnt < headerMapSearchBound; cnt++ {
-		idx = (idx + 1) & hm.mask
-		probedKey := hm.h.ReadWord(w, hm.keyAddr(idx))
-		if probedKey == 0 {
-			return 0
-		}
-		if probedKey == old {
-			return hm.waitValue(w, idx)
-		}
-	}
-	return 0
+	p := hm.probe(old, 0, false)
+	return p.run(w)
 }
 
-// PrefetchFor issues a software prefetch covering the first probe target
-// for old (the paper extends the GC's prefetching to header-map lookups).
-func (hm *HeaderMap) PrefetchFor(w *memsim.Worker, old heap.Address) {
+// hmProbe is one Put or Get in step form (see memsim.Worker.Steps):
+// Algorithm 1 as a state machine, written once and driven either by the
+// blocking run below or, operation by operation, by the drain machine
+// (drain.go). Each step consumes the operation the previous one issued —
+// the word it loaded is Peek-able at the settled position step runs at —
+// and issues the next.
+type hmProbe struct {
+	hm       *HeaderMap
+	old, new heap.Address
+	put      bool
+	idx      uint64
+	cnt      int
+	st       hmState
+
+	// Once step reports false, result is the address recorded for old (new
+	// or a racing winner's for a Put, the installed one for a Get; 0 when
+	// the bounded probe found no entry), unless waiting: then entry idx is
+	// claimed for old but its value not yet published, and the caller must
+	// spin on it (spinValue) — which takes a coroutine of its own.
+	result  heap.Address
+	waiting bool
+}
+
+type hmState uint8
+
+const (
+	hmNextKey  hmState = iota // advance to the next entry and load its key
+	hmKeyRead                 // key loaded: match, claim, skip, or end a Get
+	hmCASWon                  // claim applied, its read charged: charge its write
+	hmClaimed                 // claim charged: store the value
+	hmValWrote                // value store charged: commit it
+	hmCASLost                 // claim failed, its read charged: same object or not?
+	hmValRead                 // value loaded: published yet?
+)
+
+func (hm *HeaderMap) probe(old, new heap.Address, put bool) hmProbe {
+	return hmProbe{hm: hm, old: old, new: new, put: put, idx: hm.hash(old)}
+}
+
+// run drives the probe to its answer with blocking operations.
+func (p *hmProbe) run(w *memsim.Worker) heap.Address {
+	for p.step(w) {
+		w.Exec()
+	}
+	if p.waiting {
+		return p.hm.spinValue(w, p.idx)
+	}
+	return p.result
+}
+
+// step issues the probe's next operation on w and reports true, or reports
+// false once the probe is over.
+func (p *hmProbe) step(w *memsim.Worker) bool {
+	hm, h := p.hm, p.hm.h
+	for {
+		key, val := hm.keyAddr(p.idx), hm.valueAddr(p.idx)
+		switch p.st {
+		case hmNextKey:
+			if p.cnt == headerMapSearchBound {
+				return false // no free or matching entry within the bound
+			}
+			p.cnt++
+			p.idx = (p.idx + 1) & hm.mask
+			h.IssueReadWord(w, hm.keyAddr(p.idx))
+			p.st = hmKeyRead
+			return true
+		case hmKeyRead:
+			switch probedKey := h.Peek(key); {
+			case probedKey == p.old:
+				// Entry belongs to old (installed or in flight).
+				h.IssueReadWord(w, val)
+				p.st = hmValRead
+				return true
+			case probedKey != 0:
+				p.st = hmNextKey // occupied by another object
+			case !p.put:
+				return false // Get: an empty key ends the search
+			default:
+				cur, ok := h.IssueCAS(w, key, 0, p.old)
+				p.result = cur // the witness, for hmCASLost
+				p.st = hmCASLost
+				if ok {
+					p.st = hmCASWon
+				}
+				return true
+			}
+		case hmCASWon:
+			h.IssueCASStore(w, key)
+			p.st = hmClaimed
+			return true
+		case hmClaimed:
+			// Claimed: publish the value.
+			h.IssueWriteWord(w, val)
+			p.st = hmValWrote
+			return true
+		case hmValWrote:
+			h.CommitWord(val, p.new)
+			hm.used++
+			p.result = p.new
+			return false
+		case hmCASLost:
+			if p.result != p.old {
+				p.st = hmNextKey // lost the slot to a different object
+				continue
+			}
+			// Another thread claimed this entry for the same object; wait
+			// for it to publish.
+			h.IssueReadWord(w, val)
+			p.st = hmValRead
+			return true
+		case hmValRead:
+			p.result = h.Peek(val)
+			p.waiting = p.result == 0
+			return false
+		}
+	}
+}
+
+// spinValue waits for the in-flight entry idx to publish its value: the
+// tail of Algorithm 1's wait loop, after a first load found it still zero.
+func (hm *HeaderMap) spinValue(w *memsim.Worker, idx uint64) heap.Address {
+	for {
+		w.Spin(40)
+		if v := hm.h.ReadWord(w, hm.valueAddr(idx)); v != 0 {
+			return v
+		}
+	}
+}
+
+// IssuePrefetchFor issues a software prefetch covering the first probe
+// target for old (the paper extends the GC's prefetching to header-map
+// lookups).
+func (hm *HeaderMap) IssuePrefetchFor(w *memsim.Worker, old heap.Address) {
 	idx := (hm.hash(old) + 1) & hm.mask
-	w.Prefetch(hm.h.AuxDevice(), hm.keyAddr(idx), 16, false)
+	w.IssuePrefetch(hm.h.AuxDevice(), hm.keyAddr(idx), 16, false)
 }
 
 // PeekEntry reads entry i's key and value words without charging virtual

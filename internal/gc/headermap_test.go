@@ -1,6 +1,8 @@
 package gc
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"nvmgc/internal/heap"
@@ -211,5 +213,133 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if Vanilla().Label() != "vanilla" || WithWriteCache().Label() != "+writecache" || Optimized().Label() != "+all" {
 		t.Fatal("labels wrong")
+	}
+}
+
+// hmDiffOp is one operation of the differential sequence below: a Put of
+// key->val, or a Get of key when val is 0.
+type hmDiffOp struct{ key, val heap.Address }
+
+// hmDiffOps draws one worker's operation sequence: a small key space over a
+// small map, so the same key is installed by several workers at once
+// (same-key races, in-flight entries), different keys contend for one slot
+// (lost-slot probes) and probe windows fill up (bound-8 overflow).
+func hmDiffOps(id, n int) []hmDiffOp {
+	rng := rand.New(rand.NewPCG(42, uint64(id)))
+	ops := make([]hmDiffOp, n)
+	for i := range ops {
+		ops[i].key = heap.Address(0x10000 + rng.IntN(60)*64)
+		if rng.IntN(3) > 0 {
+			ops[i].val = heap.Address(0x800000 + id<<16 + i*8)
+		}
+	}
+	return ops
+}
+
+// hmDiffResult is everything a header-map run decides.
+type hmDiffResult struct {
+	now      memsim.Time
+	answers  [][]heap.Address // per worker, per operation
+	entries  [][2]uint64      // key, value of every map entry
+	used     int64
+	dram     memsim.DeviceStats
+	overflow int // Puts the bounded probe turned away
+	waited   int // probes that found their entry still in flight
+}
+
+// runHMDiff runs the sequences on 8 workers, either through the blocking
+// Put/Get drivers or by stepping the probe states directly under Steps.
+func runHMDiff(t *testing.T, eager, steps bool) hmDiffResult {
+	t.Helper()
+	const workers, perWorker = 8, 60
+	h, m := hmTestHeap(t)
+	m.SetEagerYield(eager)
+	hm, err := NewHeaderMap(h, 64*16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := hmDiffResult{answers: make([][]heap.Address, workers)}
+	m.Run(workers, func(w *memsim.Worker) {
+		ops := hmDiffOps(w.ID(), perWorker)
+		ans := make([]heap.Address, 0, perWorker)
+		defer func() { res.answers[w.ID()] = ans }()
+		record := func(op hmDiffOp, v heap.Address) {
+			if op.val != 0 && v == 0 {
+				res.overflow++
+			}
+			ans = append(ans, v)
+		}
+		if !steps {
+			for _, op := range ops {
+				if op.val != 0 {
+					record(op, hm.Put(w, op.key, op.val))
+				} else {
+					record(op, hm.Get(w, op.key))
+				}
+			}
+			return
+		}
+		var p hmProbe
+		started := false
+		for len(ans) < perWorker {
+			w.Steps(func(w *memsim.Worker) bool {
+				for {
+					if !started {
+						if len(ans) == perWorker {
+							return false
+						}
+						op := ops[len(ans)]
+						p, started = hm.probe(op.key, op.val, op.val != 0), true
+					}
+					if p.step(w) {
+						return true
+					}
+					if p.waiting {
+						return false // spin on the owner's coroutine
+					}
+					record(ops[len(ans)], p.result)
+					started = false
+				}
+			})
+			if started {
+				res.waited++
+				record(ops[len(ans)], hm.spinValue(w, p.idx))
+				started = false
+			}
+		}
+	})
+	for i := 0; i < hm.Entries(); i++ {
+		k, v := hm.PeekEntry(i)
+		res.entries = append(res.entries, [2]uint64{k, v})
+	}
+	res.now, res.used, res.dram = m.Now(), hm.Used(), m.DRAM.Stats()
+	return res
+}
+
+// TestHeaderMapStepsMatchDrivers is the differential test of the
+// header map's two faces: the probe state machine stepped directly (as the
+// drain machine does, with peers running each other's steps) against the
+// blocking Put/Get drivers, over the same seeded contended sequence.
+// Returned addresses, map contents, occupancy and device traffic must all
+// agree, in both scheduling modes.
+func TestHeaderMapStepsMatchDrivers(t *testing.T) {
+	want := runHMDiff(t, true, false)
+	if want.overflow == 0 {
+		t.Error("no Put overflowed the probe bound — the sequence exercises nothing")
+	}
+	if want.used == 0 || want.used == int64(len(want.entries)) {
+		t.Errorf("used = %d of %d entries — want a partly filled map", want.used, len(want.entries))
+	}
+	for _, eager := range []bool{true, false} {
+		for _, steps := range []bool{false, true} {
+			got := runHMDiff(t, eager, steps)
+			if steps && got.waited == 0 {
+				t.Errorf("eager=%v: no stepped probe found its entry in flight", eager)
+			}
+			got.waited = 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("eager=%v steps=%v diverged from the blocking drivers under eager-yield:\n got %+v\nwant %+v", eager, steps, got, want)
+			}
+		}
 	}
 }

@@ -23,40 +23,45 @@ func genKind(promote bool) heap.RegionKind {
 	return heap.RegionSurvivor
 }
 
-func (gw *gcWorker) allocDstPS(size int64, promote bool) (phys, final heap.Address, ok bool) {
+func (gw *gcWorker) allocDstPS(size int64, promote, block bool) (phys, final heap.Address, res allocResult) {
 	c := gw.c
 	gi := genIndex(promote)
 
 	if size >= c.directWords {
-		// The direct region is a bump allocator shared by every worker.
+		// The direct region is a bump allocator shared by every worker. It
+		// is never cached, so retiring it never flushes.
 		for c.err == nil {
 			d := c.sharedDirect[gi]
 			if d != nil {
 				if p, f, ok := d.alloc(size); ok {
-					return p, f, true
+					return p, f, allocOK
 				}
 				c.retireDest(gw.w, d)
 				c.sharedDirect[gi] = nil
 			}
 			nd, ok := c.newDest(gw.w, genKind(promote), false)
 			if !ok {
-				return 0, 0, false
+				return 0, 0, allocFailed
 			}
 			c.sharedDirect[gi] = nd
 		}
-		return 0, 0, false
+		return 0, 0, allocFailed
 	}
 
 	lab := &gw.labs[gi]
 	if lab.d == nil || lab.remaining() < size {
+		// Releasing the LAB and retiring its region can both flush.
+		if !block && c.opt.AsyncFlush {
+			return 0, 0, allocWouldBlock
+		}
 		if !gw.refillLAB(lab, promote) {
-			return 0, 0, false
+			return 0, 0, allocFailed
 		}
 	}
 	p, f := lab.phys, lab.final
 	lab.phys += heap.Address(size * heap.WordBytes)
 	lab.final += heap.Address(size * heap.WordBytes)
-	return p, f, true
+	return p, f, allocOK
 }
 
 // refillLAB releases the current LAB (plugging its tail with a filler

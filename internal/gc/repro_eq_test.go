@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -40,10 +41,32 @@ func eqScenarios() []eqScenario {
 	}
 }
 
-// one run: populate + one young collection; returns the final virtual
-// time, the collection stats (including fault outcomes), and the
-// per-tier traffic in topology order.
-func reproRun(t *testing.T, sc eqScenario, eager bool, threads int, seed uint64) (memsim.Time, CollectionStats, []memsim.DeviceStats) {
+// eqRun is one collection of the equivalence sweeps: which collector, with
+// which options, runs which algorithm over which graph. The zero value is
+// a vanilla G1 young collection.
+type eqRun struct {
+	ps      bool
+	opt     Options
+	mode    gcMode
+	persist bool // track the NVM tier in a persistence domain (opt.Persist needs it)
+	hot     int  // extra root slots all holding one eden object
+	live    bool // root most of eden, so destination regions fill mid-traversal
+}
+
+// eqResult is everything a run decides: the final virtual time, the
+// collection stats (including fault outcomes), the per-tier traffic in
+// topology order, and how often the drain machine left for each of its
+// blocking sections.
+type eqResult struct {
+	now     memsim.Time
+	stats   CollectionStats
+	traffic []memsim.DeviceStats
+	exits   [numDrainExits]int64
+}
+
+// run populates a fresh heap and collects it once.
+func (r eqRun) run(t *testing.T, sc eqScenario, eager bool, threads int, seed uint64) eqResult {
+	t.Helper()
 	cfg := memsim.DefaultConfig()
 	cfg.LLCBytes = 1 << 17
 	cfg.EagerYield = eager
@@ -51,6 +74,9 @@ func reproRun(t *testing.T, sc eqScenario, eager bool, threads int, seed uint64)
 		cfg.Tiers = sc.tiers()
 	}
 	m := memsim.NewMachine(cfg)
+	if r.persist {
+		m.EnablePersist(m.NVM, false)
+	}
 	hc := heap.DefaultConfig()
 	hc.RegionBytes = 16 << 10
 	hc.HeapRegions = 256
@@ -58,6 +84,7 @@ func reproRun(t *testing.T, sc eqScenario, eager bool, threads int, seed uint64)
 	hc.EdenRegions = 48
 	hc.SurvivorRegions = 32
 	hc.AuxBytes = 2 << 20
+	hc.MetaBytes = 1 << 20
 	hc.RootSlots = 1 << 12
 	hc.HeapKind = memsim.NVM
 	hc.Poison = true
@@ -67,33 +94,79 @@ func reproRun(t *testing.T, sc eqScenario, eager bool, threads int, seed uint64)
 	}
 	spec := defaultSpec()
 	spec.seed = seed
+	spec.hotRoots = r.hot
+	if r.live {
+		spec.rootProb = 0.6
+	}
 	populate(t, h, m, spec)
-	g, err := NewG1(h, Vanilla())
+	b, err := newBase(h, r.opt, r.ps, "eq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := g.Collect(threads)
+	var st CollectionStats
+	switch r.mode {
+	case gcMixed:
+		st, err = b.CollectMixed(threads, 4)
+	case gcFull:
+		st, err = b.CollectFull(threads)
+	default:
+		st, err = b.Collect(threads)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traffic []memsim.DeviceStats
+	res := eqResult{now: m.Now(), stats: st, exits: b.arena.cyc.exits}
 	for _, tier := range m.Topology().Tiers() {
-		traffic = append(traffic, tier.Stats())
+		res.traffic = append(res.traffic, tier.Stats())
 	}
-	return m.Now(), st, traffic
+	return res
+}
+
+// diff reports the first field in which got departs from the reference.
+func (want eqResult) diff(got eqResult) string {
+	switch {
+	case got.now != want.now:
+		return fmt.Sprintf("final time %d, want %d", got.now, want.now)
+	case !reflect.DeepEqual(got.stats.Faults, want.stats.Faults):
+		return fmt.Sprintf("fault outcomes diverged:\n got %+v\nwant %+v", got.stats.Faults, want.stats.Faults)
+	case !reflect.DeepEqual(got.stats, want.stats):
+		return fmt.Sprintf("stats diverged:\n got %+v\nwant %+v", got.stats, want.stats)
+	case !reflect.DeepEqual(got.traffic, want.traffic):
+		return fmt.Sprintf("per-tier traffic diverged:\n got %+v\nwant %+v", got.traffic, want.traffic)
+	case got.exits != want.exits:
+		return fmt.Sprintf("drain exits diverged: got %v, want %v", got.exits, want.exits)
+	}
+	return ""
 }
 
 // TestReproEquivalence is the quick check on the default topology: the
-// eager reference vs the default scheduler (event horizon + delegated
-// accounting), at several worker counts and seeds.
+// eager reference (every step driven from its owner's coroutine) vs the
+// default scheduler (event horizon, delegated accounting, peer-run steps),
+// at several worker counts and seeds, then across both collectors, the
+// vanilla and fully optimized configurations and all three algorithms from
+// one thread (no scheduler at all) to 56.
 func TestReproEquivalence(t *testing.T) {
 	sc := eqScenarios()[0]
 	for _, th := range []int{2, 4, 8, 16} {
 		for _, seed := range []uint64{1, 2, 3, 4} {
-			base, st0, tr0 := reproRun(t, sc, true, th, seed)
-			def, st1, tr1 := reproRun(t, sc, false, th, seed)
-			if def != base || !reflect.DeepEqual(st0, st1) || !reflect.DeepEqual(tr0, tr1) {
-				t.Errorf("th=%d seed=%d: default scheduler diverged: now %d vs %d", th, seed, def, base)
+			want := eqRun{}.run(t, sc, true, th, seed)
+			if d := want.diff(eqRun{}.run(t, sc, false, th, seed)); d != "" {
+				t.Errorf("th=%d seed=%d: default scheduler diverged: %s", th, seed, d)
+			}
+		}
+	}
+	all := Optimized()
+	all.HeaderMapMinThreads = 1
+	for _, ps := range []bool{false, true} {
+		for _, opt := range []Options{Vanilla(), all} {
+			for _, mode := range []gcMode{gcYoung, gcMixed, gcFull} {
+				for _, th := range []int{1, 4, 16, 56} {
+					r := eqRun{ps: ps, opt: opt, mode: mode}
+					want := r.run(t, sc, true, th, 1)
+					if d := want.diff(r.run(t, sc, false, th, 1)); d != "" {
+						t.Errorf("ps=%v %s mode=%d th=%d: default scheduler diverged: %s", ps, opt.Label(), mode, th, d)
+					}
+				}
 			}
 		}
 	}
@@ -110,26 +183,86 @@ func TestSchedulerModeEquivalence(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, th := range []int{4, 16} {
 				for _, seed := range []uint64{1, 2} {
-					baseNow, baseSt, baseTr := reproRun(t, sc, true, th, seed)
-					if sc.fault && baseSt.Faults.TransientFaults == 0 && baseSt.Faults.UEsDiscovered == 0 {
+					want := eqRun{}.run(t, sc, true, th, seed)
+					if sc.fault && want.stats.Faults.TransientFaults == 0 && want.stats.Faults.UEsDiscovered == 0 {
 						t.Fatalf("th=%d seed=%d: fault arm fired no faults — the scenario exercises nothing", th, seed)
 					}
-					now, st, tr := reproRun(t, sc, false, th, seed)
-					if now != baseNow {
-						t.Errorf("th=%d seed=%d: final time %d, want %d", th, seed, now, baseNow)
-					}
-					if !reflect.DeepEqual(st.Faults, baseSt.Faults) {
-						t.Errorf("th=%d seed=%d: fault outcomes diverged:\n got %+v\nwant %+v",
-							th, seed, st.Faults, baseSt.Faults)
-					}
-					if !reflect.DeepEqual(st, baseSt) {
-						t.Errorf("th=%d seed=%d: stats diverged:\n got %+v\nwant %+v", th, seed, st, baseSt)
-					}
-					if !reflect.DeepEqual(tr, baseTr) {
-						t.Errorf("th=%d seed=%d: per-tier traffic diverged:\n got %+v\nwant %+v", th, seed, tr, baseTr)
+					if d := want.diff(eqRun{}.run(t, sc, false, th, seed)); d != "" {
+						t.Errorf("th=%d seed=%d: %s", th, seed, d)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestDrainExitsEquivalence drives every blocking section the drain
+// machine leaves for — each must be taken (the counter proves it) and the
+// default scheduler, where peers run the steps around it, must still
+// reproduce the eager reference bit-for-bit.
+func TestDrainExitsEquivalence(t *testing.T) {
+	all := Optimized()
+	all.HeaderMapMinThreads = 1
+	async := all
+	async.AsyncFlush = true
+	journal := Vanilla()
+	journal.Persist = PersistADR
+	wear := eqScenario{name: "wear", fault: true, tiers: func() []memsim.TierSpec {
+		cfg := memsim.DefaultConfig()
+		tiers := memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM)
+		tiers[1].Fault = memsim.FaultModel{Seed: 3, WearThresholdMean: 4, WearThresholdSpread: 1}
+		return tiers
+	}}
+	cases := []struct {
+		name string
+		sc   eqScenario
+		run  eqRun
+		want []drainExit
+	}{
+		{"steal", eqScenarios()[0], eqRun{}, []drainExit{exitSteal}},
+		// A few hundred root slots hold one object, so every worker looks
+		// it up at once: all but the first find its header-map entry
+		// claimed and not yet published.
+		{"in-flight entry", eqScenarios()[0], eqRun{opt: all, hot: 400}, []drainExit{exitWaitValue}},
+		{"async flush", eqScenarios()[0], eqRun{opt: async, live: true}, []drainExit{exitFlush, exitAlloc}},
+		{"async flush, ps", eqScenarios()[0], eqRun{ps: true, opt: async, live: true}, []drainExit{exitFlush, exitAlloc}},
+		{"journal", eqScenarios()[0], eqRun{opt: journal, persist: true}, []drainExit{exitJournal}},
+		{"transient fault", eqScenarios()[2], eqRun{}, []drainExit{exitFaultRetry}},
+		{"poisoned copy", wear, eqRun{}, []drainExit{exitReroute}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var taken [numDrainExits]int64
+			for _, th := range []int{4, 16} {
+				want := tc.run.run(t, tc.sc, true, th, 1)
+				for e, n := range want.exits {
+					taken[e] += n
+				}
+				if d := want.diff(tc.run.run(t, tc.sc, false, th, 1)); d != "" {
+					t.Errorf("th=%d: %s", th, d)
+				}
+			}
+			for _, e := range tc.want {
+				if taken[e] == 0 {
+					t.Errorf("exit %d never taken (exits %v) — the case exercises nothing", e, taken)
+				}
+			}
+		})
+	}
+}
+
+// TestCollectRejectsTooManyThreads: a thread count no parallel phase can
+// hold is an error from Collect, not a panic out of Machine.Run.
+func TestCollectRejectsTooManyThreads(t *testing.T) {
+	h, _ := testEnv(t, memsim.NVM)
+	g, err := NewG1(h, Vanilla())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Collect(memsim.MaxWorkers + 1); err == nil {
+		t.Fatal("Collect accepted more threads than a phase has workers")
+	}
+	if _, err := g.Collect(memsim.MaxWorkers); err != nil {
+		t.Fatalf("Collect(%d): %v", memsim.MaxWorkers, err)
 	}
 }

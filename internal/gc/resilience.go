@@ -40,35 +40,30 @@ func anyTierFaulty(m *memsim.Machine) bool {
 	return false
 }
 
-// readWordRetry is the resilient form of heap.ReadWord: a charged read
-// whose transient media faults are retried with exponential backoff in
-// virtual time. Bounded attempts; costs land in CollectionStats.Faults.
-// With no fault model installed it is exactly one charged read.
-func (gw *gcWorker) readWordRetry(addr heap.Address) uint64 {
+// retryRead is the blocking tail of a resilient read: the charged read of
+// addr returned v but drew a transient media fault (gcWorker.loaded), so
+// re-read with exponential backoff in virtual time until a read draws
+// none. Bounded attempts; costs land in CollectionStats.Faults.
+func (gw *gcWorker) retryRead(addr heap.Address, v uint64) uint64 {
 	c, h, w := gw.c, gw.c.h, gw.w
-	v := h.ReadWord(w, addr)
-	if !c.faulty {
-		return v
-	}
 	dev := h.DevOf(addr)
-	if !dev.FaultEnabled() {
-		return v
-	}
 	backoff := faultBackoffBase
-	for attempt := 0; dev.TransientReadFault(addr); attempt++ {
+	for attempt := 0; ; attempt++ {
 		c.stats.Faults.TransientFaults++
 		if attempt >= maxFaultRetries {
 			c.fail(fmt.Errorf("gc: transient-fault storm at %#x on %s: %d correctable faults in a row",
 				addr, dev.Name(), attempt+1))
-			break
+			return v
 		}
 		w.Advance(backoff)
 		c.stats.Faults.BackoffTime += backoff
 		backoff *= 2
 		v = h.ReadWord(w, addr)
 		c.stats.Faults.Retries++
+		if !dev.TransientReadFault(addr) {
+			return v
+		}
 	}
-	return v
 }
 
 // destDevice picks the device for a fresh destination region of the given
@@ -96,58 +91,55 @@ func (c *cycle) destDevice(kind heap.RegionKind) *memsim.Device {
 	return nil
 }
 
-// copyObject performs the evacuation copy, probing the destination for
-// hard UEs the copy itself may have worn into existence. A poisoned
-// destination is abandoned in place — the copy stays behind as a
-// well-formed dead filler past which the bump pointer has already moved —
-// the bad line is recorded against its region (fencing it for retirement
-// once its survivors are evacuated), and the copy re-routes to a fresh
-// destination. Returns the final physical/final addresses, or ok=false
-// after c.fail.
-func (gw *gcWorker) copyObject(ref heap.Address, size int64, promote bool, phys, final heap.Address) (heap.Address, heap.Address, bool) {
-	c, h, w := gw.c, gw.c.h, gw.w
-	for reroutes := 0; ; reroutes++ {
-		w.Advance(110 + size/8)
-		h.CopyWords(w, phys, ref, size)
-		if !c.faulty {
-			return phys, final, true
-		}
-		dev := h.DevOf(phys)
-		if !dev.FaultEnabled() {
-			return phys, final, true
-		}
-		line, bad := dev.PoisonedInRange(phys, size*heap.WordBytes)
-		if !bad {
-			return phys, final, true
-		}
-		// Hard UE under the fresh copy: fence the line's region and
-		// re-route. CAS forwarding tolerates the re-route — nothing has
-		// been published yet. The abandoned copy must really be the dead
-		// filler it stays behind as: CopyWords replicated the source
-		// header verbatim, and a racing evacuator may have CAS-forwarded
-		// the source mid-copy, so without rewriting the header the stale
-		// copy could carry a forwarding mark into a region that outlives
-		// the collection (the winner's path scrubs its copy's mark only
-		// at the final destination).
-		h.WriteFiller(phys, size)
-		if h.NoteBadLine(line) {
-			c.stats.Faults.UEsDiscovered++
-		}
-		if reroutes >= maxCopyReroutes {
-			c.fail(fmt.Errorf("gc: copy of %#x re-routed %d times off poisoned lines: %w",
-				ref, reroutes, ErrTierExhausted))
-			return 0, 0, false
-		}
-		var ok bool
-		phys, final, ok = gw.allocDst(size, promote)
-		if !ok {
-			if c.err == nil {
-				c.fail(fmt.Errorf("gc: no space to re-route copy of %#x: %w", ref, ErrTierExhausted))
-			}
-			return 0, 0, false
-		}
-		c.stats.Faults.RedirectedCopies++
+// copyPoisoned probes the fresh copy's destination for a hard UE the copy
+// itself may have worn into existence, leaving the line in gw.badLine.
+func (gw *gcWorker) copyPoisoned() bool {
+	if !gw.c.faulty {
+		return false
 	}
+	dev := gw.c.h.DevOf(gw.phys)
+	if !dev.FaultEnabled() {
+		return false
+	}
+	line, bad := dev.PoisonedInRange(gw.phys, gw.size*heap.WordBytes)
+	gw.badLine = line
+	return bad
+}
+
+// reroute abandons a copy that landed on a poisoned line and claims a
+// fresh destination for it (blocking: the claim may flush). The copy stays
+// behind as a well-formed dead filler past which the bump pointer has
+// already moved, and the bad line is recorded against its region (fencing
+// it for retirement once its survivors are evacuated). CAS forwarding
+// tolerates the re-route — nothing has been published yet. The abandoned
+// copy must really be the dead filler it stays behind as: the copy
+// replicated the source header verbatim, and a racing evacuator may have
+// CAS-forwarded the source mid-copy, so without rewriting the header the
+// stale copy could carry a forwarding mark into a region that outlives the
+// collection (the winner's path scrubs its copy's mark only at the final
+// destination).
+func (gw *gcWorker) reroute() allocResult {
+	c, h := gw.c, gw.c.h
+	h.WriteFiller(gw.phys, gw.size)
+	if h.NoteBadLine(gw.badLine) {
+		c.stats.Faults.UEsDiscovered++
+	}
+	if gw.reroutes >= maxCopyReroutes {
+		c.fail(fmt.Errorf("gc: copy of %#x re-routed %d times off poisoned lines: %w",
+			gw.ref, gw.reroutes, ErrTierExhausted))
+		return allocFailed
+	}
+	gw.reroutes++
+	phys, final, res := gw.allocDst(gw.size, gw.promote, true)
+	if res != allocOK {
+		if c.err == nil {
+			c.fail(fmt.Errorf("gc: no space to re-route copy of %#x: %w", gw.ref, ErrTierExhausted))
+		}
+		return allocFailed
+	}
+	gw.phys, gw.final = phys, final
+	c.stats.Faults.RedirectedCopies++
+	return allocOK
 }
 
 // mergeBadOld appends the bad-lined old regions not already among the

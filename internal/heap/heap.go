@@ -555,42 +555,77 @@ func (h *Heap) Poke(addr Address, v uint64) {
 	h.words[h.index(addr)] = v
 }
 
+// The charged word operations below are each written once, as halves a
+// step-form caller (memsim.Worker.Steps) can use on their own: an Issue*
+// half runs everything that precedes the charge — the persistence
+// domain's store hook, a CAS's effect — and issues the operation on w; a
+// commit half applies what follows it. The blocking forms are the halves
+// in order with w.Exec() between them. A load has no commit half: its
+// value is Peek(addr) once the operation has executed.
+
 // ReadWord models a random 8-byte load. Object addresses are 8-byte
 // aligned, so the access is always contained in one cache line and takes
 // the single-line accounting fast path.
 func (h *Heap) ReadWord(w *memsim.Worker, addr Address) uint64 {
-	w.ReadWord(h.DevOf(addr), addr)
+	h.IssueReadWord(w, addr)
+	w.Exec()
 	return h.words[h.index(addr)]
+}
+
+// IssueReadWord issues ReadWord's charge.
+func (h *Heap) IssueReadWord(w *memsim.Worker, addr Address) {
+	w.IssueReadWord(h.DevOf(addr), addr)
 }
 
 // WriteWord models a random 8-byte cached store.
 func (h *Heap) WriteWord(w *memsim.Worker, addr Address, v uint64) {
-	h.pdStore(addr, WordBytes)
-	w.WriteWord(h.DevOf(addr), addr)
-	h.words[h.index(addr)] = v
+	h.IssueWriteWord(w, addr)
+	w.Exec()
+	h.CommitWord(addr, v)
 }
+
+// IssueWriteWord notifies the persistence domain of the store and issues
+// WriteWord's charge; CommitWord applies the store afterwards.
+func (h *Heap) IssueWriteWord(w *memsim.Worker, addr Address) {
+	h.pdStore(addr, WordBytes)
+	w.IssueWriteWord(h.DevOf(addr), addr)
+}
+
+// CommitWord applies a store whose charge IssueWriteWord issued.
+func (h *Heap) CommitWord(addr Address, v uint64) { h.words[h.index(addr)] = v }
 
 // CASWord models an atomic compare-and-swap on a word: it always pays a
 // random read; a successful swap additionally pays a random write.
-//
-// The logical compare-and-swap is applied to the backing store *before*
-// the timing charges: the charge operations yield to the scheduler, so
-// applying the effect first is what makes the operation atomic with
-// respect to other simulated workers.
 func (h *Heap) CASWord(w *memsim.Worker, addr Address, old, new uint64) (uint64, bool) {
+	cur, ok := h.IssueCAS(w, addr, old, new)
+	w.Exec()
+	if ok {
+		h.IssueCASStore(w, addr)
+		w.Exec()
+	}
+	return cur, ok
+}
+
+// IssueCAS applies the logical compare-and-swap to the backing store and
+// issues its read charge. The effect comes *before* the timing charges:
+// the charges yield to the scheduler, so applying the effect first is what
+// makes the operation atomic with respect to other simulated workers. A
+// successful swap is followed by IssueCASStore.
+func (h *Heap) IssueCAS(w *memsim.Worker, addr Address, old, new uint64) (cur uint64, ok bool) {
 	h.pdStore(addr, WordBytes)
 	idx := h.index(addr)
-	cur := h.words[idx]
-	ok := cur == old
+	cur = h.words[idx]
+	ok = cur == old
 	if ok {
 		h.words[idx] = new
 	}
-	dev := h.DevOf(addr)
-	w.ReadWord(dev, addr)
-	if ok {
-		w.WriteWord(dev, addr)
-	}
+	w.IssueReadWord(h.DevOf(addr), addr)
 	return cur, ok
+}
+
+// IssueCASStore issues the write charge of a successful swap.
+func (h *Heap) IssueCASStore(w *memsim.Worker, addr Address) {
+	w.IssueWriteWord(h.DevOf(addr), addr)
 }
 
 // ReadRange models a sequential read of n words starting at addr.
@@ -602,19 +637,38 @@ func (h *Heap) ReadRange(w *memsim.Worker, addr Address, nWords int64) {
 // the source plus a sequential cached write of the destination, and moves
 // the backing data.
 func (h *Heap) CopyWords(w *memsim.Worker, dst, src Address, nWords int64) {
+	h.IssueCopyRead(w, dst, src, nWords)
+	w.Exec()
+	h.IssueCopyWrite(w, dst, nWords)
+	w.Exec()
+	h.CommitCopy(dst, src, nWords)
+}
+
+// IssueCopyRead notifies the persistence domain of the destination store
+// and issues the source read of a copy; IssueCopyWrite (or, for
+// CopyWordsNT, the streaming store) and CommitCopy follow.
+func (h *Heap) IssueCopyRead(w *memsim.Worker, dst, src Address, nWords int64) {
 	h.pdStore(dst, nWords*WordBytes)
-	w.Read(h.DevOf(src), src, nWords*WordBytes, true)
-	w.Write(h.DevOf(dst), dst, nWords*WordBytes, true)
+	w.IssueRead(h.DevOf(src), src, nWords*WordBytes, true)
+}
+
+// IssueCopyWrite issues the cached destination write of a copy.
+func (h *Heap) IssueCopyWrite(w *memsim.Worker, dst Address, nWords int64) {
+	w.IssueWrite(h.DevOf(dst), dst, nWords*WordBytes, true)
+}
+
+// CommitCopy moves the backing data of a copy whose charges were issued.
+func (h *Heap) CommitCopy(dst, src Address, nWords int64) {
 	copy(h.words[h.index(dst):h.index(dst)+int(nWords)], h.words[h.index(src):h.index(src)+int(nWords)])
 }
 
 // CopyWordsNT is CopyWords with a non-temporal destination stream (used by
 // the write-back sub-phase of the optimized collector).
 func (h *Heap) CopyWordsNT(w *memsim.Worker, dst, src Address, nWords int64) {
-	h.pdStore(dst, nWords*WordBytes)
-	w.Read(h.DevOf(src), src, nWords*WordBytes, true)
+	h.IssueCopyRead(w, dst, src, nWords)
+	w.Exec()
 	w.WriteNT(h.DevOf(dst), dst, nWords*WordBytes)
-	copy(h.words[h.index(dst):h.index(dst)+int(nWords)], h.words[h.index(src):h.index(src)+int(nWords)])
+	h.CommitCopy(dst, src, nWords)
 	// Non-temporal stores reach the device write-pending queue directly,
 	// which ADR drains on power fail: the written lines are persisted.
 	if h.pd != nil {
@@ -626,7 +680,7 @@ func (h *Heap) CopyWordsNT(w *memsim.Worker, dst, src Address, nWords int64) {
 // account the traffic themselves).
 func (h *Heap) MoveWordsRaw(dst, src Address, nWords int64) {
 	h.pdStoreQuiet(dst, nWords*WordBytes)
-	copy(h.words[h.index(dst):h.index(dst)+int(nWords)], h.words[h.index(src):h.index(src)+int(nWords)])
+	h.CommitCopy(dst, src, nWords)
 }
 
 // setAllocError records the first allocation validation failure so the

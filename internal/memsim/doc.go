@@ -7,7 +7,10 @@
 // simulated worker, stepped by a single dispatcher loop on the calling
 // goroutine that always resumes the worker with the smallest virtual
 // clock, so exactly one worker executes at any instant and the simulation
-// is fully deterministic.
+// is fully deterministic. Every charged operation is an Issue* half and
+// Exec; a body written in step form (Worker.Steps) keeps its position off
+// the stack, so the running worker can advance a parked one without a
+// coroutine switch, at the same position in global order.
 //
 // The device model captures the NVM properties the paper identifies as the
 // root cause of copy-based GC slowdown:

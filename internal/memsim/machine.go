@@ -95,6 +95,10 @@ type Machine struct {
 	// Deadlock watchdog (see Config.WatchdogSpins).
 	wdSpins int64
 	wdErr   *WatchdogError
+
+	// switches counts the real coroutine switches (parks) of every parallel
+	// phase so far. It is a pure function of the simulation (tests pin it).
+	switches int64
 }
 
 // NewMachine builds a machine from the config. An invalid explicit tier
@@ -157,11 +161,12 @@ func (m *Machine) Now() Time { return m.now }
 
 // SetEagerYield switches the scheduler to the reference behavior of
 // offering the CPU to the scheduler before every device-visible operation,
-// with no event-horizon lookahead and no delegated accounting. Virtual-time
-// results are identical either way (the golden determinism tests assert
-// this); the eager mode exists as the oracle the default mode is checked
-// against and costs a heap inspection per operation plus a coroutine
-// switch wherever the default mode would have delegated.
+// with no event-horizon lookahead, no delegated accounting and no peer-run
+// steps (see Worker.Steps). Virtual-time results are identical either way
+// (the golden determinism tests assert this); the eager mode exists as the
+// oracle the default mode is checked against and costs a heap inspection
+// per operation plus a coroutine switch wherever the default mode would
+// have acted on a parked worker's behalf.
 func (m *Machine) SetEagerYield(on bool) { m.eagerYield = on }
 
 // Mark records a labeled point at the current virtual time.
@@ -214,7 +219,7 @@ func (m *Machine) Run(n int, body func(*Worker)) Time {
 		return m.endPhase(start, w.now)
 	}
 
-	if n > maxWorkers {
+	if n > MaxWorkers {
 		panic("memsim: Run supports at most 256 workers per phase")
 	}
 	s := &scheduler{body: body, all: make([]Worker, n), q: make(workerQueue, n)}
@@ -273,6 +278,7 @@ func runBody(w *Worker, body func(*Worker)) {
 type scheduler struct {
 	q    workerQueue
 	next *Worker // successor named by the worker that last parked or finished
+	cur  *Worker // the worker whose coroutine holds the CPU (see Worker.yield)
 	all  []Worker
 	body func(*Worker)
 }

@@ -56,12 +56,18 @@ type Worker struct {
 	spinQuantum Time
 
 	// op is the pending charged operation this worker is about to account
-	// for (set between noteOp and execOp). While the worker is parked at a
+	// for (set by an Issue* call, cleared by execOp). While the worker is parked at a
 	// yield with op pending, the running worker may execute the accounting
 	// on its behalf at exactly this worker's position in global time order
 	// (see yield), which skips the switch entirely whenever the operation's
 	// cost moves this worker past the runner.
 	op opDesc
+
+	// step is set while the worker's body is inside Steps. While the worker
+	// is parked with no op pending, the running worker may call it on this
+	// worker's behalf — the parked worker's host code runs on the runner's
+	// stack, at exactly this worker's position in global order (see yield).
+	step func(*Worker) bool
 }
 
 // opKind classifies a pending charged operation (see Worker.op).
@@ -123,13 +129,14 @@ func (w *Worker) checkFault() {
 	}
 }
 
-// maxWorkers bounds the workers of one parallel phase so the scheduling
-// key can pack (now, id) into a single integer.
-const maxWorkers = 256
+// MaxWorkers bounds the workers of one parallel phase so the scheduling
+// key can pack (now, id) into a single integer. Front ends reject larger
+// thread counts up front; Run panics on them.
+const MaxWorkers = 256
 
 // qkey packs the worker's scheduling key — virtual time, ties broken by
 // worker id — into one integer so heap compares are a single branch.
-// Worker ids fit 8 bits (maxWorkers) and virtual clocks stay far below
+// Worker ids fit 8 bits (MaxWorkers) and virtual clocks stay far below
 // 2^55 ns (≈417 virtual days), so the packing never overflows and orders
 // exactly like the (now, id) pair.
 func (w *Worker) qkey() Time { return w.now<<8 | Time(w.id) }
@@ -147,6 +154,7 @@ func (w *Worker) Machine() *Machine { return w.m }
 // first resume, execute the phase body, and name a successor.
 func (w *Worker) run(park func(struct{}) bool) {
 	w.park = park
+	w.sched.cur = w
 	w.setHorizon()
 	runBody(w, w.sched.body)
 	w.finished = true
@@ -158,10 +166,43 @@ func (w *Worker) run(park func(struct{}) bool) {
 // park means the dispatcher is stopping the phase instead (another
 // worker's body panicked): unwind the body like a halt does.
 func (w *Worker) switchTo(next *Worker) {
-	w.sched.next = next
+	s := w.sched
+	s.next = next
+	w.m.switches++
+	// A parked worker's horizon is unreachable, so a yield reached on its
+	// behalf (a blocking op inside a peer-run step) takes the slow path and
+	// trips the cur check there instead of parking the wrong coroutine.
+	w.horizonKey = math.MinInt64
 	if !w.park(struct{}{}) {
 		panic(crashSignal{})
 	}
+	s.cur = w
+}
+
+// peerMayAct is the one guard on everything the running worker does for a
+// parked peer o in yield's loop: execute o's pending accounting, advance
+// its SpinWait in place, or (host true) run a step of its body.
+//
+// None of it happens under eager-yield (the reference schedule) or while
+// the machine is halted (o must unwind on its own coroutine). An armed
+// FaultPlan splits the cases. Accounting and spin advancement raise
+// nothing themselves, so they are only time-gated: once o's clock reaches
+// the armed crash time, o is resumed to fire the trigger from its own
+// checkFault. A step is o's host code: its Issue* calls run checkFault and
+// its stores run the persistence domain's Nth-store trigger, and either
+// would raise the crash unwind on the runner's stack — ending the wrong
+// worker's body and leaving o parked mid-step. Which store is the Nth
+// cannot be known before the step runs, so any armed plan, time or
+// store-count, forbids peer-run steps outright; the owner then drives
+// every step from its own coroutine, which is the reference behavior.
+func (m *Machine) peerMayAct(o *Worker, host bool) bool {
+	if m.eagerYield || m.halted {
+		return false
+	}
+	if host {
+		return m.fault == nil
+	}
+	return !(m.faultTime > 0 && o.now >= m.faultTime)
 }
 
 func (w *Worker) yield() {
@@ -177,6 +218,9 @@ func (w *Worker) yield() {
 	}
 	s := w.sched
 	m := w.m
+	if s.cur != w {
+		panic("memsim: blocking operation inside a step run by a peer (a step must only Issue)")
+	}
 	for {
 		if len(s.q) == 0 || wkey < s.q[0].key {
 			// Still the earliest (eager-yield's forced inspections, or every
@@ -185,26 +229,32 @@ func (w *Worker) yield() {
 			w.setHorizon()
 			return
 		}
+		// The earliest worker is parked. Whatever it would do next that
+		// needs no stack of its own is done here, on its behalf, at exactly
+		// its position (now, id) in global order — so results are
+		// bit-identical to resuming it — and the loop looks again: if that
+		// moved it past us it never needed the CPU at all.
 		next := s.q[0].w
-		if next.spinCond != nil {
-			if next.advanceSpin() {
-				s.q[0].key = next.qkey()
-				s.q.fixTop()
-				continue
+		acted := false
+		switch {
+		case next.spinCond != nil:
+			// Inside SpinWait: evaluate its condition and spin it in place.
+			acted = m.peerMayAct(next, false) && next.advanceSpin()
+		case next.op.kind != opNone:
+			// Parked with an operation issued: its accounting is confined to
+			// shared simulator state plus the owner's clock (see opDesc).
+			if acted = m.peerMayAct(next, false); acted {
+				next.execOp()
 			}
-		} else if next.op.kind != opNone && !m.eagerYield && !m.halted &&
-			!(m.faultTime > 0 && next.now >= m.faultTime) {
-			// The earliest worker is parked at a yield with its operation's
-			// accounting still pending. Run it on the owner's behalf: the
-			// accounting executes at exactly the same position in global
-			// operation order as it would on the owner's coroutine, and its
-			// effects are confined to shared simulator state plus the
-			// owner's clock (see opDesc), so results are bit-identical. If
-			// the cost moves the owner past us it never needed the CPU at
-			// all — the switch is skipped; otherwise the next iteration
-			// switches to it as usual, and it resumes with the accounting
-			// already done.
-			next.execOp()
+		case next.step != nil && m.peerMayAct(next, true):
+			// Parked at a settled position inside Steps: run its host code up
+			// to the next operation it issues. A false step needs its own
+			// coroutine; clearing the field tells the owner so when it wakes.
+			if acted = next.step(next); !acted {
+				next.step = nil
+			}
+		}
+		if acted {
 			s.q[0].key = next.qkey()
 			s.q.fixTop()
 			continue
@@ -222,7 +272,7 @@ func (w *Worker) yield() {
 	}
 }
 
-// dispatch is the tail of every charged operation: yield at the
+// Exec is the second half of every charged operation: yield at the issued
 // operation's interleaving point, run the accounting — unless a peer
 // already executed it on this worker's behalf while it was parked — and
 // yield once more at the settled clock. The second yield pins the host
@@ -233,8 +283,11 @@ func (w *Worker) yield() {
 // it, which worker's host code runs first at a virtual-time tie would
 // depend on who happened to hold the CPU — and host code mutates shared
 // collector state (region claims, forwarding installs) whose order must
-// not depend on the scheduling mode.
-func (w *Worker) dispatch() {
+// not depend on the scheduling mode. With nothing issued Exec does nothing.
+func (w *Worker) Exec() {
+	if w.op.kind == opNone {
+		return
+	}
 	w.yield()
 	if w.op.kind != opNone {
 		w.execOp()
@@ -242,11 +295,41 @@ func (w *Worker) dispatch() {
 	}
 }
 
+// Steps runs a stretch of the worker's body written in step form. Each
+// call of step runs the body's host code from the worker's settled
+// position up to its next charged operation, issues it (an Issue* call,
+// never a blocking operation) and returns true; Steps executes the
+// operation and calls step again. step returns false, having issued
+// nothing, when the body needs its own coroutine — to block in Spin or
+// SpinWait, or to run blocking code — and Steps returns.
+//
+// The point of the form: while this worker is parked with no operation
+// pending, the running worker calls step here, on its own stack, whenever
+// this worker is the globally earliest (see yield and peerMayAct). That is
+// the same position in global order at which this worker would have been
+// resumed to run the same host code, so every virtual number is identical;
+// the coroutine switch is gone. step must therefore keep its state outside
+// the stack (it may be entered from any coroutine of the phase) and must
+// not depend on which coroutine runs it. The owner can wake holding an
+// operation a peer's step issued and must execute it before stepping
+// again; it can also wake to find a peer's step returned false (step is
+// cleared), and then returns without calling it a second time.
+func (w *Worker) Steps(step func(*Worker) bool) {
+	w.step = step
+	for w.step != nil {
+		if w.op.kind == opNone && !step(w) {
+			w.step = nil
+			return
+		}
+		w.Exec()
+	}
+}
+
 // execOp runs the accounting of the worker's pending operation: the LLC
 // touch, one device access covering every missing line, and the cost
 // applied to the worker's clock (max of LLC hit latency, device completion,
 // and any in-flight prefetch readiness). It is called either by the owner
-// (dispatch) or by the running worker on a parked owner's behalf (yield);
+// (Exec) or by the running worker on a parked owner's behalf (yield);
 // both execute at the same position in the global operation order.
 func (w *Worker) execOp() {
 	op := w.op
@@ -324,9 +407,10 @@ func (w *Worker) execOp() {
 // worker's behalf, without resuming it: it evaluates the loop condition at
 // the worker's current virtual time and, if the worker would keep
 // spinning, replicates Spin's fault/watchdog bookkeeping and advances its
-// clock by the spin quantum. It reports false when the worker must be
-// resumed for real — the condition holds, or a halt/armed fault requires
-// the worker to unwind on its own coroutine.
+// clock by the spin quantum. It reports false when the condition holds and
+// the worker must be resumed for real. The caller has checked peerMayAct:
+// a halt or a reached crash time resumes the worker to unwind on its own
+// coroutine.
 //
 // The condition closure runs under the cooperative scheduler at exactly
 // the interleaving point where the parked worker would have been resumed,
@@ -335,7 +419,7 @@ func (w *Worker) execOp() {
 // eager-yield golden tests cross-check this).
 func (w *Worker) advanceSpin() bool {
 	m := w.m
-	if m.halted || (m.faultTime > 0 && w.now >= m.faultTime) || w.spinCond() {
+	if w.spinCond() {
 		return false
 	}
 	if w.spinStreak == 0 {
@@ -435,16 +519,26 @@ func (w *Worker) Spin(d Time) {
 	w.yield()
 }
 
+// Every charged operation below is two halves. Its Issue* form records it
+// for the watchdog, fires an armed time trigger (noteOp) and publishes its
+// descriptor; the operation takes effect — and the worker's clock moves —
+// in Exec. The blocking form is Issue* followed by Exec; step-form bodies
+// (see Steps) call the Issue* forms directly.
+
 // Read models a load of n bytes at addr from dev, through the LLC.
 // seq marks the access as part of a sequential stream (no random-access
 // amplification at the device).
 func (w *Worker) Read(dev *Device, addr uint64, n int64, seq bool) {
-	if n <= 0 {
-		return
+	w.IssueRead(dev, addr, n, seq)
+	w.Exec()
+}
+
+// IssueRead issues Read's operation; n <= 0 issues nothing.
+func (w *Worker) IssueRead(dev *Device, addr uint64, n int64, seq bool) {
+	if n > 0 {
+		w.noteOp("read", dev, addr)
+		w.op = opDesc{kind: opRange, dev: dev, addr: addr, n: n, seq: seq}
 	}
-	w.noteOp("read", dev, addr)
-	w.op = opDesc{kind: opRange, dev: dev, addr: addr, n: n, seq: seq}
-	w.dispatch()
 }
 
 // Write models a cached store of n bytes at addr. Missing lines are
@@ -453,12 +547,16 @@ func (w *Worker) Read(dev *Device, addr uint64, n int64, seq bool) {
 // why cached stores still consume NVM *read* bandwidth and why their write
 // traffic is random at eviction time.
 func (w *Worker) Write(dev *Device, addr uint64, n int64, seq bool) {
-	if n <= 0 {
-		return
+	w.IssueWrite(dev, addr, n, seq)
+	w.Exec()
+}
+
+// IssueWrite issues Write's operation; n <= 0 issues nothing.
+func (w *Worker) IssueWrite(dev *Device, addr uint64, n int64, seq bool) {
+	if n > 0 {
+		w.noteOp("write", dev, addr)
+		w.op = opDesc{kind: opRange, write: true, dev: dev, addr: addr, n: n, seq: seq}
 	}
-	w.noteOp("write", dev, addr)
-	w.op = opDesc{kind: opRange, write: true, dev: dev, addr: addr, n: n, seq: seq}
-	w.dispatch()
 }
 
 // ReadWord models a random load contained in a single cache line (an
@@ -466,18 +564,28 @@ func (w *Worker) Write(dev *Device, addr uint64, n int64, seq bool) {
 // counters, same virtual time — with the range bookkeeping specialized to
 // the one-line case, which dominates the GC's slot and header traffic.
 func (w *Worker) ReadWord(dev *Device, addr uint64) {
+	w.IssueReadWord(dev, addr)
+	w.Exec()
+}
+
+// IssueReadWord issues ReadWord's operation.
+func (w *Worker) IssueReadWord(dev *Device, addr uint64) {
 	w.noteOp("read", dev, addr)
 	w.op = opDesc{kind: opWord, dev: dev, addr: addr}
-	w.dispatch()
 }
 
 // WriteWord models a random cached store contained in a single cache line;
 // it is exactly Write(dev, addr, 8, false) with the range bookkeeping
 // specialized away (see ReadWord).
 func (w *Worker) WriteWord(dev *Device, addr uint64) {
+	w.IssueWriteWord(dev, addr)
+	w.Exec()
+}
+
+// IssueWriteWord issues WriteWord's operation.
+func (w *Worker) IssueWriteWord(dev *Device, addr uint64) {
 	w.noteOp("write", dev, addr)
 	w.op = opDesc{kind: opWord, write: true, dev: dev, addr: addr}
-	w.dispatch()
 }
 
 // WriteNT models a non-temporal (streaming) store of n bytes: it bypasses
@@ -485,12 +593,16 @@ func (w *Worker) WriteWord(dev *Device, addr uint64) {
 // non-temporal write path. Used for sequential write-back of cached
 // survivor regions.
 func (w *Worker) WriteNT(dev *Device, addr uint64, n int64) {
-	if n <= 0 {
-		return
+	w.IssueWriteNT(dev, addr, n)
+	w.Exec()
+}
+
+// IssueWriteNT issues WriteNT's operation; n <= 0 issues nothing.
+func (w *Worker) IssueWriteNT(dev *Device, addr uint64, n int64) {
+	if n > 0 {
+		w.noteOp("write-nt", dev, addr)
+		w.op = opDesc{kind: opNT, dev: dev, addr: addr, n: n}
 	}
-	w.noteOp("write-nt", dev, addr)
-	w.op = opDesc{kind: opNT, dev: dev, addr: addr, n: n}
-	w.dispatch()
 }
 
 // Fence models a store fence ordering non-temporal writes (issued once
@@ -507,9 +619,14 @@ func (w *Worker) Fence() {
 // overhead here and waits for completion at the next PersistFence. The
 // flushed line enters the persistence domain when that fence retires.
 func (w *Worker) CLWB(dev *Device, addr uint64) {
+	w.IssueCLWB(dev, addr)
+	w.Exec()
+}
+
+// IssueCLWB issues CLWB's operation.
+func (w *Worker) IssueCLWB(dev *Device, addr uint64) {
 	w.noteOp("clwb", dev, addr)
 	w.op = opDesc{kind: opCLWB, dev: dev, addr: addr}
-	w.dispatch()
 }
 
 // PersistFence models the SFENCE that orders preceding CLWBs: it retires
@@ -531,10 +648,14 @@ func (w *Worker) PersistFence() {
 // time; a later demand access pays only the remaining latency. The
 // prefetch itself costs only issue overhead.
 func (w *Worker) Prefetch(dev *Device, addr uint64, n int64, seq bool) {
-	if n <= 0 {
-		return
+	w.IssuePrefetch(dev, addr, n, seq)
+	w.Exec()
+}
+
+// IssuePrefetch issues Prefetch's operation; n <= 0 issues nothing.
+func (w *Worker) IssuePrefetch(dev *Device, addr uint64, n int64, seq bool) {
+	if n > 0 {
+		w.noteOp("prefetch", dev, addr)
+		w.op = opDesc{kind: opPrefetch, dev: dev, addr: addr, n: n, seq: seq}
 	}
-	w.noteOp("prefetch", dev, addr)
-	w.op = opDesc{kind: opPrefetch, dev: dev, addr: addr, n: n, seq: seq}
-	w.dispatch()
 }
