@@ -10,14 +10,15 @@ test: build
 
 # verify is the CI gate for the scheduler and the parallel harness: vet
 # everything, then run the simulator core (its Steps tests included), the
-# host pool, the bench harness, and the collector's eager-vs-default
-# equivalence sweeps and step-form differential tests under the race
-# detector. -short trims workload sizes (the golden determinism
+# host pool, the bench harness, the fleet and the two packages whose
+# hot-path helpers it shares (cassandra.EarliestFree, the generators), and
+# the collector's eager-vs-default equivalence sweeps and step-form
+# differential tests under the race detector. -short trims workload sizes (the golden determinism
 # tests still run, on reduced cases) so the gate finishes in minutes even
 # on a single-core host.
 verify: build
 	$(GO) vet ./...
-	$(GO) test -race -short -count=1 ./internal/memsim ./internal/par ./internal/bench ./internal/fleet
+	$(GO) test -race -short -count=1 ./internal/memsim ./internal/par ./internal/bench ./internal/fleet ./internal/cassandra ./internal/workload/generator
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
 	$(GO) test -run TestYoungGCSteadyStateAllocs -count=1 ./internal/gc
 
@@ -62,9 +63,13 @@ fleet-smoke: build
 	$(GO) run ./cmd/gcsim -fleet -fleet-instances 2 -config all
 
 # fuzz-smoke replays the checked-in crash-recovery corpus and fuzzes for
-# 30s on top (regression net for the crash points earlier PRs fixed).
+# 30s on top (regression net for the crash points earlier PRs fixed), then
+# does the same for 10s with the fleet's traffic parameters (hostile
+# sizes, rates and times must come back as errors, and every replay that
+# does come back must be whole).
 fuzz-smoke: build
 	$(GO) test ./internal/gc -run FuzzCrashRecovery -fuzz FuzzCrashRecovery -fuzztime 30s
+	$(GO) test ./internal/fleet -run FuzzSimulateTraffic -fuzz FuzzSimulateTraffic -fuzztime 10s
 
 # cover enforces per-package coverage floors on the collector core.
 # -coverpkg merges cross-package hits (internal/heap is exercised mostly
@@ -107,7 +112,7 @@ bench-gate: build
 	done
 
 # profile records flamegraph-ready CPU and allocation profiles of the GC
-# hot path under results/ (see scripts/profile_gc.sh).
+# hot path under the gitignored .bench_build/ (see scripts/profile_gc.sh).
 profile:
 	./scripts/profile_gc.sh
 

@@ -165,6 +165,55 @@ func (tl *Timeline) Inverse(a memsim.Time) memsim.Time {
 // PauseTime returns the total paused time in the timeline.
 func (tl *Timeline) PauseTime() memsim.Time { return tl.prefix[len(tl.pauses)] }
 
+// MaxServers is the largest server pool EarliestFree packs into keys: the
+// server index rides in a key's low 8 bits. The fleet validates its pools
+// against it.
+const MaxServers = 1 << freeIndexBits
+
+const (
+	freeIndexBits = 8
+	// freeTimeBits bounds the next-free times a key can hold: 2^55 ns is
+	// ~417 days of virtual time, the horizon memsim's own packed keys
+	// (Worker.qkey, the LLC stamps) already assume.
+	freeTimeBits = 63 - freeIndexBits
+)
+
+// EarliestFree returns the index of the smallest next-free time, the
+// lowest index among equals: the server a FIFO pool hands its next
+// request to. Which server that is depends on the service-time draws, so
+// a compare-and-jump per server mispredicts. Instead each time is packed
+// as free[i]<<8 | i — keys that are distinct and ordered by (time, index)
+// — and the keys are reduced with the jump-free minimum the LLC's victim
+// search uses (memsim.minStamp). A time outside [0, 2^55) or a pool above
+// MaxServers does not fit a key; one predictable check after the loop
+// sends those to the plain scan, so the result is exact for every input.
+// free must not be empty.
+func EarliestFree(free []memsim.Time) int {
+	key := uint64(1<<63 - 1)
+	var seen memsim.Time // OR of the times: a bit at or above freeTimeBits (a negative time sets bit 63) means no fit
+	for i, f := range free {
+		seen |= f
+		key = lesser(key, uint64(f)<<freeIndexBits|uint64(i))
+	}
+	if uint64(seen)>>freeTimeBits == 0 && len(free) <= MaxServers {
+		return int(key & (MaxServers - 1))
+	}
+	best := 0
+	for i := 1; i < len(free); i++ {
+		if free[i] < free[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// lesser is min(a, b) for a, b < 2^63, computed without a jump (the
+// compiler turns the builtin min into one here).
+func lesser(a, b uint64) uint64 {
+	d := int64(b) - int64(a)
+	return a + uint64(d&(d>>63))
+}
+
 // Latencies simulates an open-loop Poisson request stream of the given
 // throughput (requests per virtual second) against a server that only
 // makes progress outside the GC pauses. It returns per-request latencies
@@ -187,13 +236,7 @@ func Latencies(pauses []Interval, window memsim.Time, throughputQPS float64, ser
 	var lat []float64
 	for t := memsim.Time(rng.ExpFloat64() * meanGap); t < window; t += memsim.Time(rng.ExpFloat64()*meanGap) + 1 {
 		aArr := active(t)
-		// Earliest-free server.
-		best := 0
-		for i := 1; i < servers; i++ {
-			if free[i] < free[best] {
-				best = i
-			}
-		}
+		best := EarliestFree(free)
 		start := aArr
 		if free[best] > start {
 			start = free[best]

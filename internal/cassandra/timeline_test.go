@@ -1,6 +1,7 @@
 package cassandra
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -144,5 +145,74 @@ func TestValidateTailPercentiles(t *testing.T) {
 	}
 	if Validate([]StressResult{{P95ms: 1, P99ms: 2, P999ms: 3, P9999ms: 2.5}}) == nil {
 		t.Fatal("p9999 below p999 accepted")
+	}
+}
+
+// earliestFreeScan is the compare-and-jump scan EarliestFree replaced,
+// kept as its reference.
+func earliestFreeScan(free []memsim.Time) int {
+	best := 0
+	for i := 1; i < len(free); i++ {
+		if free[i] < free[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// TestEarliestFreeMatchesScan checks the packed-key minimum against the
+// plain scan at every pool size from 1 to 64 and at the two sizes around
+// MaxServers: on random times, on tie-heavy times (the lowest index must
+// win), on the all-equal pool every replay starts from, and on the inputs
+// a key cannot hold — negative times, times at and past 2^55 — which
+// must still come out exact. It also evolves a pool the way Latencies
+// does and compares every pick, so a wrong tie-break could not hide.
+func TestEarliestFreeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 3))
+	check := func(what string, free []memsim.Time) {
+		t.Helper()
+		if got, want := EarliestFree(free), earliestFreeScan(free); got != want {
+			t.Fatalf("%s, %d servers: EarliestFree %d, scan %d (%v)", what, len(free), got, want, free)
+		}
+	}
+	sizes := []int{MaxServers - 1, MaxServers, MaxServers + 1, 3 * MaxServers}
+	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		free := make([]memsim.Time, n)
+		check("all zero", free)
+		for round := 0; round < 50; round++ {
+			for i := range free {
+				free[i] = rng.Int64N(1 << 40)
+			}
+			check("random", free)
+			for i := range free {
+				free[i] = 1000 + rng.Int64N(3)
+			}
+			check("tie-heavy", free)
+			free[rng.IntN(n)] = 1<<freeTimeBits - 1
+			check("largest time a key holds", free)
+			free[rng.IntN(n)] = 1 << freeTimeBits
+			check("first time a key cannot hold", free)
+			free[rng.IntN(n)] = -1 - rng.Int64N(1<<40)
+			check("negative", free)
+			free[rng.IntN(n)] = math.MaxInt64
+			free[rng.IntN(n)] = math.MinInt64
+			check("int64 extremes", free)
+		}
+		// A pool in use: the pick takes the next request, as in Latencies.
+		clear(free)
+		shadow := make([]memsim.Time, n)
+		now := memsim.Time(0)
+		for step := 0; step < 2000; step++ {
+			now += rng.Int64N(4000)
+			k, want := EarliestFree(free), earliestFreeScan(shadow)
+			if k != want {
+				t.Fatalf("pool of %d, step %d: EarliestFree %d, scan %d", n, step, k, want)
+			}
+			finish := max(free[k], now) + 7500*(1+rng.Int64N(3)) // few distinct service times: ties recur
+			free[k], shadow[k] = finish, finish
+		}
 	}
 }

@@ -162,6 +162,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative hedge", func(c *Config) { c.HedgeAfter = -1 }},
 		{"bad theta", func(c *Config) { c.Theta = 1.5 }},
 		{"NaN theta", func(c *Config) { c.Theta = math.NaN() }},
+		{"too many servers", func(c *Config) { c.Servers = MaxServers + 1 }},
+		{"servers 1<<62", func(c *Config) { c.Servers = 1 << 62 }},
+		{"too many tenants", func(c *Config) { c.Tenants = MaxTenants + 1 }},
+		{"tenants 1e12", func(c *Config) { c.Tenants = 1e12 }},
 	}
 	for _, tc := range cases {
 		cfg := testConfig()

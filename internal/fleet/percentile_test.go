@@ -67,6 +67,69 @@ func TestMergeSortedPermutationInvariant(t *testing.T) {
 	}
 }
 
+// TestMergeSortedManyGroups covers the tree shapes the fleet's eight
+// instances never reach: every group count from 1 to 40 (padding to the
+// next power of two, empty groups at either end) and counts past
+// MaxInstances, where the tree no longer fits the stack. Values repeat
+// across groups, so ties are common.
+func TestMergeSortedManyGroups(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 1))
+	counts := []int{MaxInstances - 1, MaxInstances, MaxInstances + 1, 3 * MaxInstances}
+	for k := 1; k <= 40; k++ {
+		counts = append(counts, k)
+	}
+	for _, k := range counts {
+		groups := make([][]float64, k)
+		var brute []float64
+		for i := range groups {
+			g := make([]float64, rng.IntN(6))
+			for j := range g {
+				g[j] = float64(rng.IntN(20)) - 5 // negatives, zeros and many ties
+			}
+			sort.Float64s(g)
+			groups[i] = g
+			brute = append(brute, g...)
+		}
+		sort.Float64s(brute)
+		merged := MergeSorted(groups)
+		if len(merged) != len(brute) {
+			t.Fatalf("%d groups: merged %d values, brute force %d", k, len(merged), len(brute))
+		}
+		for i := range merged {
+			if merged[i] != brute[i] {
+				t.Fatalf("%d groups: merged[%d]=%v, brute force %v", k, i, merged[i], brute[i])
+			}
+		}
+	}
+}
+
+// TestMergeSortedAllocs pins the merge's memory: the result and nothing
+// else up to MaxInstances series (the tree lives on the stack), the
+// result plus one O(k) tree beyond — never a scratch buffer the size of
+// the result, which the pairwise merge this one replaced carried.
+func TestMergeSortedAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(46, 1))
+	for _, tc := range []struct{ groups, want int }{{1, 1}, {8, 1}, {MaxInstances, 1}, {MaxInstances + 1, 2}} {
+		groups := make([][]float64, tc.groups)
+		for i := range groups {
+			g := make([]float64, 200)
+			for j := range g {
+				g[j] = rng.ExpFloat64()
+			}
+			sort.Float64s(g)
+			groups[i] = g
+		}
+		var merged []float64
+		got := testing.AllocsPerRun(5, func() { merged = MergeSorted(groups) })
+		if int(got) != tc.want {
+			t.Errorf("%d groups: %.0f allocations, want %d", tc.groups, got, tc.want)
+		}
+		if cap(merged) != tc.groups*200 {
+			t.Errorf("%d groups: result capacity %d for %d values", tc.groups, cap(merged), tc.groups*200)
+		}
+	}
+}
+
 // TestQuantileBruteForce pins Quantile to its definition: the smallest
 // element whose rank covers p percent of the series.
 func TestQuantileBruteForce(t *testing.T) {

@@ -3,8 +3,8 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
-	"sort"
 
 	"nvmgc/internal/cassandra"
 	"nvmgc/internal/memsim"
@@ -52,28 +52,50 @@ type Traffic struct {
 	Record bool
 }
 
+// horizon bounds the replay's virtual time: the window, the three
+// Traffic times and every request latency lie in [0, 2^55) ns — ~417
+// days, the limit memsim's packed keys and cassandra.EarliestFree already
+// assume — so no sum of two of them wraps an int64. Validate holds the
+// parameters to it; a latency can still leave it when queues grow for
+// long enough at a huge service time, and SimulateTraffic reports that
+// instead of sorting a wrapped clock's garbage.
+const (
+	horizonBits = 55
+	horizon     = memsim.Time(1) << horizonBits
+)
+
+// MaxServers and MaxTenants bound the two Traffic sizes a replay turns
+// into work before it serves a request: a per-instance pool allocation
+// (and cassandra.EarliestFree's packed keys hold a server index in 8
+// bits), and the O(Tenants) ζ series behind the zipfian draw — about
+// 0.2 s at the cap. Every archived sweep runs 16 servers and 256 tenants.
+const (
+	MaxServers = cassandra.MaxServers
+	MaxTenants = 1 << 22
+)
+
 // Validate rejects traffic parameters up front.
 func (tr Traffic) Validate() error {
 	if !(tr.QPS > 0) || math.IsInf(tr.QPS, 0) { // !(x > 0), so NaN fails too
 		return fmt.Errorf("fleet: arrival rate %g qps, want finite and > 0", tr.QPS)
 	}
-	if tr.Service <= 0 {
-		return fmt.Errorf("fleet: service time %d, want > 0", tr.Service)
+	if tr.Service <= 0 || tr.Service >= horizon {
+		return fmt.Errorf("fleet: service time %d, want > 0 and < 2^%d ns", tr.Service, horizonBits)
 	}
-	if tr.Servers < 1 {
-		return fmt.Errorf("fleet: %d servers per instance, want >= 1", tr.Servers)
+	if tr.Servers < 1 || tr.Servers > MaxServers {
+		return fmt.Errorf("fleet: %d servers per instance, want 1..%d", tr.Servers, MaxServers)
 	}
-	if tr.Tenants < 1 {
-		return fmt.Errorf("fleet: %d tenants, want >= 1", tr.Tenants)
+	if tr.Tenants < 1 || tr.Tenants > MaxTenants {
+		return fmt.Errorf("fleet: %d tenants, want 1..%d", tr.Tenants, MaxTenants)
 	}
 	if !(tr.Theta > 0 && tr.Theta < 1) {
 		return fmt.Errorf("fleet: zipfian theta %g outside (0, 1)", tr.Theta)
 	}
-	if tr.HedgeAfter < 0 {
-		return fmt.Errorf("fleet: negative hedge delay %d", tr.HedgeAfter)
+	if tr.HedgeAfter < 0 || tr.HedgeAfter >= horizon {
+		return fmt.Errorf("fleet: hedge delay %d, want 0 (off) or a time below 2^%d ns", tr.HedgeAfter, horizonBits)
 	}
-	if tr.RetryAfter < 0 {
-		return fmt.Errorf("fleet: negative retry timeout %d", tr.RetryAfter)
+	if tr.RetryAfter < 0 || tr.RetryAfter >= horizon {
+		return fmt.Errorf("fleet: retry timeout %d, want 0 (off) or a time below 2^%d ns", tr.RetryAfter, horizonBits)
 	}
 	if tr.MaxRetries < 0 {
 		return fmt.Errorf("fleet: negative retry budget %d", tr.MaxRetries)
@@ -184,7 +206,11 @@ type router struct {
 	idle  []*request // finalized request records, reused by later arrivals
 	svc   *rand.Rand
 	stats Stats
+	// perI collects each instance's latencies as whole nanoseconds (held
+	// in float64, which the result must be anyway, so the series needs no
+	// second allocation); sortToMs turns them into ascending milliseconds.
 	perI  [][]float64
+	seen  uint64 // OR of every latency recorded, for the horizon check
 	trace []RequestTrace
 }
 
@@ -193,6 +219,8 @@ type router struct {
 // in-flight requests drain). It returns each instance's latency series
 // (ascending, attributed to the instance that served the winning arm),
 // the router stats, and — with Traffic.Record — the per-request traces.
+// Parameters that Validate accepts but that push virtual time past the
+// 2^55 ns horizon yield an error, not a wrapped clock.
 func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Traffic) ([][]float64, Stats, []RequestTrace, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, Stats{}, nil, err
@@ -201,17 +229,19 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 	if n < 1 {
 		return nil, Stats{}, nil, fmt.Errorf("fleet: no instances to route to")
 	}
-	if window <= 0 {
-		return nil, Stats{}, nil, fmt.Errorf("fleet: window %d, want > 0", window)
+	if window <= 0 || window >= horizon {
+		return nil, Stats{}, nil, fmt.Errorf("fleet: window %d, want > 0 and < 2^%d", window, horizonBits)
 	}
 
 	r := &router{tr: tr, tls: timelines, perI: make([][]float64, n)}
 	r.free = make([][]memsim.Time, n)
 	// Each series starts at the mean arrival share (capped: an absurd rate
-	// must not become an up-front allocation); only hotter shards grow.
-	share := int(min(tr.QPS*float64(window)/float64(memsim.Second), 1<<24)) / n
+	// must not become an up-front allocation, and arrivals are at least a
+	// nanosecond apart); only hotter shards grow.
+	share := int(min(tr.QPS*float64(window)/float64(memsim.Second), float64(window), 1<<24)) / n
+	pools := make([]memsim.Time, n*tr.Servers)
 	for i := range r.free {
-		r.free[i] = make([]memsim.Time, tr.Servers)
+		r.free[i] = pools[i*tr.Servers : (i+1)*tr.Servers : (i+1)*tr.Servers]
 		r.perI[i] = make([]float64, 0, share)
 	}
 	r.svc = rand.New(rand.NewPCG(tr.Seed, 0x5E12F1CE))
@@ -223,8 +253,7 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 
 	meanGap := float64(memsim.Second) / tr.QPS
 	var reqID int64
-	nextT := memsim.Time(arr.ExpFloat64() * meanGap)
-	arrivalsDone := nextT >= window
+	nextT, arrivalsDone := nextArrival(0, arr.ExpFloat64()*meanGap, window)
 
 	// Merge the arrival stream and the arm-event queue in time order;
 	// ties go to the queued event (deterministic either way — seq and
@@ -253,16 +282,84 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 		// the queue's next event: serve it without queueing it. It still
 		// takes its seq, so the tie-breaks among queued arms are unchanged.
 		r.processArm(r.arm(req, req.shard, nextT))
-		nextT += memsim.Time(arr.ExpFloat64()*meanGap) + 1
-		if nextT >= window {
-			arrivalsDone = true
-		}
+		nextT, arrivalsDone = nextArrival(nextT+1, arr.ExpFloat64()*meanGap, window)
 	}
 
-	for i := range r.perI {
-		sort.Float64s(r.perI[i])
+	if r.seen>>horizonBits != 0 {
+		return nil, Stats{}, nil, fmt.Errorf("fleet: a request latency left [0, 2^%d) ns: service time %d at %g qps queues past the virtual-time horizon",
+			horizonBits, tr.Service, tr.QPS)
+	}
+	longest := 0
+	for _, s := range r.perI {
+		longest = max(longest, len(s))
+	}
+	scratch := make([]float64, longest)
+	for _, s := range r.perI {
+		sortToMs(s, scratch[:len(s)])
 	}
 	return r.perI, r.stats, r.trace, nil
+}
+
+// nextArrival returns the arrival `gap` nanoseconds after t and whether
+// it falls outside the window. A gap that is not below the window — NaN
+// and +Inf included, which a denormal rate produces — ends the arrivals
+// before it is converted, so the conversion cannot wrap.
+func nextArrival(t memsim.Time, gap float64, window memsim.Time) (memsim.Time, bool) {
+	if !(gap < float64(window)) {
+		return window, true
+	}
+	t += memsim.Time(gap)
+	return t, t >= window
+}
+
+// The latency sort is a stable LSD radix sort over digitBits-wide digits
+// of the nanosecond counts.
+const (
+	digitBits = 11
+	digits    = 1 << digitBits
+)
+
+// sortToMs sorts s, a series of whole nanosecond counts in [0, 2^63),
+// ascending and converts it to milliseconds in place; scratch is a
+// same-length buffer it ping-pongs with. Sorting the integers before
+// the division is what makes a radix sort pay: a latency below 2^33 ns
+// (8.6 s) is three digits, where its float64 millisecond image spreads
+// over all 64 key bits. The pass count comes from the series maximum, and
+// each pass counts the next digit while it scatters the current one. The
+// last step divides, with the expression finalize would have used, and
+// x -> float64(x)/1e6 is monotone, so the result is element for element
+// what sorting the millisecond values would have produced.
+func sortToMs(s, scratch []float64) {
+	var count [2][digits]int
+	var hi float64
+	for _, v := range s {
+		if v > hi {
+			hi = v
+		}
+		count[0][uint64(int64(v))&(digits-1)]++
+	}
+	passes := (bits.Len64(uint64(int64(hi))) + digitBits - 1) / digitBits
+	src, dst := s, scratch
+	for p := 0; p < passes; p++ {
+		cur, next := &count[p&1], &count[(p+1)&1]
+		sum := 0
+		for d, c := range cur {
+			cur[d], sum = sum, sum+c
+		}
+		*next = [digits]int{}
+		shift := p * digitBits
+		for _, v := range src {
+			k := uint64(int64(v)) >> shift
+			next[k>>digitBits&(digits-1)]++
+			d := k & (digits - 1)
+			dst[cur[d]] = v
+			cur[d]++
+		}
+		src, dst = dst, src
+	}
+	for i, v := range src {
+		s[i] = v / float64(memsim.Millisecond)
+	}
 }
 
 // arm numbers one more arm of a request: its event takes the next seq.
@@ -286,12 +383,7 @@ func (r *router) issue(req *request, inst int, at memsim.Time) {
 func (r *router) processArm(e event) {
 	tl := r.tls[e.inst]
 	fr := r.free[e.inst]
-	best := 0
-	for i := 1; i < len(fr); i++ {
-		if fr[i] < fr[best] {
-			best = i
-		}
-	}
+	best := cassandra.EarliestFree(fr)
 	start := tl.Active(e.at)
 	if fr[best] > start {
 		start = fr[best]
@@ -359,14 +451,15 @@ func (r *router) finalize(req *request) {
 	if r.tr.RetryAfter > 0 && req.best > req.t0+r.tr.RetryAfter*memsim.Time(req.retries+1) {
 		r.stats.Late++
 	}
-	lat := float64(req.best-req.t0) / float64(memsim.Millisecond)
-	r.perI[req.bestInst] = append(r.perI[req.bestInst], lat)
+	ns := req.best - req.t0
+	r.seen |= uint64(ns)
+	r.perI[req.bestInst] = append(r.perI[req.bestInst], float64(ns))
 	if r.tr.Record {
 		r.trace = append(r.trace, RequestTrace{
 			ID: req.id, Tenant: req.tenant, Shard: req.shard,
 			Arms: req.arms, Winner: req.bestInst, WinnerArm: req.bestArm,
 			Hedged: req.hedged, Retries: req.retries,
-			Commits: req.commits, LatencyMs: lat,
+			Commits: req.commits, LatencyMs: float64(ns) / float64(memsim.Millisecond),
 		})
 	}
 	// pending == 0: no queued event points at req any more.

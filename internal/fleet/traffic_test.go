@@ -171,27 +171,143 @@ func TestTrafficValidate(t *testing.T) {
 		{"NaN qps", func(tr *Traffic) { tr.QPS = math.NaN() }},
 		{"infinite qps", func(tr *Traffic) { tr.QPS = math.Inf(1) }},
 		{"zero service", func(tr *Traffic) { tr.Service = 0 }},
+		{"service at the horizon", func(tr *Traffic) { tr.Service = horizon }},
 		{"zero servers", func(tr *Traffic) { tr.Servers = 0 }},
+		{"too many servers", func(tr *Traffic) { tr.Servers = MaxServers + 1 }},
+		{"servers 1<<62", func(tr *Traffic) { tr.Servers = 1 << 62 }}, // used to panic in make
 		{"zero tenants", func(tr *Traffic) { tr.Tenants = 0 }},
+		{"too many tenants", func(tr *Traffic) { tr.Tenants = MaxTenants + 1 }},
+		{"tenants 1e12", func(tr *Traffic) { tr.Tenants = 1e12 }}, // used to spin in the zeta series
 		{"theta at 0", func(tr *Traffic) { tr.Theta = 0 }},
 		{"theta at 1", func(tr *Traffic) { tr.Theta = 1 }},
 		{"NaN theta", func(tr *Traffic) { tr.Theta = math.NaN() }},
 		{"negative hedge", func(tr *Traffic) { tr.HedgeAfter = -1 }},
+		{"hedge at MaxInt64", func(tr *Traffic) { tr.HedgeAfter = math.MaxInt64 }}, // t0+HedgeAfter wrapped: every request hedged into the past
 		{"negative retry", func(tr *Traffic) { tr.RetryAfter = -1 }},
+		{"retry at the horizon", func(tr *Traffic) { tr.RetryAfter = horizon }},
 		{"negative budget", func(tr *Traffic) { tr.MaxRetries = -1 }},
 	}
+	one := syntheticTimelines(1, cassandra.Interval{})
 	for _, tc := range cases {
 		tr := base
 		tc.mut(&tr)
 		if err := tr.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+		if _, _, _, err := SimulateTraffic(one, testWindow, tr); err == nil {
+			t.Errorf("%s: SimulateTraffic accepted", tc.name)
+		}
+	}
+	atCaps := base
+	atCaps.Servers, atCaps.Tenants = MaxServers, MaxTenants
+	if err := atCaps.Validate(); err != nil {
+		t.Errorf("servers and tenants at their caps rejected: %v", err)
 	}
 	if _, _, _, err := SimulateTraffic(nil, testWindow, base); err == nil {
 		t.Error("no instances: accepted")
 	}
-	if _, _, _, err := SimulateTraffic(syntheticTimelines(1, cassandra.Interval{}), 0, base); err == nil {
-		t.Error("zero window: accepted")
+	for _, window := range []memsim.Time{0, -1, horizon, math.MaxInt64} {
+		if _, _, _, err := SimulateTraffic(one, window, base); err == nil {
+			t.Errorf("window %d: accepted", window)
+		}
+	}
+}
+
+// TestHostileTimesAreReported replays parameters Validate accepts but
+// whose times do not fit the virtual clock. A rate so small that the mean
+// gap is +Inf must end the arrivals (it used to convert +Inf to a time and
+// loop on a wrapped clock), and a service time that queues requests past
+// the horizon must come back as an error, never as a series.
+func TestHostileTimesAreReported(t *testing.T) {
+	tls := syntheticTimelines(2, cassandra.Interval{Start: 10 * memsim.Millisecond, End: 18 * memsim.Millisecond})
+	tr := testTraffic()
+	tr.QPS = 5e-324
+	perI, stats, _, err := SimulateTraffic(tls, testWindow, tr)
+	if err != nil || stats.Requests != 0 || len(perI) != 2 {
+		t.Errorf("denormal rate: %d requests in %d series, err %v; want an empty replay", stats.Requests, len(perI), err)
+	}
+	for _, service := range []memsim.Time{horizon - 1, horizon >> 4} {
+		tr := testTraffic()
+		tr.Service = service
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("service %d rejected up front (%v); the case is about the replay", service, err)
+		}
+		if _, _, _, err := SimulateTraffic(tls, testWindow, tr); err == nil {
+			t.Errorf("service %d: replay returned a series, want the horizon error", service)
+		}
+	}
+}
+
+// nsSeries builds the sort's input: whole nanosecond counts held in
+// float64, exactly as finalize appends them.
+func nsSeries(ns []int64) []float64 {
+	s := make([]float64, len(ns))
+	for i, v := range ns {
+		s[i] = float64(v)
+	}
+	return s
+}
+
+// TestSortToMsMatchesFloatSort holds the radix sort to its contract: the
+// result is, bit for bit, what the replaced code computed — divide every
+// latency into milliseconds, then sort.Float64s. Shapes: empty, one, two,
+// all-equal, sorted, reversed, and seeded series of 10^5 whose maxima
+// need one to six 11-bit digits (2^33 and up included, and 2^53 and up,
+// where float64 no longer holds every nanosecond).
+func TestSortToMsMatchesFloatSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 1))
+	random := func(n int, limit int64) []int64 {
+		ns := make([]int64, n)
+		for i := range ns {
+			ns[i] = rng.Int64N(limit)
+		}
+		return ns
+	}
+	sorted := random(1000, 1<<30)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	reversed := append([]int64(nil), sorted...)
+	sort.Slice(reversed, func(i, j int) bool { return reversed[i] > reversed[j] })
+	equal := make([]int64, 1000)
+	for i := range equal {
+		equal[i] = 61_234
+	}
+	cases := map[string][]int64{
+		"empty": nil, "one": {48_211}, "two": {90_000, 48_211}, "two equal": {7, 7},
+		"zeros": make([]int64, 100), "all equal": equal, "sorted": sorted, "reversed": reversed,
+		"few distinct": random(100_000, 5),
+	}
+	for digits, limit := range []int64{1 << 11, 1 << 22, 1 << 33, 1 << 34, 1 << 44, 1 << 55, 1 << 62} {
+		ns := random(100_000, limit)
+		ns[len(ns)/2] = limit - 1 // the maximum really needs its digits
+		cases[fmt.Sprintf("random below 2^%d", 11*(digits+1))] = ns
+	}
+	// Mostly short latencies under a few long ones: the replay's shape.
+	mixed := random(100_000, 200_000)
+	for i := 0; i < len(mixed); i += 997 {
+		mixed[i] = 1<<33 + rng.Int64N(1<<33)
+	}
+	cases["short with long outliers"] = mixed
+
+	longest := 0
+	for _, ns := range cases {
+		longest = max(longest, len(ns))
+	}
+	scratch := make([]float64, longest) // shared, as SimulateTraffic shares it
+	for name, ns := range cases {
+		want := nsSeries(ns)
+		for i := range want {
+			want[i] /= float64(memsim.Millisecond)
+		}
+		sort.Float64s(want)
+		got := nsSeries(ns)
+		sortToMs(got, scratch[:len(got)])
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: element %d is %v (%#x), sort.Float64s of the divided values has %v (%#x)",
+					name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				break
+			}
+		}
 	}
 }
 
@@ -308,12 +424,16 @@ func TestEventHeapPopsInSortedOrder(t *testing.T) {
 }
 
 // TestSimulateTrafficAllocs bounds a replay's host allocations by what
-// does not scale with its length: per-instance state and series, the
-// zipfian table, and one request record per request in flight at the
-// peak (the pause's hedged backlog, ~1400 here) — nothing per request.
-// Boxing events through container/heap cost three allocations a request
-// (150 000 for the first window); the second window doubles the request
-// count without adding a pause, and must cost no more than the first.
+// does not scale with its length: the per-instance series, one slab of
+// server pools, the zipfian table, the radix sort's one scratch buffer,
+// and one request record per request in flight at the peak (the pause's
+// hedged backlog, ~1400 here) — nothing per request. Boxing events
+// through container/heap cost three allocations a request (150 000 for
+// the first window); the second window doubles the request count without
+// adding a pause, and must cost no more than the first. The bound is what
+// the replay measured before its series were radix-sorted (1414, a
+// deterministic count; it measures 1412 now): the sort's scratch buffer
+// must not raise it.
 func TestSimulateTrafficAllocs(t *testing.T) {
 	tls := syntheticTimelines(4, cassandra.Interval{Start: 100 * memsim.Millisecond, End: 108 * memsim.Millisecond})
 	tr := testTraffic()
@@ -322,7 +442,7 @@ func TestSimulateTrafficAllocs(t *testing.T) {
 	tr.HedgeAfter = 2 * memsim.Millisecond
 	tr.RetryAfter = 2500 * memsim.Microsecond
 	tr.MaxRetries = 2
-	const bound, slack = 2000, 16 // slack: a few more slice doublings
+	const bound, slack = 1414, 16 // slack: a few more slice doublings
 	var first float64
 	for i, window := range []memsim.Time{200 * memsim.Millisecond, 400 * memsim.Millisecond} {
 		var stats Stats

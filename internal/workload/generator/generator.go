@@ -7,6 +7,15 @@
 // workload layer promise byte-identical charged-op streams. Next is
 // allocation-free in steady state for every generator, so op loops can
 // draw per operation without host-side GC noise.
+//
+// Next is also on other packages' hot paths (the fleet's traffic replay
+// draws a tenant per request), so what a draw does not need to recompute
+// it does not: the zipfian's rank-1 threshold 1 + 0.5^θ depends on the
+// skew alone and is computed once where θ is set (NewZipfian, and the
+// struct NewScrambledZipfian fills in; ForItems never touches θ), which
+// leaves one math.Pow per draw, and only for draws past rank 1. The test
+// suite replays every zipfian-backed generator against the formula with
+// the threshold recomputed per draw.
 package generator
 
 import (

@@ -380,3 +380,98 @@ func TestGeneratorsAllocationFree(t *testing.T) {
 		t.Fatalf("steady-state Next allocates %.1f times per op", n)
 	}
 }
+
+// nextUnhoisted is Zipfian.Next with Gray's formula as published: the
+// rank-1 threshold 1 + 0.5^θ is recomputed on every draw. It is the
+// reference Next's hoisted threshold is held to.
+func nextUnhoisted(z *Zipfian) int64 {
+	u := z.rng.Float64()
+	uz := u * z.zetan
+	var v int64
+	switch {
+	case uz < 1:
+		v = 0
+	case uz < 1+math.Pow(0.5, z.theta):
+		v = 1
+	default:
+		v = int64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	}
+	if v >= z.items {
+		v = z.items - 1
+	}
+	z.last = z.base + v
+	return z.last
+}
+
+// TestZipfianDrawsMatchUnhoistedFormula replays two generators built
+// from one seed, one through Next and one through nextUnhoisted, and
+// demands the same draw every time: for Zipfian at two skews and four
+// sizes, across ForItems growth and shrink (which must leave the
+// threshold alone), and for the two generators that embed a Zipfian.
+func TestZipfianDrawsMatchUnhoistedFormula(t *testing.T) {
+	const draws = 20_000
+	sizes := []int64{2, 3, 256, 1_000_000}
+	for _, theta := range []float64{0.5, ZipfianConstant} {
+		for _, items := range sizes {
+			got, err := NewZipfian(NewRand(5, 9), 10, 10+items-1, theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := NewZipfian(NewRand(5, 9), 10, 10+items-1, theta)
+			// Draw, grow, draw, shrink below the start, draw.
+			for _, resize := range []int64{0, items + 777, max(items/2, 1)} {
+				if resize > 0 {
+					got.ForItems(resize)
+					ref.ForItems(resize)
+				}
+				for i := 0; i < draws; i++ {
+					if g, r := got.Next(), nextUnhoisted(ref); g != r {
+						t.Fatalf("theta %g, %d items (resized to %d), draw %d: Next %d, unhoisted formula %d",
+							theta, items, resize, i, g, r)
+					}
+				}
+			}
+		}
+	}
+
+	for _, items := range sizes {
+		got, err := NewScrambledZipfian(NewRand(6, 9), 0, items-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := NewScrambledZipfian(NewRand(6, 9), 0, items-1)
+		for _, resize := range []int64{0, items + 777, max(items/2, 1)} {
+			if resize > 0 {
+				got.ForItems(resize)
+				ref.ForItems(resize)
+			}
+			for i := 0; i < draws; i++ {
+				r := ref.min + int64(FNVHash64(uint64(nextUnhoisted(&ref.z)))%uint64(ref.itemCount))
+				if g := got.Next(); g != r {
+					t.Fatalf("scrambled, %d items (resized to %d), draw %d: Next %d, unhoisted formula %d", items, resize, i, g, r)
+				}
+			}
+		}
+	}
+
+	// Latest resizes its zipfian to the counter on every draw: the
+	// population grows by one key every third draw, from empty.
+	cg, cr := NewAcknowledgedCounter(0), NewAcknowledgedCounter(0)
+	got, err := NewLatest(NewRand(7, 9), cg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := NewLatest(NewRand(7, 9), cr)
+	for i := 0; i < draws; i++ {
+		if i%3 == 0 {
+			cg.Acknowledge(cg.Next())
+			cr.Acknowledge(cr.Next())
+		}
+		newest := max(cr.Last(), 0)
+		ref.z.ForItems(newest + 1)
+		r := newest - nextUnhoisted(&ref.z)
+		if g := got.Next(); g != r {
+			t.Fatalf("latest, draw %d over %d keys: Next %d, unhoisted formula %d", i, newest+1, g, r)
+		}
+	}
+}

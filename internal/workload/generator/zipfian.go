@@ -27,6 +27,12 @@ type Zipfian struct {
 	zetan, eta   float64
 	countForZeta int64 // the n that zetan currently covers
 
+	// rank1 is 1 + 0.5^θ, the uz threshold below which Next returns rank
+	// 1. It depends on theta alone, which never changes after
+	// construction (ForItems resizes items, zetan and eta), so it is
+	// computed where theta is set rather than on every draw.
+	rank1 float64
+
 	last int64
 }
 
@@ -41,6 +47,7 @@ func NewZipfian(rng *rand.Rand, min, max int64, theta float64) (*Zipfian, error)
 	}
 	z := &Zipfian{rng: rng, base: min, items: max - min + 1, theta: theta}
 	z.alpha = 1 / (1 - theta)
+	z.rank1 = rank1Threshold(theta)
 	z.zeta2 = zeta(0, 2, theta, 0)
 	z.zetan = zeta(0, z.items, theta, 0)
 	z.countForZeta = z.items
@@ -57,6 +64,10 @@ func zeta(st, n int64, theta, sum float64) float64 {
 	}
 	return sum
 }
+
+// rank1Threshold is Gray's 1 + 0.5^θ: with uz = u·ζ(n,θ), ranks 0 and 1
+// own the intervals [0, 1) and [1, 1 + 0.5^θ).
+func rank1Threshold(theta float64) float64 { return 1 + math.Pow(0.5, theta) }
 
 func (z *Zipfian) computeEta() float64 {
 	return (1 - math.Pow(2/float64(z.items), 1-z.theta)) / (1 - z.zeta2/z.zetan)
@@ -92,7 +103,7 @@ func (z *Zipfian) Next() int64 {
 	switch {
 	case uz < 1:
 		v = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < z.rank1:
 		v = 1
 	default:
 		v = int64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -137,6 +148,7 @@ func NewScrambledZipfian(rng *rand.Rand, min, max int64) (*ScrambledZipfian, err
 	s.z = Zipfian{
 		rng: rng, base: 0, items: scrambledSpace, theta: ZipfianConstant,
 		alpha: 1 / (1 - ZipfianConstant),
+		rank1: rank1Threshold(ZipfianConstant),
 		zeta2: zeta(0, 2, ZipfianConstant, 0),
 		zetan: zetanScrambledSpace, countForZeta: scrambledSpace,
 	}

@@ -1,26 +1,27 @@
 #!/bin/sh
 # Records flamegraph-ready CPU and allocation profiles of the GC hot path
-# (BenchmarkYoungGC) and drops them under results/:
+# (BenchmarkYoungGC) under the gitignored .bench_build/, beside the
+# repository benchmark's own build outputs and traces:
 #
-#   results/profile_younggc_cpu.pb.gz   CPU profile
-#   results/profile_younggc_mem.pb.gz   allocation profile
+#   .bench_build/profile_younggc_cpu.pb.gz   CPU profile
+#   .bench_build/profile_younggc_mem.pb.gz   allocation profile
 #
 # The .pb.gz files open directly in pprof's flamegraph view:
-#   go tool pprof -http=:8080 results/profile_younggc_cpu.pb.gz
+#   go tool pprof -http=:8080 .bench_build/profile_younggc_cpu.pb.gz
 #
-# The checked-in *_before.pb.gz siblings are the same profiles recorded on
-# the tree before the delegated-accounting scheduler (PR 6), kept as the
-# comparison point for the hot-path work.
+# A profile describes the host and tree it was taken on, so none is
+# checked in; to compare two trees, run this in each.
 # Usage: scripts/profile_gc.sh [benchtime]   (default 5x)
 set -eu
 cd "$(dirname "$0")/.."
 BENCHTIME="${1:-5x}"
-mkdir -p results
+OUT=.bench_build
+mkdir -p "$OUT"
 go test -run '^$' -bench BenchmarkYoungGC -benchtime "$BENCHTIME" \
-	-cpuprofile results/profile_younggc_cpu.pb.gz \
-	-memprofile results/profile_younggc_mem.pb.gz \
-	-o /tmp/nvmgc_profile.test .
+	-cpuprofile "$OUT/profile_younggc_cpu.pb.gz" \
+	-memprofile "$OUT/profile_younggc_mem.pb.gz" \
+	-o "$OUT/nvmgc_profile.test" .
 echo
-go tool pprof -top -nodecount=15 results/profile_younggc_cpu.pb.gz
+go tool pprof -top -nodecount=15 "$OUT/nvmgc_profile.test" "$OUT/profile_younggc_cpu.pb.gz"
 echo
-echo "wrote results/profile_younggc_cpu.pb.gz results/profile_younggc_mem.pb.gz"
+echo "wrote $OUT/profile_younggc_cpu.pb.gz $OUT/profile_younggc_mem.pb.gz"
