@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-sim bench-smoke bench-e2e bench-gate profile suite-quick crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fleet-smoke fuzz-smoke cover
+.PHONY: build test verify bench bench-smoke bench-e2e bench-gate profile suite-quick crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fleet-smoke fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -10,23 +10,24 @@ test: build
 
 # verify is the CI gate for the scheduler and the parallel harness: vet
 # everything, then run the simulator core (its Steps tests included), the
-# host pool, the bench harness, the fleet and the two packages whose
-# hot-path helpers it shares (cassandra.EarliestFree, the generators), and
-# the collector's eager-vs-default equivalence sweeps and step-form
-# differential tests under the race detector. -short trims workload sizes (the golden determinism
-# tests still run, on reduced cases) so the gate finishes in minutes even
-# on a single-core host.
+# host pool, the bench harness, the workload run loop and host assembly,
+# the fleet and the two packages whose hot-path helpers it shares
+# (cassandra.EarliestFree, the generators), and the collector's
+# eager-vs-default equivalence sweeps and step-form differential tests
+# under the race detector. -short trims workload sizes (the golden
+# determinism tests still run, on reduced cases) so the gate finishes in
+# minutes even on a single-core host.
 verify: build
 	$(GO) vet ./...
-	$(GO) test -race -short -count=1 ./internal/memsim ./internal/par ./internal/bench ./internal/fleet ./internal/cassandra ./internal/workload/generator
+	$(GO) test -race -short -count=1 ./internal/memsim ./internal/par ./internal/bench ./internal/workload ./internal/fleet ./internal/cassandra ./internal/workload/generator
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
 	$(GO) test -run TestYoungGCSteadyStateAllocs -count=1 ./internal/gc
 
 # crash-smoke runs a reduced power-failure campaign: deterministic crash
 # points across the GC pause, post-crash recovery, and graph-isomorphism
-# verification (full sweep: gcsim -crash-sweep).
+# verification (full sweep: nvmbench -run crash-sweep).
 crash-smoke: build
-	$(GO) run ./cmd/gcsim -crash-sweep -quick -threads 4
+	$(GO) run ./cmd/nvmbench -run crash-sweep -quick -threads 4
 
 # topology-smoke runs the memory-tier sweep (young gen / write cache
 # across local DRAM, remote DRAM, and Optane) in quick mode.
@@ -43,9 +44,9 @@ selfcheck-smoke: build
 
 # fault-smoke runs the media-fault campaign in quick mode: wear-driven
 # line failures, region retirement, tier degradation, and survival-time
-# accounting under a churning mutator (full sweep: gcsim -fault-sweep).
+# accounting under a churning mutator (full sweep: nvmbench -run fault-sweep).
 fault-smoke: build
-	$(GO) run ./cmd/gcsim -fault-sweep -quick -threads 4
+	$(GO) run ./cmd/nvmbench -run fault-sweep -quick -threads 4
 
 # workload-smoke runs the scenario-engine sweep in quick mode: collector
 # configurations across the YCSB core mixes driving keyed populations
@@ -115,11 +116,6 @@ bench-gate: build
 # hot path under the gitignored .bench_build/ (see scripts/profile_gc.sh).
 profile:
 	./scripts/profile_gc.sh
-
-# bench-sim regenerates results/BENCH_sim.json from the current tree
-# (records this tree's ns/op next to the checked-in baseline numbers).
-bench-sim:
-	./scripts/bench_sim.sh
 
 # suite-quick times the full quick figure suite (byte-identical output at
 # any -parallel / -eager-yield setting).

@@ -325,8 +325,11 @@ func BenchmarkMutatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := workload.NewRunner(col, workload.MustByName("movie-lens"),
-			workload.Config{GCThreads: 8, Scale: 0.2})
+		spec, err := workload.ScenarioByName("movie-lens")
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := spec.NewRunner(col, workload.Config{GCThreads: 8, Scale: 0.2})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,8 +9,6 @@
 //	gcsim -app naive-bayes -collector ps -config vanilla -device dram
 //	gcsim -app als -config writecache -trace
 //	gcsim -app page-rank,als,movie-lens -parallel 3
-//	gcsim -crash-sweep -threads 4
-//	gcsim -fault-sweep -threads 4
 //	gcsim -app page-rank -fault-wear 4096 -fault-ppm 100 -seed 7
 //	gcsim -fleet -fleet-instances 8 -fleet-qps 240000 -config all
 //	gcsim -selfcheck -selfcheck-runs 50
@@ -26,7 +24,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"nvmgc/internal/bench"
 	"nvmgc/internal/check/oracle"
 	"nvmgc/internal/gc"
 	"nvmgc/internal/gclog"
@@ -84,11 +81,8 @@ func main() {
 		fullEvery   = flag.Int("full-every", 0, "run a full GC after every N young GCs")
 		profileFile = flag.String("profile-file", "", "load a custom workload profile from a JSON file (overrides -app)")
 
-		crashSweep = flag.Bool("crash-sweep", false, "run the power-failure campaign (crash points across the GC pause x persistence configs) and exit")
-		faultSweep = flag.Bool("fault-sweep", false, "run the media-fault campaign (wear thresholds x collector configs, seeded by -seed) and exit")
-		quick      = flag.Bool("quick", false, "with -crash-sweep or -fault-sweep: a reduced smoke-sized sweep")
-		faultWear  = flag.Int64("fault-wear", 0, "mean per-line write budget before a hard UE on the persistent tier (0 disables wear-out; seeded by -seed)")
-		faultPPM   = flag.Int64("fault-ppm", 0, "transient read-fault probability on the persistent tier, parts per million (0 disables; seeded by -seed)")
+		faultWear = flag.Int64("fault-wear", 0, "mean per-line write budget before a hard UE on the persistent tier (0 disables wear-out; seeded by -seed)")
+		faultPPM  = flag.Int64("fault-ppm", 0, "transient read-fault probability on the persistent tier, parts per million (0 disables; seeded by -seed)")
 
 		fleetF         = flag.Bool("fleet", false, "run the fleet serving simulator (N instances, open-loop zipfian traffic, hedging/retries, fleet-wide tail percentiles) and exit")
 		fleetInstances = flag.Int("fleet-instances", 4, "with -fleet: number of server instances")
@@ -161,28 +155,6 @@ func main() {
 		if !rep.Passed() {
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *crashSweep {
-		rep, err := bench.CrashSweep(bench.Params{
-			Threads: *threads, Seed: *seed, Parallel: *parallel, Quick: *quick,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(rep.Render())
-		return
-	}
-
-	if *faultSweep {
-		rep, err := bench.FaultSweep(bench.Params{
-			Threads: *threads, Seed: *seed, Parallel: *parallel, Quick: *quick,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(rep.Render())
 		return
 	}
 
@@ -458,24 +430,15 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 	}
 	mc.EagerYield = o.eagerYield
 	mc.Tiers = faultTiers(o.tiers, o.faultWear, o.faultPPM, o.seed)
-	m := memsim.NewMachine(mc)
 	hc := heap.DefaultConfig()
 	hc.HeapKind = o.kind
 	hc.YoungOnDRAM = o.youngDRAM
 	hc.Placement = o.place
-	h, err := heap.New(m, hc)
+	host, err := workload.NewHost(mc, hc, o.collector == "ps", o.opt)
 	if err != nil {
 		return err
 	}
-	var col gc.Collector
-	if o.collector == "ps" {
-		col, err = gc.NewPS(h, o.opt)
-	} else {
-		col, err = gc.NewG1(h, o.opt)
-	}
-	if err != nil {
-		return err
-	}
+	m, h, col := host.M, host.H, host.Col
 
 	r, err := spec.NewRunner(col, workload.Config{
 		GCThreads: o.threads, Scale: o.scale, Seed: o.seed,

@@ -27,16 +27,11 @@ func main() {
 		{"vanilla", gc.Vanilla()},
 		{"nvm-aware", gc.Optimized()},
 	} {
-		m := memsim.NewMachine(memsim.DefaultConfig())
-		h, err := heap.New(m, heap.DefaultConfig())
+		host, err := workload.NewHost(memsim.DefaultConfig(), heap.DefaultConfig(), false, cfg.opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		col, err := gc.NewG1(h, cfg.opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pauses, window, err := cassandra.RunPhase(col, phase, workload.Config{GCThreads: 16, Scale: 0.5})
+		pauses, window, err := cassandra.RunPhase(host.Col, phase, workload.Config{GCThreads: 16, Scale: 0.5})
 		if err != nil {
 			log.Fatal(err)
 		}

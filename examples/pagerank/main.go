@@ -27,21 +27,19 @@ func main() {
 		{"nvm/+all", memsim.NVM, gc.Optimized()},
 	}
 
+	spec, err := workload.ScenarioByName("page-rank")
+	if err != nil {
+		log.Fatal(err)
+	}
 	var vanillaGC, vanillaTotal float64
 	for _, c := range configs {
-		m := memsim.NewMachine(memsim.DefaultConfig())
 		hc := heap.DefaultConfig()
 		hc.HeapKind = c.kind
-		h, err := heap.New(m, hc)
+		host, err := workload.NewHost(memsim.DefaultConfig(), hc, false, c.opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		col, err := gc.NewG1(h, c.opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err := workload.NewRunner(col, workload.MustByName("page-rank"),
-			workload.Config{GCThreads: 16, Scale: 0.5})
+		r, err := spec.NewRunner(host.Col, workload.Config{GCThreads: 16, Scale: 0.5})
 		if err != nil {
 			log.Fatal(err)
 		}

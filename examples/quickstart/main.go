@@ -11,6 +11,7 @@ import (
 	"nvmgc/internal/gc"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
+	"nvmgc/internal/workload"
 )
 
 func main() {
@@ -22,15 +23,14 @@ func main() {
 }
 
 func collectOnce(opt gc.Options) (memsim.Time, int64) {
-	// A machine is two devices (DRAM + Optane-like NVM) behind a shared
-	// LLC, with a deterministic virtual clock.
-	m := memsim.NewMachine(memsim.DefaultConfig())
-
-	// The heap is split into G1-style regions; it lives on NVM.
-	h, err := heap.New(m, heap.DefaultConfig())
+	// A host is a machine (DRAM + Optane-like NVM behind a shared LLC,
+	// with a deterministic virtual clock), a heap split into G1-style
+	// regions living on NVM, and the G1 collector managing it.
+	host, err := workload.NewHost(memsim.DefaultConfig(), heap.DefaultConfig(), false, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
+	m, h := host.M, host.H
 
 	// Define an object class: 6 words, references at word offsets 2 and 3.
 	node, err := h.Klasses.Define("node", 6, []int32{2, 3})
@@ -60,11 +60,7 @@ func collectOnce(opt gc.Options) (memsim.Time, int64) {
 	})
 
 	// Run one stop-the-world young collection with 16 GC threads.
-	col, err := gc.NewG1(h, opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	stats, err := col.Collect(16)
+	stats, err := host.Col.Collect(16)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,9 +16,13 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "page-rank", "application profile")
+	app := flag.String("app", "page-rank", "workload scenario (gcsim -list-workloads)")
 	scale := flag.Float64("scale", 0.4, "workload scale")
 	flag.Parse()
+	spec, err := workload.ScenarioByName(*app)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	threads := []int{1, 2, 4, 8, 20, 28, 56}
 	configs := []struct {
@@ -40,17 +44,11 @@ func main() {
 	for _, th := range threads {
 		fmt.Printf("%8d", th)
 		for _, c := range configs {
-			m := memsim.NewMachine(memsim.DefaultConfig())
-			h, err := heap.New(m, heap.DefaultConfig())
+			host, err := workload.NewHost(memsim.DefaultConfig(), heap.DefaultConfig(), false, c.opt)
 			if err != nil {
 				log.Fatal(err)
 			}
-			col, err := gc.NewG1(h, c.opt)
-			if err != nil {
-				log.Fatal(err)
-			}
-			r, err := workload.NewRunner(col, workload.MustByName(*app),
-				workload.Config{GCThreads: th, Scale: *scale})
+			r, err := spec.NewRunner(host.Col, workload.Config{GCThreads: th, Scale: *scale})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -36,7 +36,7 @@ func AblTraversal(p Params) (*Report, error) {
 			opt := gc.Optimized()
 			opt.BFS = bfs
 			specs = append(specs, runSpec{
-				app: workload.MustByName(name), heapKind: memsim.NVM, opt: opt,
+				app: profileSpec(workload.MustByName(name)), heapKind: memsim.NVM, opt: opt,
 				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i),
 			})
 		}
@@ -82,7 +82,7 @@ func AblNonTemporal(p Params) (*Report, error) {
 	for i, name := range apps {
 		for _, nt := range []bool{false, true} {
 			specs = append(specs, runSpec{
-				app: workload.MustByName(name), heapKind: memsim.NVM,
+				app: profileSpec(workload.MustByName(name)), heapKind: memsim.NVM,
 				opt:     gc.Options{WriteCache: true, NonTemporal: nt},
 				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i),
 			})
@@ -136,7 +136,7 @@ func AblFlushChunk(p Params) (*Report, error) {
 		opt.AsyncFlush = true
 		opt.FlushChunkBytes = chunk
 		specs = append(specs, runSpec{
-			app: app, heapKind: memsim.NVM, opt: opt,
+			app: profileSpec(app), heapKind: memsim.NVM, opt: opt,
 			threads: threads, scale: p.scale(), seed: p.seed(),
 		})
 	}
@@ -176,9 +176,9 @@ func AblHeaderMapThreshold(p Params) (*Report, error) {
 		on := gc.Optimized()
 		on.HeaderMapMinThreads = 1 // force-enable even at low thread counts
 		specs = append(specs,
-			runSpec{app: app, heapKind: memsim.NVM, opt: off,
+			runSpec{app: profileSpec(app), heapKind: memsim.NVM, opt: off,
 				threads: th, scale: p.scale(), seed: p.seed()},
-			runSpec{app: app, heapKind: memsim.NVM, opt: on,
+			runSpec{app: profileSpec(app), heapKind: memsim.NVM, opt: on,
 				threads: th, scale: p.scale(), seed: p.seed()})
 	}
 	outs, err := runAll(p, specs)

@@ -177,9 +177,23 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// runSpec describes one application run.
+// machineConfig is the standard simulated host for every experiment, and
+// the only place the run-wide machine parameters reach one: the scheduler
+// mode and the -nvm-tier substitution. A spec that declares its own
+// topology replaces Tiers afterwards.
+func (p Params) machineConfig(trace bool) memsim.Config {
+	cfg := memsim.DefaultConfig()
+	if !trace {
+		cfg.TraceBucket = 0
+	}
+	cfg.EagerYield = p.EagerYield
+	cfg.Tiers = p.tierSpecs()
+	return cfg
+}
+
+// runSpec describes one scenario run.
 type runSpec struct {
-	app         workload.Profile
+	app         workload.Spec
 	heapKind    memsim.Kind
 	youngOnDRAM bool
 	ps          bool
@@ -188,7 +202,12 @@ type runSpec struct {
 	scale       float64
 	seed        uint64
 	trace       bool
-	eager       bool
+
+	// keyed selects the keyed-population heap (workload.KeyedHeapConfig)
+	// over the standard one: 1024 x 64 KiB regions (the paper's
+	// 2048-region / 16 GiB layout scaled to 64 MiB), a 12 MiB eden, and a
+	// DRAM cache pool able to host the unlimited-write-cache mode.
+	keyed bool
 
 	// tiers, when non-empty, replaces the default two-tier machine with an
 	// explicit topology; placement then maps heap areas onto its tier names
@@ -198,50 +217,33 @@ type runSpec struct {
 	placement heap.PlacementPolicy
 }
 
-// machineConfig is the standard simulated host for all experiments.
-func machineConfig(trace bool) memsim.Config {
-	cfg := memsim.DefaultConfig()
-	if !trace {
-		cfg.TraceBucket = 0
-	}
-	return cfg
+// profileSpec wraps a paper profile as the scenario a runSpec carries.
+func profileSpec(p workload.Profile) workload.Spec {
+	return workload.Spec{Name: p.Name, Profile: &p}
 }
 
-// heapConfig is the standard heap: 1024 x 64 KiB regions (the paper's
-// 2048-region / 16 GiB layout scaled to 64 MiB), a 12 MiB eden, and a
-// DRAM cache pool able to host the unlimited-write-cache mode.
-func heapConfig(kind memsim.Kind, youngOnDRAM bool) heap.Config {
+// newHost assembles the spec's machine, heap and collector.
+func (p Params) newHost(spec runSpec) (workload.Host, error) {
+	mc := p.machineConfig(spec.trace)
+	if spec.tiers != nil {
+		mc.Tiers = spec.tiers
+	}
 	hc := heap.DefaultConfig()
-	hc.HeapKind = kind
-	hc.YoungOnDRAM = youngOnDRAM
-	return hc
-}
-
-// newHeapFor builds the standard heap for a spec on machine m.
-func newHeapFor(m *memsim.Machine, spec runSpec) (*heap.Heap, error) {
-	hc := heapConfig(spec.heapKind, spec.youngOnDRAM)
-	hc.Placement = spec.placement
-	return heap.New(m, hc)
-}
-
-// runWith executes the spec's workload on an existing collector.
-func runWith(col gc.Collector, spec runSpec) (workload.Result, error) {
-	r, err := workload.NewRunner(col, spec.app, workload.Config{
-		GCThreads: spec.threads,
-		Scale:     spec.scale,
-		Seed:      spec.seed,
-	})
-	if err != nil {
-		return workload.Result{}, err
+	if spec.keyed {
+		hc = workload.KeyedHeapConfig()
 	}
-	return r.Run()
+	hc.HeapKind = spec.heapKind
+	hc.YoungOnDRAM = spec.youngOnDRAM
+	hc.Placement = spec.placement
+	return workload.NewHost(mc, hc, spec.ps, spec.opt)
 }
 
 // runOut is one experiment data point's output: the workload result plus
-// its machine (for traces and marks).
+// the host it ran on (machine for traces and marks, collector for its
+// header map).
 type runOut struct {
 	res workload.Result
-	m   *memsim.Machine
+	workload.Host
 }
 
 // runAll executes all specs on the bounded host worker pool (see
@@ -250,41 +252,26 @@ type runOut struct {
 // any virtual-time result.
 func runAll(p Params, specs []runSpec) ([]runOut, error) {
 	return par.Map(len(specs), p.Parallel, func(i int) (runOut, error) {
-		spec := specs[i]
-		spec.eager = p.EagerYield
-		if spec.tiers == nil {
-			spec.tiers = p.tierSpecs()
-		}
-		res, m, err := runOne(spec)
-		return runOut{res: res, m: m}, err
+		return runOne(p, specs[i])
 	})
 }
 
-// runOne executes one application run and returns the result plus the
-// machine (for traces and marks).
-func runOne(spec runSpec) (workload.Result, *memsim.Machine, error) {
-	mc := machineConfig(spec.trace)
-	mc.EagerYield = spec.eager
-	mc.Tiers = spec.tiers
-	m := memsim.NewMachine(mc)
-	h, err := newHeapFor(m, spec)
+// runOne executes one scenario run on a freshly assembled host.
+func runOne(p Params, spec runSpec) (runOut, error) {
+	host, err := p.newHost(spec)
 	if err != nil {
-		return workload.Result{}, nil, err
+		return runOut{}, err
 	}
-	var col gc.Collector
-	if spec.ps {
-		col, err = gc.NewPS(h, spec.opt)
-	} else {
-		col, err = gc.NewG1(h, spec.opt)
-	}
+	r, err := spec.app.NewRunner(host.Col, workload.Config{
+		GCThreads: spec.threads,
+		Scale:     spec.scale,
+		Seed:      spec.seed,
+	})
 	if err != nil {
-		return workload.Result{}, nil, err
+		return runOut{}, err
 	}
-	res, err := runWith(col, spec)
-	if err != nil {
-		return workload.Result{}, nil, err
-	}
-	return res, m, nil
+	res, err := r.Run()
+	return runOut{res: res, Host: host}, err
 }
 
 // seconds converts virtual time to float seconds.

@@ -55,7 +55,7 @@ func crashSweepConfigs(quick bool) []crashSweepConfig {
 // a collector, and the pre-GC graph signature. Mutator data is declared
 // durable before GC entry — the campaign contract.
 func newCrashSweepEnv(cc crashSweepConfig, seed uint64) (*heap.Heap, *memsim.Machine, *gc.G1, heap.GraphSignature, error) {
-	mc := machineConfig(false)
+	mc := Params{}.machineConfig(false) // the campaign pins its platform: Optane under ADR/eADR
 	mc.LLCBytes = 1 << 17
 	m := memsim.NewMachine(mc)
 	m.EnablePersist(m.NVM, cc.eADR)

@@ -48,9 +48,7 @@ func DeviceTable(p Params) (*Report, error) {
 	kinds := []memsim.Kind{memsim.DRAM, memsim.NVM}
 	bw1, err := par.Map(len(patterns)*len(kinds), p.Parallel, func(i int) (float64, error) {
 		pat, kind := patterns[i/len(kinds)], kinds[i%len(kinds)]
-		mc := machineConfig(false)
-		mc.EagerYield = p.EagerYield
-		m := memsim.NewMachine(mc)
+		m := memsim.NewMachine(p.machineConfig(false))
 		dev := m.Device(kind)
 		el := m.Run(1, func(w *memsim.Worker) {
 			for i := 0; i < ops; i++ {
@@ -77,9 +75,7 @@ func DeviceTable(p Params) (*Report, error) {
 	type mixOut struct{ total, read, write float64 }
 	mixes, err := par.Map(len(writeFracs), p.Parallel, func(i int) (mixOut, error) {
 		wf := writeFracs[i]
-		mc := machineConfig(false)
-		mc.EagerYield = p.EagerYield
-		m := memsim.NewMachine(mc)
+		m := memsim.NewMachine(p.machineConfig(false))
 		dev := m.NVM
 		perWorker := ops / 4
 		el := m.Run(8, func(w *memsim.Worker) {
@@ -115,9 +111,7 @@ func DeviceTable(p Params) (*Report, error) {
 	threadCounts := []int{1, 2, 4, 8, 16, 32}
 	bw3, err := par.Map(len(threadCounts)*len(kinds), p.Parallel, func(i int) (float64, error) {
 		th, kind := threadCounts[i/len(kinds)], kinds[i%len(kinds)]
-		mc := machineConfig(false)
-		mc.EagerYield = p.EagerYield
-		m := memsim.NewMachine(mc)
+		m := memsim.NewMachine(p.machineConfig(false))
 		dev := m.Device(kind)
 		perWorker := ops / 2
 		el := m.Run(th, func(w *memsim.Worker) {

@@ -58,7 +58,7 @@ func faultSweepThresholds(quick bool) []int64 {
 // heap, and a collector. The model seed folds the sweep seed so re-seeding
 // the sweep re-seeds every fault draw.
 func newFaultSweepEnv(fc faultSweepConfig, threshold int64, seed uint64) (*heap.Heap, *memsim.Machine, *gc.G1, error) {
-	mc := machineConfig(false)
+	mc := Params{}.machineConfig(false) // the point declares its own topology below
 	mc.LLCBytes = 1 << 17
 	tiers := memsim.DefaultTierSpecs(mc.DRAM, mc.NVM)
 	tiers[1].Fault = memsim.FaultModel{

@@ -25,7 +25,7 @@ func Fig1(p Params) (*Report, error) {
 	}
 	specs := make([]runSpec, 0, 2*len(apps))
 	for i, name := range apps {
-		spec := runSpec{app: workload.MustByName(name), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		spec := runSpec{app: profileSpec(workload.MustByName(name)), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		spec.heapKind = memsim.DRAM
 		dramSpec := spec
 		spec.heapKind = memsim.NVM

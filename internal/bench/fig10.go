@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"nvmgc/internal/gc"
+	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
-	"nvmgc/internal/par"
-	"nvmgc/internal/workload"
 )
 
 // Fig10 reproduces Figure 10: GC time under +all with header-map budgets
@@ -25,25 +24,17 @@ func Fig10(p Params) (*Report, error) {
 		Columns: []string{"app", "512M-eq (1/32)", "1G-eq (1/16)", "2G-eq (1/8)", "occupancy@1/32"},
 	}
 	fracs := []int64{32, 16, 8}
+	hc := heap.DefaultConfig()
 	var specs []runSpec
 	for i, app := range apps {
 		for _, frac := range fracs {
-			spec := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+			spec := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 			spec.opt = gc.Optimized()
-			spec.opt.HeaderMapBytes = heapConfig(memsim.NVM, false).RegionBytes * int64(heapConfig(memsim.NVM, false).HeapRegions) / frac
+			spec.opt.HeaderMapBytes = hc.RegionBytes * int64(hc.HeapRegions) / frac
 			specs = append(specs, spec)
 		}
 	}
-	type occOut struct {
-		gcSeconds float64
-		occupancy float64
-	}
-	outs, err := par.Map(len(specs), p.Parallel, func(i int) (occOut, error) {
-		spec := specs[i]
-		spec.eager = p.EagerYield
-		res, pk, err := runOneWithOccupancy(spec)
-		return occOut{gcSeconds: seconds(res.GC), occupancy: pk}, err
-	})
+	outs, err := runAll(p, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -52,9 +43,9 @@ func Fig10(p Params) (*Report, error) {
 	for i, app := range apps {
 		var gcTimes []float64
 		for j := range fracs {
-			gcTimes = append(gcTimes, outs[i*len(fracs)+j].gcSeconds)
+			gcTimes = append(gcTimes, seconds(outs[i*len(fracs)+j].res.GC))
 		}
-		occ := outs[i*len(fracs)].occupancy
+		occ := peakOccupancy(outs[i*len(fracs)])
 		gain := ratio(gcTimes[0], gcTimes[2]) - 1
 		if app.Suite == "spark" {
 			sparkGain = append(sparkGain, gain)
@@ -75,40 +66,19 @@ func Fig10(p Params) (*Report, error) {
 	return rep, nil
 }
 
-// runOneWithOccupancy runs a spec (G1 only) and additionally reports the
-// peak header-map occupancy observed across collections.
-func runOneWithOccupancy(spec runSpec) (workload.Result, float64, error) {
-	mc := machineConfig(spec.trace)
-	mc.EagerYield = spec.eager
-	m := memsim.NewMachine(mc)
-	h, err := newHeapFor(m, spec)
-	if err != nil {
-		return workload.Result{}, 0, err
+// peakOccupancy estimates a G1 run's peak header-map occupancy.
+// Occupancy at clean-up time is zero, so the estimate is the installs of
+// the busiest collection over the map's entry count.
+func peakOccupancy(out runOut) float64 {
+	hm := out.Col.(*gc.G1).HeaderMap()
+	if hm == nil {
+		return 0
 	}
-	col, err := gc.NewG1(h, spec.opt)
-	if err != nil {
-		return workload.Result{}, 0, err
+	var maxInstalls int64
+	for _, c := range out.res.Collections {
+		maxInstalls = max(maxInstalls, c.HeaderMapInstalls)
 	}
-	res, err := runWith(col, spec)
-	if err != nil {
-		return workload.Result{}, 0, err
-	}
-	occ := 0.0
-	if hm := col.HeaderMap(); hm != nil {
-		// Occupancy at clean-up time is zero; estimate the peak from the
-		// installs of the busiest collection.
-		var maxInstalls int64
-		for _, c := range res.Collections {
-			if c.HeaderMapInstalls > maxInstalls {
-				maxInstalls = c.HeaderMapInstalls
-			}
-		}
-		occ = float64(maxInstalls) / float64(hm.Entries())
-		if occ > 1 {
-			occ = 1
-		}
-	}
-	return res, occ, nil
+	return min(float64(maxInstalls)/float64(hm.Entries()), 1)
 }
 
 // Fig11 reproduces Figure 11: GC time under different write-cache
@@ -127,7 +97,7 @@ func Fig11(p Params) (*Report, error) {
 	}
 	var specs []runSpec
 	for i, app := range apps {
-		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 
 		syncSpec := base
 		syncSpec.opt = gc.Optimized()
@@ -169,7 +139,7 @@ func Fig12(p Params) (*Report, error) {
 	apps := appList(p, defaultQuickApps)
 
 	const dramPerGB, nvmPerGB = 7.81, 3.01
-	hc := heapConfig(memsim.NVM, false)
+	hc := heap.DefaultConfig()
 	heapGB := float64(hc.RegionBytes*int64(hc.HeapRegions)) / float64(1<<30)
 	optExtraGB := heapGB/32 + heapGB/32 // write cache + header map in DRAM
 	optCost := optExtraGB * dramPerGB
@@ -181,7 +151,7 @@ func Fig12(p Params) (*Report, error) {
 	}
 	var specs12 []runSpec
 	for i, app := range apps {
-		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		optSpec := base
 		optSpec.opt = gc.Optimized()
 		dramSpec := base

@@ -36,7 +36,7 @@ func Fig13(p Params) (*Report, error) {
 		for _, cfg := range configs {
 			for _, th := range threadSet {
 				specs = append(specs, runSpec{
-					app: app, heapKind: memsim.NVM, opt: cfg.opt,
+					app: profileSpec(app), heapKind: memsim.NVM, opt: cfg.opt,
 					threads: th, scale: p.scale(), seed: p.seed() + uint64(i),
 				})
 			}
@@ -111,7 +111,7 @@ func Fig14(p Params) (*Report, error) {
 	}
 	var specs []runSpec
 	for i, app := range apps {
-		base := runSpec{app: app, heapKind: memsim.NVM, ps: true, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, ps: true, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		npSpec := base
 		npSpec.opt = gc.Optimized()
 		npSpec.opt.Prefetch = false

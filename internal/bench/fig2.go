@@ -7,7 +7,6 @@ import (
 	"nvmgc/internal/gc"
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
-	"nvmgc/internal/par"
 	"nvmgc/internal/workload"
 )
 
@@ -52,22 +51,6 @@ func traceTable(title string, m *memsim.Machine, dev *memsim.Device, from, to me
 	return t
 }
 
-// bandwidthTraceFor runs an app with tracing enabled and returns the
-// machine and run window [start, end) of the mutation phase.
-func bandwidthTraceFor(app string, kind memsim.Kind, opt gc.Options, threads int, p Params) (*memsim.Machine, memsim.Time, memsim.Time, error) {
-	res, m, err := runOne(runSpec{
-		app: workload.MustByName(app), heapKind: kind, opt: opt,
-		threads: threads, scale: p.scale(), seed: p.seed(), trace: true,
-		eager: p.EagerYield,
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	end := m.Now()
-	start := end - res.Total
-	return m, start, end, nil
-}
-
 // Fig2 reproduces Figure 2 for page-rank: (a,b) bandwidth traces on DRAM
 // and NVM with GC intervals demarcated, and (c,d) the GC-thread
 // scalability of bandwidth and accumulated GC time. The paper's findings:
@@ -94,19 +77,22 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 	rep := &Report{ID: id, Title: "Bandwidth statistics for " + app}
 
 	kinds := []memsim.Kind{memsim.DRAM, memsim.NVM}
-	type traceOut struct {
-		m          *memsim.Machine
-		start, end memsim.Time
+	var traced []runSpec
+	for _, kind := range kinds {
+		traced = append(traced, runSpec{
+			app: profileSpec(workload.MustByName(app)), heapKind: kind, opt: gc.Vanilla(),
+			threads: threads, scale: p.scale(), seed: p.seed(), trace: true,
+		})
 	}
-	traces, err := par.Map(len(kinds), p.Parallel, func(i int) (traceOut, error) {
-		m, start, end, err := bandwidthTraceFor(app, kinds[i], gc.Vanilla(), threads, p)
-		return traceOut{m: m, start: start, end: end}, err
-	})
+	traces, err := runAll(p, traced)
 	if err != nil {
 		return nil, err
 	}
 	for ki, kind := range kinds {
-		m, start, end := traces[ki].m, traces[ki].start, traces[ki].end
+		// The traced window is the mutation phase: [end - Total, end).
+		m := traces[ki].M
+		end := m.Now()
+		start := end - traces[ki].res.Total
 		dev := m.Device(kind)
 		rep.Tables = append(rep.Tables, traceTable(
 			fmt.Sprintf("(%s) %s bandwidth atop %v", map[memsim.Kind]string{memsim.DRAM: "a", memsim.NVM: "b"}[kind], app, kind),
@@ -140,7 +126,7 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 		for _, kind := range scaleKinds {
 			for _, th := range threadSet {
 				specs = append(specs, runSpec{
-					app: workload.MustByName(app), heapKind: kind, opt: gc.Vanilla(),
+					app: profileSpec(workload.MustByName(app)), heapKind: kind, opt: gc.Vanilla(),
 					threads: th, scale: p.scale(), seed: p.seed(),
 				})
 			}

@@ -26,7 +26,7 @@ func Fig5(p Params) (*Report, error) {
 	specs := make([]runSpec, 0, 5*len(apps))
 	for i, app := range apps {
 		seed := p.seed() + uint64(i)
-		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: seed}
+		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: seed}
 
 		wcSpec := base
 		wcSpec.opt = gc.WithWriteCache()
@@ -156,7 +156,7 @@ func Fig9(p Params) (*Report, error) {
 func vanillaOptPairs(apps []workload.Profile, threads int, p Params) []runSpec {
 	specs := make([]runSpec, 0, 2*len(apps))
 	for i, app := range apps {
-		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		optSpec := base
 		optSpec.opt = gc.Optimized()
 		specs = append(specs, base, optSpec)

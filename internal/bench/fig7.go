@@ -43,7 +43,7 @@ func Fig7(p Params) (*Report, error) {
 	for i, app := range apps {
 		for _, cfg := range configs {
 			specs = append(specs, runSpec{
-				app: workload.MustByName(app), heapKind: memsim.NVM, opt: cfg.opt,
+				app: profileSpec(workload.MustByName(app)), heapKind: memsim.NVM, opt: cfg.opt,
 				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i), trace: true,
 			})
 			labels = append(labels, cfg.label)
@@ -58,7 +58,7 @@ func Fig7(p Params) (*Report, error) {
 	rep := &Report{ID: "fig7", Title: "Split NVM bandwidth during GC"}
 	for si := range specs {
 		app, label := specApps[si], labels[si]
-		res, m := outs[si].res, outs[si].m
+		res, m := outs[si].res, outs[si].M
 		// Pick the longest GC pause and plot a window around it.
 		pauses := cassandra.PauseIntervals(m, m.Now()-res.Total, m.Now())
 		if len(pauses) == 0 {

@@ -40,18 +40,11 @@ func Fig8(p Params) (*Report, error) {
 	}
 	curves, err := par.Map(len(jobs), p.Parallel, func(i int) ([]cassandra.StressResult, error) {
 		job := jobs[i]
-		mc := machineConfig(false)
-		mc.EagerYield = p.EagerYield
-		m := memsim.NewMachine(mc)
-		h, err := newHeapFor(m, runSpec{heapKind: memsim.NVM})
+		host, err := p.newHost(runSpec{heapKind: memsim.NVM, opt: job.opt})
 		if err != nil {
 			return nil, err
 		}
-		col, err := gc.NewG1(h, job.opt)
-		if err != nil {
-			return nil, err
-		}
-		pauses, window, err := cassandra.RunPhase(col, job.phase, workload.Config{
+		pauses, window, err := cassandra.RunPhase(host.Col, job.phase, workload.Config{
 			GCThreads: threads, Scale: p.scale(), Seed: p.seed(),
 		})
 		if err != nil {

@@ -83,6 +83,7 @@ func FleetBench(p Params) (*Report, error) {
 	}
 	// p999 at the largest size and highest rate, per config, for the note.
 	headline := map[string]float64{}
+	mc := p.machineConfig(false)
 	for _, c := range cfgs {
 		insts, err := fleet.RunInstances(fleet.Config{
 			Instances: maxSize,
@@ -90,8 +91,8 @@ func FleetBench(p Params) (*Report, error) {
 			Opt:        c.opt,
 			QPS:        rates[0] * 1000,
 			Parallel:   p.Parallel,
-			EagerYield: p.EagerYield,
-			Tiers:      p.tierSpecs(),
+			EagerYield: mc.EagerYield,
+			Tiers:      mc.Tiers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: fleet %s: %w", c.label, err)

@@ -120,17 +120,16 @@ func TestGoldenCollectionStats(t *testing.T) {
 	}
 	app := appList(Params{Quick: true}, defaultQuickApps)[0]
 	for _, th := range threadCounts {
-		spec := runSpec{app: app, heapKind: memsim.NVM, threads: th, scale: scale, seed: 1}
-		res1, m1, err := runOne(spec)
+		spec := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: th, scale: scale, seed: 1}
+		out1, err := runOne(Params{}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eSpec := spec
-		eSpec.eager = true
-		res2, m2, err := runOne(eSpec)
+		out2, err := runOne(Params{EagerYield: true}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res1, m1, res2, m2 := out1.res, out1.M, out2.res, out2.M
 		if m1.Now() != m2.Now() {
 			t.Fatalf("threads=%d: virtual clock diverged: %d vs %d", th, m1.Now(), m2.Now())
 		}

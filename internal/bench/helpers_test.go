@@ -83,17 +83,26 @@ func TestTraceTable(t *testing.T) {
 }
 
 func TestHeapConfigModes(t *testing.T) {
-	hc := heapConfig(memsim.DRAM, true)
-	if hc.HeapKind != memsim.DRAM || !hc.YoungOnDRAM {
+	host, err := Params{}.newHost(runSpec{heapKind: memsim.DRAM, youngOnDRAM: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hc := host.H.Config(); hc.HeapKind != memsim.DRAM || !hc.YoungOnDRAM {
 		t.Fatalf("config = %+v", hc)
 	}
-	if !strings.Contains(machineConfig(true).DRAM.Kind.String(), "DRAM") {
+	var p Params
+	if !strings.Contains(p.machineConfig(true).DRAM.Kind.String(), "DRAM") {
 		t.Fatal("machine config broken")
 	}
-	if machineConfig(false).TraceBucket != 0 {
+	if p.machineConfig(false).TraceBucket != 0 {
 		t.Fatal("tracing should be off when not requested")
 	}
-	if machineConfig(true).TraceBucket == 0 {
+	if p.machineConfig(true).TraceBucket == 0 {
 		t.Fatal("tracing should be on when requested")
+	}
+	p = Params{EagerYield: true, NVMTier: "remote-dram"}
+	mc := p.machineConfig(false)
+	if !mc.EagerYield || len(mc.Tiers) != 2 || mc.Tiers[1].Name != "nvm" || !mc.Tiers[1].Persistent {
+		t.Fatalf("run-wide machine parameters not applied: %+v", mc)
 	}
 }

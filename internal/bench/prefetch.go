@@ -27,9 +27,7 @@ func PrefetchTable(p Params) (*Report, error) {
 	)
 
 	run := func(kind memsim.Kind, prefetch bool) float64 {
-		mc := machineConfig(false)
-		mc.EagerYield = p.EagerYield
-		m := memsim.NewMachine(mc)
+		m := memsim.NewMachine(p.machineConfig(false))
 		dev := m.Device(kind)
 		rng := rand.New(rand.NewPCG(p.seed(), 0xF00D))
 		idx := make([]uint64, accesses)

@@ -33,28 +33,16 @@ func TestTierSweepPointSchedulerEquivalence(t *testing.T) {
 		tiers         map[string]memsim.DeviceStats
 	}
 	run := func(eager bool) snap {
-		mc := machineConfig(false)
-		mc.EagerYield = eager
-		mc.Tiers = tierSweepSpecs()
-		m := memsim.NewMachine(mc)
-		hc := heapConfig(memsim.NVM, false)
-		hc.Placement = base
-		h, err := heap.New(m, hc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col, err := gc.NewG1(h, gc.Vanilla())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := runWith(col, runSpec{
-			app: workload.MustByName("page-rank"), threads: 16, scale: 0.5, seed: 1,
+		out, err := runOne(Params{EagerYield: eager}, runSpec{
+			app: profileSpec(workload.MustByName("page-rank")), heapKind: memsim.NVM, opt: gc.Vanilla(),
+			threads: 16, scale: 0.5, seed: 1,
+			tiers: tierSweepSpecs(), placement: base,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := snap{total: res.Total, gcTime: res.GC, tiers: map[string]memsim.DeviceStats{}}
-		for _, tier := range m.Topology().Tiers() {
+		s := snap{total: out.res.Total, gcTime: out.res.GC, tiers: map[string]memsim.DeviceStats{}}
+		for _, tier := range out.M.Topology().Tiers() {
 			s.tiers[tier.Name()] = tier.Stats()
 		}
 		return s

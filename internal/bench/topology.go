@@ -77,7 +77,7 @@ func TierSweep(p Params) (*Report, error) {
 	for _, app := range apps {
 		for _, pt := range points {
 			runSpecs = append(runSpecs, runSpec{
-				app: app, opt: pt.opt, threads: threads,
+				app: profileSpec(app), opt: pt.opt, threads: threads,
 				scale: p.scale(), seed: p.seed(),
 				tiers: specs, placement: pt.place,
 			})

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"nvmgc/internal/gc"
-	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
-	"nvmgc/internal/par"
 	"nvmgc/internal/workload"
 )
 
@@ -24,21 +22,6 @@ func workloadSweepScenarios() []workload.Spec {
 		}
 	}
 	return out
-}
-
-// workloadSweepHeap is the keyed-population host: a 16 MiB heap with a
-// 3 MiB eden (the workload test geometry), small enough that the
-// update-heavy mixes cycle eden several times per point while the whole
-// grid stays smoke-test fast.
-func workloadSweepHeap(m *memsim.Machine) (*heap.Heap, error) {
-	hc := heap.DefaultConfig()
-	hc.RegionBytes = 32 << 10
-	hc.HeapRegions = 512
-	hc.CacheRegions = 64
-	hc.EdenRegions = 96
-	hc.SurvivorRegions = 48
-	hc.HeapKind = memsim.NVM
-	return heap.New(m, hc)
 }
 
 // WorkloadSweep runs the collector-config × YCSB-scenario grid: each
@@ -66,39 +49,16 @@ func WorkloadSweep(p Params) (*Report, error) {
 		cfgs = append(cfgs[:1:1], cfg{"writecache", gc.WithWriteCache()}, cfgs[1])
 	}
 
-	type point struct {
-		spec workload.Spec
-		cfg  cfg
-	}
-	var points []point
+	var specs []runSpec // scenario-major, one per collector config
 	for _, s := range scenarios {
 		for _, c := range cfgs {
-			points = append(points, point{spec: s, cfg: c})
+			specs = append(specs, runSpec{
+				app: s, keyed: true, heapKind: memsim.NVM, opt: c.opt,
+				threads: threads, scale: p.scale(), seed: p.seed(),
+			})
 		}
 	}
-
-	outs, err := par.Map(len(points), p.Parallel, func(i int) (workload.Result, error) {
-		pt := points[i]
-		mc := machineConfig(false)
-		mc.EagerYield = p.EagerYield
-		mc.Tiers = p.tierSpecs()
-		m := memsim.NewMachine(mc)
-		h, err := workloadSweepHeap(m)
-		if err != nil {
-			return workload.Result{}, err
-		}
-		col, err := gc.NewG1(h, pt.cfg.opt)
-		if err != nil {
-			return workload.Result{}, err
-		}
-		r, err := pt.spec.NewRunner(col, workload.Config{
-			GCThreads: threads, Scale: p.scale(), Seed: p.seed(),
-		})
-		if err != nil {
-			return workload.Result{}, err
-		}
-		return r.Run()
-	})
+	outs, err := runAll(p, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -108,13 +68,13 @@ func WorkloadSweep(p Params) (*Report, error) {
 		Columns: []string{"scenario", "dist", "config", "ops", "total (s)", "app (s)", "gc (s)", "gcs", "alloc MB"},
 	}
 	var vanillaGC, optGC []float64
-	for i, pt := range points {
-		res := outs[i]
-		tbl.AddRow(pt.spec.Name, pt.spec.Core.Request, pt.cfg.label, fmt.Sprint(res.Ops),
+	for i, spec := range specs {
+		res, label := outs[i].res, cfgs[i%len(cfgs)].label
+		tbl.AddRow(spec.app.Name, spec.app.Core.Request, label, fmt.Sprint(res.Ops),
 			seconds(res.Total), seconds(res.App), seconds(res.GC),
 			fmt.Sprint(len(res.Collections)), float64(res.Allocated)/1e6)
 		if len(res.Collections) > 0 {
-			switch pt.cfg.label {
+			switch label {
 			case "vanilla":
 				vanillaGC = append(vanillaGC, seconds(res.GC))
 			case "all":

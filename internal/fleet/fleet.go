@@ -21,7 +21,6 @@ import (
 
 	"nvmgc/internal/cassandra"
 	"nvmgc/internal/gc"
-	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/par"
 	"nvmgc/internal/workload"
@@ -205,55 +204,33 @@ func RunInstances(cfg Config) ([]Instance, error) {
 	})
 }
 
-// runInstance builds one server (machine + heap + collector), runs its
-// scenario, and extracts the normalized pause timeline. The heap is the
-// keyed-population geometry the workload sweep uses: 16 MiB in 32 KiB
-// regions with a 3 MiB eden, so server phases cycle eden several times
-// per run.
+// runInstance builds one server on the keyed-population heap, runs its
+// scenario, and extracts the normalized pause timeline.
 func runInstance(c Config, phase cassandra.Phase, id int) (Instance, error) {
 	mc := memsim.DefaultConfig()
 	mc.TraceBucket = 0
 	mc.EagerYield = c.EagerYield
 	mc.Tiers = c.Tiers
-	m := memsim.NewMachine(mc)
-	hc := heap.DefaultConfig()
-	hc.RegionBytes = 32 << 10
-	hc.HeapRegions = 512
-	hc.CacheRegions = 64
-	hc.EdenRegions = 96
-	hc.SurvivorRegions = 48
-	hc.HeapKind = memsim.NVM
-	if c.Opt.Persist != gc.PersistNone {
-		// Crash-consistent collectors need persistence tracking and a
-		// journal area, like the crash sweep's environment.
-		m.EnablePersist(m.NVM, c.Opt.Persist == gc.PersistEADR)
-		hc.MetaBytes = 1 << 20
-	}
-	if faultEnabled(c.Tiers) {
-		hc.Poison = true
-	}
-	h, err := heap.New(m, hc)
-	if err != nil {
-		return Instance{}, err
-	}
-	col, err := gc.NewG1(h, c.Opt)
+	hc := workload.KeyedHeapConfig()
+	hc.Poison = faultEnabled(c.Tiers)
+	host, err := workload.NewHost(mc, hc, false, c.Opt)
 	if err != nil {
 		return Instance{}, err
 	}
 	seed := instanceSeed(c.Seed, id)
-	r, err := phase.Scenario.NewRunner(col, workload.Config{
+	r, err := phase.Scenario.NewRunner(host.Col, workload.Config{
 		GCThreads: c.GCThreads, Scale: c.Scale, Seed: seed,
 	})
 	if err != nil {
 		return Instance{}, err
 	}
-	start := m.Now()
+	start := host.M.Now()
 	res, err := r.Run()
 	if err != nil {
 		return Instance{}, err
 	}
 	runStart := start + res.Setup
-	raw := cassandra.PauseIntervals(m, runStart, m.Now())
+	raw := cassandra.PauseIntervals(host.M, runStart, host.M.Now())
 	pauses := make([]cassandra.Interval, len(raw))
 	for i, p := range raw {
 		pauses[i] = cassandra.Interval{Start: p.Start - runStart, End: p.End - runStart}
@@ -264,7 +241,7 @@ func runInstance(c Config, phase cassandra.Phase, id int) (Instance, error) {
 		Pauses: pauses, Window: res.Total,
 		Ops: res.Ops, Allocated: res.Allocated,
 		GCs: tot.Collections, MaxPause: tot.MaxPause,
-		Faults: tot.Faults, Retired: h.RetiredCount(),
+		Faults: tot.Faults, Retired: host.H.RetiredCount(),
 	}, nil
 }
 

@@ -3,16 +3,15 @@ package workload
 import (
 	"fmt"
 
-	"nvmgc/internal/gc"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/workload/generator"
 )
 
-// KeyedRunner executes a keyed Scenario over a heap/collector pair. The
-// key population is an old-space index of reference-array "tables": key
-// k lives in table slot k mod capacity, so the live window is the most
-// recent `capacity` keys and inserts past it evict the oldest key
+// keyedMutator executes a keyed Scenario's op stream against the heap.
+// The key population is an old-space index of reference-array "tables":
+// key k lives in table slot k mod capacity, so the live window is the
+// most recent `capacity` keys and inserts past it evict the oldest key
 // (FIFO) — which makes insert-heavy mixes drift the hot set. Rows are
 // heap objects; updates allocate a fresh row version and repoint the
 // slot through the write barrier, so the previous version becomes
@@ -21,13 +20,9 @@ import (
 // streaming read over the row. The op stream itself is generated purely
 // from seeded generators — identical under every collector
 // configuration.
-type KeyedRunner struct {
+type keyedMutator struct {
 	h    *heap.Heap
-	m    *memsim.Machine
-	col  gc.Collector
-	name string
 	core *Core
-	cfg  Config
 
 	env      *Env
 	routines []Routine
@@ -42,28 +37,20 @@ type KeyedRunner struct {
 	pending    Op
 	hasPending bool
 
-	setupErr error
+	done, budget int64 // ops completed / the scaled op budget
 }
 
-// NewKeyedRunner prepares a keyed scenario run; Run executes it.
-func NewKeyedRunner(col gc.Collector, name string, core *Core, cfg Config) (*KeyedRunner, error) {
-	if cfg.GCThreads <= 0 {
-		cfg.GCThreads = 8
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	h := col.Heap()
-	r := &KeyedRunner{h: h, m: h.Machine(), col: col, name: name, core: core, cfg: cfg}
+// newKeyedMutator initialises the scenario and its routines and defines
+// the row and table klasses on h.
+func newKeyedMutator(h *heap.Heap, core *Core, cfg Config) (*keyedMutator, error) {
+	r := &keyedMutator{h: h, core: core}
 
 	r.env = &Env{Seed: cfg.Seed, Scale: cfg.Scale, HeapBytes: h.HeapBytes()}
 	if err := core.Init(r.env); err != nil {
-		return nil, fmt.Errorf("workload %s: %w", name, err)
+		return nil, err
 	}
 	r.env.Keys = generator.NewAcknowledgedCounter(0)
+	r.budget = max(int64(float64(r.env.Ops)*cfg.Scale), 1)
 
 	var err error
 	defineArr := func(kname string, elemRef bool) *heap.Klass {
@@ -77,7 +64,7 @@ func NewKeyedRunner(col gc.Collector, name string, core *Core, cfg Config) (*Key
 	r.rowK = defineArr("kvrow[]", false)
 	r.tableK = defineArr("kvtable[]", true)
 	if err != nil {
-		return nil, fmt.Errorf("workload %s: %w", name, err)
+		return nil, err
 	}
 
 	// One routine set up-front; NextOp draws round-robin across them so
@@ -85,102 +72,46 @@ func NewKeyedRunner(col gc.Collector, name string, core *Core, cfg Config) (*Key
 	r.routines = make([]Routine, r.env.Routines)
 	for i := range r.routines {
 		if r.routines[i], err = core.NewRoutine(r.env, i); err != nil {
-			return nil, fmt.Errorf("workload %s: %w", name, err)
+			return nil, err
 		}
 	}
 	return r, nil
 }
 
+func (r *keyedMutator) ops() int64 { return r.done }
+
 // slotFor maps a key to its index slot.
-func (r *KeyedRunner) slotFor(key int64) (heap.Address, int64) {
+func (r *keyedMutator) slotFor(key int64) (heap.Address, int64) {
 	idx := key % r.env.Capacity
 	return r.tables[idx/r.slotsPer], heap.HeaderWords + idx%r.slotsPer
 }
 
-// Run executes the scenario: old-space table + initial-population load
-// (excluded from timing, like the legacy setup phase), then the op
-// stream with collections on allocation pressure.
-func (r *KeyedRunner) Run() (Result, error) {
-	res := Result{Profile: r.name}
-	setupStart := r.m.Now()
-	r.m.Run(1, r.setup)
-	if r.setupErr != nil {
-		return res, fmt.Errorf("workload %s: %w", r.name, r.setupErr)
+// mutate applies the op stream until the budget is spent (false) or an
+// op's allocation failed (true). The failed op stays pending and is
+// retried after the collection — the stream is never redrawn.
+func (r *keyedMutator) mutate(w *memsim.Worker, _ int) bool {
+	for r.done < r.budget {
+		if !r.hasPending {
+			r.pending = r.routines[r.nextR].NextOp(r.env)
+			r.nextR = (r.nextR + 1) % len(r.routines)
+			r.hasPending = true
+		}
+		if !r.applyOp(w, r.pending) {
+			return true
+		}
+		if r.pending.Kind == OpInsert {
+			r.env.Keys.Acknowledge(r.pending.Key)
+		}
+		r.hasPending = false
+		r.done++
 	}
-	res.Setup = r.m.Now() - setupStart
-
-	r.m.Mark("run-start")
-	runStart := r.m.Now()
-	alloc0 := r.h.AllocatedBytes()
-	budget := int64(float64(r.env.Ops) * r.cfg.Scale)
-	if budget < 1 {
-		budget = 1
-	}
-	gcBefore := len(r.col.Collections())
-	epoch := 0
-
-	done := int64(0)
-	for done < budget {
-		needGC := false
-		r.m.Run(1, func(w *memsim.Worker) {
-			for done < budget {
-				if !r.hasPending {
-					r.pending = r.routines[r.nextR].NextOp(r.env)
-					r.nextR = (r.nextR + 1) % len(r.routines)
-					r.hasPending = true
-				}
-				if !r.applyOp(w, r.pending) {
-					needGC = true
-					return
-				}
-				if r.pending.Kind == OpInsert {
-					r.env.Keys.Acknowledge(r.pending.Key)
-				}
-				r.hasPending = false
-				done++
-				res.Ops++
-			}
-		})
-		if !needGC {
-			break
-		}
-		if err := r.h.AllocError(); err != nil {
-			return res, fmt.Errorf("workload %s: %w", r.name, err)
-		}
-		if _, err := r.col.Collect(r.cfg.GCThreads); err != nil {
-			return res, fmt.Errorf("workload %s: %w", r.name, err)
-		}
-		epoch++
-		if r.cfg.MixedGCEvery > 0 && epoch%r.cfg.MixedGCEvery == 0 {
-			if mc, ok := r.col.(mixedCollector); ok {
-				if _, err := mc.CollectMixed(r.cfg.GCThreads, 32); err != nil {
-					return res, fmt.Errorf("workload %s (mixed gc): %w", r.name, err)
-				}
-			}
-		}
-		if r.cfg.FullGCEvery > 0 && epoch%r.cfg.FullGCEvery == 0 {
-			if fc, ok := r.col.(fullCollector); ok {
-				if _, err := fc.CollectFull(r.cfg.GCThreads); err != nil {
-					return res, fmt.Errorf("workload %s (full gc): %w", r.name, err)
-				}
-			}
-		}
-		r.refreshAfterGC()
-	}
-	r.m.Mark("run-end")
-
-	res.Collections = append(res.Collections, r.col.Collections()[gcBefore:]...)
-	res.Total = r.m.Now() - runStart
-	res.GC = gc.TotalsOf(res.Collections).Pause
-	res.App = res.Total - res.GC
-	res.Allocated = r.h.AllocatedBytes() - alloc0
-	return res, nil
+	return false
 }
 
 // setup allocates the old-space index tables and loads the initial
 // population (rows go straight to old space: they are the pre-existing
 // data set, not run-time garbage).
-func (r *KeyedRunner) setup(w *memsim.Worker) {
+func (r *keyedMutator) setup(w *memsim.Worker) error {
 	r.slotsPer = 256
 	if r.slotsPer > r.env.Capacity {
 		r.slotsPer = r.env.Capacity
@@ -193,36 +124,33 @@ func (r *KeyedRunner) setup(w *memsim.Worker) {
 		}
 		a, ok := r.h.AllocateOld(w, r.tableK, size)
 		if !ok {
-			r.setupErr = fmt.Errorf("old space cannot hold %d index tables: %v", nTables, r.h.AllocError())
-			return
+			return fmt.Errorf("old space cannot hold %d index tables: %v", nTables, r.h.AllocError())
 		}
 		slot, ok := r.h.Roots.Add(w, a)
 		if !ok {
-			r.setupErr = fmt.Errorf("root set full anchoring index tables")
-			return
+			return fmt.Errorf("root set full anchoring index tables")
 		}
 		r.tables = append(r.tables, a)
 		r.tableRoots = append(r.tableRoots, slot)
 	}
 	for i := int64(0); i < r.env.Records; i++ {
 		key := r.env.Keys.Next()
-		row, ok := r.h.AllocateOld(w, r.rowK, r.core.rowWords(r.cfg.Seed, key))
+		row, ok := r.h.AllocateOld(w, r.rowK, r.core.rowWords(r.env.Seed, key))
 		if !ok {
-			r.setupErr = fmt.Errorf("old space cannot hold the %d-record population: %v",
+			return fmt.Errorf("old space cannot hold the %d-record population: %v",
 				r.env.Records, r.h.AllocError())
-			return
 		}
 		r.h.Poke(heap.SlotAddr(row, 2), uint64(key))
 		arr, off := r.slotFor(key)
 		r.h.SetRef(w, arr, off, row)
 		r.env.Keys.Acknowledge(key)
 	}
+	return nil
 }
 
 // applyOp executes one operation, charging its memory traffic. It
-// returns false when an allocation failed (caller collects and retries
-// the same op — the stream is never redrawn).
-func (r *KeyedRunner) applyOp(w *memsim.Worker, op Op) bool {
+// returns false when an allocation failed.
+func (r *keyedMutator) applyOp(w *memsim.Worker, op Op) bool {
 	if r.core.OpCPUNs > 0 {
 		w.Advance(memsim.Time(r.core.OpCPUNs))
 	}
@@ -246,20 +174,20 @@ func (r *KeyedRunner) applyOp(w *memsim.Worker, op Op) bool {
 }
 
 // readRow charges the index lookup and a streaming read over the row.
-func (r *KeyedRunner) readRow(w *memsim.Worker, key int64) {
+func (r *keyedMutator) readRow(w *memsim.Worker, key int64) {
 	arr, off := r.slotFor(key)
 	row := r.h.ReadWord(w, heap.SlotAddr(arr, off))
 	if r.h.RegionOf(row) == nil {
 		return // slot empty (key evicted between draw and apply)
 	}
-	r.h.ReadRange(w, row, r.core.rowWords(r.cfg.Seed, key))
+	r.h.ReadRange(w, row, r.core.rowWords(r.env.Seed, key))
 }
 
 // writeRow allocates a fresh row version in eden and repoints the index
 // slot (write barrier → remembered set). The old version, if any,
 // becomes garbage.
-func (r *KeyedRunner) writeRow(w *memsim.Worker, key int64) bool {
-	row, ok := r.h.AllocateEden(w, r.rowK, r.core.rowWords(r.cfg.Seed, key))
+func (r *keyedMutator) writeRow(w *memsim.Worker, key int64) bool {
+	row, ok := r.h.AllocateEden(w, r.rowK, r.core.rowWords(r.env.Seed, key))
 	if !ok {
 		return false
 	}
@@ -272,7 +200,7 @@ func (r *KeyedRunner) writeRow(w *memsim.Worker, key int64) bool {
 // refreshAfterGC re-reads the table addresses from their anchoring root
 // slots: young collections leave old space alone, but a full GC moves
 // the tables themselves.
-func (r *KeyedRunner) refreshAfterGC() {
+func (r *keyedMutator) refreshAfterGC() {
 	for i, slot := range r.tableRoots {
 		r.tables[i] = r.h.Peek(slot)
 	}

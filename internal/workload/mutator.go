@@ -69,13 +69,106 @@ type holderSlot struct {
 	off int64
 }
 
-// Runner drives one application profile over a heap/collector pair.
+// mutator is one application model behind the run loop: the profile
+// demographics (profileMutator, below) or a keyed op stream
+// (keyedMutator, keyed.go). The loop crosses it once per mutator phase,
+// never per operation.
+type mutator interface {
+	// setup builds the long-lived data set in old space (excluded from
+	// the run's timing) and fixes the run's budget.
+	setup(w *memsim.Worker) error
+	// mutate performs application work until the budget is spent (false)
+	// or an eden allocation failed (true: collect, then call again).
+	// epoch counts the young collections of the run so far.
+	mutate(w *memsim.Worker, epoch int) bool
+	// refreshAfterGC re-reads every raw address the mutator holds from
+	// its anchoring root slots (mixed and full collections move old
+	// objects).
+	refreshAfterGC()
+	// ops returns the keyed operations completed (0 for profiles).
+	ops() int64
+}
+
+// Runner drives one scenario over a heap/collector pair; build it with
+// Spec.NewRunner.
 type Runner struct {
-	h   *heap.Heap
-	m   *memsim.Machine
-	col gc.Collector
-	p   Profile
-	cfg Config
+	h    *heap.Heap
+	m    *memsim.Machine
+	col  gc.Collector
+	name string
+	cfg  Config
+	mut  mutator
+}
+
+// Run executes the scenario: long-lived setup, then mutate/collect until
+// the mutator's budget is exhausted.
+func (r *Runner) Run() (Result, error) {
+	res := Result{Profile: r.name}
+	fail := func(phase string, err error) (Result, error) {
+		return res, fmt.Errorf("workload %s%s: %w", r.name, phase, err)
+	}
+	var setupErr error
+	res.Setup = r.m.Run(1, func(w *memsim.Worker) { setupErr = r.mut.setup(w) })
+	if setupErr != nil {
+		return fail("", setupErr)
+	}
+
+	r.m.Mark("run-start")
+	runStart := r.m.Now()
+	alloc0 := r.h.AllocatedBytes()
+	gcBefore := len(r.col.Collections())
+
+	for epoch := 0; ; {
+		needGC := false
+		r.m.Run(1, func(w *memsim.Worker) { needGC = r.mut.mutate(w, epoch) })
+		res.Ops = r.mut.ops()
+		if !needGC {
+			break
+		}
+		if err := r.h.AllocError(); err != nil {
+			// The allocation failure was a request-validation error (e.g. a
+			// malformed custom profile), not memory pressure: collecting
+			// would never help, so surface it instead of looping on GCs.
+			return fail("", err)
+		}
+		if _, err := r.col.Collect(r.cfg.GCThreads); err != nil {
+			return fail("", err)
+		}
+		epoch++
+		if r.cfg.MixedGCEvery > 0 && epoch%r.cfg.MixedGCEvery == 0 {
+			if mc, ok := r.col.(mixedCollector); ok {
+				if _, err := mc.CollectMixed(r.cfg.GCThreads, 32); err != nil {
+					return fail(" (mixed gc)", err)
+				}
+			}
+		}
+		if r.cfg.FullGCEvery > 0 && epoch%r.cfg.FullGCEvery == 0 {
+			if fc, ok := r.col.(fullCollector); ok {
+				if _, err := fc.CollectFull(r.cfg.GCThreads); err != nil {
+					return fail(" (full gc)", err)
+				}
+			}
+		}
+		r.mut.refreshAfterGC()
+	}
+	r.m.Mark("run-end")
+
+	res.Collections = append(res.Collections, r.col.Collections()[gcBefore:]...)
+	res.Total = r.m.Now() - runStart
+	res.GC = gc.TotalsOf(res.Collections).Pause
+	res.App = res.Total - res.GC
+	res.Allocated = r.h.AllocatedBytes() - alloc0
+	return res, nil
+}
+
+// profileMutator replays one application profile's demographics:
+// allocation clusters steered toward the profile's type shares, survival
+// through root and old-holder anchors, churn before each collection, and
+// the profile's own compute and read traffic.
+type profileMutator struct {
+	h     *heap.Heap
+	p     Profile
+	scale float64
 
 	rng *rand.Rand
 
@@ -89,32 +182,22 @@ type Runner struct {
 	longRoots   []heap.Address // root slots anchoring the long-lived data
 
 	keepers []keeper
-	epoch   int
 
 	// byte budgets per allocation type
 	allocPrim, allocRef, allocTotal int64
+	// targetAlloc is the heap's allocation mark at which the run ends.
+	targetAlloc int64
 
 	randReadDebt float64
 	seqReadDebt  float64
 }
 
-// NewRunner prepares a runner; Run executes it. The collector must manage
-// the same heap.
-func NewRunner(col gc.Collector, p Profile, cfg Config) (*Runner, error) {
+// newProfileMutator defines the profile's klasses on h.
+func newProfileMutator(h *heap.Heap, p Profile, cfg Config) (*profileMutator, error) {
 	if !p.valid() {
 		return nil, fmt.Errorf("workload: invalid profile %q", p.Name)
 	}
-	if cfg.GCThreads <= 0 {
-		cfg.GCThreads = 8
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	h := col.Heap()
-	r := &Runner{h: h, m: h.Machine(), col: col, p: p, cfg: cfg,
+	r := &profileMutator{h: h, p: p, scale: cfg.Scale,
 		rng: rand.New(rand.NewPCG(cfg.Seed, 0x9E3779B97F4A7C15))}
 	var err error
 	defineOrGet := func(name string, size int64, refs []int32) *heap.Klass {
@@ -155,75 +238,19 @@ func NewRunner(col gc.Collector, p Profile, cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-func (r *Runner) pokePayload(obj heap.Address) {
+func (r *profileMutator) ops() int64 { return 0 }
+
+func (r *profileMutator) pokePayload(obj heap.Address) {
 	if r.payloadOff >= 0 {
 		r.h.Poke(heap.SlotAddr(obj, r.payloadOff), r.rng.Uint64())
 	}
 }
 
-// Run executes the profile: long-lived setup, then allocate/mutate/collect
-// until the scaled eden-fill budget is exhausted.
-func (r *Runner) Run() (Result, error) {
-	res := Result{Profile: r.p.Name}
-	setupStart := r.m.Now()
-	r.m.Run(1, r.setup)
-	res.Setup = r.m.Now() - setupStart
-
-	r.m.Mark("run-start")
-	runStart := r.m.Now()
-	alloc0 := r.h.AllocatedBytes()
-	edenBytes := int64(r.h.Config().EdenRegions) * r.h.RegionBytes()
-	target := int64(r.p.EdenFills * r.cfg.Scale * float64(edenBytes))
-	gcBefore := len(r.col.Collections())
-
-	for r.h.AllocatedBytes()-alloc0 < target {
-		needGC := false
-		r.m.Run(1, func(w *memsim.Worker) {
-			needGC = r.mutate(w, alloc0+target)
-		})
-		if !needGC {
-			break
-		}
-		if err := r.h.AllocError(); err != nil {
-			// The allocation failure was a request-validation error (e.g. a
-			// malformed custom profile), not memory pressure: collecting
-			// would never help, so surface it instead of looping on GCs.
-			return res, fmt.Errorf("workload %s: %w", r.p.Name, err)
-		}
-		if _, err := r.col.Collect(r.cfg.GCThreads); err != nil {
-			return res, fmt.Errorf("workload %s: %w", r.p.Name, err)
-		}
-		r.epoch++
-		if r.cfg.MixedGCEvery > 0 && r.epoch%r.cfg.MixedGCEvery == 0 {
-			if mc, ok := r.col.(mixedCollector); ok {
-				if _, err := mc.CollectMixed(r.cfg.GCThreads, 32); err != nil {
-					return res, fmt.Errorf("workload %s (mixed gc): %w", r.p.Name, err)
-				}
-			}
-		}
-		if r.cfg.FullGCEvery > 0 && r.epoch%r.cfg.FullGCEvery == 0 {
-			if fc, ok := r.col.(fullCollector); ok {
-				if _, err := fc.CollectFull(r.cfg.GCThreads); err != nil {
-					return res, fmt.Errorf("workload %s (full gc): %w", r.p.Name, err)
-				}
-			}
-		}
-		r.refreshAfterGC()
-	}
-	r.m.Mark("run-end")
-
-	res.Collections = append(res.Collections, r.col.Collections()[gcBefore:]...)
-	res.Total = r.m.Now() - runStart
-	res.GC = gc.TotalsOf(res.Collections).Pause
-	res.App = res.Total - res.GC
-	res.Allocated = r.h.AllocatedBytes() - alloc0
-	return res, nil
-}
-
 // setup builds the long-lived old-generation working set: bulk primitive
 // data plus holder reference arrays that anchor young clusters (the
-// source of remembered-set entries).
-func (r *Runner) setup(w *memsim.Worker) {
+// source of remembered-set entries). The run's budget is the scaled
+// eden-fill volume past the allocation mark setup leaves behind.
+func (r *profileMutator) setup(w *memsim.Worker) error {
 	heapBytes := r.h.HeapBytes()
 	longBytes := int64(r.p.LongLivedFrac * float64(heapBytes))
 	const chunkWords = 2048
@@ -258,13 +285,16 @@ func (r *Runner) setup(w *memsim.Worker) {
 			r.freeHolders = append(r.freeHolders, holderSlot{arr: a, off: off})
 		}
 	}
+	edenBytes := int64(r.h.Config().EdenRegions) * r.h.RegionBytes()
+	r.targetAlloc = r.h.AllocatedBytes() + int64(r.p.EdenFills*r.scale*float64(edenBytes))
+	return nil
 }
 
 // mutate allocates clusters and performs application work until the
 // target is reached (returns false) or eden fills up (returns true, after
 // applying pre-GC churn so the configured survival ratio holds).
-func (r *Runner) mutate(w *memsim.Worker, targetAlloc int64) bool {
-	for r.h.AllocatedBytes() < targetAlloc {
+func (r *profileMutator) mutate(w *memsim.Worker, epoch int) bool {
+	for r.h.AllocatedBytes() < r.targetAlloc {
 		before := r.h.AllocatedBytes()
 		head, ok := r.allocCluster(w)
 		grown := r.h.AllocatedBytes() - before
@@ -272,11 +302,11 @@ func (r *Runner) mutate(w *memsim.Worker, targetAlloc int64) bool {
 			r.appWork(w, grown)
 		}
 		if !ok {
-			r.churn(w)
+			r.churn(w, epoch)
 			return true
 		}
 		if head != 0 && r.rng.Float64() < r.p.Survival {
-			r.keep(w, head)
+			r.keep(w, head, epoch)
 		}
 	}
 	return false
@@ -286,7 +316,7 @@ func (r *Runner) mutate(w *memsim.Worker, targetAlloc int64) bool {
 // reference-array fan-out), steering byte shares toward the profile's
 // fractions. It returns the cluster head (0 if nothing allocated) and
 // whether allocation succeeded completely.
-func (r *Runner) allocCluster(w *memsim.Worker) (heap.Address, bool) {
+func (r *profileMutator) allocCluster(w *memsim.Worker) (heap.Address, bool) {
 	p := &r.p
 	defer func() { r.allocTotal = r.h.AllocatedBytes() }()
 	switch {
@@ -339,8 +369,8 @@ func evenWords(n int64) int64 {
 
 // keep anchors a cluster head in the root set or an old-space holder slot
 // (the latter populating remembered sets through the write barrier).
-func (r *Runner) keep(w *memsim.Worker, head heap.Address) {
-	k := keeper{epoch: r.epoch, head: head}
+func (r *profileMutator) keep(w *memsim.Worker, head heap.Address, epoch int) {
+	k := keeper{epoch: epoch, head: head}
 	if len(r.freeHolders) > 0 && r.rng.Float64() < r.p.HolderFrac {
 		hs := r.freeHolders[len(r.freeHolders)-1]
 		r.freeHolders = r.freeHolders[:len(r.freeHolders)-1]
@@ -359,10 +389,10 @@ func (r *Runner) keep(w *memsim.Worker, head heap.Address) {
 // churn drops keepers before a collection: everything older than two
 // epochs dies, and one-epoch-old keepers die with probability ChurnDrop.
 // Survivors of two collections are the promotion feed.
-func (r *Runner) churn(w *memsim.Worker) {
+func (r *profileMutator) churn(w *memsim.Worker, epoch int) {
 	kept := r.keepers[:0]
 	for _, k := range r.keepers {
-		age := r.epoch - k.epoch
+		age := epoch - k.epoch
 		drop := age >= 2 || (age == 1 && r.rng.Float64() < r.p.ChurnDrop)
 		if !drop {
 			kept = append(kept, k)
@@ -382,7 +412,7 @@ func (r *Runner) churn(w *memsim.Worker) {
 // anchoring root slots. Young collections only move young objects, but a
 // full GC also moves the old-space holder and long-lived arrays, so all
 // holder-slot references must be remapped.
-func (r *Runner) refreshAfterGC() {
+func (r *profileMutator) refreshAfterGC() {
 	remap := make(map[heap.Address]heap.Address)
 	for i, slot := range r.holderRoots {
 		if na := r.h.Peek(slot); na != r.holders[i] {
@@ -420,7 +450,7 @@ func (r *Runner) refreshAfterGC() {
 // appWork charges the mutator's own compute and memory traffic for a
 // freshly allocated byte volume: CPU time, random reads walking the live
 // graph, and streaming reads over the long-lived data set.
-func (r *Runner) appWork(w *memsim.Worker, bytes int64) {
+func (r *profileMutator) appWork(w *memsim.Worker, bytes int64) {
 	kb := float64(bytes) / float64(clusterAppWorkQuantum)
 	w.Advance(memsim.Time(float64(r.p.CPUNsPerKB) * kb))
 

@@ -80,7 +80,7 @@ func TestCustomProfileRunsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(col, p, Config{GCThreads: 4, Scale: 0.5})
+	r, err := (Spec{Name: p.Name, Profile: &p}).NewRunner(col, Config{GCThreads: 4, Scale: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

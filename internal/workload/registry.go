@@ -7,10 +7,9 @@ import (
 	"nvmgc/internal/gc"
 )
 
-// Spec is one registered scenario: either a legacy Profile (the paper's
-// fixed application demographics, executed by the original Runner so
-// its charged-op stream is byte-identical to the pre-registry code) or
-// a keyed Core scenario (executed by the KeyedRunner).
+// Spec is one registered scenario: either a Profile (the paper's fixed
+// application demographics) or a keyed Core scenario. Both run through
+// the one Runner; the backing only decides which mutator it drives.
 type Spec struct {
 	Name   string
 	Family string // "legacy", "cassandra", "ycsb"
@@ -20,22 +19,36 @@ type Spec struct {
 	Core    *Core
 }
 
-// ScenarioRunner executes one prepared scenario run.
-type ScenarioRunner interface {
-	Run() (Result, error)
-}
-
-// NewRunner prepares the spec's runner over the collector's heap.
-func (s Spec) NewRunner(col gc.Collector, cfg Config) (ScenarioRunner, error) {
-	switch {
-	case s.Profile != nil:
-		return NewRunner(col, *s.Profile, cfg)
-	case s.Core != nil:
-		core := *s.Core // runs must not share generator state
-		return NewKeyedRunner(col, s.Name, &core, cfg)
-	default:
+// NewRunner prepares the spec's run over the collector's heap; Run
+// executes it.
+func (s Spec) NewRunner(col gc.Collector, cfg Config) (*Runner, error) {
+	if s.Profile == nil && s.Core == nil {
 		return nil, fmt.Errorf("workload: scenario %q has no backing profile or core", s.Name)
 	}
+	if cfg.GCThreads <= 0 {
+		cfg.GCThreads = 8
+	}
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	h := col.Heap()
+	r := &Runner{h: h, m: h.Machine(), col: col, name: s.Name, cfg: cfg}
+	var err error
+	if s.Profile != nil {
+		r.mut, err = newProfileMutator(h, *s.Profile, cfg)
+	} else {
+		core := *s.Core // runs must not share generator state
+		if r.mut, err = newKeyedMutator(h, &core, cfg); err != nil {
+			err = fmt.Errorf("workload %s: %w", s.Name, err)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 var scenarioRegistry = map[string]Spec{}

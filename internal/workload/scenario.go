@@ -9,7 +9,7 @@ import (
 // This file is the scenario half of the workload engine: a Scenario
 // produces a deterministic keyed operation stream (YCSB-style
 // insert/read/update/scan/read-modify-write over a growing key
-// population); the KeyedRunner in keyed.go executes that stream against
+// population); the keyedMutator in keyed.go executes that stream against
 // the simulated heap so the *charged memory traffic* — allocation
 // volume, index write barriers, row reads — follows the access skew,
 // not just the op counts.

@@ -15,15 +15,9 @@ func newEnvMode(t *testing.T, kind memsim.Kind, eager bool) *heap.Heap {
 	mc := memsim.DefaultConfig()
 	mc.LLCBytes = 1 << 20
 	mc.EagerYield = eager
-	m := memsim.NewMachine(mc)
-	hc := heap.DefaultConfig()
-	hc.RegionBytes = 32 << 10
-	hc.HeapRegions = 512
-	hc.CacheRegions = 64
-	hc.EdenRegions = 96
-	hc.SurvivorRegions = 48
+	hc := KeyedHeapConfig()
 	hc.HeapKind = kind
-	h, err := heap.New(m, hc)
+	h, err := heap.New(memsim.NewMachine(mc), hc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,61 +47,6 @@ func sameResult(t *testing.T, label string, a, b Result, mA, mB memsim.Time) {
 	}
 }
 
-// TestLegacyScenarioGoldenEquivalence is the registry's central
-// contract: a paper profile resolved through the scenario engine must
-// produce the exact same charged-op stream — hence byte-identical
-// virtual-time results — as the original direct-Runner path, in both
-// scheduler modes. This is what keeps every golden figure table valid
-// after the refactor.
-func TestLegacyScenarioGoldenEquivalence(t *testing.T) {
-	for _, name := range []string{"page-rank", "als"} {
-		for _, eager := range []bool{false, true} {
-			cfg := Config{GCThreads: 8, Scale: 0.25}
-
-			hDirect := newEnvMode(t, memsim.NVM, eager)
-			colDirect, err := gc.NewG1(hDirect, gc.Optimized())
-			if err != nil {
-				t.Fatal(err)
-			}
-			rDirect, err := NewRunner(colDirect, MustByName(name), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct, err := rDirect.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			hReg, err2 := newEnvMode(t, memsim.NVM, eager), error(nil)
-			colReg, err2 := gc.NewG1(hReg, gc.Optimized())
-			if err2 != nil {
-				t.Fatal(err2)
-			}
-			spec, err2 := ScenarioByName(name)
-			if err2 != nil {
-				t.Fatal(err2)
-			}
-			if spec.Family != "legacy" || spec.Profile == nil {
-				t.Fatalf("%s: expected a legacy profile-backed spec, got %+v", name, spec)
-			}
-			rReg, err2 := spec.NewRunner(colReg, cfg)
-			if err2 != nil {
-				t.Fatal(err2)
-			}
-			reg, err2 := rReg.Run()
-			if err2 != nil {
-				t.Fatal(err2)
-			}
-
-			label := name
-			if eager {
-				label += "/eager"
-			}
-			sameResult(t, label, direct, reg, hDirect.Machine().Now(), hReg.Machine().Now())
-		}
-	}
-}
-
 func runScenario(t *testing.T, name string, eager bool, opt gc.Options, scale float64) (Result, memsim.Time) {
 	t.Helper()
 	h := newEnvMode(t, memsim.NVM, eager)
@@ -115,11 +54,7 @@ func runScenario(t *testing.T, name string, eager bool, opt gc.Options, scale fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := ScenarioByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := spec.NewRunner(col, Config{GCThreads: 8, Scale: scale})
+	r, err := scenario(t, name).NewRunner(col, Config{GCThreads: 8, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}

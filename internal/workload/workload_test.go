@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"nvmgc/internal/gc"
@@ -10,21 +11,17 @@ import (
 
 func newEnv(t *testing.T, kind memsim.Kind) *heap.Heap {
 	t.Helper()
-	mc := memsim.DefaultConfig()
-	mc.LLCBytes = 1 << 20
-	m := memsim.NewMachine(mc)
-	hc := heap.DefaultConfig()
-	hc.RegionBytes = 32 << 10
-	hc.HeapRegions = 512 // 16 MiB heap
-	hc.CacheRegions = 64
-	hc.EdenRegions = 96 // 3 MiB eden
-	hc.SurvivorRegions = 48
-	hc.HeapKind = kind
-	h, err := heap.New(m, hc)
+	return newEnvMode(t, kind, false)
+}
+
+// scenario resolves a registered scenario or fails the test.
+func scenario(t *testing.T, name string) Spec {
+	t.Helper()
+	s, err := ScenarioByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
+	return s
 }
 
 func TestProfilesTableValid(t *testing.T) {
@@ -104,7 +101,7 @@ func runProfile(t *testing.T, name string, kind memsim.Kind, opt gc.Options, thr
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(col, MustByName(name), Config{GCThreads: threads, Scale: scale})
+	r, err := scenario(t, name).NewRunner(col, Config{GCThreads: threads, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,39 +217,89 @@ func TestLowGCAppsBarelyCollect(t *testing.T) {
 	}
 }
 
+// loadCase is one scenario of the under-load tests, at the smallest scale
+// that cycles eden often enough to trigger the rarer collection kinds.
+type loadCase struct {
+	name  string
+	scale float64
+}
+
+// forwardingCollector wraps a collector the way benchmarks/' timedCollector
+// does: the run loop must find CollectMixed/CollectFull on the wrapper.
+type forwardingCollector struct {
+	*gc.G1
+	mixed, full int
+	beforeFull  func() // optional hook ahead of each full collection
+}
+
+func (f *forwardingCollector) CollectMixed(threads, maxOld int) (gc.CollectionStats, error) {
+	f.mixed++
+	return f.G1.CollectMixed(threads, maxOld)
+}
+
+func (f *forwardingCollector) CollectFull(threads int) (gc.CollectionStats, error) {
+	f.full++
+	if f.beforeFull != nil {
+		f.beforeFull()
+	}
+	return f.G1.CollectFull(threads)
+}
+
 func TestFullGCUnderLoad(t *testing.T) {
-	h := newEnv(t, memsim.NVM)
-	col, err := gc.NewG1(h, gc.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(col, MustByName("page-rank"), Config{GCThreads: 8, Scale: 0.4, FullGCEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullGCs := 0
-	for _, c := range res.Collections {
-		if c.Full {
-			fullGCs++
+	// ycsb-a is the keyed input: a full GC moves its index tables, so the
+	// run only stays consistent if the keyed mutator re-reads them.
+	for _, tc := range []loadCase{{"page-rank", 0.4}, {"ycsb-a", 1.5}} {
+		name, scale := tc.name, tc.scale
+		h := newEnv(t, memsim.NVM)
+		g1, err := gc.NewG1(h, gc.Optimized())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if fullGCs == 0 {
-		t.Fatal("no full GCs triggered")
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatalf("heap corrupt after full GCs under load: %v", err)
-	}
-	// Full GCs compact the old space: live old bytes must be bounded.
-	var oldBytes int64
-	for _, reg := range h.Old() {
-		oldBytes += reg.UsedBytes()
-	}
-	if oldBytes > h.HeapBytes()/2 {
-		t.Fatalf("old space not being compacted: %d bytes", oldBytes)
+		col := &forwardingCollector{G1: g1}
+		r, err := scenario(t, name).NewRunner(col, Config{GCThreads: 8, Scale: scale, FullGCEvery: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		km, keyed := r.mut.(*keyedMutator)
+		var stale []heap.Address // the table addresses going into the last full GC
+		if keyed {
+			col.beforeFull = func() { stale = append(stale[:0], km.tables...) }
+		}
+		res, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keyed {
+			if slices.Equal(stale, km.tables) {
+				t.Fatalf("%s: the full GC left the index tables in place; the refresh is not exercised", name)
+			}
+			for i, slot := range km.tableRoots {
+				if km.tables[i] != h.Peek(slot) {
+					t.Fatalf("%s: table %d held at stale address %#x, root slot says %#x",
+						name, i, km.tables[i], h.Peek(slot))
+				}
+			}
+		}
+		fullGCs := 0
+		for _, c := range res.Collections {
+			if c.Full {
+				fullGCs++
+			}
+		}
+		if fullGCs == 0 || fullGCs != col.full {
+			t.Fatalf("%s: %d full GCs in the result, %d through the wrapper", name, fullGCs, col.full)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatalf("%s: heap corrupt after full GCs under load: %v", name, err)
+		}
+		// Full GCs compact the old space: live old bytes must be bounded.
+		var oldBytes int64
+		for _, reg := range h.Old() {
+			oldBytes += reg.UsedBytes()
+		}
+		if oldBytes > h.HeapBytes()/2 {
+			t.Fatalf("%s: old space not being compacted: %d bytes", name, oldBytes)
+		}
 	}
 }
 
@@ -279,37 +326,41 @@ func TestMutatorStreamIndependentOfGCConfig(t *testing.T) {
 }
 
 func TestMixedGCUnderLoad(t *testing.T) {
-	h := newEnv(t, memsim.NVM)
-	col, err := gc.NewG1(h, gc.Optimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(col, MustByName("kmeans"), Config{GCThreads: 8, Scale: 0.4, MixedGCEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := 0
-	for _, c := range res.Collections {
-		if c.Mixed {
-			mixed++
+	for _, tc := range []loadCase{{"kmeans", 0.4}, {"ycsb-a", 1.5}} {
+		name, scale := tc.name, tc.scale
+		h := newEnv(t, memsim.NVM)
+		g1, err := gc.NewG1(h, gc.Optimized())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if mixed == 0 {
-		t.Fatal("no mixed GCs triggered")
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatalf("heap corrupt after mixed GCs under load: %v", err)
+		col := &forwardingCollector{G1: g1}
+		r, err := scenario(t, name).NewRunner(col, Config{GCThreads: 8, Scale: scale, MixedGCEvery: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed := 0
+		for _, c := range res.Collections {
+			if c.Mixed {
+				mixed++
+			}
+		}
+		if mixed == 0 || mixed != col.mixed {
+			t.Fatalf("%s: %d mixed GCs in the result, %d through the wrapper", name, mixed, col.mixed)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatalf("%s: heap corrupt after mixed GCs under load: %v", name, err)
+		}
 	}
 }
 
 func TestInvalidConfigRejected(t *testing.T) {
 	h := newEnv(t, memsim.NVM)
 	col, _ := gc.NewG1(h, gc.Vanilla())
-	if _, err := NewRunner(col, Profile{}, Config{}); err == nil {
+	if _, err := (Spec{Profile: &Profile{}}).NewRunner(col, Config{}); err == nil {
 		t.Fatal("empty profile should be rejected")
 	}
 }
@@ -324,7 +375,7 @@ func TestPSRunsAllProfilesSmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRunner(col, MustByName(name), Config{GCThreads: 8, Scale: 0.25})
+		r, err := scenario(t, name).NewRunner(col, Config{GCThreads: 8, Scale: 0.25})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,79 +1,24 @@
 #!/bin/sh
-# Regenerates results/BENCH_sim.json: runs the simulator micro-benchmarks
-# on the current tree and records their ns/op next to the recorded
-# baseline — the tree at the commit that last regenerated this file
-# (derived from git below), whose recorded after_ns_per_op figures are
-# the before_ns_per_op numbers hardcoded in the awk block. Update those
-# numbers whenever a PR re-baselines. Also regenerates
-# results/BENCH_topology.json from the memory-tier sweep,
-# results/BENCH_faults.json from the media-fault sweep,
-# results/BENCH_workloads.json from the YCSB scenario sweep, and
-# results/BENCH_fleet.json from the fleet serving experiment (all four
-# experiments in quick mode).
-# Usage: scripts/bench_sim.sh [count]
+# Regenerates the four checked-in experiment archives under results/ from
+# the current tree, each experiment in quick mode:
+#   BENCH_topology.json   tier-sweep      young gen / write cache across a
+#                                         three-tier topology
+#   BENCH_faults.json     fault-sweep     survival, retirement and
+#                                         self-healing cost as lines wear out
+#   BENCH_workloads.json  workload-sweep  collector configs across the YCSB
+#                                         core mixes on keyed populations
+#   BENCH_fleet.json      fleet           config x fleet size x arrival rate,
+#                                         fleet-wide p99/p999/p9999
+# Host-time numbers are not archived here: they are paired runs of the
+# repository benchmark (make bench-e2e, go run ./benchmarks --compare).
+# Usage: scripts/bench_sim.sh
 set -eu
 cd "$(dirname "$0")/.."
-COUNT="${1:-3}"
-OUT=results/BENCH_sim.json
-TOPO_OUT=results/BENCH_topology.json
-FAULT_OUT=results/BENCH_faults.json
-WK_OUT=results/BENCH_workloads.json
-FLEET_OUT=results/BENCH_fleet.json
 
-# The baseline commit is not hand-maintained: it is the commit that last
-# regenerated (committed) the results file — the tree the before numbers
-# were measured on.
-BASELINE_COMMIT=$(git log -1 --format=%h -- "$OUT" 2>/dev/null || true)
-[ -n "$BASELINE_COMMIT" ] || BASELINE_COMMIT=unknown
-MEASURED_COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-
-RAW=$(go test -run '^$' -bench 'BenchmarkMachineRun|BenchmarkCacheTouchRange|BenchmarkYoungGC|BenchmarkMixedGC|BenchmarkEvacuateHot' \
-	-benchmem -count="$COUNT" . | tee /dev/stderr)
-
-echo "$RAW" | awk -v out="$OUT" -v base="$BASELINE_COMMIT" -v head="$MEASURED_COMMIT" '
-BEGIN {
-	# ns/op on the baseline tree (the commit that last regenerated this
-	# file; see baseline_commit in the output): the quiescence-epoch tree
-	# before this re-baseline, measured on the same host.
-	before["BenchmarkMachineRun"] = 1859729
-	before["BenchmarkCacheTouchRange"] = 4880
-	before["BenchmarkYoungGC"] = 167475755
-	before["BenchmarkMixedGC"] = 237057137
-	before["BenchmarkEvacuateHot"] = 138941394
-}
-/^Benchmark/ {
-	name = $1; sub(/-[0-9]+$/, "", name)
-	sum[name] += $3; n[name]++
-	if (min[name] == 0 || $3 < min[name]) min[name] = $3
-}
-END {
-	printf "{\n  \"generated_by\": \"scripts/bench_sim.sh\",\n" > out
-	printf "  \"baseline\": \"tree at baseline_commit (the commit that last regenerated this file); its recorded after_ns_per_op figures are these before_ns_per_op baselines; same host\",\n" >> out
-	printf "  \"baseline_commit\": \"%s\",\n", base >> out
-	printf "  \"baseline_note\": \"the baseline tree predates the batching equivalence oracle: its delegated scheduler diverged from the eager-yield reference at GC scale (no test compared them), so its figures time a subtly different simulation; this tree is byte-exact against the reference (TestSchedulerModeEquivalence) and pays the settle-yield discipline that exactness costs\",\n" >> out
-	printf "  \"measured_at_commit\": \"%s\",\n", head >> out
-	printf "  \"benchmarks\": {\n" >> out
-	sep = ""
-	for (name in sum) {
-		best = min[name]
-		printf "%s    \"%s\": {\"before_ns_per_op\": %.0f, \"after_ns_per_op\": %.0f, \"speedup\": %.2f, \"runs\": %d}", \
-			sep, name, before[name], best, before[name] / best, n[name] >> out
-		sep = ",\n"
-	}
-	printf "\n  },\n" >> out
-	printf "  \"suite_quick_wall_clock\": {\n" >> out
-	printf "    \"command\": \"nvmbench -run all -quick -scale 0.2\",\n" >> out
-	printf "    \"before_seconds\": 166.9, \"after_serial_seconds\": 69,\n" >> out
-	printf "    \"serial_speedup\": 2.42,\n" >> out
-	printf "    \"note\": \"measured on a 1-CPU container, so -parallel cannot help locally; the figure points fan out over runtime.NumCPU() host workers with byte-identical output, multiplying the serial speedup by the core count on a multi-core host\"\n" >> out
-	printf "  }\n}\n" >> out
-}'
-echo "wrote $OUT"
-
-# Tier sweep: young generation / write cache across a three-tier topology
-# (local DRAM, remote DRAM, Optane). CSV rows wrap into a JSON document so
-# the per-tier GC traffic is archived next to the micro-benchmarks.
-go run ./cmd/nvmbench -run tier-sweep -quick -format csv | awk -v out="$TOPO_OUT" '
+# archive <experiment> <file>: wrap the experiment's CSV rows into a JSON
+# document (numeric cells bare, everything else quoted).
+archive() {
+	go run ./cmd/nvmbench -run "$1" -quick -format csv | awk -v out="$2" -v id="$1" '
 BEGIN { FS = "," }
 /^#/ { next }
 ncols == 0 { ncols = NF; for (i = 1; i <= NF; i++) col[i] = $i; next }
@@ -81,7 +26,7 @@ NF == ncols {
 	if (rows++) printf ",\n" >> out
 	else {
 		printf "{\n  \"generated_by\": \"scripts/bench_sim.sh\",\n" > out
-		printf "  \"command\": \"nvmbench -run tier-sweep -quick -format csv\",\n" >> out
+		printf "  \"command\": \"nvmbench -run %s -quick -format csv\",\n", id >> out
 		printf "  \"rows\": [\n" >> out
 	}
 	printf "    {" >> out
@@ -93,80 +38,10 @@ NF == ncols {
 	printf "}" >> out
 }
 END { printf "\n  ]\n}\n" >> out }'
-echo "wrote $TOPO_OUT"
-
-# Fault sweep: mutator survival, region retirement, and self-healing cost
-# as lines wear out under a media-fault model. CSV rows wrap into a JSON
-# document exactly like the tier sweep above.
-go run ./cmd/nvmbench -run fault-sweep -quick -format csv | awk -v out="$FAULT_OUT" '
-BEGIN { FS = "," }
-/^#/ { next }
-ncols == 0 { ncols = NF; for (i = 1; i <= NF; i++) col[i] = $i; next }
-NF == ncols {
-	if (rows++) printf ",\n" >> out
-	else {
-		printf "{\n  \"generated_by\": \"scripts/bench_sim.sh\",\n" > out
-		printf "  \"command\": \"nvmbench -run fault-sweep -quick -format csv\",\n" >> out
-		printf "  \"rows\": [\n" >> out
-	}
-	printf "    {" >> out
-	for (i = 1; i <= NF; i++) {
-		if (i > 1) printf ", " >> out
-		if ($i + 0 == $i) printf "\"%s\": %s", col[i], $i >> out
-		else printf "\"%s\": \"%s\"", col[i], $i >> out
-	}
-	printf "}" >> out
+	echo "wrote $2"
 }
-END { printf "\n  ]\n}\n" >> out }'
-echo "wrote $FAULT_OUT"
 
-# Workload sweep: collector configurations across the YCSB core mixes
-# (A-F plus hotspot-skew variants) driving keyed populations. CSV rows
-# wrap into a JSON document exactly like the sweeps above.
-go run ./cmd/nvmbench -run workload-sweep -quick -format csv | awk -v out="$WK_OUT" '
-BEGIN { FS = "," }
-/^#/ { next }
-ncols == 0 { ncols = NF; for (i = 1; i <= NF; i++) col[i] = $i; next }
-NF == ncols {
-	if (rows++) printf ",\n" >> out
-	else {
-		printf "{\n  \"generated_by\": \"scripts/bench_sim.sh\",\n" > out
-		printf "  \"command\": \"nvmbench -run workload-sweep -quick -format csv\",\n" >> out
-		printf "  \"rows\": [\n" >> out
-	}
-	printf "    {" >> out
-	for (i = 1; i <= NF; i++) {
-		if (i > 1) printf ", " >> out
-		if ($i + 0 == $i) printf "\"%s\": %s", col[i], $i >> out
-		else printf "\"%s\": \"%s\"", col[i], $i >> out
-	}
-	printf "}" >> out
-}
-END { printf "\n  ]\n}\n" >> out }'
-echo "wrote $WK_OUT"
-
-# Fleet experiment: collector configuration x fleet size x arrival rate,
-# with fleet-wide p99/p999/p9999 tails under open-loop load, hedging, and
-# bounded retries. CSV rows wrap into a JSON document exactly like the
-# sweeps above.
-go run ./cmd/nvmbench -run fleet -quick -format csv | awk -v out="$FLEET_OUT" '
-BEGIN { FS = "," }
-/^#/ { next }
-ncols == 0 { ncols = NF; for (i = 1; i <= NF; i++) col[i] = $i; next }
-NF == ncols {
-	if (rows++) printf ",\n" >> out
-	else {
-		printf "{\n  \"generated_by\": \"scripts/bench_sim.sh\",\n" > out
-		printf "  \"command\": \"nvmbench -run fleet -quick -format csv\",\n" >> out
-		printf "  \"rows\": [\n" >> out
-	}
-	printf "    {" >> out
-	for (i = 1; i <= NF; i++) {
-		if (i > 1) printf ", " >> out
-		if ($i + 0 == $i) printf "\"%s\": %s", col[i], $i >> out
-		else printf "\"%s\": \"%s\"", col[i], $i >> out
-	}
-	printf "}" >> out
-}
-END { printf "\n  ]\n}\n" >> out }'
-echo "wrote $FLEET_OUT"
+archive tier-sweep results/BENCH_topology.json
+archive fault-sweep results/BENCH_faults.json
+archive workload-sweep results/BENCH_workloads.json
+archive fleet results/BENCH_fleet.json
