@@ -10,18 +10,20 @@ test: build
 
 # verify is the CI gate for the scheduler and the parallel harness: vet
 # everything, then run the simulator core (its Steps tests included), the
-# host pool, the bench harness, the workload run loop and host assembly,
-# the fleet and the two packages whose hot-path helpers it shares
-# (cassandra.EarliestFree, the generators), and the collector's
+# heap on it, the host pool, the bench harness, the workload run loop and
+# host assembly, the fleet and the two packages whose hot-path helpers it
+# shares (cassandra.EarliestFree, the generators), and the collector's
 # eager-vs-default equivalence sweeps and step-form differential tests
 # under the race detector. -short trims workload sizes (the golden
 # determinism tests still run, on reduced cases) so the gate finishes in
-# minutes even on a single-core host.
+# minutes even on a single-core host. The three host-allocation pins
+# (allocations per young collection, bytes per new heap, bytes per small
+# host run) then run uncached and without the race detector's overhead.
 verify: build
 	$(GO) vet ./...
-	$(GO) test -race -short -count=1 ./internal/memsim ./internal/par ./internal/bench ./internal/workload ./internal/fleet ./internal/cassandra ./internal/workload/generator
+	$(GO) test -race -short -count=1 ./internal/memsim ./internal/heap ./internal/par ./internal/bench ./internal/workload ./internal/fleet ./internal/cassandra ./internal/workload/generator
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
-	$(GO) test -run TestYoungGCSteadyStateAllocs -count=1 ./internal/gc
+	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestHostFootprint' -count=1 ./internal/gc ./internal/heap ./internal/workload
 
 # crash-smoke runs a reduced power-failure campaign: deterministic crash
 # points across the GC pause, post-crash recovery, and graph-isomorphism

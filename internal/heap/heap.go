@@ -127,7 +127,7 @@ type Heap struct {
 	m   *memsim.Machine
 
 	base       Address
-	words      []uint64
+	chunks     []*chunk // the address space; see chunk
 	regionMask uint64
 	regionLog  uint
 
@@ -199,6 +199,21 @@ type Heap struct {
 	csetBuf []*Region
 }
 
+// chunk is the unit the address space materialises in: the first store into
+// a chunk allocates it and a load from one never stored to reads 0, so a
+// machine costs host memory for what its run touches, not for its size. 1 MiB,
+// not a 64 KiB region, which measured 14-20 % more host mallocs for 4 % less.
+type chunk [chunkWords]uint64
+
+const (
+	chunkLog   = 17
+	chunkWords = 1 << chunkLog
+	chunkMask  = chunkWords - 1
+	// maxSpaceBytes caps base..metaEnd: addresses stay below the 2^46 that
+	// memsim's line keys hold, the chunk table at 2^20 entries or fewer.
+	maxSpaceBytes = 1 << 40
+)
+
 // New creates a heap on the given machine.
 func New(m *memsim.Machine, cfg Config) (*Heap, error) {
 	if cfg.RegionBytes <= 0 || cfg.RegionBytes%WordBytes != 0 || cfg.RegionBytes&(cfg.RegionBytes-1) != 0 {
@@ -206,6 +221,19 @@ func New(m *memsim.Machine, cfg Config) (*Heap, error) {
 	}
 	if cfg.HeapRegions <= 0 {
 		return nil, fmt.Errorf("heap: need at least one region")
+	}
+	// Each size is bounded on its own first, so no sum or product below wraps.
+	for _, n := range []int64{int64(cfg.HeapRegions), int64(cfg.CacheRegions), int64(cfg.EdenRegions),
+		int64(cfg.SurvivorRegions), int64(cfg.RootSlots), cfg.AuxBytes, cfg.MetaBytes} {
+		if n < 0 || n > maxSpaceBytes {
+			return nil, fmt.Errorf("heap: size %d is outside [0, %d]: %+v", n, int64(maxSpaceBytes), cfg)
+		}
+	}
+	if cfg.AuxBytes%WordBytes != 0 || cfg.MetaBytes%WordBytes != 0 {
+		return nil, fmt.Errorf("heap: aux (%d) and meta (%d) bytes must be multiples of %d", cfg.AuxBytes, cfg.MetaBytes, WordBytes)
+	}
+	if space := float64(cfg.HeapRegions+cfg.CacheRegions)*float64(cfg.RegionBytes) + float64(cfg.AuxBytes+cfg.MetaBytes); space > maxSpaceBytes {
+		return nil, fmt.Errorf("heap: a %.0f-byte address space exceeds the %d-byte limit", space, int64(maxSpaceBytes))
 	}
 	if cfg.EdenRegions+cfg.SurvivorRegions >= cfg.HeapRegions {
 		return nil, fmt.Errorf("heap: young generation (%d+%d regions) must leave room in %d regions",
@@ -237,8 +265,7 @@ func New(m *memsim.Machine, cfg Config) (*Heap, error) {
 		return nil, err
 	}
 
-	totalWords := (h.metaEnd - h.base) / WordBytes
-	h.words = make([]uint64, totalWords)
+	h.chunks = make([]*chunk, ((h.metaEnd-h.base)/WordBytes+chunkMask)>>chunkLog)
 
 	total := cfg.HeapRegions + cfg.CacheRegions
 	h.regions = make([]*Region, total)
@@ -391,8 +418,8 @@ func (h *Heap) PlacementDevices() []*memsim.Device {
 	return out
 }
 
-func (h *Heap) rawPeek(addr uint64) uint64    { return h.words[h.index(addr)] }
-func (h *Heap) rawPoke(addr uint64, v uint64) { h.words[h.index(addr)] = v }
+func (h *Heap) rawPeek(addr uint64) uint64    { return h.load(h.index(addr)) }
+func (h *Heap) rawPoke(addr uint64, v uint64) { h.store(h.index(addr), v) }
 
 func reverseInts(s []int) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
@@ -530,6 +557,48 @@ func (h *Heap) index(addr Address) int {
 	return int((addr - h.base) / WordBytes)
 }
 
+// span is index for a multi-word operation: it checks the end of the
+// nWords-word range at addr as well as its start.
+func (h *Heap) span(addr Address, nWords int64) int {
+	if nWords < 0 || addr < h.base || addr > h.metaEnd || Address(nWords) > (h.metaEnd-addr)/WordBytes {
+		panic(fmt.Sprintf("heap: address %#x (+%d words) out of range", addr, nWords))
+	}
+	return int((addr - h.base) / WordBytes)
+}
+
+// load returns word i of the address space: 0 until something is stored.
+func (h *Heap) load(i int) uint64 {
+	if c := h.chunks[i>>chunkLog]; c != nil {
+		return c[i&chunkMask]
+	}
+	return 0
+}
+
+// store sets word i; touch returns its chunk, allocating it on first use.
+func (h *Heap) store(i int, v uint64) { h.touch(i)[i&chunkMask] = v }
+func (h *Heap) touch(i int) *chunk {
+	if h.chunks[i>>chunkLog] == nil {
+		h.chunks[i>>chunkLog] = new(chunk)
+	}
+	return h.chunks[i>>chunkLog]
+}
+
+// fill sets the n words from word i to v, one chunk-contained run at a
+// time. Zero-filling a chunk never stored to materialises nothing.
+func (h *Heap) fill(i, n int, v uint64) {
+	for n > 0 {
+		off := i & chunkMask
+		k := min(n, chunkWords-off)
+		if v != 0 || h.chunks[i>>chunkLog] != nil {
+			run := h.touch(i)[off : off+k]
+			for j := range run {
+				run[j] = v
+			}
+		}
+		i, n = i+k, n-k
+	}
+}
+
 // pdStore notifies the persistence domain of a cached store about to be
 // applied (shadow capture + fault trigger); no-op when tracking is off.
 func (h *Heap) pdStore(addr Address, n int64) {
@@ -547,12 +616,12 @@ func (h *Heap) pdStoreQuiet(addr Address, n int64) {
 }
 
 // Peek reads a word without charging virtual time (verification only).
-func (h *Heap) Peek(addr Address) uint64 { return h.words[h.index(addr)] }
+func (h *Heap) Peek(addr Address) uint64 { return h.load(h.index(addr)) }
 
 // Poke writes a word without charging virtual time (setup/verification).
 func (h *Heap) Poke(addr Address, v uint64) {
 	h.pdStoreQuiet(addr, WordBytes)
-	h.words[h.index(addr)] = v
+	h.store(h.index(addr), v)
 }
 
 // The charged word operations below are each written once, as halves a
@@ -569,7 +638,7 @@ func (h *Heap) Poke(addr Address, v uint64) {
 func (h *Heap) ReadWord(w *memsim.Worker, addr Address) uint64 {
 	h.IssueReadWord(w, addr)
 	w.Exec()
-	return h.words[h.index(addr)]
+	return h.load(h.index(addr))
 }
 
 // IssueReadWord issues ReadWord's charge.
@@ -592,7 +661,7 @@ func (h *Heap) IssueWriteWord(w *memsim.Worker, addr Address) {
 }
 
 // CommitWord applies a store whose charge IssueWriteWord issued.
-func (h *Heap) CommitWord(addr Address, v uint64) { h.words[h.index(addr)] = v }
+func (h *Heap) CommitWord(addr Address, v uint64) { h.store(h.index(addr), v) }
 
 // CASWord models an atomic compare-and-swap on a word: it always pays a
 // random read; a successful swap additionally pays a random write.
@@ -614,10 +683,10 @@ func (h *Heap) CASWord(w *memsim.Worker, addr Address, old, new uint64) (uint64,
 func (h *Heap) IssueCAS(w *memsim.Worker, addr Address, old, new uint64) (cur uint64, ok bool) {
 	h.pdStore(addr, WordBytes)
 	idx := h.index(addr)
-	cur = h.words[idx]
+	cur = h.load(idx)
 	ok = cur == old
 	if ok {
-		h.words[idx] = new
+		h.store(idx, new)
 	}
 	w.IssueReadWord(h.DevOf(addr), addr)
 	return cur, ok
@@ -657,9 +726,26 @@ func (h *Heap) IssueCopyWrite(w *memsim.Worker, dst Address, nWords int64) {
 	w.IssueWrite(h.DevOf(dst), dst, nWords*WordBytes, true)
 }
 
-// CommitCopy moves the backing data of a copy whose charges were issued.
+// CommitCopy moves the backing data of a copy whose charges were issued, run
+// by chunk-contained run; a source chunk never stored to copies as zeros.
 func (h *Heap) CommitCopy(dst, src Address, nWords int64) {
-	copy(h.words[h.index(dst):h.index(dst)+int(nWords)], h.words[h.index(src):h.index(src)+int(nWords)])
+	d, s, n := h.span(dst, nWords), h.span(src, nWords), int(nWords)
+	if s < d && d < s+n { // overlapping with the destination above: back to front
+		for n--; n >= 0; n-- {
+			h.store(d+n, h.load(s+n))
+		}
+		return
+	}
+	for n > 0 {
+		do, so := d&chunkMask, s&chunkMask
+		k := min(n, chunkWords-do, chunkWords-so)
+		if sc := h.chunks[s>>chunkLog]; sc != nil {
+			copy(h.touch(d)[do:do+k], sc[so:so+k])
+		} else {
+			h.fill(d, k, 0)
+		}
+		d, s, n = d+k, s+k, n-k
+	}
 }
 
 // CopyWordsNT is CopyWords with a non-temporal destination stream (used by

@@ -90,11 +90,7 @@ func (h *Heap) initObject(w *memsim.Worker, obj Address, k *Klass, sizeWords int
 	h.pdStoreQuiet(obj, sizeWords*WordBytes)
 	h.Poke(MarkAddr(obj), MarkWithAge(0))
 	h.Poke(InfoAddr(obj), MakeInfo(k.ID, sizeWords))
-	lo := h.index(obj) + HeaderWords
-	hi := h.index(obj) + int(sizeWords)
-	for i := lo; i < hi; i++ {
-		h.words[i] = 0
-	}
+	h.fill(h.span(obj, sizeWords)+HeaderWords, int(sizeWords)-HeaderWords, 0)
 	if w != nil {
 		w.Write(h.DevOf(obj), obj, sizeWords*WordBytes, true)
 	}
@@ -224,6 +220,6 @@ func (h *Heap) SetRefInit(w *memsim.Worker, obj Address, off int64, target Addre
 	slot := SlotAddr(obj, off)
 	h.pdStore(slot, WordBytes)
 	w.Write(h.DevOf(slot), slot, WordBytes, true)
-	h.words[h.index(slot)] = target
+	h.store(h.index(slot), target)
 	h.refBarrier(w, obj, slot, target)
 }

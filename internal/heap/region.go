@@ -210,10 +210,8 @@ func (h *Heap) ClaimRegion(kind RegionKind, dev *memsim.Device) (*Region, bool) 
 // the DRAM scratch pool sits on volatile tiers without a fault model.)
 func (h *Heap) Retire(r *Region) {
 	if h.cfg.Poison {
-		lo, hi := h.index(r.Start), h.index(r.End)
-		for i := lo; i < hi; i++ {
-			h.words[i] = 0xDEAD_DEAD_DEAD_DEAD
-		}
+		n := h.cfg.RegionBytes / WordBytes
+		h.fill(h.span(r.Start, n), int(n), 0xDEAD_DEAD_DEAD_DEAD)
 	}
 	r.reset()
 	if r.BadLines > 0 && !r.CachePool {

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"nvmgc/internal/gc"
+	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 )
 
@@ -53,5 +55,39 @@ func TestNewHostWiring(t *testing.T) {
 		if _, err := host.Col.Collect(4); err != nil {
 			t.Fatalf("%v: collection on the assembled host: %v", mode, err)
 		}
+	}
+}
+
+// TestHostFootprint pins the host memory one small run costs. The default
+// geometry is a 92 MB address space (64 MiB heap, 8 MiB cache pool, 16 MiB
+// aux); the heap materialises it by the 1 MiB chunk on first store, so a
+// run that fills eden once and collects pays for the chunks it reaches
+// plus the machine's own slabs (34.6 MB measured). A regression that
+// materialises the whole space again — per machine, so per point of every
+// sweep — costs 94 MB.
+func TestHostFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	host, err := NewHost(memsim.DefaultConfig(), heap.DefaultConfig(), false, gc.Optimized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := scenario(t, "naive-bayes").NewRunner(host.Col, Config{GCThreads: 8, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Collections) == 0 {
+		t.Fatal("the run never collected: it does not exercise the heap")
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("NewHost + naive-bayes at scale 0.2: %.1f MB allocated, %d collections", mb, len(res.Collections))
+	const maxMB = 48
+	if mb > maxMB {
+		t.Fatalf("one small host allocated %.1f MB, want <= %d (is the address space materialised up front again?)", mb, maxMB)
 	}
 }

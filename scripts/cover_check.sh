@@ -23,7 +23,7 @@ END {
 	# checker guard; raise them as coverage grows, never lower them to
 	# make a failing change pass.
 	floor["nvmgc/internal/gc"] = 85
-	floor["nvmgc/internal/heap"] = 80
+	floor["nvmgc/internal/heap"] = 85
 	floor["nvmgc/internal/memsim"] = 85
 	floor["nvmgc/internal/cassandra"] = 85
 	floor["nvmgc/internal/fleet"] = 85
