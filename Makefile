@@ -9,10 +9,11 @@ test: build
 	$(GO) test ./...
 
 # verify is the CI gate for the scheduler and the parallel harness: vet
-# everything, then run the simulator core (its Steps tests included), the
-# heap on it, the host pool, the bench harness, the workload run loop and
-# host assembly, the fleet and the two packages whose hot-path helpers it
-# shares (cassandra.EarliestFree, the generators), and the collector's
+# everything, fail on any file gofmt would rewrite, then run the
+# simulator core (its Steps tests included), the heap on it, the host
+# pool, the bench harness, the workload run loop and host assembly, the
+# fleet and the two packages whose hot-path helpers it shares
+# (cassandra.EarliestFree, the generators), and the collector's
 # eager-vs-default equivalence sweeps and step-form differential tests
 # under the race detector. -short trims workload sizes (the golden
 # determinism tests still run, on reduced cases) so the gate finishes in
@@ -21,6 +22,7 @@ test: build
 # host run) then run uncached and without the race detector's overhead.
 verify: build
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) test -race -short -count=1 ./internal/memsim ./internal/heap ./internal/par ./internal/bench ./internal/workload ./internal/fleet ./internal/cassandra ./internal/workload/generator
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
 	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestHostFootprint' -count=1 ./internal/gc ./internal/heap ./internal/workload

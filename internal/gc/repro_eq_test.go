@@ -147,7 +147,7 @@ func (want eqResult) diff(got eqResult) string {
 // one thread (no scheduler at all) to 56.
 func TestReproEquivalence(t *testing.T) {
 	sc := eqScenarios()[0]
-	for _, th := range []int{2, 4, 8, 16} {
+	for _, th := range []int{2, 3, 4, 8, 16, 17} {
 		for _, seed := range []uint64{1, 2, 3, 4} {
 			want := eqRun{}.run(t, sc, true, th, seed)
 			if d := want.diff(eqRun{}.run(t, sc, false, th, seed)); d != "" {

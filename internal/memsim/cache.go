@@ -22,6 +22,9 @@ const (
 // on real hardware, so speculation does not evict demand-fetched data).
 const prefetchBufferSize = 128
 
+// pbufBuckets is the size of the prefetch buffer's counting filter.
+const pbufBuckets = 1024
+
 // prefetchEntry is one staged line: its lineKey (0 = free slot) and the
 // time its transfer completes.
 type prefetchEntry struct {
@@ -78,9 +81,13 @@ type Cache struct {
 	devBuf [4]*Device
 
 	pbuf [prefetchBufferSize]prefetchEntry
-	// pbufIdx maps a staged line's key to its slot.
-	pbufIdx  map[uint64]int
-	pbufNext int
+	// pbufIdx maps a staged line's key to its slot. pbufFilter counts the
+	// staged keys per bucket (key modulo pbufBuckets; a count fits a byte
+	// because at most prefetchBufferSize lines are staged): a zero bucket
+	// proves a key is not staged without hashing it into the map.
+	pbufIdx    map[uint64]int
+	pbufFilter [pbufBuckets]uint8
+	pbufNext   int
 
 	hits           int64
 	misses         int64
@@ -185,18 +192,32 @@ func (c *Cache) Stats() CacheStats {
 		PrefetchPromotions: c.promoted, PrefetchOverwrites: c.pbufOverwrites}
 }
 
-// pbufTake removes and returns the prefetch-buffer entry for a line. The
-// len guard skips the map call when nothing is staged, the common case.
-func (c *Cache) pbufTake(key uint64) (Time, bool) {
-	if len(c.pbufIdx) == 0 {
+// pbufSlot returns the prefetch-buffer slot staging a line. The filter
+// answers for the common cases — nothing staged, or nothing near the key —
+// without the map call.
+func (c *Cache) pbufSlot(key uint64) (int, bool) {
+	if c.pbufFilter[key%pbufBuckets] == 0 {
 		return 0, false
 	}
 	i, ok := c.pbufIdx[key]
+	return i, ok
+}
+
+// pbufDrop unstages the line in slot i.
+func (c *Cache) pbufDrop(i int) {
+	key := c.pbuf[i].key
+	delete(c.pbufIdx, key)
+	c.pbufFilter[key%pbufBuckets]--
+	c.pbuf[i].key = 0
+}
+
+// pbufTake removes and returns the prefetch-buffer entry for a line.
+func (c *Cache) pbufTake(key uint64) (Time, bool) {
+	i, ok := c.pbufSlot(key)
 	if !ok {
 		return 0, false
 	}
-	delete(c.pbufIdx, key)
-	c.pbuf[i].key = 0
+	c.pbufDrop(i)
 	return c.pbuf[i].readyAt, true
 }
 
@@ -347,7 +368,7 @@ func (c *Cache) present(line, key uint64) bool {
 	if c.find(int(line&c.setMask)*c.assoc, line, key) >= 0 {
 		return true
 	}
-	_, ok := c.pbufIdx[key]
+	_, ok := c.pbufSlot(key)
 	return ok
 }
 
@@ -362,13 +383,13 @@ func (c *Cache) installPrefetch(dev *Device, addr uint64, n int64, now, readyAt 
 	key := lineKey(dev, line*LineSize)
 	for ; count > 0; count-- {
 		if !c.present(line, key) {
-			slot := &c.pbuf[c.pbufNext]
-			if slot.key != 0 {
+			if c.pbuf[c.pbufNext].key != 0 {
 				c.pbufOverwrites++
-				delete(c.pbufIdx, slot.key)
+				c.pbufDrop(c.pbufNext)
 			}
-			*slot = prefetchEntry{key: key, readyAt: readyAt}
+			c.pbuf[c.pbufNext] = prefetchEntry{key: key, readyAt: readyAt}
 			c.pbufIdx[key] = c.pbufNext
+			c.pbufFilter[key%pbufBuckets]++
 			c.pbufNext = (c.pbufNext + 1) % prefetchBufferSize
 		}
 		line++

@@ -125,6 +125,16 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 					(len(got.evicts) > 0 && got.evicts[len(got.evicts)-1] != want.evicts[len(want.evicts)-1]) {
 					fail("onEvict", got.evicts[max(len(got.evicts)-3, 0):], want.evicts[max(len(want.evicts)-3, 0):])
 				}
+				// The counting filter holds one count per staged line (so it
+				// is all zero when nothing is staged: counts do not go
+				// negative, a wrapped one would add 256).
+				staged := 0
+				for _, n := range c.pbufFilter {
+					staged += int(n)
+				}
+				if staged != len(c.pbufIdx) {
+					fail("pbufFilter", staged, len(c.pbufIdx))
+				}
 			}
 			if g, w := c.Stats(), r.Stats(); g != w {
 				t.Fatalf("CacheStats: got %+v, reference %+v", g, w)
@@ -208,7 +218,7 @@ func TestCacheBounds(t *testing.T) {
 	// The stamp packing holds up to the last representable instant,
 	// lastUse+1 = 2^55-1: such a line is still younger than any other and
 	// an invalid way still wins over it.
-	const last = Time(1)<<55 - 2
+	const last = maxTime
 	c := NewCache(3*LineSize, 3, 15)
 	c.touchLine(d, 0*LineSize, last, false, false)
 	c.touchLine(d, 1*LineSize, last-1, false, false)
@@ -219,6 +229,34 @@ func TestCacheBounds(t *testing.T) {
 	if wayOf(c, d, 0) != 0 || wayOf(c, d, 3*LineSize) != 2 || wayOf(c, d, 4*LineSize) != 1 {
 		t.Fatalf("ways at the time horizon: %d %d %d, want 0 2 1",
 			wayOf(c, d, 0), wayOf(c, d, 3*LineSize), wayOf(c, d, 4*LineSize))
+	}
+}
+
+// TestClockHorizon: a phase may end on the last instant the packed
+// scheduling key and LLC stamp can hold, and one nanosecond later Run
+// refuses the result instead of returning numbers from a wrapped word.
+func TestClockHorizon(t *testing.T) {
+	cfg := testConfig()
+	cfg.TraceBucket = 0 // a bandwidth trace keeps a bucket per 250 us since time 0
+	for _, workers := range []int{1, 3} {
+		m := NewMachine(cfg)
+		m.Run(workers, func(w *Worker) {
+			w.Advance(maxTime - 10*Microsecond - w.Now())
+			w.Read(m.NVM, uint64(w.ID())<<20, 64, false)
+			w.Advance(maxTime - w.Now())
+		})
+		if m.Now() != 1<<55-2 {
+			t.Fatalf("workers=%d: phase ended at %d, want 2^55-2", workers, m.Now())
+		}
+		func() {
+			defer func() {
+				want := fmt.Sprintf("memsim: virtual clock %d ns past the 2^55 ns horizon", int64(1)<<55-1)
+				if r := recover(); r != want {
+					t.Fatalf("workers=%d: one Advance past the horizon: recovered %v, want %q", workers, r, want)
+				}
+			}()
+			m.Run(workers, func(w *Worker) { w.Advance(1) })
+		}()
 	}
 }
 

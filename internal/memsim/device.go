@@ -172,12 +172,12 @@ type Device struct {
 
 	nextFree Time // when the transfer channel becomes free
 
-	// Exponentially-decayed read/write byte ledger used to estimate the
-	// current write fraction of the traffic mix.
-	mixWindow float64
-	lastMix   Time
-	readEW    float64
-	writeEW   float64
+	// Exponentially-decayed read/write byte ledger (time constant
+	// mixWindow) used to estimate the current write fraction of the
+	// traffic mix.
+	lastMix Time
+	readEW  float64
+	writeEW float64
 
 	stats DeviceStats
 	trace *Trace
@@ -191,10 +191,9 @@ type Device struct {
 // positive, the device records a bandwidth trace with that bucket width.
 func NewDevice(name string, prof Profile, traceBucket Time) *Device {
 	d := &Device{
-		name:      name,
-		prof:      prof,
-		id:        deviceIDs.Add(1),
-		mixWindow: float64(50 * Microsecond),
+		name: name,
+		prof: prof,
+		id:   deviceIDs.Add(1),
 	}
 	if traceBucket > 0 {
 		d.trace = NewTrace(traceBucket)
@@ -235,11 +234,32 @@ func (d *Device) amplify(bytes int64, seq bool) int64 {
 	return (bytes + g - 1) / g * g
 }
 
+// mixWindow is the time constant of the traffic-mix ledger, in ns.
+const mixWindow = float64(50 * Microsecond)
+
+// decayTab[dt] is the ledger's decay factor over dt ns. Device accesses of
+// a busy phase are nanoseconds apart, so nearly every decay is a short one;
+// the table is filled once, by the expression decayMix evaluates for a
+// longer dt, and only read afterwards — so a lookup is that expression's
+// value bit for bit, and machines running in parallel share it safely.
+var decayTab = func() (t [8192]float64) {
+	for dt := range t {
+		t[dt] = math.Exp(-float64(dt) / mixWindow)
+	}
+	return t
+}()
+
 func (d *Device) decayMix(now Time) {
-	if now <= d.lastMix {
+	dt := now - d.lastMix
+	if dt <= 0 {
 		return
 	}
-	f := math.Exp(-float64(now-d.lastMix) / d.mixWindow)
+	var f float64
+	if dt < Time(len(decayTab)) {
+		f = decayTab[dt]
+	} else {
+		f = math.Exp(-float64(dt) / mixWindow)
+	}
 	d.readEW *= f
 	d.writeEW *= f
 	d.lastMix = now

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -193,5 +194,54 @@ func TestAccessMonotoneInSize(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// decayRef is decayMix without the table: it always calls math.Exp.
+// Applied just before an access it leaves that access's own decay nothing
+// to do (lastMix == now), so a device driven through it is the reference
+// for the table.
+func decayRef(d *Device, now Time) {
+	if now <= d.lastMix {
+		return
+	}
+	f := math.Exp(-float64(now-d.lastMix) / mixWindow)
+	d.readEW *= f
+	d.writeEW *= f
+	d.lastMix = now
+}
+
+// TestDecayTableIsExp: every table entry is the bits math.Exp returns, and
+// a device decaying through the table completes 200k mixed accesses — gaps
+// of 0 and 1 ns, both sides of the table's edge, a millisecond — at the
+// same instants, with the same ledger and counters, as one that calls
+// math.Exp every time.
+func TestDecayTableIsExp(t *testing.T) {
+	for dt, f := range decayTab {
+		if want := math.Exp(-float64(dt) / mixWindow); f != want {
+			t.Fatalf("decayTab[%d] = %v, math.Exp gives %v", dt, f, want)
+		}
+	}
+	const edge = Time(len(decayTab))
+	gaps := []Time{0, 0, 1, 1, 2, 7, 40, 300, 1023, 1024, edge - 2, edge - 1, edge, edge + 1, 1_000_000}
+	classes := []opClass{opRead, opRead, opWrite, opWriteNT}
+	rng := rand.New(rand.NewPCG(23, 0xdeca))
+	got, want := NewDevice("nvm", OptaneProfile(), 0), NewDevice("nvm", OptaneProfile(), 0)
+	now := Time(0)
+	for i := 0; i < 200_000; i++ {
+		now += gaps[rng.IntN(len(gaps))]
+		class := classes[rng.IntN(len(classes))]
+		n, seq := int64(1+rng.IntN(4096)), rng.IntN(2) == 0
+		g := got.access(now, class, n, seq)
+		decayRef(want, now)
+		if w := want.access(now, class, n, seq); g != w {
+			t.Fatalf("access %d at %d: completes at %d, reference %d", i, now, g, w)
+		}
+		if got.readEW != want.readEW || got.writeEW != want.writeEW {
+			t.Fatalf("access %d at %d: ledger %v/%v, reference %v/%v", i, now, got.readEW, got.writeEW, want.readEW, want.writeEW)
+		}
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("DeviceStats: got %+v, reference %+v", got.Stats(), want.Stats())
 	}
 }

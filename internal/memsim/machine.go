@@ -1,8 +1,10 @@
 package memsim
 
 import (
+	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 )
 
 // Config parameterizes a simulated machine.
@@ -220,16 +222,13 @@ func (m *Machine) Run(n int, body func(*Worker)) Time {
 	}
 
 	if n > MaxWorkers {
-		panic("memsim: Run supports at most 256 workers per phase")
+		panic(fmt.Sprintf("memsim: Run supports at most %d workers per phase", MaxWorkers))
 	}
-	s := &scheduler{body: body, all: make([]Worker, n), q: make(workerQueue, n)}
+	s := &scheduler{body: body, all: make([]Worker, n), tree: newKeyTree(n, start)}
 	for i := range s.all {
 		w := &s.all[i]
 		w.id, w.now, w.m, w.sched = i, start, m, s
 		w.resume, w.stop = iter.Pull(w.run)
-		// All workers start at the same time, so id order is already a
-		// valid heap under the (now, id) ordering.
-		s.q[i] = qent{w.qkey(), w}
 	}
 	s.dispatchLoop()
 
@@ -242,9 +241,18 @@ func (m *Machine) Run(n int, body func(*Worker)) Time {
 	return m.endPhase(start, end)
 }
 
+// maxTime is the last instant the packed words can hold: Worker.qkey and
+// the LLC's stamp both keep a time (the stamp, time+1) in 55 bits.
+const maxTime Time = 1<<55 - 2
+
 // endPhase advances the machine clock to the phase end, re-raises a
 // watchdog trip on the caller's goroutine, and returns the elapsed time.
+// A clock past maxTime has wrapped a packed word somewhere in the phase
+// and reordered workers or cache victims; checked here, once per phase.
 func (m *Machine) endPhase(start, end Time) Time {
+	if end > maxTime {
+		panic(fmt.Sprintf("memsim: virtual clock %d ns past the 2^55 ns horizon", end))
+	}
 	if end > m.now {
 		m.now = end
 	}
@@ -274,9 +282,10 @@ func runBody(w *Worker, body func(*Worker)) {
 // scheduler is the shared state of one parallel phase. Only one coroutine
 // of the phase (a worker, or the dispatcher between two workers) runs at
 // any instant and every switch is a direct coroutine transfer, so none of
-// it needs a lock.
+// it needs a lock. tree holds the keys of the workers waiting to run; the
+// one holding the CPU and those that finished are out of it (noKey).
 type scheduler struct {
-	q    workerQueue
+	tree keyTree
 	next *Worker // successor named by the worker that last parked or finished
 	cur  *Worker // the worker whose coroutine holds the CPU (see Worker.yield)
 	all  []Worker
@@ -284,9 +293,9 @@ type scheduler struct {
 }
 
 // dispatchLoop is the phase's event loop: resume the earliest worker, and
-// when it parks (Worker.yield) or returns (Worker.finish) resume the
-// successor it left in next, until a finishing worker finds the heap
-// empty. If a worker body panics the panic surfaces from resume; the
+// when it parks (Worker.yield) or returns (Worker.run) resume the
+// successor it left in next, until a finishing worker finds nothing
+// runnable. If a worker body panics the panic surfaces from resume; the
 // deferred stop loop then unwinds every coroutine still parked (their park
 // reports false, see Worker.switchTo) so none outlives the phase.
 func (s *scheduler) dispatchLoop() {
@@ -295,61 +304,62 @@ func (s *scheduler) dispatchLoop() {
 			s.all[i].stop()
 		}
 	}()
-	for w := s.q.pop(); w != nil; w = s.next {
+	for w := s.takeTop(); w != nil; w = s.next {
 		w.resume()
 	}
 }
 
-// workerQueue is a min-heap of runnable workers ordered by the packed
-// (now, id) scheduling key (see Worker.qkey). It is a concrete heap (not
-// container/heap) with the key stored inline next to the worker pointer,
-// because sift operations run on every scheduler switch and spin
-// advancement: both the interface dispatch of the generic heap and the
-// two-field pointer-chasing comparison showed up as top-ten profile
-// entries under parallel GC phases. An entry's key is refreshed whenever
-// its worker's clock moves while queued (advanceSpin).
-type workerQueue []qent
-
-type qent struct {
-	key Time // w.qkey() at the time of the last enqueue/refresh
-	w   *Worker
-}
-
-// fixTop restores the heap property after q[0]'s key increased in place
-// (a switch's replace-top or a parked-spinner advancement).
-func (q workerQueue) fixTop() {
-	n := len(q)
-	i := 0
-	e := q[0]
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && q[r].key < q[l].key {
-			c = r
-		}
-		if q[c].key >= e.key {
-			break
-		}
-		q[i] = q[c]
-		i = c
+// takeTop takes the earliest runnable worker out of the tree, to be
+// resumed; nil when none is runnable.
+func (s *scheduler) takeTop() *Worker {
+	top := s.tree[1]
+	if top == noKey {
+		return nil
 	}
-	q[i] = e
-}
-
-// pop removes and returns the earliest worker.
-func (q *workerQueue) pop() *Worker {
-	old := *q
-	n := len(old)
-	w := old[0].w
-	old[0] = old[n-1]
-	old[n-1] = qent{}
-	old = old[:n-1]
-	*q = old
-	if n > 1 {
-		old.fixTop()
-	}
+	w := &s.all[top&0xff]
+	s.tree.set(w.id, noKey)
 	return w
+}
+
+// noKey is the leaf of a worker that is not waiting to run: it holds the
+// CPU or has finished. Every real key is smaller (see maxTime).
+const noKey Time = math.MaxInt64
+
+// keyTree is the queue of runnable workers: a winner tree over their packed
+// (now, id) scheduling keys (see Worker.qkey). It has 2*leaves words, leaves
+// the power of two that fits the phase's workers; leaf leaves+id is worker
+// id's key, or noKey, and every inner node is the smaller of its two
+// children, so t[1] is the earliest runnable key and names its worker in
+// its low byte. A key change is a leaf store and one recomputed node per
+// level on the way up (set), whatever the key did; nothing is compared and
+// jumped on, because which child wins is as good as random.
+type keyTree []Time
+
+// newKeyTree returns the tree of n workers all waiting at time start.
+func newKeyTree(n int, start Time) keyTree {
+	leaves := 1 << bits.Len(uint(n-1))
+	t := make(keyTree, 2*leaves)
+	for i := range t[leaves:] {
+		t[leaves+i] = noKey
+		if i < n {
+			t[leaves+i] = start<<8 | Time(i)
+		}
+	}
+	for i := leaves - 1; i > 0; i-- {
+		t[i] = min(t[2*i], t[2*i+1])
+	}
+	return t
+}
+
+// set stores worker id's key and replays its path to the root. The min is
+// arithmetic (valid for operands in [0, 2^63), which keys and noKey are).
+func (t keyTree) set(id int, key Time) {
+	i := len(t)/2 + id
+	t[i] = key
+	for i > 1 {
+		d := t[i^1] - key
+		key += d & (d >> 63)
+		i >>= 1
+		t[i] = key
+	}
 }

@@ -97,7 +97,7 @@ func runSchedBody(cfg Config, workers int, eager bool, body func(*Machine) func(
 func TestStepsMatchBlocking(t *testing.T) {
 	cfg := testConfig()
 	cfg.LLCAssoc = 4
-	for _, workers := range []int{1, 2, 16, 56} {
+	for _, workers := range []int{1, 2, 3, 16, 17, 56} {
 		var wantLog []uint8
 		want, _ := runSchedBody(cfg, workers, true, func(m *Machine) func(*Worker) { return schedWorkload(m, &wantLog) })
 		if len(wantLog) != workers*120 {

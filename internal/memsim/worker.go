@@ -26,9 +26,10 @@ type Worker struct {
 	stop   func()
 
 	// horizonKey is the packed scheduling key (see qkey) of the
-	// next-earliest runnable worker, read from the heap on every resume.
-	// The worker may keep executing while qkey() < horizonKey, which is
-	// exactly (now, id) < (horizon now, horizon id) lexicographically.
+	// next-earliest runnable worker, read from the root of the key tree on
+	// every resume (noKey when no other worker is runnable). The worker may
+	// keep executing while qkey() < horizonKey, which is exactly
+	// (now, id) < (horizon now, horizon id) lexicographically.
 	horizonKey Time
 
 	// finished marks the body as returned (read by the watchdog).
@@ -135,9 +136,10 @@ func (w *Worker) checkFault() {
 const MaxWorkers = 256
 
 // qkey packs the worker's scheduling key — virtual time, ties broken by
-// worker id — into one integer so heap compares are a single branch.
-// Worker ids fit 8 bits (MaxWorkers) and virtual clocks stay far below
-// 2^55 ns (≈417 virtual days), so the packing never overflows and orders
+// worker id — into one integer, so the earlier of two workers is an integer
+// min and the key alone names its worker. Worker ids fit 8 bits
+// (MaxWorkers) and virtual clocks stay below 2^55 ns (≈417 virtual days;
+// endPhase enforces maxTime), so the packing never overflows and orders
 // exactly like the (now, id) pair.
 func (w *Worker) qkey() Time { return w.now<<8 | Time(w.id) }
 
@@ -151,14 +153,16 @@ func (w *Worker) Now() Time { return w.now }
 func (w *Worker) Machine() *Machine { return w.m }
 
 // run is the body of the worker's coroutine: arm the event horizon on the
-// first resume, execute the phase body, and name a successor.
+// first resume, execute the phase body, and name the next runnable worker
+// (if any) as successor; the coroutine then returns to the dispatcher for
+// good.
 func (w *Worker) run(park func(struct{}) bool) {
 	w.park = park
 	w.sched.cur = w
 	w.setHorizon()
 	runBody(w, w.sched.body)
 	w.finished = true
-	w.finish()
+	w.sched.next = w.sched.takeTop()
 }
 
 // switchTo parks the worker's coroutine and has the dispatcher resume
@@ -210,8 +214,8 @@ func (w *Worker) yield() {
 		return
 	}
 	// Event horizon: while this worker is still the globally earliest
-	// (ties broken by id, matching the scheduler heap), a switch would
-	// resume it immediately — skip it entirely.
+	// (ties broken by id, matching the key tree), a switch would resume it
+	// immediately — skip it entirely.
 	wkey := w.qkey()
 	if wkey < w.horizonKey {
 		return
@@ -222,10 +226,11 @@ func (w *Worker) yield() {
 		panic("memsim: blocking operation inside a step run by a peer (a step must only Issue)")
 	}
 	for {
-		if len(s.q) == 0 || wkey < s.q[0].key {
-			// Still the earliest (eager-yield's forced inspections, or every
-			// earlier worker was advanced past us in place): keep running
-			// with a re-armed horizon.
+		top := s.tree[1]
+		if wkey < top {
+			// Still the earliest (eager-yield's forced inspections, every
+			// earlier worker was advanced past us in place, or none is
+			// runnable and top is noKey): keep running with a re-armed horizon.
 			w.setHorizon()
 			return
 		}
@@ -234,7 +239,7 @@ func (w *Worker) yield() {
 		// its position (now, id) in global order — so results are
 		// bit-identical to resuming it — and the loop looks again: if that
 		// moved it past us it never needed the CPU at all.
-		next := s.q[0].w
+		next := &s.all[top&0xff]
 		acted := false
 		switch {
 		case next.spinCond != nil:
@@ -250,26 +255,31 @@ func (w *Worker) yield() {
 			// Parked at a settled position inside Steps: run its host code up
 			// to the next operation it issues. A false step needs its own
 			// coroutine; clearing the field tells the owner so when it wakes.
+			// An operation issued with no Advance before it leaves the key
+			// where it was, so the worker is still the top and the next pass
+			// would come straight back to account for it: do that now.
 			if acted = next.step(next); !acted {
 				next.step = nil
+			} else if next.op.kind != opNone && next.qkey() == top && m.peerMayAct(next, false) {
+				next.execOp()
 			}
 		}
-		if acted {
-			s.q[0].key = next.qkey()
-			s.q.fixTop()
-			continue
+		if !acted {
+			break
 		}
-		// A real switch is due: the earliest worker needs its coroutine to
-		// make progress, must observe a halt/fault, or its awaited condition
-		// now holds. The heap is untouched since that worker reached the
-		// top, so switching is push(w)+pop(top), which a replace-top with
-		// one sift performs in half the heap work.
-		s.q[0] = qent{wkey, w}
-		s.q.fixTop()
-		w.switchTo(next)
-		w.setHorizon()
-		return
+		// Replay the tree only if the key moved; unmoved, next is still the
+		// top and the tree already says so.
+		if key := next.qkey(); key != top {
+			s.tree.set(next.id, key)
+		}
 	}
+	// A real switch is due: the earliest worker needs its coroutine to make
+	// progress, must observe a halt/fault, or its awaited condition now
+	// holds. It leaves the tree and this worker enters it: two replays.
+	next := s.takeTop()
+	s.tree.set(w.id, wkey)
+	w.switchTo(next)
+	w.setHorizon()
 }
 
 // Exec is the second half of every charged operation: yield at the issued
@@ -278,7 +288,7 @@ func (w *Worker) yield() {
 // yield once more at the settled clock. The second yield pins the host
 // code that follows the operation to the position (settled time, id) in
 // global order: a delegated owner resumes exactly when its settled key
-// reaches the top of the runnable heap, so the settle-yield makes the
+// reaches the root of the key tree, so the settle-yield makes the
 // self-executed and eager paths observe the identical position. Without
 // it, which worker's host code runs first at a virtual-time tie would
 // depend on who happened to hold the CPU — and host code mutates shared
@@ -462,35 +472,21 @@ func (w *Worker) SpinWait(d Time, cond func() bool) {
 	w.spinCond = nil
 }
 
-// finish names the next runnable worker (if any) as this worker's
-// successor; the coroutine then returns to the dispatcher for good.
-func (w *Worker) finish() {
-	s := w.sched
-	s.next = nil
-	if len(s.q) > 0 {
-		s.next = s.q.pop()
-	}
-}
-
-// setHorizon primes the worker's event horizon from the runnable heap.
-// Each worker arms its own horizon right after it is resumed (and on its
-// first resume, before its body starts): the worker that parked or
-// finished completed every heap mutation before switching away and the
-// dispatcher touches nothing in between, so the freshly resumed worker
-// reads the exact heap state its horizon must reflect.
+// setHorizon primes the worker's event horizon from the key tree. Each
+// worker arms its own horizon right after it is resumed (and on its first
+// resume, before its body starts): the worker that parked or finished
+// completed every tree update before switching away and the dispatcher
+// touches nothing in between, so the freshly resumed worker reads the
+// exact state its horizon must reflect. With no other worker runnable the
+// root is noKey and the worker runs to completion without switches.
 func (w *Worker) setHorizon() {
 	if w.m.eagerYield {
-		// Reference mode: an unreachable horizon forces a heap inspection
+		// Reference mode: an unreachable horizon forces a tree inspection
 		// at every yield point.
 		w.horizonKey = math.MinInt64
 		return
 	}
-	if q := w.sched.q; len(q) > 0 {
-		w.horizonKey = q[0].key
-	} else {
-		// Sole runnable worker: run to completion without switches.
-		w.horizonKey = math.MaxInt64
-	}
+	w.horizonKey = w.sched.tree[1]
 }
 
 // Advance models CPU-only work of duration d (no scheduler yield; yields
