@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-smoke bench-e2e bench-gate profile suite-quick crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fleet-smoke fuzz-smoke cover
+.PHONY: build test verify loc archives bench-e2e bench-gate profile suite-quick crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fleet-smoke fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,13 @@ verify: build
 	$(GO) test -race -short -count=1 ./internal/memsim ./internal/heap ./internal/par ./internal/bench ./internal/workload ./internal/fleet ./internal/cassandra ./internal/workload/generator
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
 	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestHostFootprint' -count=1 ./internal/gc ./internal/heap ./internal/workload
+
+# loc prints the three line counts the roadmap tracks: non-test Go outside
+# benchmarks/ (the number that should trend down), benchmarks/, and tests.
+loc:
+	@echo "non-test Go outside benchmarks/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l)"
+	@echo "benchmarks/ (non-test):          $$(find ./benchmarks -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "tests (*_test.go):               $$(find . -name '*_test.go' | xargs cat | wc -l)"
 
 # crash-smoke runs a reduced power-failure campaign: deterministic crash
 # points across the GC pause, post-crash recovery, and graph-isomorphism
@@ -54,14 +61,14 @@ fault-smoke: build
 
 # workload-smoke runs the scenario-engine sweep in quick mode: collector
 # configurations across the YCSB core mixes driving keyed populations
-# (archived by scripts/bench_sim.sh as results/BENCH_workloads.json).
+# (archived by make archives as results/BENCH_workloads.json).
 workload-smoke: build
 	$(GO) run ./cmd/nvmbench -run workload-sweep -quick
 
 # fleet-smoke runs the fleet serving experiment in quick mode: collector
 # configurations x fleet sizes under open-loop zipfian traffic with
 # hedging and retries, reporting fleet-wide p99/p999/p9999 (archived by
-# scripts/bench_sim.sh as results/BENCH_fleet.json). A 2-instance gcsim
+# make archives as results/BENCH_fleet.json). A 2-instance gcsim
 # run exercises the CLI path on top.
 fleet-smoke: build
 	$(GO) run ./cmd/nvmbench -run fleet -quick
@@ -84,16 +91,14 @@ cover:
 	$(GO) test -short -covermode=atomic -coverpkg=./internal/... -coverprofile=cover.out ./internal/...
 	./scripts/cover_check.sh cover.out
 
-# bench runs the simulator micro-benchmarks (testing.B) at the repo root.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMachineRun|BenchmarkCacheTouchRange|BenchmarkYoungGC|BenchmarkMixedGC|BenchmarkEvacuateHot' -benchmem -count=1 .
-
-# bench-smoke runs the three GC microbenchmarks once each: it keeps the
-# bench path itself compiling and running. It asserts no speed — host-time
-# claims are paired runs of the repository benchmark (bench-e2e), and
-# bench-gate is the drift gate.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkYoungGC|BenchmarkMixedGC|BenchmarkEvacuateHot' -benchtime=1x -benchmem -count=1 .
+# archives regenerates the four checked-in experiment archives under
+# results/ (quick mode, virtual-time numbers only; host time is bench-e2e).
+# On an unchanged model, git diff results/ is empty.
+archives: build
+	$(GO) run ./cmd/nvmbench -run tier-sweep -quick -format json -o results/BENCH_topology.json
+	$(GO) run ./cmd/nvmbench -run fault-sweep -quick -format json -o results/BENCH_faults.json
+	$(GO) run ./cmd/nvmbench -run workload-sweep -quick -format json -o results/BENCH_workloads.json
+	$(GO) run ./cmd/nvmbench -run fleet -quick -format json -o results/BENCH_fleet.json
 
 # bench-e2e runs the repository benchmark (BENCHMARK.json: four workloads,
 # one child process each) and archives every run's full record under
@@ -116,10 +121,11 @@ bench-gate: build
 		echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]' || exit 1; \
 	done
 
-# profile records flamegraph-ready CPU and allocation profiles of the GC
-# hot path under the gitignored .bench_build/ (see scripts/profile_gc.sh).
+# profile records CPU and allocation profiles of the GC hot path under the
+# gitignored .bench_build/ (go tool pprof -http=:8080 .bench_build/gc_cpu.pb.gz).
 profile:
-	./scripts/profile_gc.sh
+	mkdir -p .bench_build
+	$(GO) run ./cmd/gcsim -app page-rank -config all -cpuprofile .bench_build/gc_cpu.pb.gz -memprofile .bench_build/gc_mem.pb.gz
 
 # suite-quick times the full quick figure suite (byte-identical output at
 # any -parallel / -eager-yield setting).

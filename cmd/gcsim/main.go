@@ -37,7 +37,6 @@ type options struct {
 	collector  string
 	opt        gc.Options
 	kind       memsim.Kind
-	youngDRAM  bool
 	threads    int
 	scale      float64
 	seed       uint64
@@ -55,9 +54,7 @@ type options struct {
 
 func main() {
 	var (
-		app         = flag.String("app", "page-rank", "application profile name, or a comma-separated list (see -apps)")
-		apps        = flag.Bool("apps", false, "list application profiles and exit")
-		workloadF   = flag.String("workload", "", "workload scenario name(s) from the registry, comma-separated (see -list-workloads); supersedes -app")
+		app         = flag.String("app", "page-rank", "workload scenario name — an application profile or a keyed scenario — or a comma-separated list (see -list-workloads)")
 		listWk      = flag.Bool("list-workloads", false, "list registered workload scenarios and exit")
 		ycsbRecords = flag.Int64("ycsb-records", 0, "override a keyed scenario's initial record count")
 		ycsbOps     = flag.Int64("ycsb-ops", 0, "override a keyed scenario's operation budget (at -scale 1)")
@@ -66,7 +63,6 @@ func main() {
 		collector   = flag.String("collector", "g1", "collector: g1 or ps")
 		config      = flag.String("config", "vanilla", "options: vanilla, writecache, all, async")
 		device      = flag.String("device", "nvm", "heap device: nvm or dram")
-		younDRAM    = flag.Bool("young-gen-dram", false, "allocate eden on DRAM")
 		topology    = flag.String("topology", "", "comma-separated memory-tier list replacing the default dram+nvm pair; each entry is a built-in tier name or alias=builtin (see -list-devices), e.g. 'local-dram,remote-dram,nvm=optane'")
 		listDevices = flag.Bool("list-devices", false, "list the built-in memory-tier profiles and exit")
 		youngTier   = flag.String("young-tier", "", "tier name for eden+survivor regions (default: placement policy)")
@@ -109,13 +105,6 @@ func main() {
 	if err := checkThreads(*threads); err != nil {
 		fmt.Fprintln(os.Stderr, "gcsim:", err)
 		os.Exit(2)
-	}
-
-	if *apps {
-		for _, p := range workload.Profiles() {
-			fmt.Printf("%-18s %-11s survival %.2f  eden-fills %.1f\n", p.Name, p.Suite, p.Survival, p.EdenFills)
-		}
-		return
 	}
 
 	if *listWk {
@@ -208,14 +197,10 @@ func main() {
 		}
 		specs = append(specs, workload.Spec{Name: prof.Name, Family: "custom", Profile: &prof})
 	} else {
-		names := *app
-		if *workloadF != "" {
-			names = *workloadF
-		}
-		for _, name := range strings.Split(names, ",") {
+		for _, name := range strings.Split(*app, ",") {
 			spec, err := workload.ScenarioByName(strings.TrimSpace(name))
 			if err != nil {
-				fatal(fmt.Errorf("%w (try -apps or -list-workloads)", err))
+				fatal(err)
 			}
 			specs = append(specs, spec)
 		}
@@ -270,7 +255,7 @@ func main() {
 	}
 
 	o := options{
-		collector: *collector, opt: opt, kind: kind, youngDRAM: *younDRAM,
+		collector: *collector, opt: opt, kind: kind,
 		threads: *threads, scale: *scale, seed: *seed, trace: *trace,
 		eagerYield: *eager, jsonOut: *jsonOut,
 		mixedEvery: *mixedEvery, fullEvery: *fullEvery,
@@ -340,12 +325,14 @@ func parseDevice(name string) (memsim.Kind, error) {
 
 // parseTopology turns the -topology flag into tier specs: a comma-separated
 // list of built-in tier names, each optionally renamed via alias=builtin.
-// Unknown names are an error, never a silent fallback.
+// Unknown names are an error, never a silent fallback, and so are the two
+// lists NewMachine would panic on: an empty tier name and a repeated one.
 func parseTopology(s string) ([]memsim.TierSpec, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var specs []memsim.TierSpec
+	seen := make(map[string]bool)
 	for _, item := range strings.Split(s, ",") {
 		item = strings.TrimSpace(item)
 		name, src := item, item
@@ -357,6 +344,13 @@ func parseTopology(s string) ([]memsim.TierSpec, error) {
 			return nil, fmt.Errorf("-topology: unknown tier %q (built-ins: %s)",
 				src, strings.Join(memsim.BuiltinTierNames(), ", "))
 		}
+		if name == "" {
+			return nil, fmt.Errorf("-topology: empty tier name in %q", item)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("-topology: duplicate tier name %q", name)
+		}
+		seen[name] = true
 		spec.Name = name
 		specs = append(specs, spec)
 	}
@@ -432,7 +426,6 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 	mc.Tiers = faultTiers(o.tiers, o.faultWear, o.faultPPM, o.seed)
 	hc := heap.DefaultConfig()
 	hc.HeapKind = o.kind
-	hc.YoungOnDRAM = o.youngDRAM
 	hc.Placement = o.place
 	host, err := workload.NewHost(mc, hc, o.collector == "ps", o.opt)
 	if err != nil {
@@ -552,11 +545,11 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 
 func ms(t memsim.Time) float64 { return float64(t) / float64(memsim.Millisecond) }
 
-// checkThreads rejects a -threads value no parallel phase can hold, in
+// checkThreads rejects a -threads value no collection can run with, in
 // every mode, before any machine is built.
 func checkThreads(n int) error {
-	if n > memsim.MaxWorkers {
-		return fmt.Errorf("-threads %d: a collection runs at most %d GC threads", n, memsim.MaxWorkers)
+	if n < 1 || n > memsim.MaxWorkers {
+		return fmt.Errorf("-threads %d: a collection runs 1 to %d GC threads", n, memsim.MaxWorkers)
 	}
 	return nil
 }

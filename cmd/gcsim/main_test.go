@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -63,6 +64,16 @@ func TestParseTopology(t *testing.T) {
 	if !strings.Contains(err.Error(), "bogus-tier") || !strings.Contains(err.Error(), "built-ins") {
 		t.Errorf("error should name the tier and list built-ins: %v", err)
 	}
+	// The two lists memsim.NewMachine panics on.
+	for in, want := range map[string]string{
+		"optane,optane":              `duplicate tier name "optane"`,
+		"nvm=optane,nvm=remote-dram": `duplicate tier name "nvm"`,
+		"local-dram,=optane":         "empty tier name",
+	} {
+		if _, err := parseTopology(in); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("parseTopology(%q) = %v, want an error with %q", in, err, want)
+		}
+	}
 }
 
 func TestValidatePlacement(t *testing.T) {
@@ -104,5 +115,12 @@ func TestCheckThreads(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "300") || !strings.Contains(err.Error(), "256") {
 		t.Errorf("error should name the value and the limit: %v", err)
+	}
+	// Below 1 the runner would fall back to its default of 8 under a header
+	// naming the value given.
+	for _, n := range []int{0, -3} {
+		if err := checkThreads(n); err == nil || !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Errorf("checkThreads(%d) = %v, want an error naming the value", n, err)
+		}
 	}
 }

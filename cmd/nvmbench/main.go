@@ -6,6 +6,7 @@
 //	nvmbench -list
 //	nvmbench -run fig5 -scale 0.5 -threads 16
 //	nvmbench -run all -quick -format csv -o results.csv
+//	nvmbench -run fleet -quick -format json -o results/BENCH_fleet.json
 //	nvmbench -run fig5 -parallel 1 -eager-yield   # reference schedule, serial
 package main
 
@@ -30,7 +31,7 @@ func main() {
 		threads = flag.Int("threads", 0, "override GC thread count (0 = per-experiment default)")
 		seed    = flag.Uint64("seed", 1, "workload RNG seed")
 		quick   = flag.Bool("quick", false, "reduced app sets and sweeps")
-		format  = flag.String("format", "table", "output format: table or csv")
+		format  = flag.String("format", "table", "output format: table, csv or json (one document per experiment; the results/BENCH_*.json archives)")
 		out     = flag.String("o", "", "write output to file instead of stdout")
 
 		nvmTier  = flag.String("nvm-tier", "", "substitute a built-in tier profile for the persistent tier of every experiment machine (e.g. eadr-nvm; see gcsim -list-devices)")
@@ -41,8 +42,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *threads > memsim.MaxWorkers {
-		fmt.Fprintf(os.Stderr, "nvmbench: -threads %d: a collection runs at most %d GC threads\n", *threads, memsim.MaxWorkers)
+	if *threads < 0 || *threads > memsim.MaxWorkers {
+		fmt.Fprintf(os.Stderr, "nvmbench: -threads %d: a collection runs 1 to %d GC threads (0 = per-experiment default)\n", *threads, memsim.MaxWorkers)
 		os.Exit(2)
 	}
 
@@ -99,6 +100,8 @@ func main() {
 		switch *format {
 		case "csv":
 			fmt.Fprint(w, rep.CSV())
+		case "json":
+			fmt.Fprint(w, rep.JSON("nvmbench "+strings.Join(os.Args[1:], " ")))
 		default:
 			fmt.Fprintln(w, rep.Render())
 		}

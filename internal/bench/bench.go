@@ -6,7 +6,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"nvmgc/internal/gc"
@@ -32,8 +34,8 @@ type Params struct {
 	// deterministic given its seed, so results are identical at any
 	// setting). 0 -> runtime.NumCPU(), 1 -> serial.
 	Parallel int
-	// EagerYield runs every Machine in the reference scheduling mode
-	// (yield before each device op) instead of event-horizon lookahead.
+	// EagerYield runs every Machine on the reference schedule (nothing
+	// done on a parked worker's behalf; memsim.Config.EagerYield).
 	// Results are identical; this exists to demonstrate that.
 	EagerYield bool
 	// NVMTier, when set, substitutes the named built-in tier profile
@@ -128,6 +130,40 @@ func (r *Report) CSV() string {
 		b.WriteString(t.CSV())
 	}
 	return b.String()
+}
+
+// JSON returns the rows of all tables as one JSON document — the format of
+// the results/BENCH_*.json archives. Each row is an object keyed by its
+// table's column names; a cell that is a JSON number literal stays bare,
+// every other cell is a string. command records how the report was made.
+func (r *Report) JSON(command string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "{\n  \"generated_by\": \"nvmbench -format json\",\n  \"command\": %s,\n  \"rows\": [", jsonString(command))
+	sep := "\n"
+	for _, t := range r.Tables {
+		for _, row := range t.Rows {
+			b.WriteString(sep + "    {")
+			sep = ",\n"
+			for i, cell := range row[:min(len(row), len(t.Columns))] {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				// Bare only if a number (ParseFloat) spelled JSON's way (not "+5", ".5", "Inf").
+				if _, err := strconv.ParseFloat(cell, 64); err != nil || !json.Valid([]byte(cell)) {
+					cell = jsonString(cell)
+				}
+				b.WriteString(jsonString(t.Columns[i]) + ": " + cell)
+			}
+			b.WriteByte('}')
+		}
+	}
+	b.WriteString("\n  ]\n}\n")
+	return b.String()
+}
+
+func jsonString(s string) string {
+	q, _ := json.Marshal(s) // a string always marshals
+	return string(q)
 }
 
 // Experiment regenerates one paper artifact.

@@ -75,12 +75,12 @@ func TestBenchFleetJSONSchema(t *testing.T) {
 		live++
 	}
 	if live != len(rows) {
-		t.Fatalf("fleet now yields %d rows, archive has %d (regenerate with scripts/bench_sim.sh)", live, len(rows))
+		t.Fatalf("fleet now yields %d rows, archive has %d (regenerate with make archives)", live, len(rows))
 	}
 	sort.Strings(cols)
 	for i, row := range rows {
 		if got := keysOf(row); strings.Join(got, ",") != strings.Join(cols, ",") {
-			t.Fatalf("archive row %d keys %v, experiment emits columns %v (regenerate with scripts/bench_sim.sh)", i, got, cols)
+			t.Fatalf("archive row %d keys %v, experiment emits columns %v (regenerate with make archives)", i, got, cols)
 		}
 	}
 }

@@ -416,8 +416,11 @@ func (r *Report) String() string {
 // Campaign runs the differential campaign: `runs` seeded traces of
 // `nops` ops each, fanned out over `parallel` host workers (0 = all
 // cores). Seeds are derived from baseSeed so the whole campaign is
-// reproducible from one number.
+// reproducible from one number. A negative count is an error.
 func Campaign(runs, nops int, baseSeed uint64, parallel int) (*Report, error) {
+	if runs < 0 || nops < 0 {
+		return nil, fmt.Errorf("oracle: campaign of %d runs x %d ops: negative count", runs, nops)
+	}
 	dists := TraceDists()
 	fails, err := par.Map(runs, parallel, func(i int) (*Failure, error) {
 		// Rotate the id-selection distribution deterministically across

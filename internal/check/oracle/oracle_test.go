@@ -142,6 +142,19 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestCampaignRejectsNegativeCounts: -selfcheck-runs / -selfcheck-ops are
+// user input; a negative one is an error, not a makeslice panic.
+func TestCampaignRejectsNegativeCounts(t *testing.T) {
+	for _, c := range [][2]int{{-1, 400}, {50, -1}} {
+		if rep, err := Campaign(c[0], c[1], 1, 1); err == nil || rep != nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("Campaign(%d, %d) = %v, %v; want an error saying why", c[0], c[1], rep, err)
+		}
+	}
+	if _, err := Campaign(0, 0, 1, 1); err != nil {
+		t.Errorf("empty campaign rejected: %v", err)
+	}
+}
+
 // TestShrinkMinimizes: chunk-removal shrinking finds the minimal
 // sub-trace for a synthetic predicate ("contains ops 3 and 17").
 func TestShrinkMinimizes(t *testing.T) {

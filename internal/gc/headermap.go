@@ -56,11 +56,6 @@ func (hm *HeaderMap) Entries() int { return hm.entries }
 // Used returns the number of occupied entries.
 func (hm *HeaderMap) Used() int64 { return hm.used }
 
-// Occupancy returns used/capacity.
-func (hm *HeaderMap) Occupancy() float64 {
-	return float64(hm.used) / float64(hm.entries)
-}
-
 func (hm *HeaderMap) hash(a heap.Address) uint64 {
 	x := a
 	x ^= x >> 33

@@ -11,8 +11,15 @@ import (
 
 func hmTestHeap(t *testing.T) (*heap.Heap, *memsim.Machine) {
 	t.Helper()
+	return hmTestHeapSched(t, false)
+}
+
+// hmTestHeapSched is hmTestHeap on the default or the eager-yield schedule.
+func hmTestHeapSched(t *testing.T, eager bool) (*heap.Heap, *memsim.Machine) {
+	t.Helper()
 	cfg := memsim.DefaultConfig()
 	cfg.LLCBytes = 1 << 16
+	cfg.EagerYield = eager
 	m := memsim.NewMachine(cfg)
 	hc := heap.DefaultConfig()
 	hc.HeapRegions = 64
@@ -252,8 +259,7 @@ type hmDiffResult struct {
 func runHMDiff(t *testing.T, eager, steps bool) hmDiffResult {
 	t.Helper()
 	const workers, perWorker = 8, 60
-	h, m := hmTestHeap(t)
-	m.SetEagerYield(eager)
+	h, m := hmTestHeapSched(t, eager)
 	hm, err := NewHeaderMap(h, 64*16)
 	if err != nil {
 		t.Fatal(err)

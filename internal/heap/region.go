@@ -298,15 +298,6 @@ func (h *Heap) Survivors() []*Region { return h.survivors }
 // Old returns the old-space regions.
 func (h *Heap) Old() []*Region { return h.old }
 
-// YoungRegions returns eden plus survivors (the collection set of a young
-// GC).
-func (h *Heap) YoungRegions() []*Region {
-	out := make([]*Region, 0, len(h.eden)+len(h.survivors))
-	out = append(out, h.eden...)
-	out = append(out, h.survivors...)
-	return out
-}
-
 // BeginCollection detaches the current young generation (eden + survivor
 // lists) as the collection set and resets the heap's young lists so the
 // collector can register fresh survivor regions. The returned slice
@@ -403,18 +394,6 @@ func (h *Heap) CrashedCSet() []*Region {
 	var out []*Region
 	for _, r := range h.regions {
 		if r.InCSet {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// GCClaimedRegions returns the regions claimed during an interrupted
-// collection (to-space and write-cache regions), in index order.
-func (h *Heap) GCClaimedRegions() []*Region {
-	var out []*Region
-	for _, r := range h.regions {
-		if r.ClaimedInGC && r.Kind != RegionFree {
 			out = append(out, r)
 		}
 	}

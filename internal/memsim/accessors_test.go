@@ -14,12 +14,6 @@ func TestDeviceAccessors(t *testing.T) {
 	if len(d.Trace().Series(0)) == 0 {
 		t.Fatal("trace not recording")
 	}
-	d.ResetTrace()
-	if len(d.Trace().Series(0)) != 0 {
-		t.Fatal("ResetTrace failed")
-	}
-	// Untraced devices tolerate ResetTrace.
-	NewDevice("x", DRAMProfile(), 0).ResetTrace()
 }
 
 func TestWorkerAccessors(t *testing.T) {

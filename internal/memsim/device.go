@@ -216,13 +216,6 @@ func (d *Device) Stats() DeviceStats { return d.stats }
 // Trace returns the device's bandwidth trace, or nil if tracing is off.
 func (d *Device) Trace() *Trace { return d.trace }
 
-// ResetTrace discards recorded bandwidth samples but keeps tracing on.
-func (d *Device) ResetTrace() {
-	if d.trace != nil {
-		d.trace.Reset()
-	}
-}
-
 func (d *Device) amplify(bytes int64, seq bool) int64 {
 	g := int64(64)
 	if !seq && d.prof.Granularity > g {

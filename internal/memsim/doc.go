@@ -9,8 +9,8 @@
 // clock, so exactly one worker executes at any instant and the simulation
 // is fully deterministic. The workers waiting to run sit in a winner tree
 // over their packed (clock, id) keys (keyTree), whose root is the next to
-// run and every running worker's event horizon. Every charged operation is an Issue* half and
-// Exec; a body written in step form (Worker.Steps) keeps its position off
+// run and the key a running worker must stay below to keep the CPU. Every
+// charged operation is an Issue* half and Exec; a body written in step form (Worker.Steps) keeps its position off
 // the stack, so the running worker can advance a parked one without a
 // coroutine switch, at the same position in global order.
 //

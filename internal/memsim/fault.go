@@ -6,7 +6,7 @@ package memsim
 // Every fault decision is a pure function of (model seed, line address,
 // per-device counters) — never of host state — so fault campaigns are
 // bit-identical for a fixed seed at any host parallelism, in both the
-// event-horizon and eager-yield scheduling modes. Counter mutations happen
+// default and eager-yield scheduling modes. Counter mutations happen
 // only inside execOp (which runs at the owner's position in global
 // operation order even when delegated to a peer) or in worker segments
 // between yields (whose order the cooperative scheduler fixes), so the

@@ -27,8 +27,12 @@ type Config struct {
 
 	TraceBucket Time // bandwidth trace bucket width; 0 disables tracing
 
-	// EagerYield starts the machine in the reference scheduling mode that
-	// yields before every device-visible operation (see SetEagerYield).
+	// EagerYield selects the reference schedule: the running worker does
+	// nothing on a parked peer's behalf (no delegated accounting, no spin
+	// advanced in place, no peer-run steps; see peerMayAct), so every such
+	// point costs a coroutine switch. Virtual-time results are identical
+	// either way — the golden determinism tests assert it — which is what
+	// makes this mode the oracle the default one is checked against.
 	EagerYield bool
 
 	// WatchdogSpins bounds consecutive Spin iterations before the deadlock
@@ -161,16 +165,6 @@ func (m *Machine) TierOf(dev *Device) *Tier { return m.topo.TierOf(dev) }
 // Now returns the machine's virtual clock (the end of the last phase).
 func (m *Machine) Now() Time { return m.now }
 
-// SetEagerYield switches the scheduler to the reference behavior of
-// offering the CPU to the scheduler before every device-visible operation,
-// with no event-horizon lookahead, no delegated accounting and no peer-run
-// steps (see Worker.Steps). Virtual-time results are identical either way
-// (the golden determinism tests assert this); the eager mode exists as the
-// oracle the default mode is checked against and costs a heap inspection
-// per operation plus a coroutine switch wherever the default mode would
-// have acted on a parked worker's behalf.
-func (m *Machine) SetEagerYield(on bool) { m.eagerYield = on }
-
 // Mark records a labeled point at the current virtual time.
 func (m *Machine) Mark(label string) {
 	m.marks = append(m.marks, PhaseMark{T: m.now, Label: label})
@@ -201,21 +195,13 @@ func (m *Machine) Device(k Kind) *Device {
 // wake-up or lock traffic. Worker bodies must not block on anything other
 // than the scheduler (use Worker.Spin in busy-wait loops).
 //
-// The scheduler uses event-horizon lookahead: a resumed worker reads the
-// key of the next-earliest runnable worker and keeps executing without a
-// switch for as long as its own key stays below that horizon. Every
-// device-visible operation it issues in that window is still the globally
-// earliest possible one, so the operation order — and therefore every
-// virtual-time result — is bit-identical to offering the CPU before each
-// operation (SetEagerYield restores that reference behavior).
-//
 // A panic in a worker body (other than the internal crash/watchdog unwind)
 // propagates out of Run on the caller's goroutine with its original value,
 // after every other worker's coroutine has been unwound and released.
 func (m *Machine) Run(n int, body func(*Worker)) Time {
 	start := m.now
 	if n <= 1 {
-		w := &Worker{id: 0, now: start, m: m, horizonKey: math.MaxInt64}
+		w := &Worker{id: 0, now: start, m: m}
 		runBody(w, body)
 		w.finished = true
 		return m.endPhase(start, w.now)

@@ -46,17 +46,9 @@ func (t *Tier) Spec() TierSpec { return t.spec }
 // Persistent reports whether data on this tier survives power failure.
 func (t *Tier) Persistent() bool { return t.spec.Persistent }
 
-// Volatile reports whether the tier loses its contents at a crash.
-func (t *Tier) Volatile() bool { return !t.spec.Persistent }
-
 // EADR reports whether the tier's persistence domain includes the CPU
 // caches.
 func (t *Tier) EADR() bool { return t.spec.Persistent && t.spec.EADR }
-
-// WriteMixSensitive reports whether the tier's bandwidth collapses
-// sharply as the write share of the traffic mix rises (the Optane
-// pathology the paper's write cache exists to avoid).
-func (t *Tier) WriteMixSensitive() bool { return t.spec.Profile.MixPenalty >= 1 }
 
 // Topology is the ordered set of memory tiers a Machine owns. Order is
 // the declaration order and is stable: per-tier statistics are reported

@@ -1,16 +1,12 @@
 package memsim
 
-import (
-	"math"
-)
-
 // Worker is one simulated hardware thread inside a phase. All memory
 // operations advance the worker's virtual clock; under a parallel phase
 // each device-visible operation is a potential yield point, but the worker
-// only switches away once its clock passes the event horizon (the virtual
-// time of the next-earliest runnable worker) — until then its operations
-// are provably the globally earliest, so device queueing stays processed
-// in global time order without a coroutine switch.
+// only switches away once its key passes the root of the key tree (the
+// next-earliest runnable worker) — until then its operations are provably
+// the globally earliest, so device queueing stays processed in global time
+// order without a coroutine switch.
 type Worker struct {
 	id    int
 	now   Time
@@ -24,13 +20,6 @@ type Worker struct {
 	resume func() (struct{}, bool)
 	park   func(struct{}) bool
 	stop   func()
-
-	// horizonKey is the packed scheduling key (see qkey) of the
-	// next-earliest runnable worker, read from the root of the key tree on
-	// every resume (noKey when no other worker is runnable). The worker may
-	// keep executing while qkey() < horizonKey, which is exactly
-	// (now, id) < (horizon now, horizon id) lexicographically.
-	horizonKey Time
 
 	// finished marks the body as returned (read by the watchdog).
 	finished bool
@@ -152,14 +141,12 @@ func (w *Worker) Now() Time { return w.now }
 // Machine returns the machine the worker runs on.
 func (w *Worker) Machine() *Machine { return w.m }
 
-// run is the body of the worker's coroutine: arm the event horizon on the
-// first resume, execute the phase body, and name the next runnable worker
-// (if any) as successor; the coroutine then returns to the dispatcher for
-// good.
+// run is the body of the worker's coroutine: execute the phase body and
+// name the next runnable worker (if any) as successor; the coroutine then
+// returns to the dispatcher for good.
 func (w *Worker) run(park func(struct{}) bool) {
 	w.park = park
 	w.sched.cur = w
-	w.setHorizon()
 	runBody(w, w.sched.body)
 	w.finished = true
 	w.sched.next = w.sched.takeTop()
@@ -173,10 +160,6 @@ func (w *Worker) switchTo(next *Worker) {
 	s := w.sched
 	s.next = next
 	w.m.switches++
-	// A parked worker's horizon is unreachable, so a yield reached on its
-	// behalf (a blocking op inside a peer-run step) takes the slow path and
-	// trips the cur check there instead of parking the wrong coroutine.
-	w.horizonKey = math.MinInt64
 	if !w.park(struct{}{}) {
 		panic(crashSignal{})
 	}
@@ -209,30 +192,26 @@ func (m *Machine) peerMayAct(o *Worker, host bool) bool {
 	return !(m.faultTime > 0 && o.now >= m.faultTime)
 }
 
+// yield is the interleaving point of every charged operation and spin: keep
+// the CPU while still the globally earliest worker (see Worker), otherwise
+// act for, or switch to, the worker at the root of the key tree.
 func (w *Worker) yield() {
-	if w.sched == nil {
-		return
-	}
-	// Event horizon: while this worker is still the globally earliest
-	// (ties broken by id, matching the key tree), a switch would resume it
-	// immediately — skip it entirely.
-	wkey := w.qkey()
-	if wkey < w.horizonKey {
-		return
-	}
 	s := w.sched
-	m := w.m
-	if s.cur != w {
-		panic("memsim: blocking operation inside a step run by a peer (a step must only Issue)")
+	if s == nil {
+		return
 	}
+	m := w.m
+	wkey := w.qkey()
 	for {
 		top := s.tree[1]
 		if wkey < top {
-			// Still the earliest (eager-yield's forced inspections, every
-			// earlier worker was advanced past us in place, or none is
-			// runnable and top is noKey): keep running with a re-armed horizon.
-			w.setHorizon()
+			// Still the earliest, or nobody else is runnable (top is noKey).
 			return
+		}
+		// A parked worker's own leaf keeps the root at or below its key, so a
+		// blocking op inside a peer-run step lands here, not in a wrong park.
+		if s.cur != w {
+			panic("memsim: blocking operation inside a step run by a peer (a step must only Issue)")
 		}
 		// The earliest worker is parked. Whatever it would do next that
 		// needs no stack of its own is done here, on its behalf, at exactly
@@ -279,7 +258,6 @@ func (w *Worker) yield() {
 	next := s.takeTop()
 	s.tree.set(w.id, wkey)
 	w.switchTo(next)
-	w.setHorizon()
 }
 
 // Exec is the second half of every charged operation: yield at the issued
@@ -453,15 +431,9 @@ func (w *Worker) advanceSpin() bool {
 // per quantum.
 //
 // cond must be free of charged memory operations and must not depend on
-// which worker's coroutine evaluates it. Under eager-yield the literal loop
-// runs.
+// which worker's coroutine evaluates it. Under eager-yield no peer acts for
+// the worker (peerMayAct), so the literal loop is all that runs.
 func (w *Worker) SpinWait(d Time, cond func() bool) {
-	if w.sched == nil || w.m.eagerYield {
-		for !cond() {
-			w.Spin(d)
-		}
-		return
-	}
 	if d < 1 {
 		d = 1
 	}
@@ -470,23 +442,6 @@ func (w *Worker) SpinWait(d Time, cond func() bool) {
 		w.Spin(d)
 	}
 	w.spinCond = nil
-}
-
-// setHorizon primes the worker's event horizon from the key tree. Each
-// worker arms its own horizon right after it is resumed (and on its first
-// resume, before its body starts): the worker that parked or finished
-// completed every tree update before switching away and the dispatcher
-// touches nothing in between, so the freshly resumed worker reads the
-// exact state its horizon must reflect. With no other worker runnable the
-// root is noKey and the worker runs to completion without switches.
-func (w *Worker) setHorizon() {
-	if w.m.eagerYield {
-		// Reference mode: an unreachable horizon forces a tree inspection
-		// at every yield point.
-		w.horizonKey = math.MinInt64
-		return
-	}
-	w.horizonKey = w.sched.tree[1]
 }
 
 // Advance models CPU-only work of duration d (no scheduler yield; yields

@@ -81,22 +81,6 @@ func Summarize(values []float64) Summary {
 	return s
 }
 
-// GeoMean returns the geometric mean of positive values (NaN if empty or
-// any value is non-positive).
-func GeoMean(values []float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	var logSum float64
-	for _, v := range values {
-		if v <= 0 {
-			return math.NaN()
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(values)))
-}
-
 // Table is a rectangular result table rendered as aligned plain text or
 // CSV — the harness's equivalent of one paper table/figure panel.
 type Table struct {
@@ -197,11 +181,4 @@ func (t *Table) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -82,15 +82,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-9 {
-		t.Fatalf("geomean = %g", g)
-	}
-	if !math.IsNaN(GeoMean(nil)) || !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Fatal("invalid inputs should give NaN")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := Table{Title: "Fig X", Columns: []string{"app", "time (s)", "speedup"}}
 	tb.AddRow("page-rank", 12.5, 2.69)

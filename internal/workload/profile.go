@@ -13,8 +13,6 @@
 // and scala-doku trigger few, short collections.
 package workload
 
-import "nvmgc/internal/memsim"
-
 // Profile describes one application's memory demographics. All volume
 // parameters are expressed relative to the heap configuration so profiles
 // scale with the simulated heap size.
@@ -65,16 +63,4 @@ func (p Profile) valid() bool {
 		p.ChurnDrop >= 0 && p.ChurnDrop <= 1 &&
 		p.HolderFrac >= 0 && p.HolderFrac <= 1 &&
 		p.EdenFills > 0
-}
-
-// GCShare estimates how GC-bound the profile is (used only for test
-// assertions about relative orderings, not by the simulation itself).
-func (p Profile) GCShare() float64 {
-	return p.Survival * p.EdenFills
-}
-
-// timePerKBApp returns the approximate mutator virtual time per KiB
-// allocated, ignoring device queueing (used to sanity-check calibration).
-func (p Profile) timePerKBApp(readLat memsim.Time) memsim.Time {
-	return p.CPUNsPerKB + memsim.Time(p.RandReadsPerKB*float64(readLat))
 }
