@@ -78,10 +78,12 @@ fleet-smoke: build
 # 30s on top (regression net for the crash points earlier PRs fixed), then
 # does the same for 10s with the fleet's traffic parameters (hostile
 # sizes, rates and times must come back as errors, and every replay that
-# does come back must be whole).
+# does come back must be whole), and for 10s with the zipfian rank table
+# (every table-backed draw must equal the formula's).
 fuzz-smoke: build
 	$(GO) test ./internal/gc -run FuzzCrashRecovery -fuzz FuzzCrashRecovery -fuzztime 30s
 	$(GO) test ./internal/fleet -run FuzzSimulateTraffic -fuzz FuzzSimulateTraffic -fuzztime 10s
+	$(GO) test ./internal/workload/generator -run FuzzZipfianTable -fuzz FuzzZipfianTable -fuzztime 10s
 
 # cover enforces per-package coverage floors on the collector core.
 # -coverpkg merges cross-package hits (internal/heap is exercised mostly

@@ -55,6 +55,7 @@ func TestFleetConfigValidateRejects(t *testing.T) {
 		{"negative qps", func(fo *fleetOptions) { fo.qps = -1 }},
 		{"NaN qps", func(fo *fleetOptions) { fo.qps = math.NaN() }},
 		{"infinite qps", func(fo *fleetOptions) { fo.qps = math.Inf(1) }},
+		{"qps above 1e9", func(fo *fleetOptions) { fo.qps = 1e300 }},
 		{"unknown workload", func(fo *fleetOptions) { fo.workload = "no-such" }},
 		{"negative hedge", func(fo *fleetOptions) { fo.hedgeUS = -1 }},
 		{"negative retry budget", func(fo *fleetOptions) { fo.retries = -1 }},

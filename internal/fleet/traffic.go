@@ -76,8 +76,10 @@ const (
 
 // Validate rejects traffic parameters up front.
 func (tr Traffic) Validate() error {
-	if !(tr.QPS > 0) || math.IsInf(tr.QPS, 0) { // !(x > 0), so NaN fails too
-		return fmt.Errorf("fleet: arrival rate %g qps, want finite and > 0", tr.QPS)
+	// Arrivals are whole nanoseconds apart (nextArrival), so a mean gap
+	// below 1 ns is a rate the clock cannot express; NaN fails too.
+	if !(tr.QPS > 0 && tr.QPS <= float64(memsim.Second)) {
+		return fmt.Errorf("fleet: arrival rate %g qps, want > 0 and at most 1e9 (a mean gap of at least 1 ns)", tr.QPS)
 	}
 	if tr.Service <= 0 || tr.Service >= horizon {
 		return fmt.Errorf("fleet: service time %d, want > 0 and < 2^%d ns", tr.Service, horizonBits)

@@ -170,6 +170,8 @@ func TestTrafficValidate(t *testing.T) {
 		{"negative qps", func(tr *Traffic) { tr.QPS = -1 }},
 		{"NaN qps", func(tr *Traffic) { tr.QPS = math.NaN() }},
 		{"infinite qps", func(tr *Traffic) { tr.QPS = math.Inf(1) }},
+		{"qps above 1e9", func(tr *Traffic) { tr.QPS = math.Nextafter(1e9, math.Inf(1)) }}, // mean gap below 1 ns: silently capped
+		{"qps 1e300", func(tr *Traffic) { tr.QPS = 1e300 }},                                // used to run for minutes
 		{"zero service", func(tr *Traffic) { tr.Service = 0 }},
 		{"service at the horizon", func(tr *Traffic) { tr.Service = horizon }},
 		{"zero servers", func(tr *Traffic) { tr.Servers = 0 }},
@@ -199,9 +201,9 @@ func TestTrafficValidate(t *testing.T) {
 		}
 	}
 	atCaps := base
-	atCaps.Servers, atCaps.Tenants = MaxServers, MaxTenants
+	atCaps.Servers, atCaps.Tenants, atCaps.QPS = MaxServers, MaxTenants, 1e9
 	if err := atCaps.Validate(); err != nil {
-		t.Errorf("servers and tenants at their caps rejected: %v", err)
+		t.Errorf("servers, tenants and rate at their caps rejected: %v", err)
 	}
 	if _, _, _, err := SimulateTraffic(nil, testWindow, base); err == nil {
 		t.Error("no instances: accepted")

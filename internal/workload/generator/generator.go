@@ -11,11 +11,13 @@
 // Next is also on other packages' hot paths (the fleet's traffic replay
 // draws a tenant per request), so what a draw does not need to recompute
 // it does not: the zipfian's rank-1 threshold 1 + 0.5^θ depends on the
-// skew alone and is computed once where θ is set (NewZipfian, and the
-// struct NewScrambledZipfian fills in; ForItems never touches θ), which
-// leaves one math.Pow per draw, and only for draws past rank 1. The test
-// suite replays every zipfian-backed generator against the formula with
-// the threshold recomputed per draw.
+// skew alone and is computed once where θ is set, and a NewZipfian over
+// at most 4096 items maps each draw to its rank through a precomputed
+// table instead of math.Pow, exactly (see rankTable). A resize drops the
+// table, so Latest, ScrambledZipfian and growing windows keep one
+// math.Pow per draw past rank 1. The test suite replays every
+// zipfian-backed generator against the formula as published, with the
+// threshold recomputed per draw and no table.
 package generator
 
 import (

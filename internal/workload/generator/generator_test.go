@@ -382,10 +382,16 @@ func TestGeneratorsAllocationFree(t *testing.T) {
 }
 
 // nextUnhoisted is Zipfian.Next with Gray's formula as published: the
-// rank-1 threshold 1 + 0.5^θ is recomputed on every draw. It is the
-// reference Next's hoisted threshold is held to.
+// rank-1 threshold 1 + 0.5^θ is recomputed on every draw, and there is no
+// rank table. It is the reference Next's hoisted threshold and table are
+// held to.
 func nextUnhoisted(z *Zipfian) int64 {
-	u := z.rng.Float64()
+	z.last = z.base + unhoistedRank(z, z.rng.Float64())
+	return z.last
+}
+
+// unhoistedRank is nextUnhoisted's rank for the uniform draw u.
+func unhoistedRank(z *Zipfian, u float64) int64 {
 	uz := u * z.zetan
 	var v int64
 	switch {
@@ -399,8 +405,7 @@ func nextUnhoisted(z *Zipfian) int64 {
 	if v >= z.items {
 		v = z.items - 1
 	}
-	z.last = z.base + v
-	return z.last
+	return v
 }
 
 // TestZipfianDrawsMatchUnhoistedFormula replays two generators built
@@ -410,7 +415,7 @@ func nextUnhoisted(z *Zipfian) int64 {
 // threshold alone), and for the two generators that embed a Zipfian.
 func TestZipfianDrawsMatchUnhoistedFormula(t *testing.T) {
 	const draws = 20_000
-	sizes := []int64{2, 3, 256, 1_000_000}
+	sizes := []int64{2, 3, 256, 4096, 1_000_000}
 	for _, theta := range []float64{0.5, ZipfianConstant} {
 		for _, items := range sizes {
 			got, err := NewZipfian(NewRand(5, 9), 10, 10+items-1, theta)

@@ -33,6 +33,10 @@ type Zipfian struct {
 	// computed where theta is set rather than on every draw.
 	rank1 float64
 
+	// table, when set, answers Next without evaluating the formula; see
+	// rankTable. ForItems to a different count drops it for good.
+	table *rankTable
+
 	last int64
 }
 
@@ -52,6 +56,7 @@ func NewZipfian(rng *rand.Rand, min, max int64, theta float64) (*Zipfian, error)
 	z.zetan = zeta(0, z.items, theta, 0)
 	z.countForZeta = z.items
 	z.eta = z.computeEta()
+	z.table = newRankTable(z)
 	return z, nil
 }
 
@@ -80,6 +85,7 @@ func (z *Zipfian) ForItems(n int64) {
 	if n == z.items {
 		return
 	}
+	z.table = nil
 	switch {
 	case n > z.countForZeta:
 		z.zetan = zeta(z.countForZeta, n, z.theta, z.zetan)
@@ -97,7 +103,24 @@ func (z *Zipfian) Items() int64 { return z.items }
 
 // Next draws the next rank (base+0 is the hottest).
 func (z *Zipfian) Next() int64 {
-	u := z.rng.Float64()
+	// The 53 bits rand.Float64 keeps: it returns k / 2^53.
+	k := z.rng.Uint64() << 11 >> 11
+	if t := z.table; t != nil {
+		r := uint(t.guide[k>>guideShift&(guideBuckets-1)])
+		for k >= t.cut[r+1] {
+			r++
+		}
+		if k-t.cut[r] >= guard && t.cut[r+1]-k > guard {
+			z.last = z.base + int64(r)
+			return z.last
+		}
+	}
+	z.last = z.base + z.rank(float64(k)/drawSpan)
+	return z.last
+}
+
+// rank is Gray's formula: the rank of the uniform draw u in [0, 1).
+func (z *Zipfian) rank(u float64) int64 {
 	uz := u * z.zetan
 	var v int64
 	switch {
@@ -111,8 +134,125 @@ func (z *Zipfian) Next() int64 {
 	if v >= z.items { // guard the float boundary
 		v = z.items - 1
 	}
-	z.last = z.base + v
-	return z.last
+	return v
+}
+
+// For a fixed item count, rank(k/2^53) is a step function of the 53-bit
+// integer k a draw consumes, so a rankTable answers it from cut points.
+// Each cut is certified on the formula itself (rank at cut-1 below r, at
+// cut at least r), and the table answers only for k at least guard away
+// from every cut and from both ends of the range; nearer draws evaluate
+// the formula. The Pow base eta·u−eta+1 rounds monotonically in k, and
+// across the band it moves by at least 2^10 of its ulps (minTableEta;
+// items ≤ 2 have no Pow-branch cut), which moves the result by far more
+// than Pow's error, so the table is exact without relying on Pow being
+// monotone. A draw lands in a band with probability items·2^-32.
+const (
+	maxTableItems = 1 << guideBits // the guide's resolution
+	guideBits     = 12
+	guideBuckets  = 1 << guideBits
+	guideShift    = 53 - guideBits
+	guard         = 1 << 20
+	drawSpan      = 1 << 53
+	minTableEta   = 0x1p-10
+)
+
+// rankTable is one allocation behind one pointer, so a Zipfian without
+// one carries only a nil pointer.
+type rankTable struct {
+	// guide[b] is the rank at k = b<<guideShift: a draw scans forward
+	// from it, a few cuts at most.
+	guide [guideBuckets]uint16
+	// cut[r] is where rank r begins; cut[items] = 2^53 ends the range.
+	cut [maxTableItems + 1]uint64
+}
+
+// newRankTable tabulates z's formula, or returns nil where the formula
+// answers: past the guide's resolution, where the Pow base would not move
+// across a band, and for one item (every draw is rank 0 without a Pow, and
+// Latest starts there only to grow) or a range so wide its count wrapped.
+func newRankTable(z *Zipfian) *rankTable {
+	n := z.items
+	if n < 2 || n > maxTableItems || (n > 2 && z.eta < minTableEta) {
+		return nil
+	}
+	t := new(rankTable)
+	for r := int64(1); r < n; r++ {
+		t.cut[r] = uint64(z.findCut(r, int64(t.cut[r-1])))
+	}
+	t.cut[n] = drawSpan
+	r := 0
+	for b := range t.guide {
+		for t.cut[r+1] <= uint64(b)<<guideShift {
+			r++
+		}
+		t.guide[b] = uint16(r)
+	}
+	return t
+}
+
+// rankAt is the formula at the 53-bit draw k, extended past both ends of
+// the range: below every rank at k < 0, at every rank at k = 2^53.
+func (z *Zipfian) rankAt(k int64) int64 {
+	switch {
+	case k < 0:
+		return -1
+	case k >= drawSpan:
+		return z.items
+	}
+	return z.rank(float64(k) / drawSpan)
+}
+
+// findCut returns a k with rankAt(k-1) < r <= rankAt(k), given prev, the
+// cut of rank r-1. It starts from the closed-form inverse of the formula
+// at r, gallops until it brackets the step, and bisects: a handful of
+// formula evaluations where plain bisection over 2^53 takes 53.
+func (z *Zipfian) findCut(r, prev int64) int64 {
+	var u float64
+	switch r {
+	case 1:
+		u = 1 / z.zetan
+	case 2:
+		u = z.rank1 / z.zetan
+	default:
+		u = 1 + (math.Pow(float64(r)/float64(z.items), 1-z.theta)-1)/z.eta
+	}
+	lo := prev - 1 // rankAt(prev-1) < r-1
+	seed := lo + 1
+	if u > 0 { // false for NaN too
+		seed = max(seed, int64(min(u, 1)*drawSpan))
+	}
+	var hi int64
+	if z.rankAt(seed) >= r {
+		hi = seed
+		for step := int64(1); ; step *= 2 {
+			c := max(hi-step, lo)
+			if z.rankAt(c) < r {
+				lo = c
+				break
+			}
+			hi = c
+		}
+	} else {
+		lo = seed
+		for step := int64(1); ; step *= 2 {
+			c := min(lo+step, drawSpan)
+			if z.rankAt(c) >= r {
+				hi = c
+				break
+			}
+			lo = c
+		}
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if z.rankAt(mid) >= r {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // Last returns the most recent draw.
