@@ -13,7 +13,7 @@ test: build
 # simulator core (its Steps tests included), the heap on it, the host
 # pool, the bench harness, the workload run loop and host assembly, the
 # fleet and the two packages whose hot-path helpers it shares
-# (cassandra.EarliestFree, the generators), and the collector's
+# (cassandra.Queue, the generators), and the collector's
 # eager-vs-default equivalence sweeps and step-form differential tests
 # under the race detector. -short trims workload sizes (the golden
 # determinism tests still run, on reduced cases) so the gate finishes in
@@ -78,12 +78,15 @@ fleet-smoke: build
 # 30s on top (regression net for the crash points earlier PRs fixed), then
 # does the same for 10s with the fleet's traffic parameters (hostile
 # sizes, rates and times must come back as errors, and every replay that
-# does come back must be whole), and for 10s with the zipfian rank table
-# (every table-backed draw must equal the formula's).
+# does come back must be whole), for 10s with the zipfian rank table
+# (every table-backed draw must equal the formula's and stay in range),
+# and for 10s with the server queue (every completion must equal the
+# binary-search timeline and plain-scan pool's).
 fuzz-smoke: build
 	$(GO) test ./internal/gc -run FuzzCrashRecovery -fuzz FuzzCrashRecovery -fuzztime 30s
 	$(GO) test ./internal/fleet -run FuzzSimulateTraffic -fuzz FuzzSimulateTraffic -fuzztime 10s
 	$(GO) test ./internal/workload/generator -run FuzzZipfianTable -fuzz FuzzZipfianTable -fuzztime 10s
+	$(GO) test ./internal/cassandra -run FuzzQueue -fuzz FuzzQueue -fuzztime 10s
 
 # cover enforces per-package coverage floors on the collector core.
 # -coverpkg merges cross-package hits (internal/heap is exercised mostly

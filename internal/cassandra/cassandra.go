@@ -10,6 +10,7 @@ package cassandra
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 
@@ -128,11 +129,28 @@ type Timeline struct {
 	prefix []memsim.Time // prefix[i] = pause time before pauses[i]
 }
 
-// NewTimeline builds the transform from a pause timeline (copied and
-// sorted; the caller's slice is left alone).
+// NewTimeline builds the transform from a pause timeline. The intervals
+// are copied (the caller's slice is left alone), sorted, cleared of empty
+// and inverted ones, and merged where they overlap or touch, so pause ends
+// and active-time starts both increase, which the binary searches and
+// Queue's cursor rely on.
 func NewTimeline(pauses []Interval) *Timeline {
-	ps := append([]Interval(nil), pauses...)
+	ps := make([]Interval, 0, len(pauses))
+	for _, p := range pauses {
+		if p.End > p.Start {
+			ps = append(ps, p)
+		}
+	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Start < ps[j].Start })
+	merged := ps[:0]
+	for _, p := range ps {
+		if k := len(merged) - 1; k >= 0 && p.Start <= merged[k].End {
+			merged[k].End = max(merged[k].End, p.End)
+			continue
+		}
+		merged = append(merged, p)
+	}
+	ps = merged
 	prefix := make([]memsim.Time, len(ps)+1)
 	for i, p := range ps {
 		prefix[i+1] = prefix[i] + (p.End - p.Start)
@@ -142,8 +160,12 @@ func NewTimeline(pauses []Interval) *Timeline {
 
 // Active returns the active time accumulated by wall time t.
 func (tl *Timeline) Active(t memsim.Time) memsim.Time {
-	// pause time fully before t
-	i := sort.Search(len(tl.pauses), func(i int) bool { return tl.pauses[i].End > t })
+	return tl.activeAt(sort.Search(len(tl.pauses), func(i int) bool { return tl.pauses[i].End > t }), t)
+}
+
+// activeAt is Active given i, the first pause ending after t: the pauses
+// before i lie wholly before t.
+func (tl *Timeline) activeAt(i int, t memsim.Time) memsim.Time {
 	a := t - tl.prefix[i]
 	if i < len(tl.pauses) && t > tl.pauses[i].Start {
 		a -= t - tl.pauses[i].Start // inside pause i
@@ -165,9 +187,9 @@ func (tl *Timeline) Inverse(a memsim.Time) memsim.Time {
 // PauseTime returns the total paused time in the timeline.
 func (tl *Timeline) PauseTime() memsim.Time { return tl.prefix[len(tl.pauses)] }
 
-// MaxServers is the largest server pool EarliestFree packs into keys: the
-// server index rides in a key's low 8 bits. The fleet validates its pools
-// against it.
+// MaxServers is the largest server pool a Queue picks from its winner
+// tree: the server index rides in a key's low 8 bits. A larger pool is
+// served by the plain scan; the fleet holds its pools to this size.
 const MaxServers = 1 << freeIndexBits
 
 const (
@@ -176,42 +198,169 @@ const (
 	// ~417 days of virtual time, the horizon memsim's own packed keys
 	// (Worker.qkey, the LLC stamps) already assume.
 	freeTimeBits = 63 - freeIndexBits
+	// noServer is the key of a leaf past the pool; every real key is
+	// smaller.
+	noServer = memsim.Time(math.MaxInt64)
+	// gallopAfter is how many pauses a cursor steps over one by one before
+	// it gallops, so a long jump stays logarithmic.
+	gallopAfter = 4
 )
 
-// EarliestFree returns the index of the smallest next-free time, the
-// lowest index among equals: the server a FIFO pool hands its next
-// request to. Which server that is depends on the service-time draws, so
-// a compare-and-jump per server mispredicts. Instead each time is packed
-// as free[i]<<8 | i — keys that are distinct and ordered by (time, index)
-// — and the keys are reduced with the jump-free minimum the LLC's victim
-// search uses (memsim.minStamp). A time outside [0, 2^55) or a pool above
-// MaxServers does not fit a key; one predictable check after the loop
-// sends those to the plain scan, so the result is exact for every input.
-// free must not be empty.
-func EarliestFree(free []memsim.Time) int {
-	key := uint64(1<<63 - 1)
-	var seen memsim.Time // OR of the times: a bit at or above freeTimeBits (a negative time sets bit 63) means no fit
-	for i, f := range free {
-		seen |= f
-		key = lesser(key, uint64(f)<<freeIndexBits|uint64(i))
+// Queue is one instance's FIFO server pool serving in active time: a
+// request arriving at wall time t goes to the server that frees up first
+// (the lowest index among equals), starts at the later of Active(t) and
+// that server's next-free time, and completes at Inverse(start + svc).
+//
+// Which server frees up first depends on the service-time draws, so a
+// compare-and-jump scan mispredicts. The pick reads a winner tree over
+// the keys free<<8 | i, which are distinct and ordered by (time, index);
+// a store is one leaf write and a jump-free replay of its path to the
+// root. A pool above MaxServers, or a finish outside [0, 2^55), does not
+// fit a key: that queue scans its next-free times from then on, so the
+// result is exact for every input.
+//
+// The timeline transform walks forward. next is the first pause ending
+// after the last arrival, so Active steps on from it when arrivals do not
+// go back in time (the fleet serves arms in time order). Inverse scans
+// from it too: every pause j before next ends by the arrival t, so its
+// active-time start Active(End_j) is at most Active(t) ≤ finish, where
+// the binary search's predicate is false as well. An earlier arrival, or
+// a finish below Active(t) (a negative or wrapped service time), takes
+// the binary search instead, and a cursor that would step over more than
+// gallopAfter pauses gallops.
+type Queue struct {
+	tl *Timeline
+	// keys is the winner tree: keys[1] is the smallest key, and leaf
+	// len(keys)/2+i holds server i's. Nil once the queue scans.
+	keys []memsim.Time
+	// free is the tree's leaf row while keys is set, and the servers'
+	// next-free times (active time) after.
+	free []memsim.Time
+	next int
+	last memsim.Time
+}
+
+// NewQueues returns one Queue of `servers` servers, all free at active
+// time 0, per timeline, in two allocations. servers must be at least 1.
+func NewQueues(tls []*Timeline, servers int) []Queue {
+	leaves := 1 << bits.Len(uint(servers-1))
+	words := 2 * leaves
+	if servers > MaxServers {
+		words = servers
 	}
-	if uint64(seen)>>freeTimeBits == 0 && len(free) <= MaxServers {
-		return int(key & (MaxServers - 1))
+	qs := make([]Queue, len(tls))
+	slab := make([]memsim.Time, len(tls)*words)
+	for i, tl := range tls {
+		w := slab[i*words : (i+1)*words : (i+1)*words]
+		qs[i].tl = tl
+		if servers > MaxServers {
+			qs[i].free = w
+			continue
+		}
+		for j := range leaves {
+			w[leaves+j] = noServer
+			if j < servers {
+				w[leaves+j] = memsim.Time(j)
+			}
+		}
+		for j := leaves - 1; j > 0; j-- {
+			w[j] = min(w[2*j], w[2*j+1])
+		}
+		qs[i].keys, qs[i].free = w, w[leaves:leaves+servers]
 	}
+	return qs
+}
+
+// Serve queues a request arriving at wall time t that needs svc of active
+// time, and returns the wall time it completes.
+func (q *Queue) Serve(t, svc memsim.Time) (wall memsim.Time) {
+	a := q.active(t)
+	if k := q.keys; k != nil {
+		top := k[1]
+		i := top & (MaxServers - 1)
+		finish := max(a, top>>freeIndexBits) + svc
+		if uint64(finish)>>freeTimeBits == 0 {
+			q.store(int(i), finish<<freeIndexBits|i)
+			return q.inverse(a, finish)
+		}
+		for j := range q.free {
+			q.free[j] >>= freeIndexBits
+		}
+		q.keys = nil
+	}
+	fr := q.free
 	best := 0
-	for i := 1; i < len(free); i++ {
-		if free[i] < free[best] {
+	for i := 1; i < len(fr); i++ {
+		if fr[i] < fr[best] {
 			best = i
 		}
 	}
-	return best
+	finish := max(a, fr[best]) + svc
+	fr[best] = finish
+	return q.inverse(a, finish)
 }
 
-// lesser is min(a, b) for a, b < 2^63, computed without a jump (the
-// compiler turns the builtin min into one here).
-func lesser(a, b uint64) uint64 {
-	d := int64(b) - int64(a)
-	return a + uint64(d&(d>>63))
+// store writes server i's key and replays its path to the root. The min
+// is arithmetic (valid for operands in [0, 2^63), which keys and noServer
+// are), as in memsim's run queue.
+func (q *Queue) store(i int, key memsim.Time) {
+	t := q.keys
+	j := len(t)/2 + i
+	t[j] = key
+	for j > 1 {
+		d := t[j^1] - key
+		key += d & (d >> 63)
+		j >>= 1
+		t[j] = key
+	}
+}
+
+// active is Timeline.Active through the cursor, which it moves to t.
+func (q *Queue) active(t memsim.Time) memsim.Time {
+	ps := q.tl.pauses
+	i := q.next
+	if t < q.last {
+		i = sort.Search(len(ps), func(j int) bool { return ps[j].End > t })
+	} else {
+		for n := 0; i < len(ps) && ps[i].End <= t; i++ {
+			if n++; n == gallopAfter {
+				i = gallop(i, len(ps), func(j int) bool { return ps[j].End > t })
+				break
+			}
+		}
+	}
+	q.next, q.last = i, t
+	return q.tl.activeAt(i, t)
+}
+
+// inverse is Timeline.Inverse(finish) for a finish served at active time
+// a, the cursor's last arrival.
+func (q *Queue) inverse(a, finish memsim.Time) memsim.Time {
+	if finish < a {
+		return q.tl.Inverse(finish)
+	}
+	ps, prefix := q.tl.pauses, q.tl.prefix
+	i := q.next
+	for n := 0; i < len(ps) && ps[i].Start-prefix[i] <= finish; i++ {
+		if n++; n == gallopAfter {
+			i = gallop(i, len(ps), func(j int) bool { return ps[j].Start-prefix[j] > finish })
+			break
+		}
+	}
+	return finish + prefix[i]
+}
+
+// gallop returns the first j in (i, n) where f holds, or n, for f false at
+// i and monotone: it doubles its stride from i until f holds, then
+// bisects the last stride.
+func gallop(i, n int, f func(int) bool) int {
+	step := 1
+	for i+step < n && !f(i+step) {
+		i += step
+		step *= 2
+	}
+	hi := min(i+step, n)
+	return i + 1 + sort.Search(hi-i-1, func(k int) bool { return f(i + 1 + k) })
 }
 
 // Latencies simulates an open-loop Poisson request stream of the given
@@ -226,29 +375,17 @@ func Latencies(pauses []Interval, window memsim.Time, throughputQPS float64, ser
 	if window <= 0 || throughputQPS <= 0 || servers < 1 {
 		return nil
 	}
-	tl := NewTimeline(pauses)
-	active := tl.Active
-	inverse := tl.Inverse
+	q := &NewQueues([]*Timeline{NewTimeline(pauses)}, servers)[0]
 
 	rng := rand.New(rand.NewPCG(seed, 0xDA7A))
 	meanGap := float64(memsim.Second) / throughputQPS
-	free := make([]memsim.Time, servers) // per-server next-free, in active time
 	var lat []float64
 	for t := memsim.Time(rng.ExpFloat64() * meanGap); t < window; t += memsim.Time(rng.ExpFloat64()*meanGap) + 1 {
-		aArr := active(t)
-		best := EarliestFree(free)
-		start := aArr
-		if free[best] > start {
-			start = free[best]
-		}
 		svc := memsim.Time(rng.ExpFloat64() * float64(service))
 		if svc < service/8 {
 			svc = service / 8
 		}
-		finish := start + svc
-		free[best] = finish
-		wallFinish := inverse(finish)
-		lat = append(lat, float64(wallFinish-t)/float64(memsim.Millisecond))
+		lat = append(lat, float64(q.Serve(t, svc)-t)/float64(memsim.Millisecond))
 	}
 	return lat
 }

@@ -1,7 +1,6 @@
 package cassandra
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -148,71 +147,42 @@ func TestValidateTailPercentiles(t *testing.T) {
 	}
 }
 
-// earliestFreeScan is the compare-and-jump scan EarliestFree replaced,
-// kept as its reference.
-func earliestFreeScan(free []memsim.Time) int {
-	best := 0
-	for i := 1; i < len(free); i++ {
-		if free[i] < free[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// TestEarliestFreeMatchesScan checks the packed-key minimum against the
-// plain scan at every pool size from 1 to 64 and at the two sizes around
-// MaxServers: on random times, on tie-heavy times (the lowest index must
-// win), on the all-equal pool every replay starts from, and on the inputs
-// a key cannot hold — negative times, times at and past 2^55 — which
-// must still come out exact. It also evolves a pool the way Latencies
-// does and compares every pick, so a wrong tie-break could not hide.
-func TestEarliestFreeMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewPCG(18, 3))
-	check := func(what string, free []memsim.Time) {
-		t.Helper()
-		if got, want := EarliestFree(free), earliestFreeScan(free); got != want {
-			t.Fatalf("%s, %d servers: EarliestFree %d, scan %d (%v)", what, len(free), got, want, free)
-		}
-	}
-	sizes := []int{MaxServers - 1, MaxServers, MaxServers + 1, 3 * MaxServers}
-	for n := 1; n <= 64; n++ {
-		sizes = append(sizes, n)
-	}
-	for _, n := range sizes {
-		free := make([]memsim.Time, n)
-		check("all zero", free)
-		for round := 0; round < 50; round++ {
-			for i := range free {
-				free[i] = rng.Int64N(1 << 40)
+// TestTimelineNormalizes holds the transform to a per-nanosecond count
+// on small random pause sets that overlap, nest, touch, repeat, and
+// include empty and inverted intervals: Active(x) is the number of
+// unpaused nanoseconds before x, Inverse(a) the unpaused nanosecond at
+// which that count reaches a, and PauseTime the size of the union.
+// Summing overlapping durations used to drive Active negative.
+func TestTimelineNormalizes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 1))
+	const span = 48
+	for trial := 0; trial < 5000; trial++ {
+		ps := make([]Interval, rng.IntN(7))
+		var paused [span + 8]bool
+		for i := range ps {
+			s := memsim.Time(rng.IntN(span - 12))
+			ps[i] = Interval{Start: s, End: s + memsim.Time(rng.IntN(17)-4)}
+			for x := ps[i].Start; x < ps[i].End; x++ {
+				paused[x] = true
 			}
-			check("random", free)
-			for i := range free {
-				free[i] = 1000 + rng.Int64N(3)
-			}
-			check("tie-heavy", free)
-			free[rng.IntN(n)] = 1<<freeTimeBits - 1
-			check("largest time a key holds", free)
-			free[rng.IntN(n)] = 1 << freeTimeBits
-			check("first time a key cannot hold", free)
-			free[rng.IntN(n)] = -1 - rng.Int64N(1<<40)
-			check("negative", free)
-			free[rng.IntN(n)] = math.MaxInt64
-			free[rng.IntN(n)] = math.MinInt64
-			check("int64 extremes", free)
 		}
-		// A pool in use: the pick takes the next request, as in Latencies.
-		clear(free)
-		shadow := make([]memsim.Time, n)
-		now := memsim.Time(0)
-		for step := 0; step < 2000; step++ {
-			now += rng.Int64N(4000)
-			k, want := EarliestFree(free), earliestFreeScan(shadow)
-			if k != want {
-				t.Fatalf("pool of %d, step %d: EarliestFree %d, scan %d", n, step, k, want)
+		tl := NewTimeline(ps)
+		var active, total memsim.Time
+		for x := range memsim.Time(len(paused)) {
+			if got := tl.Active(x); got != active {
+				t.Fatalf("%v: Active(%d) = %d, count %d", ps, x, got, active)
 			}
-			finish := max(free[k], now) + 7500*(1+rng.Int64N(3)) // few distinct service times: ties recur
-			free[k], shadow[k] = finish, finish
+			if paused[x] {
+				total++
+				continue
+			}
+			if got := tl.Inverse(active); got != x {
+				t.Fatalf("%v: Inverse(%d) = %d, count reaches it at %d", ps, active, got, x)
+			}
+			active++
+		}
+		if got := tl.PauseTime(); got != total {
+			t.Fatalf("%v: PauseTime %d, union %d", ps, got, total)
 		}
 	}
 }

@@ -54,11 +54,11 @@ type Traffic struct {
 
 // horizon bounds the replay's virtual time: the window, the three
 // Traffic times and every request latency lie in [0, 2^55) ns — ~417
-// days, the limit memsim's packed keys and cassandra.EarliestFree already
-// assume — so no sum of two of them wraps an int64. Validate holds the
-// parameters to it; a latency can still leave it when queues grow for
-// long enough at a huge service time, and SimulateTraffic reports that
-// instead of sorting a wrapped clock's garbage.
+// days, the limit memsim's packed keys and cassandra.Queue's server keys
+// already assume — so no sum of two of them wraps an int64. Validate
+// holds the parameters to it; a latency can still leave it when queues
+// grow for long enough at a huge service time, and SimulateTraffic
+// reports that instead of sorting a wrapped clock's garbage.
 const (
 	horizonBits = 55
 	horizon     = memsim.Time(1) << horizonBits
@@ -66,7 +66,7 @@ const (
 
 // MaxServers and MaxTenants bound the two Traffic sizes a replay turns
 // into work before it serves a request: a per-instance pool allocation
-// (and cassandra.EarliestFree's packed keys hold a server index in 8
+// (and cassandra.Queue's winner-tree keys hold a server index in 8
 // bits), and the O(Tenants) ζ series behind the zipfian draw — about
 // 0.2 s at the cap. Every archived sweep runs 16 servers and 256 tenants.
 const (
@@ -200,14 +200,13 @@ func (h *eventHeap) pop() event {
 // timelines, the window, and the Traffic parameters — independent of any
 // host-pool setting.
 type router struct {
-	tr    Traffic
-	tls   []*cassandra.Timeline
-	free  [][]memsim.Time // per-instance per-server next-free, in active time
-	evq   eventHeap       // hedge and retry arms only; primaries are served in place
-	seq   int64
-	idle  []*request // finalized request records, reused by later arrivals
-	svc   *rand.Rand
-	stats Stats
+	tr     Traffic
+	queues []cassandra.Queue // one per instance
+	evq    eventHeap         // hedge and retry arms only; primaries are served in place
+	seq    int64
+	idle   []*request // finalized request records, reused by later arrivals
+	svc    *rand.Rand
+	stats  Stats
 	// perI collects each instance's latencies as whole nanoseconds (held
 	// in float64, which the result must be anyway, so the series needs no
 	// second allocation); sortToMs turns them into ascending milliseconds.
@@ -235,15 +234,12 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 		return nil, Stats{}, nil, fmt.Errorf("fleet: window %d, want > 0 and < 2^%d", window, horizonBits)
 	}
 
-	r := &router{tr: tr, tls: timelines, perI: make([][]float64, n)}
-	r.free = make([][]memsim.Time, n)
+	r := &router{tr: tr, queues: cassandra.NewQueues(timelines, tr.Servers), perI: make([][]float64, n)}
 	// Each series starts at the mean arrival share (capped: an absurd rate
 	// must not become an up-front allocation, and arrivals are at least a
 	// nanosecond apart); only hotter shards grow.
 	share := int(min(tr.QPS*float64(window)/float64(memsim.Second), float64(window), 1<<24)) / n
-	pools := make([]memsim.Time, n*tr.Servers)
-	for i := range r.free {
-		r.free[i] = pools[i*tr.Servers : (i+1)*tr.Servers : (i+1)*tr.Servers]
+	for i := range r.perI {
 		r.perI[i] = make([]float64, 0, share)
 	}
 	r.svc = rand.New(rand.NewPCG(tr.Seed, 0x5E12F1CE))
@@ -272,11 +268,12 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 		} else {
 			req = new(request)
 		}
-		*req = request{
-			id: reqID, t0: nextT, tenant: tenant,
-			shard: int(tenant % int64(n)),
-			best:  math.MaxInt64, bestInst: -1, bestArm: -1,
-		}
+		// Clear in place and set the fields one by one: a composite
+		// literal would be built in a temporary and copied over.
+		*req = request{}
+		req.id, req.t0, req.tenant = reqID, nextT, tenant
+		req.shard = int(tenant % int64(n))
+		req.best, req.bestInst, req.bestArm = math.MaxInt64, -1, -1
 		reqID++
 		// The drain above left every queued event later than nextT, and
 		// every arm issued from here on lands later still (a hedge at
@@ -378,25 +375,17 @@ func (r *router) issue(req *request, inst int, at memsim.Time) {
 	r.evq.push(r.arm(req, inst, at))
 }
 
-// processArm serves one arm on its instance: FIFO over the instance's
+// processArm serves one arm on its instance's queue: FIFO over the
 // server pool in active time, completion mapped back to wall time
 // through the pause timeline. Arms are processed in global arrival
-// order, so the per-instance FIFO discipline is exact.
+// order, so the per-instance FIFO discipline is exact and each queue's
+// timeline cursor only moves forward.
 func (r *router) processArm(e event) {
-	tl := r.tls[e.inst]
-	fr := r.free[e.inst]
-	best := cassandra.EarliestFree(fr)
-	start := tl.Active(e.at)
-	if fr[best] > start {
-		start = fr[best]
-	}
 	svc := memsim.Time(r.svc.ExpFloat64() * float64(r.tr.Service))
 	if svc < r.tr.Service/8 {
 		svc = r.tr.Service / 8
 	}
-	finish := start + svc
-	fr[best] = finish
-	wall := tl.Inverse(finish)
+	wall := r.queues[e.inst].Serve(e.at, svc)
 
 	req := e.req
 	if wall < req.best {
@@ -406,7 +395,7 @@ func (r *router) processArm(e event) {
 	// Hedge the primary arm once its predicted completion overshoots the
 	// hedge delay (the balancer sees queue state, so it hedges at issue
 	// + HedgeAfter rather than discovering the overshoot later).
-	n := len(r.tls)
+	n := len(r.queues)
 	if e.arm == 0 && r.tr.HedgeAfter > 0 && n > 1 && wall > req.t0+r.tr.HedgeAfter {
 		req.hedged = true
 		r.stats.Hedged++
@@ -421,7 +410,7 @@ func (r *router) processArm(e event) {
 
 // settle retries a request that missed its deadline, or finalizes it.
 func (r *router) settle(req *request, now memsim.Time) {
-	n := len(r.tls)
+	n := len(r.queues)
 	if r.tr.RetryAfter > 0 && req.retries < r.tr.MaxRetries {
 		deadline := req.t0 + r.tr.RetryAfter*memsim.Time(req.retries+1)
 		if req.best > deadline {

@@ -384,7 +384,9 @@ func TestGeneratorsAllocationFree(t *testing.T) {
 // nextUnhoisted is Zipfian.Next with Gray's formula as published: the
 // rank-1 threshold 1 + 0.5^θ is recomputed on every draw, and there is no
 // rank table. It is the reference Next's hoisted threshold and table are
-// held to.
+// held to. Its one addition to the formula is rank's: up to two items,
+// a draw at or past the rank-1 threshold is rank 1, never the Pow
+// branch's int64(NaN).
 func nextUnhoisted(z *Zipfian) int64 {
 	z.last = z.base + unhoistedRank(z, z.rng.Float64())
 	return z.last
@@ -397,7 +399,7 @@ func unhoistedRank(z *Zipfian, u float64) int64 {
 	switch {
 	case uz < 1:
 		v = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < 1+math.Pow(0.5, z.theta) || z.items <= 2:
 		v = 1
 	default:
 		v = int64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))

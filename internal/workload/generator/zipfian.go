@@ -120,13 +120,16 @@ func (z *Zipfian) Next() int64 {
 }
 
 // rank is Gray's formula: the rank of the uniform draw u in [0, 1).
+// Up to two items every rank is below the Pow branch, whose eta is 0/0
+// there, but ζ(2,θ) can exceed rank1 by an ulp and let the top draws
+// through; those are rank 1 (clamped to items-1), not int64(NaN).
 func (z *Zipfian) rank(u float64) int64 {
 	uz := u * z.zetan
 	var v int64
 	switch {
 	case uz < 1:
 		v = 0
-	case uz < z.rank1:
+	case uz < z.rank1 || z.items <= 2:
 		v = 1
 	default:
 		v = int64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -101,10 +101,47 @@ func TestZipfianTableMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestZipfianTopDrawInRange scripts the lowest and topmost draws, and two
+// between, over one and two items, from NewZipfian (a rank table for two)
+// and after ForItems (no table, Latest's path), at skews from 5e-05 to
+// 0.99999: every draw is a rank of the range, the lowest its first and
+// the topmost its last. At θ 5e-05 over two items ζ(2,θ) exceeds the
+// rank-1 threshold by an ulp, and the top draw used to take the Pow
+// branch, where eta is 0/0: base+int64(NaN), MinInt64 on amd64.
+func TestZipfianTopDrawInRange(t *testing.T) {
+	ks := []uint64{0, drawSpan / 2, drawSpan - 2, drawSpan - 1}
+	const base = 10
+	for _, theta := range []float64{5e-05, 0.01, 0.5, ZipfianConstant, 0.99999} {
+		for _, items := range []int64{1, 2} {
+			for _, resized := range []bool{false, true} {
+				top := base + items - 1
+				if resized {
+					top = base
+				}
+				z, err := NewZipfian(rand.New(&scriptSource{ks: ks}), base, top, theta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				z.ForItems(items)
+				for i, k := range ks {
+					got := z.Next()
+					bad := got < base || got >= base+items
+					bad = bad || (i == 0 && got != base) || (i == len(ks)-1 && got != base+items-1)
+					if bad {
+						t.Errorf("theta %g, %d items (resized %v), k %#x: Next %d, want a rank in [%d, %d]",
+							theta, items, resized, k, got, base, base+items-1)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzZipfianTable requires a table-backed Next to equal the published
-// formula over a stream of raw draws: for items 1..4096 at any skew in
-// (0, 1), it alternates a seeded uniform draw with one placed within two
-// guard bands of a cut (the range's ends included).
+// formula over a stream of raw draws, and to stay inside the range: for
+// items 1..4096 at any skew in (0, 1), it alternates a seeded uniform
+// draw with one placed within two guard bands of a cut (the range's ends
+// included).
 func FuzzZipfianTable(f *testing.F) {
 	f.Add(int64(256), ZipfianConstant, uint64(1))
 	f.Add(int64(4096), ZipfianConstant, uint64(2))
@@ -137,8 +174,12 @@ func FuzzZipfianTable(f *testing.F) {
 		z.rng = rand.New(&scriptSource{ks: stream})
 		ref, _ := NewZipfian(rand.New(&scriptSource{ks: stream}), 0, items-1, theta)
 		for i, k := range stream {
-			if g, r := z.Next(), nextUnhoisted(ref); g != r {
+			g, r := z.Next(), nextUnhoisted(ref)
+			if g != r {
 				t.Fatalf("theta %g, %d items, raw draw %#x (%d): Next %d, formula %d", theta, items, k, i, g, r)
+			}
+			if g < 0 || g >= items {
+				t.Fatalf("theta %g, %d items, raw draw %#x (%d): Next %d outside the range", theta, items, k, i, g)
 			}
 		}
 	})
