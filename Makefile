@@ -78,13 +78,16 @@ fleet-smoke: build
 # 30s on top (regression net for the crash points earlier PRs fixed), then
 # does the same for 10s with the fleet's traffic parameters (hostile
 # sizes, rates and times must come back as errors, and every replay that
-# does come back must be whole), for 10s with the zipfian rank table
+# does come back must be whole), for 10s with the fleet merge's series
+# shapes (the serial and the two-halves merge must both equal the sorted
+# concatenation, bit for bit), for 10s with the zipfian rank table
 # (every table-backed draw must equal the formula's and stay in range),
 # and for 10s with the server queue (every completion must equal the
 # binary-search timeline and plain-scan pool's).
 fuzz-smoke: build
 	$(GO) test ./internal/gc -run FuzzCrashRecovery -fuzz FuzzCrashRecovery -fuzztime 30s
 	$(GO) test ./internal/fleet -run FuzzSimulateTraffic -fuzz FuzzSimulateTraffic -fuzztime 10s
+	$(GO) test ./internal/fleet -run FuzzMergeSorted -fuzz FuzzMergeSorted -fuzztime 10s
 	$(GO) test ./internal/workload/generator -run FuzzZipfianTable -fuzz FuzzZipfianTable -fuzztime 10s
 	$(GO) test ./internal/cassandra -run FuzzQueue -fuzz FuzzQueue -fuzztime 10s
 

@@ -12,8 +12,9 @@
 // Instances fan out over the internal/par host pool like the bench
 // harness: each instance is an independent machine, deterministic given
 // its derived seed, and the traffic simulation over the merged pause
-// timelines is single-threaded host math — so every fleet figure is
-// byte-identical at any -parallel setting and in both scheduler modes.
+// timelines is host math whose helper goroutines decide no value or
+// order — so every fleet figure is byte-identical at any -parallel
+// setting, on any number of host cores, and in both scheduler modes.
 package fleet
 
 import (

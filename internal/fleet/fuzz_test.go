@@ -10,6 +10,34 @@ import (
 	"nvmgc/internal/memsim"
 )
 
+// FuzzMergeSorted draws series from fuzzed shapes — up to MaxInstances+1
+// groups, up to twice splitMin values, a palette of `distinct` integers
+// (ties), and flag bits for both zeros, the clamped NaN pair, one
+// dominant group and empty groups — and holds the serial merge, the
+// split merge and MergeSorted to the sorted concatenation, bit for bit.
+func FuzzMergeSorted(f *testing.F) {
+	f.Add(uint64(1), uint16(8), uint32(splitMin), uint16(1000), uint8(0))
+	f.Add(uint64(2), uint16(MaxInstances), uint32(splitMin+1), uint16(3), uint8(0b1111))
+	f.Add(uint64(3), uint16(0), uint32(5), uint16(0), uint8(0b0010))
+	f.Fuzz(func(t *testing.T, seed uint64, k uint16, n uint32, distinct uint16, flags uint8) {
+		rng := rand.New(rand.NewPCG(seed, 0x4E26E))
+		palette := 1 + int(distinct)
+		draw := func() float64 {
+			switch r := rng.IntN(16); {
+			case flags&1 != 0 && r == 0:
+				return math.Copysign(0, -1)
+			case flags&1 != 0 && r == 1:
+				return 0
+			case flags&2 != 0 && r == 2:
+				return math.Float64frombits(clampedNaN - uint64(rng.IntN(2)))
+			}
+			return float64(rng.IntN(palette) - palette/2)
+		}
+		groups := mergeGroups(rng, 1+int(k)%(MaxInstances+1), int(n%(2*splitMin)), flags&4 != 0, flags&8 != 0, draw)
+		checkMerge(t, "fuzzed", groups)
+	})
+}
+
 // fuzzTimelines derives a small fleet from a seed: one to four instances,
 // each with up to three pauses of 0.2-3 ms inside a 20 ms window.
 func fuzzTimelines(seed uint64) []*cassandra.Timeline {

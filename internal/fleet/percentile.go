@@ -3,6 +3,8 @@ package fleet
 import (
 	"math"
 	"math/bits"
+	"runtime"
+	"sort"
 )
 
 // This file is the fleet's percentile math. Fleet-wide latency figures
@@ -22,7 +24,9 @@ import (
 // loser tree, written straight into the one result allocation. Equal
 // values leave in group-index order; the result is a sorted multiset
 // either way, independent of instance order and of how the instances
-// were fanned out over host workers.
+// were fanned out over host workers. A series ascends in headKey's
+// order: the float order, with -0 below +0 and a NaN placed by its bits
+// (sortToMs's whole-nanosecond series have neither).
 func MergeSorted(groups [][]float64) []float64 {
 	n := 0
 	for _, g := range groups {
@@ -31,8 +35,57 @@ func MergeSorted(groups [][]float64) []float64 {
 	if n == 0 {
 		return nil
 	}
+	out := make([]float64, n)
+	if n < splitMin || runtime.GOMAXPROCS(0) < 2 {
+		mergeInto(out, groups)
+	} else {
+		mergeSplit(out, groups)
+	}
+	return out
+}
+
+// splitMin is the merged length from which MergeSorted runs as two
+// halves when a second core can take one: a goroutine hand-off costs
+// microseconds, a million-element merge milliseconds.
+const splitMin = 1 << 16
+
+// mergeSplit merges groups into out as two independent merges, the
+// lower on a second goroutine. The pivot is the key of the longest
+// series' median; each series is cut at its first key at or above it.
+// Every element below the pivot leaves the serial merge before every
+// element at or above it, and elements with equal keys — equal bit
+// patterns, or the two NaNs headKey clamps together — all fall on one
+// side, in the same group-index order. So out is, bit for bit, what one
+// merge writes, however many cores ran it.
+func mergeSplit(out []float64, groups [][]float64) {
+	longest := groups[0]
+	for _, g := range groups[1:] {
+		if len(g) > len(longest) {
+			longest = g
+		}
+	}
+	pivot := headKey(longest, uint64(len(longest)/2))
+	halves := make([][]float64, 2*len(groups))
+	lower, upper := halves[:len(groups)], halves[len(groups):]
+	cut := 0
+	for i, g := range groups {
+		c := sort.Search(len(g), func(p int) bool { return headKey(g, uint64(p)) >= pivot })
+		lower[i], upper[i] = g[:c], g[c:]
+		cut += c
+	}
+	done := make(chan struct{})
+	go func() {
+		mergeInto(out[:cut], lower)
+		close(done)
+	}()
+	mergeInto(out[cut:], upper)
+	<-done
+}
+
+// mergeInto k-way merges groups, whose lengths sum to len(out), into out.
+func mergeInto(out []float64, groups [][]float64) {
 	// The tree is three words per leaf; up to MaxInstances series it
-	// lives on the stack, so a merge allocates its result and nothing else.
+	// lives on the stack, so a merge allocates nothing.
 	leaves := 1
 	for leaves < len(groups) {
 		leaves *= 2
@@ -47,7 +100,6 @@ func MergeSorted(groups [][]float64) []float64 {
 		pos:    words[:leaves], loser: words[leaves : 2*leaves], loserKey: words[2*leaves : 3*leaves],
 	}
 	w, _ := t.build(1)
-	out := make([]float64, n)
 	for i := range out {
 		g := groups[w]
 		p := t.pos[w]
@@ -56,7 +108,6 @@ func MergeSorted(groups [][]float64) []float64 {
 		t.pos[w] = p
 		w = t.replay(w, headKey(g, p))
 	}
-	return out
 }
 
 // loserTree is a tournament over the series' heads. Leaf g is series g,
@@ -128,25 +179,30 @@ func (t *loserTree) replay(w, wk uint64) uint64 {
 
 // Quantile returns the nearest-rank p-quantile (p in 0..100) of an
 // ascending series: the element at rank ceil(p/100 * n). It returns NaN
-// for an empty series; p <= 0 selects the minimum, p >= 100 the maximum.
+// for an empty series; p <= 0 (or NaN) selects the minimum, p >= 100 the
+// maximum. p is read to a millionth of a percent and the rank is computed
+// in integers: in floats, 99.9/100·1000 is 999.0000000000001, and the
+// p999 of 1000 samples would be their maximum.
 func Quantile(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return math.NaN()
 	}
-	if p <= 0 {
+	if !(p > 0) {
 		return sorted[0]
 	}
 	if p >= 100 {
 		return sorted[n-1]
 	}
-	r := int(math.Ceil(p / 100 * float64(n)))
-	if r < 1 {
-		r = 1
+	const scale = 100 * 1e6
+	pm := uint64(math.Round(p * 1e6))
+	hi, lo := bits.Mul64(pm, uint64(n))
+	q, rem := bits.Div64(hi, lo, scale) // hi < pm <= scale, so no overflow
+	r := int(q)
+	if rem != 0 {
+		r++
 	}
-	if r > n {
-		r = n
-	}
+	r = min(max(r, 1), n)
 	return sorted[r-1]
 }
 

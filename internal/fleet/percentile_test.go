@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -106,54 +108,170 @@ func TestMergeSortedManyGroups(t *testing.T) {
 // TestMergeSortedAllocs pins the merge's memory: the result and nothing
 // else up to MaxInstances series (the tree lives on the stack), the
 // result plus one O(k) tree beyond — never a scratch buffer the size of
-// the result, which the pairwise merge this one replaced carried.
+// the result, which the pairwise merge this one replaced carried. Above
+// splitMin on two cores the halves add three: their series headers, the
+// done channel, and the goroutine's closure.
 func TestMergeSortedAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(46, 1))
-	for _, tc := range []struct{ groups, want int }{{1, 1}, {8, 1}, {MaxInstances, 1}, {MaxInstances + 1, 2}} {
+	for _, tc := range []struct{ groups, each, want int }{
+		{1, 200, 1}, {8, 200, 1}, {MaxInstances, 200, 1}, {MaxInstances + 1, 200, 2},
+		{8, splitMin / 8, 4},
+	} {
 		groups := make([][]float64, tc.groups)
 		for i := range groups {
-			g := make([]float64, 200)
+			g := make([]float64, tc.each)
 			for j := range g {
 				g[j] = rng.ExpFloat64()
 			}
 			sort.Float64s(g)
 			groups[i] = g
 		}
-		var merged []float64
-		got := testing.AllocsPerRun(5, func() { merged = MergeSorted(groups) })
-		if int(got) != tc.want {
-			t.Errorf("%d groups: %.0f allocations, want %d", tc.groups, got, tc.want)
+		merge := MergeSorted
+		if tc.groups*tc.each >= splitMin {
+			// AllocsPerRun runs on one core, where MergeSorted stays serial.
+			merge = func(groups [][]float64) []float64 {
+				out := make([]float64, tc.groups*tc.each)
+				mergeSplit(out, groups)
+				return out
+			}
 		}
-		if cap(merged) != tc.groups*200 {
-			t.Errorf("%d groups: result capacity %d for %d values", tc.groups, cap(merged), tc.groups*200)
+		var merged []float64
+		got := testing.AllocsPerRun(5, func() { merged = merge(groups) })
+		if int(got) != tc.want {
+			t.Errorf("%d groups of %d: %.0f allocations, want %d", tc.groups, tc.each, got, tc.want)
+		}
+		if cap(merged) != tc.groups*tc.each {
+			t.Errorf("%d groups of %d: result capacity %d", tc.groups, tc.each, cap(merged))
 		}
 	}
 }
 
-// TestQuantileBruteForce pins Quantile to its definition: the smallest
-// element whose rank covers p percent of the series.
-func TestQuantileBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewPCG(43, 1))
-	ps := []float64{1, 10, 25, 50, 75, 90, 95, 99, 99.9, 99.99}
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.IntN(400)
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = rng.NormFloat64()
+// keyOrder is the order MergeSorted's series ascend in: headKey's, the
+// float order with -0 below +0 and a NaN placed by its bits.
+// sort.Float64s orders every series the same unless it holds both zeros
+// or a NaN, where the float comparison cannot tell it how.
+func keyOrder(a, b float64) int {
+	return cmp.Compare(headKey([]float64{a}, 0), headKey([]float64{b}, 0))
+}
+
+// clampedNaN is the NaN whose order-preserving image is exhausted itself;
+// headKey clamps it onto the key of math.Float64frombits(clampedNaN-1).
+const clampedNaN = 0x7FFF_FFFF_FFFF_FFFF
+
+// mergeGroups draws k series of n values in all from draw, each sorted
+// by keyOrder. With dominant, about nine values in ten go to group k/2;
+// with sparse, every odd-numbered group stays empty.
+func mergeGroups(rng *rand.Rand, k, n int, dominant, sparse bool, draw func() float64) [][]float64 {
+	groups := make([][]float64, k)
+	for range n {
+		g := rng.IntN(k)
+		if dominant && rng.IntN(10) != 0 {
+			g = k / 2
 		}
-		sort.Float64s(s)
-		for _, p := range ps {
-			got := Quantile(s, p)
-			// Brute force: first index i with (i+1)/n >= p/100.
-			want := s[n-1]
-			for i := 0; i < n; i++ {
-				if float64(i+1)/float64(n) >= p/100-1e-12 {
-					want = s[i]
-					break
-				}
+		if sparse {
+			g &^= 1
+		}
+		groups[g] = append(groups[g], draw())
+	}
+	for _, g := range groups {
+		slices.SortFunc(g, keyOrder)
+	}
+	return groups
+}
+
+// checkMerge compares, bit for bit, the serial merge, the split merge
+// and MergeSorted with the stable sort of the series' concatenation in
+// keyOrder: equal keys keep group-index order, as the merge promises.
+func checkMerge(t *testing.T, name string, groups [][]float64) {
+	t.Helper()
+	want := slices.Concat(groups...)
+	slices.SortStableFunc(want, keyOrder)
+	serial := make([]float64, len(want))
+	mergeInto(serial, groups)
+	split := make([]float64, len(want))
+	mergeSplit(split, groups)
+	for _, got := range []struct {
+		how string
+		out []float64
+	}{{"serial merge", serial}, {"split merge", split}, {"MergeSorted", MergeSorted(groups)}} {
+		if len(got.out) != len(want) {
+			t.Fatalf("%s: %s wrote %d values of %d", name, got.how, len(got.out), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got.out[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: %s[%d] is %#x, the sorted concatenation has %#x",
+					name, got.how, i, math.Float64bits(got.out[i]), math.Float64bits(want[i]))
 			}
-			if got != want {
-				t.Fatalf("trial %d: Quantile(n=%d, p=%v) = %v, brute force %v", trial, n, p, got, want)
+		}
+	}
+}
+
+// TestMergeSortedSplitMatchesSerial holds the two-halves merge to the
+// serial one above splitMin, on the inputs where the pivot cut is most
+// likely to go wrong: ties across groups, both zeros, the clamped NaN
+// (the pivot itself when it fills the longest series), empty groups,
+// one dominant group, all-equal values (an empty lower half), and more
+// groups than the stack tree holds.
+func TestMergeSortedSplitMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 1))
+	n := splitMin + 999
+	ties := func() float64 { return float64(rng.IntN(16)) }
+	zeros := func() float64 { return [...]float64{-1, math.Copysign(0, -1), 0, 0, 1}[rng.IntN(5)] }
+	nans := func() float64 {
+		if rng.IntN(3) == 0 {
+			return ties()
+		}
+		return math.Float64frombits(clampedNaN - uint64(rng.IntN(2)))
+	}
+	latencies := func() float64 { return float64(int64(rng.ExpFloat64()*60_000)) / 1e6 }
+	for _, c := range []struct {
+		name             string
+		k                int
+		dominant, sparse bool
+		draw             func() float64
+	}{
+		{"ties across groups", 8, false, false, ties},
+		{"signed zeros", 8, false, false, zeros},
+		{"clamped NaN", 8, false, false, nans},
+		{"clamped NaN in one series", 1, false, false, nans},
+		{"empty groups", 12, false, true, latencies},
+		{"one dominant group", 8, true, false, latencies},
+		{"all equal", 5, false, false, func() float64 { return 2.5 }},
+		{"MaxInstances+1 groups", MaxInstances + 1, false, false, latencies},
+	} {
+		checkMerge(t, c.name, mergeGroups(rng, c.k, n, c.dominant, c.sparse, c.draw))
+	}
+}
+
+// TestQuantileBruteForce pins Quantile to its definition in exact
+// integers: the element of least rank r with r/n >= p/100, that is
+// r·10⁸ >= pm·n for p = pm millionths of a percent. Every series length
+// from 1 to 3000 and 10⁶, at the percentiles the fleet reports and more;
+// float rank arithmetic put the p999 of 1000 samples at their maximum.
+func TestQuantileBruteForce(t *testing.T) {
+	ps := []struct {
+		p  float64
+		pm int64
+	}{
+		{1, 1_000_000}, {10, 10_000_000}, {25, 25_000_000}, {50, 50_000_000}, {75, 75_000_000},
+		{90, 90_000_000}, {95, 95_000_000}, {99, 99_000_000}, {99.9, 99_900_000}, {99.99, 99_990_000},
+	}
+	s := make([]float64, 1_000_000)
+	for i := range s {
+		s[i] = float64(i) // the value is the index
+	}
+	lengths := []int{1_000_000}
+	for n := 1; n <= 3000; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, c := range ps {
+			r := int64(1)
+			for r*100_000_000 < c.pm*int64(n) {
+				r++
+			}
+			if got := Quantile(s[:n], c.p); got != float64(r-1) {
+				t.Fatalf("Quantile(n=%d, p=%v) is the element at index %v, want %d", n, c.p, got, r-1)
 			}
 		}
 	}

@@ -146,6 +146,10 @@ type request struct {
 	commits  int
 }
 
+// requestSlab is how many request records one allocation carves into:
+// a replay holds up to a few thousand in flight, so a handful of slabs.
+const requestSlab = 256
+
 // event is one arm's arrival at its instance.
 type event struct {
 	at   memsim.Time
@@ -195,17 +199,17 @@ func (h *eventHeap) pop() event {
 	return q[n]
 }
 
-// router runs one traffic simulation. All state is host-side and the
-// loop is single-threaded, so the outcome is a pure function of the
-// timelines, the window, and the Traffic parameters — independent of any
-// host-pool setting.
+// router runs one traffic simulation. All state is host-side, so the
+// outcome is a pure function of the timelines, the window, and the
+// Traffic parameters — independent of any host-pool setting.
 type router struct {
 	tr     Traffic
 	queues []cassandra.Queue // one per instance
 	evq    eventHeap         // hedge and retry arms only; primaries are served in place
 	seq    int64
 	idle   []*request // finalized request records, reused by later arrivals
-	svc    *rand.Rand
+	slab   []request  // records not yet handed out
+	draws  *draws
 	stats  Stats
 	// perI collects each instance's latencies as whole nanoseconds (held
 	// in float64, which the result must be anyway, so the series needs no
@@ -242,31 +246,32 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 	for i := range r.perI {
 		r.perI[i] = make([]float64, 0, share)
 	}
-	r.svc = rand.New(rand.NewPCG(tr.Seed, 0x5E12F1CE))
-	arr := rand.New(rand.NewPCG(tr.Seed, 0x0FE27A1F))
-	zipf, err := generator.NewZipfian(generator.NewRand(tr.Seed, 0x7E4A47), 0, tr.Tenants-1, tr.Theta)
+	d, err := startDraws(tr, window)
 	if err != nil {
-		return nil, Stats{}, nil, fmt.Errorf("fleet: tenant distribution: %w", err)
+		return nil, Stats{}, nil, err
 	}
-
-	meanGap := float64(memsim.Second) / tr.QPS
+	defer d.stop()
+	r.draws = d
 	var reqID int64
-	nextT, arrivalsDone := nextArrival(0, arr.ExpFloat64()*meanGap, window)
+	nextT, tenant := d.arrival()
 
 	// Merge the arrival stream and the arm-event queue in time order;
 	// ties go to the queued event (deterministic either way — seq and
-	// the arrival sequence fix the order).
-	for !arrivalsDone || len(r.evq) > 0 {
-		if len(r.evq) > 0 && (arrivalsDone || r.evq[0].at <= nextT) {
+	// the arrival sequence fix the order). The first arrival at or past
+	// the window ends the arrivals.
+	for nextT < window || len(r.evq) > 0 {
+		if len(r.evq) > 0 && (nextT >= window || r.evq[0].at <= nextT) {
 			r.processArm(r.evq.pop())
 			continue
 		}
-		tenant := zipf.Next()
 		var req *request
 		if k := len(r.idle); k > 0 {
 			req, r.idle = r.idle[k-1], r.idle[:k-1]
 		} else {
-			req = new(request)
+			if len(r.slab) == 0 {
+				r.slab = make([]request, requestSlab)
+			}
+			req, r.slab = &r.slab[0], r.slab[1:]
 		}
 		// Clear in place and set the fields one by one: a composite
 		// literal would be built in a temporary and copied over.
@@ -281,7 +286,7 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 		// the queue's next event: serve it without queueing it. It still
 		// takes its seq, so the tie-breaks among queued arms are unchanged.
 		r.processArm(r.arm(req, req.shard, nextT))
-		nextT, arrivalsDone = nextArrival(nextT+1, arr.ExpFloat64()*meanGap, window)
+		nextT, tenant = d.arrival()
 	}
 
 	if r.seen>>horizonBits != 0 {
@@ -309,6 +314,156 @@ func nextArrival(t memsim.Time, gap float64, window memsim.Time) (memsim.Time, b
 	}
 	t += memsim.Time(gap)
 	return t, t >= window
+}
+
+// The draws are handed over drawChunk values at a time: at that size the
+// hand-off, a channel send and sometimes a wakeup, is noise per value
+// (1024-value chunks lost most of the overlap to wakeups). Each sequence
+// cycles drawDepth chunks: one the router reads, one the producer fills
+// or has filled — it draws several times faster than the router serves,
+// and a third chunk measured no faster.
+const (
+	drawChunk = 8192
+	drawDepth = 2
+)
+
+// draws makes a replay's seeded draws up to a chunk ahead of the router,
+// on a producer goroutine. Its three generators feed nothing else, so
+// the values and their order are what the router would draw itself:
+//   - arrivals, as (time, tenant) pairs up to and including the first
+//     arrival outside the window, which ends the sequence;
+//   - service times, scaled by Traffic.Service and clamped at an eighth
+//     of it, one per arm served.
+//
+// Draws made ahead and never taken are dropped with the replay.
+type draws struct {
+	// Producer only.
+	arr, svc        *rand.Rand
+	zipf            *generator.Zipfian
+	meanGap         float64
+	window, meanSvc memsim.Time
+
+	// One slab per value column, drawDepth chunks each.
+	at     []memsim.Time
+	tenant []int32 // Tenants <= MaxTenants fits
+	svcs   []memsim.Time
+
+	arrivals, services ring
+	done, quit         chan struct{}
+
+	// Router only: the next value and the end of the chunk it holds.
+	ai, aEnd, si, sEnd int
+}
+
+// ring hands one sequence's chunks, by index into its slabs, from the
+// producer (full) to the router and back (free). Each channel holds all
+// drawDepth indices, so no send blocks.
+type ring struct {
+	full, free chan int
+	held       int // the chunk the router reads; -1 before the first
+}
+
+func newRing() ring {
+	r := ring{full: make(chan int, drawDepth), free: make(chan int, drawDepth), held: -1}
+	for c := range drawDepth {
+		r.free <- c
+	}
+	return r
+}
+
+// next gives the router's chunk back and returns the next full one's
+// bounds in the slabs.
+func (r *ring) next() (lo, hi int) {
+	if r.held >= 0 {
+		r.free <- r.held
+	}
+	r.held = <-r.full
+	return r.held * drawChunk, (r.held + 1) * drawChunk
+}
+
+// startDraws seeds a replay's generators and starts the producer; the
+// caller must stop it.
+func startDraws(tr Traffic, window memsim.Time) (*draws, error) {
+	zipf, err := generator.NewZipfian(generator.NewRand(tr.Seed, 0x7E4A47), 0, tr.Tenants-1, tr.Theta)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: tenant distribution: %w", err)
+	}
+	d := &draws{
+		arr:     rand.New(rand.NewPCG(tr.Seed, 0x0FE27A1F)),
+		svc:     rand.New(rand.NewPCG(tr.Seed, 0x5E12F1CE)),
+		zipf:    zipf,
+		meanGap: float64(memsim.Second) / tr.QPS,
+		window:  window, meanSvc: tr.Service,
+		at:       make([]memsim.Time, drawDepth*drawChunk),
+		tenant:   make([]int32, drawDepth*drawChunk),
+		svcs:     make([]memsim.Time, drawDepth*drawChunk),
+		arrivals: newRing(), services: newRing(),
+		done: make(chan struct{}), quit: make(chan struct{}),
+	}
+	go d.produce()
+	return d, nil
+}
+
+// stop ends the producer and waits for it.
+func (d *draws) stop() {
+	close(d.quit)
+	<-d.done
+}
+
+// produce fills whichever sequence has a free chunk until stopped.
+func (d *draws) produce() {
+	defer close(d.done)
+	arrFree := d.arrivals.free
+	t, end := nextArrival(0, d.arr.ExpFloat64()*d.meanGap, d.window)
+	for {
+		select {
+		case c := <-arrFree:
+			at, tenant := d.at[c*drawChunk:(c+1)*drawChunk], d.tenant[c*drawChunk:(c+1)*drawChunk]
+			for i := range at {
+				at[i] = t
+				if end {
+					arrFree = nil // the sequence is whole; a nil channel never receives
+					break
+				}
+				tenant[i] = int32(d.zipf.Next())
+				t, end = nextArrival(t+1, d.arr.ExpFloat64()*d.meanGap, d.window)
+			}
+			d.arrivals.full <- c
+		case c := <-d.services.free:
+			svcs := d.svcs[c*drawChunk : (c+1)*drawChunk]
+			for i := range svcs {
+				s := memsim.Time(d.svc.ExpFloat64() * float64(d.meanSvc))
+				if s < d.meanSvc/8 {
+					s = d.meanSvc / 8
+				}
+				svcs[i] = s
+			}
+			d.services.full <- c
+		case <-d.quit:
+			return
+		}
+	}
+}
+
+// arrival returns the next arrival's time and tenant. A time at or past
+// the window ends the arrivals: the router asks for no more.
+func (d *draws) arrival() (memsim.Time, int64) {
+	if d.ai == d.aEnd {
+		d.ai, d.aEnd = d.arrivals.next()
+	}
+	i := d.ai
+	d.ai++
+	return d.at[i], int64(d.tenant[i])
+}
+
+// service returns the next arm's service time.
+func (d *draws) service() memsim.Time {
+	if d.si == d.sEnd {
+		d.si, d.sEnd = d.services.next()
+	}
+	s := d.svcs[d.si]
+	d.si++
+	return s
 }
 
 // The latency sort is a stable LSD radix sort over digitBits-wide digits
@@ -381,11 +536,7 @@ func (r *router) issue(req *request, inst int, at memsim.Time) {
 // order, so the per-instance FIFO discipline is exact and each queue's
 // timeline cursor only moves forward.
 func (r *router) processArm(e event) {
-	svc := memsim.Time(r.svc.ExpFloat64() * float64(r.tr.Service))
-	if svc < r.tr.Service/8 {
-		svc = r.tr.Service / 8
-	}
-	wall := r.queues[e.inst].Serve(e.at, svc)
+	wall := r.queues[e.inst].Serve(e.at, r.draws.service())
 
 	req := e.req
 	if wall < req.best {
