@@ -60,6 +60,7 @@ func TestFleetConfigValidateRejects(t *testing.T) {
 		{"negative hedge", func(fo *fleetOptions) { fo.hedgeUS = -1 }},
 		{"negative retry budget", func(fo *fleetOptions) { fo.retries = -1 }},
 		{"negative parallel", func(fo *fleetOptions) { fo.parallel = -1 }},
+		{"NaN scale", func(fo *fleetOptions) { fo.o.scale = math.NaN() }},
 	}
 	for _, tc := range cases {
 		fo := testFleetOptions()

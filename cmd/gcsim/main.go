@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -102,9 +103,11 @@ func main() {
 	if *parallel < 0 {
 		fatal(fmt.Errorf("-parallel %d: negative worker count (0 means all cores, 1 serial)", *parallel))
 	}
-	if err := checkThreads(*threads); err != nil {
-		fmt.Fprintln(os.Stderr, "gcsim:", err)
-		os.Exit(2)
+	for _, err := range []error{checkThreads(*threads), checkScale(*scale)} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gcsim:", err)
+			os.Exit(2)
+		}
 	}
 
 	if *listWk {
@@ -550,6 +553,15 @@ func ms(t memsim.Time) float64 { return float64(t) / float64(memsim.Millisecond)
 func checkThreads(n int) error {
 	if n < 1 || n > memsim.MaxWorkers {
 		return fmt.Errorf("-threads %d: a collection runs 1 to %d GC threads", n, memsim.MaxWorkers)
+	}
+	return nil
+}
+
+// checkScale rejects a -scale the run would otherwise rewrite: a negative
+// value runs at the default, and NaN collapses the workload's budget.
+func checkScale(s float64) error {
+	if !(s >= 0) || math.IsInf(s, 1) {
+		return fmt.Errorf("-scale %g: want a finite value >= 0 (0 = the workload default)", s)
 	}
 	return nil
 }

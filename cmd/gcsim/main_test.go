@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -121,6 +122,29 @@ func TestCheckThreads(t *testing.T) {
 	for _, n := range []int{0, -3} {
 		if err := checkThreads(n); err == nil || !strings.Contains(err.Error(), strconv.Itoa(n)) {
 			t.Errorf("checkThreads(%d) = %v, want an error naming the value", n, err)
+		}
+	}
+}
+
+// TestCheckScale: a -scale the runner would rewrite (negative runs at the
+// default) or that collapses the op budget (NaN) is a usage error.
+func TestCheckScale(t *testing.T) {
+	for _, s := range []float64{0, 0.3, 1, 4} {
+		if err := checkScale(s); err != nil {
+			t.Errorf("checkScale(%g): %v", s, err)
+		}
+	}
+	for _, tc := range []struct {
+		s    float64
+		want string
+	}{
+		{-1, "-scale -1"},
+		{math.NaN(), "-scale NaN"},
+		{math.Inf(1), "-scale +Inf"},
+		{math.Inf(-1), "-scale -Inf"},
+	} {
+		if err := checkScale(tc.s); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("checkScale(%g) = %v, want an error containing %q", tc.s, err, tc.want)
 		}
 	}
 }

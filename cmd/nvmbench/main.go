@@ -42,8 +42,12 @@ func main() {
 	)
 	flag.Parse()
 
-	if *threads < 0 || *threads > memsim.MaxWorkers {
-		fmt.Fprintf(os.Stderr, "nvmbench: -threads %d: a collection runs 1 to %d GC threads (0 = per-experiment default)\n", *threads, memsim.MaxWorkers)
+	params := bench.Params{
+		Scale: *scale, Threads: *threads, Seed: *seed, Quick: *quick,
+		Parallel: *parallel, EagerYield: *eager, NVMTier: *nvmTier,
+	}
+	if err := checkFlags(params, *format); err != nil {
+		fmt.Fprintln(os.Stderr, "nvmbench:", err)
 		os.Exit(2)
 	}
 
@@ -81,13 +85,6 @@ func main() {
 		w = f
 	}
 
-	params := bench.Params{
-		Scale: *scale, Threads: *threads, Seed: *seed, Quick: *quick,
-		Parallel: *parallel, EagerYield: *eager, NVMTier: *nvmTier,
-	}
-	if err := params.Validate(); err != nil {
-		fatal(err)
-	}
 	for _, id := range ids {
 		e, _ := bench.ByID(id)
 		start := time.Now()
@@ -102,7 +99,7 @@ func main() {
 			fmt.Fprint(w, rep.CSV())
 		case "json":
 			fmt.Fprint(w, rep.JSON("nvmbench "+strings.Join(os.Args[1:], " ")))
-		default:
+		case "table":
 			fmt.Fprintln(w, rep.Render())
 		}
 	}
@@ -118,6 +115,18 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// checkFlags rejects flag values a run would otherwise rewrite or trip
+// over deep inside an experiment, before any output file is created.
+func checkFlags(p bench.Params, format string) error {
+	if p.Threads < 0 || p.Threads > memsim.MaxWorkers {
+		return fmt.Errorf("-threads %d: a collection runs 1 to %d GC threads (0 = per-experiment default)", p.Threads, memsim.MaxWorkers)
+	}
+	if format != "table" && format != "csv" && format != "json" {
+		return fmt.Errorf("-format %q: want table, csv or json", format)
+	}
+	return p.Validate()
 }
 
 // resolveRunIDs expands the -run flag into a validated experiment id

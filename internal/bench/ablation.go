@@ -21,7 +21,10 @@ import (
 // scattering parent/child objects.
 func AblTraversal(p Params) (*Report, error) {
 	threads := p.threads(16)
-	apps := []string{"page-rank", "movie-lens"}
+	apps, err := scenarios(traversalApps)
+	if err != nil {
+		return nil, err
+	}
 	if p.Quick {
 		apps = apps[:1]
 	}
@@ -31,12 +34,12 @@ func AblTraversal(p Params) (*Report, error) {
 	}
 	rep := &Report{ID: "abl-traversal", Title: "Traversal-order ablation (Section 4.3)", Tables: []*metrics.Table{t}}
 	var specs []runSpec
-	for i, name := range apps {
+	for i, app := range apps {
 		for _, bfs := range []bool{false, true} {
 			opt := gc.Optimized()
 			opt.BFS = bfs
 			specs = append(specs, runSpec{
-				app: profileSpec(workload.MustByName(name)), heapKind: memsim.NVM, opt: opt,
+				app: app, heapKind: memsim.NVM, opt: opt,
 				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i),
 			})
 		}
@@ -45,7 +48,7 @@ func AblTraversal(p Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range apps {
+	for i, app := range apps {
 		var appTimes [2]float64
 		for bi, bfs := range []bool{false, true} {
 			res := outs[2*i+bi].res
@@ -54,11 +57,11 @@ func AblTraversal(p Params) (*Report, error) {
 				order = "bfs"
 			}
 			appTimes[bi] = seconds(res.App)
-			t.AddRow(name, order, seconds(res.GC), seconds(res.App), seconds(res.Total))
+			t.AddRow(app.Name, order, seconds(res.GC), seconds(res.App), seconds(res.Total))
 		}
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"%s: BFS changes post-GC application time by %+.1f%% (the paper predicts a locality penalty)",
-			name, 100*(appTimes[1]-appTimes[0])/appTimes[0]))
+			app.Name, 100*(appTimes[1]-appTimes[0])/appTimes[0]))
 	}
 	return rep, nil
 }
@@ -69,7 +72,10 @@ func AblTraversal(p Params) (*Report, error) {
 // sub-phase should shrink.
 func AblNonTemporal(p Params) (*Report, error) {
 	threads := p.threads(16)
-	apps := []string{"naive-bayes", "page-rank"}
+	apps, err := scenarios(writeBackApps)
+	if err != nil {
+		return nil, err
+	}
 	if p.Quick {
 		apps = apps[:1]
 	}
@@ -79,10 +85,10 @@ func AblNonTemporal(p Params) (*Report, error) {
 	}
 	rep := &Report{ID: "abl-nt", Title: "Non-temporal write-back ablation (Section 4.1)", Tables: []*metrics.Table{t}}
 	var specs []runSpec
-	for i, name := range apps {
+	for i, app := range apps {
 		for _, nt := range []bool{false, true} {
 			specs = append(specs, runSpec{
-				app: profileSpec(workload.MustByName(name)), heapKind: memsim.NVM,
+				app: app, heapKind: memsim.NVM,
 				opt:     gc.Options{WriteCache: true, NonTemporal: nt},
 				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i),
 			})
@@ -92,7 +98,7 @@ func AblNonTemporal(p Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range apps {
+	for i, app := range apps {
 		var gcTimes [2]float64
 		for bi, nt := range []bool{false, true} {
 			res := outs[2*i+bi].res
@@ -105,11 +111,11 @@ func AblNonTemporal(p Params) (*Report, error) {
 				path = "non-temporal"
 			}
 			gcTimes[bi] = seconds(res.GC)
-			t.AddRow(name, path, seconds(res.GC), ms(wo))
+			t.AddRow(app.Name, path, seconds(res.GC), ms(wo))
 		}
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"%s: non-temporal write-back changes GC time by %+.1f%%",
-			name, 100*(gcTimes[1]-gcTimes[0])/gcTimes[0]))
+			app.Name, 100*(gcTimes[1]-gcTimes[0])/gcTimes[0]))
 	}
 	return rep, nil
 }
@@ -120,7 +126,10 @@ func AblNonTemporal(p Params) (*Report, error) {
 // paper's choice.
 func AblFlushChunk(p Params) (*Report, error) {
 	threads := p.threads(16)
-	app := workload.MustByName("page-rank")
+	app, err := workload.ScenarioByName("page-rank")
+	if err != nil {
+		return nil, err
+	}
 	t := &metrics.Table{
 		Title:   "Asynchronous flush chunk size (page-rank, +all+async, NVM)",
 		Columns: []string{"chunk", "gc (s)", "async flushes"},
@@ -136,7 +145,7 @@ func AblFlushChunk(p Params) (*Report, error) {
 		opt.AsyncFlush = true
 		opt.FlushChunkBytes = chunk
 		specs = append(specs, runSpec{
-			app: profileSpec(app), heapKind: memsim.NVM, opt: opt,
+			app: app, heapKind: memsim.NVM, opt: opt,
 			threads: threads, scale: p.scale(), seed: p.seed(),
 		})
 	}
@@ -160,7 +169,10 @@ func AblFlushChunk(p Params) (*Report, error) {
 // latency is pure overhead; at saturation the removed NVM writes free
 // read bandwidth.
 func AblHeaderMapThreshold(p Params) (*Report, error) {
-	app := workload.MustByName("page-rank")
+	app, err := workload.ScenarioByName("page-rank")
+	if err != nil {
+		return nil, err
+	}
 	t := &metrics.Table{
 		Title:   "Header map on/off vs GC threads (page-rank, write cache enabled, NVM)",
 		Columns: []string{"threads", "map off (s)", "map on (s)", "map benefit"},
@@ -176,9 +188,9 @@ func AblHeaderMapThreshold(p Params) (*Report, error) {
 		on := gc.Optimized()
 		on.HeaderMapMinThreads = 1 // force-enable even at low thread counts
 		specs = append(specs,
-			runSpec{app: profileSpec(app), heapKind: memsim.NVM, opt: off,
+			runSpec{app: app, heapKind: memsim.NVM, opt: off,
 				threads: th, scale: p.scale(), seed: p.seed()},
-			runSpec{app: profileSpec(app), heapKind: memsim.NVM, opt: on,
+			runSpec{app: app, heapKind: memsim.NVM, opt: on,
 				threads: th, scale: p.scale(), seed: p.seed()})
 	}
 	outs, err := runAll(p, specs)

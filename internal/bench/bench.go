@@ -8,6 +8,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -21,7 +22,8 @@ import (
 
 // Params tunes an experiment run.
 type Params struct {
-	// Scale multiplies each profile's run length (eden fills). 0 -> 0.5.
+	// Scale multiplies each profile's run length (eden fills). 0 -> 0.5;
+	// negative, NaN and infinite values are invalid.
 	Scale float64
 	// Threads overrides the per-experiment default GC thread count.
 	Threads int
@@ -51,6 +53,9 @@ type Params struct {
 func (p Params) Validate() error {
 	if p.Parallel < 0 {
 		return fmt.Errorf("bench: negative parallel %d (0 means all cores, 1 serial)", p.Parallel)
+	}
+	if !(p.Scale >= 0) || math.IsInf(p.Scale, 1) {
+		return fmt.Errorf("bench: scale %g, want a finite value >= 0 (0 means the default 0.5)", p.Scale)
 	}
 	if p.NVMTier != "" {
 		if _, ok := memsim.BuiltinTier(p.NVMTier); !ok {
@@ -253,11 +258,6 @@ type runSpec struct {
 	placement heap.PlacementPolicy
 }
 
-// profileSpec wraps a paper profile as the scenario a runSpec carries.
-func profileSpec(p workload.Profile) workload.Spec {
-	return workload.Spec{Name: p.Name, Profile: &p}
-}
-
 // newHost assembles the spec's machine, heap and collector.
 func (p Params) newHost(spec runSpec) (workload.Host, error) {
 	mc := p.machineConfig(spec.trace)
@@ -316,19 +316,46 @@ func seconds(t memsim.Time) float64 { return float64(t) / float64(memsim.Second)
 // ms converts virtual time to float milliseconds.
 func ms(t memsim.Time) float64 { return float64(t) / float64(memsim.Millisecond) }
 
-// appList returns the experiment's application set, honouring Quick.
-func appList(p Params, quickSet []string) []workload.Profile {
+// appList returns the experiment's application set: quickSet under Quick,
+// else every paper profile (the legacy scenarios, in the alphabetical
+// order of the fig. 5 axis).
+func appList(p Params, quickSet []string) ([]workload.Spec, error) {
 	if p.Quick {
-		out := make([]workload.Profile, 0, len(quickSet))
-		for _, n := range quickSet {
-			out = append(out, workload.MustByName(n))
-		}
-		return out
+		return scenarios(quickSet)
 	}
-	return workload.Profiles()
+	var out []workload.Spec
+	for _, s := range workload.Scenarios() {
+		if s.Family == "legacy" {
+			out = append(out, s)
+		}
+	}
+	return out, nil
 }
 
-var defaultQuickApps = []string{"akka-uct", "als", "naive-bayes", "page-rank"}
+// scenarios resolves application names through the scenario registry.
+func scenarios(names []string) ([]workload.Spec, error) {
+	out := make([]workload.Spec, len(names))
+	for i, name := range names {
+		s, err := workload.ScenarioByName(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return out, nil
+}
+
+// The figures' named application lists; each name must resolve to a
+// paper profile (TestFigureAppsResolve).
+var (
+	defaultQuickApps = []string{"akka-uct", "als", "naive-bayes", "page-rank"}
+	fig1Apps         = []string{"als", "kmeans", "log-regression", "movie-lens", "page-rank", "scala-stm-bench7"}
+	fig1QuickApps    = []string{"movie-lens", "page-rank"}
+	fig7Apps         = []string{"page-rank", "naive-bayes", "akka-uct"}
+	traversalApps    = []string{"page-rank", "movie-lens"}
+	writeBackApps    = []string{"naive-bayes", "page-rank"}
+	tierQuickApps    = []string{"als", "page-rank"}
+)
 
 // gcBandwidthMBps computes the average NVM bandwidth during GC pauses
 // from per-collection device deltas.

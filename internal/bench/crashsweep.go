@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"nvmgc/internal/check"
 	"nvmgc/internal/gc"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
@@ -52,9 +53,9 @@ func crashSweepConfigs(quick bool) []crashSweepConfig {
 // newCrashSweepEnv builds one fresh, fully deterministic environment: a
 // persistence-tracked machine, a small heap, a synthetic object graph
 // (chains, primitive arrays, old-space holders with young references),
-// a collector, and the pre-GC graph signature. Mutator data is declared
+// a collector, and the pre-GC live graph. Mutator data is declared
 // durable before GC entry — the campaign contract.
-func newCrashSweepEnv(cc crashSweepConfig, seed uint64) (*heap.Heap, *memsim.Machine, *gc.G1, heap.GraphSignature, error) {
+func newCrashSweepEnv(cc crashSweepConfig, seed uint64) (*heap.Heap, *memsim.Machine, *gc.G1, *check.Snapshot, error) {
 	mc := Params{}.machineConfig(false) // the campaign pins its platform: Optane under ADR/eADR
 	mc.LLCBytes = 1 << 17
 	m := memsim.NewMachine(mc)
@@ -71,17 +72,18 @@ func newCrashSweepEnv(cc crashSweepConfig, seed uint64) (*heap.Heap, *memsim.Mac
 	hc.Poison = true
 	h, err := heap.New(m, hc)
 	if err != nil {
-		return nil, nil, nil, heap.GraphSignature{}, err
+		return nil, nil, nil, nil, err
 	}
 	if err := populateCrashGraph(h, m, seed); err != nil {
-		return nil, nil, nil, heap.GraphSignature{}, err
+		return nil, nil, nil, nil, err
 	}
 	g, err := gc.NewG1(h, cc.opt)
 	if err != nil {
-		return nil, nil, nil, heap.GraphSignature{}, err
+		return nil, nil, nil, nil, err
 	}
 	m.Persist().PersistAll()
-	return h, m, g, h.Signature(), nil
+	pre, err := check.Capture(h)
+	return h, m, g, pre, err
 }
 
 // populateCrashGraph fills eden with a linked graph rooted in both the
@@ -236,7 +238,7 @@ func CrashSweep(p Params) (*Report, error) {
 		if cerr == nil {
 			// The trigger found no chargeable operation left (tail of the
 			// pause): the collection completed and must be unharmed.
-			if err := h.VerifyRecovered(pre); err != nil {
+			if err := check.VerifyRecovered(h, pre); err != nil {
 				return crashPointOut{}, fmt.Errorf("crash sweep: %s frac %.3f completed but corrupt: %w", cc.name, pt.frac, err)
 			}
 			out.outcome, out.verified = "completed", true
@@ -251,7 +253,7 @@ func CrashSweep(p Params) (*Report, error) {
 		rep, rerr := g.Recover()
 		verr := error(nil)
 		if rerr == nil {
-			verr = h.VerifyRecovered(pre)
+			verr = check.VerifyRecovered(h, pre)
 		}
 		switch {
 		case rerr == nil && verr == nil:

@@ -5,7 +5,6 @@ import (
 
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
-	"nvmgc/internal/workload"
 )
 
 // Fig1 reproduces Figure 1: application and GC time for six applications
@@ -13,9 +12,13 @@ import (
 // slowing 2.02-8.25x (avg 6.53x) while application time grows only 2.68x
 // on average, with movie-lens barely affected.
 func Fig1(p Params) (*Report, error) {
-	apps := workload.Fig1Apps()
+	names := fig1Apps
 	if p.Quick {
-		apps = []string{"movie-lens", "page-rank"}
+		names = fig1QuickApps
+	}
+	apps, err := scenarios(names)
+	if err != nil {
+		return nil, err
 	}
 	threads := p.threads(16)
 
@@ -24,8 +27,8 @@ func Fig1(p Params) (*Report, error) {
 		Columns: []string{"app", "device", "app (s)", "gc (s)", "gc share", "gc slowdown", "app slowdown"},
 	}
 	specs := make([]runSpec, 0, 2*len(apps))
-	for i, name := range apps {
-		spec := runSpec{app: profileSpec(workload.MustByName(name)), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+	for i, app := range apps {
+		spec := runSpec{app: app, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		spec.heapKind = memsim.DRAM
 		dramSpec := spec
 		spec.heapKind = memsim.NVM
@@ -38,7 +41,7 @@ func Fig1(p Params) (*Report, error) {
 
 	var gcSlow, appSlow []float64
 	var shareDRAM, shareNVM []float64
-	for i, name := range apps {
+	for i, app := range apps {
 		dram, nvm := outs[2*i].res, outs[2*i+1].res
 
 		gs := ratio(float64(nvm.GC), float64(dram.GC))
@@ -48,9 +51,9 @@ func Fig1(p Params) (*Report, error) {
 		shareDRAM = append(shareDRAM, ratio(float64(dram.GC), float64(dram.Total)))
 		shareNVM = append(shareNVM, ratio(float64(nvm.GC), float64(nvm.Total)))
 
-		t.AddRow(name, "dram", seconds(dram.App), seconds(dram.GC),
+		t.AddRow(app.Name, "dram", seconds(dram.App), seconds(dram.GC),
 			ratio(float64(dram.GC), float64(dram.Total)), "", "")
-		t.AddRow(name, "nvm", seconds(nvm.App), seconds(nvm.GC),
+		t.AddRow(app.Name, "nvm", seconds(nvm.App), seconds(nvm.GC),
 			ratio(float64(nvm.GC), float64(nvm.Total)), gs, as)
 	}
 

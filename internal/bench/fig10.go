@@ -17,7 +17,10 @@ import (
 // the largest.
 func Fig10(p Params) (*Report, error) {
 	threads := p.threads(16)
-	apps := appList(p, defaultQuickApps)
+	apps, err := appList(p, defaultQuickApps)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &metrics.Table{
 		Title:   "GC time (s) vs header-map size (+all)",
@@ -28,7 +31,7 @@ func Fig10(p Params) (*Report, error) {
 	var specs []runSpec
 	for i, app := range apps {
 		for _, frac := range fracs {
-			spec := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+			spec := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 			spec.opt = gc.Optimized()
 			spec.opt.HeaderMapBytes = hc.RegionBytes * int64(hc.HeapRegions) / frac
 			specs = append(specs, spec)
@@ -47,7 +50,7 @@ func Fig10(p Params) (*Report, error) {
 		}
 		occ := peakOccupancy(outs[i*len(fracs)])
 		gain := ratio(gcTimes[0], gcTimes[2]) - 1
-		if app.Suite == "spark" {
+		if app.Profile.Suite == "spark" {
 			sparkGain = append(sparkGain, gain)
 		} else {
 			renGain = append(renGain, gain)
@@ -89,7 +92,10 @@ func peakOccupancy(out runOut) float64 {
 // flushing costing only 6.9% thanks to non-temporal stores.
 func Fig11(p Params) (*Report, error) {
 	threads := p.threads(16)
-	apps := appList(p, defaultQuickApps)
+	apps, err := appList(p, defaultQuickApps)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &metrics.Table{
 		Title:   "GC time (s) vs write-cache setting",
@@ -97,7 +103,7 @@ func Fig11(p Params) (*Report, error) {
 	}
 	var specs []runSpec
 	for i, app := range apps {
-		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 
 		syncSpec := base
 		syncSpec.opt = gc.Optimized()
@@ -136,7 +142,10 @@ func Fig11(p Params) (*Report, error) {
 // being 9.58x more cost-effective for Spark.
 func Fig12(p Params) (*Report, error) {
 	threads := p.threads(16)
-	apps := appList(p, defaultQuickApps)
+	apps, err := appList(p, defaultQuickApps)
+	if err != nil {
+		return nil, err
+	}
 
 	const dramPerGB, nvmPerGB = 7.81, 3.01
 	hc := heap.DefaultConfig()
@@ -151,7 +160,7 @@ func Fig12(p Params) (*Report, error) {
 	}
 	var specs12 []runSpec
 	for i, app := range apps {
-		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		optSpec := base
 		optSpec.opt = gc.Optimized()
 		dramSpec := base
@@ -171,7 +180,7 @@ func Fig12(p Params) (*Report, error) {
 		rr := ratio(perDollarOpt, perDollarDram)
 		if vanilla.GC > 0 {
 			ratios = append(ratios, rr)
-			if app.Suite == "spark" {
+			if app.Profile.Suite == "spark" {
 				sparkRatios = append(sparkRatios, rr)
 			}
 		}

@@ -16,7 +16,10 @@ import (
 // ~20; +all keeps scaling to 56 logical cores for most applications.
 func Fig13(p Params) (*Report, error) {
 	threadSet := []int{1, 2, 4, 8, 20, 28, 56}
-	apps := appList(p, defaultQuickApps)
+	apps, err := appList(p, defaultQuickApps)
+	if err != nil {
+		return nil, err
+	}
 	if p.Quick {
 		threadSet = []int{1, 8, 56}
 		apps = apps[:2]
@@ -36,7 +39,7 @@ func Fig13(p Params) (*Report, error) {
 		for _, cfg := range configs {
 			for _, th := range threadSet {
 				specs = append(specs, runSpec{
-					app: profileSpec(app), heapKind: memsim.NVM, opt: cfg.opt,
+					app: app, heapKind: memsim.NVM, opt: cfg.opt,
 					threads: th, scale: p.scale(), seed: p.seed() + uint64(i),
 				})
 			}
@@ -98,9 +101,13 @@ func Fig13(p Params) (*Report, error) {
 // adding prefetch instructions to PS.
 func Fig14(p Params) (*Report, error) {
 	threads := p.threads(16)
-	var apps []workload.Profile
-	for _, a := range appList(p, defaultQuickApps) {
-		if a.Suite == "renaissance" || p.Quick {
+	all, err := appList(p, defaultQuickApps)
+	if err != nil {
+		return nil, err
+	}
+	var apps []workload.Spec
+	for _, a := range all {
+		if a.Profile.Suite == "renaissance" || p.Quick {
 			apps = append(apps, a)
 		}
 	}
@@ -111,7 +118,7 @@ func Fig14(p Params) (*Report, error) {
 	}
 	var specs []runSpec
 	for i, app := range apps {
-		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, ps: true, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: app, heapKind: memsim.NVM, ps: true, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		npSpec := base
 		npSpec.opt = gc.Optimized()
 		npSpec.opt.Prefetch = false

@@ -74,13 +74,17 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 	if p.Quick {
 		rows = 10
 	}
+	spec, err := workload.ScenarioByName(app)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{ID: id, Title: "Bandwidth statistics for " + app}
 
 	kinds := []memsim.Kind{memsim.DRAM, memsim.NVM}
 	var traced []runSpec
 	for _, kind := range kinds {
 		traced = append(traced, runSpec{
-			app: profileSpec(workload.MustByName(app)), heapKind: kind, opt: gc.Vanilla(),
+			app: spec, heapKind: kind, opt: gc.Vanilla(),
 			threads: threads, scale: p.scale(), seed: p.seed(), trace: true,
 		})
 	}
@@ -126,7 +130,7 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 		for _, kind := range scaleKinds {
 			for _, th := range threadSet {
 				specs = append(specs, runSpec{
-					app: profileSpec(workload.MustByName(app)), heapKind: kind, opt: gc.Vanilla(),
+					app: spec, heapKind: kind, opt: gc.Vanilla(),
 					threads: th, scale: p.scale(), seed: p.seed(),
 				})
 			}

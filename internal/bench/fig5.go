@@ -16,7 +16,10 @@ import (
 // 1.17x, and the DRAM/NVM GC gap shrinking from 4.21x to 2.28x.
 func Fig5(p Params) (*Report, error) {
 	threads := p.threads(16)
-	apps := appList(p, defaultQuickApps)
+	apps, err := appList(p, defaultQuickApps)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &metrics.Table{
 		Title: "GC time (s) per application and configuration",
@@ -26,7 +29,7 @@ func Fig5(p Params) (*Report, error) {
 	specs := make([]runSpec, 0, 5*len(apps))
 	for i, app := range apps {
 		seed := p.seed() + uint64(i)
-		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: seed}
+		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: seed}
 
 		wcSpec := base
 		wcSpec.opt = gc.WithWriteCache()
@@ -84,7 +87,10 @@ func Fig5(p Params) (*Report, error) {
 // improvement (69% for Spark).
 func Fig6(p Params) (*Report, error) {
 	threads := p.threads(56)
-	apps := appList(p, defaultQuickApps)
+	apps, err := appList(p, defaultQuickApps)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &metrics.Table{
 		Title:   fmt.Sprintf("Average NVM bandwidth during GC (MB/s), %d GC threads", threads),
@@ -102,7 +108,7 @@ func Fig6(p Params) (*Report, error) {
 		imp := ratio(bo, bv) - 1
 		if bv > 0 && bo > 0 {
 			imps = append(imps, imp)
-			if app.Suite == "spark" {
+			if app.Profile.Suite == "spark" {
 				sparkImps = append(sparkImps, imp)
 			}
 		}
@@ -123,7 +129,10 @@ func Fig6(p Params) (*Report, error) {
 // change since GC is a small share of their run.
 func Fig9(p Params) (*Report, error) {
 	threads := p.threads(16)
-	apps := appList(p, defaultQuickApps)
+	apps, err := appList(p, defaultQuickApps)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &metrics.Table{
 		Title:   "Application execution time (s)",
@@ -137,7 +146,7 @@ func Fig9(p Params) (*Report, error) {
 	for i, app := range apps {
 		vanilla, opt := outs[2*i].res, outs[2*i+1].res
 		red := 1 - ratio(float64(opt.Total), float64(vanilla.Total))
-		if app.Suite == "spark" {
+		if app.Profile.Suite == "spark" {
 			sparkRed = append(sparkRed, red)
 		}
 		t.AddRow(app.Name, seconds(vanilla.Total), seconds(opt.Total), fmt.Sprintf("%+.1f%%", 100*red))
@@ -153,10 +162,10 @@ func Fig9(p Params) (*Report, error) {
 
 // vanillaOptPairs builds the (vanilla, optimized) spec pair per app used
 // by the figures that compare the two configurations.
-func vanillaOptPairs(apps []workload.Profile, threads int, p Params) []runSpec {
+func vanillaOptPairs(apps []workload.Spec, threads int, p Params) []runSpec {
 	specs := make([]runSpec, 0, 2*len(apps))
 	for i, app := range apps {
-		base := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		optSpec := base
 		optSpec.opt = gc.Optimized()
 		specs = append(specs, base, optSpec)

@@ -6,7 +6,6 @@ import (
 	"nvmgc/internal/cassandra"
 	"nvmgc/internal/gc"
 	"nvmgc/internal/memsim"
-	"nvmgc/internal/workload"
 )
 
 // Fig7 reproduces Figure 7: the split read/write NVM bandwidth during GC
@@ -21,7 +20,10 @@ import (
 //     and the tiny live set makes the write-back phase negligible.
 func Fig7(p Params) (*Report, error) {
 	threads := p.threads(16)
-	apps := []string{"page-rank", "naive-bayes", "akka-uct"}
+	apps, err := scenarios(fig7Apps)
+	if err != nil {
+		return nil, err
+	}
 	if p.Quick {
 		apps = apps[:1]
 	}
@@ -43,11 +45,11 @@ func Fig7(p Params) (*Report, error) {
 	for i, app := range apps {
 		for _, cfg := range configs {
 			specs = append(specs, runSpec{
-				app: profileSpec(workload.MustByName(app)), heapKind: memsim.NVM, opt: cfg.opt,
+				app: app, heapKind: memsim.NVM, opt: cfg.opt,
 				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i), trace: true,
 			})
 			labels = append(labels, cfg.label)
-			specApps = append(specApps, app)
+			specApps = append(specApps, app.Name)
 		}
 	}
 	outs, err := runAll(p, specs)

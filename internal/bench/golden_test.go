@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvmgc/internal/memsim"
+	"nvmgc/internal/workload"
 )
 
 // TestGoldenHarnessDeterminism is the harness-level half of the golden
@@ -118,9 +119,12 @@ func TestGoldenCollectionStats(t *testing.T) {
 		threadCounts = []int{2, 16}
 		scale = 0.05
 	}
-	app := appList(Params{Quick: true}, defaultQuickApps)[0]
+	app, err := workload.ScenarioByName(defaultQuickApps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, th := range threadCounts {
-		spec := runSpec{app: profileSpec(app), heapKind: memsim.NVM, threads: th, scale: scale, seed: 1}
+		spec := runSpec{app: app, heapKind: memsim.NVM, threads: th, scale: scale, seed: 1}
 		out1, err := runOne(Params{}, spec)
 		if err != nil {
 			t.Fatal(err)

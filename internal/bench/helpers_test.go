@@ -42,13 +42,38 @@ func TestGCBandwidth(t *testing.T) {
 }
 
 func TestAppList(t *testing.T) {
-	full := appList(Params{}, defaultQuickApps)
-	if len(full) != 26 {
-		t.Fatalf("full list = %d", len(full))
+	full, err := appList(Params{}, defaultQuickApps)
+	if err != nil || len(full) != 26 {
+		t.Fatalf("full list = %d, %v", len(full), err)
 	}
-	quick := appList(Params{Quick: true}, []string{"als", "page-rank"})
-	if len(quick) != 2 || quick[0].Name != "als" {
-		t.Fatalf("quick list = %v", quick)
+	for i := 1; i < len(full); i++ {
+		if full[i-1].Name >= full[i].Name {
+			t.Fatalf("full list out of fig. 5 order: %q before %q", full[i-1].Name, full[i].Name)
+		}
+	}
+	quick, err := appList(Params{Quick: true}, []string{"als", "page-rank"})
+	if err != nil || len(quick) != 2 || quick[0].Name != "als" {
+		t.Fatalf("quick list = %v, %v", quick, err)
+	}
+	if _, err := appList(Params{Quick: true}, []string{"als", "no-such-app"}); err == nil || !strings.Contains(err.Error(), "no-such-app") {
+		t.Fatalf("unknown app: %v", err)
+	}
+}
+
+// TestFigureAppsResolve: every name in a figure list is a registered
+// scenario backed by one of the paper's application profiles.
+func TestFigureAppsResolve(t *testing.T) {
+	for _, names := range [][]string{defaultQuickApps, fig1Apps, fig1QuickApps, fig7Apps,
+		traversalApps, writeBackApps, tierQuickApps} {
+		specs, err := scenarios(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range specs {
+			if s.Profile == nil || s.Family != "legacy" {
+				t.Errorf("%s: %s family, profile %v; want a paper profile", s.Name, s.Family, s.Profile)
+			}
+		}
 	}
 }
 

@@ -32,9 +32,13 @@ func TestTierSweepPointSchedulerEquivalence(t *testing.T) {
 		total, gcTime memsim.Time
 		tiers         map[string]memsim.DeviceStats
 	}
+	app, err := workload.ScenarioByName("page-rank")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(eager bool) snap {
 		out, err := runOne(Params{EagerYield: eager}, runSpec{
-			app: profileSpec(workload.MustByName("page-rank")), heapKind: memsim.NVM, opt: gc.Vanilla(),
+			app: app, heapKind: memsim.NVM, opt: gc.Vanilla(),
 			threads: 16, scale: 0.5, seed: 1,
 			tiers: tierSweepSpecs(), placement: base,
 		})

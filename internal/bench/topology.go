@@ -31,13 +31,9 @@ func tierSweepSpecs() []memsim.TierSpec {
 // interconnect. Per-tier GC traffic is reported for every point.
 func TierSweep(p Params) (*Report, error) {
 	threads := p.threads(16)
-	quickSet := defaultQuickApps
-	if p.Quick {
-		quickSet = []string{"als", "page-rank"}
-	}
-	apps := appList(p, quickSet)
-	if p.Quick {
-		apps = apps[:min(len(apps), 2)]
+	apps, err := appList(p, tierQuickApps)
+	if err != nil {
+		return nil, err
 	}
 
 	specs := tierSweepSpecs()
@@ -77,7 +73,7 @@ func TierSweep(p Params) (*Report, error) {
 	for _, app := range apps {
 		for _, pt := range points {
 			runSpecs = append(runSpecs, runSpec{
-				app: profileSpec(app), opt: pt.opt, threads: threads,
+				app: app, opt: pt.opt, threads: threads,
 				scale: p.scale(), seed: p.seed(),
 				tiers: specs, placement: pt.place,
 			})
@@ -96,29 +92,21 @@ func TierSweep(p Params) (*Report, error) {
 		Title:   fmt.Sprintf("young-gen and write-cache tier sweep (%d GC threads; topology %v)", threads, tierNames),
 		Columns: cols,
 	}
-	var grand metrics.KeyedSums
-	idx := 0
-	for _, app := range apps {
-		for _, pt := range points {
-			out := outs[idx]
-			idx++
-			var sums metrics.KeyedSums
-			for _, name := range tierNames {
-				sums.Add(name, 0) // pin topology order even for idle tiers
+	grand := make([]float64, len(tierNames)) // GC MB per tier position, over every point
+	for i, out := range outs {
+		sums := make([]float64, len(tierNames))
+		for _, c := range out.res.Collections {
+			for t, tt := range c.Tiers {
+				mb := float64(tt.Stats.Total()) / 1e6
+				sums[t] += mb
+				grand[t] += mb
 			}
-			for _, c := range out.res.Collections {
-				for _, tt := range c.Tiers {
-					mb := float64(tt.Stats.Total()) / 1e6
-					sums.Add(tt.Name, mb)
-					grand.Add(tt.Name, mb)
-				}
-			}
-			cells := []any{app.Name, pt.label, seconds(out.res.Total), seconds(out.res.GC)}
-			for _, name := range tierNames {
-				cells = append(cells, sums.Get(name)[0])
-			}
-			tbl.AddRow(cells...)
 		}
+		cells := []any{apps[i/len(points)].Name, points[i%len(points)].label, seconds(out.res.Total), seconds(out.res.GC)}
+		for _, mb := range sums {
+			cells = append(cells, mb)
+		}
+		tbl.AddRow(cells...)
 	}
 
 	rep := &Report{
@@ -126,9 +114,9 @@ func TierSweep(p Params) (*Report, error) {
 		Title:  "Young generation and write cache across memory tiers",
 		Tables: []*metrics.Table{tbl},
 	}
-	for _, name := range grand.Keys() {
+	for t, name := range tierNames {
 		rep.Notes = append(rep.Notes,
-			fmt.Sprintf("tier %s: %s MB total GC traffic across all points", name, metrics.FormatFloat(grand.Get(name)[0])))
+			fmt.Sprintf("tier %s: %s MB total GC traffic across all points", name, metrics.FormatFloat(grand[t])))
 	}
 	return rep, nil
 }

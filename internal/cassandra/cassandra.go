@@ -194,10 +194,9 @@ const MaxServers = 1 << freeIndexBits
 
 const (
 	freeIndexBits = 8
-	// freeTimeBits bounds the next-free times a key can hold: 2^55 ns is
-	// ~417 days of virtual time, the horizon memsim's own packed keys
-	// (Worker.qkey, the LLC stamps) already assume.
-	freeTimeBits = 63 - freeIndexBits
+	// freeTimeBits bounds the next-free times a key can hold: memsim's
+	// virtual-time horizon.
+	freeTimeBits = memsim.HorizonBits
 	// noServer is the key of a leaf past the pool; every real key is
 	// smaller.
 	noServer = memsim.Time(math.MaxInt64)
@@ -205,6 +204,10 @@ const (
 	// it gallops, so a long jump stays logarithmic.
 	gallopAfter = 4
 )
+
+// A key, a next-free time over a server index, must fit a non-negative
+// int64; this constant overflows at compile time if it does not.
+const _ uint = 63 - freeTimeBits - freeIndexBits
 
 // Queue is one instance's FIFO server pool serving in active time: a
 // request arriving at wall time t goes to the server that frees up first
@@ -395,18 +398,20 @@ func Stress(pauses []Interval, window memsim.Time, phase Phase, throughputsKQPS 
 	out := make([]StressResult, 0, len(throughputsKQPS))
 	for _, kqps := range throughputsKQPS {
 		l := Latencies(pauses, window, kqps*1000, phase.Service, phase.Servers, seed)
-		s := metrics.Summarize(l)
-		sorted := append([]float64(nil), l...)
-		sort.Float64s(sorted)
-		tails := metrics.PercentilesSorted(sorted, 99.9, 99.99)
+		sort.Float64s(l)
+		var sum float64
+		for _, v := range l {
+			sum += v
+		}
+		ps := metrics.PercentilesSorted(l, 95, 99, 99.9, 99.99)
 		out = append(out, StressResult{
 			ThroughputKQPS: kqps,
-			P95ms:          s.P95,
-			P99ms:          s.P99,
-			P999ms:         tails[0],
-			P9999ms:        tails[1],
-			MeanMs:         s.Mean,
-			Requests:       s.N,
+			P95ms:          ps[0],
+			P99ms:          ps[1],
+			P999ms:         ps[2],
+			P9999ms:        ps[3],
+			MeanMs:         sum / float64(len(l)), // NaN for no requests
+			Requests:       len(l),
 		})
 	}
 	return out

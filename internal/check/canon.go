@@ -18,41 +18,37 @@ type Obj struct {
 	Prims []uint64
 }
 
-// Snapshot is the canonical form of a heap's live graph, generalizing the
-// hash-only heap.Signature: it keeps enough structure to name the first
-// difference between two graphs instead of just detecting one.
+// Snapshot is the canonical form of a heap's live graph: it keeps enough
+// structure to name the first difference between two graphs instead of just
+// detecting one.
 type Snapshot struct {
 	Roots   []int // discovery id per non-nil root slot, in slot order
 	Objects []Obj // indexed by discovery id
 }
 
-// Capture traverses the live graph from the root set (the same
-// deterministic depth-first order as heap.Signature) and returns its
-// canonical snapshot. Traversal is uncharged. Malformed objects and
-// leftover forwarding marks are errors.
+// Capture traverses the live graph from the root set (depth-first, in a
+// deterministic order) and returns its canonical snapshot. Traversal is
+// uncharged. Malformed objects and leftover forwarding marks are errors.
 func Capture(h *heap.Heap) (*Snapshot, error) {
+	snap := &Snapshot{}
 	ids := make(map[heap.Address]int)
-	var order []heap.Address
 	var stack []heap.Address
 	push := func(ref heap.Address) int {
 		if id, ok := ids[ref]; ok {
 			return id
 		}
-		id := len(order)
+		id := len(snap.Objects)
 		ids[ref] = id
-		order = append(order, ref)
+		snap.Objects = append(snap.Objects, Obj{}) // filled when popped
 		stack = append(stack, ref)
 		return id
 	}
-
-	snap := &Snapshot{}
 	h.Roots.ForEach(func(slot heap.Address) {
 		if ref := h.Peek(slot); ref != 0 {
 			snap.Roots = append(snap.Roots, push(ref))
 		}
 	})
 
-	objs := make(map[int]Obj)
 	for len(stack) > 0 {
 		obj := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -76,32 +72,31 @@ func Capture(h *heap.Heap) (*Snapshot, error) {
 				o.Prims = append(o.Prims, v)
 			}
 		}
-		objs[ids[obj]] = o
-	}
-	snap.Objects = make([]Obj, len(order))
-	for id, o := range objs {
-		snap.Objects[id] = o
+		snap.Objects[ids[obj]] = o
 	}
 	return snap, nil
 }
 
-// Diff compares two snapshots and describes the first difference found
-// (nil when the graphs are identical). got is the snapshot under test,
-// want the reference.
+// Diff compares two snapshots and describes the first difference found,
+// naming the object where the graphs part (nil when they are identical).
+// got is the snapshot under test, want the reference.
 func Diff(got, want *Snapshot) error {
-	if len(got.Roots) != len(want.Roots) {
-		return fmt.Errorf("canon: %d live roots, reference has %d", len(got.Roots), len(want.Roots))
-	}
-	for i := range got.Roots {
+	n := min(len(got.Roots), len(want.Roots))
+	for i := range n {
 		if got.Roots[i] != want.Roots[i] {
 			return fmt.Errorf("canon: root slot %d reaches object #%d, reference reaches #%d",
 				i, got.Roots[i], want.Roots[i])
 		}
 	}
-	if len(got.Objects) != len(want.Objects) {
-		return fmt.Errorf("canon: %d live objects, reference has %d", len(got.Objects), len(want.Objects))
+	switch {
+	case len(got.Roots) < len(want.Roots):
+		return fmt.Errorf("canon: %d live roots, reference has %d; its root %d reaches %s",
+			len(got.Roots), len(want.Roots), n, want.name(want.Roots[n]))
+	case len(got.Roots) > len(want.Roots):
+		return fmt.Errorf("canon: %d live roots, reference has %d; root %d reaches %s",
+			len(got.Roots), len(want.Roots), n, got.name(got.Roots[n]))
 	}
-	for id := range got.Objects {
+	for id := range min(len(got.Objects), len(want.Objects)) {
 		g, w := &got.Objects[id], &want.Objects[id]
 		if g.Klass != w.Klass || g.Size != w.Size {
 			return fmt.Errorf("canon: object #%d is %s[%d words], reference has %s[%d words]",
@@ -114,7 +109,7 @@ func Diff(got, want *Snapshot) error {
 		for j := range g.Refs {
 			if g.Refs[j] != w.Refs[j] {
 				return fmt.Errorf("canon: object #%d (%s) ref slot %d points at %s, reference points at %s",
-					id, g.Klass, j, refName(g.Refs[j]), refName(w.Refs[j]))
+					id, g.Klass, j, got.name(g.Refs[j]), want.name(w.Refs[j]))
 			}
 		}
 		for j := range g.Prims {
@@ -124,14 +119,38 @@ func Diff(got, want *Snapshot) error {
 			}
 		}
 	}
+	if len(got.Objects) != len(want.Objects) {
+		return fmt.Errorf("canon: %d live objects, reference has %d", len(got.Objects), len(want.Objects))
+	}
 	return nil
 }
 
-func refName(id int) string {
+// VerifyRecovered proves a recovered heap holds the live graph pre captured
+// before the interrupted collection: structural invariants hold and the
+// canonical snapshot (shape, classes, sizes, primitive payloads; addresses
+// and ages excluded) equals pre. A nil return is the isomorphism proof;
+// data loss the recovery pass failed to detect surfaces as the first object
+// that differs.
+func VerifyRecovered(h *heap.Heap, pre *Snapshot) error {
+	if err := h.CheckInvariants(); err != nil {
+		return fmt.Errorf("post-crash invariants: %w", err)
+	}
+	post, err := Capture(h)
+	if err != nil {
+		return fmt.Errorf("post-crash graph: %w", err)
+	}
+	if err := Diff(post, pre); err != nil {
+		return fmt.Errorf("post-crash graph differs: %w", err)
+	}
+	return nil
+}
+
+// name describes object id, or a nil reference (-1), for a diff message.
+func (s *Snapshot) name(id int) string {
 	if id < 0 {
 		return "nil"
 	}
-	return fmt.Sprintf("#%d", id)
+	return fmt.Sprintf("#%d (%s)", id, s.Objects[id].Klass)
 }
 
 // Summary renders a one-line description of a snapshot for reports.

@@ -182,3 +182,78 @@ func TestAtBoundaryCleanHeap(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyRecoveredAcceptsPureMove: moving an object and patching the
+// reference to it leaves the live graph unchanged; changing its payload
+// does not, and the verdict names the object.
+func TestVerifyRecoveredAcceptsPureMove(t *testing.T) {
+	h, m := testHeap(t)
+	k, err := h.Klasses.Define("node", 4, []int32{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b heap.Address
+	m.Run(1, func(w *memsim.Worker) {
+		a, _ = h.AllocateEden(w, k, 4)
+		b, _ = h.AllocateEden(w, k, 4)
+		h.SetRef(w, a, 2, b)
+		h.Poke(heap.SlotAddr(b, 3), 777)
+		h.Roots.Add(w, a)
+	})
+	pre, err := Capture(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pre.Objects) != 2 || pre.Objects[0].Size+pre.Objects[1].Size != 8 {
+		t.Fatalf("snapshot = %+v", pre)
+	}
+	m.Run(1, func(w *memsim.Worker) {
+		nb, _ := h.AllocateEden(w, k, 4)
+		h.MoveWordsRaw(nb, b, 4)
+		h.Poke(heap.SlotAddr(a, 2), nb)
+		b = nb
+	})
+	if err := VerifyRecovered(h, pre); err != nil {
+		t.Fatalf("pure move rejected: %v", err)
+	}
+	h.Poke(heap.SlotAddr(b, 3), 778)
+	if err := VerifyRecovered(h, pre); err == nil || !strings.Contains(err.Error(), "object #1 (node) payload word") {
+		t.Fatalf("payload change: %v", err)
+	}
+}
+
+// TestVerifyRecoveredNamesTheObject: each way a recovery can lose data is
+// rejected with a message naming the first object that differs.
+func TestVerifyRecoveredNamesTheObject(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(h *heap.Heap, a, b, arr heap.Address)
+		want string
+	}{
+		{"flipped payload word", func(h *heap.Heap, a, b, arr heap.Address) {
+			h.Poke(heap.SlotAddr(b, 4), 42^1)
+		}, "object #2 (node) payload word 0 is 0x2b"},
+		{"retargeted edge", func(h *heap.Heap, a, b, arr heap.Address) {
+			h.Poke(heap.SlotAddr(a, 2), arr)
+		}, "object #0 (node) ref slot 0 points at #1 (prim[]), reference points at #2 (node)"},
+		{"cleared root", func(h *heap.Heap, a, b, arr heap.Address) {
+			h.Poke(h.Roots.Slots()[1], 0)
+		}, "its root 1 reaches #1 (prim[])"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, m := testHeap(t)
+			a, b, arr := buildGraph(t, h, m, 42)
+			pre, err := Capture(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := VerifyRecovered(h, pre); err != nil {
+				t.Fatalf("untouched heap rejected: %v", err)
+			}
+			tc.mut(h, a, b, arr)
+			if err := VerifyRecovered(h, pre); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -19,6 +19,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"nvmgc/internal/cassandra"
 	"nvmgc/internal/gc"
@@ -120,8 +121,8 @@ func (c Config) Validate() error {
 	if c.Parallel < 0 {
 		return fmt.Errorf("fleet: negative parallel %d (0 means all cores, 1 serial)", c.Parallel)
 	}
-	if c.Scale < 0 {
-		return fmt.Errorf("fleet: negative scale %g", c.Scale)
+	if !(c.Scale >= 0) || math.IsInf(c.Scale, 1) {
+		return fmt.Errorf("fleet: scale %g, want a finite value >= 0 (0 selects 0.5)", c.Scale)
 	}
 	if c.GCThreads < 0 || c.GCThreads > memsim.MaxWorkers {
 		return fmt.Errorf("fleet: GC thread count %d, want 0 (default) to %d", c.GCThreads, memsim.MaxWorkers)

@@ -157,6 +157,8 @@ func TestConfigValidate(t *testing.T) {
 		{"infinite qps", func(c *Config) { c.QPS = math.Inf(1) }},
 		{"negative parallel", func(c *Config) { c.Parallel = -1 }},
 		{"negative scale", func(c *Config) { c.Scale = -1 }},
+		{"NaN scale", func(c *Config) { c.Scale = math.NaN() }},
+		{"infinite scale", func(c *Config) { c.Scale = math.Inf(1) }},
 		{"negative gc threads", func(c *Config) { c.GCThreads = -1 }},
 		{"too many gc threads", func(c *Config) { c.GCThreads = memsim.MaxWorkers + 1 }},
 		{"negative hedge", func(c *Config) { c.HedgeAfter = -1 }},

@@ -53,16 +53,13 @@ type Traffic struct {
 }
 
 // horizon bounds the replay's virtual time: the window, the three
-// Traffic times and every request latency lie in [0, 2^55) ns — ~417
-// days, the limit memsim's packed keys and cassandra.Queue's server keys
+// Traffic times and every request latency lie in [0, 2^memsim.HorizonBits)
+// ns — the limit memsim's packed keys and cassandra.Queue's server keys
 // already assume — so no sum of two of them wraps an int64. Validate
 // holds the parameters to it; a latency can still leave it when queues
 // grow for long enough at a huge service time, and SimulateTraffic
 // reports that instead of sorting a wrapped clock's garbage.
-const (
-	horizonBits = 55
-	horizon     = memsim.Time(1) << horizonBits
-)
+const horizon = memsim.Time(1) << memsim.HorizonBits
 
 // MaxServers and MaxTenants bound the two Traffic sizes a replay turns
 // into work before it serves a request: a per-instance pool allocation
@@ -82,7 +79,7 @@ func (tr Traffic) Validate() error {
 		return fmt.Errorf("fleet: arrival rate %g qps, want > 0 and at most 1e9 (a mean gap of at least 1 ns)", tr.QPS)
 	}
 	if tr.Service <= 0 || tr.Service >= horizon {
-		return fmt.Errorf("fleet: service time %d, want > 0 and < 2^%d ns", tr.Service, horizonBits)
+		return fmt.Errorf("fleet: service time %d, want > 0 and < 2^%d ns", tr.Service, memsim.HorizonBits)
 	}
 	if tr.Servers < 1 || tr.Servers > MaxServers {
 		return fmt.Errorf("fleet: %d servers per instance, want 1..%d", tr.Servers, MaxServers)
@@ -94,10 +91,10 @@ func (tr Traffic) Validate() error {
 		return fmt.Errorf("fleet: zipfian theta %g outside (0, 1)", tr.Theta)
 	}
 	if tr.HedgeAfter < 0 || tr.HedgeAfter >= horizon {
-		return fmt.Errorf("fleet: hedge delay %d, want 0 (off) or a time below 2^%d ns", tr.HedgeAfter, horizonBits)
+		return fmt.Errorf("fleet: hedge delay %d, want 0 (off) or a time below 2^%d ns", tr.HedgeAfter, memsim.HorizonBits)
 	}
 	if tr.RetryAfter < 0 || tr.RetryAfter >= horizon {
-		return fmt.Errorf("fleet: retry timeout %d, want 0 (off) or a time below 2^%d ns", tr.RetryAfter, horizonBits)
+		return fmt.Errorf("fleet: retry timeout %d, want 0 (off) or a time below 2^%d ns", tr.RetryAfter, memsim.HorizonBits)
 	}
 	if tr.MaxRetries < 0 {
 		return fmt.Errorf("fleet: negative retry budget %d", tr.MaxRetries)
@@ -235,7 +232,7 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 		return nil, Stats{}, nil, fmt.Errorf("fleet: no instances to route to")
 	}
 	if window <= 0 || window >= horizon {
-		return nil, Stats{}, nil, fmt.Errorf("fleet: window %d, want > 0 and < 2^%d", window, horizonBits)
+		return nil, Stats{}, nil, fmt.Errorf("fleet: window %d, want > 0 and < 2^%d", window, memsim.HorizonBits)
 	}
 
 	r := &router{tr: tr, queues: cassandra.NewQueues(timelines, tr.Servers), perI: make([][]float64, n)}
@@ -289,9 +286,9 @@ func SimulateTraffic(timelines []*cassandra.Timeline, window memsim.Time, tr Tra
 		nextT, tenant = d.arrival()
 	}
 
-	if r.seen>>horizonBits != 0 {
+	if r.seen>>memsim.HorizonBits != 0 {
 		return nil, Stats{}, nil, fmt.Errorf("fleet: a request latency left [0, 2^%d) ns: service time %d at %g qps queues past the virtual-time horizon",
-			horizonBits, tr.Service, tr.QPS)
+			memsim.HorizonBits, tr.Service, tr.QPS)
 	}
 	longest := 0
 	for _, s := range r.perI {

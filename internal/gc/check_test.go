@@ -71,15 +71,15 @@ func TestCheckedMixedAndFullPass(t *testing.T) {
 		spec.seed = uint64(i + 11)
 		populate(t, h, m, spec)
 	}
-	before := h.Signature()
+	before := liveGraph(t, h)
 	if _, err := g.CollectMixed(8, 4); err != nil {
 		t.Fatalf("checked mixed GC: %v", err)
 	}
 	if _, err := g.CollectFull(8); err != nil {
 		t.Fatalf("checked full GC: %v", err)
 	}
-	if sig := h.Signature(); sig != before {
-		t.Fatalf("graph changed: %+v vs %+v", before, sig)
+	if err := graphDiff(t, h, before); err != nil {
+		t.Fatalf("graph changed: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"nvmgc/internal/check"
 	"nvmgc/internal/memsim"
 )
 
@@ -25,7 +26,7 @@ func TestCombinedDegradationStaysCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := h.Signature()
+	before := liveGraph(t, h)
 	s, err := g.Collect(4)
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +37,8 @@ func TestCombinedDegradationStaysCorrect(t *testing.T) {
 	if s.CacheFallbackBytes == 0 {
 		t.Fatal("2-region write cache should overflow into direct NVM copies")
 	}
-	if sig := h.Signature(); sig != before {
-		t.Fatalf("degraded collection changed the graph: %+v -> %+v", before, sig)
+	if err := graphDiff(t, h, before); err != nil {
+		t.Fatalf("degraded collection changed the graph: %v", err)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestDegradedConfigSurvivesCrash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frac %v: recover: %v", frac, err)
 		}
-		if err := h.VerifyRecovered(pre); err != nil {
+		if err := check.VerifyRecovered(h, pre); err != nil {
 			t.Fatalf("frac %v (outcome %v): %v", frac, rep.Outcome, err)
 		}
 		if rep.Outcome == RecoveryRolledBack {

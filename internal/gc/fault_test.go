@@ -46,13 +46,13 @@ func churn(t *testing.T, h *heap.Heap, m *memsim.Machine, col Collector, rounds,
 	for i := 0; i < rounds; i++ {
 		spec.seed = uint64(i + 1)
 		populate(t, h, m, spec)
-		before := h.Signature()
+		before := liveGraph(t, h)
 		s, err := col.Collect(threads)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if after := h.Signature(); after != before {
-			t.Fatalf("round %d corrupted the graph: %+v -> %+v", i, before, after)
+		if err := graphDiff(t, h, before); err != nil {
+			t.Fatalf("round %d corrupted the graph: %v", i, err)
 		}
 		total = addFaults(total, s.Faults)
 	}

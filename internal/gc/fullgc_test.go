@@ -62,7 +62,7 @@ func TestFullGCPreservesGraphAndCompacts(t *testing.T) {
 		return n
 	}
 	oldBefore := oldBytes()
-	sig := h.Signature()
+	sig := liveGraph(t, h)
 
 	s, err := g.CollectFull(8)
 	if err != nil {
@@ -71,8 +71,8 @@ func TestFullGCPreservesGraphAndCompacts(t *testing.T) {
 	if !s.Full {
 		t.Fatal("stats not flagged as full GC")
 	}
-	if got := h.Signature(); got != sig {
-		t.Fatalf("full GC corrupted the graph: %+v -> %+v", sig, got)
+	if err := graphDiff(t, h, sig); err != nil {
+		t.Fatalf("full GC corrupted the graph: %v", err)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -89,12 +89,12 @@ func TestFullGCWithOptimizations(t *testing.T) {
 	opt := Optimized()
 	opt.HeaderMapMinThreads = 1
 	h, g := buildOldHeavyHeap(t, opt)
-	sig := h.Signature()
+	sig := liveGraph(t, h)
 	if _, err := g.CollectFull(8); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Signature(); got != sig {
-		t.Fatalf("graph changed: %+v -> %+v", sig, got)
+	if err := graphDiff(t, h, sig); err != nil {
+		t.Fatalf("graph changed: %v", err)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestFullGCRebuildsRemSets(t *testing.T) {
 		h.Poke(heap.SlotAddr(child, 4), 777)
 		h.SetRef(w, parent, 2, child)
 	})
-	sig := h.Signature()
+	sig := liveGraph(t, h)
 
 	if _, err := g.CollectFull(8); err != nil {
 		t.Fatal(err)
@@ -142,8 +142,8 @@ func TestFullGCRebuildsRemSets(t *testing.T) {
 	if _, err := g.Collect(8); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Signature(); got != sig {
-		t.Fatalf("old->young edge lost across full+young GC: %+v -> %+v", sig, got)
+	if err := graphDiff(t, h, sig); err != nil {
+		t.Fatalf("old->young edge lost across full+young GC: %v", err)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -155,12 +155,12 @@ func TestFullGCOnPS(t *testing.T) {
 	populate(t, h, m, defaultSpec())
 	p, _ := NewPS(h, Optimized())
 	collectAndVerify(t, h, p, 8)
-	sig := h.Signature()
+	sig := liveGraph(t, h)
 	if _, err := p.CollectFull(8); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Signature(); got != sig {
-		t.Fatalf("PS full GC corrupted the graph")
+	if err := graphDiff(t, h, sig); err != nil {
+		t.Fatalf("PS full GC corrupted the graph: %v", err)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)

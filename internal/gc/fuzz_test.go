@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nvmgc/internal/check"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 )
@@ -66,7 +67,7 @@ func FuzzCrashRecovery(f *testing.F) {
 		if err == nil {
 			// The collection used fewer than storeN stores: it must have
 			// completed unharmed.
-			if err := h.VerifyRecovered(pre); err != nil {
+			if err := check.VerifyRecovered(h, pre); err != nil {
 				t.Fatalf("%s: uncrashed collection broke the graph: %v", cc.name, err)
 			}
 			return
@@ -86,7 +87,7 @@ func FuzzCrashRecovery(f *testing.F) {
 			t.Fatalf("%s store %d: scanner reported %d corrupt regions under persistence barriers",
 				cc.name, storeN, rep.Scan.Corrupt)
 		}
-		if err := h.VerifyRecovered(pre); err != nil {
+		if err := check.VerifyRecovered(h, pre); err != nil {
 			// The scanner and recovery claimed success but the graph
 			// differs: a false "consistent" report.
 			t.Fatalf("%s store %d (outcome %v): false consistency: %v",
@@ -268,14 +269,13 @@ func TestRandomCyclicGraphsSurviveEveryConfig(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		threads := 1 + rng.IntN(16)
-		before := h.Signature()
+		before := liveGraph(t, h)
 		for gcs := 0; gcs < 2; gcs++ {
 			if _, err := col.Collect(threads); err != nil {
 				t.Fatalf("trial %d (opts %+v, threads %d): %v", trial, opt, threads, err)
 			}
-			if sig := h.Signature(); sig != before {
-				t.Fatalf("trial %d (opts %+v, threads %d): graph changed %+v -> %+v",
-					trial, opt, threads, before, sig)
+			if err := graphDiff(t, h, before); err != nil {
+				t.Fatalf("trial %d (opts %+v, threads %d): graph changed: %v", trial, opt, threads, err)
 			}
 			if err := h.CheckInvariants(); err != nil {
 				t.Fatalf("trial %d (opts %+v, threads %d): %v", trial, opt, threads, err)

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"nvmgc/internal/check"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 )
@@ -132,16 +133,31 @@ func populate(t *testing.T, h *heap.Heap, m *memsim.Machine, spec graphSpec) {
 	})
 }
 
+// liveGraph captures h's live graph; a heap it cannot capture fails the test.
+func liveGraph(t *testing.T, h *heap.Heap) *check.Snapshot {
+	t.Helper()
+	s, err := check.Capture(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// graphDiff names the first difference between h's live graph and want.
+func graphDiff(t *testing.T, h *heap.Heap, want *check.Snapshot) error {
+	t.Helper()
+	return check.Diff(liveGraph(t, h), want)
+}
+
 func collectAndVerify(t *testing.T, h *heap.Heap, col Collector, threads int) CollectionStats {
 	t.Helper()
-	before := h.Signature()
+	before := liveGraph(t, h)
 	s, err := col.Collect(threads)
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}
-	after := h.Signature()
-	if after != before {
-		t.Fatalf("collection corrupted the graph: %+v -> %+v", before, after)
+	if err := graphDiff(t, h, before); err != nil {
+		t.Fatalf("collection corrupted the graph: %v", err)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatalf("heap invariants violated after GC: %v", err)
@@ -333,7 +349,7 @@ func TestPromotedRefsLandInRemSets(t *testing.T) {
 		h.Poke(heap.SlotAddr(child, 4), 4242)
 		h.SetRef(w, parent, 2, child)
 	})
-	sigBefore := h.Signature()
+	before := liveGraph(t, h)
 	collectAndVerify(t, h, g, 8)
 	parent := h.Peek(rootSlot)
 	if r := h.RegionOf(parent); r.Kind != heap.RegionOld {
@@ -354,8 +370,8 @@ func TestPromotedRefsLandInRemSets(t *testing.T) {
 	if h.Peek(heap.SlotAddr(child, 4)) != 4242 {
 		t.Fatal("child payload lost across GCs")
 	}
-	if sig := h.Signature(); sig != sigBefore {
-		t.Fatalf("graph changed: %+v vs %+v", sigBefore, sig)
+	if err := graphDiff(t, h, before); err != nil {
+		t.Fatalf("graph changed: %v", err)
 	}
 }
 

@@ -45,7 +45,7 @@ func TestMixedGCReclaimsOldGarbage(t *testing.T) {
 		return n
 	}
 	before := oldBytes()
-	sig := h.Signature()
+	sig := liveGraph(t, h)
 
 	s, err := g.CollectMixed(8, 16)
 	if err != nil {
@@ -57,8 +57,8 @@ func TestMixedGCReclaimsOldGarbage(t *testing.T) {
 	if s.MarkTime <= 0 {
 		t.Fatal("mark time missing")
 	}
-	if got := h.Signature(); got != sig {
-		t.Fatalf("mixed GC corrupted the graph: %+v -> %+v", sig, got)
+	if err := graphDiff(t, h, sig); err != nil {
+		t.Fatalf("mixed GC corrupted the graph: %v", err)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -68,8 +68,8 @@ func TestMixedGCReclaimsOldGarbage(t *testing.T) {
 	}
 	// Young GCs keep working afterwards.
 	collectAndVerify(t, h, g, 8)
-	if got := h.Signature(); got != sig {
-		t.Fatalf("young GC after mixed GC corrupted the graph")
+	if err := graphDiff(t, h, sig); err != nil {
+		t.Fatalf("young GC after mixed GC corrupted the graph: %v", err)
 	}
 }
 
@@ -105,14 +105,14 @@ func TestMixedGCKeepsOldToOldEdges(t *testing.T) {
 		t.Fatal("write barrier did not record the old->old edge")
 	}
 	g, _ := NewG1(h, Vanilla())
-	sig := h.Signature()
+	sig := liveGraph(t, h)
 	// Evacuate as many old regions as possible: b's region is nearly
 	// empty (mostly garbage), so it is a prime candidate.
 	if _, err := g.CollectMixed(4, 64); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Signature(); got != sig {
-		t.Fatalf("graph changed: %+v -> %+v", sig, got)
+	if err := graphDiff(t, h, sig); err != nil {
+		t.Fatalf("graph changed: %v", err)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -166,12 +166,12 @@ func TestMixedGCRepeatedCyclesStayHealthy(t *testing.T) {
 		spec.objects = 1200
 		spec.seed = uint64(100 + round)
 		populate(t, h, m, spec)
-		before := h.Signature()
+		before := liveGraph(t, h)
 		if _, err := g.CollectMixed(8, 8); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if got := h.Signature(); got != before {
-			t.Fatalf("round %d: mixed GC corrupted the graph", round)
+		if err := graphDiff(t, h, before); err != nil {
+			t.Fatalf("round %d: mixed GC corrupted the graph: %v", round, err)
 		}
 		if err := h.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)

@@ -76,7 +76,7 @@ type RecoveryReport struct {
 // Recovery charges no virtual time. It returns an error — with outcome
 // RecoveryUnrecoverable — when the restored heap fails its structural
 // invariants; callers prove full graph isomorphism separately via
-// heap.VerifyRecovered against a pre-GC signature.
+// check.VerifyRecovered against a pre-GC snapshot.
 func (b *base) Recover() (RecoveryReport, error) {
 	h := b.h
 	rep := RecoveryReport{Scan: h.ScanPostCrash()}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nvmgc/internal/check"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 )
@@ -38,8 +39,8 @@ func crashConfigs() []crashConfig {
 // crashEnv builds a persistence-tracked machine/heap/collector triple with
 // a populated graph, declares the mutator state durable (the campaign
 // contract: application data was persisted before GC entry), and captures
-// the pre-GC graph signature.
-func crashEnv(t *testing.T, cc crashConfig) (*heap.Heap, *memsim.Machine, *G1, heap.GraphSignature) {
+// the pre-GC live graph.
+func crashEnv(t *testing.T, cc crashConfig) (*heap.Heap, *memsim.Machine, *G1, *check.Snapshot) {
 	return crashEnvPlaced(t, cc, "")
 }
 
@@ -48,7 +49,7 @@ func crashEnv(t *testing.T, cc crashConfig) (*heap.Heap, *memsim.Machine, *G1, h
 // metaTier is empty). "nvm2" is a second persistent Optane tier; recovery
 // must be placement-independent, so the crash campaign and fuzzer also run
 // with the journal there.
-func crashEnvPlaced(t *testing.T, cc crashConfig, metaTier string) (*heap.Heap, *memsim.Machine, *G1, heap.GraphSignature) {
+func crashEnvPlaced(t *testing.T, cc crashConfig, metaTier string) (*heap.Heap, *memsim.Machine, *G1, *check.Snapshot) {
 	t.Helper()
 	cfg := memsim.DefaultConfig()
 	cfg.LLCBytes = 1 << 17
@@ -79,7 +80,7 @@ func crashEnvPlaced(t *testing.T, cc crashConfig, metaTier string) (*heap.Heap, 
 		t.Fatal(err)
 	}
 	m.Persist().PersistAll()
-	return h, m, g, h.Signature()
+	return h, m, g, liveGraph(t, h)
 }
 
 // dryRunPause measures one collection's pause on a twin environment so
@@ -135,7 +136,7 @@ func TestCrashRecoveryAcrossPhases(t *testing.T) {
 				if rep.Scan.Corrupt != 0 {
 					t.Fatalf("frac %.2f: scanner found %d corrupt regions under persistence barriers", frac, rep.Scan.Corrupt)
 				}
-				if err := h.VerifyRecovered(pre); err != nil {
+				if err := check.VerifyRecovered(h, pre); err != nil {
 					t.Fatalf("frac %.2f (outcome %v): %v", frac, rep.Outcome, err)
 				}
 				outcomes[rep.Outcome]++
@@ -173,7 +174,7 @@ func TestCrashInsideCheckpointWindow(t *testing.T) {
 	if rep.Outcome == RecoveryRolledForward {
 		t.Fatalf("pre-checkpoint crash rolled forward: %+v", rep)
 	}
-	if err := h.VerifyRecovered(pre); err != nil {
+	if err := check.VerifyRecovered(h, pre); err != nil {
 		t.Fatalf("verify failed after outcome %v: %v", rep.Outcome, err)
 	}
 }
@@ -196,7 +197,7 @@ func TestRecoveredHeapSupportsAnotherGC(t *testing.T) {
 	if _, err := g.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.VerifyRecovered(pre); err != nil {
+	if err := check.VerifyRecovered(h, pre); err != nil {
 		t.Fatal(err)
 	}
 	s, err := g.Collect(threads)
@@ -206,7 +207,7 @@ func TestRecoveredHeapSupportsAnotherGC(t *testing.T) {
 	if s.ObjectsCopied == 0 {
 		t.Fatalf("post-recovery collection copied nothing: %+v", s)
 	}
-	if err := h.VerifyRecovered(pre); err != nil {
+	if err := check.VerifyRecovered(h, pre); err != nil {
 		t.Fatalf("post-recovery collection broke the graph: %v", err)
 	}
 }
@@ -243,7 +244,7 @@ func TestCrashAfterCommitRollsForward(t *testing.T) {
 		if err != nil {
 			t.Fatalf("off %v: recover: %v", off, err)
 		}
-		if err := h.VerifyRecovered(pre); err != nil {
+		if err := check.VerifyRecovered(h, pre); err != nil {
 			t.Fatalf("off %v (outcome %v): %v", off, rep.Outcome, err)
 		}
 		if rep.Outcome == RecoveryRolledForward {
@@ -278,7 +279,7 @@ func TestCrashWithoutBarriersIsFlagged(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep, rerr := g.Recover()
-		verr := h.VerifyRecovered(pre)
+		verr := check.VerifyRecovered(h, pre)
 		switch {
 		case rerr != nil:
 			if rep.Outcome != RecoveryUnrecoverable {

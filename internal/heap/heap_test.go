@@ -328,40 +328,6 @@ func TestCASWord(t *testing.T) {
 	})
 }
 
-func TestSignatureStableAcrossDataMoves(t *testing.T) {
-	// Moving an object and patching references must not change the graph
-	// signature; changing payload must.
-	h, m := testHeap(t)
-	k := mustKlass(t, h, "node", 4, []int32{2})
-	var a, b Address
-	m.Run(1, func(w *memsim.Worker) {
-		a, _ = h.AllocateEden(w, k, 4)
-		b, _ = h.AllocateEden(w, k, 4)
-		h.SetRef(w, a, 2, b)
-		h.Poke(SlotAddr(b, 3), 777)
-		h.Roots.Add(w, a)
-	})
-	sig1 := h.Signature()
-	if sig1.Count != 2 || sig1.Bytes != 64 {
-		t.Fatalf("sig = %+v", sig1)
-	}
-	// Manually "move" b within eden.
-	m.Run(1, func(w *memsim.Worker) {
-		nb, _ := h.AllocateEden(w, k, 4)
-		h.MoveWordsRaw(nb, b, 4)
-		h.Poke(SlotAddr(a, 2), nb)
-		b = nb
-	})
-	sig2 := h.Signature()
-	if sig2 != sig1 {
-		t.Fatalf("signature changed after a pure move: %+v vs %+v", sig1, sig2)
-	}
-	h.Poke(SlotAddr(b, 3), 778)
-	if h.Signature() == sig1 {
-		t.Fatal("payload change must change the signature")
-	}
-}
-
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	h, m := testHeap(t)
 	k := mustKlass(t, h, "node", 4, []int32{2})

@@ -124,20 +124,3 @@ func (h *Heap) ScanPostCrash() PostCrashScan {
 	}
 	return s
 }
-
-// VerifyRecovered proves the recovered heap is isomorphic to the pre-GC
-// live graph: structural invariants hold and the graph signature (shape,
-// klasses, sizes, primitive payloads — addresses and ages excluded)
-// matches the one captured before the interrupted collection. A nil
-// return is the isomorphism proof; any data loss the recovery pass failed
-// to detect surfaces here as a signature mismatch.
-func (h *Heap) VerifyRecovered(pre GraphSignature) error {
-	if err := h.CheckInvariants(); err != nil {
-		return fmt.Errorf("post-crash invariants: %w", err)
-	}
-	post := h.Signature()
-	if post != pre {
-		return fmt.Errorf("post-crash graph differs: pre %+v, post %+v", pre, post)
-	}
-	return nil
-}

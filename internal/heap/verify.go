@@ -2,77 +2,6 @@ package heap
 
 import "fmt"
 
-// GraphSignature is an address-independent summary of the reachable object
-// graph, used to verify that a collection preserved the graph exactly.
-type GraphSignature struct {
-	Count int64  // reachable objects
-	Bytes int64  // reachable bytes
-	Hash  uint64 // structural hash (klass, sizes, shape, primitive payload)
-}
-
-func mix(h, v uint64) uint64 {
-	h ^= v
-	h *= 0x100000001b3
-	h ^= h >> 29
-	return h
-}
-
-// Signature traverses the reachable graph from the root set (depth-first,
-// deterministic order) and returns its signature. Traversal is uncharged.
-func (h *Heap) Signature() GraphSignature {
-	ids := make(map[Address]int64)
-	var order []Address
-	var stack []Address
-
-	push := func(ref Address) int64 {
-		if id, ok := ids[ref]; ok {
-			return id
-		}
-		id := int64(len(order))
-		ids[ref] = id
-		order = append(order, ref)
-		stack = append(stack, ref)
-		return id
-	}
-
-	sig := GraphSignature{Hash: 0xcbf29ce484222325}
-	h.Roots.ForEach(func(slot Address) {
-		ref := h.Peek(slot)
-		if ref != 0 {
-			sig.Hash = mix(sig.Hash, uint64(push(ref)))
-		}
-	})
-
-	for len(stack) > 0 {
-		obj := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		k, size := h.PeekObject(obj)
-		if k == nil {
-			// Broken reference: fold a sentinel into the hash so tests
-			// fail loudly.
-			sig.Hash = mix(sig.Hash, 0xBAD0BAD0BAD0BAD0)
-			continue
-		}
-		sig.Count++
-		sig.Bytes += size * WordBytes
-		sig.Hash = mix(sig.Hash, uint64(k.ID))
-		sig.Hash = mix(sig.Hash, uint64(size))
-		for off := int64(HeaderWords); off < size; off++ {
-			v := h.Peek(SlotAddr(obj, off))
-			if k.IsRefSlot(off, size) {
-				if v == 0 {
-					sig.Hash = mix(sig.Hash, 0)
-				} else {
-					sig.Hash = mix(sig.Hash, uint64(push(v))+1)
-				}
-			} else {
-				sig.Hash = mix(sig.Hash, v)
-			}
-		}
-	}
-	return sig
-}
-
 // CheckInvariants validates heap consistency: bump pointers in bounds,
 // regions parse into well-formed objects, and every reachable reference
 // points at a live object start outside free and cache regions. It

@@ -196,7 +196,7 @@ func NewDevice(name string, prof Profile, traceBucket Time) *Device {
 		id:   deviceIDs.Add(1),
 	}
 	if traceBucket > 0 {
-		d.trace = NewTrace(traceBucket)
+		d.trace = &Trace{bucket: traceBucket}
 	}
 	return d
 }

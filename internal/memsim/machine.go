@@ -227,9 +227,15 @@ func (m *Machine) Run(n int, body func(*Worker)) Time {
 	return m.endPhase(start, end)
 }
 
+// HorizonBits bounds virtual time: a clock stays below 2^HorizonBits ns,
+// about 417 days, so a time fits the packed words that hold one —
+// Worker.qkey and the LLC's stamp here, cassandra.Queue's server keys and
+// the fleet replay's latencies above.
+const HorizonBits = 55
+
 // maxTime is the last instant the packed words can hold: Worker.qkey and
-// the LLC's stamp both keep a time (the stamp, time+1) in 55 bits.
-const maxTime Time = 1<<55 - 2
+// the LLC's stamp both keep a time (the stamp, time+1) in HorizonBits bits.
+const maxTime Time = 1<<HorizonBits - 2
 
 // endPhase advances the machine clock to the phase end, re-raises a
 // watchdog trip on the caller's goroutine, and returns the elapsed time.

@@ -331,7 +331,7 @@ func TestTraceRecordsBandwidth(t *testing.T) {
 }
 
 func TestTraceReset(t *testing.T) {
-	tr := NewTrace(1000)
+	tr := &Trace{bucket: 1000}
 	tr.add(500, 64, false)
 	tr.Reset()
 	if len(tr.Series(0)) != 0 {

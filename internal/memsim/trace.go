@@ -2,18 +2,11 @@ package memsim
 
 // Trace records device traffic bucketed by virtual time, reproducing the
 // bandwidth-over-time plots collected with the Intel PCM tool in the paper.
+// NewDevice creates one when its bucket width is positive.
 type Trace struct {
 	bucket Time
 	read   []int64
 	write  []int64
-}
-
-// NewTrace creates a trace with the given bucket width (must be positive).
-func NewTrace(bucket Time) *Trace {
-	if bucket <= 0 {
-		panic("memsim: trace bucket must be positive")
-	}
-	return &Trace{bucket: bucket}
 }
 
 // Bucket returns the trace's bucket width.

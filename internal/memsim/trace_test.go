@@ -10,7 +10,7 @@ func TestTraceSeriesAndWindowAgree(t *testing.T) {
 	// The Window aggregate over the whole trace must equal the
 	// byte-weighted sum of the Series points.
 	f := func(seed uint64, n uint8) bool {
-		tr := NewTrace(1000)
+		tr := &Trace{bucket: 1000}
 		rng := rand.New(rand.NewPCG(seed, 7))
 		var total int64
 		end := Time(1)
@@ -37,7 +37,7 @@ func TestTraceSeriesAndWindowAgree(t *testing.T) {
 }
 
 func TestTraceSeriesRebase(t *testing.T) {
-	tr := NewTrace(1000)
+	tr := &Trace{bucket: 1000}
 	tr.add(500, 64, false)
 	tr.add(2500, 64, true)
 	pts := tr.Series(2000)
@@ -56,21 +56,12 @@ func TestTraceSeriesRebase(t *testing.T) {
 }
 
 func TestTraceNegativeTimeClamped(t *testing.T) {
-	tr := NewTrace(1000)
+	tr := &Trace{bucket: 1000}
 	tr.add(-5, 64, false)
 	pts := tr.Series(0)
 	if len(pts) != 1 || pts[0].Read == 0 {
 		t.Fatal("negative time should clamp to bucket 0")
 	}
-}
-
-func TestTraceBadBucketPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero bucket should panic")
-		}
-	}()
-	NewTrace(0)
 }
 
 func TestCacheStatsConservation(t *testing.T) {

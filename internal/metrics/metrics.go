@@ -51,36 +51,6 @@ func percentileSorted(s []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Summary holds basic distribution statistics.
-type Summary struct {
-	N              int
-	Min, Max, Mean float64
-	P50, P95, P99  float64
-}
-
-// Summarize computes a Summary of values (NaN fields for empty input).
-func Summarize(values []float64) Summary {
-	s := Summary{N: len(values)}
-	if len(values) == 0 {
-		nan := math.NaN()
-		s.Min, s.Max, s.Mean, s.P50, s.P95, s.P99 = nan, nan, nan, nan, nan, nan
-		return s
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	s.Mean = sum / float64(len(sorted))
-	s.P50 = percentileSorted(sorted, 50)
-	s.P95 = percentileSorted(sorted, 95)
-	s.P99 = percentileSorted(sorted, 99)
-	return s
-}
-
 // Table is a rectangular result table rendered as aligned plain text or
 // CSV — the harness's equivalent of one paper table/figure panel.
 type Table struct {

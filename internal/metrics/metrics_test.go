@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -59,26 +58,6 @@ func TestPercentilesSorted(t *testing.T) {
 	got := PercentilesSorted(s, 0, 50, 100)
 	if got[0] != 1 || got[1] != 2.5 || got[2] != 4 {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.P50 != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || !math.IsNaN(empty.Mean) {
-		t.Fatalf("empty summary %+v", empty)
-	}
-	// Summarize must not mutate the input.
-	in := []float64{3, 1, 2}
-	Summarize(in)
-	if in[0] != 3 || in[2] != 2 {
-		t.Fatal("input mutated")
-	}
-	if !sort.Float64sAreSorted([]float64{s.P50, s.P95, s.P99}) {
-		t.Fatal("percentiles out of order")
 	}
 }
 

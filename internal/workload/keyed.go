@@ -8,7 +8,7 @@ import (
 	"nvmgc/internal/workload/generator"
 )
 
-// keyedMutator executes a keyed Scenario's op stream against the heap.
+// keyedMutator executes a Core scenario's op stream against the heap.
 // The key population is an old-space index of reference-array "tables":
 // key k lives in table slot k mod capacity, so the live window is the
 // most recent `capacity` keys and inserts past it evict the oldest key
@@ -25,7 +25,7 @@ type keyedMutator struct {
 	core *Core
 
 	env      *Env
-	routines []Routine
+	routines []*coreRoutine
 	nextR    int // round-robin cursor
 
 	rowK, tableK *heap.Klass
@@ -69,7 +69,7 @@ func newKeyedMutator(h *heap.Heap, core *Core, cfg Config) (*keyedMutator, error
 
 	// One routine set up-front; NextOp draws round-robin across them so
 	// the stream interleaving is fixed by configuration, not scheduling.
-	r.routines = make([]Routine, r.env.Routines)
+	r.routines = make([]*coreRoutine, r.env.Routines)
 	for i := range r.routines {
 		if r.routines[i], err = core.NewRoutine(r.env, i); err != nil {
 			return nil, err

@@ -9,7 +9,8 @@ import (
 
 // LoadProfile reads a custom application profile from JSON, so new
 // workloads can be defined without writing Go. Missing fields inherit
-// from the named Base profile (or a neutral default when Base is empty).
+// from Base, one of the paper's 26 application profiles (the legacy
+// scenarios), or from a neutral default when Base is empty.
 //
 // Example:
 //
@@ -32,9 +33,14 @@ func LoadProfile(r io.Reader) (Profile, error) {
 	}
 	p := defaultCustomProfile()
 	if meta.Base != "" {
-		if p, err = ByName(meta.Base); err != nil {
+		s, err := ScenarioByName(meta.Base)
+		if err == nil && s.Family != "legacy" {
+			err = fmt.Errorf("workload: scenario %q is not one of the paper's application profiles", meta.Base)
+		}
+		if err != nil {
 			return Profile{}, fmt.Errorf("workload: base profile: %w", err)
 		}
+		p = *s.Profile
 	}
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return Profile{}, fmt.Errorf("workload: parse profile: %w", err)

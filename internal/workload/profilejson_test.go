@@ -29,12 +29,36 @@ func TestLoadProfileWithBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := MustByName("page-rank")
+	base := scenario(t, "page-rank").Profile
 	if p.Name != "pr-variant" || p.EdenFills != 2 {
 		t.Fatalf("overrides lost: %+v", p)
 	}
 	if p.Survival != base.Survival || p.ChainLen != base.ChainLen {
 		t.Fatalf("base fields lost: %+v", p)
+	}
+}
+
+// TestLoadProfileBaseIsAPaperProfile: Base names one of the paper's 26
+// application profiles; any other registered scenario is an error.
+func TestLoadProfileBaseIsAPaperProfile(t *testing.T) {
+	accepted := 0
+	for _, s := range Scenarios() {
+		p, err := LoadProfile(strings.NewReader(`{"Base":"` + s.Name + `","Name":"x"}`))
+		if legacy := s.Family == "legacy"; legacy != (err == nil) {
+			t.Fatalf("Base %q (%s family): err = %v", s.Name, s.Family, err)
+		}
+		if err == nil {
+			accepted++
+			if p.Suite != s.Profile.Suite || p.EdenFills != s.Profile.EdenFills {
+				t.Fatalf("Base %q: fields lost: %+v", s.Name, p)
+			}
+		}
+	}
+	if accepted != 26 {
+		t.Fatalf("%d Base names accepted, want the 26 paper profiles", accepted)
+	}
+	if _, err := LoadProfile(strings.NewReader(`{"Base":"ycsb-a","Name":"x"}`)); err == nil || !strings.Contains(err.Error(), "ycsb-a") {
+		t.Fatalf("Base ycsb-a: %v", err)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"nvmgc/internal/workload/generator"
 )
 
-// This file is the scenario half of the workload engine: a Scenario
+// This file is the scenario half of the workload engine: a Core scenario
 // produces a deterministic keyed operation stream (YCSB-style
 // insert/read/update/scan/read-modify-write over a growing key
 // population); the keyedMutator in keyed.go executes that stream against
@@ -58,7 +58,7 @@ type Op struct {
 	Span int64
 }
 
-// Env is the shared per-run state between a Scenario and the engine.
+// Env is the shared per-run state between a Core scenario and the engine.
 // Init fills the population fields; the engine provides the rest.
 type Env struct {
 	// Engine-provided before Init.
@@ -100,24 +100,6 @@ func (e *Env) WindowStart() int64 {
 		return n - e.Capacity
 	}
 	return 0
-}
-
-// Scenario is one workload scenario. Init fills the Env's population
-// parameters and validates the configuration; NewRoutine builds the
-// per-routine generator state (yabf's InitRoutine) — each routine owns
-// its RNGs so the op stream is independent of how routines interleave.
-type Scenario interface {
-	Init(e *Env) error
-	NewRoutine(e *Env, id int) (Routine, error)
-}
-
-// Routine produces one client routine's operations. NextOp must depend
-// only on generator state and the Env's key counter — never on heap or
-// collector state — so the op stream is identical under every collector
-// configuration (the cross-config apples-to-apples guarantee the paper
-// profiles also keep).
-type Routine interface {
-	NextOp(e *Env) Op
 }
 
 // Request-distribution names a Core scenario accepts.
@@ -240,7 +222,8 @@ func (c *Core) Validate() error {
 	return nil
 }
 
-// Init implements Scenario.
+// Init fills the Env's population parameters and validates the
+// configuration.
 func (c *Core) Init(e *Env) error {
 	if err := c.Validate(); err != nil {
 		return err
@@ -263,7 +246,10 @@ func routineStream(id, lane int) uint64 {
 	return uint64(id)<<8 | uint64(lane) | 0x5ce4a410<<32
 }
 
-// coreRoutine is one routine's generator state.
+// coreRoutine is one client routine's generator state. It owns its RNGs,
+// so the op stream is independent of how routines interleave, and NextOp
+// reads only them and the Env's key counter — never heap or collector
+// state — so the stream is identical under every collector configuration.
 type coreRoutine struct {
 	c   *Core
 	mix *generator.Uniform // op-mix selector (drawn as millionths)
@@ -278,8 +264,8 @@ type coreRoutine struct {
 	scanLen *generator.Uniform
 }
 
-// NewRoutine implements Scenario.
-func (c *Core) NewRoutine(e *Env, id int) (Routine, error) {
+// NewRoutine builds routine id's generator state (yabf's InitRoutine).
+func (c *Core) NewRoutine(e *Env, id int) (*coreRoutine, error) {
 	r := &coreRoutine{c: c}
 	var err error
 	fail := func(g error) error {
@@ -348,7 +334,7 @@ func (r *coreRoutine) chooseKey(e *Env) int64 {
 	panic("workload: unreachable request distribution " + r.c.Request)
 }
 
-// NextOp implements Routine.
+// NextOp draws the routine's next operation.
 func (r *coreRoutine) NextOp(e *Env) Op {
 	x := float64(r.mix.Next()) / 1_000_000
 	c := r.c

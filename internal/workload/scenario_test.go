@@ -159,8 +159,8 @@ func TestScenarioRegistryContents(t *testing.T) {
 			}
 		}
 	}
-	if fam["legacy"] != len(Profiles()) {
-		t.Fatalf("legacy scenarios %d, profiles %d", fam["legacy"], len(Profiles()))
+	if fam["legacy"] != 26 {
+		t.Fatalf("legacy scenarios = %d, want the paper's 26 profiles", fam["legacy"])
 	}
 	if fam["cassandra"] != 2 {
 		t.Fatalf("cassandra scenarios = %d, want 2", fam["cassandra"])
@@ -189,7 +189,7 @@ func TestScenarioRegistryContents(t *testing.T) {
 // at registration, not at run time. All cases fail, so the global
 // registry is unchanged.
 func TestRegisterRejectsBadSpecs(t *testing.T) {
-	p := MustByName("als")
+	p := scenario(t, "als").Profile
 	c := CoreDefaults()
 	if err := Register(Spec{Name: "ycsb-a", Family: "test", Core: &c}); err == nil {
 		t.Fatal("duplicate scenario name accepted")
@@ -200,7 +200,7 @@ func TestRegisterRejectsBadSpecs(t *testing.T) {
 	if err := Register(Spec{Name: "test-none", Family: "test"}); err == nil {
 		t.Fatal("spec with no backing accepted")
 	}
-	if err := Register(Spec{Name: "test-both", Family: "test", Profile: &p, Core: &c}); err == nil {
+	if err := Register(Spec{Name: "test-both", Family: "test", Profile: p, Core: &c}); err == nil {
 		t.Fatal("spec with two backings accepted")
 	}
 	if _, err := (Spec{Name: "empty"}).NewRunner(nil, Config{}); err == nil {

@@ -25,7 +25,12 @@ func scenario(t *testing.T, name string) Spec {
 }
 
 func TestProfilesTableValid(t *testing.T) {
-	ps := Profiles()
+	var ps []Profile
+	for _, s := range Scenarios() {
+		if s.Family == "legacy" {
+			ps = append(ps, *s.Profile)
+		}
+	}
 	if len(ps) != 26 {
 		t.Fatalf("expected 26 applications, got %d", len(ps))
 	}
@@ -53,44 +58,6 @@ func TestProfilesTableValid(t *testing.T) {
 		if ps[i-1].Name >= ps[i].Name {
 			t.Errorf("profiles out of order: %q before %q", ps[i-1].Name, ps[i].Name)
 		}
-	}
-}
-
-func TestByNameAndFig1(t *testing.T) {
-	p, err := ByName("page-rank")
-	if err != nil || p.Name != "page-rank" {
-		t.Fatalf("ByName(page-rank) = %q, %v", p.Name, err)
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown app should return an error, not a zero profile")
-	}
-	apps := Fig1Apps()
-	if len(apps) != 6 {
-		t.Fatalf("fig1 apps = %d", len(apps))
-	}
-	for _, a := range apps {
-		if _, err := ByName(a); err != nil {
-			t.Fatalf("fig1 app %q missing from table: %v", a, err)
-		}
-	}
-}
-
-func TestMustByNamePanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustByName(nope) did not panic")
-		}
-	}()
-	MustByName("nope")
-}
-
-func TestValidateProfileNamesRejectsDuplicates(t *testing.T) {
-	dup := []Profile{{Name: "a"}, {Name: "b"}, {Name: "a"}}
-	if err := validateProfileNames(dup); err == nil {
-		t.Fatal("duplicate profile name not rejected")
-	}
-	if err := validateProfileNames(profiles); err != nil {
-		t.Fatalf("the shipped table is rejected: %v", err)
 	}
 }
 
@@ -174,7 +141,7 @@ func TestSurvivalRatioRoughlyHolds(t *testing.T) {
 		copied += c.BytesCopied
 	}
 	frac := float64(copied) / float64(res.Allocated)
-	p := MustByName("kmeans")
+	p := scenario(t, "kmeans").Profile
 	// Copied bytes per allocated byte should be in the same ballpark as
 	// the configured survival ratio (re-copying of aged survivors makes
 	// it somewhat higher).

@@ -29,6 +29,7 @@ END {
 	floor["nvmgc/internal/fleet"] = 85
 	floor["nvmgc/internal/workload"] = 85
 	floor["nvmgc/internal/workload/generator"] = 90
+	floor["nvmgc/internal/check"] = 80 # owns the crash-recovery verdict
 	status = 0
 	for (pkg in floor) {
 		if (total[pkg] == 0) {
