@@ -30,14 +30,14 @@ func (fo fleetOptions) fleetConfig() fleet.Config {
 		GCThreads:  fo.o.threads,
 		Scale:      fo.o.scale,
 		Seed:       fo.o.seed,
-		Opt:        fo.o.opt,
+		Opt:        fo.o.host.Opt,
 		QPS:        fo.qps,
 		HedgeAfter: memsim.Time(fo.hedgeUS) * memsim.Microsecond,
 		RetryAfter: memsim.Time(fo.retryUS) * memsim.Microsecond,
 		MaxRetries: fo.retries,
 		Parallel:   fo.parallel,
-		EagerYield: fo.o.eagerYield,
-		Tiers:      faultTiers(fo.o.tiers, fo.o.faultWear, fo.o.faultPPM, fo.o.seed),
+		EagerYield: fo.o.host.Machine.EagerYield,
+		Tiers:      fo.o.host.Machine.Tiers,
 	}
 }
 
@@ -53,18 +53,17 @@ func runFleet(w io.Writer, fo fleetOptions) error {
 	}
 
 	fmt.Fprintf(w, "fleet: %d x %s instances, g1 %s, %d GC threads (virtual time)\n",
-		fo.instances, fo.workload, fo.o.opt.Label(), fo.o.threads)
+		fo.instances, fo.workload, fo.o.host.Opt.Label(), fo.o.threads)
 	fmt.Fprintf(w, "open loop: %.0f qps fleet-wide, hedge after %.3fms, retry after %.3fms (max %d)\n\n",
 		fo.qps, ms(cfg.HedgeAfter), ms(cfg.RetryAfter), fo.retries)
 
-	faulty := fo.o.faultWear > 0 || fo.o.faultPPM > 0
 	for _, in := range res.Instances {
 		fmt.Fprintf(w, "inst %2d: window %9.3fms  %2d gcs  max pause %7.3fms  pause time %7.3fms",
 			in.ID, ms(in.Window), in.GCs, ms(in.MaxPause), ms(pauseTotal(in)))
 		if in.Ops > 0 {
 			fmt.Fprintf(w, "  %d ops", in.Ops)
 		}
-		if faulty {
+		if fo.o.faulty {
 			fmt.Fprintf(w, "  %d transient faults, %d regions retired", in.Faults.TransientFaults, in.Faults.RegionsRetired)
 		}
 		fmt.Fprintln(w)

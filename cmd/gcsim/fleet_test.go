@@ -2,20 +2,53 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"nvmgc/internal/gc"
 	"nvmgc/internal/memsim"
+	"nvmgc/internal/workload"
 )
 
+// TestMain lets a test run this binary as gcsim: with GCSIM_MAIN=1 in the
+// environment it runs main on its arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("GCSIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// gcsim runs gcsim on args in a child process and returns its exit code
+// and standard error.
+func gcsim(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "GCSIM_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("gcsim %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
 func testFleetOptions() fleetOptions {
+	host := workload.PaperHost()
+	host.Opt = gc.Optimized()
 	return fleetOptions{
 		instances: 2, qps: 120_000,
 		hedgeUS: 2000, retryUS: 2500, retries: 2,
 		workload: "ycsb-a", parallel: 1,
-		o: options{opt: gc.Optimized(), threads: 8, scale: 0.4, seed: 3},
+		o: options{host: host, threads: 8, scale: 0.4, seed: 3},
 	}
 }
 
@@ -121,4 +154,59 @@ func TestRunFleetSmoke(t *testing.T) {
 			t.Fatalf("output misses %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestFleetRejectsHostFlags: -fleet reads neither the single-app host
+// flags nor its workload and output flags, so setting one is a usage error
+// naming it (exit 2), not a run that silently ignores it.
+func TestFleetRejectsHostFlags(t *testing.T) {
+	fleet := []string{"-fleet", "-fleet-instances", "1", "-scale", "0.05", "-threads", "2"}
+	out := filepath.Join(t.TempDir(), "x.json")
+	code, stderr := gcsim(t, append(fleet, "-device", "dram", "-young-tier", "bogus", "-collector", "ps", "-json", out)...)
+	if code != 2 || !strings.Contains(stderr, "-collector, -device, -json, -young-tier") {
+		t.Errorf("exit %d, stderr %q: want exit 2 naming -collector, -device, -json, -young-tier", code, stderr)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-json file: %v, want none written", err)
+	}
+	values := map[string]string{"device": "dram", "young-tier": "dram", "cache-tier": "dram", "meta-tier": "nvm",
+		"collector": "ps", "json": "-", "mixed-every": "2", "full-every": "2", "profile-file": out, "app": "als",
+		"ycsb-records": "64", "ycsb-ops": "64", "ycsb-dist": "uniform", "ycsb-theta": "0.5"}
+	for _, name := range fleetIgnored {
+		arg := "-" + name
+		if v, ok := values[name]; ok {
+			arg += "=" + v
+		}
+		if code, stderr := gcsim(t, append(fleet, arg)...); code != 2 || !strings.Contains(stderr, "-fleet does not read -"+name+" (") {
+			t.Errorf("%s: exit %d, stderr %q", arg, code, stderr)
+		}
+	}
+	// The flags -fleet does read pass the check.
+	code, stderr = gcsim(t, append(fleet, "-config", "all", "-topology", "local-dram,nvm=optane", "-fault-ppm", "10",
+		"-eager-yield", "-parallel", "1", "-seed", "3", "-fleet-qps", "1e-300")...)
+	if code != 0 {
+		t.Errorf("fleet-read flags: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// FuzzParseTopology: every tier list -topology accepts builds a machine
+// (NewMachine panics on the lists it rejects).
+func FuzzParseTopology(f *testing.F) {
+	for _, s := range []string{"", "local-dram,remote-dram,nvm=optane", "optane,optane", "local-dram,=optane",
+		"nvm=optane,nvm=remote-dram", "a=b=optane", " eadr-nvm , dram=local-dram", ","} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tiers, err := parseTopology(s)
+		if err != nil {
+			return
+		}
+		mc := memsim.DefaultConfig()
+		mc.TraceBucket = 0
+		mc.Tiers = tiers
+		m := memsim.NewMachine(mc)
+		if got := len(m.Topology().Tiers()); got != len(mc.TierSpecs()) {
+			t.Fatalf("%q: machine has %d tiers, want %d", s, got, len(mc.TierSpecs()))
+		}
+	})
 }

@@ -16,6 +16,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"nvmgc/internal/check/oracle"
@@ -35,23 +37,21 @@ import (
 )
 
 type options struct {
-	collector  string
-	opt        gc.Options
-	kind       memsim.Kind
+	host       workload.HostSpec // built once from the host flags
 	threads    int
 	scale      float64
 	seed       uint64
 	trace      bool
-	eagerYield bool
+	tiered     bool // an explicit -topology: report it and per-tier traffic
+	faulty     bool // -fault-wear or -fault-ppm: report the fault accounting
 	jsonOut    string
 	mixedEvery int
 	fullEvery  int
-	faultWear  int64
-	faultPPM   int64
-
-	tiers []memsim.TierSpec    // non-empty for an explicit -topology
-	place heap.PlacementPolicy // area -> tier overrides from the *-tier flags
 }
+
+// fleetIgnored are the single-app flags (heap, collector, workload, output) -fleet does not read.
+var fleetIgnored = []string{"device", "young-tier", "cache-tier", "meta-tier", "collector", "trace", "json",
+	"mixed-every", "full-every", "profile-file", "app", "ycsb-records", "ycsb-ops", "ycsb-dist", "ycsb-theta"}
 
 func main() {
 	var (
@@ -103,7 +103,7 @@ func main() {
 	if *parallel < 0 {
 		fatal(fmt.Errorf("-parallel %d: negative worker count (0 means all cores, 1 serial)", *parallel))
 	}
-	for _, err := range []error{checkThreads(*threads), checkScale(*scale)} {
+	for _, err := range []error{checkThreads(*threads), checkScale(*scale), checkFleetFlags(*fleetF, flag.CommandLine)} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gcsim:", err)
 			os.Exit(2)
@@ -150,24 +150,50 @@ func main() {
 		return
 	}
 
+	// The one host every run of this invocation gets: PaperHost with the host
+	// flags applied (-fleet instances take its machine and collector options).
+	opt, err := parseConfig(*config)
+	if err != nil {
+		fatal(err)
+	}
+	if *collector != "g1" && *collector != "ps" {
+		fatal(fmt.Errorf("unknown -collector %q (want g1 or ps)", *collector))
+	}
+	tiers, err := parseTopology(*topology)
+	if err != nil {
+		fatal(err)
+	}
+	host := workload.PaperHost()
+	host.Opt, host.PS = opt, *collector == "ps"
+	host.Machine.EagerYield = *eager
+	if !*trace {
+		host.Machine.TraceBucket = 0
+	}
+	host.Machine.Tiers = faultTiers(tiers, *faultWear, *faultPPM, *seed)
+	flagPlace := heap.PlacementPolicy{Eden: *youngTier, Survivor: *youngTier, Cache: *cacheTier, Meta: *metaTier}
+	if err := validatePlacement(flagPlace, host.Machine); err != nil {
+		fatal(err)
+	}
+	place, err := parseDevice(*device)
+	if err != nil {
+		fatal(err)
+	}
+	place.Eden = cmp.Or(*youngTier, place.Eden)
+	place.Survivor = cmp.Or(*youngTier, place.Survivor)
+	place.Cache = cmp.Or(*cacheTier, place.Cache)
+	place.Meta = cmp.Or(*metaTier, place.Meta)
+	host.Heap.Placement = place
+	o := options{
+		host: host, threads: *threads, scale: *scale, seed: *seed, trace: *trace,
+		tiered: tiers != nil, faulty: *faultWear > 0 || *faultPPM > 0,
+		jsonOut: *jsonOut, mixedEvery: *mixedEvery, fullEvery: *fullEvery,
+	}
+
 	if *fleetF {
-		opt, err := parseConfig(*config)
-		if err != nil {
-			fatal(err)
-		}
-		tiers, err := parseTopology(*topology)
-		if err != nil {
-			fatal(err)
-		}
 		fo := fleetOptions{
 			instances: *fleetInstances, qps: *fleetQPS,
 			hedgeUS: *fleetHedge, retryUS: *fleetRetry, retries: *fleetRetries,
-			workload: *fleetWorkload, parallel: *parallel,
-			o: options{
-				opt: opt, threads: *threads, scale: *scale, seed: *seed,
-				eagerYield: *eager, faultWear: *faultWear, faultPPM: *faultPPM,
-				tiers: tiers,
-			},
+			workload: *fleetWorkload, parallel: *parallel, o: o,
 		}
 		// Up-front validation: reject bad fleet flags before any instance
 		// machine is built.
@@ -234,36 +260,8 @@ func main() {
 			specs[i].Core = &core
 		}
 	}
-	opt, err := parseConfig(*config)
-	if err != nil {
-		fatal(err)
-	}
-	kind, err := parseDevice(*device)
-	if err != nil {
-		fatal(err)
-	}
-	tiers, err := parseTopology(*topology)
-	if err != nil {
-		fatal(err)
-	}
-	place := heap.PlacementPolicy{
-		Eden: *youngTier, Survivor: *youngTier,
-		Cache: *cacheTier, Meta: *metaTier,
-	}
-	if err := validatePlacement(place, tiers); err != nil {
-		fatal(err)
-	}
 	if len(specs) > 1 && *jsonOut != "" && *jsonOut != "-" {
 		fatal(fmt.Errorf("-json to a file needs a single -app"))
-	}
-
-	o := options{
-		collector: *collector, opt: opt, kind: kind,
-		threads: *threads, scale: *scale, seed: *seed, trace: *trace,
-		eagerYield: *eager, jsonOut: *jsonOut,
-		mixedEvery: *mixedEvery, fullEvery: *fullEvery,
-		faultWear: *faultWear, faultPPM: *faultPPM,
-		tiers: tiers, place: place,
 	}
 
 	// Each app gets its own Machine and is deterministic given the seed,
@@ -314,16 +312,36 @@ func parseConfig(name string) (gc.Options, error) {
 	}
 }
 
-// parseDevice maps the -device flag to the heap's backing memory kind.
-func parseDevice(name string) (memsim.Kind, error) {
+// parseDevice maps the -device flag to a heap placement: the paper's NVM
+// heap (the default policy) or the all-DRAM reference heap. The *-tier
+// flags then move single areas.
+func parseDevice(name string) (heap.PlacementPolicy, error) {
 	switch name {
 	case "nvm":
-		return memsim.NVM, nil
+		return heap.PlacementPolicy{}, nil
 	case "dram":
-		return memsim.DRAM, nil
+		return heap.AllOn("dram"), nil
 	default:
-		return 0, fmt.Errorf("unknown -device %q (want nvm or dram; richer hosts use -topology, see -list-devices)", name)
+		return heap.PlacementPolicy{}, fmt.Errorf("unknown -device %q (want nvm or dram; richer hosts use -topology, see -list-devices)", name)
 	}
+}
+
+// checkFleetFlags rejects, under -fleet, every flag in fleetIgnored set
+// on fs, naming each one.
+func checkFleetFlags(fleet bool, fs *flag.FlagSet) error {
+	if !fleet {
+		return nil
+	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(fleetIgnored, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return fmt.Errorf("-fleet does not read %s (single-app flags)", strings.Join(set, ", "))
+	}
+	return nil
 }
 
 // parseTopology turns the -topology flag into tier specs: a comma-separated
@@ -369,14 +387,10 @@ func faultTiers(tiers []memsim.TierSpec, wear, ppm int64, seed uint64) []memsim.
 	if wear <= 0 && ppm <= 0 {
 		return tiers
 	}
-	if tiers == nil {
-		cfg := memsim.DefaultConfig()
-		tiers = memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-	} else {
-		// Copy before installing the model: the caller's slice is shared
-		// by every parallel app run.
-		tiers = append([]memsim.TierSpec(nil), tiers...)
-	}
+	// Copy before installing the model: the caller's slice may be shared.
+	mc := memsim.DefaultConfig()
+	mc.Tiers = tiers
+	tiers = slices.Clone(mc.TierSpecs())
 	fm := memsim.FaultModel{
 		Seed:                seed,
 		TransientReadPPM:    ppm,
@@ -393,13 +407,10 @@ func faultTiers(tiers []memsim.TierSpec, wear, ppm int64, seed uint64) []memsim.
 }
 
 // validatePlacement rejects *-tier flags naming tiers absent from the
-// machine the run will build (the default dram/nvm pair when -topology is
-// not given).
-func validatePlacement(place heap.PlacementPolicy, tiers []memsim.TierSpec) error {
-	if len(tiers) == 0 {
-		cfg := memsim.DefaultConfig()
-		tiers = memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-	}
+// machine mc builds (the default dram/nvm pair when -topology is not
+// given).
+func validatePlacement(place heap.PlacementPolicy, mc memsim.Config) error {
+	tiers := mc.TierSpecs()
 	names := make([]string, len(tiers))
 	known := make(map[string]bool, len(tiers))
 	for i, ts := range tiers {
@@ -421,16 +432,7 @@ func validatePlacement(place heap.PlacementPolicy, tiers []memsim.TierSpec) erro
 
 // runApp executes one workload scenario and writes its whole report to w.
 func runApp(w io.Writer, spec workload.Spec, o options) error {
-	mc := memsim.DefaultConfig()
-	if !o.trace {
-		mc.TraceBucket = 0
-	}
-	mc.EagerYield = o.eagerYield
-	mc.Tiers = faultTiers(o.tiers, o.faultWear, o.faultPPM, o.seed)
-	hc := heap.DefaultConfig()
-	hc.HeapKind = o.kind
-	hc.Placement = o.place
-	host, err := workload.NewHost(mc, hc, o.collector == "ps", o.opt)
+	host, err := workload.NewHost(o.host)
 	if err != nil {
 		return err
 	}
@@ -449,12 +451,12 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 	}
 
 	fmt.Fprintf(w, "%s on %s, %s %s, %d GC threads (virtual time)\n",
-		spec.Name, o.kind, col.Name(), o.opt.Label(), o.threads)
-	if len(o.tiers) > 0 {
+		spec.Name, h.OldDevice().Kind(), col.Name(), o.host.Opt.Label(), o.threads)
+	if o.tiered {
 		fmt.Fprintf(w, "topology: %s\n", m.Topology())
 	}
 	fmt.Fprintf(w, "heap %d MiB, region %d KiB, eden %d regions\n\n",
-		h.HeapBytes()>>20, h.RegionBytes()>>10, hc.EdenRegions)
+		h.HeapBytes()>>20, h.RegionBytes()>>10, h.Config().EdenRegions)
 
 	for i, c := range res.Collections {
 		fmt.Fprintf(w, "[gc %2d] pause %8.3fms  copied %6.2f MiB (%d objs, %d promoted)  read-mostly %7.3fms  write-only %7.3fms\n",
@@ -471,7 +473,7 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 	}
 
 	if o.jsonOut != "" {
-		l := gclog.FromCollections(col.Name(), o.opt, o.threads, res.Collections)
+		l := gclog.FromCollections(col.Name(), o.host.Opt, o.threads, res.Collections)
 		if o.jsonOut == "-" {
 			if err := l.WriteJSON(w); err != nil {
 				return err
@@ -500,7 +502,7 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 	fmt.Fprintf(w, "gc NVM traffic: %.1f MiB read, %.1f MiB written (%.1f writeback + %.1f non-temporal)\n",
 		float64(tot.NVM.ReadBytes)/(1<<20), float64(tot.NVM.WriteBytes)/(1<<20),
 		float64(tot.NVM.WritebackBytes)/(1<<20), float64(tot.NVM.NTBytes)/(1<<20))
-	if len(o.tiers) > 0 {
+	if o.tiered {
 		for _, tt := range tot.Tiers {
 			fmt.Fprintf(w, "gc tier %-12s %.1f MiB read, %.1f MiB written (%.1f writeback + %.1f non-temporal)\n",
 				tt.Name+":", float64(tt.Stats.ReadBytes)/(1<<20), float64(tt.Stats.WriteBytes)/(1<<20),
@@ -512,7 +514,7 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 		fmt.Fprintf(w, "ops: %d\n", res.Ops)
 	}
 
-	if o.faultWear > 0 || o.faultPPM > 0 {
+	if o.faulty {
 		f := tot.Faults
 		fmt.Fprintf(w, "faults: %d transient (%d retries, %.3f ms backoff), %d UEs surfaced, %d copies re-routed, %d regions retired, %d tier fallbacks\n",
 			f.TransientFaults, f.Retries, ms(f.BackoffTime), f.UEsDiscovered, f.RedirectedCopies, f.RegionsRetired, f.TierFallbacks)

@@ -31,11 +31,11 @@ func TestParseConfig(t *testing.T) {
 }
 
 func TestParseDevice(t *testing.T) {
-	if k, err := parseDevice("nvm"); err != nil || k != memsim.NVM {
-		t.Errorf("parseDevice(nvm) = %v, %v", k, err)
+	if p, err := parseDevice("nvm"); err != nil || p != (heap.PlacementPolicy{}) {
+		t.Errorf("parseDevice(nvm) = %+v, %v", p, err)
 	}
-	if k, err := parseDevice("dram"); err != nil || k != memsim.DRAM {
-		t.Errorf("parseDevice(dram) = %v, %v", k, err)
+	if p, err := parseDevice("dram"); err != nil || p != heap.AllOn("dram") {
+		t.Errorf("parseDevice(dram) = %+v, %v", p, err)
 	}
 	if _, err := parseDevice("optane"); err == nil {
 		t.Errorf("parseDevice accepted unknown device")
@@ -79,10 +79,11 @@ func TestParseTopology(t *testing.T) {
 
 func TestValidatePlacement(t *testing.T) {
 	// Default topology: dram and nvm exist, anything else does not.
-	if err := validatePlacement(heap.PlacementPolicy{Eden: "dram", Meta: "nvm"}, nil); err != nil {
+	mc := memsim.DefaultConfig()
+	if err := validatePlacement(heap.PlacementPolicy{Eden: "dram", Meta: "nvm"}, mc); err != nil {
 		t.Errorf("default-topology placement rejected: %v", err)
 	}
-	err := validatePlacement(heap.PlacementPolicy{Cache: "remote-dram"}, nil)
+	err := validatePlacement(heap.PlacementPolicy{Cache: "remote-dram"}, mc)
 	if err == nil {
 		t.Fatalf("placement on a tier missing from the default topology accepted")
 	}
@@ -90,14 +91,13 @@ func TestValidatePlacement(t *testing.T) {
 		t.Errorf("error should name the flag and the tier: %v", err)
 	}
 	// Explicit topology: the same tier name is now valid.
-	tiers, err := parseTopology("local-dram,remote-dram,nvm=optane")
-	if err != nil {
+	if mc.Tiers, err = parseTopology("local-dram,remote-dram,nvm=optane"); err != nil {
 		t.Fatal(err)
 	}
-	if err := validatePlacement(heap.PlacementPolicy{Cache: "remote-dram"}, tiers); err != nil {
+	if err := validatePlacement(heap.PlacementPolicy{Cache: "remote-dram"}, mc); err != nil {
 		t.Errorf("placement on an explicit-topology tier rejected: %v", err)
 	}
-	if err := validatePlacement(heap.PlacementPolicy{Eden: "dram"}, tiers); err == nil {
+	if err := validatePlacement(heap.PlacementPolicy{Eden: "dram"}, mc); err == nil {
 		t.Errorf("-young-tier naming a tier absent from the explicit topology accepted")
 	}
 }

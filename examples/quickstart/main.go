@@ -26,7 +26,9 @@ func collectOnce(opt gc.Options) (memsim.Time, int64) {
 	// A host is a machine (DRAM + Optane-like NVM behind a shared LLC,
 	// with a deterministic virtual clock), a heap split into G1-style
 	// regions living on NVM, and the G1 collector managing it.
-	host, err := workload.NewHost(memsim.DefaultConfig(), heap.DefaultConfig(), false, opt)
+	spec := workload.PaperHost()
+	spec.Opt = opt
+	host, err := workload.NewHost(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,10 +38,7 @@ func AblTraversal(p Params) (*Report, error) {
 		for _, bfs := range []bool{false, true} {
 			opt := gc.Optimized()
 			opt.BFS = bfs
-			specs = append(specs, runSpec{
-				app: app, heapKind: memsim.NVM, opt: opt,
-				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i),
-			})
+			specs = append(specs, runSpec{app: app, host: p.host(opt), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)})
 		}
 	}
 	outs, err := runAll(p, specs)
@@ -88,8 +85,7 @@ func AblNonTemporal(p Params) (*Report, error) {
 	for i, app := range apps {
 		for _, nt := range []bool{false, true} {
 			specs = append(specs, runSpec{
-				app: app, heapKind: memsim.NVM,
-				opt:     gc.Options{WriteCache: true, NonTemporal: nt},
+				app: app, host: p.host(gc.Options{WriteCache: true, NonTemporal: nt}),
 				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i),
 			})
 		}
@@ -144,10 +140,7 @@ func AblFlushChunk(p Params) (*Report, error) {
 		opt := gc.Optimized()
 		opt.AsyncFlush = true
 		opt.FlushChunkBytes = chunk
-		specs = append(specs, runSpec{
-			app: app, heapKind: memsim.NVM, opt: opt,
-			threads: threads, scale: p.scale(), seed: p.seed(),
-		})
+		specs = append(specs, runSpec{app: app, host: p.host(opt), threads: threads, scale: p.scale(), seed: p.seed()})
 	}
 	outs, err := runAll(p, specs)
 	if err != nil {
@@ -188,10 +181,8 @@ func AblHeaderMapThreshold(p Params) (*Report, error) {
 		on := gc.Optimized()
 		on.HeaderMapMinThreads = 1 // force-enable even at low thread counts
 		specs = append(specs,
-			runSpec{app: app, heapKind: memsim.NVM, opt: off,
-				threads: th, scale: p.scale(), seed: p.seed()},
-			runSpec{app: app, heapKind: memsim.NVM, opt: on,
-				threads: th, scale: p.scale(), seed: p.seed()})
+			runSpec{app: app, host: p.host(off), threads: th, scale: p.scale(), seed: p.seed()},
+			runSpec{app: app, host: p.host(on), threads: th, scale: p.scale(), seed: p.seed()})
 	}
 	outs, err := runAll(p, specs)
 	if err != nil {

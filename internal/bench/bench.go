@@ -232,46 +232,30 @@ func (p Params) machineConfig(trace bool) memsim.Config {
 	return cfg
 }
 
-// runSpec describes one scenario run.
-type runSpec struct {
-	app         workload.Spec
-	heapKind    memsim.Kind
-	youngOnDRAM bool
-	ps          bool
-	opt         gc.Options
-	threads     int
-	scale       float64
-	seed        uint64
-	trace       bool
-
-	// keyed selects the keyed-population heap (workload.KeyedHeapConfig)
-	// over the standard one: 1024 x 64 KiB regions (the paper's
-	// 2048-region / 16 GiB layout scaled to 64 MiB), a 12 MiB eden, and a
-	// DRAM cache pool able to host the unlimited-write-cache mode.
-	keyed bool
-
-	// tiers, when non-empty, replaces the default two-tier machine with an
-	// explicit topology; placement then maps heap areas onto its tier names
-	// (empty placement fields fall back to the heapKind/youngOnDRAM pair
-	// above, which only knows "dram" and "nvm").
-	tiers     []memsim.TierSpec
-	placement heap.PlacementPolicy
+// host is the paper-scaled host (workload.PaperHost) on the run-wide
+// machine, running opt under G1 over an NVM heap. Figure points override
+// its placement, topology or collector from there.
+func (p Params) host(opt gc.Options) workload.HostSpec {
+	h := workload.PaperHost()
+	h.Machine = p.machineConfig(false)
+	h.Opt = opt
+	return h
 }
 
-// newHost assembles the spec's machine, heap and collector.
-func (p Params) newHost(spec runSpec) (workload.Host, error) {
-	mc := p.machineConfig(spec.trace)
-	if spec.tiers != nil {
-		mc.Tiers = spec.tiers
-	}
-	hc := heap.DefaultConfig()
-	if spec.keyed {
-		hc = workload.KeyedHeapConfig()
-	}
-	hc.HeapKind = spec.heapKind
-	hc.YoungOnDRAM = spec.youngOnDRAM
-	hc.Placement = spec.placement
-	return workload.NewHost(mc, hc, spec.ps, spec.opt)
+// The two placements the figures compare an NVM heap against (Section
+// 5.2): the whole heap on DRAM, and only the young generation on it.
+var (
+	dramHeap    = heap.AllOn("dram")
+	youngOnDRAM = heap.PlacementPolicy{Eden: "dram", Survivor: "dram"}
+)
+
+// runSpec describes one scenario run.
+type runSpec struct {
+	app     workload.Spec
+	host    workload.HostSpec
+	threads int
+	scale   float64
+	seed    uint64
 }
 
 // runOut is one experiment data point's output: the workload result plus
@@ -288,13 +272,13 @@ type runOut struct {
 // any virtual-time result.
 func runAll(p Params, specs []runSpec) ([]runOut, error) {
 	return par.Map(len(specs), p.Parallel, func(i int) (runOut, error) {
-		return runOne(p, specs[i])
+		return runOne(specs[i])
 	})
 }
 
 // runOne executes one scenario run on a freshly assembled host.
-func runOne(p Params, spec runSpec) (runOut, error) {
-	host, err := p.newHost(spec)
+func runOne(spec runSpec) (runOut, error) {
+	host, err := workload.NewHost(spec.host)
 	if err != nil {
 		return runOut{}, err
 	}

@@ -60,7 +60,7 @@ func faultSweepThresholds(quick bool) []int64 {
 func newFaultSweepEnv(fc faultSweepConfig, threshold int64, seed uint64) (*heap.Heap, *memsim.Machine, *gc.G1, error) {
 	mc := Params{}.machineConfig(false) // the point declares its own topology below
 	mc.LLCBytes = 1 << 17
-	tiers := memsim.DefaultTierSpecs(mc.DRAM, mc.NVM)
+	tiers := mc.TierSpecs()
 	tiers[1].Fault = memsim.FaultModel{
 		Seed:                seed ^ 0xfa17_0000,
 		TransientReadPPM:    2000,
@@ -78,7 +78,6 @@ func newFaultSweepEnv(fc faultSweepConfig, threshold int64, seed uint64) (*heap.
 	hc.SurvivorRegions = 16
 	hc.AuxBytes = 2 << 20
 	hc.RootSlots = 1 << 13
-	hc.HeapKind = memsim.NVM
 	hc.Poison = true
 	h, err := heap.New(m, hc)
 	if err != nil {

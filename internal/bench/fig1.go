@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"nvmgc/internal/memsim"
+	"nvmgc/internal/gc"
 	"nvmgc/internal/metrics"
 )
 
@@ -28,10 +28,9 @@ func Fig1(p Params) (*Report, error) {
 	}
 	specs := make([]runSpec, 0, 2*len(apps))
 	for i, app := range apps {
-		spec := runSpec{app: app, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
-		spec.heapKind = memsim.DRAM
+		spec := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		dramSpec := spec
-		spec.heapKind = memsim.NVM
+		dramSpec.host.Heap.Placement = dramHeap
 		specs = append(specs, dramSpec, spec)
 	}
 	outs, err := runAll(p, specs)

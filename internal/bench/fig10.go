@@ -5,7 +5,6 @@ import (
 
 	"nvmgc/internal/gc"
 	"nvmgc/internal/heap"
-	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
 )
 
@@ -31,9 +30,8 @@ func Fig10(p Params) (*Report, error) {
 	var specs []runSpec
 	for i, app := range apps {
 		for _, frac := range fracs {
-			spec := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
-			spec.opt = gc.Optimized()
-			spec.opt.HeaderMapBytes = hc.RegionBytes * int64(hc.HeapRegions) / frac
+			spec := runSpec{app: app, host: p.host(gc.Optimized()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+			spec.host.Opt.HeaderMapBytes = hc.RegionBytes * int64(hc.HeapRegions) / frac
 			specs = append(specs, spec)
 		}
 	}
@@ -103,18 +101,18 @@ func Fig11(p Params) (*Report, error) {
 	}
 	var specs []runSpec
 	for i, app := range apps {
-		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 
 		syncSpec := base
-		syncSpec.opt = gc.Optimized()
+		syncSpec.host.Opt = gc.Optimized()
 		unlSpec := base
-		unlSpec.opt = gc.Optimized()
-		unlSpec.opt.WriteCacheBytes = -1
+		unlSpec.host.Opt = gc.Optimized()
+		unlSpec.host.Opt.WriteCacheBytes = -1
 		asySpec := base
-		asySpec.opt = gc.Optimized()
-		asySpec.opt.AsyncFlush = true
+		asySpec.host.Opt = gc.Optimized()
+		asySpec.host.Opt.AsyncFlush = true
 		dramSpec := base
-		dramSpec.heapKind = memsim.DRAM
+		dramSpec.host.Heap.Placement = dramHeap
 		specs = append(specs, syncSpec, unlSpec, asySpec, dramSpec)
 	}
 	outs, err := runAll(p, specs)
@@ -160,11 +158,11 @@ func Fig12(p Params) (*Report, error) {
 	}
 	var specs12 []runSpec
 	for i, app := range apps {
-		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		optSpec := base
-		optSpec.opt = gc.Optimized()
+		optSpec.host.Opt = gc.Optimized()
 		dramSpec := base
-		dramSpec.heapKind = memsim.DRAM
+		dramSpec.host.Heap.Placement = dramHeap
 		specs12 = append(specs12, base, optSpec, dramSpec)
 	}
 	outs12, err := runAll(p, specs12)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nvmgc/internal/gc"
-	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
 	"nvmgc/internal/workload"
 )
@@ -38,10 +37,7 @@ func Fig13(p Params) (*Report, error) {
 	for i, app := range apps {
 		for _, cfg := range configs {
 			for _, th := range threadSet {
-				specs = append(specs, runSpec{
-					app: app, heapKind: memsim.NVM, opt: cfg.opt,
-					threads: th, scale: p.scale(), seed: p.seed() + uint64(i),
-				})
+				specs = append(specs, runSpec{app: app, host: p.host(cfg.opt), threads: th, scale: p.scale(), seed: p.seed() + uint64(i)})
 			}
 		}
 	}
@@ -118,12 +114,13 @@ func Fig14(p Params) (*Report, error) {
 	}
 	var specs []runSpec
 	for i, app := range apps {
-		base := runSpec{app: app, heapKind: memsim.NVM, ps: true, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base.host.PS = true
 		npSpec := base
-		npSpec.opt = gc.Optimized()
-		npSpec.opt.Prefetch = false
+		npSpec.host.Opt = gc.Optimized()
+		npSpec.host.Opt.Prefetch = false
 		allSpec := base
-		allSpec.opt = gc.Optimized()
+		allSpec.host.Opt = gc.Optimized()
 		specs = append(specs, base, npSpec, allSpec)
 	}
 	outs, err := runAll(p, specs)

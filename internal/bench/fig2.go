@@ -79,14 +79,20 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 		return nil, err
 	}
 	rep := &Report{ID: id, Title: "Bandwidth statistics for " + app}
+	// on runs vanilla G1 with the whole heap on the kind's device.
+	on := func(kind memsim.Kind, threads int, trace bool) runSpec {
+		h := p.host(gc.Vanilla())
+		h.Machine = p.machineConfig(trace)
+		if kind == memsim.DRAM {
+			h.Heap.Placement = dramHeap
+		}
+		return runSpec{app: spec, host: h, threads: threads, scale: p.scale(), seed: p.seed()}
+	}
 
 	kinds := []memsim.Kind{memsim.DRAM, memsim.NVM}
 	var traced []runSpec
 	for _, kind := range kinds {
-		traced = append(traced, runSpec{
-			app: spec, heapKind: kind, opt: gc.Vanilla(),
-			threads: threads, scale: p.scale(), seed: p.seed(), trace: true,
-		})
+		traced = append(traced, on(kind, threads, true))
 	}
 	traces, err := runAll(p, traced)
 	if err != nil {
@@ -129,10 +135,7 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 		var specs []runSpec
 		for _, kind := range scaleKinds {
 			for _, th := range threadSet {
-				specs = append(specs, runSpec{
-					app: spec, heapKind: kind, opt: gc.Vanilla(),
-					threads: th, scale: p.scale(), seed: p.seed(),
-				})
+				specs = append(specs, on(kind, th, false))
 			}
 		}
 		outs, err := runAll(p, specs)

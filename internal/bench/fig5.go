@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nvmgc/internal/gc"
-	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
 	"nvmgc/internal/workload"
 )
@@ -29,16 +28,16 @@ func Fig5(p Params) (*Report, error) {
 	specs := make([]runSpec, 0, 5*len(apps))
 	for i, app := range apps {
 		seed := p.seed() + uint64(i)
-		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: seed}
+		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: seed}
 
 		wcSpec := base
-		wcSpec.opt = gc.WithWriteCache()
+		wcSpec.host.Opt = gc.WithWriteCache()
 		allSpec := base
-		allSpec.opt = gc.Optimized()
+		allSpec.host.Opt = gc.Optimized()
 		dramSpec := base
-		dramSpec.heapKind = memsim.DRAM
+		dramSpec.host.Heap.Placement = dramHeap
 		ygSpec := base
-		ygSpec.youngOnDRAM = true
+		ygSpec.host.Heap.Placement = youngOnDRAM
 		specs = append(specs, base, wcSpec, allSpec, dramSpec, ygSpec)
 	}
 	outs, err := runAll(p, specs)
@@ -165,9 +164,9 @@ func Fig9(p Params) (*Report, error) {
 func vanillaOptPairs(apps []workload.Spec, threads int, p Params) []runSpec {
 	specs := make([]runSpec, 0, 2*len(apps))
 	for i, app := range apps {
-		base := runSpec{app: app, heapKind: memsim.NVM, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
 		optSpec := base
-		optSpec.opt = gc.Optimized()
+		optSpec.host.Opt = gc.Optimized()
 		specs = append(specs, base, optSpec)
 	}
 	return specs

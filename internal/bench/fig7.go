@@ -5,7 +5,6 @@ import (
 
 	"nvmgc/internal/cassandra"
 	"nvmgc/internal/gc"
-	"nvmgc/internal/memsim"
 )
 
 // Fig7 reproduces Figure 7: the split read/write NVM bandwidth during GC
@@ -44,10 +43,9 @@ func Fig7(p Params) (*Report, error) {
 	var specApps []string
 	for i, app := range apps {
 		for _, cfg := range configs {
-			specs = append(specs, runSpec{
-				app: app, heapKind: memsim.NVM, opt: cfg.opt,
-				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i), trace: true,
-			})
+			h := p.host(cfg.opt)
+			h.Machine = p.machineConfig(true)
+			specs = append(specs, runSpec{app: app, host: h, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)})
 			labels = append(labels, cfg.label)
 			specApps = append(specApps, app.Name)
 		}

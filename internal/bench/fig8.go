@@ -5,7 +5,6 @@ import (
 
 	"nvmgc/internal/cassandra"
 	"nvmgc/internal/gc"
-	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
 	"nvmgc/internal/par"
 	"nvmgc/internal/workload"
@@ -40,7 +39,7 @@ func Fig8(p Params) (*Report, error) {
 	}
 	curves, err := par.Map(len(jobs), p.Parallel, func(i int) ([]cassandra.StressResult, error) {
 		job := jobs[i]
-		host, err := p.newHost(runSpec{heapKind: memsim.NVM, opt: job.opt})
+		host, err := workload.NewHost(p.host(job.opt))
 		if err != nil {
 			return nil, err
 		}

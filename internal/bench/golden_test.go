@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"nvmgc/internal/memsim"
+	"nvmgc/internal/gc"
 	"nvmgc/internal/workload"
 )
 
@@ -124,12 +124,13 @@ func TestGoldenCollectionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, th := range threadCounts {
-		spec := runSpec{app: app, heapKind: memsim.NVM, threads: th, scale: scale, seed: 1}
-		out1, err := runOne(Params{}, spec)
+		spec := runSpec{app: app, host: Params{}.host(gc.Vanilla()), threads: th, scale: scale, seed: 1}
+		out1, err := runOne(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out2, err := runOne(Params{EagerYield: true}, spec)
+		spec.host = Params{EagerYield: true}.host(gc.Vanilla())
+		out2, err := runOne(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

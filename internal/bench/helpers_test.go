@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"nvmgc/internal/gc"
+	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
+	"nvmgc/internal/workload"
 )
 
 func TestStatHelpers(t *testing.T) {
@@ -110,13 +112,41 @@ func TestTraceTable(t *testing.T) {
 	}
 }
 
+// TestHeapConfigModes: the figures' heap placements put each area on the
+// tier the two-tier knobs they replace did (HeapKind DRAM for dramHeap,
+// the young generation alone on DRAM for youngOnDRAM, neither for the
+// default NVM heap), and machineConfig applies the run-wide parameters.
 func TestHeapConfigModes(t *testing.T) {
-	host, err := Params{}.newHost(runSpec{heapKind: memsim.DRAM, youngOnDRAM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hc := host.H.Config(); hc.HeapKind != memsim.DRAM || !hc.YoungOnDRAM {
-		t.Fatalf("config = %+v", hc)
+	for _, tc := range []struct {
+		name  string
+		place heap.PlacementPolicy
+		// eden, survivor, old, humongous, cache, aux, meta
+		want [7]string
+	}{
+		{"nvm heap", heap.PlacementPolicy{}, [7]string{"nvm", "nvm", "nvm", "nvm", "dram", "dram", "nvm"}},
+		{"dramHeap", dramHeap, [7]string{"dram", "dram", "dram", "dram", "dram", "dram", "dram"}},
+		{"youngOnDRAM", youngOnDRAM, [7]string{"dram", "dram", "nvm", "nvm", "dram", "dram", "nvm"}},
+	} {
+		spec := Params{}.host(gc.Vanilla())
+		spec.Heap.Placement = tc.place
+		host, err := workload.NewHost(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, m := host.H, host.M
+		pl := h.Placement()
+		got := [7]string{pl.Eden, pl.Survivor, pl.Old, pl.Humongous, pl.Cache, pl.Aux, pl.Meta}
+		if got != tc.want {
+			t.Errorf("%s: placement %v, want %v", tc.name, got, tc.want)
+		}
+		dev := func(name string) *memsim.Device { tier, _ := m.Tier(name); return tier.Device }
+		// Humongous has no device accessor; its tier name is checked above.
+		for i, d := range []*memsim.Device{h.EdenDevice(), h.SurvivorDevice(), h.OldDevice(), nil,
+			h.CacheDevice(), h.AuxDevice(), h.MetaDevice()} {
+			if d != nil && d != dev(tc.want[i]) {
+				t.Errorf("%s: area %d on %s, want %s", tc.name, i, d.Name(), tc.want[i])
+			}
+		}
 	}
 	var p Params
 	if !strings.Contains(p.machineConfig(true).DRAM.Kind.String(), "DRAM") {

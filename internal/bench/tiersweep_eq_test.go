@@ -37,11 +37,10 @@ func TestTierSweepPointSchedulerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(eager bool) snap {
-		out, err := runOne(Params{EagerYield: eager}, runSpec{
-			app: app, heapKind: memsim.NVM, opt: gc.Vanilla(),
-			threads: 16, scale: 0.5, seed: 1,
-			tiers: tierSweepSpecs(), placement: base,
-		})
+		h := Params{EagerYield: eager}.host(gc.Vanilla())
+		h.Machine.Tiers = tierSweepSpecs()
+		h.Heap.Placement = base
+		out, err := runOne(runSpec{app: app, host: h, threads: 16, scale: 0.5, seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,11 +72,10 @@ func TierSweep(p Params) (*Report, error) {
 	var runSpecs []runSpec
 	for _, app := range apps {
 		for _, pt := range points {
-			runSpecs = append(runSpecs, runSpec{
-				app: app, opt: pt.opt, threads: threads,
-				scale: p.scale(), seed: p.seed(),
-				tiers: specs, placement: pt.place,
-			})
+			h := p.host(pt.opt)
+			h.Machine.Tiers = specs
+			h.Heap.Placement = pt.place
+			runSpecs = append(runSpecs, runSpec{app: app, host: h, threads: threads, scale: p.scale(), seed: p.seed()})
 		}
 	}
 	outs, err := runAll(p, runSpecs)

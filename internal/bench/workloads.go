@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nvmgc/internal/gc"
-	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
 	"nvmgc/internal/workload"
 )
@@ -52,10 +51,10 @@ func WorkloadSweep(p Params) (*Report, error) {
 	var specs []runSpec // scenario-major, one per collector config
 	for _, s := range scenarios {
 		for _, c := range cfgs {
-			specs = append(specs, runSpec{
-				app: s, keyed: true, heapKind: memsim.NVM, opt: c.opt,
-				threads: threads, scale: p.scale(), seed: p.seed(),
-			})
+			h := workload.KeyedHost()
+			h.Machine = p.machineConfig(false)
+			h.Opt = c.opt
+			specs = append(specs, runSpec{app: s, host: h, threads: threads, scale: p.scale(), seed: p.seed()})
 		}
 	}
 	outs, err := runAll(p, specs)

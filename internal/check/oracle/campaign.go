@@ -124,13 +124,11 @@ func newEnv(topology string, fault memsim.FaultModel) (*memsim.Machine, *heap.He
 	cfg := memsim.DefaultConfig()
 	cfg.LLCBytes = 1 << 16
 	if topology == "3tier" {
-		cfg.Tiers = append(memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM),
+		cfg.Tiers = append(cfg.TierSpecs(),
 			memsim.TierSpec{Name: "remote-dram", Profile: memsim.RemoteDRAMProfile(), Interleave: 6})
 	}
 	if fault.Enabled() {
-		if cfg.Tiers == nil {
-			cfg.Tiers = memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-		}
+		cfg.Tiers = cfg.TierSpecs()
 		cfg.Tiers[1].Fault = fault // the "nvm" tier of DefaultTierSpecs
 	}
 	m := memsim.NewMachine(cfg)

@@ -206,16 +206,16 @@ func RunInstances(cfg Config) ([]Instance, error) {
 	})
 }
 
-// runInstance builds one server on the keyed-population heap, runs its
+// runInstance builds one server on the keyed-population host, runs its
 // scenario, and extracts the normalized pause timeline.
 func runInstance(c Config, phase cassandra.Phase, id int) (Instance, error) {
-	mc := memsim.DefaultConfig()
-	mc.TraceBucket = 0
-	mc.EagerYield = c.EagerYield
-	mc.Tiers = c.Tiers
-	hc := workload.KeyedHeapConfig()
-	hc.Poison = faultEnabled(c.Tiers)
-	host, err := workload.NewHost(mc, hc, false, c.Opt)
+	s := workload.KeyedHost()
+	s.Machine.TraceBucket = 0
+	s.Machine.EagerYield = c.EagerYield
+	s.Machine.Tiers = c.Tiers
+	s.Heap.Poison = faultEnabled(c.Tiers)
+	s.Opt = c.Opt
+	host, err := workload.NewHost(s)
 	if err != nil {
 		return Instance{}, err
 	}

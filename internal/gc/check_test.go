@@ -6,7 +6,6 @@ import (
 
 	"nvmgc/internal/check"
 	"nvmgc/internal/heap"
-	"nvmgc/internal/memsim"
 )
 
 // TestCheckedCollectionsPass runs the option matrix with the phase-boundary
@@ -24,7 +23,7 @@ func TestCheckedCollectionsPass(t *testing.T) {
 	for name, opt := range opts {
 		opt.Check = true
 		t.Run("g1/"+name, func(t *testing.T) {
-			h, m := testEnv(t, memsim.NVM)
+			h, m := testEnv(t)
 			populate(t, h, m, defaultSpec())
 			g, err := NewG1(h, opt)
 			if err != nil {
@@ -42,7 +41,7 @@ func TestCheckedCollectionsPass(t *testing.T) {
 	t.Run("ps/all", func(t *testing.T) {
 		opt := Optimized()
 		opt.Check = true
-		h, m := testEnv(t, memsim.NVM)
+		h, m := testEnv(t)
 		populate(t, h, m, defaultSpec())
 		p, err := NewPS(h, opt)
 		if err != nil {
@@ -58,7 +57,7 @@ func TestCheckedCollectionsPass(t *testing.T) {
 func TestCheckedMixedAndFullPass(t *testing.T) {
 	opt := Optimized()
 	opt.Check = true
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	g, err := NewG1(h, opt)
 	if err != nil {
@@ -102,7 +101,7 @@ func TestCheckedPersistPass(t *testing.T) {
 // must not change a single virtual-time or traffic figure.
 func TestCheckIsFree(t *testing.T) {
 	run := func(chk bool) CollectionStats {
-		h, m := testEnv(t, memsim.NVM)
+		h, m := testEnv(t)
 		populate(t, h, m, defaultSpec())
 		opt := Optimized()
 		opt.Check = chk
@@ -141,7 +140,7 @@ func wantViolation(t *testing.T, err error, rule string) {
 // rule family and asserts the next checked collection names that rule.
 func TestCheckDetectsCorruption(t *testing.T) {
 	setup := func(t *testing.T) (*heap.Heap, *G1) {
-		h, m := testEnv(t, memsim.NVM)
+		h, m := testEnv(t)
 		populate(t, h, m, defaultSpec())
 		opt := Optimized()
 		opt.Check = true
@@ -252,7 +251,7 @@ func TestCheckDetectsCorruption(t *testing.T) {
 // helper on a quiescent heap, covering the PostGC/committed path without a
 // full persist cycle.
 func TestCheckBoundaryDirect(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	g, err := NewG1(h, Vanilla())
 	if err != nil {

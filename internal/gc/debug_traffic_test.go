@@ -13,7 +13,7 @@ import (
 // NVM writeback traffic — that is the paper's core mechanism.
 func TestTrafficBreakdown(t *testing.T) {
 	build := func() (*heap.Heap, *memsim.Machine) {
-		h, m := testEnv(t, memsim.NVM)
+		h, m := testEnv(t)
 		node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 		m.Run(1, func(w *memsim.Worker) {
 			var prev heap.Address

@@ -14,7 +14,7 @@ import (
 // gracefully: both fallback counters fire, the graph is preserved, the
 // heap passes its invariants, and every cache region is returned.
 func TestCombinedDegradationStaysCorrect(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	spec := defaultSpec()
 	spec.rootProb = 0.4 // high survival: stresses both budgets
 	populate(t, h, m, spec)

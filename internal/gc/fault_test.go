@@ -26,7 +26,6 @@ func faultEnv(t *testing.T, fm memsim.FaultModel, shape func(*heap.Config)) (*he
 	hc.SurvivorRegions = 32
 	hc.AuxBytes = 2 << 20
 	hc.RootSlots = 1 << 13
-	hc.HeapKind = memsim.NVM
 	hc.Poison = true
 	if shape != nil {
 		shape(&hc)
@@ -214,7 +213,7 @@ func TestTierExhaustedSurfaced(t *testing.T) {
 // TestFaultsDisabledZeroCosts: without a fault model the resilience layer
 // must be completely inert — zero fault costs and no retired regions.
 func TestFaultsDisabledZeroCosts(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	g, err := NewG1(h, Optimized())
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // reclaim. It returns the collector and the number of dropped roots.
 func buildOldHeavyHeap(t *testing.T, opt Options) (*heap.Heap, *G1) {
 	t.Helper()
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 	var slots []heap.Address
 	m.Run(1, func(w *memsim.Worker) {
@@ -151,7 +151,7 @@ func TestFullGCRebuildsRemSets(t *testing.T) {
 }
 
 func TestFullGCOnPS(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	p, _ := NewPS(h, Optimized())
 	collectAndVerify(t, h, p, 8)
@@ -168,7 +168,7 @@ func TestFullGCOnPS(t *testing.T) {
 }
 
 func TestFullGCEmptyHeap(t *testing.T) {
-	h, _ := testEnv(t, memsim.NVM)
+	h, _ := testEnv(t)
 	g, _ := NewG1(h, Vanilla())
 	s, err := g.CollectFull(4)
 	if err != nil {

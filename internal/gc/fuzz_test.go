@@ -208,7 +208,7 @@ func TestWorkStackModel(t *testing.T) {
 func TestRandomCyclicGraphsSurviveEveryConfig(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 0xFACE))
-		h, m := testEnv(t, memsim.NVM)
+		h, m := testEnv(t)
 		node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 		arr, _ := h.Klasses.DefineArray("ref[]", true)
 
@@ -292,7 +292,7 @@ func TestRandomCyclicGraphsSurviveEveryConfig(t *testing.T) {
 // NVM region, and no NVM region is mapped twice. Checked after GC via the
 // surviving regions (mappings must be fully dissolved).
 func TestRegionMappingBijection(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	g, _ := NewG1(h, WithWriteCache())
 	collectAndVerify(t, h, g, 8)
@@ -307,7 +307,7 @@ func TestRegionMappingBijection(t *testing.T) {
 // live data means a longer pause (same config, same threads).
 func TestPauseTimeMonotoneInLiveSet(t *testing.T) {
 	pause := func(rootEvery int) memsim.Time {
-		h, m := testEnv(t, memsim.NVM)
+		h, m := testEnv(t)
 		node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 		m.Run(1, func(w *memsim.Worker) {
 			i := 0

@@ -10,7 +10,7 @@ import (
 )
 
 // testEnv builds a machine+heap pair sized for fast tests.
-func testEnv(t *testing.T, heapKind memsim.Kind) (*heap.Heap, *memsim.Machine) {
+func testEnv(t *testing.T) (*heap.Heap, *memsim.Machine) {
 	t.Helper()
 	cfg := memsim.DefaultConfig()
 	cfg.LLCBytes = 1 << 17
@@ -23,7 +23,6 @@ func testEnv(t *testing.T, heapKind memsim.Kind) (*heap.Heap, *memsim.Machine) {
 	hc.SurvivorRegions = 32
 	hc.AuxBytes = 2 << 20
 	hc.RootSlots = 1 << 12
-	hc.HeapKind = heapKind
 	hc.Poison = true
 	h, err := heap.New(m, hc)
 	if err != nil {
@@ -169,7 +168,7 @@ func collectAndVerify(t *testing.T, h *heap.Heap, col Collector, threads int) Co
 }
 
 func TestG1VanillaPreservesGraph(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	g, err := NewG1(h, Vanilla())
 	if err != nil {
@@ -200,7 +199,7 @@ func TestG1OptionMatrixPreservesGraph(t *testing.T) {
 	}
 	for name, opt := range opts {
 		t.Run(name, func(t *testing.T) {
-			h, m := testEnv(t, memsim.NVM)
+			h, m := testEnv(t)
 			populate(t, h, m, defaultSpec())
 			g, err := NewG1(h, opt)
 			if err != nil {
@@ -226,7 +225,7 @@ func TestPSOptionMatrixPreservesGraph(t *testing.T) {
 	}
 	for name, opt := range opts {
 		t.Run(name, func(t *testing.T) {
-			h, m := testEnv(t, memsim.NVM)
+			h, m := testEnv(t)
 			spec := defaultSpec()
 			spec.arrayProb = 0.25
 			spec.arrayWords = 160 // above the PS direct-copy threshold
@@ -249,7 +248,7 @@ func TestThreadCountsPreserveGraphAndDeterminism(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 8, 16} {
 		var pauses []memsim.Time
 		for rep := 0; rep < 2; rep++ {
-			h, m := testEnv(t, memsim.NVM)
+			h, m := testEnv(t)
 			populate(t, h, m, defaultSpec())
 			g, _ := NewG1(h, Optimized())
 			s := collectAndVerify(t, h, g, threads)
@@ -264,7 +263,7 @@ func TestThreadCountsPreserveGraphAndDeterminism(t *testing.T) {
 func TestSharedReferencesCopyOnce(t *testing.T) {
 	// Many slots referencing one object must yield exactly one copy and
 	// identical updated slots.
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 	var target heap.Address
 	var slots []heap.Address
@@ -296,7 +295,7 @@ func TestSharedReferencesCopyOnce(t *testing.T) {
 }
 
 func TestPromotionAfterAging(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 	var root heap.Address
 	m.Run(1, func(w *memsim.Worker) {
@@ -330,7 +329,7 @@ func TestPromotionAfterAging(t *testing.T) {
 func TestPromotedRefsLandInRemSets(t *testing.T) {
 	// An object promoted while referencing a survivor must produce a
 	// remset entry so the next GC sees the survivor as live.
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 	g, _ := NewG1(h, Optimized())
 	var rootSlot heap.Address
@@ -376,7 +375,7 @@ func TestPromotedRefsLandInRemSets(t *testing.T) {
 }
 
 func TestDeadObjectsReclaimed(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	spec := defaultSpec()
 	spec.rootProb = 0 // nothing survives
 	spec.oldHolders = 0
@@ -395,7 +394,7 @@ func TestDeadObjectsReclaimed(t *testing.T) {
 }
 
 func TestWriteCacheMachinery(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	g, _ := NewG1(h, WithWriteCache())
 	s := collectAndVerify(t, h, g, 8)
@@ -417,7 +416,7 @@ func TestWriteCacheMachinery(t *testing.T) {
 }
 
 func TestWriteCacheBudgetFallback(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	spec := defaultSpec()
 	spec.rootProb = 0.5 // high survival to overflow the budget
 	populate(t, h, m, spec)
@@ -429,7 +428,7 @@ func TestWriteCacheBudgetFallback(t *testing.T) {
 }
 
 func TestAsyncFlushRecyclesBudget(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	spec := defaultSpec()
 	spec.rootProb = 0.4
 	populate(t, h, m, spec)
@@ -444,7 +443,7 @@ func TestAsyncFlushRecyclesBudget(t *testing.T) {
 }
 
 func TestHeaderMapThreadThreshold(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	g, _ := NewG1(h, Optimized()) // min threads = 8
 	s := collectAndVerify(t, h, g, 4)
@@ -461,7 +460,7 @@ func TestHeaderMapThreadThreshold(t *testing.T) {
 }
 
 func TestHeaderMapFallbackOverflow(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	opt := Optimized()
 	opt.HeaderMapBytes = 1 << 10 // 64 entries, guaranteed overflow
@@ -476,7 +475,7 @@ func TestHeaderMapFallbackOverflow(t *testing.T) {
 func TestWorkStealingHappens(t *testing.T) {
 	// A skewed root distribution leaves most threads idle initially;
 	// stealing must spread the work.
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 	m.Run(1, func(w *memsim.Worker) {
 		// One long chain from a single root: all work reachable from one
@@ -502,7 +501,7 @@ func TestWorkStealingHappens(t *testing.T) {
 }
 
 func TestCollectErrors(t *testing.T) {
-	h, _ := testEnv(t, memsim.NVM)
+	h, _ := testEnv(t)
 	g, _ := NewG1(h, Vanilla())
 	if _, err := g.Collect(0); err == nil {
 		t.Fatal("zero threads should error")
@@ -513,7 +512,7 @@ func TestCollectErrors(t *testing.T) {
 }
 
 func TestCollectorAccessors(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	g, _ := NewG1(h, Optimized())
 	if g.Name() != "g1" || g.Heap() != h || g.HeaderMap() == nil {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestMarkLiveness(t *testing.T) {
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 	var live, dead heap.Address
 	m.Run(1, func(w *memsim.Worker) {
@@ -77,7 +77,7 @@ func TestMixedGCKeepsOldToOldEdges(t *testing.T) {
 	// A surviving old object A referencing old object B in an evacuated
 	// region: B must move and A's field must be updated via B's region
 	// remset.
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 	var a, b heap.Address
 	m.Run(1, func(w *memsim.Worker) {
@@ -129,7 +129,7 @@ func TestMixedGCSkipsDenseRegions(t *testing.T) {
 	// Old regions that are almost fully live are not worth evacuating:
 	// with everything rooted, a mixed GC should copy (almost) nothing
 	// from the old space.
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 	m.Run(1, func(w *memsim.Worker) {
 		for i := 0; i < 500; i++ {
@@ -155,7 +155,7 @@ func TestMixedGCSkipsDenseRegions(t *testing.T) {
 func TestMixedGCRepeatedCyclesStayHealthy(t *testing.T) {
 	// Interleave young and mixed collections with ongoing mutation; the
 	// remset scrubbing must keep stale slots from ever being read.
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	populate(t, h, m, defaultSpec())
 	opt := Optimized()
 	opt.HeaderMapMinThreads = 1

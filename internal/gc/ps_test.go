@@ -11,7 +11,7 @@ import (
 // the PS direct-copy threshold, all rooted.
 func buildBigAndSmall(t *testing.T) (*heap.Heap, int, int) {
 	t.Helper()
-	h, m := testEnv(t, memsim.NVM)
+	h, m := testEnv(t)
 	node, _ := h.Klasses.Define("node", 6, []int32{2, 3})
 	arr, _ := h.Klasses.DefineArray("prim[]", false)
 	small, big := 0, 0

@@ -86,7 +86,6 @@ func (r eqRun) run(t *testing.T, sc eqScenario, eager bool, threads int, seed ui
 	hc.AuxBytes = 2 << 20
 	hc.MetaBytes = 1 << 20
 	hc.RootSlots = 1 << 12
-	hc.HeapKind = memsim.NVM
 	hc.Poison = true
 	h, err := heap.New(m, hc)
 	if err != nil {
@@ -254,7 +253,7 @@ func TestDrainExitsEquivalence(t *testing.T) {
 // TestCollectRejectsTooManyThreads: a thread count no parallel phase can
 // hold is an error from Collect, not a panic out of Machine.Run.
 func TestCollectRejectsTooManyThreads(t *testing.T) {
-	h, _ := testEnv(t, memsim.NVM)
+	h, _ := testEnv(t)
 	g, err := NewG1(h, Vanilla())
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func chunkedHeap(t *testing.T, mutate func(*memsim.Machine)) (*Heap, *memsim.Mac
 	h, err := New(m, Config{
 		RegionBytes: 2 << 20, HeapRegions: 1,
 		AuxBytes: 64<<10 + 24, RootSlots: 16, MetaBytes: 40,
-		HeapKind: memsim.NVM, Poison: true,
+		Placement: PlacementPolicy{Eden: "nvm", Survivor: "nvm", Old: "nvm", Meta: "nvm"}, Poison: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,11 +23,9 @@ type Address = uint64
 const WordBytes = 8
 
 // PlacementPolicy declares, per heap area, the name of the memory tier
-// (see memsim.Topology) backing it. Empty fields are resolved by
-// resolvePlacement from the deprecated Config.HeapKind/YoungOnDRAM pair —
-// the compatibility constructor for the classic two-tier machine. Every
-// name must resolve against the machine's topology; heap.New rejects
-// unknown tiers.
+// (see memsim.Topology) backing it; the zero policy is the paper's NVM
+// heap. Empty fields are resolved by withDefaults. Every name must
+// resolve against the machine's topology; heap.New rejects unknown tiers.
 type PlacementPolicy struct {
 	Eden      string // mutator allocation regions
 	Survivor  string // to-space survivor regions
@@ -38,26 +36,27 @@ type PlacementPolicy struct {
 	Meta      string // the crash-consistency journal area
 }
 
-// withDefaults fills empty fields: Humongous follows Old; everything else
-// falls back to the compatibility mapping of the two-tier era (cache and
-// aux on "dram"; eden/survivor on "dram" iff YoungOnDRAM; old and meta on
-// the HeapKind device's conventional name).
+// AllOn places every heap area on the named tier (with "dram", the
+// paper's all-DRAM reference heap).
+func AllOn(tier string) PlacementPolicy {
+	return PlacementPolicy{Eden: tier, Survivor: tier, Old: tier, Humongous: tier, Cache: tier, Aux: tier, Meta: tier}
+}
+
+// withDefaults fills empty fields: Humongous follows Old, cache and aux
+// go on "dram", and eden, survivor, old and meta on the HeapKind
+// device's conventional name.
 func (p PlacementPolicy) withDefaults(cfg Config) PlacementPolicy {
 	heapTier := "nvm"
 	if cfg.HeapKind == memsim.DRAM {
 		heapTier = "dram"
-	}
-	youngTier := heapTier
-	if cfg.YoungOnDRAM {
-		youngTier = "dram"
 	}
 	def := func(f *string, v string) {
 		if *f == "" {
 			*f = v
 		}
 	}
-	def(&p.Eden, youngTier)
-	def(&p.Survivor, youngTier)
+	def(&p.Eden, heapTier)
+	def(&p.Survivor, heapTier)
 	def(&p.Old, heapTier)
 	def(&p.Humongous, p.Old)
 	def(&p.Cache, "dram")
@@ -78,23 +77,15 @@ type Config struct {
 	// and changes nothing else.
 	MetaBytes int64
 
-	// Placement maps heap areas to memory-tier names. Zero-value fields
-	// are resolved from the deprecated HeapKind/YoungOnDRAM pair below
-	// (see PlacementPolicy.withDefaults), so existing configurations keep
-	// their exact behavior.
+	// Placement maps heap areas to memory-tier names. Empty fields are
+	// filled by PlacementPolicy.withDefaults.
 	Placement PlacementPolicy
 
 	// HeapKind is the deprecated two-tier way of picking the device
-	// backing the Java heap (NVM in the paper). Consulted only to fill
-	// empty Placement fields.
+	// backing the Java heap, consulted only to fill empty Placement
+	// fields. benchmarks/sim.go is its last writer besides DefaultConfig;
+	// it goes once that file builds its hosts through placement.
 	HeapKind memsim.Kind
-
-	// YoungOnDRAM is the deprecated two-tier way of placing the young
-	// generation (eden and survivor regions) on DRAM while the rest of
-	// the heap stays on HeapKind — the paper's "young-gen-dram"
-	// comparison point (Section 5.2). Consulted only to fill empty
-	// Placement fields.
-	YoungOnDRAM bool
 
 	EdenRegions     int // young-generation eden budget
 	SurvivorRegions int // cap on survivor regions per collection

@@ -118,15 +118,16 @@ func TestBeginFullCollectionDetachesEverything(t *testing.T) {
 	}
 }
 
-func TestYoungOnDRAMPlacement(t *testing.T) {
-	cfg := memsim.DefaultConfig()
-	m := memsim.NewMachine(cfg)
+// TestYoungPlacement: a policy that names only eden and survivor moves
+// those regions and leaves every other area where the defaults put it.
+func TestYoungPlacement(t *testing.T) {
+	m := memsim.NewMachine(memsim.DefaultConfig())
 	hc := DefaultConfig()
 	hc.RegionBytes = 16 << 10
 	hc.HeapRegions = 64
 	hc.EdenRegions = 8
 	hc.SurvivorRegions = 4
-	hc.YoungOnDRAM = true
+	hc.Placement = PlacementPolicy{Eden: "dram", Survivor: "dram"}
 	h, err := New(m, hc)
 	if err != nil {
 		t.Fatal(err)
@@ -134,10 +135,22 @@ func TestYoungOnDRAMPlacement(t *testing.T) {
 	eden, _ := h.ClaimRegion(RegionEden, nil)
 	surv, _ := h.ClaimRegion(RegionSurvivor, nil)
 	old, _ := h.ClaimRegion(RegionOld, nil)
-	if eden.Dev != m.DRAM || surv.Dev != m.DRAM {
-		t.Fatal("young regions should live on DRAM")
+	for _, c := range []struct {
+		area      string
+		got, want *memsim.Device
+	}{
+		{"eden region", eden.Dev, m.DRAM},
+		{"survivor region", surv.Dev, m.DRAM},
+		{"old region", old.Dev, m.NVM},
+		{"cache", h.CacheDevice(), m.DRAM},
+		{"aux", h.AuxDevice(), m.DRAM},
+		{"meta", h.MetaDevice(), m.NVM},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s on %s, want %s", c.area, c.got.Name(), c.want.Name())
+		}
 	}
-	if old.Dev != m.NVM {
-		t.Fatal("old regions should stay on NVM")
+	if hum := h.Placement().Humongous; hum != "nvm" {
+		t.Errorf("humongous on %q, want nvm", hum)
 	}
 }

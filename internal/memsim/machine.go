@@ -10,8 +10,7 @@ import (
 // Config parameterizes a simulated machine.
 type Config struct {
 	// DRAM and NVM are the profiles of the classic two-tier topology.
-	// They are consulted only when Tiers is empty (the compatibility
-	// path): NewMachine then builds DefaultTierSpecs(DRAM, NVM).
+	// They are consulted only when Tiers is empty (see TierSpecs).
 	DRAM Profile
 	NVM  Profile
 
@@ -62,6 +61,15 @@ func DefaultConfig() Config {
 		LLCHitLatency: 15,
 		TraceBucket:   250 * Microsecond,
 	}
+}
+
+// TierSpecs returns the topology a machine built from c gets: Tiers, or
+// when that is empty the default pair DefaultTierSpecs(DRAM, NVM).
+func (c Config) TierSpecs() []TierSpec {
+	if len(c.Tiers) > 0 {
+		return c.Tiers
+	}
+	return DefaultTierSpecs(c.DRAM, c.NVM)
 }
 
 // PhaseMark labels a point in virtual time (e.g. GC start/end), used to
@@ -115,11 +123,7 @@ func NewMachine(cfg Config) *Machine {
 	if wd == 0 {
 		wd = defaultWatchdogSpins
 	}
-	specs := cfg.Tiers
-	if len(specs) == 0 {
-		specs = DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-	}
-	topo, err := NewTopology(specs, cfg.TraceBucket)
+	topo, err := NewTopology(cfg.TierSpecs(), cfg.TraceBucket)
 	if err != nil {
 		panic(err)
 	}

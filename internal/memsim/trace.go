@@ -2,7 +2,8 @@ package memsim
 
 // Trace records device traffic bucketed by virtual time, reproducing the
 // bandwidth-over-time plots collected with the Intel PCM tool in the paper.
-// NewDevice creates one when its bucket width is positive.
+// NewDevice creates one when its bucket width is positive. Buckets run from
+// time 0; past maxTraceBuckets (17 virtual minutes at 250 µs) traffic is dropped.
 type Trace struct {
 	bucket Time
 	read   []int64
@@ -18,11 +19,16 @@ func (tr *Trace) Reset() {
 	tr.write = tr.write[:0]
 }
 
+const maxTraceBuckets = 1 << 22
+
 func (tr *Trace) add(t Time, bytes int64, isWrite bool) {
 	if t < 0 {
 		t = 0
 	}
 	idx := int(t / tr.bucket)
+	if idx >= maxTraceBuckets {
+		return
+	}
 	for len(tr.read) <= idx {
 		tr.read = append(tr.read, 0)
 		tr.write = append(tr.write, 0)

@@ -64,6 +64,20 @@ func TestTraceNegativeTimeClamped(t *testing.T) {
 	}
 }
 
+// TestTraceBounded: traffic far past time 0 is dropped, not recorded into
+// one bucket per 250 µs since time 0 (2^50 ns would be ~4.5e9 buckets).
+func TestTraceBounded(t *testing.T) {
+	m := NewMachine(DefaultConfig()) // tracing on
+	m.Run(1, func(w *Worker) {
+		w.Read(m.NVM, 0, 64, false)
+		w.Advance(1 << 50)
+		w.Read(m.NVM, 64, 64, false)
+	})
+	if n := len(m.NVM.Trace().read); n < 1 || n > maxTraceBuckets {
+		t.Fatalf("trace holds %d buckets, want 1..%d", n, maxTraceBuckets)
+	}
+}
+
 func TestCacheStatsConservation(t *testing.T) {
 	// hits + misses equals the number of line touches.
 	m := testMachine()

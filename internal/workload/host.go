@@ -6,6 +6,38 @@ import (
 	"nvmgc/internal/memsim"
 )
 
+// HostSpec is the one description of the host a run gets: the machine,
+// the heap on it (its geometry, and in Heap.Placement where each area
+// lives), and the collector. PaperHost and KeyedHost are its two
+// geometries; callers differ only in the fields they override.
+type HostSpec struct {
+	Machine memsim.Config
+	Heap    heap.Config
+	PS      bool // Parallel Scavenge instead of G1
+	Opt     gc.Options
+}
+
+// PaperHost is the paper-scaled host: the calibrated default machine and
+// the 64 MiB heap on NVM (memsim.DefaultConfig, heap.DefaultConfig),
+// under vanilla G1.
+func PaperHost() HostSpec {
+	return HostSpec{Machine: memsim.DefaultConfig(), Heap: heap.DefaultConfig()}
+}
+
+// KeyedHost is the keyed-population host: PaperHost with a 16 MiB heap in
+// 32 KiB regions and a 3 MiB eden, small enough that update-heavy mixes
+// and server phases cycle eden several times per run while a whole grid
+// of them stays smoke-test fast.
+func KeyedHost() HostSpec {
+	h := PaperHost()
+	h.Heap.RegionBytes = 32 << 10
+	h.Heap.HeapRegions = 512
+	h.Heap.CacheRegions = 64
+	h.Heap.EdenRegions = 96
+	h.Heap.SurvivorRegions = 48
+	return h
+}
+
 // Host is one assembled simulated JVM host: a machine, the heap on it,
 // and the collector managing that heap.
 type Host struct {
@@ -16,46 +48,30 @@ type Host struct {
 
 // NewHost assembles machine → heap → collector, the one sequence every
 // figure, CLI, fleet instance and example runs a scenario on. A
-// crash-consistent collector (opt.Persist set) gets what it needs on the
+// crash-consistent collector (Opt.Persist set) gets what it needs on the
 // way: a persistence domain tracking the machine's persistent tier,
 // attached before the heap exists so the heap registers its backing
-// store with it, and a journal area in the heap's metadata space. ps
-// selects the Parallel Scavenge collector over G1.
-func NewHost(mc memsim.Config, hc heap.Config, ps bool, opt gc.Options) (Host, error) {
-	m := memsim.NewMachine(mc)
-	if opt.Persist != gc.PersistNone {
-		m.EnablePersist(m.NVM, opt.Persist == gc.PersistEADR)
-		if hc.MetaBytes == 0 {
-			hc.MetaBytes = 1 << 20
+// store with it, and a journal area in the heap's metadata space.
+func NewHost(s HostSpec) (Host, error) {
+	m := memsim.NewMachine(s.Machine)
+	if s.Opt.Persist != gc.PersistNone {
+		m.EnablePersist(m.NVM, s.Opt.Persist == gc.PersistEADR)
+		if s.Heap.MetaBytes == 0 {
+			s.Heap.MetaBytes = 1 << 20
 		}
 	}
-	h, err := heap.New(m, hc)
+	h, err := heap.New(m, s.Heap)
 	if err != nil {
 		return Host{}, err
 	}
 	var col gc.Collector
-	if ps {
-		col, err = gc.NewPS(h, opt)
+	if s.PS {
+		col, err = gc.NewPS(h, s.Opt)
 	} else {
-		col, err = gc.NewG1(h, opt)
+		col, err = gc.NewG1(h, s.Opt)
 	}
 	if err != nil {
 		return Host{}, err
 	}
 	return Host{M: m, H: h, Col: col}, nil
-}
-
-// KeyedHeapConfig is the keyed-population heap geometry: a 16 MiB NVM
-// heap in 32 KiB regions with a 3 MiB eden, small enough that
-// update-heavy mixes and server phases cycle eden several times per run
-// while a whole grid of them stays smoke-test fast.
-func KeyedHeapConfig() heap.Config {
-	hc := heap.DefaultConfig()
-	hc.RegionBytes = 32 << 10
-	hc.HeapRegions = 512
-	hc.CacheRegions = 64
-	hc.EdenRegions = 96
-	hc.SurvivorRegions = 48
-	hc.HeapKind = memsim.NVM
-	return hc
 }

@@ -5,18 +5,19 @@ import (
 	"testing"
 
 	"nvmgc/internal/gc"
-	"nvmgc/internal/heap"
-	"nvmgc/internal/memsim"
 )
 
 // TestNewHostWiring: the assembly owns collector selection and the
 // persistence wiring a crash-consistent collector needs, so no caller can
 // forget either.
 func TestNewHostWiring(t *testing.T) {
-	mc := memsim.DefaultConfig()
-	mc.TraceBucket = 0
-
-	plain, err := NewHost(mc, KeyedHeapConfig(), false, gc.Optimized())
+	spec := func(ps bool, opt gc.Options) HostSpec {
+		s := KeyedHost()
+		s.Machine.TraceBucket = 0
+		s.PS, s.Opt = ps, opt
+		return s
+	}
+	plain, err := NewHost(spec(false, gc.Optimized()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestNewHostWiring(t *testing.T) {
 		t.Fatalf("Persist=none built a persistence domain or a %d-byte journal area", plain.H.Config().MetaBytes)
 	}
 
-	ps, err := NewHost(mc, KeyedHeapConfig(), true, gc.Vanilla())
+	ps, err := NewHost(spec(true, gc.Vanilla()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestNewHostWiring(t *testing.T) {
 	for _, mode := range []gc.Persistence{gc.PersistADR, gc.PersistEADR} {
 		opt := gc.Optimized()
 		opt.Persist = mode
-		host, err := NewHost(mc, KeyedHeapConfig(), false, opt)
+		host, err := NewHost(spec(false, opt))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -68,7 +69,9 @@ func TestNewHostWiring(t *testing.T) {
 func TestHostFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	host, err := NewHost(memsim.DefaultConfig(), heap.DefaultConfig(), false, gc.Optimized())
+	h := PaperHost()
+	h.Opt = gc.Optimized()
+	host, err := NewHost(h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,8 +194,8 @@ type profileMutator struct {
 
 // newProfileMutator defines the profile's klasses on h.
 func newProfileMutator(h *heap.Heap, p Profile, cfg Config) (*profileMutator, error) {
-	if !p.valid() {
-		return nil, fmt.Errorf("workload: invalid profile %q", p.Name)
+	if err := p.valid(); err != nil {
+		return nil, err
 	}
 	r := &profileMutator{h: h, p: p, scale: cfg.Scale,
 		rng: rand.New(rand.NewPCG(cfg.Seed, 0x9E3779B97F4A7C15))}

@@ -13,6 +13,8 @@
 // and scala-doku trigger few, short collections.
 package workload
 
+import "fmt"
+
 // Profile describes one application's memory demographics. All volume
 // parameters are expressed relative to the heap configuration so profiles
 // scale with the simulated heap size.
@@ -51,16 +53,29 @@ type Profile struct {
 // Work units the mutator uses internally.
 const clusterAppWorkQuantum = 1 << 10 // app work accounted per KiB
 
-// validAppProfile sanity-checks a profile (used by tests and the table).
-func (p Profile) valid() bool {
-	return p.Name != "" &&
-		p.ObjWords >= 4 && p.ObjWords%2 == 0 &&
-		p.RefsPerObj >= 1 && int64(p.RefsPerObj) <= p.ObjWords-2 &&
-		p.ChainLen >= 1 &&
-		p.PrimArrayFrac >= 0 && p.RefArrayFrac >= 0 &&
-		p.PrimArrayFrac+p.RefArrayFrac < 1 &&
-		p.Survival >= 0 && p.Survival <= 0.95 &&
-		p.ChurnDrop >= 0 && p.ChurnDrop <= 1 &&
-		p.HolderFrac >= 0 && p.HolderFrac <= 1 &&
-		p.EdenFills > 0
+// valid names the first field out of range. The work rates are capped far
+// above the built-ins' 1500, 10 and 0.6, below clock overflow and day-long runs.
+func (p Profile) valid() error {
+	for _, c := range []struct {
+		ok  bool
+		msg string
+	}{
+		{p.Name != "", "Name: empty"},
+		{p.ObjWords >= 4 && p.ObjWords%2 == 0, "ObjWords: want even, >= 4"},
+		{p.RefsPerObj >= 1 && int64(p.RefsPerObj) <= p.ObjWords-2, "RefsPerObj: want 1..ObjWords-2"},
+		{p.ChainLen >= 1, "ChainLen: want >= 1"},
+		{p.PrimArrayFrac >= 0 && p.RefArrayFrac >= 0 && p.PrimArrayFrac+p.RefArrayFrac < 1, "PrimArrayFrac+RefArrayFrac: want [0, 1)"},
+		{p.Survival >= 0 && p.Survival <= 0.95, "Survival: want [0, 0.95]"},
+		{p.ChurnDrop >= 0 && p.ChurnDrop <= 1, "ChurnDrop: want [0, 1]"},
+		{p.HolderFrac >= 0 && p.HolderFrac <= 1, "HolderFrac: want [0, 1]"},
+		{p.CPUNsPerKB >= 0 && p.CPUNsPerKB <= 1e6, "CPUNsPerKB: want [0, 1e6]"},
+		{p.RandReadsPerKB >= 0 && p.RandReadsPerKB <= 1e3, "RandReadsPerKB: want [0, 1e3]"},
+		{p.SeqKBPerKB >= 0 && p.SeqKBPerKB <= 1e3, "SeqKBPerKB: want [0, 1e3]"},
+		{p.EdenFills > 0, "EdenFills: want > 0"},
+	} {
+		if !c.ok {
+			return fmt.Errorf("workload: profile %q: %s", p.Name, c.msg)
+		}
+	}
+	return nil
 }

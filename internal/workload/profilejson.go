@@ -45,8 +45,8 @@ func LoadProfile(r io.Reader) (Profile, error) {
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return Profile{}, fmt.Errorf("workload: parse profile: %w", err)
 	}
-	if !p.valid() {
-		return Profile{}, fmt.Errorf("workload: profile %q fails validation (check ObjWords even >= 4, fractions in range, EdenFills > 0)", p.Name)
+	if err := p.valid(); err != nil {
+		return Profile{}, err
 	}
 	return p, nil
 }

@@ -76,6 +76,50 @@ func TestLoadProfileRejections(t *testing.T) {
 	}
 }
 
+// hostileProfiles are mutator-work rates that, loaded unchecked, ran a
+// traced run out of memory (1e12), panicked in the LLC once one compute
+// step pushed the clock past the simulator's horizon (1e15), and never
+// returned (1e300).
+var hostileProfiles = []struct{ field, json string }{
+	{"CPUNsPerKB", `{"Base":"page-rank","CPUNsPerKB":1000000000000}`},
+	{"CPUNsPerKB", `{"Base":"page-rank","CPUNsPerKB":1000000000000000}`},
+	{"RandReadsPerKB", `{"Base":"page-rank","RandReadsPerKB":1e300}`},
+	{"SeqKBPerKB", `{"Base":"page-rank","SeqKBPerKB":-0.5}`},
+}
+
+// TestLoadProfileBoundsWorkRates: each hostile rate is an error naming
+// its field, before any machine exists.
+func TestLoadProfileBoundsWorkRates(t *testing.T) {
+	for _, tc := range hostileProfiles {
+		_, err := LoadProfile(strings.NewReader(tc.json))
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.json, err, tc.field)
+		}
+	}
+}
+
+// FuzzLoadProfile: LoadProfile never panics, and whatever it accepts has
+// every checked field in range, the work rates within their caps.
+func FuzzLoadProfile(f *testing.F) {
+	for _, tc := range hostileProfiles {
+		f.Add(tc.json)
+	}
+	f.Add(`{"Base":"als","Name":"als2","Survival":0.3,"EdenFills":2}`)
+	f.Add(`{"Name":"x","ObjWords":3}`)
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := LoadProfile(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := p.valid(); err != nil {
+			t.Fatalf("accepted an invalid profile: %v", err)
+		}
+		if !(p.CPUNsPerKB <= 1e6 && p.RandReadsPerKB <= 1e3 && p.SeqKBPerKB <= 1e3) {
+			t.Fatalf("accepted work rates past their caps: %+v", p)
+		}
+	})
+}
+
 func TestLoadProfileFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.json")

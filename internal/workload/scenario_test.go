@@ -12,12 +12,12 @@ import (
 // equivalence tests that must hold in both.
 func newEnvMode(t *testing.T, kind memsim.Kind, eager bool) *heap.Heap {
 	t.Helper()
-	mc := memsim.DefaultConfig()
-	mc.LLCBytes = 1 << 20
-	mc.EagerYield = eager
-	hc := KeyedHeapConfig()
-	hc.HeapKind = kind
-	h, err := heap.New(memsim.NewMachine(mc), hc)
+	s := KeyedHost()
+	s.Machine.EagerYield = eager
+	if kind == memsim.DRAM {
+		s.Heap.Placement = heap.AllOn("dram")
+	}
+	h, err := heap.New(memsim.NewMachine(s.Machine), s.Heap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ func TestProfilesTableValid(t *testing.T) {
 	seen := map[string]bool{}
 	spark := 0
 	for _, p := range ps {
-		if !p.valid() {
-			t.Errorf("profile %q invalid", p.Name)
+		if err := p.valid(); err != nil {
+			t.Error(err)
 		}
 		if seen[p.Name] {
 			t.Errorf("duplicate profile %q", p.Name)
