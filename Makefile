@@ -83,9 +83,11 @@ fleet-smoke: build
 # concatenation, bit for bit), for 10s with the zipfian rank table
 # (every table-backed draw must equal the formula's and stay in range),
 # for 10s with the server queue (every completion must equal the
-# binary-search timeline and plain-scan pool's), and for 10s each with the
+# binary-search timeline and plain-scan pool's), for 10s each with the
 # two inputs a user types: -profile-file JSON (never a panic, nothing out
-# of range accepted) and -topology lists (every accepted list builds).
+# of range accepted) and -topology lists (every accepted list builds), and
+# for 10s with fuzzed object headers and slots (every reader of a heap
+# image reports a region that does not parse, none panics).
 fuzz-smoke: build
 	$(GO) test ./internal/gc -run FuzzCrashRecovery -fuzz FuzzCrashRecovery -fuzztime 30s
 	$(GO) test ./internal/fleet -run FuzzSimulateTraffic -fuzz FuzzSimulateTraffic -fuzztime 10s
@@ -94,6 +96,7 @@ fuzz-smoke: build
 	$(GO) test ./internal/cassandra -run FuzzQueue -fuzz FuzzQueue -fuzztime 10s
 	$(GO) test ./internal/workload -run FuzzLoadProfile -fuzz FuzzLoadProfile -fuzztime 10s
 	$(GO) test ./cmd/gcsim -run FuzzParseTopology -fuzz FuzzParseTopology -fuzztime 10s
+	$(GO) test ./internal/check -run FuzzHeapImage -fuzz FuzzHeapImage -fuzztime 10s
 
 # cover enforces per-package coverage floors on the collector core.
 # -coverpkg merges cross-package hits (internal/heap is exercised mostly

@@ -48,46 +48,30 @@ func PauseIntervals(m *memsim.Machine, from, to memsim.Time) []Interval {
 }
 
 // Phase describes one cassandra-stress phase (write-only or read-only).
-// The server's memory behaviour comes from a workload scenario resolved
-// from the shared registry — the same source gcsim and bench consume.
+// The server's memory behaviour is a workload scenario named in the
+// shared registry — the same source gcsim and bench consume — so stress
+// curves can be derived for YCSB mixes as well as the two canned phases.
 type Phase struct {
-	Name     string
-	Scenario workload.Spec
+	Name string
+	// Scenario names the registered scenario the server runs; RunPhase
+	// resolves it.
+	Scenario string
 	// Service is the mean request service time outside GC pauses.
 	Service memsim.Time
 	// Servers is the request-processing parallelism.
 	Servers int
 }
 
-// PhaseFor builds a phase around any registered scenario, so stress
-// curves can be derived for YCSB mixes as well as the two canned
-// cassandra phases.
-func PhaseFor(name, scenario string, service memsim.Time, servers int) (Phase, error) {
-	spec, err := workload.ScenarioByName(scenario)
-	if err != nil {
-		return Phase{}, err
-	}
-	return Phase{Name: name, Scenario: spec, Service: service, Servers: servers}, nil
-}
-
-func mustPhase(name, scenario string, service memsim.Time, servers int) Phase {
-	p, err := PhaseFor(name, scenario, service, servers)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // WritePhase returns the insert-only phase: allocation-heavy (memtable
 // churn), larger survival (batched flushes), moderate service time.
 func WritePhase() Phase {
-	return mustPhase("write", "cassandra-write", 60*memsim.Microsecond, 16)
+	return Phase{Name: "write", Scenario: "cassandra-write", Service: 60 * memsim.Microsecond, Servers: 16}
 }
 
 // ReadPhase returns the read-only phase: lighter allocation (row cache
 // hits and response buffers), shorter-lived garbage.
 func ReadPhase() Phase {
-	return mustPhase("read", "cassandra-read", 45*memsim.Microsecond, 16)
+	return Phase{Name: "read", Scenario: "cassandra-read", Service: 45 * memsim.Microsecond, Servers: 16}
 }
 
 // StressResult is one point of the throughput-latency curve. P999ms and
@@ -104,9 +88,14 @@ type StressResult struct {
 
 // RunPhase executes the server-side workload under the given collector and
 // returns the pause timeline and run window needed for latency simulation.
+// An unknown scenario name is an error.
 func RunPhase(col gc.Collector, phase Phase, cfg workload.Config) ([]Interval, memsim.Time, error) {
 	m := col.Heap().Machine()
-	r, err := phase.Scenario.NewRunner(col, cfg)
+	spec, err := workload.ScenarioByName(phase.Scenario)
+	if err != nil {
+		return nil, 0, err
+	}
+	r, err := spec.NewRunner(col, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -403,13 +392,12 @@ func Stress(pauses []Interval, window memsim.Time, phase Phase, throughputsKQPS 
 		for _, v := range l {
 			sum += v
 		}
-		ps := metrics.PercentilesSorted(l, 95, 99, 99.9, 99.99)
 		out = append(out, StressResult{
 			ThroughputKQPS: kqps,
-			P95ms:          ps[0],
-			P99ms:          ps[1],
-			P999ms:         ps[2],
-			P9999ms:        ps[3],
+			P95ms:          metrics.Quantile(l, 95),
+			P99ms:          metrics.Quantile(l, 99),
+			P999ms:         metrics.Quantile(l, 99.9),
+			P9999ms:        metrics.Quantile(l, 99.99),
 			MeanMs:         sum / float64(len(l)), // NaN for no requests
 			Requests:       len(l),
 		})

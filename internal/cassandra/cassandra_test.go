@@ -183,8 +183,9 @@ func TestOptimizedGCImprovesTail(t *testing.T) {
 
 func TestPhaseProfilesValid(t *testing.T) {
 	for _, ph := range []Phase{WritePhase(), ReadPhase()} {
-		if ph.Service <= 0 || ph.Servers < 1 || ph.Scenario.Name == "" || ph.Scenario.Profile == nil {
-			t.Fatalf("phase %q malformed", ph.Name)
+		spec, err := workload.ScenarioByName(ph.Scenario)
+		if err != nil || ph.Service <= 0 || ph.Servers < 1 || spec.Profile == nil {
+			t.Fatalf("phase %q malformed: %v", ph.Name, err)
 		}
 	}
 }
@@ -256,16 +257,14 @@ func TestStressPercentilesMonotonic(t *testing.T) {
 	}
 }
 
-// TestPhaseForScenarioDriven drives a YCSB core mix — not a canned
+// TestRunPhaseScenarioDriven drives a YCSB core mix — not a canned
 // cassandra profile — through the full phase path: the registry is the
-// single scenario source for every consumer.
-func TestPhaseForScenarioDriven(t *testing.T) {
-	ph, err := PhaseFor("ycsb", "ycsb-a", 50*memsim.Microsecond, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Scenario.Core == nil {
-		t.Fatalf("ycsb phase should be core-backed: %+v", ph.Scenario)
+// single scenario source for every consumer, and an unknown name is an
+// error, not a panic.
+func TestRunPhaseScenarioDriven(t *testing.T) {
+	ph := Phase{Name: "ycsb", Scenario: "ycsb-a", Service: 50 * memsim.Microsecond, Servers: 8}
+	if spec, err := workload.ScenarioByName(ph.Scenario); err != nil || spec.Core == nil {
+		t.Fatalf("ycsb phase should be core-backed: %+v, %v", spec, err)
 	}
 	col := newServer(t, gc.Vanilla())
 	pauses, window, err := RunPhase(col, ph, workload.Config{GCThreads: 8, Scale: 0.5})
@@ -279,7 +278,8 @@ func TestPhaseForScenarioDriven(t *testing.T) {
 	if err := Validate(rs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PhaseFor("bad", "ycsb-z", 50*memsim.Microsecond, 8); err == nil {
+	bad := Phase{Name: "bad", Scenario: "ycsb-z", Service: 50 * memsim.Microsecond, Servers: 8}
+	if _, _, err := RunPhase(newServer(t, gc.Vanilla()), bad, workload.Config{GCThreads: 8}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }

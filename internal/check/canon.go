@@ -26,53 +26,46 @@ type Snapshot struct {
 	Objects []Obj // indexed by discovery id
 }
 
-// Capture traverses the live graph from the root set (depth-first, in a
-// deterministic order) and returns its canonical snapshot. Traversal is
-// uncharged. Malformed objects and leftover forwarding marks are errors.
+// Capture traverses the live graph from the root set (heap.LiveObjects:
+// depth-first, in a deterministic order) and returns its canonical
+// snapshot, an object's discovery id being its position in that order.
+// Traversal is uncharged. A region that does not parse, a dangling
+// reference and a leftover forwarding mark are errors.
 func Capture(h *heap.Heap) (*Snapshot, error) {
-	snap := &Snapshot{}
-	ids := make(map[heap.Address]int)
-	var stack []heap.Address
-	push := func(ref heap.Address) int {
-		if id, ok := ids[ref]; ok {
-			return id
-		}
-		id := len(snap.Objects)
-		ids[ref] = id
-		snap.Objects = append(snap.Objects, Obj{}) // filled when popped
-		stack = append(stack, ref)
-		return id
+	live, err := h.LiveObjects()
+	if err != nil {
+		return nil, fmt.Errorf("canon: %w", err)
 	}
+	ids := make(map[heap.Address]int, len(live))
+	for id, obj := range live {
+		ids[obj] = id
+	}
+	snap := &Snapshot{Objects: make([]Obj, len(live))}
 	h.Roots.ForEach(func(slot heap.Address) {
 		if ref := h.Peek(slot); ref != 0 {
-			snap.Roots = append(snap.Roots, push(ref))
+			snap.Roots = append(snap.Roots, ids[ref])
 		}
 	})
-
-	for len(stack) > 0 {
-		obj := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for id, obj := range live {
 		k, size := h.PeekObject(obj)
-		if k == nil {
-			return nil, fmt.Errorf("canon: malformed object at %#x", obj)
-		}
-		if heap.IsForwarded(h.Peek(heap.MarkAddr(obj))) {
-			return nil, fmt.Errorf("canon: live object %#x carries a forwarding mark", obj)
-		}
-		o := Obj{Klass: k.Name, Size: size}
-		for off := int64(heap.HeaderWords); off < size; off++ {
-			v := h.Peek(heap.SlotAddr(obj, off))
-			if k.IsRefSlot(off, size) {
-				if v == 0 {
-					o.Refs = append(o.Refs, -1)
-				} else {
-					o.Refs = append(o.Refs, push(v))
-				}
-			} else {
-				o.Prims = append(o.Prims, v)
+		o := &snap.Objects[id]
+		*o = Obj{Klass: k.Name, Size: size}
+		next := heap.SlotAddr(obj, heap.HeaderWords)
+		prims := func(to heap.Address) {
+			for ; next < to; next += heap.WordBytes {
+				o.Prims = append(o.Prims, h.Peek(next))
 			}
 		}
-		snap.Objects[ids[obj]] = o
+		for slot := range k.RefSlots(obj, size) {
+			prims(slot)
+			ref := -1
+			if v := h.Peek(slot); v != 0 {
+				ref = ids[v]
+			}
+			o.Refs = append(o.Refs, ref)
+			next = slot + heap.WordBytes
+		}
+		prims(heap.SlotAddr(obj, size))
 	}
 	return snap, nil
 }
@@ -126,15 +119,13 @@ func Diff(got, want *Snapshot) error {
 }
 
 // VerifyRecovered proves a recovered heap holds the live graph pre captured
-// before the interrupted collection: structural invariants hold and the
-// canonical snapshot (shape, classes, sizes, primitive payloads; addresses
-// and ages excluded) equals pre. A nil return is the isomorphism proof;
-// data loss the recovery pass failed to detect surfaces as the first object
-// that differs.
+// before the interrupted collection: the heap parses and traces cleanly
+// (Capture's checks are CheckInvariants') and the canonical snapshot
+// (shape, classes, sizes, primitive payloads; addresses and ages excluded)
+// equals pre. A nil return is the isomorphism proof; data loss the
+// recovery pass failed to detect surfaces as the first object that
+// differs.
 func VerifyRecovered(h *heap.Heap, pre *Snapshot) error {
-	if err := h.CheckInvariants(); err != nil {
-		return fmt.Errorf("post-crash invariants: %w", err)
-	}
 	post, err := Capture(h)
 	if err != nil {
 		return fmt.Errorf("post-crash graph: %w", err)

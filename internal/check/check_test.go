@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 	"nvmgc/internal/memsim"
 )
 
-func testHeap(t *testing.T) (*heap.Heap, *memsim.Machine) {
+func testHeap(t testing.TB) (*heap.Heap, *memsim.Machine) {
 	t.Helper()
 	m := memsim.NewMachine(memsim.DefaultConfig())
 	hc := heap.DefaultConfig()
@@ -28,7 +29,7 @@ func testHeap(t *testing.T) (*heap.Heap, *memsim.Machine) {
 
 // buildGraph allocates a small graph: root -> a -> b, root -> arr, with a
 // payload word on each node, and returns the addresses.
-func buildGraph(t *testing.T, h *heap.Heap, m *memsim.Machine, payload uint64) (a, b, arr heap.Address) {
+func buildGraph(t testing.TB, h *heap.Heap, m *memsim.Machine, payload uint64) (a, b, arr heap.Address) {
 	t.Helper()
 	node := h.Klasses.ByName("node")
 	if node == nil {
@@ -253,6 +254,43 @@ func TestVerifyRecoveredNamesTheObject(t *testing.T) {
 			tc.mut(h, a, b, arr)
 			if err := VerifyRecovered(h, pre); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReadMostlyParsesCollectionSet: at the read-mostly barrier the
+// collection set must still parse, through the same walker as every other
+// reader, and a forwarding mark must land in this collection's to-space.
+func TestReadMostlyParsesCollectionSet(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(h *heap.Heap, a, arr heap.Address)
+		rule string
+	}{
+		{"clean", func(h *heap.Heap, a, arr heap.Address) {}, ""},
+		{"undefined klass", func(h *heap.Heap, a, arr heap.Address) {
+			h.Poke(heap.InfoAddr(a), heap.MakeInfo(9999, 6))
+		}, "cset-parse"},
+		{"object past the bump pointer", func(h *heap.Heap, a, arr heap.Address) {
+			h.Poke(heap.InfoAddr(arr), heap.MakeInfo(h.Klasses.ByName("prim[]").ID, 1<<31))
+		}, "cset-parse"},
+		{"forwarded outside to-space", func(h *heap.Heap, a, arr heap.Address) {
+			h.Poke(heap.MarkAddr(a), heap.ForwardedMark(arr))
+		}, "forwarding-target"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, m := testHeap(t)
+			a, _, arr := buildGraph(t, h, m, 42)
+			h.BeginMixedCollection(nil)
+			tc.mut(h, a, arr)
+			err := AtBoundary(PostReadMostly, State{Heap: h})
+			var v *Violation
+			switch {
+			case tc.rule == "" && err != nil:
+				t.Fatalf("clean collection set rejected: %v", err)
+			case tc.rule != "" && (!errors.As(err, &v) || v.Rule != tc.rule):
+				t.Fatalf("got %v, want rule %q", err, tc.rule)
 			}
 		})
 	}

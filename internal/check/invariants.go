@@ -1,6 +1,8 @@
 package check
 
 import (
+	"errors"
+
 	"nvmgc/internal/heap"
 )
 
@@ -33,17 +35,17 @@ func checkIdle(b Boundary, s State) error {
 	if n, total := h.FreeCacheRegions(), h.Config().CacheRegions; n != total {
 		return violate(b, "writecache-idle", "cache pool not fully recycled: %d of %d regions free", n, total)
 	}
-	if _, err := parseRegions(b, h, func(r *heap.Region) bool {
-		// Retired regions are empty and may sit on poisoned media; there
-		// is nothing to parse.
-		return r.Kind != heap.RegionFree && r.Kind != heap.RegionCache && r.Kind != heap.RegionRetired
-	}, true); err != nil {
+	// One walk and one trace serve the parse, reachability and
+	// remembered-set rules.
+	starts, err := parseRegions(b, h, (*heap.Region).Generational)
+	if err != nil {
 		return err
 	}
-	if err := h.CheckInvariants(); err != nil {
+	live, err := h.TraceLive(starts)
+	if err != nil {
 		return violate(b, "reachable-refs", "%v", err)
 	}
-	if err := remsetSuperset(b, h, liveObjects(h)); err != nil {
+	if err := remsetSuperset(b, h, live); err != nil {
 		return err
 	}
 	if err := headerMapClear(b, s); err != nil {
@@ -181,62 +183,38 @@ func freeListAgrees(b Boundary, h *heap.Heap, name string, idx []int, cachePool 
 	return nil
 }
 
-// parseRegions walks every region selected by keep and checks it tiles
-// into well-formed objects up to its bump pointer. With rejectForwarded it
-// also rejects forwarding marks (no live region may carry one outside a
-// collection). It returns the set of object start addresses.
-func parseRegions(b Boundary, h *heap.Heap, keep func(*heap.Region) bool, rejectForwarded bool) (map[heap.Address]bool, error) {
+// parseRegions walks every region selected by keep, checks it tiles into
+// well-formed objects up to its bump pointer and carries no forwarding
+// mark (no live region may carry one outside a collection), and returns
+// the set of object starts.
+func parseRegions(b Boundary, h *heap.Heap, keep func(*heap.Region) bool) (map[heap.Address]bool, error) {
 	starts := make(map[heap.Address]bool)
 	for _, r := range h.Regions() {
 		if !keep(r) {
 			continue
 		}
-		for a := r.Start; a < r.Top; {
-			k, size := h.PeekObject(a)
-			if k == nil {
-				return nil, violate(b, "region-parse", "region %d (%v): malformed object at %#x", r.Index, r.Kind, a)
-			}
-			if rejectForwarded && heap.IsForwarded(h.Peek(heap.MarkAddr(a))) {
-				return nil, violate(b, "no-stale-forwarding", "region %d (%v): object %#x carries a forwarding mark", r.Index, r.Kind, a)
+		if err := walk(b, "region-parse", h, r, func(a heap.Address, _ *heap.Klass, _ int64) error {
+			if heap.IsForwarded(h.Peek(heap.MarkAddr(a))) {
+				return violate(b, "no-stale-forwarding", "region %d (%v): object %#x carries a forwarding mark", r.Index, r.Kind, a)
 			}
 			starts[a] = true
-			a += heap.Address(size) * heap.WordBytes
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 	}
 	return starts, nil
 }
 
-// liveObjects walks the live graph from the external roots (uncharged)
-// and returns the set of reachable object starts. Callers run it after
-// CheckInvariants has vouched for the graph's shape.
-func liveObjects(h *heap.Heap) map[heap.Address]bool {
-	live := make(map[heap.Address]bool)
-	var stack []heap.Address
-	h.Roots.ForEach(func(slot heap.Address) {
-		if v := heap.Address(h.Peek(slot)); v != 0 {
-			stack = append(stack, v)
-		}
-	})
-	for len(stack) > 0 {
-		o := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if live[o] {
-			continue
-		}
-		live[o] = true
-		k, size := h.PeekObject(o)
-		if k == nil {
-			continue // reachable-refs reports malformed live objects
-		}
-		for off := int64(heap.HeaderWords); off < size; off++ {
-			if k.IsRefSlot(off, size) {
-				if v := heap.Address(h.Peek(heap.SlotAddr(o, off))); v != 0 {
-					stack = append(stack, v)
-				}
-			}
-		}
+// walk runs heap.WalkRegion over r: a violation visit returns passes
+// through, and a region that does not parse violates rule.
+func walk(b Boundary, rule string, h *heap.Heap, r *heap.Region, visit func(heap.Address, *heap.Klass, int64) error) error {
+	err := h.WalkRegion(r, visit)
+	var v *Violation
+	if err == nil || errors.As(err, &v) {
+		return err
 	}
-	return live
+	return violate(b, rule, "%v", err)
 }
 
 // remsetSuperset checks the remembered-set contract both ways: every
@@ -250,7 +228,7 @@ func liveObjects(h *heap.Heap) map[heap.Address]bool {
 // stale value can land anywhere — the collector never reads those slots
 // through a remembered set whose holder chain has died, so no contract
 // covers them.
-func remsetSuperset(b Boundary, h *heap.Heap, live map[heap.Address]bool) error {
+func remsetSuperset(b Boundary, h *heap.Heap, live []heap.Address) error {
 	inSet := make(map[int]map[heap.Address]bool)
 	covered := func(tr *heap.Region, slot heap.Address) bool {
 		set, ok := inSet[tr.Index]
@@ -263,42 +241,22 @@ func remsetSuperset(b Boundary, h *heap.Heap, live map[heap.Address]bool) error 
 		}
 		return set[slot]
 	}
-	for _, r := range h.Regions() {
+	for _, obj := range live {
+		r := h.RegionOf(obj)
 		if r.Kind != heap.RegionOld {
 			continue
 		}
-		for obj := r.Start; obj < r.Top; {
-			k, size := h.PeekObject(obj)
-			if k == nil {
-				return violate(b, "region-parse", "old region %d: malformed object at %#x", r.Index, obj)
-			}
-			if !live[obj] {
-				obj += heap.Address(size) * heap.WordBytes
+		k, size := h.PeekObject(obj)
+		for slot := range k.RefSlots(obj, size) {
+			target := h.Peek(slot)
+			if target == 0 {
 				continue
 			}
-			for off := int64(heap.HeaderWords); off < size; off++ {
-				if !k.IsRefSlot(off, size) {
-					continue
-				}
-				slot := heap.SlotAddr(obj, off)
-				target := h.Peek(slot)
-				if target == 0 {
-					continue
-				}
-				tr := h.RegionOf(target)
-				if tr == nil || tr == r {
-					continue
-				}
-				switch tr.Kind {
-				case heap.RegionEden, heap.RegionSurvivor, heap.RegionOld:
-					if !covered(tr, slot) {
-						return violate(b, "remset-superset",
-							"old slot %#x (region %d) points at %#x in %v region %d but is missing from its remembered set",
-							slot, r.Index, target, tr.Kind, tr.Index)
-					}
-				}
+			if tr := h.RegionOf(target); tr != nil && tr != r && tr.Generational() && !covered(tr, slot) {
+				return violate(b, "remset-superset",
+					"old slot %#x (region %d) points at %#x in %v region %d but is missing from its remembered set",
+					slot, r.Index, target, tr.Kind, tr.Index)
 			}
-			obj += heap.Address(size) * heap.WordBytes
 		}
 	}
 	for _, tr := range h.Regions() {
@@ -422,19 +380,15 @@ func checkReadMostly(b Boundary, s State) error {
 		if !r.InCSet {
 			continue
 		}
-		for a := r.Start; a < r.Top; {
-			k, size := h.PeekObject(a)
-			if k == nil {
-				return violate(b, "cset-parse", "cset region %d: malformed object at %#x", r.Index, a)
-			}
+		if err := walk(b, "cset-parse", h, r, func(a heap.Address, _ *heap.Klass, _ int64) error {
 			csetStarts[a] = true
 			if mark := h.Peek(heap.MarkAddr(a)); heap.IsForwarded(mark) {
 				headerForwarded[a] = true
-				if err := forwardingTarget(b, h, a, heap.ForwardingAddr(mark)); err != nil {
-					return err
-				}
+				return forwardingTarget(b, h, a, heap.ForwardingAddr(mark))
 			}
-			a += heap.Address(size) * heap.WordBytes
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 
@@ -450,7 +404,7 @@ func checkReadMostly(b Boundary, s State) error {
 		}
 		_, stillCached := mappedTo[r.Index]
 		return !stillCached
-	}, true); err != nil {
+	}); err != nil {
 		return err
 	}
 
@@ -530,7 +484,7 @@ func checkWriteOnly(b Boundary, s State) error {
 	}
 	if _, err := parseRegions(b, h, func(r *heap.Region) bool {
 		return r.ClaimedInGC && r.Kind != heap.RegionFree
-	}, true); err != nil {
+	}); err != nil {
 		return err
 	}
 	return nil

@@ -211,11 +211,7 @@ func runTraceOn(c Config, m *memsim.Machine, h *heap.Heap, ops []Op) (*Result, e
 			return check.AtBoundary(check.PostGC, check.State{Heap: h})
 		}
 	case "g1", "ps":
-		var col interface {
-			Collect(threads int) (gc.CollectionStats, error)
-			CollectMixed(threads, maxOldRegions int) (gc.CollectionStats, error)
-			CollectFull(threads int) (gc.CollectionStats, error)
-		}
+		var col gc.Collector
 		if c.Collector == "g1" {
 			col, err = gc.NewG1(h, c.Opt)
 		} else {

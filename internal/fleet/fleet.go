@@ -24,6 +24,7 @@ import (
 	"nvmgc/internal/cassandra"
 	"nvmgc/internal/gc"
 	"nvmgc/internal/memsim"
+	"nvmgc/internal/metrics"
 	"nvmgc/internal/par"
 	"nvmgc/internal/workload"
 	"nvmgc/internal/workload/generator"
@@ -35,7 +36,7 @@ type Config struct {
 	// Instances is the fleet size (1..MaxInstances).
 	Instances int
 	// Scenario names the registered workload scenario each instance
-	// runs (cassandra.PhaseFor resolves it). Empty selects
+	// runs (workload.ScenarioByName resolves it). Empty selects
 	// "cassandra-write", the paper's insert-heavy server phase.
 	Scenario string
 	// Service is the mean request service time outside GC pauses
@@ -175,17 +176,6 @@ func instanceSeed(seed uint64, id int) uint64 {
 	return s
 }
 
-// faultEnabled reports whether any tier spec carries a media-fault
-// model (instances then allocate poison tracking like the fault sweep).
-func faultEnabled(tiers []memsim.TierSpec) bool {
-	for _, ts := range tiers {
-		if ts.Fault.WearThresholdMean > 0 || ts.Fault.TransientReadPPM > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // RunInstances executes the fleet's server side: Instances independent
 // machines fanned out over the host pool, merged in instance order.
 func RunInstances(cfg Config) ([]Instance, error) {
@@ -193,12 +183,12 @@ func RunInstances(cfg Config) ([]Instance, error) {
 		return nil, err
 	}
 	c := cfg.withDefaults()
-	phase, err := cassandra.PhaseFor(c.Scenario, c.Scenario, c.Service, c.Servers)
+	spec, err := workload.ScenarioByName(c.Scenario)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	return par.Map(c.Instances, c.Parallel, func(i int) (Instance, error) {
-		inst, err := runInstance(c, phase, i)
+		inst, err := runInstance(c, spec, i)
 		if err != nil {
 			return Instance{}, fmt.Errorf("fleet: instance %d: %w", i, err)
 		}
@@ -208,19 +198,23 @@ func RunInstances(cfg Config) ([]Instance, error) {
 
 // runInstance builds one server on the keyed-population host, runs its
 // scenario, and extracts the normalized pause timeline.
-func runInstance(c Config, phase cassandra.Phase, id int) (Instance, error) {
+func runInstance(c Config, spec workload.Spec, id int) (Instance, error) {
 	s := workload.KeyedHost()
 	s.Machine.TraceBucket = 0
 	s.Machine.EagerYield = c.EagerYield
 	s.Machine.Tiers = c.Tiers
-	s.Heap.Poison = faultEnabled(c.Tiers)
+	for _, ts := range c.Tiers {
+		if ts.Fault.Enabled() {
+			s.Heap.Poison = true // poison tracking, like the fault sweep
+		}
+	}
 	s.Opt = c.Opt
 	host, err := workload.NewHost(s)
 	if err != nil {
 		return Instance{}, err
 	}
 	seed := instanceSeed(c.Seed, id)
-	r, err := phase.Scenario.NewRunner(host.Col, workload.Config{
+	r, err := spec.NewRunner(host.Col, workload.Config{
 		GCThreads: c.GCThreads, Scale: c.Scale, Seed: seed,
 	})
 	if err != nil {
@@ -270,8 +264,8 @@ func Summarize(sorted []float64) Summary {
 		sum += v
 	}
 	s.MeanMs = sum / float64(len(sorted))
-	q := Quantiles(sorted, 50, 99, 99.9, 99.99)
-	s.P50ms, s.P99ms, s.P999ms, s.P9999ms = q[0], q[1], q[2], q[3]
+	s.P50ms, s.P99ms = metrics.Quantile(sorted, 50), metrics.Quantile(sorted, 99)
+	s.P999ms, s.P9999ms = metrics.Quantile(sorted, 99.9), metrics.Quantile(sorted, 99.99)
 	s.MaxMs = sorted[len(sorted)-1]
 	return s
 }

@@ -7,17 +7,10 @@ import (
 	"sort"
 )
 
-// This file is the fleet's percentile math. Fleet-wide latency figures
-// are computed by deterministically merging the per-instance latency
-// series and taking *nearest-rank* quantiles of the merged multiset —
-// not the linear-interpolation estimator metrics.Percentile uses. The
-// choice is load-bearing for the property-test net: for nearest-rank
-// quantiles the merged p-quantile is provably sandwiched between the
-// minimum and maximum of the per-instance p-quantiles (see DESIGN.md
-// §14), a bound that interpolated sample quantiles violate on small
-// inputs. Nearest-rank is also the conventional reading of "p999" for
-// SLO reporting: the smallest observed latency x such that at least
-// 99.9% of requests completed within x.
+// This file is the fleet's merge math. Fleet-wide latency figures are
+// computed by deterministically merging the per-instance latency series
+// and taking nearest-rank quantiles (metrics.Quantile) of the merged
+// multiset, which stay sandwiched between the per-instance quantiles.
 
 // MergeSorted merges ascending per-instance latency series into one
 // ascending fleet series: a k-way merge over the series' heads through a
@@ -175,43 +168,4 @@ func (t *loserTree) replay(w, wk uint64) uint64 {
 		w, wk = w^(l^w)&m, wk^(lk^wk)&m
 	}
 	return w
-}
-
-// Quantile returns the nearest-rank p-quantile (p in 0..100) of an
-// ascending series: the element at rank ceil(p/100 * n). It returns NaN
-// for an empty series; p <= 0 (or NaN) selects the minimum, p >= 100 the
-// maximum. p is read to a millionth of a percent and the rank is computed
-// in integers: in floats, 99.9/100·1000 is 999.0000000000001, and the
-// p999 of 1000 samples would be their maximum.
-func Quantile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if !(p > 0) {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[n-1]
-	}
-	const scale = 100 * 1e6
-	pm := uint64(math.Round(p * 1e6))
-	hi, lo := bits.Mul64(pm, uint64(n))
-	q, rem := bits.Div64(hi, lo, scale) // hi < pm <= scale, so no overflow
-	r := int(q)
-	if rem != 0 {
-		r++
-	}
-	r = min(max(r, 1), n)
-	return sorted[r-1]
-}
-
-// Quantiles computes several nearest-rank quantiles of one ascending
-// series.
-func Quantiles(sorted []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = Quantile(sorted, p)
-	}
-	return out
 }

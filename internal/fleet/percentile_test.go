@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"nvmgc/internal/metrics"
 )
 
 // randGroups builds a deterministic set of ascending per-instance series
@@ -243,40 +245,6 @@ func TestMergeSortedSplitMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestQuantileBruteForce pins Quantile to its definition in exact
-// integers: the element of least rank r with r/n >= p/100, that is
-// r·10⁸ >= pm·n for p = pm millionths of a percent. Every series length
-// from 1 to 3000 and 10⁶, at the percentiles the fleet reports and more;
-// float rank arithmetic put the p999 of 1000 samples at their maximum.
-func TestQuantileBruteForce(t *testing.T) {
-	ps := []struct {
-		p  float64
-		pm int64
-	}{
-		{1, 1_000_000}, {10, 10_000_000}, {25, 25_000_000}, {50, 50_000_000}, {75, 75_000_000},
-		{90, 90_000_000}, {95, 95_000_000}, {99, 99_000_000}, {99.9, 99_900_000}, {99.99, 99_990_000},
-	}
-	s := make([]float64, 1_000_000)
-	for i := range s {
-		s[i] = float64(i) // the value is the index
-	}
-	lengths := []int{1_000_000}
-	for n := 1; n <= 3000; n++ {
-		lengths = append(lengths, n)
-	}
-	for _, n := range lengths {
-		for _, c := range ps {
-			r := int64(1)
-			for r*100_000_000 < c.pm*int64(n) {
-				r++
-			}
-			if got := Quantile(s[:n], c.p); got != float64(r-1) {
-				t.Fatalf("Quantile(n=%d, p=%v) is the element at index %v, want %d", n, c.p, got, r-1)
-			}
-		}
-	}
-}
-
 // TestMergedQuantileProperties is the fleet-math property net: for every
 // percentile the merged quantile is monotone in percentile order and
 // sandwiched between the min and max of the per-instance quantiles. The
@@ -301,14 +269,14 @@ func TestMergedQuantileProperties(t *testing.T) {
 		merged := MergeSorted(nonEmpty)
 		prev := math.Inf(-1)
 		for _, p := range ps {
-			q := Quantile(merged, p)
+			q := metrics.Quantile(merged, p)
 			if q < prev {
 				t.Fatalf("trial %d: merged quantile not monotone: p%v=%v after %v", trial, p, q, prev)
 			}
 			prev = q
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for _, g := range nonEmpty {
-				gq := Quantile(g, p)
+				gq := metrics.Quantile(g, p)
 				lo = math.Min(lo, gq)
 				hi = math.Max(hi, gq)
 			}
@@ -321,26 +289,26 @@ func TestMergedQuantileProperties(t *testing.T) {
 
 // TestQuantileEdges pins the degenerate inputs.
 func TestQuantileEdges(t *testing.T) {
-	if !math.IsNaN(Quantile(nil, 50)) {
+	if !math.IsNaN(metrics.Quantile(nil, 50)) {
 		t.Fatal("empty series should yield NaN")
 	}
 	s := []float64{3, 5, 9}
-	if got := Quantile(s, -5); got != 3 {
+	if got := metrics.Quantile(s, -5); got != 3 {
 		t.Fatalf("p<=0 should select the minimum, got %v", got)
 	}
-	if got := Quantile(s, 0); got != 3 {
+	if got := metrics.Quantile(s, 0); got != 3 {
 		t.Fatalf("p=0 should select the minimum, got %v", got)
 	}
-	if got := Quantile(s, 100); got != 9 {
+	if got := metrics.Quantile(s, 100); got != 9 {
 		t.Fatalf("p=100 should select the maximum, got %v", got)
 	}
-	if got := Quantile(s, 150); got != 9 {
+	if got := metrics.Quantile(s, 150); got != 9 {
 		t.Fatalf("p>100 should select the maximum, got %v", got)
 	}
-	if got := Quantile([]float64{7}, 99.9); got != 7 {
+	if got := metrics.Quantile([]float64{7}, 99.9); got != 7 {
 		t.Fatalf("singleton series should yield its element, got %v", got)
 	}
-	if got := Quantile(s, 50); got != 5 {
+	if got := metrics.Quantile(s, 50); got != 5 {
 		t.Fatalf("median of three should be the middle element, got %v", got)
 	}
 	if n := len(MergeSorted(nil)); n != 0 {
@@ -363,8 +331,7 @@ func TestQuantileEdges(t *testing.T) {
 // so fleet percentiles would not be bounded by per-instance percentiles.
 func TestInterpolatedSandwichCounterexample(t *testing.T) {
 	interp := func(s []float64, p float64) float64 {
-		// The textbook linear-interpolation sample quantile
-		// (metrics.Percentile's estimator).
+		// The textbook linear-interpolation sample quantile.
 		pos := p / 100 * float64(len(s)-1)
 		lo := int(pos)
 		if lo >= len(s)-1 {
@@ -381,8 +348,8 @@ func TestInterpolatedSandwichCounterexample(t *testing.T) {
 		t.Fatalf("expected the interpolated estimator to violate the sandwich bound, got %v in [%v, %v]", mi, lo, hi)
 	}
 	// Nearest-rank holds on the same input.
-	mq := Quantile(merged, p)
-	if lo, hi := Quantile(a, p), Quantile(b, p); mq < lo || mq > hi {
+	mq := metrics.Quantile(merged, p)
+	if lo, hi := metrics.Quantile(a, p), metrics.Quantile(b, p); mq < lo || mq > hi {
 		t.Fatalf("nearest-rank broke its own bound: %v outside [%v, %v]", mq, lo, hi)
 	}
 }

@@ -16,9 +16,10 @@ import (
 // the collector's Recover pass.
 var ErrCrashed = errors.New("gc: power failure injected mid-collection")
 
-// Collector is a stop-the-world copying garbage collector. Both G1 and
-// PS implement it; they additionally provide CollectMixed and CollectFull
-// for the other two algorithms of G1's three-fold design (Section 2.1).
+// Collector is a stop-the-world copying garbage collector running the
+// three algorithms of G1's design (Section 2.1): young, mixed and full
+// collection. Both G1 and PS implement it, so a wrapper that forgets to
+// forward one of the three does not compile.
 type Collector interface {
 	// Name identifies the algorithm ("g1" or "ps").
 	Name() string
@@ -28,6 +29,11 @@ type Collector interface {
 	// returns its statistics. The heap's machine clock advances by the
 	// pause time.
 	Collect(threads int) (CollectionStats, error)
+	// CollectMixed runs one mixed collection: the young generation plus
+	// up to maxOldRegions of the garbage-richest old regions.
+	CollectMixed(threads, maxOldRegions int) (CollectionStats, error)
+	// CollectFull runs one full collection of the whole heap.
+	CollectFull(threads int) (CollectionStats, error)
 	// Collections returns the statistics of every collection so far.
 	Collections() []CollectionStats
 }

@@ -217,7 +217,7 @@ func (gw *gcWorker) step(w *memsim.Worker) bool {
 			gw.age = heap.MarkAge(mark)
 			// Mixed and full GCs compact old objects into fresh old regions;
 			// they never return to the young generation.
-			gw.promote = gw.age+1 >= c.promoteAge || h.KindAt(gw.ref) == heap.RegionOld
+			gw.promote = gw.age+1 >= promoteAge || h.KindAt(gw.ref) == heap.RegionOld
 			gw.reroutes = 0
 			gw.st = stAlloc
 		case stAlloc:

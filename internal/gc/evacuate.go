@@ -83,7 +83,6 @@ type cycle struct {
 	hm           *HeaderMap // nil when disabled this cycle
 	pushPrefetch bool       // prefetch referents on work-stack push
 
-	promoteAge  int
 	cacheBudget int64
 	cacheUsed   int64
 
@@ -152,7 +151,6 @@ func newCycle(h *heap.Heap, opt Options, threads int, hm *HeaderMap, pl *persist
 		ps:          ps,
 		faulty:      anyTierFaulty(h.Machine()),
 		arena:       ar,
-		promoteAge:  opt.promoteAge(),
 		cacheBudget: opt.writeCacheBudget(h.HeapBytes()),
 		labWords:    (4 << 10) / heap.WordBytes,
 		directWords: (1 << 10) / heap.WordBytes,

@@ -309,7 +309,7 @@ func TestPromotionAfterAging(t *testing.T) {
 	if r := h.RegionOf(obj); r.Kind != heap.RegionSurvivor {
 		t.Fatalf("after 1 GC: region %v", r.Kind)
 	}
-	// Second survival: promoted (default PromoteAge = 2).
+	// Second survival: promoted (promoteAge = 2).
 	collectAndVerify(t, h, g, 2)
 	obj = h.Peek(root)
 	if r := h.RegionOf(obj); r.Kind != heap.RegionOld {

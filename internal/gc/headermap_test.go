@@ -204,7 +204,7 @@ func TestWorkStack(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
-	if o.promoteAge() != 2 || o.headerMapMinThreads() != 8 {
+	if o.headerMapMinThreads() != 8 {
 		t.Fatal("defaults wrong")
 	}
 	if o.writeCacheBudget(3200) != 100 || o.headerMapBudget(3200) != 100 {

@@ -98,11 +98,6 @@ type Options struct {
 	// e.g. 4 KiB pages). 0 selects 16 KiB.
 	FlushChunkBytes int64
 
-	// PromoteAge is the tenuring threshold: objects that have survived
-	// this many collections are promoted to the old generation.
-	// 0 selects 2.
-	PromoteAge int
-
 	// Persist selects the crash-consistency mode (default PersistNone).
 	// Any mode other than PersistNone requires the heap to be built with a
 	// non-zero MetaBytes journal area.
@@ -133,12 +128,9 @@ func Optimized() Options {
 	return Options{WriteCache: true, NonTemporal: true, HeaderMap: true, Prefetch: true}
 }
 
-func (o Options) promoteAge() int {
-	if o.PromoteAge <= 0 {
-		return 2
-	}
-	return o.PromoteAge
-}
+// promoteAge is the tenuring threshold: objects that have survived this
+// many collections are promoted to the old generation.
+const promoteAge = 2
 
 func (o Options) flushChunk() int64 {
 	if o.FlushChunkBytes <= 0 {

@@ -149,18 +149,15 @@ func (b *base) Recover() (RecoveryReport, error) {
 	// graph signature deliberately ignores them.
 	newToOld := make(map[heap.Address]heap.Address)
 	for _, r := range h.CrashedCSet() {
-		for obj := r.Start; obj < r.Top; {
-			k, size := h.PeekObject(obj)
-			if k == nil {
-				break // corrupt tail; the invariant check reports it
-			}
+		// A corrupt tail stops the sweep; the invariant check reports it.
+		_ = h.WalkRegion(r, func(obj heap.Address, _ *heap.Klass, _ int64) error {
 			if mark := h.Peek(heap.MarkAddr(obj)); heap.IsForwarded(mark) {
 				newToOld[heap.ForwardingAddr(mark)] = obj
 				h.Poke(heap.MarkAddr(obj), heap.MarkWithAge(0))
 				rep.ForwardsSwept++
 			}
-			obj += heap.Address(size) * heap.WordBytes
-		}
+			return nil
+		})
 	}
 	if len(newToOld) > 0 {
 		rep.SlotsRemapped = remapSalvagedSlots(h, newToOld)
@@ -196,23 +193,16 @@ func remapSalvagedSlots(h *heap.Heap, newToOld map[heap.Address]heap.Address) in
 		if r.Kind == heap.RegionFree || r.ClaimedInGC || r.CachePool {
 			continue
 		}
-		for obj := r.Start; obj < r.Top; {
-			k, size := h.PeekObject(obj)
-			if k == nil {
-				break
-			}
-			for off := int64(heap.HeaderWords); off < size; off++ {
-				if !k.IsRefSlot(off, size) {
-					continue
-				}
-				slot := heap.SlotAddr(obj, off)
+		// A corrupt tail stops the remap; the invariant check reports it.
+		_ = h.WalkRegion(r, func(obj heap.Address, k *heap.Klass, size int64) error {
+			for slot := range k.RefSlots(obj, size) {
 				if old, ok := newToOld[h.Peek(slot)]; ok {
 					h.Poke(slot, old)
 					n++
 				}
 			}
-			obj += heap.Address(size) * heap.WordBytes
-		}
+			return nil
+		})
 	}
 	return n
 }

@@ -51,8 +51,15 @@ func crashEnv(t *testing.T, cc crashConfig) (*heap.Heap, *memsim.Machine, *G1, *
 // with the journal there.
 func crashEnvPlaced(t *testing.T, cc crashConfig, metaTier string) (*heap.Heap, *memsim.Machine, *G1, *check.Snapshot) {
 	t.Helper()
+	return crashEnvLLC(t, cc, metaTier, 1<<17)
+}
+
+// crashEnvLLC is crashEnvPlaced with an LLC of llcBytes: the smaller the
+// cache, the more of a collection's stores reach the media before a crash.
+func crashEnvLLC(t *testing.T, cc crashConfig, metaTier string, llcBytes int64) (*heap.Heap, *memsim.Machine, *G1, *check.Snapshot) {
+	t.Helper()
 	cfg := memsim.DefaultConfig()
-	cfg.LLCBytes = 1 << 17
+	cfg.LLCBytes = llcBytes
 	if metaTier != "" {
 		cfg.Tiers = append(memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM),
 			memsim.TierSpec{Name: "nvm2", Profile: memsim.OptaneProfile(), Persistent: true, Interleave: 6})
@@ -300,12 +307,103 @@ func TestCrashWithoutBarriersIsFlagged(t *testing.T) {
 	}
 }
 
+// TestSalvageSweepWithoutJournal crashes a PersistNone collection on a
+// 4 KiB LLC, so forwarding headers and updated slots reach the media with
+// no journal recording them: recovery's salvage sweep must revert those
+// headers, remap the slots back to the from-space originals, and, this
+// early in the pause, restore the pre-GC graph.
+func TestSalvageSweepWithoutJournal(t *testing.T) {
+	const threads = 4
+	cc := crashConfig{name: "vanilla+none", opt: Vanilla()}
+	_, m, g, _ := crashEnvLLC(t, cc, "", 1<<12)
+	start := m.Now()
+	s, err := g.Collect(threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, m, g, pre := crashEnvLLC(t, cc, "", 1<<12)
+	m.InjectFault(memsim.FaultPlan{CrashAtTime: start + s.Pause*15/100})
+	if _, err := g.Collect(threads); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want ErrCrashed, got %v", err)
+	}
+	if _, err := m.MaterializeCrash(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := g.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rep.JournalActive || rep.EntriesUndone != 0 || rep.ForwardsSwept == 0 || rep.SlotsRemapped == 0 {
+		t.Fatalf("want a salvage without journal entries, got %+v", rep)
+	}
+	if err := check.VerifyRecovered(h, pre); err != nil {
+		t.Fatalf("salvaged heap (outcome %v): %v", rep.Outcome, err)
+	}
+}
+
+// TestOversizedHeaderIsAnError plants an info word claiming 2^31 words in
+// a rooted ref[] object, the shape a torn header can take. Every entry
+// point that reads a possibly corrupt image must report it, not panic
+// reading slots past the heap, and the post-crash scanner must call the
+// region corrupt.
+func TestOversizedHeaderIsAnError(t *testing.T) {
+	h, m := testEnv(t)
+	refs, err := h.Klasses.DefineArray("ref[]", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arr heap.Address
+	m.Run(1, func(w *memsim.Worker) {
+		arr, _ = h.AllocateEden(w, refs, 4)
+		child, _ := h.AllocateEden(w, refs, 4)
+		h.SetRefInit(w, arr, 2, child)
+		h.Roots.Add(w, arr)
+	})
+	g, err := NewG1(h, Vanilla())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := liveGraph(t, h)
+	h.Poke(heap.InfoAddr(arr), heap.MakeInfo(refs.ID, 1<<31))
+
+	const want = "ends past the bump pointer"
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"CheckInvariants", h.CheckInvariants},
+		{"Capture", func() error { _, err := check.Capture(h); return err }},
+		{"AtBoundary", func() error {
+			err := check.AtBoundary(check.PreGC, check.State{Heap: h})
+			wantViolation(t, err, "region-parse")
+			return err
+		}},
+		{"Recover", func() error {
+			rep, err := g.Recover()
+			if rep.Outcome != RecoveryUnrecoverable {
+				t.Errorf("Recover outcome %v, want %v", rep.Outcome, RecoveryUnrecoverable)
+			}
+			return err
+		}},
+		{"VerifyRecovered", func() error { return check.VerifyRecovered(h, pre) }},
+	} {
+		if err := tc.run(); err == nil || !contains(err.Error(), want) {
+			t.Errorf("%s: %v, want an error containing %q", tc.name, err, want)
+		}
+	}
+	for _, rs := range h.ScanPostCrash().Regions {
+		if rs.Index == h.RegionOf(arr).Index && rs.Class != heap.RegionCorrupt {
+			t.Errorf("scan = %+v, want %v", rs, heap.RegionCorrupt)
+		}
+	}
+}
+
 // TestJournalFullAbortsCollection shrinks the journal area until it
 // overflows mid-GC: the collection must abort with an explicit error, not
 // silently continue un-journaled.
 func TestJournalFullAbortsCollection(t *testing.T) {
 	cfg := memsim.DefaultConfig()
-	cfg.LLCBytes = 1 << 17
+	cfg.LLCBytes = 1 << 12
 	m := memsim.NewMachine(cfg)
 	m.EnablePersist(m.NVM, false)
 	hc := heap.DefaultConfig()

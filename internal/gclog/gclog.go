@@ -190,8 +190,8 @@ func (l Log) Summarize() Summary {
 	}
 	if len(pauses) > 0 {
 		sort.Float64s(pauses)
-		s.P50PauseMs = metrics.PercentilesSorted(pauses, 50)[0]
-		s.P95PauseMs = metrics.PercentilesSorted(pauses, 95)[0]
+		s.P50PauseMs = metrics.Quantile(pauses, 50)
+		s.P95PauseMs = metrics.Quantile(pauses, 95)
 	}
 	if wb+nt > 0 {
 		s.WriteSeparation = nt / (wb + nt)

@@ -17,8 +17,10 @@ const (
 	// throws away — DRAM write-cache regions and to-space regions claimed
 	// by the interrupted GC.
 	RegionDiscarded
-	// RegionCorrupt: the region does not parse into well-formed objects;
-	// data was lost (e.g. a configuration without persist barriers).
+	// RegionCorrupt: WalkRegion rejects the region (a header that does not
+	// decode, or an object running past the bump pointer), or it carries a
+	// forwarding mark outside the collection set; data was lost (e.g. a
+	// configuration without persist barriers).
 	RegionCorrupt
 )
 
@@ -85,23 +87,19 @@ func (h *Heap) ScanPostCrash() PostCrashScan {
 			if r.InCSet {
 				rs.Class = RegionFromSpace
 			}
-			for a := r.Start; a < r.Top; {
-				mark := h.Peek(MarkAddr(a))
-				if IsForwarded(mark) {
-					// The info word describes the object either way (only
-					// the mark word is CAS'd during forwarding).
+			err := h.WalkRegion(r, func(obj Address, _ *Klass, _ int64) error {
+				// The info word describes the object either way (only the
+				// mark word is CAS'd during forwarding).
+				if IsForwarded(h.Peek(MarkAddr(obj))) {
 					rs.ForwardedHeaders++
 				}
-				k, size := h.PeekObject(a)
-				if k == nil {
-					rs.Class = RegionCorrupt
-					rs.Detail = fmt.Sprintf("malformed object at %#x", a)
-					break
-				}
 				rs.Objects++
-				a += Address(size) * WordBytes
-			}
-			if rs.Class != RegionCorrupt && rs.ForwardedHeaders > 0 && !r.InCSet {
+				return nil
+			})
+			if err != nil {
+				rs.Class = RegionCorrupt
+				rs.Detail = err.Error()
+			} else if rs.ForwardedHeaders > 0 && !r.InCSet {
 				// A forwarding mark outside the collection set means the
 				// region was mutated by a GC that never covered it — the
 				// image is not a state any barrier protocol produces.

@@ -443,30 +443,17 @@ func (h *Heap) RebuildRemSets() {
 		if r.Kind != RegionOld {
 			continue
 		}
-		for obj := r.Start; obj < r.Top; {
-			k, size := h.PeekObject(obj)
-			if k == nil {
-				break // corrupt tail; the verifier reports it
-			}
-			for off := int64(HeaderWords); off < size; off++ {
-				if !k.IsRefSlot(off, size) {
-					continue
-				}
-				slot := SlotAddr(obj, off)
-				target := h.Peek(slot)
-				if target == 0 {
-					continue
-				}
-				tr := h.RegionOf(target)
-				if tr == nil || tr == r {
-					continue
-				}
-				if tr.Kind == RegionEden || tr.Kind == RegionSurvivor || tr.Kind == RegionOld {
-					tr.RemSet.Add(slot)
+		// A corrupt tail stops the walk; the verifier reports it.
+		_ = h.WalkRegion(r, func(obj Address, k *Klass, size int64) error {
+			for slot := range k.RefSlots(obj, size) {
+				if target := h.Peek(slot); target != 0 {
+					if tr := h.RegionOf(target); tr != nil && tr != r && tr.Generational() {
+						tr.RemSet.Add(slot)
+					}
 				}
 			}
-			obj += Address(size) * WordBytes
-		}
+			return nil
+		})
 	}
 }
 

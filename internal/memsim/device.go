@@ -292,7 +292,7 @@ func (d *Device) access(now Time, class opClass, bytes int64, seq bool) Time {
 	bw := d.effBW(class, wf)
 	if d.fault != nil && d.fault.degraded {
 		// Degraded mode: media management slows the whole tier down.
-		bw /= d.fault.model.bwX()
+		bw /= degradeBWX
 	}
 	transfer := Time(float64(amp) / bw)
 	if transfer < 1 {
@@ -330,7 +330,7 @@ func (d *Device) access(now Time, class opClass, bytes int64, seq bool) Time {
 		lat = d.prof.WriteLatency
 	}
 	if d.fault != nil && d.fault.degraded {
-		lat = Time(float64(lat) * d.fault.model.latencyX())
+		lat = Time(float64(lat) * degradeLatencyX)
 	}
 	return end + lat
 }

@@ -33,32 +33,20 @@ type FaultModel struct {
 
 	// DegradeUETrip is the hard-error count at which the whole tier trips
 	// into degraded mode (modeling Optane media management slowing the
-	// DIMM down as errors accumulate). 0 never trips.
+	// DIMM down as errors accumulate): latencies triple and bandwidth
+	// halves. 0 never trips.
 	DegradeUETrip int64
-
-	// DegradeLatencyX / DegradeBWX are the degraded-mode latency
-	// multiplier and bandwidth divisor. Zero values default to 3 and 2.
-	DegradeLatencyX float64
-	DegradeBWX      float64
 }
+
+// The degraded mode's latency multiplier and bandwidth divisor.
+const (
+	degradeLatencyX = 3
+	degradeBWX      = 2
+)
 
 // Enabled reports whether the model injects any faults at all.
 func (f FaultModel) Enabled() bool {
 	return f.TransientReadPPM > 0 || f.WearThresholdMean > 0
-}
-
-func (f FaultModel) latencyX() float64 {
-	if f.DegradeLatencyX > 0 {
-		return f.DegradeLatencyX
-	}
-	return 3
-}
-
-func (f FaultModel) bwX() float64 {
-	if f.DegradeBWX > 0 {
-		return f.DegradeBWX
-	}
-	return 2
 }
 
 // FaultStats is a snapshot of a device's cumulative fault counters.

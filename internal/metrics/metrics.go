@@ -1,54 +1,60 @@
-// Package metrics provides percentile statistics and plain-text rendering
-// (tables and series) for the experiment harness.
+// Package metrics provides the one quantile estimator and plain-text
+// rendering (tables and series) for the experiment harness.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
 
-// Percentile returns the p-quantile (0..100) of values using linear
-// interpolation. It returns NaN for an empty slice. The input need not be
-// sorted.
+// Every latency and pause percentile the system reports is a
+// *nearest-rank* quantile: the smallest observed value x such that at
+// least p% of the observations are at most x, the conventional reading of
+// "p999" for SLO reporting. The choice is load-bearing for the fleet's
+// property tests: the nearest-rank p-quantile of merged series is provably
+// sandwiched between the minimum and maximum of the per-series
+// p-quantiles (DESIGN.md §14), a bound that linearly interpolated sample
+// quantiles violate on small inputs.
+
+// Percentile returns the nearest-rank p-quantile (0..100) of values, which
+// need not be sorted: Quantile of a sorted copy. It returns NaN for an
+// empty slice.
 func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
 	s := append([]float64(nil), values...)
 	sort.Float64s(s)
-	return percentileSorted(s, p)
+	return Quantile(s, p)
 }
 
-// PercentilesSorted computes several quantiles in one pass over a sorted
-// slice.
-func PercentilesSorted(sorted []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
-	}
-	return out
-}
-
-func percentileSorted(s []float64, p float64) float64 {
-	if len(s) == 0 {
+// Quantile returns the nearest-rank p-quantile (p in 0..100) of an
+// ascending series: the element at rank ceil(p/100 * n). It returns NaN
+// for an empty series; p <= 0 (or NaN) selects the minimum, p >= 100 the
+// maximum. p is read to a millionth of a percent and the rank is computed
+// in integers: in floats, 99.9/100·1000 is 999.0000000000001, and the
+// p999 of 1000 samples would be their maximum.
+func Quantile(sorted []float64, p float64) float64 {
+	n := len(sorted)
+	if n == 0 {
 		return math.NaN()
 	}
-	if p <= 0 {
-		return s[0]
+	if !(p > 0) {
+		return sorted[0]
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return sorted[n-1]
 	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
+	const scale = 100 * 1e6
+	pm := uint64(math.Round(p * 1e6))
+	hi, lo := bits.Mul64(pm, uint64(n))
+	q, rem := bits.Div64(hi, lo, scale) // hi < pm <= scale, so no overflow
+	r := int(q)
+	if rem != 0 {
+		r++
 	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	r = min(max(r, 1), n)
+	return sorted[r-1]
 }
 
 // Table is a rectangular result table rendered as aligned plain text or

@@ -24,9 +24,9 @@ func TestPercentileBasics(t *testing.T) {
 	if !math.IsNaN(Percentile(nil, 50)) {
 		t.Fatal("empty percentile should be NaN")
 	}
-	// Interpolation.
-	if got := Percentile([]float64{0, 10}, 75); got != 7.5 {
-		t.Fatalf("interpolated p75 = %g", got)
+	// Nearest rank: the p75 of two values is the second, never a blend.
+	if got := Percentile([]float64{0, 10}, 75); got != 10 {
+		t.Fatalf("nearest-rank p75 = %g", got)
 	}
 }
 
@@ -53,11 +53,37 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestPercentilesSorted(t *testing.T) {
-	s := []float64{1, 2, 3, 4}
-	got := PercentilesSorted(s, 0, 50, 100)
-	if got[0] != 1 || got[1] != 2.5 || got[2] != 4 {
-		t.Fatalf("got %v", got)
+// TestQuantileBruteForce pins Quantile to its definition in exact
+// integers: the element of least rank r with r/n >= p/100, that is
+// r·10⁸ >= pm·n for p = pm millionths of a percent. Every series length
+// from 1 to 3000 and 10⁶, at the percentiles the system reports and more;
+// float rank arithmetic put the p999 of 1000 samples at their maximum.
+func TestQuantileBruteForce(t *testing.T) {
+	ps := []struct {
+		p  float64
+		pm int64
+	}{
+		{1, 1_000_000}, {10, 10_000_000}, {25, 25_000_000}, {50, 50_000_000}, {75, 75_000_000},
+		{90, 90_000_000}, {95, 95_000_000}, {99, 99_000_000}, {99.9, 99_900_000}, {99.99, 99_990_000},
+	}
+	s := make([]float64, 1_000_000)
+	for i := range s {
+		s[i] = float64(i) // the value is the index
+	}
+	lengths := []int{1_000_000}
+	for n := 1; n <= 3000; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, c := range ps {
+			r := int64(1)
+			for r*100_000_000 < c.pm*int64(n) {
+				r++
+			}
+			if got := Quantile(s[:n], c.p); got != float64(r-1) {
+				t.Fatalf("Quantile(n=%d, p=%v) is the element at index %v, want %d", n, c.p, got, r-1)
+			}
+		}
 	}
 }
 

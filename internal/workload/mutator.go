@@ -22,20 +22,10 @@ type Config struct {
 	MixedGCEvery int
 
 	// FullGCEvery triggers a full (whole-heap) collection after every N
-	// young collections, if the collector supports it. 0 disables. The
+	// young collections. 0 disables. The
 	// paper observes no full GCs for its workloads; the knob exists to
 	// exercise the bottom-line algorithm under application load.
 	FullGCEvery int
-}
-
-// fullCollector is implemented by collectors that support full GC.
-type fullCollector interface {
-	CollectFull(threads int) (gc.CollectionStats, error)
-}
-
-// mixedCollector is implemented by collectors that support mixed GC.
-type mixedCollector interface {
-	CollectMixed(threads, maxOldRegions int) (gc.CollectionStats, error)
 }
 
 // Result summarizes one application run.
@@ -136,17 +126,13 @@ func (r *Runner) Run() (Result, error) {
 		}
 		epoch++
 		if r.cfg.MixedGCEvery > 0 && epoch%r.cfg.MixedGCEvery == 0 {
-			if mc, ok := r.col.(mixedCollector); ok {
-				if _, err := mc.CollectMixed(r.cfg.GCThreads, 32); err != nil {
-					return fail(" (mixed gc)", err)
-				}
+			if _, err := r.col.CollectMixed(r.cfg.GCThreads, 32); err != nil {
+				return fail(" (mixed gc)", err)
 			}
 		}
 		if r.cfg.FullGCEvery > 0 && epoch%r.cfg.FullGCEvery == 0 {
-			if fc, ok := r.col.(fullCollector); ok {
-				if _, err := fc.CollectFull(r.cfg.GCThreads); err != nil {
-					return fail(" (full gc)", err)
-				}
+			if _, err := r.col.CollectFull(r.cfg.GCThreads); err != nil {
+				return fail(" (full gc)", err)
 			}
 		}
 		r.mut.refreshAfterGC()
