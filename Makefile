@@ -17,15 +17,16 @@ test: build
 # eager-vs-default equivalence sweeps and step-form differential tests
 # under the race detector. -short trims workload sizes (the golden
 # determinism tests still run, on reduced cases) so the gate finishes in
-# minutes even on a single-core host. The three host-allocation pins
+# minutes even on a single-core host. The four host-allocation pins
 # (allocations per young collection, bytes per new heap, bytes per small
-# host run) then run uncached and without the race detector's overhead.
+# host run, none per ADR line capture) then run uncached and without the
+# race detector's overhead.
 verify: build
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) test -race -short -count=1 ./internal/memsim ./internal/heap ./internal/par ./internal/bench ./internal/workload ./internal/fleet ./internal/cassandra ./internal/workload/generator
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
-	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestHostFootprint' -count=1 ./internal/gc ./internal/heap ./internal/workload
+	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestHostFootprint|TestPersistCaptureAllocs' -count=1 ./internal/gc ./internal/heap ./internal/workload ./internal/memsim
 
 # loc prints the three line counts the roadmap tracks: non-test Go outside
 # benchmarks/ (the number that should trend down), benchmarks/, and tests.

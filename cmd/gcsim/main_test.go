@@ -8,6 +8,7 @@ import (
 
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
+	"nvmgc/internal/workload"
 )
 
 func TestParseConfig(t *testing.T) {
@@ -145,6 +146,21 @@ func TestCheckScale(t *testing.T) {
 	} {
 		if err := checkScale(tc.s); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("checkScale(%g) = %v, want an error containing %q", tc.s, err, tc.want)
+		}
+	}
+}
+
+// TestUnknownRequestDistIsAnError: a -ycsb-dist outside the six request
+// distributions exits 1 naming them all, before any run; no flag reaches
+// the scenario runner's unreachable-distribution panic.
+func TestUnknownRequestDistIsAnError(t *testing.T) {
+	code, stderr := gcsim(t, "-app", "ycsb-a", "-ycsb-dist", "bogus")
+	if code != 1 || strings.Contains(stderr, "panic") || strings.Count(stderr, "\n") != 1 {
+		t.Fatalf("exit %d, stderr %q: want exit 1 with one line", code, stderr)
+	}
+	for _, d := range workload.RequestDists() {
+		if !strings.Contains(stderr, d) {
+			t.Errorf("stderr %q does not name %q", stderr, d)
 		}
 	}
 }

@@ -347,3 +347,19 @@ func TestNewRejectsHostileConfig(t *testing.T) {
 		t.Fatalf("the default geometry is rejected: %v", err)
 	}
 }
+
+// TestPersistNeedsLineAlignedHeap: the persistence domain tracks whole
+// lines, so a persistent heap must end on a line; one that ends 8 bytes
+// past one is an error, not a domain that would peek past the heap.
+func TestPersistNeedsLineAlignedHeap(t *testing.T) {
+	m := memsim.NewMachine(memsim.DefaultConfig())
+	m.EnablePersist(m.NVM, false)
+	cfg := Config{RegionBytes: 2 << 20, HeapRegions: 1, AuxBytes: 64 << 10, RootSlots: 16, MetaBytes: 72, Poison: true}
+	if _, err := New(m, cfg); err == nil || !strings.Contains(err.Error(), "whole 64 B lines") {
+		t.Fatalf("heap ending off a line: err = %v", err)
+	}
+	cfg.MetaBytes = 64
+	if _, err := New(m, cfg); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -303,6 +303,9 @@ func New(m *memsim.Machine, cfg Config) (*Heap, error) {
 	// e.g. a journal placed on a second NVM tier is crash-tracked exactly
 	// like the primary heap device.
 	if pd := m.Persist(); pd != nil {
+		if h.metaEnd%memsim.LineSize != 0 {
+			return nil, fmt.Errorf("heap: the persistence domain tracks whole %d B lines, but the heap ends at %#x", memsim.LineSize, h.metaEnd)
+		}
 		h.pd = pd
 		pd.SetBacking(h.rawPeek, h.rawPoke, h.base, h.metaEnd)
 		for _, dev := range []*memsim.Device{

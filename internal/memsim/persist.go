@@ -1,8 +1,9 @@
 package memsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // XPLineSize is the NVM media write unit (the 3D-XPoint 256 B XPLine).
@@ -59,12 +60,18 @@ type PersistStats struct {
 	TornLines     int // 0 or 1: the half-persisted frontier line
 }
 
-// lineShadow remembers a dirty line's last-persisted content, captured the
-// first time the line leaves the persistence domain, plus a sequence
-// number ordering first-dirtying events (the crash frontier is the line
-// dirtied last).
+const (
+	dirPageLines = 1 << 14 // lines per directory page: 1 MiB, the span of one heap chunk
+	shadowBlock  = 1 << 10 // shadows per slab block
+)
+
+// lineShadow remembers an unpersisted line's address and last-persisted
+// content, captured the first time the line leaves the persistence domain,
+// plus a sequence number ordering dirtying events (the crash frontier is
+// the line dirtied last).
 type lineShadow struct {
 	words [LineSize / 8]uint64
+	la    uint64
 	seq   int64
 }
 
@@ -82,8 +89,8 @@ type lineShadow struct {
 // and optionally the XPLine at the crash frontier tears.
 type PersistDomain struct {
 	m    *Machine
-	dev  *Device          // primary tracked device (the first enabled)
-	devs map[*Device]bool // all tracked devices (see Track)
+	dev  *Device   // primary tracked device (the first enabled)
+	devs []*Device // all tracked devices (see Track)
 	eADR bool
 
 	// peek/poke access the tracked backing store (the heap's word array)
@@ -93,12 +100,21 @@ type PersistDomain struct {
 	poke   func(addr uint64, v uint64)
 	lo, hi uint64
 
-	dirty   map[uint64]*lineShadow // line addr -> shadow (unpersisted)
-	pending map[uint64]*lineShadow // CLWB'd, awaiting fence
-	free    []*lineShadow          // shadows of persisted lines, reused by capture
-	seq     int64
-	stores  int64
-	stats   PersistStats
+	// dir is the line directory: one cell per line of [lo, hi), in pages
+	// of dirPageLines allocated on first capture. A cell is 0 for a
+	// persisted line, +s for a dirty one and -s for one CLWB'd and awaiting
+	// the fence, its shadow in slot s. Slots live in fixed blocks (slot 0
+	// unused, slots counts those handed out); free holds released slots for
+	// capture to reuse, pending the slots CLWB'd since the last fence (an
+	// entry whose cell no longer reads -s is stale).
+	dir              [][]int32
+	blocks           []*[shadowBlock]lineShadow
+	slots            int32
+	free, pending    []int32
+	nDirty, nPending int
+	seq              int64
+	stores           int64
+	stats            PersistStats
 
 	plan     *FaultPlan
 	disabled bool // set once a crash image has been materialized
@@ -110,12 +126,7 @@ type PersistDomain struct {
 // register its raw accessors via SetBacking. The hooks charge no virtual
 // time, so enabling the domain cannot change any timing result.
 func (m *Machine) EnablePersist(dev *Device, eADR bool) *PersistDomain {
-	pd := &PersistDomain{
-		m: m, dev: dev, eADR: eADR,
-		devs:    map[*Device]bool{dev: true},
-		dirty:   make(map[uint64]*lineShadow),
-		pending: make(map[uint64]*lineShadow),
-	}
+	pd := &PersistDomain{m: m, dev: dev, eADR: eADR, devs: []*Device{dev}, slots: 1}
 	m.pd = pd
 	m.LLC.onEvict = pd.onEvict
 	return pd
@@ -126,11 +137,13 @@ func (m *Machine) EnablePersist(dev *Device, eADR bool) *PersistDomain {
 // shadow-tracked and crash-materialized exactly like the primary device.
 // Tracking the primary device again is a no-op.
 func (pd *PersistDomain) Track(dev *Device) {
-	pd.devs[dev] = true
+	if !pd.Tracks(dev) {
+		pd.devs = append(pd.devs, dev)
+	}
 }
 
 // Tracks reports whether the domain covers dev.
-func (pd *PersistDomain) Tracks(dev *Device) bool { return pd.devs[dev] }
+func (pd *PersistDomain) Tracks(dev *Device) bool { return slices.Contains(pd.devs, dev) }
 
 // Persist returns the machine's persistence domain, or nil.
 func (m *Machine) Persist() *PersistDomain { return m.pd }
@@ -142,67 +155,119 @@ func (pd *PersistDomain) EADR() bool { return pd.eADR }
 func (pd *PersistDomain) Device() *Device { return pd.dev }
 
 // SetBacking registers raw (hook-free) accessors for the tracked backing
-// store and the tracked address range. Stores outside [lo, hi) or to
-// other devices are ignored.
+// store and the tracked address range [lo, hi), which must be line-aligned.
+// Stores outside it or to other devices are ignored; lines tracked under
+// an earlier backing are declared persisted.
 func (pd *PersistDomain) SetBacking(peek func(uint64) uint64, poke func(uint64, uint64), lo, hi uint64) {
+	if lo > hi || lo%LineSize != 0 || hi%LineSize != 0 {
+		panic(fmt.Sprintf("memsim: SetBacking range [%#x, %#x) is not line-aligned", lo, hi))
+	}
+	pd.PersistAll()
 	pd.peek, pd.poke, pd.lo, pd.hi = peek, poke, lo, hi
+	pd.dir = make([][]int32, ((hi-lo)/LineSize+dirPageLines-1)/dirPageLines)
 }
 
 // Stats returns a snapshot of the domain's counters.
 func (pd *PersistDomain) Stats() PersistStats {
 	s := pd.stats
 	s.TrackedStores = pd.stores
-	s.DirtyLines = len(pd.dirty)
-	s.PendingLines = len(pd.pending)
+	s.DirtyLines, s.PendingLines = pd.nDirty, pd.nPending
 	return s
 }
 
-// persisted drops a line that reached the persistence domain from the
-// given map; its shadow is no longer referenced and goes back to capture.
-func (pd *PersistDomain) persisted(lines map[uint64]*lineShadow, la uint64) bool {
-	sh, ok := lines[la]
-	if ok {
-		delete(lines, la)
-		pd.free = append(pd.free, sh)
+// cell returns line la's directory cell, or nil when la is outside the
+// tracked range or its page was never captured into (the line is persisted).
+func (pd *PersistDomain) cell(la uint64) *int32 {
+	if la-pd.lo >= pd.hi-pd.lo {
+		return nil
 	}
-	return ok
+	i := (la - pd.lo) / LineSize
+	if p := pd.dir[i/dirPageLines]; p != nil {
+		return &p[i%dirPageLines]
+	}
+	return nil
 }
 
-func (pd *PersistDomain) tracks(dev *Device, addr uint64) bool {
-	return !pd.disabled && pd.devs[dev] && pd.peek != nil && addr >= pd.lo && addr < pd.hi
+func (pd *PersistDomain) shadow(s int32) *lineShadow {
+	return &pd.blocks[s/shadowBlock][s%shadowBlock]
 }
 
-// capture records shadows for every line of [addr, addr+n) not already
-// dirty. A line re-stored while pending moves back to dirty but keeps its
+// persisted releases the slot of a dirty or pending line that reached the
+// persistence domain; capture reuses it.
+func (pd *PersistDomain) persisted(c *int32) {
+	s := *c
+	if s > 0 {
+		pd.nDirty--
+	} else {
+		s = -s
+		pd.nPending--
+	}
+	*c = 0
+	pd.free = append(pd.free, s)
+}
+
+// live calls f for every slot holding an unpersisted line, with its cell.
+func (pd *PersistDomain) live(f func(s int32, c *int32)) {
+	for s := int32(1); s < pd.slots; s++ {
+		if c := pd.cell(pd.shadow(s).la); c != nil && (*c == s || *c == -s) {
+			f(s, c)
+		}
+	}
+}
+
+// clip narrows the range [addr, addr+n) of a hook on dev to the tracked
+// range; ok is false when nothing of it is tracked.
+func (pd *PersistDomain) clip(dev *Device, addr uint64, n int64) (from, to uint64, ok bool) {
+	if n <= 0 || pd.disabled || !pd.Tracks(dev) {
+		return 0, 0, false
+	}
+	end := addr + uint64(n)
+	if end < addr {
+		end = pd.hi // wrapped past 2^64
+	}
+	from, to = max(addr, pd.lo), min(end, pd.hi)
+	return from, to, from < to
+}
+
+// capture records shadows for every line of [from, to) not already dirty.
+// A line re-stored while pending moves back to dirty but keeps its
 // original shadow (its last-persisted content is unchanged until a fence).
-func (pd *PersistDomain) capture(addr uint64, n int64) {
-	first := addr &^ (LineSize - 1)
-	last := (addr + uint64(n) - 1) &^ (LineSize - 1)
-	for la := first; ; la += LineSize {
-		if sh, ok := pd.pending[la]; ok {
-			delete(pd.pending, la)
-			pd.seq++
-			sh.seq = pd.seq
-			pd.dirty[la] = sh
-		} else if sh, ok := pd.dirty[la]; ok {
-			pd.seq++
-			sh.seq = pd.seq
-		} else {
-			pd.seq++
+func (pd *PersistDomain) capture(from, to uint64) {
+	for la := from &^ (LineSize - 1); la < to; la += LineSize {
+		i := (la - pd.lo) / LineSize
+		p := pd.dir[i/dirPageLines]
+		if p == nil {
+			p = make([]int32, dirPageLines)
+			pd.dir[i/dirPageLines] = p
+		}
+		c := &p[i%dirPageLines]
+		pd.seq++
+		s := *c
+		switch {
+		case s < 0:
+			s = -s
+			*c = s
+			pd.nPending--
+			pd.nDirty++
+		case s == 0:
 			if k := len(pd.free); k > 0 {
-				sh, pd.free = pd.free[k-1], pd.free[:k-1]
+				s, pd.free = pd.free[k-1], pd.free[:k-1]
 			} else {
-				sh = new(lineShadow)
+				if int(pd.slots/shadowBlock) == len(pd.blocks) {
+					pd.blocks = append(pd.blocks, new([shadowBlock]lineShadow))
+				}
+				s = pd.slots
+				pd.slots++
 			}
-			sh.seq = pd.seq
-			for i := range sh.words { // overwrites every word of a reused shadow
-				sh.words[i] = pd.peek(la + uint64(i*8))
+			sh := pd.shadow(s)
+			sh.la = la
+			for k := range sh.words { // overwrites every word of a reused shadow
+				sh.words[k] = pd.peek(la + uint64(k*8))
 			}
-			pd.dirty[la] = sh
+			*c = s
+			pd.nDirty++
 		}
-		if la == last {
-			break
-		}
+		pd.shadow(s).seq = pd.seq
 	}
 }
 
@@ -211,7 +276,8 @@ func (pd *PersistDomain) capture(addr uint64, n int64) {
 // strikes *before* the triggering store takes effect) and, in ADR mode,
 // captures shadows for newly-dirtied lines. Charged no virtual time.
 func (pd *PersistDomain) OnStore(dev *Device, addr uint64, n int64) {
-	if n <= 0 || !pd.tracks(dev, addr) {
+	from, to, ok := pd.clip(dev, addr, n)
+	if !ok {
 		return
 	}
 	if pd.plan != nil && pd.plan.CrashAtStore > 0 {
@@ -230,17 +296,16 @@ func (pd *PersistDomain) OnStore(dev *Device, addr uint64, n int64) {
 	if pd.eADR {
 		return // LLC is persistent: the store is durable at execution
 	}
-	pd.capture(addr, n)
+	pd.capture(from, to)
 }
 
 // OnStoreQuiet captures shadows like OnStore but neither counts the store
 // nor fires fault triggers. Used for uncharged setup writes (Poke) so the
 // post-crash image stays faithful without perturbing trigger points.
 func (pd *PersistDomain) OnStoreQuiet(dev *Device, addr uint64, n int64) {
-	if n <= 0 || pd.eADR || !pd.tracks(dev, addr) {
-		return
+	if from, to, ok := pd.clip(dev, addr, n); ok && !pd.eADR {
+		pd.capture(from, to)
 	}
-	pd.capture(addr, n)
 }
 
 // OnNT marks [addr, addr+n) persisted by a non-temporal store: NT stores
@@ -248,80 +313,83 @@ func (pd *PersistDomain) OnStoreQuiet(dev *Device, addr uint64, n int64) {
 // power fail. Lines only partially covered by the range keep their
 // shadows (the cached remainder is still volatile).
 func (pd *PersistDomain) OnNT(dev *Device, addr uint64, n int64) {
-	if n <= 0 || !pd.tracks(dev, addr) {
+	from, to, ok := pd.clip(dev, addr, n)
+	if !ok {
 		return
 	}
 	pd.stats.NTStores++
 	if pd.eADR {
 		return
 	}
-	first := addr &^ (LineSize - 1)
-	if first < addr {
-		first += LineSize // skip leading partial line
-	}
-	end := addr + uint64(n)
-	for la := first; la+LineSize <= end; la += LineSize {
-		pd.persisted(pd.dirty, la)
-		pd.persisted(pd.pending, la)
+	for la := (from + LineSize - 1) &^ (LineSize - 1); la+LineSize <= to; la += LineSize {
+		if c := pd.cell(la); c != nil && *c != 0 {
+			pd.persisted(c)
+		}
 	}
 }
 
 // onEvict is installed as the LLC's dirty-eviction hook: the written-back
 // line reaches the device write queue and is persisted.
 func (pd *PersistDomain) onEvict(dev *Device, lineAddr uint64) {
-	if pd.disabled || !pd.devs[dev] || pd.eADR {
+	if pd.disabled || pd.eADR || !pd.Tracks(dev) {
 		return
 	}
-	if pd.persisted(pd.dirty, lineAddr) {
-		pd.stats.EvictPersists++
+	if c := pd.cell(lineAddr); c != nil && *c != 0 {
+		if *c > 0 {
+			pd.stats.EvictPersists++
+		}
+		pd.persisted(c)
 	}
-	pd.persisted(pd.pending, lineAddr)
 }
 
 // onCLWB moves a dirty line to pending (flushed, awaiting the fence).
 func (pd *PersistDomain) onCLWB(dev *Device, lineAddr uint64) {
-	if pd.disabled || !pd.devs[dev] {
+	if pd.disabled || !pd.Tracks(dev) {
 		return
 	}
 	pd.stats.CLWBs++
 	if pd.eADR {
 		return
 	}
-	if sh, ok := pd.dirty[lineAddr]; ok {
-		delete(pd.dirty, lineAddr)
-		pd.pending[lineAddr] = sh
+	if c := pd.cell(lineAddr); c != nil && *c > 0 {
+		pd.pending = append(pd.pending, *c)
+		*c = -*c
+		pd.nDirty--
+		pd.nPending++
 	}
 }
 
 // isDirty reports whether the line is outside the persistence domain.
 func (pd *PersistDomain) isDirty(lineAddr uint64) bool {
-	if pd.disabled {
-		return false
-	}
-	_, ok := pd.dirty[lineAddr]
-	return ok
+	c := pd.cell(lineAddr)
+	return !pd.disabled && c != nil && *c > 0
 }
 
-// onFence commits all pending (CLWB'd) lines to the persistence domain.
+// onFence commits all pending (CLWB'd) lines to the persistence domain:
+// only slots still pending, not those re-dirtied or already persisted.
 func (pd *PersistDomain) onFence() {
 	if pd.disabled {
 		return
 	}
 	pd.stats.Fences++
-	for _, sh := range pd.pending {
-		pd.free = append(pd.free, sh)
+	for _, s := range pd.pending {
+		if c := pd.cell(pd.shadow(s).la); *c == -s {
+			pd.persisted(c)
+		}
 	}
-	clear(pd.pending)
+	pd.pending = pd.pending[:0]
 }
 
 // DirtyLines returns the addresses of all unpersisted lines in ascending
-// order (deterministic; map iteration order never escapes the domain).
+// order.
 func (pd *PersistDomain) DirtyLines() []uint64 {
-	out := make([]uint64, 0, len(pd.dirty))
-	for la := range pd.dirty {
-		out = append(out, la)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]uint64, 0, pd.nDirty)
+	pd.live(func(s int32, c *int32) {
+		if *c > 0 {
+			out = append(out, pd.shadow(s).la)
+		}
+	})
+	slices.Sort(out)
 	return out
 }
 
@@ -329,8 +397,8 @@ func (pd *PersistDomain) DirtyLines() []uint64 {
 // virtual time. Harnesses call it to model an application-level quiesce
 // point (e.g. "the mutator's data was durable when GC began").
 func (pd *PersistDomain) PersistAll() {
-	pd.dirty = make(map[uint64]*lineShadow)
-	pd.pending = make(map[uint64]*lineShadow)
+	pd.live(func(_ int32, c *int32) { pd.persisted(c) })
+	pd.pending = pd.pending[:0]
 }
 
 // InjectFault arms a fault plan on the machine. The time trigger fires at
@@ -404,72 +472,53 @@ func (m *Machine) MaterializeCrash() (CrashReport, error) {
 	pd.disabled = true
 
 	// CLWB'd-but-unfenced lines: persisted only under KeepPending.
-	toRevert := make(map[uint64]*lineShadow, len(pd.dirty)+len(pd.pending))
-	for la, sh := range pd.dirty {
-		toRevert[la] = sh
-	}
-	if plan.KeepPending {
-		rep.KeptLines += len(pd.pending)
-	} else {
-		for la, sh := range pd.pending {
-			if _, ok := toRevert[la]; !ok {
-				toRevert[la] = sh
-			}
+	var revert []int32
+	pd.live(func(s int32, c *int32) {
+		if *c > 0 || !plan.KeepPending {
+			revert = append(revert, s)
 		}
+	})
+	if plan.KeepPending {
+		rep.KeptLines += pd.nPending
 	}
+	slices.SortFunc(revert, func(a, b int32) int { return cmp.Compare(pd.shadow(a).la, pd.shadow(b).la) })
 
 	// Crash frontier: the most recently dirtied unpersisted line.
-	var frontier uint64
-	var frontierSeq int64 = -1
-	for la, sh := range toRevert {
-		if sh.seq > frontierSeq || (sh.seq == frontierSeq && la > frontier) {
-			frontier, frontierSeq = la, sh.seq
+	frontier := -1
+	for i, s := range revert {
+		if frontier < 0 || pd.shadow(s).seq >= pd.shadow(revert[frontier]).seq {
+			frontier = i
 		}
 	}
 
-	if plan.TornLine && frontierSeq >= 0 {
-		xp := frontier &^ (XPLineSize - 1)
-		for la := xp; la < xp+XPLineSize; la += LineSize {
-			sh, ok := toRevert[la]
-			if !ok {
-				continue
-			}
-			switch {
-			case la < frontier:
-				// The media write front already passed: persisted.
-				delete(toRevert, la)
-				rep.KeptLines++
-			case la == frontier:
-				// Torn: the first half of the line committed.
-				for i := LineSize / 16; i < len(sh.words); i++ {
-					pd.poke(la+uint64(i*8), sh.words[i])
-				}
-				delete(toRevert, la)
-				rep.TornLine = true
-				rep.TornLineAddr = la
-				pd.stats.TornLines++
-			}
+	if plan.TornLine && frontier >= 0 {
+		// Lines of the frontier's XPLine before it persisted (the media
+		// write front already passed); the frontier keeps its first half.
+		sh := pd.shadow(revert[frontier])
+		first := frontier
+		for first > 0 && pd.shadow(revert[first-1]).la >= sh.la&^(XPLineSize-1) {
+			first--
 		}
+		rep.KeptLines += frontier - first
+		for i := LineSize / 16; i < len(sh.words); i++ {
+			pd.poke(sh.la+uint64(i*8), sh.words[i])
+		}
+		rep.TornLine, rep.TornLineAddr = true, sh.la
+		pd.stats.TornLines++
+		revert = append(revert[:first], revert[frontier+1:]...)
 	}
 
 	// Revert everything else, in address order for determinism.
-	lines := make([]uint64, 0, len(toRevert))
-	for la := range toRevert {
-		lines = append(lines, la)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, la := range lines {
-		sh := toRevert[la]
+	for _, s := range revert {
+		sh := pd.shadow(s)
 		for i := range sh.words {
-			pd.poke(la+uint64(i*8), sh.words[i])
+			pd.poke(sh.la+uint64(i*8), sh.words[i])
 		}
 	}
-	rep.RevertedLines = len(lines)
-	pd.stats.RevertedLines += len(lines)
+	rep.RevertedLines = len(revert)
+	pd.stats.RevertedLines += len(revert)
 	pd.stats.KeptLines += rep.KeptLines
-
-	pd.dirty = make(map[uint64]*lineShadow)
-	pd.pending = make(map[uint64]*lineShadow)
+	pd.PersistAll()
 
 	// Reboot: the machine can run a recovery pass.
 	m.crashed = false

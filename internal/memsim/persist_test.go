@@ -1,6 +1,10 @@
 package memsim
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+)
 
 // persistEnv is a tiny tracked backing store: a sparse word map standing
 // in for the heap's word array.
@@ -359,5 +363,125 @@ func TestShadowRecyclingKeepsCrashImage(t *testing.T) {
 				t.Errorf("line %d word %d = %d after recovery, want %d", la, i, got, want)
 			}
 		}
+	}
+}
+
+// TestPersistHooksClipToBacking: a hook range that straddles an end of the
+// tracked range acts on its in-range lines only. A store captures them
+// without peeking past hi, an NT range persists the whole lines it covers
+// in range, ranges wholly outside (or wrapping past 2^64) are ignored, and
+// SetBacking rejects an inverted or unaligned range.
+func TestPersistHooksClipToBacking(t *testing.T) {
+	m := NewMachine(tinyCacheConfig())
+	pd := m.EnablePersist(m.NVM, false)
+	const lo, hi = 4096, 4096 + 4*LineSize
+	pd.SetBacking(func(a uint64) uint64 {
+		if a < lo || a >= hi {
+			t.Fatalf("peek at %#x, outside [%#x, %#x)", a, lo, hi)
+		}
+		return a
+	}, func(uint64, uint64) {}, lo, hi)
+	pd.OnStore(m.NVM, hi-LineSize+8, 2*LineSize)    // straddles hi
+	pd.OnStoreQuiet(m.NVM, lo-LineSize, 2*LineSize) // straddles lo
+	pd.OnStore(m.NVM, hi, 8)
+	pd.OnStore(m.NVM, math.MaxUint64-7, LineSize)
+	if got := pd.DirtyLines(); !slices.Equal(got, []uint64{lo, hi - LineSize}) {
+		t.Fatalf("dirty lines %#x, want [%#x %#x]", got, lo, hi-LineSize)
+	}
+	if s := pd.Stats(); s.TrackedStores != 1 {
+		t.Fatalf("%d tracked stores, want 1", s.TrackedStores)
+	}
+	pd.OnNT(m.NVM, lo-LineSize, 2*LineSize)
+	pd.OnNT(m.NVM, hi-LineSize+8, 2*LineSize) // leaves the partly covered line dirty
+	if got := pd.DirtyLines(); !slices.Equal(got, []uint64{hi - LineSize}) {
+		t.Fatalf("after NT: dirty lines %#x, want [%#x]", got, hi-LineSize)
+	}
+	for _, r := range [][2]uint64{{hi, lo}, {lo + 8, hi}, {lo, hi + 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetBacking(%#x, %#x) did not panic", r[0], r[1])
+				}
+			}()
+			pd.SetBacking(nil, nil, r[0], r[1])
+		}()
+	}
+}
+
+// persistCycleLines are 4096 lines spread over eight directory pages.
+func persistCycleLines() []uint64 {
+	lines := make([]uint64, 4096)
+	for i := range lines {
+		lines[i] = uint64(i%8)<<20 + uint64(i/8)*3*LineSize
+	}
+	return lines
+}
+
+func newCycleDomain() (*Machine, *PersistDomain) {
+	m := NewMachine(tinyCacheConfig())
+	pd := m.EnablePersist(m.NVM, false)
+	pd.SetBacking(func(a uint64) uint64 { return a }, func(uint64, uint64) {}, 0, 8<<20)
+	return m, pd
+}
+
+// TestPersistCaptureAllocs: once the directory pages, the shadow blocks and
+// the free and pending lists have grown, dirty -> evict or CLWB + fence ->
+// re-dirty cycles allocate nothing.
+func TestPersistCaptureAllocs(t *testing.T) {
+	m, pd := newCycleDomain()
+	lines := persistCycleLines()
+	cycle := func() {
+		for _, la := range lines {
+			pd.OnStore(m.NVM, la+8, 8)
+		}
+		for i, la := range lines {
+			if i%2 == 0 {
+				pd.onEvict(m.NVM, la)
+			} else {
+				pd.onCLWB(m.NVM, la)
+			}
+		}
+		pd.onFence()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("%v allocations per cycle of %d lines, want 0", n, len(lines))
+	}
+	if s := pd.Stats(); s.DirtyLines != 0 || s.PendingLines != 0 {
+		t.Fatalf("cycle leaves %d dirty / %d pending lines", s.DirtyLines, s.PendingLines)
+	}
+}
+
+// BenchmarkPersistCapture times the ADR line bookkeeping per line: capture
+// (a store to a persisted line takes a slot and copies the line's eight
+// words) and evict (a dirty line's write-back releases its slot), over the
+// lines of TestPersistCaptureAllocs.
+func BenchmarkPersistCapture(b *testing.B) {
+	lines := persistCycleLines()
+	for _, timed := range []string{"capture", "evict"} {
+		b.Run(timed, func(b *testing.B) {
+			m, pd := newCycleDomain()
+			timer := func(on bool) {
+				if on {
+					b.StartTimer()
+				} else {
+					b.StopTimer()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += len(lines) {
+				batch := lines[:min(len(lines), b.N-done)]
+				timer(timed == "capture")
+				for _, la := range batch {
+					pd.OnStore(m.NVM, la, 8)
+				}
+				timer(timed == "evict")
+				for _, la := range batch {
+					pd.onEvict(m.NVM, la)
+				}
+			}
+			b.StopTimer()
+		})
 	}
 }
