@@ -80,8 +80,8 @@ fleet-smoke: build
 # does the same for 10s with the fleet's traffic parameters (hostile
 # sizes, rates and times must come back as errors, and every replay that
 # does come back must be whole), for 10s with the fleet merge's series
-# shapes (the serial and the two-halves merge must both equal the sorted
-# concatenation, bit for bit), for 10s with the zipfian rank table
+# shapes (the merge must equal the stable sort of the concatenation, bit
+# for bit), for 10s with the zipfian rank table
 # (every table-backed draw must equal the formula's and stay in range),
 # for 10s with the server queue (every completion must equal the
 # binary-search timeline and plain-scan pool's), for 10s each with the

@@ -104,44 +104,6 @@ func TestFleetConfigValidateRejects(t *testing.T) {
 	}
 }
 
-// TestFaultTiers pins the shared fault-topology helper: no fault flags
-// pass the topology through untouched, fault flags install the model on
-// persistent tiers only — on a copy, never the caller's slice.
-func TestFaultTiers(t *testing.T) {
-	if got := faultTiers(nil, 0, 0, 1); got != nil {
-		t.Fatalf("no faults on nil topology should stay nil, got %v", got)
-	}
-	got := faultTiers(nil, 4096, 100, 7)
-	if len(got) == 0 {
-		t.Fatal("fault flags on nil topology should build the default pair")
-	}
-	for _, ts := range got {
-		if ts.Persistent && ts.Fault.WearThresholdMean != 4096 {
-			t.Fatalf("persistent tier missed the wear model: %+v", ts)
-		}
-		if !ts.Persistent && ts.Fault.WearThresholdMean != 0 {
-			t.Fatalf("volatile tier got a fault model: %+v", ts)
-		}
-	}
-	cfg := memsim.DefaultConfig()
-	orig := memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-	out := faultTiers(orig, 4096, 100, 7)
-	for _, ts := range orig {
-		if ts.Fault.WearThresholdMean != 0 || ts.Fault.TransientReadPPM != 0 {
-			t.Fatal("faultTiers mutated the caller's topology")
-		}
-	}
-	found := false
-	for _, ts := range out {
-		if ts.Persistent && ts.Fault.TransientReadPPM == 100 && ts.Fault.Seed == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("returned topology misses the seeded model: %+v", out)
-	}
-}
-
 // TestRunFleetSmoke drives the whole -fleet path into a buffer.
 func TestRunFleetSmoke(t *testing.T) {
 	var b bytes.Buffer
@@ -189,8 +151,25 @@ func TestFleetRejectsHostFlags(t *testing.T) {
 	}
 }
 
+// TestFaultFlagsNeedPersistentTier: fault flags on a topology with no
+// persistent tier are a usage error naming both (exit 2), on the
+// single-app path and under -fleet, not a run that reports zero faults.
+func TestFaultFlagsNeedPersistentTier(t *testing.T) {
+	volatile := []string{"-topology", "local-dram,remote-dram", "-fault-wear", "64", "-fault-ppm", "5000", "-scale", "0.05"}
+	for _, args := range [][]string{
+		append([]string{"-app", "page-rank"}, volatile...),
+		append([]string{"-fleet", "-fleet-instances", "1"}, volatile...),
+	} {
+		code, stderr := gcsim(t, args...)
+		if code != 2 || !strings.Contains(stderr, "-fault-wear/-fault-ppm") || !strings.Contains(stderr, `"local-dram,remote-dram"`) {
+			t.Errorf("%v: exit %d, stderr %q: want exit 2 naming the flags and the topology", args, code, stderr)
+		}
+	}
+}
+
 // FuzzParseTopology: every tier list -topology accepts builds a machine
-// (NewMachine panics on the lists it rejects).
+// (NewMachine panics on the lists it rejects); the empty flag's nil list
+// keeps the default pair.
 func FuzzParseTopology(f *testing.F) {
 	for _, s := range []string{"", "local-dram,remote-dram,nvm=optane", "optane,optane", "local-dram,=optane",
 		"nvm=optane,nvm=remote-dram", "a=b=optane", " eadr-nvm , dram=local-dram", ","} {
@@ -203,10 +182,14 @@ func FuzzParseTopology(f *testing.F) {
 		}
 		mc := memsim.DefaultConfig()
 		mc.TraceBucket = 0
-		mc.Tiers = tiers
+		if tiers != nil {
+			mc.Tiers = tiers
+		} else if s != "" {
+			t.Fatalf("%q: accepted as the default topology", s)
+		}
 		m := memsim.NewMachine(mc)
-		if got := len(m.Topology().Tiers()); got != len(mc.TierSpecs()) {
-			t.Fatalf("%q: machine has %d tiers, want %d", s, got, len(mc.TierSpecs()))
+		if got := len(m.Topology().Tiers()); got != len(mc.Tiers) {
+			t.Fatalf("%q: machine has %d tiers, want %d", s, got, len(mc.Tiers))
 		}
 	})
 }

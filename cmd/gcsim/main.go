@@ -169,7 +169,21 @@ func main() {
 	if !*trace {
 		host.Machine.TraceBucket = 0
 	}
-	host.Machine.Tiers = faultTiers(tiers, *faultWear, *faultPPM, *seed)
+	if tiers != nil {
+		host.Machine.Tiers = tiers
+	}
+	if *faultWear > 0 || *faultPPM > 0 {
+		if !slices.ContainsFunc(host.Machine.Tiers, func(t memsim.TierSpec) bool { return t.Persistent }) {
+			fmt.Fprintf(os.Stderr, "gcsim: -fault-wear/-fault-ppm: -topology %q has no persistent tier to fault\n", *topology)
+			os.Exit(2)
+		}
+		// One seed drives the wear thresholds and the transient draws, so
+		// a faulty run is exactly reproducible.
+		host.Machine.Tiers = memsim.WithFault(host.Machine.Tiers, memsim.FaultModel{
+			Seed: *seed, TransientReadPPM: *faultPPM, DegradeUETrip: 32,
+			WearThresholdMean: *faultWear, WearThresholdSpread: *faultWear / 4,
+		})
+	}
 	flagPlace := heap.PlacementPolicy{Eden: *youngTier, Survivor: *youngTier, Cache: *cacheTier, Meta: *metaTier}
 	if err := validatePlacement(flagPlace, host.Machine); err != nil {
 		fatal(err)
@@ -378,39 +392,10 @@ func parseTopology(s string) ([]memsim.TierSpec, error) {
 	return specs, nil
 }
 
-// faultTiers installs a seeded media-fault model on every persistent
-// tier of the topology (the default dram+nvm pair when tiers is nil);
-// the same seed drives the wear thresholds and transient draws, so a
-// faulty run is exactly reproducible. Nil-in stays nil when no fault
-// flags are set. Shared by the single-app path and the fleet simulator.
-func faultTiers(tiers []memsim.TierSpec, wear, ppm int64, seed uint64) []memsim.TierSpec {
-	if wear <= 0 && ppm <= 0 {
-		return tiers
-	}
-	// Copy before installing the model: the caller's slice may be shared.
-	mc := memsim.DefaultConfig()
-	mc.Tiers = tiers
-	tiers = slices.Clone(mc.TierSpecs())
-	fm := memsim.FaultModel{
-		Seed:                seed,
-		TransientReadPPM:    ppm,
-		WearThresholdMean:   wear,
-		WearThresholdSpread: wear / 4,
-		DegradeUETrip:       32,
-	}
-	for i := range tiers {
-		if tiers[i].Persistent {
-			tiers[i].Fault = fm
-		}
-	}
-	return tiers
-}
-
 // validatePlacement rejects *-tier flags naming tiers absent from the
-// machine mc builds (the default dram/nvm pair when -topology is not
-// given).
+// machine mc builds.
 func validatePlacement(place heap.PlacementPolicy, mc memsim.Config) error {
-	tiers := mc.TierSpecs()
+	tiers := mc.Tiers
 	names := make([]string, len(tiers))
 	known := make(map[string]bool, len(tiers))
 	for i, ts := range tiers {

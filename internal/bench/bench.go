@@ -66,23 +66,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// tierSpecs resolves Params.NVMTier into an explicit machine topology: the
-// standard DRAM tier plus the substituted persistent tier, which keeps the
-// conventional name "nvm" so every legacy placement keeps resolving. Nil
-// when no substitution was requested.
-func (p Params) tierSpecs() []memsim.TierSpec {
-	if p.NVMTier == "" {
-		return nil
-	}
-	spec, ok := memsim.BuiltinTier(p.NVMTier)
-	if !ok {
-		panic("bench: Params not validated: " + p.NVMTier)
-	}
-	spec.Name = "nvm"
-	spec.Persistent = true
-	return []memsim.TierSpec{{Name: "dram", Profile: memsim.DRAMProfile()}, spec}
-}
-
 func (p Params) scale() float64 {
 	if p.Scale <= 0 {
 		return 0.5
@@ -220,7 +203,9 @@ func ByID(id string) (Experiment, bool) {
 
 // machineConfig is the standard simulated host for every experiment, and
 // the only place the run-wide machine parameters reach one: the scheduler
-// mode and the -nvm-tier substitution. A spec that declares its own
+// mode and the -nvm-tier substitution, which swaps the default "nvm" tier
+// for the named built-in one (kept under the name "nvm", and persistent,
+// so every placement keeps resolving). A spec that declares its own
 // topology replaces Tiers afterwards.
 func (p Params) machineConfig(trace bool) memsim.Config {
 	cfg := memsim.DefaultConfig()
@@ -228,7 +213,11 @@ func (p Params) machineConfig(trace bool) memsim.Config {
 		cfg.TraceBucket = 0
 	}
 	cfg.EagerYield = p.EagerYield
-	cfg.Tiers = p.tierSpecs()
+	if p.NVMTier != "" {
+		spec := memsim.MustBuiltinTier(p.NVMTier)
+		spec.Name, spec.Persistent = "nvm", true
+		cfg.Tiers[1] = spec
+	}
 	return cfg
 }
 

@@ -27,7 +27,6 @@ import (
 type crashSweepConfig struct {
 	name     string
 	opt      gc.Options
-	eADR     bool
 	barriers bool // false: the documented-unrecoverable baseline
 }
 
@@ -41,7 +40,7 @@ func crashSweepConfigs(quick bool) []crashSweepConfig {
 		{name: "vanilla+adr", opt: adr(gc.Vanilla()), barriers: true},
 		{name: "writecache+adr", opt: adr(gc.WithWriteCache()), barriers: true},
 		{name: "all+adr", opt: adr(all), barriers: true},
-		{name: "all+eadr", opt: allE, eADR: true, barriers: true},
+		{name: "all+eadr", opt: allE, barriers: true},
 		{name: "vanilla+none", opt: gc.Vanilla()},
 	}
 	if quick {
@@ -54,12 +53,20 @@ func crashSweepConfigs(quick bool) []crashSweepConfig {
 // persistence-tracked machine, a small heap, a synthetic object graph
 // (chains, primitive arrays, old-space holders with young references),
 // a collector, and the pre-GC live graph. Mutator data is declared
-// durable before GC entry — the campaign contract.
+// durable before GC entry — the campaign contract. It assembles its own
+// host rather than calling workload.NewHost: the barrier-free baseline
+// needs a persistence domain its collector does not ask for.
 func newCrashSweepEnv(cc crashSweepConfig, seed uint64) (*heap.Heap, *memsim.Machine, *gc.G1, *check.Snapshot, error) {
-	mc := Params{}.machineConfig(false) // the campaign pins its platform: Optane under ADR/eADR
+	// The campaign pins its platform: Optane behind ADR, or behind eADR
+	// for the collector that assumes it.
+	var p Params
+	if cc.opt.Persist == gc.PersistEADR {
+		p.NVMTier = "eadr-nvm"
+	}
+	mc := p.machineConfig(false)
 	mc.LLCBytes = 1 << 17
 	m := memsim.NewMachine(mc)
-	m.EnablePersist(m.NVM, cc.eADR)
+	m.EnablePersist(m.NVM, m.TierOf(m.NVM).EADR())
 	hc := heap.DefaultConfig()
 	hc.RegionBytes = 16 << 10
 	hc.HeapRegions = 256

@@ -10,6 +10,7 @@ import (
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
 	"nvmgc/internal/par"
+	"nvmgc/internal/workload"
 )
 
 // The fault sweep is the media-error companion to the crash sweep: it runs
@@ -53,24 +54,21 @@ func faultSweepThresholds(quick bool) []int64 {
 	return []int64{8, 16, 32, 64}
 }
 
-// newFaultSweepEnv builds one fresh, fully deterministic environment: a
-// machine whose NVM tier carries the point's wear model, a small all-NVM
-// heap, and a collector. The model seed folds the sweep seed so re-seeding
+// newFaultSweepEnv builds one fresh, fully deterministic host: a machine
+// whose NVM tier carries the point's wear model, a small all-NVM heap,
+// and a G1 collector. The model seed folds the sweep seed so re-seeding
 // the sweep re-seeds every fault draw.
-func newFaultSweepEnv(fc faultSweepConfig, threshold int64, seed uint64) (*heap.Heap, *memsim.Machine, *gc.G1, error) {
-	mc := Params{}.machineConfig(false) // the point declares its own topology below
-	mc.LLCBytes = 1 << 17
-	tiers := mc.TierSpecs()
-	tiers[1].Fault = memsim.FaultModel{
+func newFaultSweepEnv(fc faultSweepConfig, threshold int64, seed uint64) (workload.Host, error) {
+	s := workload.HostSpec{Machine: Params{}.machineConfig(false), Heap: heap.DefaultConfig(), Opt: fc.opt}
+	s.Machine.LLCBytes = 1 << 17
+	s.Machine.Tiers = memsim.WithFault(s.Machine.Tiers, memsim.FaultModel{
 		Seed:                seed ^ 0xfa17_0000,
 		TransientReadPPM:    2000,
 		WearThresholdMean:   threshold,
 		WearThresholdSpread: threshold / 4,
 		DegradeUETrip:       24,
-	}
-	mc.Tiers = tiers
-	m := memsim.NewMachine(mc)
-	hc := heap.DefaultConfig()
+	})
+	hc := &s.Heap
 	hc.RegionBytes = 16 << 10
 	hc.HeapRegions = 128
 	hc.CacheRegions = 32
@@ -79,15 +77,7 @@ func newFaultSweepEnv(fc faultSweepConfig, threshold int64, seed uint64) (*heap.
 	hc.AuxBytes = 2 << 20
 	hc.RootSlots = 1 << 13
 	hc.Poison = true
-	h, err := heap.New(m, hc)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := gc.NewG1(h, fc.opt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return h, m, g, nil
+	return workload.NewHost(s)
 }
 
 // faultChurn drives rounds of allocate+collect until the tier is exhausted
@@ -104,7 +94,7 @@ type faultChurnOut struct {
 	pause     memsim.Time
 }
 
-func faultChurn(h *heap.Heap, m *memsim.Machine, g *gc.G1, rounds, threads int, seed uint64) (faultChurnOut, error) {
+func faultChurn(h *heap.Heap, m *memsim.Machine, g gc.Collector, rounds, threads int, seed uint64) (faultChurnOut, error) {
 	node, err := h.Klasses.Define("node", 6, []int32{2, 3})
 	if err != nil {
 		return faultChurnOut{}, err
@@ -231,11 +221,12 @@ func FaultSweep(p Params) (*Report, error) {
 	outs, err := par.Map(len(points), p.Parallel, func(i int) (pointOut, error) {
 		pt := points[i]
 		fc := cfgs[pt.cfg]
-		h, m, g, err := newFaultSweepEnv(fc, pt.th, p.seed())
+		host, err := newFaultSweepEnv(fc, pt.th, p.seed())
 		if err != nil {
 			return pointOut{}, err
 		}
-		churn, err := faultChurn(h, m, g, rounds, threads, p.seed())
+		h, m := host.H, host.M
+		churn, err := faultChurn(h, m, host.Col, rounds, threads, p.seed())
 		if err != nil {
 			return pointOut{}, fmt.Errorf("fault sweep: %s threshold %d: %w", fc.name, pt.th, err)
 		}

@@ -126,8 +126,12 @@ func FleetBench(p Params) (*Report, error) {
 			maxSize, rates[len(rates)-1], v/a, v, a))
 	}
 	if pa, a := headline["persistent"], headline["all"]; a > 0 {
+		domain := "ADR"
+		if mc.Tiers[1].EADR {
+			domain = "eADR"
+		}
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"persist barriers (ADR) give back %.2fms of that p999 headroom (persistent %.2fms)", pa-a, pa))
+			"persist barriers (%s) give back %.2fms of that p999 headroom (persistent %.2fms)", domain, pa-a, pa))
 	}
 	return rep, nil
 }

@@ -149,8 +149,8 @@ func TestHeapConfigModes(t *testing.T) {
 		}
 	}
 	var p Params
-	if !strings.Contains(p.machineConfig(true).DRAM.Kind.String(), "DRAM") {
-		t.Fatal("machine config broken")
+	if mc := p.machineConfig(true); len(mc.Tiers) != 2 || mc.Tiers[1] != memsim.DefaultConfig().Tiers[1] {
+		t.Fatalf("machine config broken: %+v", mc.Tiers)
 	}
 	if p.machineConfig(false).TraceBucket != 0 {
 		t.Fatal("tracing should be off when not requested")

@@ -9,6 +9,7 @@ import (
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/par"
+	"nvmgc/internal/workload"
 )
 
 // Config names one collector configuration the differential campaign
@@ -117,22 +118,23 @@ func FaultConfigs() []Config {
 	return out
 }
 
-// newEnv builds a small, GC-frequent machine+heap for one replay. The
-// 3-tier topology adds a remote-DRAM tier and places the write cache on
-// it, so the campaign also covers the pluggable-placement paths.
-func newEnv(topology string, fault memsim.FaultModel) (*memsim.Machine, *heap.Heap, error) {
-	cfg := memsim.DefaultConfig()
-	cfg.LLCBytes = 1 << 16
-	if topology == "3tier" {
-		cfg.Tiers = append(cfg.TierSpecs(),
+// newEnv builds a small, GC-frequent host for one replay of c: the
+// machine, the heap, and c's collector (an option-free G1 under the
+// reference replay, which ignores it). The 3-tier topology adds a remote-DRAM tier
+// and places the write cache on it, so the campaign also covers the
+// pluggable-placement paths.
+func newEnv(c Config) (workload.Host, error) {
+	s := workload.HostSpec{Machine: memsim.DefaultConfig(), Heap: heap.DefaultConfig(), PS: c.Collector == "ps", Opt: c.Opt}
+	s.Machine.LLCBytes = 1 << 16
+	hc := &s.Heap
+	if c.Topology == "3tier" {
+		s.Machine.Tiers = append(s.Machine.Tiers,
 			memsim.TierSpec{Name: "remote-dram", Profile: memsim.RemoteDRAMProfile(), Interleave: 6})
+		hc.Placement.Cache = "remote-dram"
 	}
-	if fault.Enabled() {
-		cfg.Tiers = cfg.TierSpecs()
-		cfg.Tiers[1].Fault = fault // the "nvm" tier of DefaultTierSpecs
+	if c.Fault.Enabled() {
+		s.Machine.Tiers = memsim.WithFault(s.Machine.Tiers, c.Fault)
 	}
-	m := memsim.NewMachine(cfg)
-	hc := heap.DefaultConfig()
 	hc.RegionBytes = 4 << 10
 	hc.HeapRegions = 64
 	hc.CacheRegions = 16
@@ -141,23 +143,21 @@ func newEnv(topology string, fault memsim.FaultModel) (*memsim.Machine, *heap.He
 	hc.AuxBytes = 1 << 20
 	hc.RootSlots = 512
 	hc.Poison = true
-	if topology == "3tier" {
-		hc.Placement.Cache = "remote-dram"
-	}
-	h, err := heap.New(m, hc)
+	host, err := workload.NewHost(s)
 	if err != nil {
-		return nil, nil, err
+		return workload.Host{}, err
 	}
+	h := host.H
 	if _, err := h.Klasses.Define("node", 8, []int32{2, 3}); err != nil {
-		return nil, nil, err
+		return workload.Host{}, err
 	}
 	if _, err := h.Klasses.DefineArray("prim[]", false); err != nil {
-		return nil, nil, err
+		return workload.Host{}, err
 	}
 	if _, err := h.Klasses.DefineArray("ref[]", true); err != nil {
-		return nil, nil, err
+		return workload.Host{}, err
 	}
-	return m, h, nil
+	return host, nil
 }
 
 // statsSane checks one collection's figures for internal consistency
@@ -184,17 +184,17 @@ func statsSane(s gc.CollectionStats) error {
 // RunTrace replays one trace under one configuration on a fresh
 // environment.
 func RunTrace(c Config, ops []Op) (*Result, error) {
-	m, h, err := newEnv(c.Topology, c.Fault)
+	host, err := newEnv(c)
 	if err != nil {
 		return nil, err
 	}
-	return runTraceOn(c, m, h, ops)
+	return runTraceOn(c, host, ops)
 }
 
 // runTraceOn replays one trace on a caller-built environment (tests use
 // this to inspect the machine afterwards).
-func runTraceOn(c Config, m *memsim.Machine, h *heap.Heap, ops []Op) (*Result, error) {
-	var err error
+func runTraceOn(c Config, host workload.Host, ops []Op) (*Result, error) {
+	h := host.H
 	var collect func(kind int) error
 	switch c.Collector {
 	case "ref":
@@ -211,15 +211,7 @@ func runTraceOn(c Config, m *memsim.Machine, h *heap.Heap, ops []Op) (*Result, e
 			return check.AtBoundary(check.PostGC, check.State{Heap: h})
 		}
 	case "g1", "ps":
-		var col gc.Collector
-		if c.Collector == "g1" {
-			col, err = gc.NewG1(h, c.Opt)
-		} else {
-			col, err = gc.NewPS(h, c.Opt)
-		}
-		if err != nil {
-			return nil, err
-		}
+		col := host.Col
 		collect = func(kind int) error {
 			var s gc.CollectionStats
 			var err error
@@ -239,7 +231,7 @@ func runTraceOn(c Config, m *memsim.Machine, h *heap.Heap, ops []Op) (*Result, e
 	default:
 		return nil, fmt.Errorf("oracle: unknown collector %q", c.Collector)
 	}
-	return Replay(h, m, collect, ops)
+	return Replay(h, host.M, collect, ops)
 }
 
 // diffResults compares a configuration's replay against the reference's:

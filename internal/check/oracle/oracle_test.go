@@ -87,11 +87,12 @@ func TestFaultArmInjects(t *testing.T) {
 	}
 	var hardErrors, retired int
 	for _, c := range FaultConfigs() {
-		m, h, err := newEnv(c.Topology, c.Fault)
+		host, err := newEnv(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runTraceOn(c, m, h, ops)
+		m, h := host.M, host.H
+		res, err := runTraceOn(c, host, ops)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}

@@ -12,8 +12,8 @@
 // Instances fan out over the internal/par host pool like the bench
 // harness: each instance is an independent machine, deterministic given
 // its derived seed, and the traffic simulation over the merged pause
-// timelines is host math whose helper goroutines decide no value or
-// order — so every fleet figure is byte-identical at any -parallel
+// timelines is host math whose draw producer goroutine decides no value
+// or order — so every fleet figure is byte-identical at any -parallel
 // setting, on any number of host cores, and in both scheduler modes.
 package fleet
 
@@ -72,8 +72,9 @@ type Config struct {
 	// EagerYield runs every instance machine in the reference
 	// scheduling mode; results are identical.
 	EagerYield bool
-	// Tiers, when non-empty, replaces each instance machine's default
-	// dram+nvm topology (e.g. to install a media-fault model).
+	// Tiers, when non-nil, replaces each instance machine's default
+	// dram+nvm topology (e.g. to install a media-fault model or an eADR
+	// tier).
 	Tiers []memsim.TierSpec
 	// Record retains per-request routing traces (tests only).
 	Record bool
@@ -202,7 +203,9 @@ func runInstance(c Config, spec workload.Spec, id int) (Instance, error) {
 	s := workload.KeyedHost()
 	s.Machine.TraceBucket = 0
 	s.Machine.EagerYield = c.EagerYield
-	s.Machine.Tiers = c.Tiers
+	if c.Tiers != nil {
+		s.Machine.Tiers = c.Tiers
+	}
 	for _, ts := range c.Tiers {
 		if ts.Fault.Enabled() {
 			s.Heap.Poison = true // poison tracking, like the fault sweep

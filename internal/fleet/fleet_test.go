@@ -100,15 +100,13 @@ func TestFleetSeedsStagger(t *testing.T) {
 // transient-fault count, and the aggressive wear threshold must actually
 // retire lines.
 func TestFleetFaultTier(t *testing.T) {
-	mc := memsim.DefaultConfig()
-	tiers := memsim.DefaultTierSpecs(mc.DRAM, mc.NVM)
-	tiers[1].Fault = memsim.FaultModel{
+	tiers := memsim.WithFault(memsim.DefaultConfig().Tiers, memsim.FaultModel{
 		Seed:                0xfa17,
 		TransientReadPPM:    2000,
 		WearThresholdMean:   24,
 		WearThresholdSpread: 6,
 		DegradeUETrip:       24,
-	}
+	})
 	cfg := testConfig()
 	cfg.Instances = 2
 	cfg.Tiers = tiers

@@ -11,13 +11,13 @@ import (
 )
 
 // FuzzMergeSorted draws series from fuzzed shapes — up to MaxInstances+1
-// groups, up to twice splitMin values, a palette of `distinct` integers
-// (ties), and flag bits for both zeros, the clamped NaN pair, one
-// dominant group and empty groups — and holds the serial merge, the
-// split merge and MergeSorted to the sorted concatenation, bit for bit.
+// groups, up to 2^17 values, a palette of `distinct` integers (ties), and
+// flag bits for both zeros, the clamped NaN pair, one dominant group and
+// empty groups — and holds MergeSorted to the stable sort of the
+// concatenation, bit for bit.
 func FuzzMergeSorted(f *testing.F) {
-	f.Add(uint64(1), uint16(8), uint32(splitMin), uint16(1000), uint8(0))
-	f.Add(uint64(2), uint16(MaxInstances), uint32(splitMin+1), uint16(3), uint8(0b1111))
+	f.Add(uint64(1), uint16(8), uint32(1<<16), uint16(1000), uint8(0))
+	f.Add(uint64(2), uint16(MaxInstances), uint32(1<<16+1), uint16(3), uint8(0b1111))
 	f.Add(uint64(3), uint16(0), uint32(5), uint16(0), uint8(0b0010))
 	f.Fuzz(func(t *testing.T, seed uint64, k uint16, n uint32, distinct uint16, flags uint8) {
 		rng := rand.New(rand.NewPCG(seed, 0x4E26E))
@@ -33,7 +33,7 @@ func FuzzMergeSorted(f *testing.F) {
 			}
 			return float64(rng.IntN(palette) - palette/2)
 		}
-		groups := mergeGroups(rng, 1+int(k)%(MaxInstances+1), int(n%(2*splitMin)), flags&4 != 0, flags&8 != 0, draw)
+		groups := mergeGroups(rng, 1+int(k)%(MaxInstances+1), int(n%(1<<17)), flags&4 != 0, flags&8 != 0, draw)
 		checkMerge(t, "fuzzed", groups)
 	})
 }

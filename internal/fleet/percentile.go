@@ -3,8 +3,6 @@ package fleet
 import (
 	"math"
 	"math/bits"
-	"runtime"
-	"sort"
 )
 
 // This file is the fleet's merge math. Fleet-wide latency figures are
@@ -29,56 +27,8 @@ func MergeSorted(groups [][]float64) []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	if n < splitMin || runtime.GOMAXPROCS(0) < 2 {
-		mergeInto(out, groups)
-	} else {
-		mergeSplit(out, groups)
-	}
-	return out
-}
-
-// splitMin is the merged length from which MergeSorted runs as two
-// halves when a second core can take one: a goroutine hand-off costs
-// microseconds, a million-element merge milliseconds.
-const splitMin = 1 << 16
-
-// mergeSplit merges groups into out as two independent merges, the
-// lower on a second goroutine. The pivot is the key of the longest
-// series' median; each series is cut at its first key at or above it.
-// Every element below the pivot leaves the serial merge before every
-// element at or above it, and elements with equal keys — equal bit
-// patterns, or the two NaNs headKey clamps together — all fall on one
-// side, in the same group-index order. So out is, bit for bit, what one
-// merge writes, however many cores ran it.
-func mergeSplit(out []float64, groups [][]float64) {
-	longest := groups[0]
-	for _, g := range groups[1:] {
-		if len(g) > len(longest) {
-			longest = g
-		}
-	}
-	pivot := headKey(longest, uint64(len(longest)/2))
-	halves := make([][]float64, 2*len(groups))
-	lower, upper := halves[:len(groups)], halves[len(groups):]
-	cut := 0
-	for i, g := range groups {
-		c := sort.Search(len(g), func(p int) bool { return headKey(g, uint64(p)) >= pivot })
-		lower[i], upper[i] = g[:c], g[c:]
-		cut += c
-	}
-	done := make(chan struct{})
-	go func() {
-		mergeInto(out[:cut], lower)
-		close(done)
-	}()
-	mergeInto(out[cut:], upper)
-	<-done
-}
-
-// mergeInto k-way merges groups, whose lengths sum to len(out), into out.
-func mergeInto(out []float64, groups [][]float64) {
 	// The tree is three words per leaf; up to MaxInstances series it
-	// lives on the stack, so a merge allocates nothing.
+	// lives on the stack, so a merge allocates nothing beyond out.
 	leaves := 1
 	for leaves < len(groups) {
 		leaves *= 2
@@ -101,6 +51,7 @@ func mergeInto(out []float64, groups [][]float64) {
 		t.pos[w] = p
 		w = t.replay(w, headKey(g, p))
 	}
+	return out
 }
 
 // loserTree is a tournament over the series' heads. Leaf g is series g,

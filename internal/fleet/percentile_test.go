@@ -110,14 +110,12 @@ func TestMergeSortedManyGroups(t *testing.T) {
 // TestMergeSortedAllocs pins the merge's memory: the result and nothing
 // else up to MaxInstances series (the tree lives on the stack), the
 // result plus one O(k) tree beyond — never a scratch buffer the size of
-// the result, which the pairwise merge this one replaced carried. Above
-// splitMin on two cores the halves add three: their series headers, the
-// done channel, and the goroutine's closure.
+// the result, which the pairwise merge this one replaced carried.
 func TestMergeSortedAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(46, 1))
 	for _, tc := range []struct{ groups, each, want int }{
 		{1, 200, 1}, {8, 200, 1}, {MaxInstances, 200, 1}, {MaxInstances + 1, 200, 2},
-		{8, splitMin / 8, 4},
+		{8, 1 << 13, 1},
 	} {
 		groups := make([][]float64, tc.groups)
 		for i := range groups {
@@ -128,17 +126,8 @@ func TestMergeSortedAllocs(t *testing.T) {
 			sort.Float64s(g)
 			groups[i] = g
 		}
-		merge := MergeSorted
-		if tc.groups*tc.each >= splitMin {
-			// AllocsPerRun runs on one core, where MergeSorted stays serial.
-			merge = func(groups [][]float64) []float64 {
-				out := make([]float64, tc.groups*tc.each)
-				mergeSplit(out, groups)
-				return out
-			}
-		}
 		var merged []float64
-		got := testing.AllocsPerRun(5, func() { merged = merge(groups) })
+		got := testing.AllocsPerRun(5, func() { merged = MergeSorted(groups) })
 		if int(got) != tc.want {
 			t.Errorf("%d groups of %d: %.0f allocations, want %d", tc.groups, tc.each, got, tc.want)
 		}
@@ -181,67 +170,22 @@ func mergeGroups(rng *rand.Rand, k, n int, dominant, sparse bool, draw func() fl
 	return groups
 }
 
-// checkMerge compares, bit for bit, the serial merge, the split merge
-// and MergeSorted with the stable sort of the series' concatenation in
-// keyOrder: equal keys keep group-index order, as the merge promises.
+// checkMerge compares MergeSorted, bit for bit, with the stable sort of
+// the series' concatenation in keyOrder: equal keys keep group-index
+// order, as the merge promises.
 func checkMerge(t *testing.T, name string, groups [][]float64) {
 	t.Helper()
 	want := slices.Concat(groups...)
 	slices.SortStableFunc(want, keyOrder)
-	serial := make([]float64, len(want))
-	mergeInto(serial, groups)
-	split := make([]float64, len(want))
-	mergeSplit(split, groups)
-	for _, got := range []struct {
-		how string
-		out []float64
-	}{{"serial merge", serial}, {"split merge", split}, {"MergeSorted", MergeSorted(groups)}} {
-		if len(got.out) != len(want) {
-			t.Fatalf("%s: %s wrote %d values of %d", name, got.how, len(got.out), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got.out[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: %s[%d] is %#x, the sorted concatenation has %#x",
-					name, got.how, i, math.Float64bits(got.out[i]), math.Float64bits(want[i]))
-			}
-		}
+	got := MergeSorted(groups)
+	if len(got) != len(want) {
+		t.Fatalf("%s: MergeSorted wrote %d values of %d", name, len(got), len(want))
 	}
-}
-
-// TestMergeSortedSplitMatchesSerial holds the two-halves merge to the
-// serial one above splitMin, on the inputs where the pivot cut is most
-// likely to go wrong: ties across groups, both zeros, the clamped NaN
-// (the pivot itself when it fills the longest series), empty groups,
-// one dominant group, all-equal values (an empty lower half), and more
-// groups than the stack tree holds.
-func TestMergeSortedSplitMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewPCG(47, 1))
-	n := splitMin + 999
-	ties := func() float64 { return float64(rng.IntN(16)) }
-	zeros := func() float64 { return [...]float64{-1, math.Copysign(0, -1), 0, 0, 1}[rng.IntN(5)] }
-	nans := func() float64 {
-		if rng.IntN(3) == 0 {
-			return ties()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: MergeSorted[%d] is %#x, the sorted concatenation has %#x",
+				name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
-		return math.Float64frombits(clampedNaN - uint64(rng.IntN(2)))
-	}
-	latencies := func() float64 { return float64(int64(rng.ExpFloat64()*60_000)) / 1e6 }
-	for _, c := range []struct {
-		name             string
-		k                int
-		dominant, sparse bool
-		draw             func() float64
-	}{
-		{"ties across groups", 8, false, false, ties},
-		{"signed zeros", 8, false, false, zeros},
-		{"clamped NaN", 8, false, false, nans},
-		{"clamped NaN in one series", 1, false, false, nans},
-		{"empty groups", 12, false, true, latencies},
-		{"one dominant group", 8, true, false, latencies},
-		{"all equal", 5, false, false, func() float64 { return 2.5 }},
-		{"MaxInstances+1 groups", MaxInstances + 1, false, false, latencies},
-	} {
-		checkMerge(t, c.name, mergeGroups(rng, c.k, n, c.dominant, c.sparse, c.draw))
 	}
 }
 

@@ -14,9 +14,7 @@ func faultEnv(t *testing.T, fm memsim.FaultModel, shape func(*heap.Config)) (*he
 	t.Helper()
 	cfg := memsim.DefaultConfig()
 	cfg.LLCBytes = 1 << 17
-	tiers := memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-	tiers[1].Fault = fm
-	cfg.Tiers = tiers
+	cfg.Tiers = memsim.WithFault(cfg.Tiers, fm)
 	m := memsim.NewMachine(cfg)
 	hc := heap.DefaultConfig()
 	hc.RegionBytes = 16 << 10

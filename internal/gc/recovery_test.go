@@ -61,7 +61,7 @@ func crashEnvLLC(t *testing.T, cc crashConfig, metaTier string, llcBytes int64) 
 	cfg := memsim.DefaultConfig()
 	cfg.LLCBytes = llcBytes
 	if metaTier != "" {
-		cfg.Tiers = append(memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM),
+		cfg.Tiers = append(cfg.Tiers,
 			memsim.TierSpec{Name: "nvm2", Profile: memsim.OptaneProfile(), Persistent: true, Interleave: 6})
 	}
 	m := memsim.NewMachine(cfg)

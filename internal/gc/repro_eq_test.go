@@ -28,15 +28,12 @@ func eqScenarios() []eqScenario {
 			return []memsim.TierSpec{local, remote, nvm}
 		}},
 		{name: "fault-arm", fault: true, tiers: func() []memsim.TierSpec {
-			cfg := memsim.DefaultConfig()
-			tiers := memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-			tiers[1].Fault = memsim.FaultModel{
+			return memsim.WithFault(memsim.DefaultConfig().Tiers, memsim.FaultModel{
 				Seed:                11,
 				TransientReadPPM:    20000,
 				WearThresholdMean:   48,
 				WearThresholdSpread: 9,
-			}
-			return tiers
+			})
 		}},
 	}
 }
@@ -207,10 +204,7 @@ func TestDrainExitsEquivalence(t *testing.T) {
 	journal := Vanilla()
 	journal.Persist = PersistADR
 	wear := eqScenario{name: "wear", fault: true, tiers: func() []memsim.TierSpec {
-		cfg := memsim.DefaultConfig()
-		tiers := memsim.DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-		tiers[1].Fault = memsim.FaultModel{Seed: 3, WearThresholdMean: 4, WearThresholdSpread: 1}
-		return tiers
+		return memsim.WithFault(memsim.DefaultConfig().Tiers, memsim.FaultModel{Seed: 3, WearThresholdMean: 4, WearThresholdSpread: 1})
 	}}
 	cases := []struct {
 		name string

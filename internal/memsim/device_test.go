@@ -57,7 +57,7 @@ func TestBandwidthSaturation(t *testing.T) {
 	// device channel regardless of reader count.
 	p := OptaneProfile()
 	elapsedFor := func(workers int) Time {
-		m := NewMachine(Config{DRAM: DRAMProfile(), NVM: p, LLCBytes: 1 << 14, LLCAssoc: 4, LLCHitLatency: 15})
+		m := NewMachine(Config{Tiers: []TierSpec{{Name: "dram", Profile: DRAMProfile()}, {Name: "nvm", Profile: p, Persistent: true}}, LLCBytes: 1 << 14, LLCAssoc: 4, LLCHitLatency: 15})
 		perWorker := 4 << 20
 		return m.Run(workers, func(w *Worker) {
 			// Distinct addresses per worker so the tiny LLC never hits.

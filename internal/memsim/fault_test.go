@@ -139,9 +139,7 @@ func TestCountLineWritesSpansLines(t *testing.T) {
 func TestDegradedTripSlowsTier(t *testing.T) {
 	run := func(poison int) Time {
 		cfg := DefaultConfig()
-		tiers := DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-		tiers[1].Fault = FaultModel{Seed: 2, WearThresholdMean: 1 << 40, DegradeUETrip: 2}
-		cfg.Tiers = tiers
+		cfg.Tiers = WithFault(cfg.Tiers, FaultModel{Seed: 2, WearThresholdMean: 1 << 40, DegradeUETrip: 2})
 		m := NewMachine(cfg)
 		nvm, _ := m.Topology().Tier("nvm")
 		for i := 0; i < poison; i++ {
@@ -227,5 +225,29 @@ func TestTransientDrawDeterministic(t *testing.T) {
 	}
 	if stuck {
 		t.Fatal("a faulting address never succeeded on retry")
+	}
+}
+
+// TestWithFault: the model lands on every persistent tier and on no
+// volatile one, in a copy; the caller's topology keeps its zero models.
+func TestWithFault(t *testing.T) {
+	orig := append(DefaultConfig().Tiers,
+		TierSpec{Name: "remote-dram", Profile: RemoteDRAMProfile()},
+		TierSpec{Name: "nvm2", Profile: OptaneProfile(), Persistent: true})
+	fm := FaultModel{Seed: 7, TransientReadPPM: 100, WearThresholdMean: 4096}
+	out := WithFault(orig, fm)
+	if len(out) != len(orig) {
+		t.Fatalf("%d tiers in, %d out", len(orig), len(out))
+	}
+	for i, ts := range out {
+		if ts.Persistent != (ts.Fault == fm) {
+			t.Errorf("tier %q (persistent %v) got fault model %+v", ts.Name, ts.Persistent, ts.Fault)
+		}
+		if orig[i].Fault.Enabled() {
+			t.Errorf("WithFault wrote the caller's tier %q", orig[i].Name)
+		}
+	}
+	if got := WithFault(nil, fm); len(got) != 0 {
+		t.Errorf("nil topology came back as %v", got)
 	}
 }

@@ -9,15 +9,10 @@ import (
 
 // Config parameterizes a simulated machine.
 type Config struct {
-	// DRAM and NVM are the profiles of the classic two-tier topology.
-	// They are consulted only when Tiers is empty (see TierSpecs).
-	DRAM Profile
-	NVM  Profile
-
-	// Tiers declares an explicit memory-tier topology (any count, in
-	// reporting order). When empty the machine gets the default two-tier
-	// "dram"/"nvm" set built from the DRAM and NVM profiles above, which
-	// is byte-identical to the pre-topology behavior.
+	// Tiers is the machine's memory: one spec per tier, in reporting
+	// order. It is the only description of the platform, eADR included
+	// (TierSpec.EADR). The slice may be shared by copies of the Config:
+	// clone it before writing to an element.
 	Tiers []TierSpec
 
 	LLCBytes      int64 // last-level cache capacity
@@ -49,27 +44,22 @@ type Config struct {
 // of host time.
 const defaultWatchdogSpins = 1 << 14
 
-// DefaultConfig returns the calibrated default machine: server DRAM, six
-// interleaved Optane DIMMs, and a scaled-down shared LLC (the heap is
-// scaled down from the paper's 16 GB by the same factor).
+// DefaultConfig returns the calibrated default machine: a volatile "dram"
+// tier of server DRAM, a persistent "nvm" tier of six interleaved Optane
+// DIMMs behind an ADR domain, and a scaled-down shared LLC (the heap is
+// scaled down from the paper's 16 GB by the same factor). Each call
+// returns a fresh Tiers slice.
 func DefaultConfig() Config {
 	return Config{
-		DRAM:          DRAMProfile(),
-		NVM:           OptaneProfile(),
+		Tiers: []TierSpec{
+			{Name: "dram", Profile: DRAMProfile()},
+			{Name: "nvm", Profile: OptaneProfile(), Persistent: true},
+		},
 		LLCBytes:      1 << 20,
 		LLCAssoc:      16,
 		LLCHitLatency: 15,
 		TraceBucket:   250 * Microsecond,
 	}
-}
-
-// TierSpecs returns the topology a machine built from c gets: Tiers, or
-// when that is empty the default pair DefaultTierSpecs(DRAM, NVM).
-func (c Config) TierSpecs() []TierSpec {
-	if len(c.Tiers) > 0 {
-		return c.Tiers
-	}
-	return DefaultTierSpecs(c.DRAM, c.NVM)
 }
 
 // PhaseMark labels a point in virtual time (e.g. GC start/end), used to
@@ -115,15 +105,15 @@ type Machine struct {
 	switches int64
 }
 
-// NewMachine builds a machine from the config. An invalid explicit tier
-// topology (empty or duplicate names) is a programming error and panics;
+// NewMachine builds a machine from the config. An invalid tier topology
+// (no tiers, empty or duplicate names) is a programming error and panics;
 // command-line front ends validate tier lists before building machines.
 func NewMachine(cfg Config) *Machine {
 	wd := cfg.WatchdogSpins
 	if wd == 0 {
 		wd = defaultWatchdogSpins
 	}
-	topo, err := NewTopology(cfg.TierSpecs(), cfg.TraceBucket)
+	topo, err := NewTopology(cfg.Tiers, cfg.TraceBucket)
 	if err != nil {
 		panic(err)
 	}

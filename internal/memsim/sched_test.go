@@ -162,9 +162,7 @@ func runWearWorkload(workers int, eager bool) wearSnapshot {
 	cfg.LLCBytes = 1 << 16
 	cfg.LLCAssoc = 4
 	cfg.EagerYield = eager
-	tiers := DefaultTierSpecs(cfg.DRAM, cfg.NVM)
-	tiers[1].Fault = FaultModel{Seed: 42, WearThresholdMean: 6, WearThresholdSpread: 2, DegradeUETrip: 4}
-	cfg.Tiers = tiers
+	cfg.Tiers = WithFault(cfg.Tiers, FaultModel{Seed: 42, WearThresholdMean: 6, WearThresholdSpread: 2, DegradeUETrip: 4})
 	m := NewMachine(cfg)
 	m.Run(workers, func(w *Worker) {
 		base := uint64(w.ID()) << 18

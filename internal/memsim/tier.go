@@ -2,13 +2,15 @@ package memsim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // TierSpec declares one memory tier of a machine topology: a named device
 // instance built from a Profile plus the attributes the GC stack reads
 // instead of asking "is this DRAM?" — persistence-domain membership and
-// the eADR property. CapacityBytes and Interleave are descriptive
+// the eADR property (workload.NewHost builds the persistence domain from
+// the persistent tier's). CapacityBytes and Interleave are descriptive
 // configuration (reported by tooling; the bandwidth model already folds
 // interleaving into the profile's aggregate numbers).
 type TierSpec struct {
@@ -126,16 +128,17 @@ func (tp *Topology) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// DefaultTierSpecs returns the classic two-tier topology every machine
-// had before topologies became configurable: a volatile "dram" tier and a
-// persistent "nvm" tier built from the given profiles. Machines built
-// from a Config with no explicit Tiers use exactly this set, which keeps
-// every default-topology result byte-identical to the fixed-pair era.
-func DefaultTierSpecs(dram, nvm Profile) []TierSpec {
-	return []TierSpec{
-		{Name: "dram", Profile: dram},
-		{Name: "nvm", Profile: nvm, Persistent: true},
+// WithFault returns a copy of tiers with the media-fault model fm on
+// every persistent tier; volatile tiers and the caller's slice are left
+// as they are.
+func WithFault(tiers []TierSpec, fm FaultModel) []TierSpec {
+	out := slices.Clone(tiers)
+	for i := range out {
+		if out[i].Persistent {
+			out[i].Fault = fm
+		}
 	}
+	return out
 }
 
 // builtinTiers is the registry of named tier profiles selectable from the

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"nvmgc/internal/gc"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
@@ -47,15 +49,22 @@ type Host struct {
 }
 
 // NewHost assembles machine → heap → collector, the one sequence every
-// figure, CLI, fleet instance and example runs a scenario on. A
+// figure, CLI, fleet instance, the fault sweep and the selfcheck run on. A
 // crash-consistent collector (Opt.Persist set) gets what it needs on the
 // way: a persistence domain tracking the machine's persistent tier,
 // attached before the heap exists so the heap registers its backing
-// store with it, and a journal area in the heap's metadata space.
+// store with it, and a journal area in the heap's metadata space. The
+// tier, not the collector, says whether the CPU caches are inside that
+// domain: an ADR collector on an eADR tier gets an eADR domain, and a
+// PersistEADR collector on an ADR tier is an error.
 func NewHost(s HostSpec) (Host, error) {
 	m := memsim.NewMachine(s.Machine)
 	if s.Opt.Persist != gc.PersistNone {
-		m.EnablePersist(m.NVM, s.Opt.Persist == gc.PersistEADR)
+		tier := m.TierOf(m.NVM)
+		if s.Opt.Persist == gc.PersistEADR && !tier.EADR() {
+			return Host{}, fmt.Errorf("workload: Persist %v needs an eADR platform; tier %q is not one", s.Opt.Persist, tier.Spec().Name)
+		}
+		m.EnablePersist(m.NVM, tier.EADR())
 		if s.Heap.MetaBytes == 0 {
 			s.Heap.MetaBytes = 1 << 20
 		}

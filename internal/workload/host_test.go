@@ -2,9 +2,12 @@ package workload
 
 import (
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"nvmgc/internal/gc"
+	"nvmgc/internal/memsim"
 )
 
 // TestNewHostWiring: the assembly owns collector selection and the
@@ -36,27 +39,60 @@ func TestNewHostWiring(t *testing.T) {
 		t.Fatalf("ps=true built collector %q", ps.Col.Name())
 	}
 
-	for _, mode := range []gc.Persistence{gc.PersistADR, gc.PersistEADR} {
+	// The persistent tier owns eADR: each collector mode on each platform
+	// gets the tier's domain, and only an eADR collector on an ADR tier
+	// is refused.
+	for _, tc := range []struct {
+		mode gc.Persistence
+		tier string
+		eADR bool
+	}{
+		{gc.PersistADR, "optane", false},
+		{gc.PersistADR, "eadr-nvm", true},
+		{gc.PersistEADR, "eadr-nvm", true},
+	} {
 		opt := gc.Optimized()
-		opt.Persist = mode
-		host, err := NewHost(spec(false, opt))
+		opt.Persist = tc.mode
+		s := spec(false, opt)
+		s.Machine.Tiers = nvmTier(s.Machine.Tiers, tc.tier)
+		host, err := NewHost(s)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v on %s: %v", tc.mode, tc.tier, err)
 		}
 		pd := host.M.Persist()
 		if pd == nil || !pd.Tracks(host.M.NVM) {
-			t.Fatalf("%v: the persistent tier is not tracked", mode)
+			t.Fatalf("%v on %s: the persistent tier is not tracked", tc.mode, tc.tier)
 		}
-		if pd.EADR() != (mode == gc.PersistEADR) {
-			t.Fatalf("%v: domain eADR = %v", mode, pd.EADR())
+		if pd.EADR() != tc.eADR {
+			t.Fatalf("%v on %s: domain eADR = %v", tc.mode, tc.tier, pd.EADR())
 		}
 		if host.H.Config().MetaBytes == 0 {
-			t.Fatalf("%v: no journal area", mode)
+			t.Fatalf("%v on %s: no journal area", tc.mode, tc.tier)
 		}
 		if _, err := host.Col.Collect(4); err != nil {
-			t.Fatalf("%v: collection on the assembled host: %v", mode, err)
+			t.Fatalf("%v on %s: collection on the assembled host: %v", tc.mode, tc.tier, err)
 		}
 	}
+	opt := gc.Optimized()
+	opt.Persist = gc.PersistEADR
+	s := spec(false, opt)
+	s.Machine.Tiers = nvmTier(s.Machine.Tiers, "optane")
+	if _, err := NewHost(s); err == nil || !strings.Contains(err.Error(), `"nvm"`) {
+		t.Fatalf("PersistEADR on an ADR tier: err = %v, want one naming tier \"nvm\"", err)
+	}
+}
+
+// nvmTier returns tiers with its "nvm" tier replaced by the named
+// built-in profile under the name "nvm".
+func nvmTier(tiers []memsim.TierSpec, builtin string) []memsim.TierSpec {
+	out := slices.Clone(tiers)
+	for i := range out {
+		if out[i].Name == "nvm" {
+			out[i] = memsim.MustBuiltinTier(builtin)
+			out[i].Name = "nvm"
+		}
+	}
+	return out
 }
 
 // TestHostFootprint pins the host memory one small run costs. The default
