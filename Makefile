@@ -35,11 +35,12 @@ loc:
 	@echo "benchmarks/ (non-test):          $$(find ./benchmarks -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "tests (*_test.go):               $$(find . -name '*_test.go' | xargs cat | wc -l)"
 
-# crash-smoke runs a reduced power-failure campaign: deterministic crash
-# points across the GC pause, post-crash recovery, and graph-isomorphism
-# verification (full sweep: nvmbench -run crash-sweep).
+# crash-smoke runs the full power-failure campaign (80 deterministic
+# crash points across the GC pause, every barrier configuration plus the
+# barrier-free baseline; under a second): post-crash recovery and
+# graph-isomorphism verification at each point.
 crash-smoke: build
-	$(GO) run ./cmd/nvmbench -run crash-sweep -quick -threads 4
+	$(GO) run ./cmd/nvmbench -run crash-sweep -threads 4
 
 # topology-smoke runs the memory-tier sweep (young gen / write cache
 # across local DRAM, remote DRAM, and Optane) in quick mode.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 
@@ -56,7 +55,7 @@ func crashSweepConfigs(quick bool) []crashSweepConfig {
 // durable before GC entry — the campaign contract. It assembles its own
 // host rather than calling workload.NewHost: the barrier-free baseline
 // needs a persistence domain its collector does not ask for.
-func newCrashSweepEnv(cc crashSweepConfig, seed uint64) (*heap.Heap, *memsim.Machine, *gc.G1, *check.Snapshot, error) {
+func newCrashSweepEnv(cc crashSweepConfig, seed uint64) (*gc.G1, *check.Snapshot, error) {
 	// The campaign pins its platform: Optane behind ADR, or behind eADR
 	// for the collector that assumes it.
 	var p Params
@@ -79,18 +78,18 @@ func newCrashSweepEnv(cc crashSweepConfig, seed uint64) (*heap.Heap, *memsim.Mac
 	hc.Poison = true
 	h, err := heap.New(m, hc)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := populateCrashGraph(h, m, seed); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	g, err := gc.NewG1(h, cc.opt)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	m.Persist().PersistAll()
 	pre, err := check.Capture(h)
-	return h, m, g, pre, err
+	return g, pre, err
 }
 
 // populateCrashGraph fills eden with a linked graph rooted in both the
@@ -174,11 +173,7 @@ func crashPhaseOf(s gc.CollectionStats, off memsim.Time) string {
 	}
 }
 
-type crashPointOut struct {
-	phase    string
-	outcome  string
-	verified bool
-}
+type crashPointOut struct{ phase, outcome string }
 
 // CrashSweep runs the power-failure campaign. Every data point builds its
 // own machine and is deterministic given the seed, so points fan out over
@@ -203,11 +198,11 @@ func CrashSweep(p Params) (*Report, error) {
 		stats gc.CollectionStats
 	}
 	drys, err := par.Map(len(cfgs), p.Parallel, func(ci int) (dryOut, error) {
-		_, m, g, _, err := newCrashSweepEnv(cfgs[ci], p.seed())
+		g, _, err := newCrashSweepEnv(cfgs[ci], p.seed())
 		if err != nil {
 			return dryOut{}, err
 		}
-		start := m.Now()
+		start := g.Heap().Machine().Now()
 		s, err := g.Collect(threads)
 		if err != nil {
 			return dryOut{}, fmt.Errorf("crash sweep: %s dry run: %w", cfgs[ci].name, err)
@@ -218,63 +213,34 @@ func CrashSweep(p Params) (*Report, error) {
 		return nil, err
 	}
 
-	// The sweep proper: cfgs x fracs independent crash points.
-	type point struct {
-		cfg  int
-		frac float64
-		torn bool
-	}
-	var points []point
-	for ci := range cfgs {
-		for fi, f := range fracs {
-			points = append(points, point{cfg: ci, frac: f, torn: fi%2 == 0})
-		}
-	}
-	outs, err := par.Map(len(points), p.Parallel, func(i int) (crashPointOut, error) {
-		pt := points[i]
-		cc := cfgs[pt.cfg]
-		dry := drys[pt.cfg]
-		off := memsim.Time(pt.frac * float64(dry.stats.Pause))
-		h, m, g, pre, err := newCrashSweepEnv(cc, p.seed())
+	// The sweep proper: cfgs x fracs independent crash points; point i
+	// is config i/nFracs at fraction i%nFracs, every other fraction torn.
+	outs, err := par.Map(len(cfgs)*nFracs, p.Parallel, func(i int) (crashPointOut, error) {
+		cc, dry, frac := cfgs[i/nFracs], drys[i/nFracs], fracs[i%nFracs]
+		off := memsim.Time(frac * float64(dry.stats.Pause))
+		g, pre, err := newCrashSweepEnv(cc, p.seed())
 		if err != nil {
 			return crashPointOut{}, err
 		}
-		m.InjectFault(memsim.FaultPlan{CrashAtTime: dry.start + off, TornLine: pt.torn})
-		out := crashPointOut{phase: crashPhaseOf(dry.stats, off)}
-		_, cerr := g.Collect(threads)
-		if cerr == nil {
-			// The trigger found no chargeable operation left (tail of the
-			// pause): the collection completed and must be unharmed.
-			if err := check.VerifyRecovered(h, pre); err != nil {
-				return crashPointOut{}, fmt.Errorf("crash sweep: %s frac %.3f completed but corrupt: %w", cc.name, pt.frac, err)
-			}
-			out.outcome, out.verified = "completed", true
-			return out, nil
+		run, err := g.CollectThroughCrash(threads, memsim.FaultPlan{CrashAtTime: dry.start + off, TornLine: i%nFracs%2 == 0}, pre)
+		if err != nil {
+			return crashPointOut{}, fmt.Errorf("crash sweep: %s frac %.3f: %w", cc.name, frac, err)
 		}
-		if !errors.Is(cerr, gc.ErrCrashed) {
-			return crashPointOut{}, fmt.Errorf("crash sweep: %s frac %.3f: %w", cc.name, pt.frac, cerr)
-		}
-		if _, err := m.MaterializeCrash(); err != nil {
-			return crashPointOut{}, fmt.Errorf("crash sweep: %s frac %.3f: %w", cc.name, pt.frac, err)
-		}
-		rep, rerr := g.Recover()
-		verr := error(nil)
-		if rerr == nil {
-			verr = check.VerifyRecovered(h, pre)
-		}
+		out := crashPointOut{phase: crashPhaseOf(dry.stats, off), outcome: "completed"}
 		switch {
-		case rerr == nil && verr == nil:
-			out.outcome, out.verified = rep.Outcome.String(), true
-		case cc.barriers:
+		case !run.Crashed && run.Err != nil:
+			// The trigger found no chargeable operation left (tail of the
+			// pause), so the collection completed and must be unharmed.
+			return crashPointOut{}, fmt.Errorf("crash sweep: %s frac %.3f completed but corrupt: %w", cc.name, frac, run.Err)
+		case run.Err != nil && cc.barriers:
 			// Persist barriers guarantee recovery; any failure is a bug.
-			if rerr == nil {
-				rerr = verr
-			}
-			return crashPointOut{}, fmt.Errorf("crash sweep: %s frac %.3f failed to recover under barriers: %w", cc.name, pt.frac, rerr)
-		default:
-			// The documented-unrecoverable baseline: the failure must be
-			// flagged (it was — rerr/verr is non-nil), never hidden.
+			return crashPointOut{}, fmt.Errorf("crash sweep: %s frac %.3f failed to recover under barriers: %w", cc.name, frac, run.Err)
+		case run.Err != nil:
+			// The documented-unrecoverable baseline: the failure is
+			// flagged, never hidden.
 			out.outcome = "unrecoverable"
+		case run.Crashed:
+			out.outcome = run.Recovery.Outcome.String()
 		}
 		return out, nil
 	})
@@ -284,47 +250,32 @@ func CrashSweep(p Params) (*Report, error) {
 
 	// Outcome table: config x phase, with per-outcome counts.
 	ot := &metrics.Table{
-		Title:   fmt.Sprintf("Recovery outcome by crash phase (%d crash points, %d GC threads)", len(points), threads),
+		Title:   fmt.Sprintf("Recovery outcome by crash phase (%d crash points, %d GC threads)", len(outs), threads),
 		Columns: []string{"config", "phase", "points", "completed", "rolled-back", "rolled-forward", "unrecoverable", "verified"},
 	}
-	type cell struct{ points, completed, back, forward, unrec, verified int }
-	agg := map[int]map[string]*cell{}
-	for i, pt := range points {
-		o := outs[i]
-		if agg[pt.cfg] == nil {
-			agg[pt.cfg] = map[string]*cell{}
-		}
-		c := agg[pt.cfg][o.phase]
-		if c == nil {
-			c = &cell{}
-			agg[pt.cfg][o.phase] = c
-		}
-		c.points++
-		switch o.outcome {
-		case "completed":
-			c.completed++
-		case "rolled-back":
-			c.back++
-		case "rolled-forward":
-			c.forward++
-		case "unrecoverable":
-			c.unrec++
-		}
-		if o.verified {
-			c.verified++
-		}
+	// Counts per (config, phase, outcome); outcome "" counts the points.
+	type key struct {
+		cfg            int
+		phase, outcome string
 	}
+	n := map[key]int{}
+	for i, o := range outs {
+		n[key{i / nFracs, o.phase, ""}]++
+		n[key{i / nFracs, o.phase, o.outcome}]++
+	}
+	flagged := 0
 	for ci, cc := range cfgs {
+		name := cc.name
+		if !cc.barriers {
+			name += " (no barriers)"
+		}
 		for _, ph := range crashPhases {
-			c := agg[ci][ph]
-			if c == nil {
+			c := func(outcome string) int { return n[key{ci, ph, outcome}] }
+			if c("") == 0 {
 				continue
 			}
-			name := cc.name
-			if !cc.barriers {
-				name += " (no barriers)"
-			}
-			ot.AddRow(name, ph, c.points, c.completed, c.back, c.forward, c.unrec, c.verified)
+			ot.AddRow(name, ph, c(""), c("completed"), c("rolled-back"), c("rolled-forward"), c("unrecoverable"), c("")-c("unrecoverable"))
+			flagged += c("unrecoverable")
 		}
 	}
 
@@ -354,19 +305,9 @@ func CrashSweep(p Params) (*Report, error) {
 		Title:  "Power-failure campaign: recovery outcome x phase x config",
 		Tables: []*metrics.Table{ot, ht},
 	}
-	var total, verified, flagged int
-	for i := range points {
-		total++
-		if outs[i].verified {
-			verified++
-		}
-		if outs[i].outcome == "unrecoverable" {
-			flagged++
-		}
-	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"%d/%d crash points recovered to a heap isomorphic to the pre-GC graph; %d (all on the no-barrier baseline) were flagged unrecoverable",
-		verified, total, flagged))
+		len(outs)-flagged, len(outs), flagged))
 	if nonePause > 0 && adrPause > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"ADR journaling + flush barrier lengthen the vanilla pause by %.1f%%",

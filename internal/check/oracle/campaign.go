@@ -12,13 +12,15 @@ import (
 	"nvmgc/internal/workload"
 )
 
+// threads is the GC thread count of every replayed collection.
+const threads = 4
+
 // Config names one collector configuration the differential campaign
 // replays traces through.
 type Config struct {
 	Name      string
 	Collector string // "ref", "g1", or "ps"
 	Opt       gc.Options
-	Threads   int
 	Topology  string // "2tier" or "3tier"
 
 	// Fault, when enabled, is installed on the environment's NVM tier: the
@@ -60,7 +62,6 @@ func Configs() []Config {
 				Name:      b.name + "/" + topo,
 				Collector: b.col,
 				Opt:       opt,
-				Threads:   4,
 				Topology:  topo,
 			})
 		}
@@ -110,7 +111,6 @@ func FaultConfigs() []Config {
 			Name:      b.name + "/2tier",
 			Collector: b.col,
 			Opt:       opt,
-			Threads:   4,
 			Topology:  "2tier",
 			Fault:     b.fm,
 		})
@@ -172,10 +172,10 @@ func statsSane(s gc.CollectionStats) error {
 	if min := s.ObjectsCopied * heap.HeaderWords * heap.WordBytes; s.BytesCopied < min {
 		return fmt.Errorf("oracle: %d bytes copied for %d objects (min %d)", s.BytesCopied, s.ObjectsCopied, min)
 	}
-	if s.ReadMostly < 0 || s.WriteOnly < 0 || s.Cleanup < 0 {
+	if s.ReadMostly < 0 || s.WriteOnly < 0 || s.PersistBarrier < 0 || s.Cleanup < 0 {
 		return fmt.Errorf("oracle: negative phase time in %+v", s)
 	}
-	if got := s.ReadMostly + s.WriteOnly + s.Cleanup; got != s.Pause {
+	if got := s.ReadMostly + s.WriteOnly + s.PersistBarrier + s.Cleanup; got != s.Pause {
 		return fmt.Errorf("oracle: phase times sum to %d, pause is %d", got, s.Pause)
 	}
 	return nil
@@ -217,11 +217,11 @@ func runTraceOn(c Config, host workload.Host, ops []Op) (*Result, error) {
 			var err error
 			switch kind {
 			case 2:
-				s, err = col.CollectFull(c.Threads)
+				s, err = col.CollectFull(threads)
 			case 1:
-				s, err = col.CollectMixed(c.Threads, 4)
+				s, err = col.CollectMixed(threads, 4)
 			default:
-				s, err = col.Collect(c.Threads)
+				s, err = col.Collect(threads)
 			}
 			if err != nil {
 				return err

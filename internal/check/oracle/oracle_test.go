@@ -3,6 +3,8 @@ package oracle
 import (
 	"strings"
 	"testing"
+
+	"nvmgc/internal/gc"
 )
 
 // TestGenerateDeterministic: the trace generator is a pure function of
@@ -71,6 +73,16 @@ func TestRunSeedMatrix(t *testing.T) {
 		if f := RunSeed(seed, nops); f != nil {
 			t.Fatalf("differential failure:\n%s", f)
 		}
+	}
+}
+
+// TestPersistReplayStatsSane: a persist-enabled collector's pause has a
+// fourth sub-phase, the persist barrier, which the stats check must count.
+func TestPersistReplayStatsSane(t *testing.T) {
+	opt := gc.Vanilla()
+	opt.Persist, opt.Check = gc.PersistADR, true
+	if _, err := RunTrace(Config{Name: "g1-vanilla+adr/2tier", Collector: "g1", Opt: opt, Topology: "2tier"}, Generate(7, 400)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestCheckedPersistPass(t *testing.T) {
 			opt := Optimized()
 			opt.Persist = mode
 			opt.Check = true
-			h, _, g, _ := crashEnv(t, crashConfig{name: "checked", opt: opt, eADR: mode == PersistEADR})
+			h, _, g, _ := crashEnv(t, crashConfig{name: "checked", opt: opt})
 			collectAndVerify(t, h, g, 8)
 		})
 	}

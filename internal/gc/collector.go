@@ -11,9 +11,9 @@ import (
 
 // ErrCrashed is returned by Collect when an injected power failure fired
 // mid-collection: the machine halted, every GC worker unwound, and the
-// heap is left in its interrupted state. The caller materializes the
-// post-crash NVM image (memsim.Machine.MaterializeCrash) and then runs
-// the collector's Recover pass.
+// heap is left in its interrupted state. CollectThroughCrash is the one
+// caller that handles it: it materializes the post-crash NVM image
+// (memsim.Machine.MaterializeCrash), runs recovery and verifies the heap.
 var ErrCrashed = errors.New("gc: power failure injected mid-collection")
 
 // Collector is a stop-the-world copying garbage collector running the
@@ -184,7 +184,7 @@ func (b *base) collect(threads int, mode gcMode, oldCands []*heap.Region, markTi
 	if m.Crashed() {
 		// The injected fault fired: leave the heap exactly as the crash
 		// found it (still in-collection, journal still active) for
-		// MaterializeCrash + Recover.
+		// CollectThroughCrash to materialize and recover.
 		return CollectionStats{}, ErrCrashed
 	}
 	if c.err != nil {

@@ -1,12 +1,6 @@
 package gc
 
-import (
-	"errors"
-	"testing"
-
-	"nvmgc/internal/check"
-	"nvmgc/internal/memsim"
-)
+import "testing"
 
 // TestCombinedDegradationStaysCorrect drives both capacity fallbacks at
 // once — a header map too small for the live set and a write-cache budget
@@ -53,41 +47,20 @@ func TestCombinedDegradationStaysCorrect(t *testing.T) {
 // NVM-header fallback path must journal its forwarding installs just like
 // the regular path, so recovery still restores the pre-GC graph.
 func TestDegradedConfigSurvivesCrash(t *testing.T) {
-	const threads = 4
 	opt := Optimized()
 	opt.HeaderMapBytes = 1 << 10
 	opt.HeaderMapMinThreads = 1
 	opt.WriteCacheBytes = 32 << 10
 	opt.Persist = PersistADR
-	cc := crashConfig{name: "degraded+adr", opt: opt}
-	start, pause := dryRunPause(t, cc, threads)
-	var crashed, rolledBack int
-	for _, frac := range []float64{0.20, 0.45, 0.70, 0.90} {
-		h, m, g, pre := crashEnv(t, cc)
-		m.InjectFault(memsim.FaultPlan{CrashAtTime: start + memsim.Time(frac*float64(pause)), TornLine: true})
-		_, err := g.Collect(threads)
-		if err == nil {
-			continue
+	fracs := []float64{0.20, 0.45, 0.70, 0.90}
+	rolledBack := false
+	for i, run := range crashAtFracs(t, crashConfig{"degraded+adr", opt, nil}, fracs...) {
+		if run.Err != nil {
+			t.Fatalf("frac %v (crashed %v, outcome %v): %v", fracs[i], run.Crashed, run.Recovery.Outcome, run.Err)
 		}
-		if !errors.Is(err, ErrCrashed) {
-			t.Fatalf("frac %v: %v", frac, err)
-		}
-		crashed++
-		if _, err := m.MaterializeCrash(); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := g.Recover()
-		if err != nil {
-			t.Fatalf("frac %v: recover: %v", frac, err)
-		}
-		if err := check.VerifyRecovered(h, pre); err != nil {
-			t.Fatalf("frac %v (outcome %v): %v", frac, rep.Outcome, err)
-		}
-		if rep.Outcome == RecoveryRolledBack {
-			rolledBack++
-		}
+		rolledBack = rolledBack || run.Recovery.Outcome == RecoveryRolledBack
 	}
-	if crashed == 0 || rolledBack == 0 {
-		t.Fatalf("degraded crash sweep did not bite: crashed=%d rolledBack=%d", crashed, rolledBack)
+	if !rolledBack {
+		t.Fatal("degraded crash sweep did not bite: no crash point rolled back")
 	}
 }

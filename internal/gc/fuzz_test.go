@@ -1,12 +1,10 @@
 package gc
 
 import (
-	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
-	"nvmgc/internal/check"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 )
@@ -43,7 +41,13 @@ func FuzzCrashRecovery(f *testing.F) {
 		// the extra persistent tier; 2: three-tier machine, journal on the
 		// primary NVM tier (the extra tier merely present).
 		metaTiers := []string{"", "nvm2", "nvm"}
-		h, m, g, pre := crashEnvPlaced(t, cc, metaTiers[int(metaPlace)%len(metaTiers)])
+		cc.shape = func(mc *memsim.Config, hc *heap.Config) {
+			hc.Placement.Meta = metaTiers[int(metaPlace)%len(metaTiers)]
+			if hc.Placement.Meta != "" {
+				mc.Tiers = append(mc.Tiers, memsim.TierSpec{Name: "nvm2", Profile: memsim.OptaneProfile(), Persistent: true, Interleave: 6})
+			}
+		}
+		h, m, g, pre := crashEnv(t, cc)
 		if poison > 0 {
 			// Pre-poison a few lines of the metadata/journal area: hard UEs
 			// on worn journal media must not confuse the post-crash scanner
@@ -58,40 +62,16 @@ func FuzzCrashRecovery(f *testing.F) {
 		// The store counter accumulated the populate phase's stores; plant
 		// the crash relative to the collection's first store.
 		base := m.Persist().Stats().TrackedStores
-		m.InjectFault(memsim.FaultPlan{
+		run := collectThroughCrash(t, g, memsim.FaultPlan{
 			CrashAtStore: base + storeN,
 			TornLine:     torn,
 			KeepPending:  keepPending,
-		})
-		_, err := g.Collect(4)
-		if err == nil {
-			// The collection used fewer than storeN stores: it must have
-			// completed unharmed.
-			if err := check.VerifyRecovered(h, pre); err != nil {
-				t.Fatalf("%s: uncrashed collection broke the graph: %v", cc.name, err)
-			}
-			return
-		}
-		if !errors.Is(err, ErrCrashed) {
-			t.Fatalf("%s store %d: %v", cc.name, storeN, err)
-		}
-		if _, err := m.MaterializeCrash(); err != nil {
-			t.Fatalf("%s store %d: materialize: %v", cc.name, storeN, err)
-		}
-		rep, rerr := g.Recover()
-		if rerr != nil {
-			t.Fatalf("%s store %d: recovery failed under persistence barriers: %v (report %+v)",
-				cc.name, storeN, rerr, rep)
-		}
-		if rep.Scan.Corrupt != 0 {
-			t.Fatalf("%s store %d: scanner reported %d corrupt regions under persistence barriers",
-				cc.name, storeN, rep.Scan.Corrupt)
-		}
-		if err := check.VerifyRecovered(h, pre); err != nil {
-			// The scanner and recovery claimed success but the graph
-			// differs: a false "consistent" report.
-			t.Fatalf("%s store %d (outcome %v): false consistency: %v",
-				cc.name, storeN, rep.Outcome, err)
+		}, pre)
+		// A failed recovery, a false "consistent" report, a corrupt region
+		// under persistence barriers, or a collection of fewer than storeN
+		// stores that broke the graph.
+		if run.Err != nil || run.Recovery.Scan.Corrupt != 0 {
+			t.Fatalf("%s store %d (crashed %v, report %+v): %v", cc.name, storeN, run.Crashed, run.Recovery, run.Err)
 		}
 	})
 }

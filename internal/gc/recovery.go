@@ -1,9 +1,12 @@
 package gc
 
 import (
+	"errors"
 	"fmt"
 
+	"nvmgc/internal/check"
 	"nvmgc/internal/heap"
+	"nvmgc/internal/memsim"
 )
 
 // RecoveryOutcome classifies what the post-crash recovery pass did.
@@ -57,9 +60,48 @@ type RecoveryReport struct {
 	Detail        string
 }
 
-// Recover runs the collector's post-crash recovery pass. Call it after
+// CrashRun is the verdict of one crash-restart cycle (CollectThroughCrash).
+type CrashRun struct {
+	Crashed  bool           // the plan fired before the collection finished
+	Recovery RecoveryReport // the recovery pass's report; zero when !Crashed
+	// Err is nil only when the heap holds the pre-GC live graph again: it
+	// carries a failed recovery pass or the first object that differs.
+	Err error
+}
+
+// CollectThroughCrash is the one crash-restart path. It arms plan on the
+// heap's machine and runs one young collection. If the plan fired, it
+// materializes the post-crash image and runs recoverHeap, as a restarted
+// runtime would. Either way it then proves the heap against pre
+// (check.VerifyRecovered), so a collection the plan never interrupted is
+// checked as strictly as a recovered one. Whether a failed verdict is a
+// bug is the caller's policy: it is one under persist barriers, the
+// expected result for PersistNone. The returned error is reserved for
+// failures other than the crash: a collection that fails on its own (a
+// bad thread count, a full journal) or an image that cannot materialize.
+func (b *base) CollectThroughCrash(threads int, plan memsim.FaultPlan, pre *check.Snapshot) (CrashRun, error) {
+	m := b.h.Machine()
+	m.InjectFault(plan)
+	var run CrashRun
+	if _, err := b.Collect(threads); errors.Is(err, ErrCrashed) {
+		run.Crashed = true
+		if _, err := m.MaterializeCrash(); err != nil {
+			return run, err
+		}
+		run.Recovery, run.Err = b.recoverHeap()
+	} else if err != nil {
+		return run, err
+	}
+	if run.Err == nil {
+		run.Err = check.VerifyRecovered(b.h, pre)
+	}
+	return run, nil
+}
+
+// recoverHeap runs the collector's post-crash recovery pass, after
 // memsim.Machine.MaterializeCrash has produced the post-crash NVM image
-// (Collect having returned ErrCrashed).
+// (Collect having returned ErrCrashed). Only CollectThroughCrash calls it,
+// so every recovery is followed by the graph proof.
 //
 // The pass mirrors what a restarted runtime would do from the durable
 // image alone:
@@ -75,9 +117,9 @@ type RecoveryReport struct {
 //
 // Recovery charges no virtual time. It returns an error — with outcome
 // RecoveryUnrecoverable — when the restored heap fails its structural
-// invariants; callers prove full graph isomorphism separately via
-// check.VerifyRecovered against a pre-GC snapshot.
-func (b *base) Recover() (RecoveryReport, error) {
+// invariants; CollectThroughCrash then proves full graph isomorphism
+// via check.VerifyRecovered against a pre-GC snapshot.
+func (b *base) recoverHeap() (RecoveryReport, error) {
 	h := b.h
 	rep := RecoveryReport{Scan: h.ScanPostCrash()}
 
