@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -93,11 +94,41 @@ func sscan(s string, v *float64) (int, error) {
 	return fmt.Sscan(s, v)
 }
 
-// Every experiment must run end-to-end at quick scale and produce at
-// least one non-empty table. Under -short a fixed subset still runs —
-// `make verify` puts this file under the race detector, and skipping
-// outright would silently drop the whole experiment layer from race
-// coverage.
+// quickRenders pins every experiment's Render() at quickParams: the first
+// 16 hex digits of its sha256. A harness refactor must leave them all
+// alone; a declared model change re-pins them here, in one visible diff.
+var quickRenders = map[string]string{
+	"fig1":            "93479032ca86f75e",
+	"fig2":            "00e0f069b266eeca",
+	"fig3":            "1bc0c4ac58404173",
+	"tab-prefetch":    "24c5532abf258124",
+	"fig5":            "f8070bd9c0edfb2a",
+	"fig6":            "f5cd5844b99a375f",
+	"fig7":            "d0a4ee66558cdd5e",
+	"fig8":            "a7d5d59f96f4c478",
+	"fig9":            "6a4cbbd588e45dfd",
+	"fig10":           "2b2b2a5d6ec74b4a",
+	"fig11":           "4b9de27302ec592a",
+	"fig12":           "457db6bd4d385014",
+	"fig13":           "51271b36fe0ea46e",
+	"fig14":           "812ff7ffd5a2a79e",
+	"tab-device":      "dee809154d68217c",
+	"abl-traversal":   "111a0ebbcadbea1b",
+	"abl-nt":          "e4fabe7291006133",
+	"abl-flush-chunk": "9fede5294e5359f6",
+	"abl-hm-threads":  "ba21f4bb9ca523ed",
+	"crash-sweep":     "a099e7f064046ba6",
+	"tier-sweep":      "d09e810e36f2128c",
+	"fault-sweep":     "5d9e51f7a560f15d",
+	"workload-sweep":  "122985b0c060dc1a",
+	"fleet":           "f82e800c04576f01",
+}
+
+// Every experiment must run end-to-end at quick scale, produce at least
+// one non-empty table, and render exactly as pinned in quickRenders.
+// Under -short a fixed subset still runs — `make verify` puts this file
+// under the race detector, and skipping outright would silently drop the
+// whole experiment layer from race coverage.
 func TestAllExperimentsQuick(t *testing.T) {
 	exps := All()
 	if testing.Short() {
@@ -128,6 +159,9 @@ func TestAllExperimentsQuick(t *testing.T) {
 			}
 			if !nonEmpty {
 				t.Fatalf("all tables empty:\n%s", rep.Render())
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(rep.Render())))[:16]; got != quickRenders[e.ID] {
+				t.Errorf("render moved: sha256 %s, pinned %q\n%s", got, quickRenders[e.ID], rep.Render())
 			}
 		})
 	}
