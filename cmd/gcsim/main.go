@@ -435,8 +435,12 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 		return err
 	}
 
+	heapOn := "DRAM" // named by whether the old space persists
+	if m.TierOf(h.OldDevice()).Persistent() {
+		heapOn = "NVM"
+	}
 	fmt.Fprintf(w, "%s on %s, %s %s, %d GC threads (virtual time)\n",
-		spec.Name, h.OldDevice().Kind(), col.Name(), o.host.Opt.Label(), o.threads)
+		spec.Name, heapOn, col.Name(), o.host.Opt.Label(), o.threads)
 	if o.tiered {
 		fmt.Fprintf(w, "topology: %s\n", m.Topology())
 	}

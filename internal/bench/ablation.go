@@ -33,22 +33,20 @@ func AblTraversal(p Params) (*Report, error) {
 		Columns: []string{"app", "order", "gc (s)", "app (s)", "total (s)"},
 	}
 	rep := &Report{ID: "abl-traversal", Title: "Traversal-order ablation (Section 4.3)", Tables: []*metrics.Table{t}}
-	var specs []runSpec
-	for i, app := range apps {
-		for _, bfs := range []bool{false, true} {
-			opt := gc.Optimized()
-			opt.BFS = bfs
-			specs = append(specs, runSpec{app: app, host: p.host(opt), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)})
-		}
+	var variants []func(*runSpec)
+	for _, bfs := range []bool{false, true} {
+		opt := gc.Optimized()
+		opt.BFS = bfs
+		variants = append(variants, withOpt(opt))
 	}
-	outs, err := runAll(p, specs)
+	outs, err := grid(p, apps, threads, variants...)
 	if err != nil {
 		return nil, err
 	}
 	for i, app := range apps {
 		var appTimes [2]float64
 		for bi, bfs := range []bool{false, true} {
-			res := outs[2*i+bi].res
+			res := outs[i][bi].res
 			order := "dfs"
 			if bfs {
 				order = "bfs"
@@ -81,23 +79,15 @@ func AblNonTemporal(p Params) (*Report, error) {
 		Columns: []string{"app", "store path", "gc (s)", "write-only phase (ms)"},
 	}
 	rep := &Report{ID: "abl-nt", Title: "Non-temporal write-back ablation (Section 4.1)", Tables: []*metrics.Table{t}}
-	var specs []runSpec
-	for i, app := range apps {
-		for _, nt := range []bool{false, true} {
-			specs = append(specs, runSpec{
-				app: app, host: p.host(gc.Options{WriteCache: true, NonTemporal: nt}),
-				threads: threads, scale: p.scale(), seed: p.seed() + uint64(i),
-			})
-		}
-	}
-	outs, err := runAll(p, specs)
+	outs, err := grid(p, apps, threads,
+		withOpt(gc.Options{WriteCache: true}), withOpt(gc.Options{WriteCache: true, NonTemporal: true}))
 	if err != nil {
 		return nil, err
 	}
 	for i, app := range apps {
 		var gcTimes [2]float64
 		for bi, nt := range []bool{false, true} {
-			res := outs[2*i+bi].res
+			res := outs[i][bi].res
 			var wo memsim.Time
 			for _, c := range res.Collections {
 				wo += c.WriteOnly
@@ -135,19 +125,19 @@ func AblFlushChunk(p Params) (*Report, error) {
 	if p.Quick {
 		chunks = chunks[:2]
 	}
-	var specs []runSpec
+	var variants []func(*runSpec)
 	for _, chunk := range chunks {
 		opt := gc.Optimized()
 		opt.AsyncFlush = true
 		opt.FlushChunkBytes = chunk
-		specs = append(specs, runSpec{app: app, host: p.host(opt), threads: threads, scale: p.scale(), seed: p.seed()})
+		variants = append(variants, withOpt(opt))
 	}
-	outs, err := runAll(p, specs)
+	outs, err := grid(p, []workload.Spec{app}, threads, variants...)
 	if err != nil {
 		return nil, err
 	}
 	for ci, chunk := range chunks {
-		res := outs[ci].res
+		res := outs[0][ci].res
 		var async int64
 		for _, c := range res.Collections {
 			async += c.RegionsFlushedAsync
@@ -175,22 +165,24 @@ func AblHeaderMapThreshold(p Params) (*Report, error) {
 	if p.Quick {
 		threadSet = []int{2, 16}
 	}
-	var specs []runSpec
+	// Per thread count: the map off, then on (forced even at low counts).
+	on := gc.Optimized()
+	on.HeaderMapMinThreads = 1
+	var variants []func(*runSpec)
 	for _, th := range threadSet {
-		off := gc.WithWriteCache()
-		on := gc.Optimized()
-		on.HeaderMapMinThreads = 1 // force-enable even at low thread counts
-		specs = append(specs,
-			runSpec{app: app, host: p.host(off), threads: th, scale: p.scale(), seed: p.seed()},
-			runSpec{app: app, host: p.host(on), threads: th, scale: p.scale(), seed: p.seed()})
+		for _, opt := range []gc.Options{gc.WithWriteCache(), on} {
+			variants = append(variants, func(s *runSpec) { s.host.Opt, s.threads = opt, th })
+		}
 	}
-	outs, err := runAll(p, specs)
+	outs, err := grid(p, []workload.Spec{app}, 0, variants...)
 	if err != nil {
 		return nil, err
 	}
 	var lowBenefit, highBenefit float64
-	for ti, th := range threadSet {
-		res1, res2 := outs[2*ti].res, outs[2*ti+1].res
+	runs := outs[0]
+	for _, th := range threadSet {
+		res1, res2 := runs[0].res, runs[1].res
+		runs = runs[2:]
 		benefit := ratio(float64(res1.GC), float64(res2.GC))
 		if th <= 4 {
 			lowBenefit = benefit

@@ -265,6 +265,47 @@ func runAll(p Params, specs []runSpec) ([]runOut, error) {
 	})
 }
 
+// grid runs the figures' point grid: app i's base point is vanilla G1 on
+// the paper host (Params.host) with threads GC threads at p.scale() and
+// seed p.seed()+i, and each variant edits one copy of it. Every point runs
+// through runAll, app-major, and comes back as outs[app][variant].
+func grid(p Params, apps []workload.Spec, threads int, variants ...func(*runSpec)) ([][]runOut, error) {
+	specs := make([]runSpec, 0, len(apps)*len(variants))
+	for i, app := range apps {
+		for _, v := range variants {
+			spec := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
+			v(&spec)
+			specs = append(specs, spec)
+		}
+	}
+	flat, err := runAll(p, specs)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([][]runOut, len(apps))
+	for i := range outs {
+		outs[i] = flat[i*len(variants) : (i+1)*len(variants)]
+	}
+	return outs, nil
+}
+
+// The grid variants most figures share: the base point as it is, another
+// collector configuration, and another heap placement.
+func asIs(*runSpec) {}
+
+func withOpt(o gc.Options) func(*runSpec) { return func(s *runSpec) { s.host.Opt = o } }
+
+func placed(pl heap.PlacementPolicy) func(*runSpec) {
+	return func(s *runSpec) { s.host.Heap.Placement = pl }
+}
+
+// tierDevice returns the device of m's named tier; every figure machine
+// has a "dram" and an "nvm" tier.
+func tierDevice(m *memsim.Machine, name string) *memsim.Device {
+	t, _ := m.Tier(name)
+	return t.Device
+}
+
 // runOne executes one scenario run on a freshly assembled host.
 func runOne(spec runSpec) (runOut, error) {
 	host, err := workload.NewHost(spec.host)
@@ -330,13 +371,17 @@ var (
 	tierQuickApps    = []string{"als", "page-rank"}
 )
 
-// gcBandwidthMBps computes the average NVM bandwidth during GC pauses
-// from per-collection device deltas.
-func gcBandwidthMBps(collections []gc.CollectionStats) float64 {
+// gcBandwidthMBps computes the average bandwidth of the named tier during
+// GC pauses from per-collection tier deltas.
+func gcBandwidthMBps(collections []gc.CollectionStats, tier string) float64 {
 	var bytes int64
 	var pause memsim.Time
 	for _, c := range collections {
-		bytes += c.NVM.Total()
+		for _, tt := range c.Tiers {
+			if tt.Name == tier {
+				bytes += tt.Stats.Total()
+			}
+		}
 		pause += c.Pause
 	}
 	if pause == 0 {

@@ -45,11 +45,11 @@ func DeviceTable(p Params) (*Report, error) {
 		Title:   "Single-thread goodput by access pattern (MB/s of payload bytes)",
 		Columns: []string{"pattern", "DRAM", "NVM", "DRAM/NVM"},
 	}
-	kinds := []memsim.Kind{memsim.DRAM, memsim.NVM}
-	bw1, err := par.Map(len(patterns)*len(kinds), p.Parallel, func(i int) (float64, error) {
-		pat, kind := patterns[i/len(kinds)], kinds[i%len(kinds)]
+	tiers := []string{"dram", "nvm"}
+	bw1, err := par.Map(len(patterns)*len(tiers), p.Parallel, func(i int) (float64, error) {
+		pat, tier := patterns[i/len(tiers)], tiers[i%len(tiers)]
 		m := memsim.NewMachine(p.machineConfig(false))
-		dev := m.Device(kind)
+		dev := tierDevice(m, tier)
 		el := m.Run(1, func(w *memsim.Worker) {
 			for i := 0; i < ops; i++ {
 				pat.run(w, dev, i)
@@ -61,7 +61,7 @@ func DeviceTable(p Params) (*Report, error) {
 		return nil, err
 	}
 	for pi, pat := range patterns {
-		d, n := bw1[pi*len(kinds)], bw1[pi*len(kinds)+1]
+		d, n := bw1[pi*len(tiers)], bw1[pi*len(tiers)+1]
 		t1.AddRow(pat.name, d, n, d/n)
 	}
 	rep.Tables = append(rep.Tables, t1)
@@ -109,10 +109,10 @@ func DeviceTable(p Params) (*Report, error) {
 		Columns: []string{"threads", "DRAM", "NVM"},
 	}
 	threadCounts := []int{1, 2, 4, 8, 16, 32}
-	bw3, err := par.Map(len(threadCounts)*len(kinds), p.Parallel, func(i int) (float64, error) {
-		th, kind := threadCounts[i/len(kinds)], kinds[i%len(kinds)]
+	bw3, err := par.Map(len(threadCounts)*len(tiers), p.Parallel, func(i int) (float64, error) {
+		th, tier := threadCounts[i/len(tiers)], tiers[i%len(tiers)]
 		m := memsim.NewMachine(p.machineConfig(false))
-		dev := m.Device(kind)
+		dev := tierDevice(m, tier)
 		perWorker := ops / 2
 		el := m.Run(th, func(w *memsim.Worker) {
 			base := uint64(1<<33) + uint64(w.ID())<<28
@@ -126,7 +126,7 @@ func DeviceTable(p Params) (*Report, error) {
 		return nil, err
 	}
 	for ti, th := range threadCounts {
-		t3.AddRow(th, bw3[ti*len(kinds)], bw3[ti*len(kinds)+1])
+		t3.AddRow(th, bw3[ti*len(tiers)], bw3[ti*len(tiers)+1])
 	}
 	rep.Tables = append(rep.Tables, t3)
 

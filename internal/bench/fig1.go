@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"nvmgc/internal/gc"
 	"nvmgc/internal/metrics"
 )
 
@@ -20,20 +19,11 @@ func Fig1(p Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	threads := p.threads(16)
-
 	t := &metrics.Table{
 		Title:   "Application and GC time, DRAM vs NVM (vanilla G1)",
 		Columns: []string{"app", "device", "app (s)", "gc (s)", "gc share", "gc slowdown", "app slowdown"},
 	}
-	specs := make([]runSpec, 0, 2*len(apps))
-	for i, app := range apps {
-		spec := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
-		dramSpec := spec
-		dramSpec.host.Heap.Placement = dramHeap
-		specs = append(specs, dramSpec, spec)
-	}
-	outs, err := runAll(p, specs)
+	outs, err := grid(p, apps, p.threads(16), placed(dramHeap), asIs)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +31,7 @@ func Fig1(p Params) (*Report, error) {
 	var gcSlow, appSlow []float64
 	var shareDRAM, shareNVM []float64
 	for i, app := range apps {
-		dram, nvm := outs[2*i].res, outs[2*i+1].res
+		dram, nvm := outs[i][0].res, outs[i][1].res
 
 		gs := ratio(float64(nvm.GC), float64(dram.GC))
 		as := ratio(float64(nvm.App), float64(dram.App))

@@ -27,15 +27,14 @@ func Fig10(p Params) (*Report, error) {
 	}
 	fracs := []int64{32, 16, 8}
 	hc := heap.DefaultConfig()
-	var specs []runSpec
-	for i, app := range apps {
-		for _, frac := range fracs {
-			spec := runSpec{app: app, host: p.host(gc.Optimized()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
-			spec.host.Opt.HeaderMapBytes = hc.RegionBytes * int64(hc.HeapRegions) / frac
-			specs = append(specs, spec)
-		}
+	var variants []func(*runSpec)
+	for _, frac := range fracs {
+		variants = append(variants, func(s *runSpec) {
+			s.host.Opt = gc.Optimized()
+			s.host.Opt.HeaderMapBytes = hc.RegionBytes * int64(hc.HeapRegions) / frac
+		})
 	}
-	outs, err := runAll(p, specs)
+	outs, err := grid(p, apps, threads, variants...)
 	if err != nil {
 		return nil, err
 	}
@@ -43,10 +42,10 @@ func Fig10(p Params) (*Report, error) {
 	var renGain, sparkGain []float64
 	for i, app := range apps {
 		var gcTimes []float64
-		for j := range fracs {
-			gcTimes = append(gcTimes, seconds(outs[i*len(fracs)+j].res.GC))
+		for _, out := range outs[i] {
+			gcTimes = append(gcTimes, seconds(out.res.GC))
 		}
-		occ := peakOccupancy(outs[i*len(fracs)])
+		occ := peakOccupancy(outs[i][0])
 		gain := ratio(gcTimes[0], gcTimes[2]) - 1
 		if app.Profile.Suite == "spark" {
 			sparkGain = append(sparkGain, gain)
@@ -99,30 +98,17 @@ func Fig11(p Params) (*Report, error) {
 		Title:   "GC time (s) vs write-cache setting",
 		Columns: []string{"app", "sync", "sync-unlimited", "async", "dram"},
 	}
-	var specs []runSpec
-	for i, app := range apps {
-		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
-
-		syncSpec := base
-		syncSpec.host.Opt = gc.Optimized()
-		unlSpec := base
-		unlSpec.host.Opt = gc.Optimized()
-		unlSpec.host.Opt.WriteCacheBytes = -1
-		asySpec := base
-		asySpec.host.Opt = gc.Optimized()
-		asySpec.host.Opt.AsyncFlush = true
-		dramSpec := base
-		dramSpec.host.Heap.Placement = dramHeap
-		specs = append(specs, syncSpec, unlSpec, asySpec, dramSpec)
-	}
-	outs, err := runAll(p, specs)
+	unlimited, async := gc.Optimized(), gc.Optimized()
+	unlimited.WriteCacheBytes = -1
+	async.AsyncFlush = true
+	outs, err := grid(p, apps, threads, withOpt(gc.Optimized()), withOpt(unlimited), withOpt(async), placed(dramHeap))
 	if err != nil {
 		return nil, err
 	}
 
 	var asyncCost []float64
 	for i, app := range apps {
-		syncRes, unl, asy, dram := outs[4*i].res, outs[4*i+1].res, outs[4*i+2].res, outs[4*i+3].res
+		syncRes, unl, asy, dram := outs[i][0].res, outs[i][1].res, outs[i][2].res, outs[i][3].res
 		asyncCost = append(asyncCost, ratio(float64(asy.GC), float64(syncRes.GC))-1)
 		t.AddRow(app.Name, seconds(syncRes.GC), seconds(unl.GC), seconds(asy.GC), seconds(dram.GC))
 	}
@@ -156,23 +142,14 @@ func Fig12(p Params) (*Report, error) {
 		Title:   "GC improvement per dollar (s/$, scaled heap)",
 		Columns: []string{"app", "G1-Opt", "all-DRAM", "opt/dram ratio"},
 	}
-	var specs12 []runSpec
-	for i, app := range apps {
-		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
-		optSpec := base
-		optSpec.host.Opt = gc.Optimized()
-		dramSpec := base
-		dramSpec.host.Heap.Placement = dramHeap
-		specs12 = append(specs12, base, optSpec, dramSpec)
-	}
-	outs12, err := runAll(p, specs12)
+	outs, err := grid(p, apps, threads, asIs, withOpt(gc.Optimized()), placed(dramHeap))
 	if err != nil {
 		return nil, err
 	}
 
 	var ratios, sparkRatios []float64
 	for i, app := range apps {
-		vanilla, opt, dram := outs12[3*i].res, outs12[3*i+1].res, outs12[3*i+2].res
+		vanilla, opt, dram := outs[i][0].res, outs[i][1].res, outs[i][2].res
 		perDollarOpt := (seconds(vanilla.GC) - seconds(opt.GC)) / optCost
 		perDollarDram := (seconds(vanilla.GC) - seconds(dram.GC)) / dramCost
 		rr := ratio(perDollarOpt, perDollarDram)

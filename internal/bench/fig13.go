@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"nvmgc/internal/gc"
 	"nvmgc/internal/metrics"
@@ -32,59 +33,53 @@ func Fig13(p Params) (*Report, error) {
 		{"+all", gc.Optimized()},
 	}
 
-	rep := &Report{ID: "fig13", Title: "GC scalability"}
-	var specs []runSpec
-	for i, app := range apps {
-		for _, cfg := range configs {
-			for _, th := range threadSet {
-				specs = append(specs, runSpec{app: app, host: p.host(cfg.opt), threads: th, scale: p.scale(), seed: p.seed() + uint64(i)})
-			}
+	var variants []func(*runSpec) // config-major, then thread count
+	for _, cfg := range configs {
+		for _, th := range threadSet {
+			variants = append(variants, func(s *runSpec) { s.host.Opt, s.threads = cfg.opt, th })
 		}
 	}
-	outs, err := runAll(p, specs)
+	outs, err := grid(p, apps, 0, variants...)
 	if err != nil {
 		return nil, err
 	}
 
-	scaleBeyond8 := map[string][]float64{}
-	perApp := len(configs) * len(threadSet)
+	rep := &Report{ID: "fig13", Title: "GC scalability"}
+	at8 := slices.Index(threadSet, 8)
+	scaleBeyond8 := make([][]float64, len(configs))
 	for i, app := range apps {
 		t := &metrics.Table{
 			Title:   fmt.Sprintf("%s: GC time (s) vs GC threads", app.Name),
 			Columns: []string{"threads", "vanilla", "+writecache", "+all"},
 		}
-		results := make(map[string]map[int]float64)
-		for ci, cfg := range configs {
-			results[cfg.label] = make(map[int]float64)
-			for ti, th := range threadSet {
-				results[cfg.label][th] = seconds(outs[i*perApp+ci*len(threadSet)+ti].res.GC)
+		// gcs[config][thread index]
+		var gcs [][]float64
+		for runs := range slices.Chunk(outs[i], len(threadSet)) {
+			var row []float64
+			for _, out := range runs {
+				row = append(row, seconds(out.res.GC))
 			}
+			gcs = append(gcs, row)
 		}
-		for _, th := range threadSet {
-			t.AddRow(th, results["vanilla"][th], results["+writecache"][th], results["+all"][th])
+		for ti, th := range threadSet {
+			t.AddRow(th, gcs[0][ti], gcs[1][ti], gcs[2][ti])
 		}
 		rep.Tables = append(rep.Tables, t)
 
 		// How much each config still gains beyond 8 threads — the
 		// paper's claim is that vanilla gains nothing there while the
 		// optimizations keep scaling.
-		for _, cfg := range configs {
-			at8 := results[cfg.label][8]
-			best := at8
-			for _, th := range threadSet {
-				if th > 8 && results[cfg.label][th] < best {
-					best = results[cfg.label][th]
-				}
-			}
-			if at8 > 0 && best > 0 {
-				scaleBeyond8[cfg.label] = append(scaleBeyond8[cfg.label], at8/best)
+		for ci, row := range gcs {
+			best := slices.Min(row[at8:])
+			if row[at8] > 0 && best > 0 {
+				scaleBeyond8[ci] = append(scaleBeyond8[ci], row[at8]/best)
 			}
 		}
 	}
-	for _, cfg := range configs {
+	for ci, cfg := range configs {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"%s: GC speedup from adding threads beyond 8: %.2fx avg (paper: vanilla plateaus ~8, +writecache ~20, +all scales to 56)",
-			cfg.label, mean(scaleBeyond8[cfg.label])))
+			cfg.label, mean(scaleBeyond8[ci])))
 	}
 	return rep, nil
 }
@@ -112,25 +107,19 @@ func Fig14(p Params) (*Report, error) {
 		Title:   "PS GC time (s)",
 		Columns: []string{"app", "vanilla", "no-prefetch", "+all", "+all speedup", "prefetch gain"},
 	}
-	var specs []runSpec
-	for i, app := range apps {
-		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
-		base.host.PS = true
-		npSpec := base
-		npSpec.host.Opt = gc.Optimized()
-		npSpec.host.Opt.Prefetch = false
-		allSpec := base
-		allSpec.host.Opt = gc.Optimized()
-		specs = append(specs, base, npSpec, allSpec)
+	ps := func(o gc.Options) func(*runSpec) {
+		return func(s *runSpec) { s.host.PS, s.host.Opt = true, o }
 	}
-	outs, err := runAll(p, specs)
+	noPrefetchOpt := gc.Optimized()
+	noPrefetchOpt.Prefetch = false
+	outs, err := grid(p, apps, threads, ps(gc.Vanilla()), ps(noPrefetchOpt), ps(gc.Optimized()))
 	if err != nil {
 		return nil, err
 	}
 
 	var speedups, prefetchGain []float64
 	for i, app := range apps {
-		vanilla, noPrefetch, all := outs[3*i].res, outs[3*i+1].res, outs[3*i+2].res
+		vanilla, noPrefetch, all := outs[i][0].res, outs[i][1].res, outs[i][2].res
 
 		sp := ratio(float64(vanilla.GC), float64(all.GC))
 		pg := ratio(float64(noPrefetch.GC), float64(all.GC)) - 1

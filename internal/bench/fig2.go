@@ -2,9 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"nvmgc/internal/cassandra"
-	"nvmgc/internal/gc"
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/metrics"
 	"nvmgc/internal/workload"
@@ -79,33 +79,46 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 		return nil, err
 	}
 	rep := &Report{ID: id, Title: "Bandwidth statistics for " + app}
-	// on runs vanilla G1 with the whole heap on the kind's device.
-	on := func(kind memsim.Kind, threads int, trace bool) runSpec {
-		h := p.host(gc.Vanilla())
-		h.Machine = p.machineConfig(trace)
-		if kind == memsim.DRAM {
-			h.Heap.Placement = dramHeap
+	// on runs vanilla G1 with the whole heap on the named tier.
+	on := func(tier string, threads int, trace bool) func(*runSpec) {
+		return func(s *runSpec) {
+			s.threads = threads
+			s.host.Machine = p.machineConfig(trace)
+			if tier == "dram" {
+				s.host.Heap.Placement = dramHeap
+			}
 		}
-		return runSpec{app: spec, host: h, threads: threads, scale: p.scale(), seed: p.seed()}
 	}
-
-	kinds := []memsim.Kind{memsim.DRAM, memsim.NVM}
-	var traced []runSpec
-	for _, kind := range kinds {
-		traced = append(traced, on(kind, threads, true))
+	// Panels (a) and (b) trace a run on each tier; (c) and (d) sweep the
+	// GC threads on each.
+	traced := []string{"dram", "nvm"}
+	scaled := []string{"nvm", "dram"}
+	threadSet := []int{8, 20, 40}
+	if p.Quick {
+		threadSet = []int{8, 20}
 	}
-	traces, err := runAll(p, traced)
+	variants := []func(*runSpec){on("dram", threads, true), on("nvm", threads, true)}
+	if scalability {
+		for _, tier := range scaled {
+			for _, th := range threadSet {
+				variants = append(variants, on(tier, th, false))
+			}
+		}
+	}
+	outs, err := grid(p, []workload.Spec{spec}, threads, variants...)
 	if err != nil {
 		return nil, err
 	}
-	for ki, kind := range kinds {
+	runs := outs[0]
+
+	for ti, tier := range traced {
 		// The traced window is the mutation phase: [end - Total, end).
-		m := traces[ki].M
+		m := runs[ti].M
 		end := m.Now()
-		start := end - traces[ki].res.Total
-		dev := m.Device(kind)
+		start := end - runs[ti].res.Total
+		dev := tierDevice(m, tier)
 		rep.Tables = append(rep.Tables, traceTable(
-			fmt.Sprintf("(%s) %s bandwidth atop %v", map[memsim.Kind]string{memsim.DRAM: "a", memsim.NVM: "b"}[kind], app, kind),
+			fmt.Sprintf("(%c) %s bandwidth atop %s", 'a'+ti, app, strings.ToUpper(tier)),
 			m, dev, start, end, rows))
 
 		// Quantify the GC-vs-app bandwidth contrast.
@@ -121,49 +134,22 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 		allR, allW, allT := dev.Trace().Window(start, end)
 		if n > 0 {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
-				"%v: avg bandwidth during GC %.0f MB/s (r %.0f / w %.0f) vs whole-run %.0f MB/s (r %.0f / w %.0f)",
-				kind, gcT/n, gcR/n, gcW/n, allT, allR, allW))
+				"%s: avg bandwidth during GC %.0f MB/s (r %.0f / w %.0f) vs whole-run %.0f MB/s (r %.0f / w %.0f)",
+				strings.ToUpper(tier), gcT/n, gcR/n, gcW/n, allT, allR, allW))
 		}
 	}
 
 	if scalability {
-		threadSet := []int{8, 20, 40}
-		if p.Quick {
-			threadSet = []int{8, 20}
-		}
-		scaleKinds := []memsim.Kind{memsim.NVM, memsim.DRAM}
-		var specs []runSpec
-		for _, kind := range scaleKinds {
-			for _, th := range threadSet {
-				specs = append(specs, on(kind, th, false))
-			}
-		}
-		outs, err := runAll(p, specs)
-		if err != nil {
-			return nil, err
-		}
-		for ki, kind := range scaleKinds {
+		sweeps := runs[len(traced):]
+		for si, tier := range scaled {
 			t := &metrics.Table{
-				Title:   fmt.Sprintf("(%s) bandwidth vs scalability (%v)", map[memsim.Kind]string{memsim.NVM: "c", memsim.DRAM: "d"}[kind], kind),
+				Title:   fmt.Sprintf("(%c) bandwidth vs scalability (%s)", 'c'+si, strings.ToUpper(tier)),
 				Columns: []string{"threads", "avg GC bandwidth (MB/s)", "GC time (s)"},
 			}
-			for ti, th := range threadSet {
-				res := outs[ki*len(threadSet)+ti].res
-				bw := 0.0
-				if kind == memsim.NVM {
-					bw = gcBandwidthMBps(res.Collections)
-				} else {
-					var bytes int64
-					var pause memsim.Time
-					for _, c := range res.Collections {
-						bytes += c.DRAM.Total()
-						pause += c.Pause
-					}
-					if pause > 0 {
-						bw = float64(bytes) / 1e6 / seconds(pause)
-					}
-				}
-				t.AddRow(th, bw, seconds(res.GC))
+			for _, th := range threadSet {
+				res := sweeps[0].res
+				sweeps = sweeps[1:]
+				t.AddRow(th, gcBandwidthMBps(res.Collections, tier), seconds(res.GC))
 			}
 			rep.Tables = append(rep.Tables, t)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"nvmgc/internal/gc"
 	"nvmgc/internal/metrics"
-	"nvmgc/internal/workload"
 )
 
 // Fig5 reproduces Figure 5: GC time for all 26 applications under
@@ -25,22 +24,8 @@ func Fig5(p Params) (*Report, error) {
 		Columns: []string{"app", "vanilla", "+writecache", "+all",
 			"vanilla-dram", "young-gen-dram", "+all speedup"},
 	}
-	specs := make([]runSpec, 0, 5*len(apps))
-	for i, app := range apps {
-		seed := p.seed() + uint64(i)
-		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: seed}
-
-		wcSpec := base
-		wcSpec.host.Opt = gc.WithWriteCache()
-		allSpec := base
-		allSpec.host.Opt = gc.Optimized()
-		dramSpec := base
-		dramSpec.host.Heap.Placement = dramHeap
-		ygSpec := base
-		ygSpec.host.Heap.Placement = youngOnDRAM
-		specs = append(specs, base, wcSpec, allSpec, dramSpec, ygSpec)
-	}
-	outs, err := runAll(p, specs)
+	outs, err := grid(p, apps, threads, asIs, withOpt(gc.WithWriteCache()), withOpt(gc.Optimized()),
+		placed(dramHeap), placed(youngOnDRAM))
 	if err != nil {
 		return nil, err
 	}
@@ -48,8 +33,8 @@ func Fig5(p Params) (*Report, error) {
 	var spAll, spWC, gapVanilla, gapOpt []float64
 	improved := 0
 	for i, app := range apps {
-		vanilla, wc, all := outs[5*i].res, outs[5*i+1].res, outs[5*i+2].res
-		dram, yg := outs[5*i+3].res, outs[5*i+4].res
+		vanilla, wc, all := outs[i][0].res, outs[i][1].res, outs[i][2].res
+		dram, yg := outs[i][3].res, outs[i][4].res
 
 		sp := ratio(float64(vanilla.GC), float64(all.GC))
 		// Apps whose configuration triggers no GC at the chosen scale
@@ -95,15 +80,15 @@ func Fig6(p Params) (*Report, error) {
 		Title:   fmt.Sprintf("Average NVM bandwidth during GC (MB/s), %d GC threads", threads),
 		Columns: []string{"app", "G1-Vanilla", "G1-Opt", "improvement"},
 	}
-	outs, err := runAll(p, vanillaOptPairs(apps, threads, p))
+	outs, err := grid(p, apps, threads, asIs, withOpt(gc.Optimized()))
 	if err != nil {
 		return nil, err
 	}
 	var imps, sparkImps []float64
 	for i, app := range apps {
-		vanilla, opt := outs[2*i].res, outs[2*i+1].res
-		bv := gcBandwidthMBps(vanilla.Collections)
-		bo := gcBandwidthMBps(opt.Collections)
+		vanilla, opt := outs[i][0].res, outs[i][1].res
+		bv := gcBandwidthMBps(vanilla.Collections, "nvm")
+		bo := gcBandwidthMBps(opt.Collections, "nvm")
 		imp := ratio(bo, bv) - 1
 		if bv > 0 && bo > 0 {
 			imps = append(imps, imp)
@@ -137,13 +122,13 @@ func Fig9(p Params) (*Report, error) {
 		Title:   "Application execution time (s)",
 		Columns: []string{"app", "G1-Vanilla", "G1-Opt", "reduction"},
 	}
-	outs, err := runAll(p, vanillaOptPairs(apps, threads, p))
+	outs, err := grid(p, apps, threads, asIs, withOpt(gc.Optimized()))
 	if err != nil {
 		return nil, err
 	}
 	var sparkRed []float64
 	for i, app := range apps {
-		vanilla, opt := outs[2*i].res, outs[2*i+1].res
+		vanilla, opt := outs[i][0].res, outs[i][1].res
 		red := 1 - ratio(float64(opt.Total), float64(vanilla.Total))
 		if app.Profile.Suite == "spark" {
 			sparkRed = append(sparkRed, red)
@@ -157,19 +142,6 @@ func Fig9(p Params) (*Report, error) {
 			100*minOf(sparkRed), 100*maxOf(sparkRed)))
 	}
 	return rep, nil
-}
-
-// vanillaOptPairs builds the (vanilla, optimized) spec pair per app used
-// by the figures that compare the two configurations.
-func vanillaOptPairs(apps []workload.Spec, threads int, p Params) []runSpec {
-	specs := make([]runSpec, 0, 2*len(apps))
-	for i, app := range apps {
-		base := runSpec{app: app, host: p.host(gc.Vanilla()), threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)}
-		optSpec := base
-		optSpec.host.Opt = gc.Optimized()
-		specs = append(specs, base, optSpec)
-	}
-	return specs
 }
 
 func maxOf(v []float64) float64 {

@@ -38,55 +38,51 @@ func Fig7(p Params) (*Report, error) {
 		{"optimized", gc.Optimized()},
 		{"vanilla", gc.Vanilla()},
 	}
-	var specs []runSpec
-	var labels []string
-	var specApps []string
-	for i, app := range apps {
-		for _, cfg := range configs {
-			h := p.host(cfg.opt)
-			h.Machine = p.machineConfig(true)
-			specs = append(specs, runSpec{app: app, host: h, threads: threads, scale: p.scale(), seed: p.seed() + uint64(i)})
-			labels = append(labels, cfg.label)
-			specApps = append(specApps, app.Name)
-		}
+	var variants []func(*runSpec)
+	for _, cfg := range configs {
+		variants = append(variants, func(s *runSpec) {
+			s.host.Opt = cfg.opt
+			s.host.Machine = p.machineConfig(true)
+		})
 	}
-	outs, err := runAll(p, specs)
+	outs, err := grid(p, apps, threads, variants...)
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &Report{ID: "fig7", Title: "Split NVM bandwidth during GC"}
-	for si := range specs {
-		app, label := specApps[si], labels[si]
-		res, m := outs[si].res, outs[si].M
-		// Pick the longest GC pause and plot a window around it.
-		pauses := cassandra.PauseIntervals(m, m.Now()-res.Total, m.Now())
-		if len(pauses) == 0 {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("%s/%s: no GC observed", app, label))
-			continue
-		}
-		longest := pauses[0]
-		for _, pi := range pauses {
-			if pi.End-pi.Start > longest.End-longest.Start {
-				longest = pi
+	for i, app := range apps {
+		for ci, cfg := range configs {
+			res, m := outs[i][ci].res, outs[i][ci].M
+			// Pick the longest GC pause and plot a window around it.
+			pauses := cassandra.PauseIntervals(m, m.Now()-res.Total, m.Now())
+			if len(pauses) == 0 {
+				rep.Notes = append(rep.Notes, fmt.Sprintf("%s/%s: no GC observed", app.Name, cfg.label))
+				continue
 			}
-		}
-		pad := (longest.End - longest.Start) / 5
-		rep.Tables = append(rep.Tables, traceTable(
-			fmt.Sprintf("%s (%s): NVM bandwidth around the longest GC", app, label),
-			m, m.NVM, longest.Start-pad, longest.End+pad, rows))
+			longest := pauses[0]
+			for _, pi := range pauses {
+				if pi.End-pi.Start > longest.End-longest.Start {
+					longest = pi
+				}
+			}
+			pad := (longest.End - longest.Start) / 5
+			rep.Tables = append(rep.Tables, traceTable(
+				fmt.Sprintf("%s (%s): NVM bandwidth around the longest GC", app.Name, cfg.label),
+				m, m.NVM, longest.Start-pad, longest.End+pad, rows))
 
-		r, w, _ := m.NVM.Trace().Window(longest.Start, longest.End)
-		var s gc.CollectionStats
-		for _, c := range res.Collections {
-			if c.Pause == longest.End-longest.Start {
-				s = c
-				break
+			r, w, _ := m.NVM.Trace().Window(longest.Start, longest.End)
+			var s gc.CollectionStats
+			for _, c := range res.Collections {
+				if c.Pause == longest.End-longest.Start {
+					s = c
+					break
+				}
 			}
+			rep.Notes = append(rep.Notes, fmt.Sprintf(
+				"%s/%s: during longest GC read %.0f MB/s write %.0f MB/s; read-mostly %.1fms write-only %.1fms",
+				app.Name, cfg.label, r, w, ms(s.ReadMostly), ms(s.WriteOnly)))
 		}
-		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"%s/%s: during longest GC read %.0f MB/s write %.0f MB/s; read-mostly %.1fms write-only %.1fms",
-			app, label, r, w, ms(s.ReadMostly), ms(s.WriteOnly)))
 	}
 	return rep, nil
 }

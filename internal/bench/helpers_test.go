@@ -31,15 +31,21 @@ func TestStatHelpers(t *testing.T) {
 }
 
 func TestGCBandwidth(t *testing.T) {
-	if gcBandwidthMBps(nil) != 0 {
+	if gcBandwidthMBps(nil, "nvm") != 0 {
 		t.Fatal("no collections should give 0")
 	}
 	cs := []gc.CollectionStats{{
 		Pause: memsim.Second,
-		NVM:   memsim.DeviceStats{ReadBytes: 500_000_000, WriteBytes: 500_000_000},
+		Tiers: []gc.TierTraffic{
+			{Name: "dram", Stats: memsim.DeviceStats{ReadBytes: 250_000_000}},
+			{Name: "nvm", Stats: memsim.DeviceStats{ReadBytes: 500_000_000, WriteBytes: 500_000_000}},
+		},
 	}}
-	if got := gcBandwidthMBps(cs); math.Abs(got-1000) > 1 {
-		t.Fatalf("bandwidth = %v, want 1000", got)
+	if got := gcBandwidthMBps(cs, "nvm"); math.Abs(got-1000) > 1 {
+		t.Fatalf("nvm bandwidth = %v, want 1000", got)
+	}
+	if got := gcBandwidthMBps(cs, "dram"); math.Abs(got-250) > 1 {
+		t.Fatalf("dram bandwidth = %v, want 250", got)
 	}
 }
 

@@ -26,9 +26,9 @@ func PrefetchTable(p Params) (*Report, error) {
 		computeNs    = 40 // per-iteration work that can hide latency
 	)
 
-	run := func(kind memsim.Kind, prefetch bool) float64 {
+	run := func(tier string, prefetch bool) float64 {
 		m := memsim.NewMachine(p.machineConfig(false))
-		dev := m.Device(kind)
+		dev := tierDevice(m, tier)
 		rng := rand.New(rand.NewPCG(p.seed(), 0xF00D))
 		idx := make([]uint64, accesses)
 		base := uint64(1) << 33
@@ -53,14 +53,14 @@ func PrefetchTable(p Params) (*Report, error) {
 		Columns: []string{"configuration", "result (s)"},
 	}
 	cfgs := []struct {
-		kind     memsim.Kind
+		tier     string
 		prefetch bool
 	}{
-		{memsim.DRAM, false}, {memsim.DRAM, true},
-		{memsim.NVM, false}, {memsim.NVM, true},
+		{"dram", false}, {"dram", true},
+		{"nvm", false}, {"nvm", true},
 	}
 	times, err := par.Map(len(cfgs), p.Parallel, func(i int) (float64, error) {
-		return run(cfgs[i].kind, cfgs[i].prefetch), nil
+		return run(cfgs[i].tier, cfgs[i].prefetch), nil
 	})
 	if err != nil {
 		return nil, err

@@ -83,8 +83,9 @@ type Config struct {
 
 	// HeapKind is the deprecated two-tier way of picking the device
 	// backing the Java heap, consulted only to fill empty Placement
-	// fields. benchmarks/sim.go is its last writer besides DefaultConfig;
-	// it goes once that file builds its hosts through placement.
+	// fields. It is the last use of memsim.Kind: benchmarks/sim.go sets
+	// it, and both go once that file builds its hosts through placement
+	// (ROADMAP item 6(a)).
 	HeapKind memsim.Kind
 
 	EdenRegions     int // young-generation eden budget

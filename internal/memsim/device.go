@@ -1,7 +1,6 @@
 package memsim
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -20,7 +19,9 @@ const (
 	Second      Time = 1_000_000_000
 )
 
-// Kind identifies the technology class of a memory device.
+// Kind names the two classic devices. Its one use left is
+// heap.Config.HeapKind; tiers are otherwise told apart by name and by
+// TierSpec.Persistent.
 type Kind uint8
 
 const (
@@ -30,23 +31,10 @@ const (
 	NVM
 )
 
-// String returns the conventional name of the device kind.
-func (k Kind) String() string {
-	switch k {
-	case DRAM:
-		return "DRAM"
-	case NVM:
-		return "NVM"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
 // Profile holds the timing and bandwidth parameters of a memory device.
 // Bandwidths are in bytes per nanosecond, which is numerically equal to
 // GB/s (decimal).
 type Profile struct {
-	Kind         Kind
 	ReadLatency  Time // per-operation read latency added outside the channel
 	WriteLatency Time // per-operation write latency (store-buffer visible)
 
@@ -73,7 +61,6 @@ type Profile struct {
 // single-socket server-class memory system.
 func DRAMProfile() Profile {
 	return Profile{
-		Kind:         DRAM,
 		ReadLatency:  90,
 		WriteLatency: 90,
 		PeakReadBW:   60,
@@ -93,7 +80,6 @@ func DRAMProfile() Profile {
 // local DRAM — while keeping DRAM's 64 B access granularity.
 func RemoteDRAMProfile() Profile {
 	return Profile{
-		Kind:         DRAM,
 		ReadLatency:  160,
 		WriteLatency: 160,
 		PeakReadBW:   30,
@@ -110,7 +96,6 @@ func RemoteDRAMProfile() Profile {
 // following the measurements of Izraelevitz et al. and Yang et al.
 func OptaneProfile() Profile {
 	return Profile{
-		Kind:         NVM,
 		ReadLatency:  300,
 		WriteLatency: 120,
 		PeakReadBW:   30,
@@ -206,9 +191,6 @@ func (d *Device) Name() string { return d.name }
 
 // Profile returns the device's parameter profile.
 func (d *Device) Profile() Profile { return d.prof }
-
-// Kind returns the device's technology class.
-func (d *Device) Kind() Kind { return d.prof.Kind }
 
 // Stats returns a snapshot of cumulative traffic counters.
 func (d *Device) Stats() DeviceStats { return d.stats }

@@ -7,15 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestKindString(t *testing.T) {
-	if DRAM.String() != "DRAM" || NVM.String() != "NVM" {
-		t.Fatalf("unexpected kind names: %v %v", DRAM, NVM)
-	}
-	if Kind(7).String() == "" {
-		t.Fatal("unknown kind should still render")
-	}
-}
-
 func TestAmplifyRandomVsSequential(t *testing.T) {
 	d := NewDevice("nvm", OptaneProfile(), 0)
 	if got := d.amplify(8, false); got != 256 {

@@ -167,14 +167,6 @@ func (m *Machine) Mark(label string) {
 // Marks returns all recorded phase marks in order.
 func (m *Machine) Marks() []PhaseMark { return m.marks }
 
-// Device returns the device of the given kind.
-func (m *Machine) Device(k Kind) *Device {
-	if k == DRAM {
-		return m.DRAM
-	}
-	return m.NVM
-}
-
 // Run executes a phase with n simulated workers, all starting at the
 // current virtual clock. It returns the phase's elapsed virtual time (the
 // latest worker finish) and advances the machine clock to the phase end.

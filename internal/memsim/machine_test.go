@@ -188,13 +188,6 @@ func TestMarks(t *testing.T) {
 	}
 }
 
-func TestDeviceSelector(t *testing.T) {
-	m := testMachine()
-	if m.Device(DRAM) != m.DRAM || m.Device(NVM) != m.NVM {
-		t.Fatal("Device(kind) mismatch")
-	}
-}
-
 func TestPrefetchHidesLatency(t *testing.T) {
 	// Demand-read cost after prefetch + compute gap should be lower than
 	// a cold read.

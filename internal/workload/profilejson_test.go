@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"nvmgc/internal/gc"
-	"nvmgc/internal/memsim"
 )
 
 func TestLoadProfileFromScratch(t *testing.T) {
@@ -143,7 +142,7 @@ func TestCustomProfileRunsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newEnv(t, memsim.NVM)
+	h := newEnv(t, "nvm")
 	col, err := gc.NewG1(h, gc.Vanilla())
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,11 @@ import (
 
 // newEnvMode is newEnv with an explicit scheduler mode, for the
 // equivalence tests that must hold in both.
-func newEnvMode(t *testing.T, kind memsim.Kind, eager bool) *heap.Heap {
+func newEnvMode(t *testing.T, heapTier string, eager bool) *heap.Heap {
 	t.Helper()
 	s := KeyedHost()
 	s.Machine.EagerYield = eager
-	if kind == memsim.DRAM {
+	if heapTier == "dram" {
 		s.Heap.Placement = heap.AllOn("dram")
 	}
 	h, err := heap.New(memsim.NewMachine(s.Machine), s.Heap)
@@ -49,7 +49,7 @@ func sameResult(t *testing.T, label string, a, b Result, mA, mB memsim.Time) {
 
 func runScenario(t *testing.T, name string, eager bool, opt gc.Options, scale float64) (Result, memsim.Time) {
 	t.Helper()
-	h := newEnvMode(t, memsim.NVM, eager)
+	h := newEnvMode(t, "nvm", eager)
 	col, err := gc.NewG1(h, opt)
 	if err != nil {
 		t.Fatal(err)

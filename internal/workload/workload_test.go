@@ -6,12 +6,11 @@ import (
 
 	"nvmgc/internal/gc"
 	"nvmgc/internal/heap"
-	"nvmgc/internal/memsim"
 )
 
-func newEnv(t *testing.T, kind memsim.Kind) *heap.Heap {
+func newEnv(t *testing.T, heapTier string) *heap.Heap {
 	t.Helper()
-	return newEnvMode(t, kind, false)
+	return newEnvMode(t, heapTier, false)
 }
 
 // scenario resolves a registered scenario or fails the test.
@@ -61,9 +60,9 @@ func TestProfilesTableValid(t *testing.T) {
 	}
 }
 
-func runProfile(t *testing.T, name string, kind memsim.Kind, opt gc.Options, threads int, scale float64) Result {
+func runProfile(t *testing.T, name, heapTier string, opt gc.Options, threads int, scale float64) Result {
 	t.Helper()
-	h := newEnv(t, kind)
+	h := newEnv(t, heapTier)
 	col, err := gc.NewG1(h, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +82,7 @@ func runProfile(t *testing.T, name string, kind memsim.Kind, opt gc.Options, thr
 }
 
 func TestRunProducesCollections(t *testing.T) {
-	res := runProfile(t, "page-rank", memsim.NVM, gc.Vanilla(), 8, 0.3)
+	res := runProfile(t, "page-rank", "nvm", gc.Vanilla(), 8, 0.3)
 	if len(res.Collections) < 2 {
 		t.Fatalf("expected multiple GCs, got %d", len(res.Collections))
 	}
@@ -100,16 +99,16 @@ func TestRunProducesCollections(t *testing.T) {
 }
 
 func TestRunDeterminism(t *testing.T) {
-	a := runProfile(t, "als", memsim.NVM, gc.Optimized(), 8, 0.25)
-	b := runProfile(t, "als", memsim.NVM, gc.Optimized(), 8, 0.25)
+	a := runProfile(t, "als", "nvm", gc.Optimized(), 8, 0.25)
+	b := runProfile(t, "als", "nvm", gc.Optimized(), 8, 0.25)
 	if a.Total != b.Total || a.GC != b.GC || a.Allocated != b.Allocated {
 		t.Fatalf("nondeterministic run: %+v vs %+v", a, b)
 	}
 }
 
 func TestNVMSlowerThanDRAM(t *testing.T) {
-	nvm := runProfile(t, "page-rank", memsim.NVM, gc.Vanilla(), 8, 0.3)
-	dram := runProfile(t, "page-rank", memsim.DRAM, gc.Vanilla(), 8, 0.3)
+	nvm := runProfile(t, "page-rank", "nvm", gc.Vanilla(), 8, 0.3)
+	dram := runProfile(t, "page-rank", "dram", gc.Vanilla(), 8, 0.3)
 	if nvm.GC <= dram.GC {
 		t.Fatalf("GC on NVM (%d) should exceed DRAM (%d)", nvm.GC, dram.GC)
 	}
@@ -127,15 +126,15 @@ func TestNVMSlowerThanDRAM(t *testing.T) {
 }
 
 func TestOptimizationsImproveNVMGC(t *testing.T) {
-	vanilla := runProfile(t, "page-rank", memsim.NVM, gc.Vanilla(), 16, 0.3)
-	opt := runProfile(t, "page-rank", memsim.NVM, gc.Optimized(), 16, 0.3)
+	vanilla := runProfile(t, "page-rank", "nvm", gc.Vanilla(), 16, 0.3)
+	opt := runProfile(t, "page-rank", "nvm", gc.Optimized(), 16, 0.3)
 	if opt.GC >= vanilla.GC {
 		t.Fatalf("optimized GC (%d) should beat vanilla (%d) on NVM", opt.GC, vanilla.GC)
 	}
 }
 
 func TestSurvivalRatioRoughlyHolds(t *testing.T) {
-	res := runProfile(t, "kmeans", memsim.NVM, gc.Vanilla(), 8, 0.4)
+	res := runProfile(t, "kmeans", "nvm", gc.Vanilla(), 8, 0.4)
 	var copied int64
 	for _, c := range res.Collections {
 		copied += c.BytesCopied
@@ -153,7 +152,7 @@ func TestSurvivalRatioRoughlyHolds(t *testing.T) {
 func TestRemSetsArePopulated(t *testing.T) {
 	// Spark profiles anchor clusters in old holders; collections must see
 	// non-trivial remembered sets (slot counts beyond the root set).
-	res := runProfile(t, "page-rank", memsim.NVM, gc.Vanilla(), 8, 0.3)
+	res := runProfile(t, "page-rank", "nvm", gc.Vanilla(), 8, 0.3)
 	var slots int64
 	for _, c := range res.Collections {
 		slots += c.SlotsProcessed
@@ -171,8 +170,8 @@ func TestRemSetsArePopulated(t *testing.T) {
 }
 
 func TestLowGCAppsBarelyCollect(t *testing.T) {
-	quiet := runProfile(t, "scala-doku", memsim.NVM, gc.Vanilla(), 8, 1)
-	busy := runProfile(t, "page-rank", memsim.NVM, gc.Vanilla(), 8, 1)
+	quiet := runProfile(t, "scala-doku", "nvm", gc.Vanilla(), 8, 1)
+	busy := runProfile(t, "page-rank", "nvm", gc.Vanilla(), 8, 1)
 	if len(quiet.Collections) >= len(busy.Collections) {
 		t.Fatalf("scala-doku (%d GCs) should collect less than page-rank (%d)",
 			len(quiet.Collections), len(busy.Collections))
@@ -217,7 +216,7 @@ func TestFullGCUnderLoad(t *testing.T) {
 	// run only stays consistent if the keyed mutator re-reads them.
 	for _, tc := range []loadCase{{"page-rank", 0.4}, {"ycsb-a", 1.5}} {
 		name, scale := tc.name, tc.scale
-		h := newEnv(t, memsim.NVM)
+		h := newEnv(t, "nvm")
 		g1, err := gc.NewG1(h, gc.Optimized())
 		if err != nil {
 			t.Fatal(err)
@@ -276,8 +275,8 @@ func TestMutatorStreamIndependentOfGCConfig(t *testing.T) {
 	// GC internals — so two runs under different collector options see
 	// identical workloads. This is what makes cross-configuration
 	// comparisons apples-to-apples.
-	a := runProfile(t, "als", memsim.NVM, gc.Vanilla(), 8, 0.25)
-	b := runProfile(t, "als", memsim.NVM, gc.Optimized(), 8, 0.25)
+	a := runProfile(t, "als", "nvm", gc.Vanilla(), 8, 0.25)
+	b := runProfile(t, "als", "nvm", gc.Optimized(), 8, 0.25)
 	if a.Allocated != b.Allocated {
 		t.Fatalf("allocation streams diverged: %d vs %d bytes", a.Allocated, b.Allocated)
 	}
@@ -295,7 +294,7 @@ func TestMutatorStreamIndependentOfGCConfig(t *testing.T) {
 func TestMixedGCUnderLoad(t *testing.T) {
 	for _, tc := range []loadCase{{"kmeans", 0.4}, {"ycsb-a", 1.5}} {
 		name, scale := tc.name, tc.scale
-		h := newEnv(t, memsim.NVM)
+		h := newEnv(t, "nvm")
 		g1, err := gc.NewG1(h, gc.Optimized())
 		if err != nil {
 			t.Fatal(err)
@@ -325,7 +324,7 @@ func TestMixedGCUnderLoad(t *testing.T) {
 }
 
 func TestInvalidConfigRejected(t *testing.T) {
-	h := newEnv(t, memsim.NVM)
+	h := newEnv(t, "nvm")
 	col, _ := gc.NewG1(h, gc.Vanilla())
 	if _, err := (Spec{Profile: &Profile{}}).NewRunner(col, Config{}); err == nil {
 		t.Fatal("empty profile should be rejected")
@@ -337,7 +336,7 @@ func TestPSRunsAllProfilesSmall(t *testing.T) {
 		t.Skip("full profile sweep in long mode only")
 	}
 	for _, name := range []string{"naive-bayes", "akka-uct", "movie-lens"} {
-		h := newEnv(t, memsim.NVM)
+		h := newEnv(t, "nvm")
 		col, err := gc.NewPS(h, gc.Optimized())
 		if err != nil {
 			t.Fatal(err)
