@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify loc archives bench-e2e bench-gate profile suite-quick crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fleet-smoke fuzz-smoke cover
+.PHONY: build test verify loc archives bench-e2e bench-gate profile suite-quick suite-cmp crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fleet-smoke fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -144,7 +144,17 @@ profile:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/gcsim -app page-rank -config all -cpuprofile .bench_build/gc_cpu.pb.gz -memprofile .bench_build/gc_mem.pb.gz
 
-# suite-quick times the full quick figure suite (byte-identical output at
-# any -parallel / -eager-yield setting).
+# suite-quick times the full quick figure suite (make suite-cmp checks
+# that its output is byte-identical across -parallel / -eager-yield).
 suite-quick: build
 	time $(GO) run ./cmd/nvmbench -run all -quick -scale 0.2 > /dev/null
+
+# suite-cmp runs the full quick figure suite serially and then 4-wide on
+# the eager-yield reference schedule, and fails unless the two outputs
+# are byte-identical (the determinism invariant, checked end to end).
+suite-cmp: build
+	mkdir -p .bench_build
+	$(GO) build -o .bench_build/nvmbench ./cmd/nvmbench
+	.bench_build/nvmbench -run all -quick -scale 0.2 -parallel 1 -o .bench_build/suite-serial.txt
+	.bench_build/nvmbench -run all -quick -scale 0.2 -parallel 4 -eager-yield -o .bench_build/suite-eager4.txt
+	cmp .bench_build/suite-serial.txt .bench_build/suite-eager4.txt

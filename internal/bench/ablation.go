@@ -33,24 +33,16 @@ func AblTraversal(p Params) (*Report, error) {
 		Columns: []string{"app", "order", "gc (s)", "app (s)", "total (s)"},
 	}
 	rep := &Report{ID: "abl-traversal", Title: "Traversal-order ablation (Section 4.3)", Tables: []*metrics.Table{t}}
-	var variants []func(*runSpec)
-	for _, bfs := range []bool{false, true} {
-		opt := gc.Optimized()
-		opt.BFS = bfs
-		variants = append(variants, withOpt(opt))
-	}
-	outs, err := grid(p, apps, threads, variants...)
+	bfs := gc.Optimized()
+	bfs.BFS = true
+	outs, err := grid(p, apps, threads, withOpt(gc.Optimized()), withOpt(bfs))
 	if err != nil {
 		return nil, err
 	}
 	for i, app := range apps {
 		var appTimes [2]float64
-		for bi, bfs := range []bool{false, true} {
+		for bi, order := range []string{"dfs", "bfs"} {
 			res := outs[i][bi].res
-			order := "dfs"
-			if bfs {
-				order = "bfs"
-			}
 			appTimes[bi] = seconds(res.App)
 			t.AddRow(app.Name, order, seconds(res.GC), seconds(res.App), seconds(res.Total))
 		}
@@ -86,15 +78,11 @@ func AblNonTemporal(p Params) (*Report, error) {
 	}
 	for i, app := range apps {
 		var gcTimes [2]float64
-		for bi, nt := range []bool{false, true} {
+		for bi, path := range []string{"cached", "non-temporal"} {
 			res := outs[i][bi].res
 			var wo memsim.Time
 			for _, c := range res.Collections {
 				wo += c.WriteOnly
-			}
-			path := "cached"
-			if nt {
-				path = "non-temporal"
 			}
 			gcTimes[bi] = seconds(res.GC)
 			t.AddRow(app.Name, path, seconds(res.GC), ms(wo))

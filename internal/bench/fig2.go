@@ -97,7 +97,10 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 	if p.Quick {
 		threadSet = []int{8, 20}
 	}
-	variants := []func(*runSpec){on("dram", threads, true), on("nvm", threads, true)}
+	var variants []func(*runSpec)
+	for _, tier := range traced {
+		variants = append(variants, on(tier, threads, true))
+	}
 	if scalability {
 		for _, tier := range scaled {
 			for _, th := range threadSet {
