@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"nvmgc/internal/gc"
@@ -256,5 +258,53 @@ func TestHotspotSkewConcentratesGarbage(t *testing.T) {
 	r := float64(zipf.Allocated) / float64(hot.Allocated)
 	if r < 0.8 || r > 1.25 {
 		t.Fatalf("allocation volumes diverged beyond size noise: %.3f", r)
+	}
+}
+
+// TestKeyedOpStreamPinnedPerDist pins the keyed op stream under every
+// request distribution: a mix of reads, updates, inserts, scans and RMWs
+// hashed over its op count, allocation volume, total virtual time and
+// each collection's copied bytes and pause. A change to how keys, scan
+// spans or row sizes are drawn moves a hash. The figures only run the
+// zipfian, latest and hotspot mixes, so uniform, scrambled and
+// exponential are pinned here alone.
+func TestKeyedOpStreamPinnedPerDist(t *testing.T) {
+	pinned := map[string]string{
+		DistUniform:     "c9b2181a4d9d2f8a",
+		DistZipfian:     "e9fe699725fd0add",
+		DistScrambled:   "aad7a9eaa1723260",
+		DistHotspot:     "67af0ed1430b8f70",
+		DistExponential: "e733d84b7d7cce8f",
+		DistLatest:      "49514b73ba3dba56",
+	}
+	for _, dist := range RequestDists() {
+		c := CoreDefaults()
+		c.ReadProp, c.UpdateProp, c.InsertProp, c.ScanProp, c.RMWProp = 0.3, 0.3, 0.2, 0.1, 0.1
+		c.Request = dist
+		c.Ops = 24_000
+		col, err := gc.NewG1(newEnvMode(t, "nvm", false), gc.Optimized())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Spec{Name: "pin-" + dist, Core: &c}.NewRunner(col, Config{GCThreads: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Collections) == 0 {
+			t.Fatalf("%s: no collections: the pin would not cover copying", dist)
+		}
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%d|%d", res.Ops, res.Allocated, res.Total)
+		for _, cs := range res.Collections {
+			fmt.Fprintf(h, "|%d/%d", cs.BytesCopied, cs.Pause)
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != pinned[dist] {
+			t.Errorf("%s: op stream moved: hash %s, pinned %q (%d ops, %d bytes, %d collections)",
+				dist, got, pinned[dist], res.Ops, res.Allocated, len(res.Collections))
+		}
 	}
 }
