@@ -39,11 +39,6 @@ type Config struct {
 	// runs (workload.ScenarioByName resolves it). Empty selects
 	// "cassandra-write", the paper's insert-heavy server phase.
 	Scenario string
-	// Service is the mean request service time outside GC pauses
-	// (0 selects 60µs, the cassandra write-phase default).
-	Service memsim.Time
-	// Servers is the per-instance request parallelism (0 selects 16).
-	Servers int
 	// GCThreads, Scale, Seed parameterize each instance's workload run
 	// (zeros select 16, 0.5, 1). Instance i derives its own seed from
 	// Seed, so GC pauses stagger across the fleet like real servers.
@@ -56,10 +51,6 @@ type Config struct {
 	// QPS is the fleet-wide open-loop arrival rate (requests per
 	// virtual second).
 	QPS float64
-	// Tenants and Theta shape the zipfian tenant-to-shard skew
-	// (zeros select 256 tenants at the standard YCSB skew).
-	Tenants int64
-	Theta   float64
 	// HedgeAfter, RetryAfter, MaxRetries configure the router (see
 	// Traffic); zeros disable hedging and retries.
 	HedgeAfter memsim.Time
@@ -76,8 +67,6 @@ type Config struct {
 	// dram+nvm topology (e.g. to install a media-fault model or an eADR
 	// tier).
 	Tiers []memsim.TierSpec
-	// Record retains per-request routing traces (tests only).
-	Record bool
 }
 
 // MaxInstances bounds the fleet size (a fleet is one machine per
@@ -89,12 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.Scenario == "" {
 		c.Scenario = "cassandra-write"
 	}
-	if c.Service == 0 {
-		c.Service = 60 * memsim.Microsecond
-	}
-	if c.Servers == 0 {
-		c.Servers = 16
-	}
 	if c.GCThreads == 0 {
 		c.GCThreads = 16
 	}
@@ -103,12 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Tenants == 0 {
-		c.Tenants = 256
-	}
-	if c.Theta == 0 {
-		c.Theta = generator.ZipfianConstant
 	}
 	return c
 }
@@ -135,13 +112,15 @@ func (c Config) Validate() error {
 	return d.traffic().Validate()
 }
 
-// traffic projects the serving-side parameters.
+// traffic projects the serving-side parameters: the router's from c, the
+// server side fixed at the cassandra write phase's (60µs service, 16-way
+// instances) under 256 zipfian tenants at the standard YCSB skew.
 func (c Config) traffic() Traffic {
 	return Traffic{
-		QPS: c.QPS, Service: c.Service, Servers: c.Servers,
-		Tenants: c.Tenants, Theta: c.Theta,
+		QPS: c.QPS, Service: 60 * memsim.Microsecond, Servers: 16,
+		Tenants: 256, Theta: generator.ZipfianConstant,
 		HedgeAfter: c.HedgeAfter, RetryAfter: c.RetryAfter, MaxRetries: c.MaxRetries,
-		Seed: c.Seed, Record: c.Record,
+		Seed: c.Seed,
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // instance built from a Profile plus the attributes the GC stack reads
 // instead of asking "is this DRAM?" — persistence-domain membership and
 // the eADR property (workload.NewHost builds the persistence domain from
-// the persistent tier's). CapacityBytes and Interleave are descriptive
-// configuration (reported by tooling; the bandwidth model already folds
-// interleaving into the profile's aggregate numbers).
+// the persistent tier's). Interleave is descriptive configuration
+// (reported by tooling; the bandwidth model already folds interleaving
+// into the profile's aggregate numbers).
 type TierSpec struct {
 	Name    string
 	Profile Profile
@@ -26,8 +26,7 @@ type TierSpec struct {
 	// domain over the CPU caches (stores are durable at execution).
 	EADR bool
 
-	CapacityBytes int64 // 0 = unbounded (the simulator does not enforce it)
-	Interleave    int   // DIMM interleave ways; 0 = unspecified
+	Interleave int // DIMM interleave ways; 0 = unspecified
 
 	// Fault is the tier's media-fault model (see fault.go). The zero value
 	// leaves the tier immortal and changes nothing.

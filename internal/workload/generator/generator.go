@@ -134,51 +134,3 @@ func (a *AcknowledgedCounter) Acknowledge(v int64) bool {
 	}
 	return true
 }
-
-// Histogram draws from a bucketed empirical distribution: value[i] is
-// returned with probability weight[i]/Σweights. YCSB uses it for field
-// sizes measured from production traces; the scenario engine uses it for
-// per-key object-size distributions.
-type Histogram struct {
-	rng    *rand.Rand
-	values []int64
-	cum    []int64 // cumulative weights, cum[i] = Σ weights[0..i]
-	total  int64
-	last   int64
-}
-
-// NewHistogram builds a histogram generator from parallel value/weight
-// slices (weights need not be normalized).
-func NewHistogram(rng *rand.Rand, values, weights []int64) (*Histogram, error) {
-	if len(values) == 0 || len(values) != len(weights) {
-		return nil, fmt.Errorf("generator: histogram needs matching non-empty values/weights, got %d/%d",
-			len(values), len(weights))
-	}
-	h := &Histogram{rng: rng, values: append([]int64(nil), values...), cum: make([]int64, len(weights))}
-	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("generator: histogram weight %d is %d, want > 0", i, w)
-		}
-		h.total += w
-		h.cum[i] = h.total
-	}
-	return h, nil
-}
-
-// Next draws a bucket value.
-func (h *Histogram) Next() int64 {
-	r := h.rng.Int64N(h.total)
-	// Branchless-ish linear scan: histograms are short (field-size tables),
-	// and the scan allocates nothing.
-	for i, c := range h.cum {
-		if r < c {
-			h.last = h.values[i]
-			return h.last
-		}
-	}
-	h.last = h.values[len(h.values)-1]
-	return h.last
-}
-
-// Last returns the most recent draw.
-func (h *Histogram) Last() int64 { return h.last }

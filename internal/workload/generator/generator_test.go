@@ -264,29 +264,6 @@ func TestAcknowledgedCounterFrontier(t *testing.T) {
 	}
 }
 
-func TestHistogramWeights(t *testing.T) {
-	h, err := NewHistogram(NewRand(19, 5), []int64{8, 64, 512}, []int64{6, 3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int64]int{}
-	const draws = 100_000
-	for i := 0; i < draws; i++ {
-		counts[h.Next()]++
-	}
-	for i, want := range map[int64]float64{8: 0.6, 64: 0.3, 512: 0.1} {
-		if got := float64(counts[i]) / draws; math.Abs(got-want) > 0.01 {
-			t.Fatalf("value %d drawn %.3f of the time, want %.2f", i, got, want)
-		}
-	}
-	if _, err := NewHistogram(NewRand(1, 1), []int64{1}, []int64{0}); err == nil {
-		t.Fatal("zero weight accepted")
-	}
-	if _, err := NewHistogram(NewRand(1, 1), []int64{1, 2}, []int64{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestFNVHash64KnownValues(t *testing.T) {
 	// Spot-check the scatter hash: distinct inputs, stable outputs.
 	seen := map[uint64]bool{}
@@ -333,10 +310,6 @@ func TestGeneratorSurface(t *testing.T) {
 	if v := e.Next(); e.Last() != v {
 		t.Fatal("exponential Last() stale")
 	}
-	hist, _ := NewHistogram(NewRand(1, 6), []int64{7}, []int64{1})
-	if v := hist.Next(); v != 7 || hist.Last() != 7 {
-		t.Fatalf("single-bucket histogram drew %d", v)
-	}
 	c := NewAcknowledgedCounter(0)
 	l, _ := NewLatest(NewRand(1, 7), c)
 	if v := l.Next(); l.Last() != v {
@@ -361,9 +334,6 @@ func TestGeneratorSurface(t *testing.T) {
 	}
 	if _, err := NewLatest(NewRand(1, 1), nil); err == nil {
 		t.Fatal("nil counter accepted")
-	}
-	if _, err := NewHistogram(NewRand(1, 1), nil, nil); err == nil {
-		t.Fatal("empty histogram accepted")
 	}
 }
 

@@ -40,8 +40,7 @@ func (s Spec) NewRunner(col gc.Collector, cfg Config) (*Runner, error) {
 	if s.Profile != nil {
 		r.mut, err = newProfileMutator(h, *s.Profile, cfg)
 	} else {
-		core := *s.Core // runs must not share generator state
-		if r.mut, err = newKeyedMutator(h, &core, cfg); err != nil {
+		if r.mut, err = newKeyedMutator(h, *s.Core, cfg); err != nil {
 			err = fmt.Errorf("workload %s: %w", s.Name, err)
 		}
 	}
