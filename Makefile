@@ -63,9 +63,17 @@ fault-smoke: build
 
 # workload-smoke runs the scenario-engine sweep in quick mode: collector
 # configurations across the YCSB core mixes driving keyed populations
-# (archived by make archives as results/BENCH_workloads.json).
+# (archived by make archives as results/BENCH_workloads.json). Then a
+# scan/insert mix runs through gcsim under each of the six request
+# distributions, so every generator's wiring is driven from the CLI.
 workload-smoke: build
 	$(GO) run ./cmd/nvmbench -run workload-sweep -quick
+	mkdir -p .bench_build
+	$(GO) build -o .bench_build/gcsim ./cmd/gcsim
+	@for d in uniform zipfian scrambled hotspot exponential latest; do \
+		echo "== gcsim -app ycsb-e -ycsb-dist $$d -scale 0.05"; \
+		.bench_build/gcsim -app ycsb-e -ycsb-dist $$d -scale 0.05 || exit 1; \
+	done
 
 # fleet-smoke runs the fleet serving experiment in quick mode: collector
 # configurations x fleet sizes under open-loop zipfian traffic with

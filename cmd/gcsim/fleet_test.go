@@ -131,23 +131,41 @@ func TestFleetRejectsHostFlags(t *testing.T) {
 	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("-json file: %v, want none written", err)
 	}
-	values := map[string]string{"device": "dram", "young-tier": "dram", "cache-tier": "dram", "meta-tier": "nvm",
-		"collector": "ps", "json": "-", "mixed-every": "2", "full-every": "2", "profile-file": out, "app": "als",
-		"ycsb-records": "64", "ycsb-ops": "64", "ycsb-dist": "uniform", "ycsb-theta": "0.5"}
-	for _, name := range fleetIgnored {
-		arg := "-" + name
-		if v, ok := values[name]; ok {
-			arg += "=" + v
-		}
-		if code, stderr := gcsim(t, append(fleet, arg)...); code != 2 || !strings.Contains(stderr, "-fleet does not read -"+name+" (") {
-			t.Errorf("%s: exit %d, stderr %q", arg, code, stderr)
-		}
-	}
+	checkModeRejects(t, fleetMode, "-fleet", fleet)
 	// The flags -fleet does read pass the check.
 	code, stderr = gcsim(t, append(fleet, "-config", "all", "-topology", "local-dram,nvm=optane", "-fault-ppm", "10",
 		"-eager-yield", "-parallel", "1", "-seed", "3", "-fleet-qps", "1e-300")...)
 	if code != 0 {
 		t.Errorf("fleet-read flags: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// flagValues holds a value that parses for each non-boolean flag of
+// flagModes (what it means does not matter: the mode check runs first).
+var flagValues = map[string]string{"device": "dram", "young-tier": "dram", "cache-tier": "dram", "meta-tier": "nvm",
+	"collector": "ps", "json": "-", "mixed-every": "2", "full-every": "2", "profile-file": "p.json", "app": "als",
+	"ycsb-records": "64", "ycsb-ops": "64", "ycsb-dist": "uniform", "ycsb-theta": "0.5",
+	"config": "all", "topology": "local-dram,optane", "threads": "2", "scale": "0.1", "fault-wear": "64",
+	"fault-ppm": "10", "cpuprofile": "c.pb", "memprofile": "m.pb", "fleet-instances": "2", "fleet-qps": "1000",
+	"fleet-hedge": "0", "fleet-retry": "0", "fleet-retries": "0", "fleet-workload": "ycsb-a",
+	"selfcheck-runs": "1", "selfcheck-ops": "10"}
+
+// checkModeRejects runs gcsim in a mode (its flags in base) once with each
+// flag that mode does not read, and wants exit 2 with stderr naming it.
+// The other modes' switches are left out: setting one changes the mode.
+func checkModeRejects(t *testing.T, mode int, name string, base []string) {
+	t.Helper()
+	for flagName, modes := range flagModes {
+		if modes&mode != 0 || flagName == "fleet" || flagName == "selfcheck" {
+			continue
+		}
+		arg := "-" + flagName
+		if v, ok := flagValues[flagName]; ok {
+			arg += "=" + v
+		}
+		if code, stderr := gcsim(t, append(base, arg)...); code != 2 || !strings.Contains(stderr, name+" does not read -"+flagName+" (") {
+			t.Errorf("%s %s: exit %d, stderr %q", name, arg, code, stderr)
+		}
 	}
 }
 

@@ -49,9 +49,30 @@ type options struct {
 	fullEvery  int
 }
 
-// fleetIgnored are the single-app flags (heap, collector, workload, output) -fleet does not read.
-var fleetIgnored = []string{"device", "young-tier", "cache-tier", "meta-tier", "collector", "trace", "json",
-	"mixed-every", "full-every", "profile-file", "app", "ycsb-records", "ycsb-ops", "ycsb-dist", "ycsb-theta"}
+// gcsim's run modes, as bits of a flag's flagModes entry.
+const (
+	appMode       = 1 << iota // one or more -app runs (the default)
+	fleetMode                 // -fleet
+	selfcheckMode             // -selfcheck
+)
+
+// flagModes names the run modes that read each flag. A flag absent here
+// (-seed, -parallel, the -list-* flags) is read by every mode.
+var flagModes = map[string]int{
+	"app": appMode, "profile-file": appMode, "ycsb-records": appMode, "ycsb-ops": appMode,
+	"ycsb-dist": appMode, "ycsb-theta": appMode, "collector": appMode, "device": appMode,
+	"young-tier": appMode, "cache-tier": appMode, "meta-tier": appMode, "trace": appMode,
+	"json": appMode, "mixed-every": appMode, "full-every": appMode,
+
+	"config": appMode | fleetMode, "topology": appMode | fleetMode, "threads": appMode | fleetMode,
+	"scale": appMode | fleetMode, "fault-wear": appMode | fleetMode, "fault-ppm": appMode | fleetMode,
+	"eager-yield": appMode | fleetMode, "cpuprofile": appMode, "memprofile": appMode,
+
+	"fleet": fleetMode, "fleet-instances": fleetMode, "fleet-qps": fleetMode, "fleet-hedge": fleetMode,
+	"fleet-retry": fleetMode, "fleet-retries": fleetMode, "fleet-workload": fleetMode,
+
+	"selfcheck": selfcheckMode, "selfcheck-runs": selfcheckMode, "selfcheck-ops": selfcheckMode,
+}
 
 func main() {
 	var (
@@ -103,7 +124,13 @@ func main() {
 	if *parallel < 0 {
 		fatal(fmt.Errorf("-parallel %d: negative worker count (0 means all cores, 1 serial)", *parallel))
 	}
-	for _, err := range []error{checkThreads(*threads), checkScale(*scale), checkFleetFlags(*fleetF, flag.CommandLine)} {
+	mode := appMode
+	if *selfcheck {
+		mode = selfcheckMode
+	} else if *fleetF {
+		mode = fleetMode
+	}
+	for _, err := range []error{checkModeFlags(mode, flag.CommandLine), checkThreads(*threads), checkScale(*scale)} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gcsim:", err)
 			os.Exit(2)
@@ -271,6 +298,10 @@ func main() {
 			if err := core.Validate(); err != nil {
 				fatal(err)
 			}
+			if *ycsbTheta != 0 && core.Request != workload.DistZipfian {
+				fatal(fmt.Errorf("-ycsb-theta: %s runs the %s request distribution, which has no skew to set (only %s does)",
+					specs[i].Name, core.Request, workload.DistZipfian))
+			}
 			specs[i].Core = &core
 		}
 	}
@@ -340,22 +371,20 @@ func parseDevice(name string) (heap.PlacementPolicy, error) {
 	}
 }
 
-// checkFleetFlags rejects, under -fleet, every flag in fleetIgnored set
-// on fs, naming each one.
-func checkFleetFlags(fleet bool, fs *flag.FlagSet) error {
-	if !fleet {
-		return nil
-	}
+// checkModeFlags rejects every flag set on fs that the run mode does not
+// read, naming each one, so no run silently ignores a flag.
+func checkModeFlags(mode int, fs *flag.FlagSet) error {
 	var set []string
 	fs.Visit(func(f *flag.Flag) {
-		if slices.Contains(fleetIgnored, f.Name) {
+		if m, ok := flagModes[f.Name]; ok && m&mode == 0 {
 			set = append(set, "-"+f.Name)
 		}
 	})
-	if len(set) > 0 {
-		return fmt.Errorf("-fleet does not read %s (single-app flags)", strings.Join(set, ", "))
+	if len(set) == 0 {
+		return nil
 	}
-	return nil
+	name := map[int]string{appMode: "an -app run", fleetMode: "-fleet", selfcheckMode: "-selfcheck"}[mode]
+	return fmt.Errorf("%s does not read %s (flags of another run mode)", name, strings.Join(set, ", "))
 }
 
 // parseTopology turns the -topology flag into tier specs: a comma-separated

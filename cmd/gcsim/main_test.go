@@ -164,3 +164,36 @@ func TestUnknownRequestDistIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestThetaNeedsZipfian: -ycsb-theta under a distribution that has no
+// skew parameter exits 1 naming the distribution, before any run, rather
+// than rendering the run without the flag.
+func TestThetaNeedsZipfian(t *testing.T) {
+	for _, args := range [][]string{
+		{"-app", "ycsb-a", "-ycsb-dist", "latest", "-ycsb-theta", "0.5"},
+		{"-app", "ycsb-a-hotspot", "-ycsb-theta", "0.5"},
+	} {
+		code, stderr := gcsim(t, args...)
+		if code != 1 || !strings.Contains(stderr, "-ycsb-theta") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%v: exit %d, stderr %q: want exit 1 with one line naming -ycsb-theta", args, code, stderr)
+		}
+		if dist := map[string]string{"ycsb-a": "latest", "ycsb-a-hotspot": "hotspot"}[args[1]]; !strings.Contains(stderr, dist) {
+			t.Errorf("%v: stderr %q does not name the %s distribution", args, stderr, dist)
+		}
+	}
+}
+
+// TestSelfcheckRejectsOtherModesFlags: -selfcheck reads only -seed,
+// -parallel and its own flags, so any other flag is a usage error naming
+// it (exit 2), not a fixed campaign that silently ignores it.
+func TestSelfcheckRejectsOtherModesFlags(t *testing.T) {
+	selfcheck := []string{"-selfcheck", "-selfcheck-runs", "1", "-selfcheck-ops", "10"}
+	code, stderr := gcsim(t, append(selfcheck, "-threads", "2", "-config", "all", "-topology", "local-dram,optane")...)
+	if code != 2 || !strings.Contains(stderr, "-selfcheck does not read -config, -threads, -topology") {
+		t.Errorf("exit %d, stderr %q: want exit 2 naming -config, -threads, -topology", code, stderr)
+	}
+	checkModeRejects(t, selfcheckMode, "-selfcheck", selfcheck)
+	if code, stderr := gcsim(t, append(selfcheck, "-seed", "3", "-parallel", "1")...); code != 0 {
+		t.Errorf("selfcheck-read flags: exit %d, stderr %q", code, stderr)
+	}
+}
