@@ -39,10 +39,8 @@ func (s Spec) NewRunner(col gc.Collector, cfg Config) (*Runner, error) {
 	var err error
 	if s.Profile != nil {
 		r.mut, err = newProfileMutator(h, *s.Profile, cfg)
-	} else {
-		if r.mut, err = newKeyedMutator(h, *s.Core, cfg); err != nil {
-			err = fmt.Errorf("workload %s: %w", s.Name, err)
-		}
+	} else if r.mut, err = newKeyedMutator(h, *s.Core, cfg); err != nil {
+		err = fmt.Errorf("workload %s: %w", s.Name, err)
 	}
 	if err != nil {
 		return nil, err
