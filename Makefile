@@ -15,7 +15,9 @@ test: build
 # fleet and the two packages whose hot-path helpers it shares
 # (cassandra.Queue, the generators), and the collector's
 # eager-vs-default equivalence sweeps and step-form differential tests
-# under the race detector. -short trims workload sizes (the golden
+# under the race detector, plus the pipelined single-worker phase against
+# its synchronous reference at -cpu 1,2 (the accountant sharing the
+# body's core, then on its own). -short trims workload sizes (the golden
 # determinism tests still run, on reduced cases) so the gate finishes in
 # minutes even on a single-core host. The four host-allocation pins
 # (allocations per young collection, bytes per new heap, bytes per small
@@ -26,6 +28,7 @@ verify: build
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) test -race -short -count=1 ./internal/memsim ./internal/heap ./internal/par ./internal/bench ./internal/workload ./internal/fleet ./internal/cassandra ./internal/workload/generator
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
+	$(GO) test -race -short -count=1 -cpu 1,2 -run 'TestPipelinedPhaseMatchesReference' ./internal/memsim
 	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestHostFootprint|TestPersistCaptureAllocs' -count=1 ./internal/gc ./internal/heap ./internal/workload ./internal/memsim
 
 # loc prints the three line counts the roadmap tracks: non-test Go outside
@@ -160,6 +163,8 @@ suite-quick: build
 # suite-cmp runs the full quick figure suite serially and then 4-wide on
 # the eager-yield reference schedule, and fails unless the two outputs
 # are byte-identical (the determinism invariant, checked end to end).
+# Eager-yield is also the synchronous-accounting reference: it charges
+# every single-worker phase inline, where the serial run pipelines them.
 suite-cmp: build
 	mkdir -p .bench_build
 	$(GO) build -o .bench_build/nvmbench ./cmd/nvmbench

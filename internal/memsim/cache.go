@@ -99,6 +99,10 @@ type Cache struct {
 	// eviction (the persistence domain uses it: an evicted dirty line has
 	// reached the device write queue and is therefore persisted).
 	onEvict func(dev *Device, lineAddr uint64)
+
+	// pipe is the owning machine's pipeline, drained before Stats reads
+	// the counters; nil for a cache outside any machine.
+	pipe *pipeline
 }
 
 // NewCache creates a cache with the given capacity in bytes and
@@ -188,6 +192,7 @@ type CacheStats struct {
 
 // Stats returns a snapshot of cumulative hit/miss counters.
 func (c *Cache) Stats() CacheStats {
+	c.pipe.sync()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Writebacks: c.writebacks,
 		PrefetchPromotions: c.promoted, PrefetchOverwrites: c.pbufOverwrites}
 }

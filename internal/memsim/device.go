@@ -146,8 +146,10 @@ func (s DeviceStats) Sub(t DeviceStats) DeviceStats {
 // operation of b device-visible bytes occupies the channel for
 // b/effectiveBandwidth nanoseconds, serialized behind earlier operations.
 // This is what makes aggregate bandwidth saturate under parallel GC
-// threads. Devices are not safe for host-level concurrent use; the
-// cooperative scheduler guarantees single-threaded access.
+// threads. Devices are not safe for host-level concurrent use: the
+// cooperative scheduler runs one worker at a time, and in a pipelined
+// single-worker phase only the accountant goroutine touches a device
+// between two drains (see pipeline).
 type Device struct {
 	name string
 	prof Profile
@@ -170,6 +172,10 @@ type Device struct {
 	// fault is the media-fault state (nil when no FaultModel is installed;
 	// see fault.go). The nil check is the only cost a fault-free run pays.
 	fault *faultState
+
+	// pipe is the owning machine's pipeline, drained before a read of the
+	// state above; nil for a device outside any machine.
+	pipe *pipeline
 }
 
 // NewDevice creates a device with the given profile. If traceBucket is
@@ -193,10 +199,17 @@ func (d *Device) Name() string { return d.name }
 func (d *Device) Profile() Profile { return d.prof }
 
 // Stats returns a snapshot of cumulative traffic counters.
-func (d *Device) Stats() DeviceStats { return d.stats }
+func (d *Device) Stats() DeviceStats {
+	d.pipe.sync()
+	return d.stats
+}
 
 // Trace returns the device's bandwidth trace, or nil if tracing is off.
-func (d *Device) Trace() *Trace { return d.trace }
+// Inside a phase the trace is current as of the call.
+func (d *Device) Trace() *Trace {
+	d.pipe.sync()
+	return d.trace
+}
 
 func (d *Device) amplify(bytes int64, seq bool) int64 {
 	g := int64(64)
@@ -240,8 +253,8 @@ func (d *Device) decayMix(now Time) {
 	d.lastMix = now
 }
 
-// WriteFraction reports the current write share of the recent traffic mix.
-func (d *Device) WriteFraction(now Time) float64 {
+// writeFraction reports the current write share of the recent traffic mix.
+func (d *Device) writeFraction(now Time) float64 {
 	d.decayMix(now)
 	t := d.readEW + d.writeEW
 	if t <= 0 {
@@ -270,7 +283,7 @@ func (d *Device) access(now Time, class opClass, bytes int64, seq bool) Time {
 		return now
 	}
 	amp := d.amplify(bytes, seq)
-	wf := d.WriteFraction(now)
+	wf := d.writeFraction(now)
 	bw := d.effBW(class, wf)
 	if d.fault != nil && d.fault.degraded {
 		// Degraded mode: media management slows the whole tier down.

@@ -78,7 +78,7 @@ func TestBandwidthSaturation(t *testing.T) {
 func TestMixDegradesNVMBandwidth(t *testing.T) {
 	p := OptaneProfile()
 	d := NewDevice("nvm", p, 0)
-	wf0 := d.WriteFraction(0)
+	wf0 := d.writeFraction(0)
 	if wf0 != 0 {
 		t.Fatalf("initial write fraction = %g", wf0)
 	}
@@ -88,7 +88,7 @@ func TestMixDegradesNVMBandwidth(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		now = d.access(now, opWrite, 4096, true)
 	}
-	wf := d.WriteFraction(now)
+	wf := d.writeFraction(now)
 	if wf < 0.5 {
 		t.Fatalf("write fraction after write burst = %g, want > 0.5", wf)
 	}
@@ -97,7 +97,7 @@ func TestMixDegradesNVMBandwidth(t *testing.T) {
 		t.Fatalf("mixed read bandwidth %g should be far below clean %g", bwMixed, bwClean)
 	}
 	// The ledger decays: far in the future the mix is clean again.
-	if got := d.WriteFraction(now + Second); got > 0.01 {
+	if got := d.writeFraction(now + Second); got > 0.01 {
 		t.Fatalf("write fraction should decay, got %g", got)
 	}
 }
@@ -159,7 +159,7 @@ func TestWriteFractionProperty(t *testing.T) {
 				class = opWrite
 			}
 			now = d.access(now, class, n, i%2 == 0)
-			wf := d.WriteFraction(now)
+			wf := d.writeFraction(now)
 			if wf < 0 || wf > 1 || math.IsNaN(wf) {
 				return false
 			}

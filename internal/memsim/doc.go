@@ -12,7 +12,9 @@
 // run and the key a running worker must stay below to keep the CPU. Every
 // charged operation is an Issue* half and Exec; a body written in step form (Worker.Steps) keeps its position off
 // the stack, so the running worker can advance a parked one without a
-// coroutine switch, at the same position in global order.
+// coroutine switch, at the same position in global order. A single-worker
+// phase instead queues its operations for an accountant goroutine that
+// charges them in issue order while the body runs ahead (see pipeline).
 //
 // The device model captures the NVM properties the paper identifies as the
 // root cause of copy-based GC slowdown:

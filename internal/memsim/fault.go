@@ -98,6 +98,7 @@ func (fs *faultState) lineThreshold(line uint64) int64 {
 // SetFaultModel installs a media-fault model on the device. A disabled
 // model leaves the device immortal (and free of any per-op overhead).
 func (d *Device) SetFaultModel(fm FaultModel) {
+	d.pipe.detach()
 	if !fm.Enabled() {
 		d.fault = nil
 		return

@@ -103,6 +103,10 @@ type Machine struct {
 	// switches counts the real coroutine switches (parks) of every parallel
 	// phase so far. It is a pure function of the simulation (tests pin it).
 	switches int64
+
+	// pipe charges single-worker phases on a second goroutine (see
+	// pipeline); the LLC and every tier's device drain it before a read.
+	pipe *pipeline
 }
 
 // NewMachine builds a machine from the config. An invalid tier topology
@@ -122,6 +126,11 @@ func NewMachine(cfg Config) *Machine {
 		LLC:        NewCache(cfg.LLCBytes, cfg.LLCAssoc, cfg.LLCHitLatency),
 		eagerYield: cfg.EagerYield,
 		wdSpins:    wd,
+		pipe:       new(pipeline),
+	}
+	m.LLC.pipe = m.pipe
+	for _, t := range topo.tiers {
+		t.pipe = m.pipe
 	}
 	m.DRAM = m.aliasTier("dram", false)
 	m.NVM = m.aliasTier("nvm", true)
@@ -181,14 +190,25 @@ func (m *Machine) Marks() []PhaseMark { return m.marks }
 // wake-up or lock traffic. Worker bodies must not block on anything other
 // than the scheduler (use Worker.Spin in busy-wait loops).
 //
+// With n <= 1 the body runs on the caller's goroutine and, unless
+// mayPipeline says otherwise, its accounting runs on a second one (see
+// pipeline), with results identical to charging each operation inline.
+//
 // A panic in a worker body (other than the internal crash/watchdog unwind)
 // propagates out of Run on the caller's goroutine with its original value,
 // after every other worker's coroutine has been unwound and released.
 func (m *Machine) Run(n int, body func(*Worker)) Time {
+	busyCores.Add(1)
+	defer busyCores.Add(-1)
 	start := m.now
 	if n <= 1 {
 		w := &Worker{id: 0, now: start, m: m}
+		if m.mayPipeline() {
+			m.pipe.attach(w)
+			defer m.pipe.detach()
+		}
 		runBody(w, body)
+		m.pipe.detach()
 		w.finished = true
 		return m.endPhase(start, w.now)
 	}

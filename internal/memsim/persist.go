@@ -126,6 +126,7 @@ type PersistDomain struct {
 // register its raw accessors via SetBacking. The hooks charge no virtual
 // time, so enabling the domain cannot change any timing result.
 func (m *Machine) EnablePersist(dev *Device, eADR bool) *PersistDomain {
+	m.pipe.detach()
 	pd := &PersistDomain{m: m, dev: dev, eADR: eADR, devs: []*Device{dev}, slots: 1}
 	m.pd = pd
 	m.LLC.onEvict = pd.onEvict
@@ -407,6 +408,7 @@ func (pd *PersistDomain) PersistAll() {
 // way every worker unwinds, Run returns, and Machine.Crashed() reports
 // true until MaterializeCrash is called.
 func (m *Machine) InjectFault(plan FaultPlan) {
+	m.pipe.detach()
 	p := plan
 	m.fault = &p
 	if p.CrashAtTime > 0 {

@@ -58,6 +58,11 @@ type Worker struct {
 	// worker's behalf — the parked worker's host code runs on the runner's
 	// stack, at exactly this worker's position in global order (see yield).
 	step func(*Worker) bool
+
+	// pipe is set while a single-worker phase is charged on the accountant
+	// goroutine (see pipeline): Exec hands operations to it, Advance banks
+	// time for the next one, and every read of the clock drains it first.
+	pipe *pipeline
 }
 
 // opKind classifies a pending charged operation (see Worker.op).
@@ -136,7 +141,12 @@ func (w *Worker) qkey() Time { return w.now<<8 | Time(w.id) }
 func (w *Worker) ID() int { return w.id }
 
 // Now returns the worker's virtual clock.
-func (w *Worker) Now() Time { return w.now }
+func (w *Worker) Now() Time {
+	if w.pipe != nil {
+		w.pipe.drain()
+	}
+	return w.now
+}
 
 // Machine returns the machine the worker runs on.
 func (w *Worker) Machine() *Machine { return w.m }
@@ -271,9 +281,14 @@ func (w *Worker) yield() {
 // it, which worker's host code runs first at a virtual-time tie would
 // depend on who happened to hold the CPU — and host code mutates shared
 // collector state (region claims, forwarding installs) whose order must
-// not depend on the scheduling mode. With nothing issued Exec does nothing.
+// not depend on the scheduling mode. With nothing issued Exec does nothing;
+// in a pipelined single-worker phase it only queues the operation.
 func (w *Worker) Exec() {
 	if w.op.kind == opNone {
+		return
+	}
+	if w.pipe != nil {
+		w.pipe.issue(w)
 		return
 	}
 	w.yield()
@@ -448,7 +463,11 @@ func (w *Worker) SpinWait(d Time, cond func() bool) {
 // happen at memory operations, which dominate GC time).
 func (w *Worker) Advance(d Time) {
 	if d > 0 {
-		w.now += d
+		if w.pipe != nil {
+			w.pipe.adv += d
+		} else {
+			w.now += d
+		}
 	}
 }
 
@@ -458,6 +477,9 @@ func (w *Worker) Advance(d Time) {
 func (w *Worker) Spin(d Time) {
 	if d < 1 {
 		d = 1
+	}
+	if w.pipe != nil {
+		w.pipe.drain()
 	}
 	w.checkFault()
 	if w.spinStreak == 0 {
@@ -584,6 +606,9 @@ func (w *Worker) IssueCLWB(dev *Device, addr uint64) {
 // once every write-back this worker issued has completed, committing the
 // flushed lines to the persistence domain.
 func (w *Worker) PersistFence() {
+	if w.pipe != nil {
+		w.pipe.drain()
+	}
 	w.noteOp("persist-fence", nil, 0)
 	w.now += 30 // issue overhead
 	if w.flushDone > w.now {

@@ -1,10 +1,12 @@
 // Package par provides a bounded, order-preserving fan-out helper for
-// host-side parallelism. A simulated Machine is strictly single-threaded
-// (its cooperative scheduler owns all device state), but independent
-// machines — one per experiment data point — can run on separate hardware
-// cores; par is the worker pool that does so deterministically: results
-// land in index-addressed slots, so the output order (and therefore every
-// rendered table) is independent of the pool size.
+// host-side parallelism. One simulated Machine keeps at most two cores
+// busy: its cooperative scheduler runs one worker at a time, and a
+// single-worker phase hands its accounting to a second goroutine (memsim's
+// pipeline). Independent machines — one per experiment data point — can
+// run on separate hardware cores; par is the worker pool that does so
+// deterministically: results land in index-addressed slots, so the output
+// order (and therefore every rendered table) is independent of the pool
+// size.
 package par
 
 import (
