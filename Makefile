@@ -22,14 +22,18 @@ test: build
 # minutes even on a single-core host. The four host-allocation pins
 # (allocations per young collection, bytes per new heap, bytes per small
 # host run, none per ADR line capture) then run uncached and without the
-# race detector's overhead.
+# race detector's overhead, and the young-collection kernel runs once, so
+# its setup stays working. Vetting for arm64 too keeps the heap's
+# non-amd64 prefetch stub compiling (vet's asmdecl checks the amd64 one).
 verify: build
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) test -race -short -count=1 ./internal/memsim ./internal/heap ./internal/par ./internal/bench ./internal/workload ./internal/fleet ./internal/cassandra ./internal/workload/generator
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
 	$(GO) test -race -short -count=1 -cpu 1,2 -run 'TestPipelinedPhaseMatchesReference' ./internal/memsim
 	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestHostFootprint|TestPersistCaptureAllocs' -count=1 ./internal/gc ./internal/heap ./internal/workload ./internal/memsim
+	$(GO) test -run '^$$' -bench CollectYoung -benchtime 1x ./internal/gc
 
 # loc prints the three line counts the roadmap tracks: non-test Go outside
 # benchmarks/ (the number that should trend down), benchmarks/, and tests.

@@ -149,7 +149,8 @@ func (gw *gcWorker) step(w *memsim.Worker) bool {
 				// Forwarding lookup: DRAM header map first (if enabled),
 				// then the NVM header.
 				if c.hm != nil {
-					gw.probe, gw.st = c.hm.probe(ref, 0, false), stProbe
+					gw.probe.start(c.hm, ref, 0, false)
+					gw.st = stProbe
 					continue
 				}
 				return gw.issueMarkRead(w)
@@ -253,7 +254,8 @@ func (gw *gcWorker) step(w *memsim.Worker) bool {
 			// falling back to a CAS on the NVM object header.
 			gw.st = stCAS
 			if c.hm != nil {
-				gw.probe, gw.st = c.hm.probe(gw.ref, gw.final, true), stProbe
+				gw.probe.start(c.hm, gw.ref, gw.final, true)
+				gw.st = stProbe
 			}
 
 		case stCAS:

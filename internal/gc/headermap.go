@@ -72,7 +72,8 @@ func (hm *HeaderMap) valueAddr(idx uint64) heap.Address { return hm.base + idx*1
 // bounded probe found no slot — the caller must fall back to the NVM
 // header. Put never overwrites an existing entry for old.
 func (hm *HeaderMap) Put(w *memsim.Worker, old, new heap.Address) heap.Address {
-	p := hm.probe(old, new, true)
+	var p hmProbe
+	p.start(hm, old, new, true)
 	return p.run(w)
 }
 
@@ -81,7 +82,8 @@ func (hm *HeaderMap) Put(w *memsim.Worker, old, new heap.Address) heap.Address {
 // and bound match Put so every entry Put could have used is searched;
 // an empty key terminates early (entries are never deleted during GC).
 func (hm *HeaderMap) Get(w *memsim.Worker, old heap.Address) heap.Address {
-	p := hm.probe(old, 0, false)
+	var p hmProbe
+	p.start(hm, old, 0, false)
 	return p.run(w)
 }
 
@@ -120,8 +122,13 @@ const (
 	hmValRead                 // value loaded: published yet?
 )
 
-func (hm *HeaderMap) probe(old, new heap.Address, put bool) hmProbe {
-	return hmProbe{hm: hm, old: old, new: new, put: put, idx: hm.hash(old)}
+// start resets p, in place, to a fresh Put (put true) or Get of old. Field
+// by field, for the reason memsim's Worker.issue gives: the drain machine
+// restarts its probe for every lookup, and a literal copied in stalls
+// store-to-load forwarding.
+func (p *hmProbe) start(hm *HeaderMap, old, new heap.Address, put bool) {
+	p.hm, p.old, p.new, p.put, p.idx = hm, old, new, put, hm.hash(old)
+	p.cnt, p.st, p.result, p.waiting = 0, hmNextKey, 0, false
 }
 
 // run drives the probe to its answer with blocking operations.

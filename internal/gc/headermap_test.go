@@ -295,7 +295,8 @@ func runHMDiff(t *testing.T, eager, steps bool) hmDiffResult {
 							return false
 						}
 						op := ops[len(ans)]
-						p, started = hm.probe(op.key, op.val, op.val != 0), true
+						p.start(hm, op.key, op.val, op.val != 0)
+						started = true
 					}
 					if p.step(w) {
 						return true

@@ -578,6 +578,25 @@ func (h *Heap) touch(i int) *chunk {
 	return h.chunks[i>>chunkLog]
 }
 
+// prefetchWord starts a host-cache fill of the line holding the word at
+// addr, so a charged load issued now finds its word in the host cache when
+// the step that consumes the operation Peeks it, or CommitCopy moves it.
+// Simulated and host memory stall alike: this is the GC's own prefetch
+// (paper §4.3) applied to the simulator. It is a hint only: it never
+// materialises a chunk, and an address outside [base, metaEnd) is ignored,
+// not a panic.
+func (h *Heap) prefetchWord(addr Address) {
+	if addr < h.base || addr >= h.metaEnd {
+		return
+	}
+	i := int((addr - h.base) / WordBytes)
+	c := h.chunks[i>>chunkLog]
+	if c == nil {
+		return
+	}
+	prefetch(&c[i&chunkMask])
+}
+
 // fill sets the n words from word i to v, one chunk-contained run at a
 // time. Zero-filling a chunk never stored to materialises nothing.
 func (h *Heap) fill(i, n int, v uint64) {
@@ -638,6 +657,7 @@ func (h *Heap) ReadWord(w *memsim.Worker, addr Address) uint64 {
 
 // IssueReadWord issues ReadWord's charge.
 func (h *Heap) IssueReadWord(w *memsim.Worker, addr Address) {
+	h.prefetchWord(addr)
 	w.IssueReadWord(h.DevOf(addr), addr)
 }
 
@@ -713,6 +733,7 @@ func (h *Heap) CopyWords(w *memsim.Worker, dst, src Address, nWords int64) {
 // CopyWordsNT, the streaming store) and CommitCopy follow.
 func (h *Heap) IssueCopyRead(w *memsim.Worker, dst, src Address, nWords int64) {
 	h.pdStore(dst, nWords*WordBytes)
+	h.prefetchWord(src)
 	w.IssueRead(h.DevOf(src), src, nWords*WordBytes, true)
 }
 

@@ -46,8 +46,8 @@ type prefetchEntry struct {
 //   - stamp: (lastUse+1)<<8 | way for a valid line, just way for an invalid
 //     one. The minimum stamp of a set therefore names the replacement
 //     victim — the first invalid way, else the least recently used, ties to
-//     the lowest way — and minStamp finds it without a data-dependent
-//     branch. Needs lastUse+1 < 2^55, the ~417-day virtual-time horizon
+//     the lowest way — and find's scan of a set it misses returns it.
+//     Needs lastUse+1 < 2^55, the ~417-day virtual-time horizon
 //     Worker.qkey also relies on.
 //   - readyAt: when an in-flight (prefetched) line becomes usable. Only
 //     prefetch promotions store a nonzero value, so a hit reads it only
@@ -236,56 +236,32 @@ func (c *Cache) device(id uint64) *Device {
 	panic("memsim: cached line of a device never installed")
 }
 
-// find returns the way of the set at base that holds key, or -1; line is
-// the key's line number. It is the cache's only set scan.
-func (c *Cache) find(base int, line, key uint64) int {
+// find returns the way of the set at base that holds key, or -1 and the
+// set's least stamp, which names the victim fill replaces (see Cache); line
+// is the key's line number. It is the cache's only set scan, and one pass
+// serves a miss: there is no victim search after the lookup.
+func (c *Cache) find(base int, line, key uint64) (way int, least uint64) {
 	p := &c.pred[line&c.predMask]
 	if w := int(*p); c.keys[base+w] == key {
-		return w
+		return w, 0
 	}
+	least = 1<<64 - 1
 	for w, k := range c.keys[base : base+c.assoc] {
 		if k == key {
 			*p = uint8(w)
-			return w
+			return w, 0
 		}
+		least = min(least, c.stamp[base+w])
 	}
-	return -1
-}
-
-// minStamp returns the smallest stamp of a set. Which way holds it is as
-// good as random, so the reduction runs four independent lanes of a
-// branch-free min (valid for operands below 2^63) instead of a compare and
-// jump per way.
-func minStamp(s []uint64) uint64 {
-	const top = 1<<63 - 1
-	m0, m1, m2, m3 := uint64(top), uint64(top), uint64(top), uint64(top)
-	for ; len(s) >= 4; s = s[4:] {
-		d0 := int64(s[0]) - int64(m0)
-		d1 := int64(s[1]) - int64(m1)
-		d2 := int64(s[2]) - int64(m2)
-		d3 := int64(s[3]) - int64(m3)
-		m0 += uint64(d0 & (d0 >> 63))
-		m1 += uint64(d1 & (d1 >> 63))
-		m2 += uint64(d2 & (d2 >> 63))
-		m3 += uint64(d3 & (d3 >> 63))
-	}
-	for _, x := range s {
-		d := int64(x) - int64(m0)
-		m0 += uint64(d & (d >> 63))
-	}
-	d := int64(m1) - int64(m0)
-	m0 += uint64(d & (d >> 63))
-	d = int64(m3) - int64(m2)
-	m2 += uint64(d & (d >> 63))
-	d = int64(m2) - int64(m0)
-	return m0 + uint64(d&(d>>63))
+	return -1, least
 }
 
 // fill handles a probe that missed the set at base: it promotes the line
 // from the prefetch buffer — a hit for which the caller pays only the
-// remaining transfer time — or allocates it, either way replacing the
-// set's minStamp way and issuing the writeback if that way is dirty.
-func (c *Cache) fill(dev *Device, base int, line, key uint64, now Time, dirty uint8) (staged bool, ready Time) {
+// remaining transfer time — or allocates it, either way replacing the way
+// of the set's least stamp m (from find) and issuing the writeback if that
+// way is dirty.
+func (c *Cache) fill(dev *Device, base int, line, key uint64, now Time, dirty uint8, m uint64) (staged bool, ready Time) {
 	ready, staged = c.pbufTake(key)
 	if staged {
 		c.promoted++
@@ -294,7 +270,6 @@ func (c *Cache) fill(dev *Device, base int, line, key uint64, now Time, dirty ui
 	} else {
 		c.misses++
 	}
-	m := minStamp(c.stamp[base : base+c.assoc])
 	i := base + int(m&0xff)
 	if c.flags[i]&flagDirty != 0 {
 		old := c.keys[i]
@@ -337,10 +312,11 @@ func (c *Cache) hit(base, w int, now Time, dirty uint8) (ready Time) {
 func (c *Cache) touchLine(dev *Device, lineAddr uint64, now Time, write, seq bool) (hit bool, ready Time) {
 	line, key, dirty := lineAddr/LineSize, lineKey(dev, lineAddr), dirtyFlags(write, seq)
 	base := int(line&c.setMask) * c.assoc
-	if w := c.find(base, line, key); w >= 0 {
+	w, m := c.find(base, line, key)
+	if w >= 0 {
 		return true, c.hit(base, w, now, dirty)
 	}
-	return c.fill(dev, base, line, key, now, dirty)
+	return c.fill(dev, base, line, key, now, dirty, m)
 }
 
 // touchRange probes every line spanned by [addr, addr+n) at time now and
@@ -354,9 +330,9 @@ func (c *Cache) touchRange(dev *Device, addr uint64, n int64, now Time, write, s
 	dirty := dirtyFlags(write, seq)
 	for ; count > 0; count-- {
 		base := int(line&c.setMask) * c.assoc
-		if w := c.find(base, line, key); w >= 0 {
+		if w, m := c.find(base, line, key); w >= 0 {
 			ready = max(ready, c.hit(base, w, now, dirty))
-		} else if staged, r := c.fill(dev, base, line, key, now, dirty); staged {
+		} else if staged, r := c.fill(dev, base, line, key, now, dirty, m); staged {
 			ready = max(ready, r)
 		} else {
 			missLines++
@@ -370,7 +346,7 @@ func (c *Cache) touchRange(dev *Device, addr uint64, n int64, now Time, write, s
 // present reports whether a line is cached or waiting in the prefetch
 // buffer, without modifying replacement state.
 func (c *Cache) present(line, key uint64) bool {
-	if c.find(int(line&c.setMask)*c.assoc, line, key) >= 0 {
+	if w, _ := c.find(int(line&c.setMask)*c.assoc, line, key); w >= 0 {
 		return true
 	}
 	_, ok := c.pbufSlot(key)
@@ -408,7 +384,7 @@ func (c *Cache) installPrefetch(dev *Device, addr uint64, n int64, now, readyAt 
 func (c *Cache) cleanLine(dev *Device, lineAddr uint64) bool {
 	line := lineAddr / LineSize
 	base := int(line&c.setMask) * c.assoc
-	w := c.find(base, line, lineKey(dev, lineAddr))
+	w, _ := c.find(base, line, lineKey(dev, lineAddr))
 	if w < 0 {
 		return false
 	}
@@ -441,7 +417,7 @@ func (c *Cache) invalidateRange(dev *Device, addr uint64, n int64) {
 	key := lineKey(dev, line*LineSize)
 	for ; count > 0; count-- {
 		base := int(line&c.setMask) * c.assoc
-		if w := c.find(base, line, key); w >= 0 {
+		if w, _ := c.find(base, line, key); w >= 0 {
 			c.keys[base+w] = 0
 			c.stamp[base+w] = uint64(w)
 			c.flags[base+w] = 0

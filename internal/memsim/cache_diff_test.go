@@ -161,7 +161,8 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 // wayOf returns the way holding a line in its set, or -1.
 func wayOf(c *Cache, d *Device, lineAddr uint64) int {
 	line := lineAddr / LineSize
-	return c.find(int(line&c.setMask)*c.assoc, line, lineKey(d, lineAddr))
+	w, _ := c.find(int(line&c.setMask)*c.assoc, line, lineKey(d, lineAddr))
+	return w
 }
 
 func TestVictimOrder(t *testing.T) {
@@ -260,18 +261,28 @@ func TestClockHorizon(t *testing.T) {
 	}
 }
 
+// TestMinStamp checks the victim search folded into find: a probe that
+// misses a set returns its least stamp, whatever the associativity, and
+// one that hits returns the way holding the key.
 func TestMinStamp(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for n := 1; n <= maxAssoc; n++ {
-		s := make([]uint64, n)
+		c := NewCache(int64(n)*LineSize, n, 15)
 		for round := 0; round < 20; round++ {
-			want := uint64(1<<63 - 1)
-			for i := range s {
-				s[i] = rng.Uint64() >> (1 + rng.UintN(56))
-				want = min(want, s[i])
+			want := uint64(1<<64 - 1)
+			for i := range c.stamp {
+				c.keys[i] = uint64(i) + 1
+				c.stamp[i] = rng.Uint64() >> (1 + rng.UintN(56))
+				want = min(want, c.stamp[i])
 			}
-			if got := minStamp(s); got != want {
-				t.Fatalf("minStamp(%v) = %d, want %d", s, got, want)
+			line := rng.Uint64()
+			c.pred[line&c.predMask] = uint8(rng.UintN(uint(n)))
+			if w, got := c.find(0, line, 0); w != -1 || got != want {
+				t.Fatalf("assoc %d: find of an absent key = (%d, %d), want (-1, %d)", n, w, got, want)
+			}
+			k := int(rng.UintN(uint(n)))
+			if w, _ := c.find(0, line, uint64(k)+1); w != k {
+				t.Fatalf("assoc %d: find of way %d's key = %d", n, k, w)
 			}
 		}
 	}

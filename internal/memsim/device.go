@@ -211,6 +211,10 @@ func (d *Device) Trace() *Trace {
 	return d.trace
 }
 
+// amplify rounds a transfer up to whole access units: cache lines for a
+// sequential stream, the device's granularity (at least a line) otherwise.
+// Every shipped profile's unit is a power of two, which a mask rounds
+// without the divide a device access would otherwise pay.
 func (d *Device) amplify(bytes int64, seq bool) int64 {
 	g := int64(64)
 	if !seq && d.prof.Granularity > g {
@@ -218,6 +222,9 @@ func (d *Device) amplify(bytes int64, seq bool) int64 {
 	}
 	if bytes < g {
 		return g
+	}
+	if g&(g-1) == 0 {
+		return (bytes + g - 1) &^ (g - 1)
 	}
 	return (bytes + g - 1) / g * g
 }

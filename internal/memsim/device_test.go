@@ -27,6 +27,29 @@ func TestAmplifyRandomVsSequential(t *testing.T) {
 	}
 }
 
+// TestAmplifyMaskMatchesDivision holds amplify's mask, taken for a
+// power-of-two unit, to the rounding division it replaces, and the
+// division to itself for any other unit.
+func TestAmplifyMaskMatchesDivision(t *testing.T) {
+	for _, g := range []int64{1, 64, 96, 256, 1000, 4096} {
+		p := OptaneProfile()
+		p.Granularity = g
+		d := NewDevice("nvm", p, 0)
+		for _, seq := range []bool{false, true} {
+			unit := int64(64)
+			if !seq {
+				unit = max(unit, g)
+			}
+			for _, n := range []int64{1, g - 1, g, g + 1, 2*g + 1, 1<<20 + 3} {
+				want := max(unit, (n+unit-1)/unit*unit)
+				if got := d.amplify(n, seq); got != want {
+					t.Errorf("granularity %d, seq %v: amplify(%d) = %d, want %d", g, seq, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAccessLatencyAndOccupancy(t *testing.T) {
 	p := OptaneProfile()
 	d := NewDevice("nvm", p, 0)

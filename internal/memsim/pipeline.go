@@ -129,8 +129,11 @@ func (p *pipeline) issue(w *Worker) {
 		p.live = true
 	}
 	b := p.cur
-	b.ops[b.n] = pipedOp{op: w.op, adv: p.adv}
-	w.op.kind = opNone
+	e, op := &b.ops[b.n], &w.op
+	// Field by field, for the reason Worker.issue gives.
+	e.op.kind, e.op.write, e.op.seq, e.op.dev, e.op.addr, e.op.n = op.kind, op.write, op.seq, op.dev, op.addr, op.n
+	e.adv = p.adv
+	op.kind = opNone
 	p.adv = 0
 	if b.n++; b.n == batchOps {
 		p.send()

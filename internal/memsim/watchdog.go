@@ -80,8 +80,12 @@ func (w *Worker) watchdogCheck() {
 	e := &WatchdogError{}
 	for i := range workers {
 		o := &workers[i]
+		var dev string
+		if o.lastDev != nil {
+			dev = o.lastDev.name
+		}
 		e.Workers = append(e.Workers, WorkerDump{
-			ID: o.id, Now: o.now, LastOp: o.lastOp, LastDev: o.lastDev,
+			ID: o.id, Now: o.now, LastOp: o.lastOp, LastDev: dev,
 			Addr: o.lastAddr, Spins: o.spinStreak, Since: o.spinSince,
 			Done: o.finished,
 		})

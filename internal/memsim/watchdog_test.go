@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,42 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 		// One real op so the dump has a last-op, then an unbounded wait on
 		// a flag no worker ever sets.
 		w.Read(m.DRAM, uint64(w.ID())*64, 8, false)
+		for {
+			w.Spin(60)
+		}
+	})
+	t.Fatal("deadlocked Run returned")
+}
+
+// TestWatchdogDumpNamesLastAccess checks that a dump names each worker's
+// last device-visible operation by tier and address: the worker keeps the
+// device it touched, and the dump resolves its name.
+func TestWatchdogDumpNamesLastAccess(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TraceBucket = 0
+	cfg.WatchdogSpins = 64
+	m := NewMachine(cfg)
+	addr := func(id int) uint64 { return 1<<32 + uint64(id)*4096 + 8 }
+
+	defer func() {
+		we, ok := recover().(*WatchdogError)
+		if !ok {
+			t.Fatal("deadlocked phase did not panic with *WatchdogError")
+		}
+		msg := we.Error()
+		for _, wd := range we.Workers {
+			if wd.LastDev != "nvm" || wd.Addr != addr(wd.ID) {
+				t.Errorf("worker %d dumped last access %s@%#x, want nvm@%#x", wd.ID, wd.LastDev, wd.Addr, addr(wd.ID))
+			}
+			if want := fmt.Sprintf("last-op=write nvm@0x%x", addr(wd.ID)); !strings.Contains(msg, want) {
+				t.Errorf("dump message missing %q:\n%s", want, msg)
+			}
+		}
+	}()
+
+	m.Run(2, func(w *Worker) {
+		w.Read(m.DRAM, 64, 8, false)
+		w.WriteWord(m.NVM, addr(w.ID()))
 		for {
 			w.Spin(60)
 		}

@@ -29,7 +29,7 @@ type Worker struct {
 	// streak; only an unbroken streak across *all* unfinished workers
 	// indicates a deadlock (see watchdog.go).
 	lastOp     string
-	lastDev    string
+	lastDev    *Device
 	lastAddr   uint64
 	spinStreak int64
 	spinSince  Time
@@ -94,19 +94,22 @@ type opDesc struct {
 	n     int64
 }
 
+// issue publishes the worker's pending operation field by field. A struct
+// literal is built on the stack with one store per field and then copied
+// with 16-byte moves, each loading across several of those fresh stores:
+// store-to-load forwarding fails and the copy stalls.
+func (w *Worker) issue(kind opKind, write, seq bool, dev *Device, addr uint64, n int64) {
+	op := &w.op
+	op.kind, op.write, op.seq, op.dev, op.addr, op.n = kind, write, seq, dev, addr, n
+}
+
 // noteOp records a real (non-spin) operation for watchdog dumps and ends
 // any spin streak. It also fires the armed time-based fault trigger: a
 // crash at virtual time T strikes at the first operation starting at or
 // after T, which is deterministic because operations are globally ordered
 // by issue time.
 func (w *Worker) noteOp(op string, dev *Device, addr uint64) {
-	w.lastOp = op
-	if dev != nil {
-		w.lastDev = dev.name
-	} else {
-		w.lastDev = ""
-	}
-	w.lastAddr = addr
+	w.lastOp, w.lastDev, w.lastAddr = op, dev, addr
 	w.spinStreak = 0
 	w.checkFault()
 }
@@ -335,14 +338,15 @@ func (w *Worker) Steps(step func(*Worker) bool) {
 // (Exec) or by the running worker on a parked owner's behalf (yield);
 // both execute at the same position in the global operation order.
 func (w *Worker) execOp() {
-	op := w.op
-	w.op.kind = opNone
+	op := &w.op // in place: a copy would reload issue's fresh stores with wide moves
+	kind := op.kind
+	op.kind = opNone
 	c := w.m.LLC
-	switch op.kind {
+	switch kind {
 	case opWord, opRange:
 		var missBytes int64
 		var ready Time
-		if op.kind == opWord {
+		if kind == opWord {
 			hit, r := c.touchLine(op.dev, op.addr&^(LineSize-1), w.now, op.write, false)
 			if !hit {
 				missBytes = LineSize
@@ -510,7 +514,7 @@ func (w *Worker) Read(dev *Device, addr uint64, n int64, seq bool) {
 func (w *Worker) IssueRead(dev *Device, addr uint64, n int64, seq bool) {
 	if n > 0 {
 		w.noteOp("read", dev, addr)
-		w.op = opDesc{kind: opRange, dev: dev, addr: addr, n: n, seq: seq}
+		w.issue(opRange, false, seq, dev, addr, n)
 	}
 }
 
@@ -528,7 +532,7 @@ func (w *Worker) Write(dev *Device, addr uint64, n int64, seq bool) {
 func (w *Worker) IssueWrite(dev *Device, addr uint64, n int64, seq bool) {
 	if n > 0 {
 		w.noteOp("write", dev, addr)
-		w.op = opDesc{kind: opRange, write: true, dev: dev, addr: addr, n: n, seq: seq}
+		w.issue(opRange, true, seq, dev, addr, n)
 	}
 }
 
@@ -544,7 +548,7 @@ func (w *Worker) ReadWord(dev *Device, addr uint64) {
 // IssueReadWord issues ReadWord's operation.
 func (w *Worker) IssueReadWord(dev *Device, addr uint64) {
 	w.noteOp("read", dev, addr)
-	w.op = opDesc{kind: opWord, dev: dev, addr: addr}
+	w.issue(opWord, false, false, dev, addr, 0)
 }
 
 // WriteWord models a random cached store contained in a single cache line;
@@ -558,7 +562,7 @@ func (w *Worker) WriteWord(dev *Device, addr uint64) {
 // IssueWriteWord issues WriteWord's operation.
 func (w *Worker) IssueWriteWord(dev *Device, addr uint64) {
 	w.noteOp("write", dev, addr)
-	w.op = opDesc{kind: opWord, write: true, dev: dev, addr: addr}
+	w.issue(opWord, true, false, dev, addr, 0)
 }
 
 // WriteNT models a non-temporal (streaming) store of n bytes: it bypasses
@@ -574,7 +578,7 @@ func (w *Worker) WriteNT(dev *Device, addr uint64, n int64) {
 func (w *Worker) IssueWriteNT(dev *Device, addr uint64, n int64) {
 	if n > 0 {
 		w.noteOp("write-nt", dev, addr)
-		w.op = opDesc{kind: opNT, dev: dev, addr: addr, n: n}
+		w.issue(opNT, false, false, dev, addr, n)
 	}
 }
 
@@ -599,7 +603,7 @@ func (w *Worker) CLWB(dev *Device, addr uint64) {
 // IssueCLWB issues CLWB's operation.
 func (w *Worker) IssueCLWB(dev *Device, addr uint64) {
 	w.noteOp("clwb", dev, addr)
-	w.op = opDesc{kind: opCLWB, dev: dev, addr: addr}
+	w.issue(opCLWB, false, false, dev, addr, 0)
 }
 
 // PersistFence models the SFENCE that orders preceding CLWBs: it retires
@@ -632,6 +636,6 @@ func (w *Worker) Prefetch(dev *Device, addr uint64, n int64, seq bool) {
 func (w *Worker) IssuePrefetch(dev *Device, addr uint64, n int64, seq bool) {
 	if n > 0 {
 		w.noteOp("prefetch", dev, addr)
-		w.op = opDesc{kind: opPrefetch, dev: dev, addr: addr, n: n, seq: seq}
+		w.issue(opPrefetch, false, seq, dev, addr, n)
 	}
 }
