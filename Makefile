@@ -23,8 +23,12 @@ test: build
 # (allocations per young collection, bytes per new heap, bytes per small
 # host run, none per ADR line capture) then run uncached and without the
 # race detector's overhead, and the young-collection kernel runs once, so
-# its setup stays working. Vetting for arm64 too keeps the heap's
-# non-amd64 prefetch stub compiling (vet's asmdecl checks the amd64 one).
+# its setup stays working. The LLC tests run once more without the race
+# detector: the reference-model diff with the AVX2 set-scan kernel on
+# (where the host has it) and forced off (its assoc=16-portable case), and
+# the kernel against the portable loop. Vetting for arm64 too keeps the
+# heap's prefetch and the LLC's set-scan non-amd64 stubs compiling (vet's
+# asmdecl checks the amd64 assembly).
 verify: build
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -33,6 +37,7 @@ verify: build
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
 	$(GO) test -race -short -count=1 -cpu 1,2 -run 'TestPipelinedPhaseMatchesReference' ./internal/memsim
 	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestHostFootprint|TestPersistCaptureAllocs' -count=1 ./internal/gc ./internal/heap ./internal/workload ./internal/memsim
+	$(GO) test -count=1 -run 'Cache|ScanKernel' ./internal/memsim
 	$(GO) test -run '^$$' -bench CollectYoung -benchtime 1x ./internal/gc
 
 # loc prints the three line counts the roadmap tracks: non-test Go outside

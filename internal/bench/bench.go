@@ -247,12 +247,17 @@ type runSpec struct {
 	seed    uint64
 }
 
-// runOut is one experiment data point's output: the workload result plus
-// the host it ran on (machine for traces and marks, collector for its
-// header map).
+// runOut is what the figures read of one data point: the workload result,
+// the machine's final clock and phase marks (fig2, fig7), the bandwidth
+// traces of its traced tiers by name, and the header map's entry count
+// (fig10; 0 without a map). The host itself is dropped when the run ends,
+// so a grid holds at most Params.Parallel machines and heaps at a time.
 type runOut struct {
-	res workload.Result
-	workload.Host
+	res       workload.Result
+	now       memsim.Time
+	marks     []memsim.PhaseMark
+	traces    map[string]*memsim.Trace
+	hmEntries int
 }
 
 // runAll executes all specs on the bounded host worker pool (see
@@ -306,11 +311,30 @@ func tierDevice(m *memsim.Machine, name string) *memsim.Device {
 	return t.Device
 }
 
-// runOne executes one scenario run on a freshly assembled host.
+// runOne executes one scenario run on a freshly assembled host and keeps
+// what the figures read of it (see runOut).
 func runOne(spec runSpec) (runOut, error) {
-	host, err := workload.NewHost(spec.host)
+	host, res, err := runHost(spec)
 	if err != nil {
 		return runOut{}, err
+	}
+	out := runOut{res: res, now: host.M.Now(), marks: host.M.Marks(), traces: map[string]*memsim.Trace{}}
+	for _, t := range host.M.Topology().Tiers() {
+		if tr := t.Trace(); tr != nil {
+			out.traces[t.Name()] = tr
+		}
+	}
+	if g, ok := host.Col.(*gc.G1); ok && g.HeaderMap() != nil {
+		out.hmEntries = g.HeaderMap().Entries()
+	}
+	return out, nil
+}
+
+// runHost assembles spec's host and runs its scenario there.
+func runHost(spec runSpec) (workload.Host, workload.Result, error) {
+	host, err := workload.NewHost(spec.host)
+	if err != nil {
+		return host, workload.Result{}, err
 	}
 	r, err := spec.app.NewRunner(host.Col, workload.Config{
 		GCThreads: spec.threads,
@@ -318,10 +342,10 @@ func runOne(spec runSpec) (runOut, error) {
 		Seed:      spec.seed,
 	})
 	if err != nil {
-		return runOut{}, err
+		return host, workload.Result{}, err
 	}
 	res, err := r.Run()
-	return runOut{res: res, Host: host}, err
+	return host, res, err
 }
 
 // seconds converts virtual time to float seconds.

@@ -70,15 +70,14 @@ func Fig10(p Params) (*Report, error) {
 // Occupancy at clean-up time is zero, so the estimate is the installs of
 // the busiest collection over the map's entry count.
 func peakOccupancy(out runOut) float64 {
-	hm := out.Col.(*gc.G1).HeaderMap()
-	if hm == nil {
+	if out.hmEntries == 0 {
 		return 0
 	}
 	var maxInstalls int64
 	for _, c := range out.res.Collections {
 		maxInstalls = max(maxInstalls, c.HeaderMapInstalls)
 	}
-	return min(float64(maxInstalls)/float64(hm.Entries()), 1)
+	return min(float64(maxInstalls)/float64(out.hmEntries), 1)
 }
 
 // Fig11 reproduces Figure 11: GC time under different write-cache

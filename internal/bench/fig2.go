@@ -13,16 +13,15 @@ import (
 // traceTable renders a device bandwidth series within [from, to),
 // downsampled to at most maxRows bins, with a column flagging whether a
 // stop-the-world GC pause was active during the bin.
-func traceTable(title string, m *memsim.Machine, dev *memsim.Device, from, to memsim.Time, maxRows int) *metrics.Table {
+func traceTable(title string, marks []memsim.PhaseMark, tr *memsim.Trace, from, to memsim.Time, maxRows int) *metrics.Table {
 	t := &metrics.Table{
 		Title:   title,
 		Columns: []string{"t (ms)", "read (MB/s)", "write (MB/s)", "total (MB/s)", "gc"},
 	}
-	tr := dev.Trace()
 	if tr == nil || to <= from {
 		return t
 	}
-	pauses := cassandra.PauseIntervals(m, from, to)
+	pauses := cassandra.PauseIntervals(marks, from, to)
 	gcActive := func(a, b memsim.Time) string {
 		for _, p := range pauses {
 			if p.Start < b && a < p.End {
@@ -116,25 +115,25 @@ func bandwidthFigure(id, app string, scalability bool, p Params) (*Report, error
 
 	for ti, tier := range traced {
 		// The traced window is the mutation phase: [end - Total, end).
-		m := runs[ti].M
-		end := m.Now()
-		start := end - runs[ti].res.Total
-		dev := tierDevice(m, tier)
+		run := runs[ti]
+		end := run.now
+		start := end - run.res.Total
+		tr := run.traces[tier]
 		rep.Tables = append(rep.Tables, traceTable(
 			fmt.Sprintf("(%c) %s bandwidth atop %s", 'a'+ti, app, strings.ToUpper(tier)),
-			m, dev, start, end, rows))
+			run.marks, tr, start, end, rows))
 
 		// Quantify the GC-vs-app bandwidth contrast.
-		pauses := cassandra.PauseIntervals(m, start, end)
+		pauses := cassandra.PauseIntervals(run.marks, start, end)
 		var gcR, gcW, gcT, n float64
 		for _, pi := range pauses {
-			r, w, t := dev.Trace().Window(pi.Start, pi.End)
+			r, w, t := tr.Window(pi.Start, pi.End)
 			gcR += r
 			gcW += w
 			gcT += t
 			n++
 		}
-		allR, allW, allT := dev.Trace().Window(start, end)
+		allR, allW, allT := tr.Window(start, end)
 		if n > 0 {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
 				"%s: avg bandwidth during GC %.0f MB/s (r %.0f / w %.0f) vs whole-run %.0f MB/s (r %.0f / w %.0f)",

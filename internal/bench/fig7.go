@@ -53,9 +53,10 @@ func Fig7(p Params) (*Report, error) {
 	rep := &Report{ID: "fig7", Title: "Split NVM bandwidth during GC"}
 	for i, app := range apps {
 		for ci, cfg := range configs {
-			res, m := outs[i][ci].res, outs[i][ci].M
+			out := outs[i][ci]
+			res, tr := out.res, out.traces["nvm"]
 			// Pick the longest GC pause and plot a window around it.
-			pauses := cassandra.PauseIntervals(m, m.Now()-res.Total, m.Now())
+			pauses := cassandra.PauseIntervals(out.marks, out.now-res.Total, out.now)
 			if len(pauses) == 0 {
 				rep.Notes = append(rep.Notes, fmt.Sprintf("%s/%s: no GC observed", app.Name, cfg.label))
 				continue
@@ -69,9 +70,9 @@ func Fig7(p Params) (*Report, error) {
 			pad := (longest.End - longest.Start) / 5
 			rep.Tables = append(rep.Tables, traceTable(
 				fmt.Sprintf("%s (%s): NVM bandwidth around the longest GC", app.Name, cfg.label),
-				m, m.NVM, longest.Start-pad, longest.End+pad, rows))
+				out.marks, tr, longest.Start-pad, longest.End+pad, rows))
 
-			r, w, _ := m.NVM.Trace().Window(longest.Start, longest.End)
+			r, w, _ := tr.Window(longest.Start, longest.End)
 			var s gc.CollectionStats
 			for _, c := range res.Collections {
 				if c.Pause == longest.End-longest.Start {

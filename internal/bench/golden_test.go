@@ -125,16 +125,16 @@ func TestGoldenCollectionStats(t *testing.T) {
 	}
 	for _, th := range threadCounts {
 		spec := runSpec{app: app, host: Params{}.host(gc.Vanilla()), threads: th, scale: scale, seed: 1}
-		out1, err := runOne(spec)
+		host1, res1, err := runHost(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec.host = Params{EagerYield: true}.host(gc.Vanilla())
-		out2, err := runOne(spec)
+		host2, res2, err := runHost(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res1, m1, res2, m2 := out1.res, out1.M, out2.res, out2.M
+		m1, m2 := host1.M, host2.M
 		if m1.Now() != m2.Now() {
 			t.Fatalf("threads=%d: virtual clock diverged: %d vs %d", th, m1.Now(), m2.Now())
 		}

@@ -95,7 +95,7 @@ func TestTraceTable(t *testing.T) {
 		}
 	})
 	m.Mark("gc-end")
-	tb := traceTable("test", m, m.NVM, 0, m.Now(), 8)
+	tb := traceTable("test", m.Marks(), m.NVM.Trace(), 0, m.Now(), 8)
 	if len(tb.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -112,7 +112,7 @@ func TestTraceTable(t *testing.T) {
 		t.Fatalf("table missing GC flag or traffic:\n%s", tb.Render())
 	}
 	// Degenerate windows yield an empty (but valid) table.
-	empty := traceTable("empty", m, m.NVM, 10, 10, 8)
+	empty := traceTable("empty", m.Marks(), m.NVM.Trace(), 10, 10, 8)
 	if len(empty.Rows) != 0 {
 		t.Fatal("degenerate window should have no rows")
 	}

@@ -40,12 +40,12 @@ func TestTierSweepPointSchedulerEquivalence(t *testing.T) {
 		h := Params{EagerYield: eager}.host(gc.Vanilla())
 		h.Machine.Tiers = tierSweepSpecs()
 		h.Heap.Placement = base
-		out, err := runOne(runSpec{app: app, host: h, threads: 16, scale: 0.5, seed: 1})
+		host, res, err := runHost(runSpec{app: app, host: h, threads: 16, scale: 0.5, seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := snap{total: out.res.Total, gcTime: out.res.GC, tiers: map[string]memsim.DeviceStats{}}
-		for _, tier := range out.M.Topology().Tiers() {
+		s := snap{total: res.Total, gcTime: res.GC, tiers: map[string]memsim.DeviceStats{}}
+		for _, tier := range host.M.Topology().Tiers() {
 			s.tiers[tier.Name()] = tier.Stats()
 		}
 		return s

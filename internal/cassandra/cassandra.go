@@ -27,10 +27,10 @@ type Interval struct {
 
 // PauseIntervals extracts GC pause intervals from a machine's phase marks
 // within [from, to).
-func PauseIntervals(m *memsim.Machine, from, to memsim.Time) []Interval {
+func PauseIntervals(marks []memsim.PhaseMark, from, to memsim.Time) []Interval {
 	var out []Interval
 	var start memsim.Time = -1
-	for _, mk := range m.Marks() {
+	for _, mk := range marks {
 		if mk.T < from || mk.T > to {
 			continue
 		}
@@ -104,7 +104,7 @@ func RunPhase(col gc.Collector, phase Phase, cfg workload.Config) ([]Interval, m
 	if err != nil {
 		return nil, 0, err
 	}
-	pauses := PauseIntervals(m, start+res.Setup, m.Now())
+	pauses := PauseIntervals(m.Marks(), start+res.Setup, m.Now())
 	return pauses, res.Total, nil
 }
 

@@ -40,7 +40,7 @@ func TestPauseIntervalsFromMarks(t *testing.T) {
 	m.Mark("gc-start")
 	m.Run(1, func(w *memsim.Worker) { w.Advance(2000) })
 	m.Mark("gc-end")
-	ps := PauseIntervals(m, 0, m.Now())
+	ps := PauseIntervals(m.Marks(), 0, m.Now())
 	if len(ps) != 2 {
 		t.Fatalf("got %d intervals", len(ps))
 	}
@@ -48,7 +48,7 @@ func TestPauseIntervalsFromMarks(t *testing.T) {
 		t.Fatalf("intervals %+v", ps)
 	}
 	// Window excluding the first pause.
-	ps = PauseIntervals(m, 1200, m.Now())
+	ps = PauseIntervals(m.Marks(), 1200, m.Now())
 	if len(ps) != 1 {
 		t.Fatalf("windowed: %+v", ps)
 	}

@@ -208,7 +208,7 @@ func runInstance(c Config, spec workload.Spec, id int) (Instance, error) {
 		return Instance{}, err
 	}
 	runStart := start + res.Setup
-	raw := cassandra.PauseIntervals(host.M, runStart, host.M.Now())
+	raw := cassandra.PauseIntervals(host.M.Marks(), runStart, host.M.Now())
 	pauses := make([]cassandra.Interval, len(raw))
 	for i, p := range raw {
 		pauses[i] = cassandra.Interval{Start: p.Start - runStart, End: p.End - runStart}

@@ -60,8 +60,14 @@ type prefetchEntry struct {
 //     way the line was last found or installed in, and find tries that way
 //     before scanning. The guess is verified against keys, so a stale or
 //     aliased entry costs only the scan.
+//
+// A probe whose prediction fails takes one out-of-line call (scan, then
+// hit or fill). On amd64 hosts with AVX2 a 16-way set is scanned by the
+// scan16 kernel, one vector pass over its keys and, on a miss, its stamps;
+// other hosts and associativities run the portable loop, scanSet.
 type Cache struct {
 	assoc      int
+	kernel     bool // scan16 scans the sets: assoc == 16 on an AVX2 host
 	numSets    int
 	setMask    uint64
 	predMask   uint64
@@ -122,6 +128,7 @@ func NewCache(capacity int64, assoc int, hitLatency Time) *Cache {
 	bytes := make([]uint8, lines+preds)
 	c := &Cache{
 		assoc:      assoc,
+		kernel:     assoc == 16 && scanKernel,
 		numSets:    n,
 		setMask:    uint64(n - 1),
 		predMask:   uint64(preds - 1),
@@ -236,22 +243,48 @@ func (c *Cache) device(id uint64) *Device {
 	panic("memsim: cached line of a device never installed")
 }
 
+// predicted returns the way the predictor names for line and whether it
+// holds key: the whole of a probe's hit path.
+func (c *Cache) predicted(base int, line, key uint64) (int, bool) {
+	w := int(c.pred[line&c.predMask])
+	return w, c.keys[base+w] == key
+}
+
 // find returns the way of the set at base that holds key, or -1 and the
 // set's least stamp, which names the victim fill replaces (see Cache); line
-// is the key's line number. It is the cache's only set scan, and one pass
-// serves a miss: there is no victim search after the lookup.
+// is the key's line number.
 func (c *Cache) find(base int, line, key uint64) (way int, least uint64) {
-	p := &c.pred[line&c.predMask]
-	if w := int(*p); c.keys[base+w] == key {
+	if w, ok := c.predicted(base, line, key); ok {
 		return w, 0
 	}
+	return c.scan(base, line, key)
+}
+
+// scan is find past a failed prediction, and the cache's only set scan: one
+// pass serves a miss, so there is no victim search after the lookup. A hit
+// trains the predictor.
+func (c *Cache) scan(base int, line, key uint64) (way int, least uint64) {
+	if c.kernel {
+		way, least = scan16(&c.keys[base], &c.stamp[base], key)
+	} else {
+		way, least = scanSet(c.keys[base:base+c.assoc], c.stamp[base:base+c.assoc], key)
+	}
+	if way >= 0 {
+		c.pred[line&c.predMask] = uint8(way)
+	}
+	return way, least
+}
+
+// scanSet is the portable set scan: the lowest way of keys holding key and
+// 0, or -1 and the least of stamps.
+func scanSet(keys, stamps []uint64, key uint64) (way int, least uint64) {
+	stamps = stamps[:len(keys)]
 	least = 1<<64 - 1
-	for w, k := range c.keys[base : base+c.assoc] {
+	for w, k := range keys {
 		if k == key {
-			*p = uint8(w)
 			return w, 0
 		}
-		least = min(least, c.stamp[base+w])
+		least = min(least, stamps[w])
 	}
 	return -1, least
 }
@@ -307,16 +340,27 @@ func (c *Cache) hit(base, w int, now Time, dirty uint8) (ready Time) {
 	return ready
 }
 
-// touchLine probes the line at lineAddr and reports whether the access hit
-// and the time an in-flight line becomes ready; see touchRange.
-func (c *Cache) touchLine(dev *Device, lineAddr uint64, now Time, write, seq bool) (hit bool, ready Time) {
-	line, key, dirty := lineAddr/LineSize, lineKey(dev, lineAddr), dirtyFlags(write, seq)
-	base := int(line&c.setMask) * c.assoc
-	w, m := c.find(base, line, key)
+// touchMiss is the rest of a probe whose way prediction failed, kept out of
+// the callers' loops: it scans the set, then records the hit or fills the
+// line, and returns what touchLine does.
+func (c *Cache) touchMiss(dev *Device, base int, line, key uint64, now Time, dirty uint8) (hit bool, ready Time) {
+	w, m := c.scan(base, line, key)
 	if w >= 0 {
 		return true, c.hit(base, w, now, dirty)
 	}
 	return c.fill(dev, base, line, key, now, dirty, m)
+}
+
+// touchLine probes the line at lineAddr and reports whether the access hit
+// (a prefetch promotion counts) and the time an in-flight line becomes
+// ready; see touchRange.
+func (c *Cache) touchLine(dev *Device, lineAddr uint64, now Time, write, seq bool) (hit bool, ready Time) {
+	line, key, dirty := lineAddr/LineSize, lineKey(dev, lineAddr), dirtyFlags(write, seq)
+	base := int(line&c.setMask) * c.assoc
+	if w, ok := c.predicted(base, line, key); ok {
+		return true, c.hit(base, w, now, dirty)
+	}
+	return c.touchMiss(dev, base, line, key, now, dirty)
 }
 
 // touchRange probes every line spanned by [addr, addr+n) at time now and
@@ -330,9 +374,9 @@ func (c *Cache) touchRange(dev *Device, addr uint64, n int64, now Time, write, s
 	dirty := dirtyFlags(write, seq)
 	for ; count > 0; count-- {
 		base := int(line&c.setMask) * c.assoc
-		if w, m := c.find(base, line, key); w >= 0 {
+		if w, ok := c.predicted(base, line, key); ok {
 			ready = max(ready, c.hit(base, w, now, dirty))
-		} else if staged, r := c.fill(dev, base, line, key, now, dirty, m); staged {
+		} else if hit, r := c.touchMiss(dev, base, line, key, now, dirty); hit {
 			ready = max(ready, r)
 		} else {
 			missLines++

@@ -14,7 +14,10 @@ import (
 //     cache has filled, always evict a dirty line;
 //   - row-mix: 1 KiB rows drawn uniformly from a table 1.28x the cache, 5 %
 //     of them stores — the shape of the mut-ycsb-b benchmark workload, at
-//     its ~0.78 hit ratio (reported as hit-ratio).
+//     its ~0.78 hit ratio (reported as hit-ratio);
+//   - miss: clean 1 KiB rows drawn uniformly from a table 100x the cache,
+//     so about 1 % of probes hit: the way-prediction miss path (scan, then
+//     fill) alone.
 func BenchmarkCacheProbe(b *testing.B) {
 	cfg := DefaultConfig()
 	newCache := func() (*Cache, *Device) {
@@ -36,16 +39,20 @@ func BenchmarkCacheProbe(b *testing.B) {
 			c.touchRange(d, uint64(i)*4096, 4096, Time(i), true, true)
 		}
 	})
-	b.Run("row-mix", func(b *testing.B) {
+	// rows times 1 KiB row probes drawn uniformly from a table of
+	// tableBytes; with stores, 5 % of them are stores.
+	rows := func(b *testing.B, tableBytes uint64, stores bool) {
 		c, d := newCache()
 		const row = 1024
-		rows := uint64(cfg.LLCBytes) / row * 128 / 100
 		rng := rand.New(rand.NewPCG(1, 2))
 		draws := make([]uint32, 1<<16)
 		for i := range draws {
-			draws[i] = uint32(rng.Uint64N(rows))<<1 | uint32(rng.Uint64N(20)/19)
+			draws[i] = uint32(rng.Uint64N(tableBytes/row))<<1 | uint32(rng.Uint64N(20)/19)
+			if !stores {
+				draws[i] &^= 1
+			}
 		}
-		for _, x := range draws { // warm: the table is 20x smaller than this
+		for _, x := range draws { // warm: 64 MiB of rows fill the cache
 			c.touchRange(d, uint64(x>>1)*row, row, 0, false, false)
 		}
 		before := c.Stats()
@@ -57,5 +64,7 @@ func BenchmarkCacheProbe(b *testing.B) {
 		s := c.Stats()
 		hits, misses := s.Hits-before.Hits, s.Misses-before.Misses
 		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-ratio")
-	})
+	}
+	b.Run("row-mix", func(b *testing.B) { rows(b, uint64(cfg.LLCBytes)*128/100, true) })
+	b.Run("miss", func(b *testing.B) { rows(b, uint64(cfg.LLCBytes)*100, false) })
 }

@@ -58,12 +58,22 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	if testing.Short() {
 		ops = 30_000
 	}
-	for _, assoc := range []int{1, 2, 3, 16, 17} {
-		t.Run(fmt.Sprintf("assoc=%d", assoc), func(t *testing.T) {
+	// A 16-way set runs scan16 on an AVX2 host; assoc=16-portable forces
+	// the portable scan there too.
+	type geometry struct {
+		assoc    int
+		portable bool
+	}
+	for _, g := range []geometry{{1, false}, {2, false}, {3, false}, {16, false}, {16, true}, {17, false}} {
+		assoc, name := g.assoc, fmt.Sprintf("assoc=%d", g.assoc)
+		if g.portable {
+			name += "-portable"
+		}
+		t.Run(name, func(t *testing.T) {
 			const sets = 32
 			capacity := int64(sets * assoc * LineSize)
 			got, want := newDiffSide(), newDiffSide()
-			c := NewCache(capacity, assoc, 15)
+			c := newCacheKernel(capacity, assoc, !g.portable)
 			r := newRefCache(capacity, assoc, 15)
 			c.onEvict, r.onEvict = got.onEvict, want.onEvict
 			rng := rand.New(rand.NewPCG(uint64(assoc), 0xcafe))
@@ -155,6 +165,77 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				t.Fatalf("stream left a path cold: %+v, %d evict callbacks", s, len(got.evicts))
 			}
 		})
+	}
+}
+
+// newCacheKernel builds a cache that uses the set-scan kernel only if
+// kernel is true and the host has it.
+func newCacheKernel(capacity int64, assoc int, kernel bool) *Cache {
+	defer func(on bool) { scanKernel = on }(scanKernel)
+	scanKernel = scanKernel && kernel
+	return NewCache(capacity, assoc, 15)
+}
+
+// scanCase is one set of TestScanKernelMatchesLoop and the key it probes.
+type scanCase struct {
+	keys, stamps [16]uint64
+	key          uint64
+}
+
+// scanCases draws n seeded random 16-way sets as the cache holds them:
+// keys with device ids up to 4 and line-address bit 45 set at random,
+// stamps (now+1)<<8|way up to the 2^55 horizon, and invalid ways (key 0,
+// stamp = way). Each probe hits one way (every way in turn), hits two
+// ways (planted twice: the lowest must win), or misses.
+func scanCases(n int) []scanCase {
+	rng := rand.New(rand.NewPCG(16, 0x5ca9))
+	cases := make([]scanCase, n)
+	for i := range cases {
+		sc := &cases[i]
+		for w := range sc.keys {
+			if rng.IntN(8) == 0 {
+				sc.stamps[w] = uint64(w)
+				continue
+			}
+			sc.keys[w] = (1+rng.Uint64N(4))<<40 | rng.Uint64N(2)<<39 | rng.Uint64N(1<<39)
+			now := rng.Uint64N(uint64(maxTime) + 1)
+			switch rng.IntN(4) {
+			case 0:
+				now = uint64(maxTime) // 2^55-2, the last instant a stamp holds
+			case 1:
+				now = rng.Uint64N(64) // near-ties at the bottom
+			}
+			sc.stamps[w] = (now+1)<<8 | uint64(w)
+		}
+		switch k := i % 18; {
+		case k < 16:
+			sc.key = 1<<40 | 1<<39 | uint64(i)
+			sc.keys[k], sc.stamps[k] = sc.key, uint64(i+1)<<8|uint64(k)
+		case k == 16:
+			a, b := rng.IntN(16), rng.IntN(16)
+			sc.key = 4<<40 | 1<<39 | uint64(i)
+			sc.keys[a], sc.keys[b] = sc.key, sc.key
+		default:
+			sc.key = 5<<40 | uint64(i) // no way holds device 5
+		}
+	}
+	return cases
+}
+
+// TestScanKernelMatchesLoop holds scan16 to scanSet bit for bit on seeded
+// random sets (see scanCases). A kernel that returns the highest matching
+// way, or whose min-tree drops one 4-stamp lane, fails it.
+func TestScanKernelMatchesLoop(t *testing.T) {
+	if !scanKernel {
+		t.Skip("host has no set-scan kernel")
+	}
+	for i, sc := range scanCases(100_000) {
+		gw, gl := scan16(&sc.keys[0], &sc.stamps[0], sc.key)
+		ww, wl := scanSet(sc.keys[:], sc.stamps[:], sc.key)
+		if gw != ww || gl != wl {
+			t.Fatalf("case %d: scan16 = (%d, %#x), scanSet = (%d, %#x)\nkeys %#x\nstamps %#x key %#x",
+				i, gw, gl, ww, wl, sc.keys, sc.stamps, sc.key)
+		}
 	}
 }
 
