@@ -99,12 +99,12 @@ func sscan(s string, v *float64) (int, error) {
 // alone; a declared model change re-pins them here, in one visible diff.
 var quickRenders = map[string]string{
 	"fig1":            "93479032ca86f75e",
-	"fig2":            "00e0f069b266eeca",
-	"fig3":            "1bc0c4ac58404173",
+	"fig2":            "45d6e9841407ac68",
+	"fig3":            "b84646339ee0b3d7",
 	"tab-prefetch":    "24c5532abf258124",
 	"fig5":            "f8070bd9c0edfb2a",
 	"fig6":            "f5cd5844b99a375f",
-	"fig7":            "d0a4ee66558cdd5e",
+	"fig7":            "7cdcfd2078070d99",
 	"fig8":            "a7d5d59f96f4c478",
 	"fig9":            "6a4cbbd588e45dfd",
 	"fig10":           "2b2b2a5d6ec74b4a",

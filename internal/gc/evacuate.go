@@ -175,7 +175,7 @@ func newCycle(h *heap.Heap, opt Options, threads int, hm *HeaderMap, pl *persist
 	c.bar.n = threads
 	for len(ar.workers) < threads {
 		gw := &gcWorker{id: len(ar.workers)}
-		gw.stealCond, gw.stepFn = gw.stealReady, gw.step
+		gw.stealCond, gw.stepFn, gw.rootFn = gw.stealReady, gw.step, gw.rootStep
 		ar.workers = append(ar.workers, gw)
 	}
 	c.workers = ar.workers[:threads]
@@ -440,11 +440,14 @@ type gcWorker struct {
 
 	stack workStack
 
-	// stealCond and stepFn are the prebuilt stealReady and step method
-	// values handed to SpinWait and Steps, allocated once per worker
-	// instead of once per steal attempt or drain.
+	// stealCond, stepFn and rootFn are the prebuilt stealReady, step and
+	// rootStep method values handed to SpinWait and Steps, allocated once
+	// per worker instead of once per steal attempt, drain or root scan.
 	stealCond func() bool
 	stepFn    func(*memsim.Worker) bool
+	rootFn    func(*memsim.Worker) bool
+
+	root int // rootStep: index of the root slot whose prefetch is in flight
 
 	// Registers of the drain machine (drain.go): its state, why it last
 	// left, and everything the loop body used to keep in locals.
@@ -495,17 +498,40 @@ func (l *labState) remaining() int64 {
 	return int64(l.physEnd-l.phys) / heap.WordBytes
 }
 
-// scanRoots pushes this worker's stride of the root list.
+// scanRoots pushes this worker's stride of the root list. With push-time
+// prefetching every slot is a charged operation, so the scan runs in step
+// form (rootStep) like the drain loop: a parked worker's root scan
+// advances on the running worker's stack instead of costing a coroutine
+// switch per slot.
 func (gw *gcWorker) scanRoots() {
 	c := gw.c
-	for i := gw.id; i < len(c.rootSlots); i += c.threads {
-		slot := c.rootSlots[i]
-		gw.w.Advance(8) // remembered-set iteration overhead
-		if c.pushPrefetch {
-			gw.w.Prefetch(c.h.DevOf(slot), slot, heap.WordBytes, false)
-		}
-		gw.stack.push(slot)
+	if c.pushPrefetch {
+		gw.root = gw.id - c.threads
+		gw.w.Steps(gw.rootFn)
+		return
 	}
+	for i := gw.id; i < len(c.rootSlots); i += c.threads {
+		gw.w.Advance(8) // remembered-set iteration overhead
+		gw.stack.push(c.rootSlots[i])
+	}
+}
+
+// rootStep is scanRoots' loop body in step form: push the slot whose
+// prefetch has settled (gw.root, negative before the first), then charge
+// the next slot's iteration overhead and issue its prefetch.
+func (gw *gcWorker) rootStep(w *memsim.Worker) bool {
+	c := gw.c
+	if gw.root >= 0 {
+		gw.stack.push(c.rootSlots[gw.root])
+	}
+	gw.root += c.threads
+	if gw.root >= len(c.rootSlots) {
+		return false
+	}
+	slot := c.rootSlots[gw.root]
+	w.Advance(8) // remembered-set iteration overhead
+	w.IssuePrefetch(c.h.DevOf(slot), slot, heap.WordBytes, false)
+	return true
 }
 
 // trySteal scans other workers' stacks for work; it returns false on

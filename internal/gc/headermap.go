@@ -240,10 +240,7 @@ func (hm *HeaderMap) PeekEntry(i int) (key, val uint64) {
 // stale forwarding entries left from the interrupted collection would
 // corrupt the next one.
 func (hm *HeaderMap) Reset() {
-	for i := 0; i < hm.entries; i++ {
-		hm.h.Poke(hm.keyAddr(uint64(i)), 0)
-		hm.h.Poke(hm.valueAddr(uint64(i)), 0)
-	}
+	hm.h.PokeZero(hm.base, int64(hm.entries)*2)
 	hm.used = 0
 }
 
@@ -263,10 +260,7 @@ func (hm *HeaderMap) ClearStripe(w *memsim.Worker, id, n int) {
 	if lo >= hi {
 		return
 	}
-	for i := lo; i < hi; i++ {
-		hm.h.Poke(hm.keyAddr(uint64(i)), 0)
-		hm.h.Poke(hm.valueAddr(uint64(i)), 0)
-	}
+	hm.h.PokeZero(hm.keyAddr(uint64(lo)), int64(hi-lo)*2)
 	w.Write(hm.h.AuxDevice(), hm.keyAddr(uint64(lo)), int64(hi-lo)*16, true)
 	if id == 0 {
 		hm.used = 0

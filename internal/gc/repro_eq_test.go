@@ -53,12 +53,14 @@ type eqRun struct {
 // eqResult is everything a run decides: the final virtual time, the
 // collection stats (including fault outcomes), the per-tier traffic in
 // topology order, and how often the drain machine left for each of its
-// blocking sections.
+// blocking sections. switches, the coroutine switches the collection
+// made, is host cost, not a decision: diff ignores it.
 type eqResult struct {
-	now     memsim.Time
-	stats   CollectionStats
-	traffic []memsim.DeviceStats
-	exits   [numDrainExits]int64
+	now      memsim.Time
+	stats    CollectionStats
+	traffic  []memsim.DeviceStats
+	exits    [numDrainExits]int64
+	switches int64
 }
 
 // run populates a fresh heap and collects it once.
@@ -100,6 +102,7 @@ func (r eqRun) run(t *testing.T, sc eqScenario, eager bool, threads int, seed ui
 		t.Fatal(err)
 	}
 	var st CollectionStats
+	switches := m.Switches()
 	switch r.mode {
 	case gcMixed:
 		st, err = b.CollectMixed(threads, 4)
@@ -111,7 +114,7 @@ func (r eqRun) run(t *testing.T, sc eqScenario, eager bool, threads int, seed ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eqResult{now: m.Now(), stats: st, exits: b.arena.cyc.exits}
+	res := eqResult{now: m.Now(), stats: st, exits: b.arena.cyc.exits, switches: m.Switches() - switches}
 	for _, tier := range m.Topology().Tiers() {
 		res.traffic = append(res.traffic, tier.Stats())
 	}
@@ -241,6 +244,28 @@ func TestDrainExitsEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRootScanEquivalence: with push-time prefetching every root slot is
+// a charged operation, and the root scan runs in step form, so 16 workers
+// scanning a few thousand extra root slots stay bit-identical to the eager
+// reference and add almost no coroutine switches to the collection's own
+// (steals, barriers). Written as a blocking loop, the scan adds about one
+// switch per slot.
+func TestRootScanEquivalence(t *testing.T) {
+	sc := eqScenarios()[0]
+	r := eqRun{hot: 3000}
+	want := r.run(t, sc, true, 16, 1)
+	got := r.run(t, sc, false, 16, 1)
+	if d := want.diff(got); d != "" {
+		t.Fatal(d)
+	}
+	base := eqRun{}.run(t, sc, false, 16, 1).switches
+	added := got.switches - base
+	t.Logf("%d switches with %d extra root slots, %d without", got.switches, r.hot, base)
+	if added*100 >= int64(r.hot) {
+		t.Errorf("%d extra root slots added %d coroutine switches, want < 1 per 100", r.hot, added)
 	}
 }
 

@@ -3,6 +3,7 @@ package heap
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -277,6 +278,7 @@ func TestRangeOpsCheckBothEnds(t *testing.T) {
 	ok("empty copy at both ends", func() { h.CommitCopy(lo, hi, 0); h.MoveWordsRaw(hi, lo, 0) })
 	ok("copy ending at the last word", func() { h.CommitCopy(hi-80, lo, 10); h.CommitCopy(lo, hi-80, 10) })
 	ok("object ending at the last word", func() { h.initObject(nil, hi-80, k, 10) })
+	ok("zeroing up to the last word", func() { h.PokeZero(hi-80, 10); h.PokeZero(hi, 0) })
 
 	for _, c := range []struct {
 		name string
@@ -291,6 +293,9 @@ func TestRangeOpsCheckBothEnds(t *testing.T) {
 		{"start past the end", func() { h.CommitCopy(hi+8, lo, 0) }},
 		{"object past the end", func() { h.initObject(nil, hi-72, k, 10) }},
 		{"fill past the end", func() { h.fill(h.span(hi-8, 2), 2, poison) }},
+		{"zeroing past the end", func() { h.PokeZero(hi-72, 10) }},
+		{"zeroing from below the start", func() { h.PokeZero(lo-8, 4) }},
+		{"zeroing a negative length", func() { h.PokeZero(lo, -1) }},
 		{"charged copy past the end", charged(func(w *memsim.Worker) { h.CopyWords(w, hi-72, lo, 10) })},
 		{"streaming copy from below the start", charged(func(w *memsim.Worker) { h.CopyWordsNT(w, lo, lo-8, 4) })},
 	} {
@@ -306,6 +311,62 @@ func TestRangeOpsCheckBothEnds(t *testing.T) {
 	}
 	if materialised(h) > 2 { // the in-range cases above touch the first and last chunk
 		t.Fatalf("rejected operations materialised chunks: %d", materialised(h))
+	}
+}
+
+// TestPokeZeroMatchesPokeLoop: the bulk clear is the per-word Poke(…, 0)
+// loop it replaces. It materialises no chunk that was never stored to, and
+// on a range the persistence domain tracks it leaves the same dirty lines
+// and, after a crash that tears the frontier line, the same image.
+func TestPokeZeroMatchesPokeLoop(t *testing.T) {
+	h, _ := chunkedHeap(t, nil)
+	h.PokeZero(h.base, 2*chunkWords+5)
+	if materialised(h) != 0 {
+		t.Fatalf("zeroing untouched chunks materialised %d", materialised(h))
+	}
+
+	const words = 203
+	run := func(bulk bool) (dirty []uint64, rep memsim.CrashReport, image []uint64) {
+		h, m := chunkedHeap(t, func(m *memsim.Machine) { m.EnablePersist(m.NVM, false) })
+		// Starts and ends mid-line and crosses a chunk boundary.
+		from := h.base + chunkWords*WordBytes - 100*WordBytes + 24
+		for i := int64(-20); i < words+20; i++ {
+			h.Poke(from+Address(i*WordBytes), uint64(i)+1)
+		}
+		m.Persist().PersistAll()
+		h.Poke(from+40*WordBytes, 99) // one line dirty before the clear
+		if bulk {
+			h.PokeZero(from, words)
+		} else {
+			for i := int64(0); i < words; i++ {
+				h.Poke(from+Address(i*WordBytes), 0)
+			}
+		}
+		dirty = m.Persist().DirtyLines()
+		m.InjectFault(memsim.FaultPlan{CrashAtStore: 1, TornLine: true})
+		m.Run(1, func(w *memsim.Worker) { h.WriteWord(w, h.base, 1) })
+		rep, err := m.MaterializeCrash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := from - 20*WordBytes; a < from+Address(words+20)*WordBytes; a += WordBytes {
+			image = append(image, h.Peek(a))
+		}
+		return dirty, rep, image
+	}
+	wantDirty, wantRep, wantImage := run(false)
+	gotDirty, gotRep, gotImage := run(true)
+	if !slices.Equal(gotDirty, wantDirty) {
+		t.Errorf("dirty lines %x, want %x", gotDirty, wantDirty)
+	}
+	if gotRep != wantRep {
+		t.Errorf("crash report %+v, want %+v", gotRep, wantRep)
+	}
+	if !slices.Equal(gotImage, wantImage) {
+		t.Errorf("crash image differs from the Poke loop's:\n got %v\nwant %v", gotImage, wantImage)
+	}
+	if !wantRep.TornLine || wantRep.RevertedLines == 0 {
+		t.Fatalf("the crash tore no line or reverted none (%+v): the case exercises nothing", wantRep)
 	}
 }
 

@@ -638,6 +638,15 @@ func (h *Heap) Poke(addr Address, v uint64) {
 	h.store(h.index(addr), v)
 }
 
+// PokeZero zeroes nWords words at addr without charging virtual time: the
+// bulk form of a Poke(…, 0) loop, with one persistence-domain hook for the
+// whole range. Zeroing a chunk never stored to materialises nothing.
+func (h *Heap) PokeZero(addr Address, nWords int64) {
+	i := h.span(addr, nWords)
+	h.pdStoreQuiet(addr, nWords*WordBytes)
+	h.fill(i, int(nWords), 0)
+}
+
 // The charged word operations below are each written once, as halves a
 // step-form caller (memsim.Worker.Steps) can use on their own: an Issue*
 // half runs everything that precedes the charge — the persistence

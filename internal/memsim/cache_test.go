@@ -23,6 +23,28 @@ func TestCacheHitAfterMiss(t *testing.T) {
 	}
 }
 
+// TestPredictorSeparatesSetLines: lines of one set whose numbers agree
+// modulo the cache's line count shared one predictor byte when there was a
+// byte per line, so each touch overwrote the others' guess. With
+// predPerLine = assoc bytes a line, a whole set of them each keep their own
+// byte: re-touching any of them takes the predicted hit path, no set scan.
+func TestPredictorSeparatesSetLines(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCache(cfg.LLCBytes, cfg.LLCAssoc, cfg.LLCHitLatency)
+	d := NewDevice("nvm", OptaneProfile(), 0)
+	lines := uint64(c.numSets * c.assoc) // the predictor's size at a byte a line
+	n := c.assoc
+	for i := range n {
+		c.touchLine(d, (5+uint64(i)*lines)*LineSize, Time(i), false, false)
+	}
+	for i := range n {
+		line := 5 + uint64(i)*lines
+		if _, ok := c.predicted(int(line&c.setMask)*c.assoc, line, lineKey(d, line*LineSize)); !ok {
+			t.Errorf("line %d of %d sharing a set: the predictor does not name its way", i, n)
+		}
+	}
+}
+
 func TestCacheDistinguishesDevices(t *testing.T) {
 	c := newTestCache()
 	d1 := NewDevice("a", DRAMProfile(), 0)

@@ -168,6 +168,11 @@ func (m *Machine) TierOf(dev *Device) *Tier { return m.topo.TierOf(dev) }
 // Now returns the machine's virtual clock (the end of the last phase).
 func (m *Machine) Now() Time { return m.now }
 
+// Switches returns the number of real coroutine switches every parallel
+// phase of the machine has made so far: the host cost that peer-run steps,
+// delegated accounting and in-place spins exist to avoid.
+func (m *Machine) Switches() int64 { return m.switches }
+
 // Mark records a labeled point at the current virtual time.
 func (m *Machine) Mark(label string) {
 	m.marks = append(m.marks, PhaseMark{T: m.now, Label: label})

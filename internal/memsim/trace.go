@@ -8,6 +8,7 @@ type Trace struct {
 	bucket Time
 	read   []int64
 	write  []int64
+	end    Time // just past the latest recorded traffic
 }
 
 // Bucket returns the trace's bucket width.
@@ -17,6 +18,7 @@ func (tr *Trace) Bucket() Time { return tr.bucket }
 func (tr *Trace) Reset() {
 	tr.read = tr.read[:0]
 	tr.write = tr.write[:0]
+	tr.end = 0
 }
 
 const maxTraceBuckets = 1 << 22
@@ -29,6 +31,7 @@ func (tr *Trace) add(t Time, bytes int64, isWrite bool) {
 	if idx >= maxTraceBuckets {
 		return
 	}
+	tr.end = max(tr.end, t+1)
 	for len(tr.read) <= idx {
 		tr.read = append(tr.read, 0)
 		tr.write = append(tr.write, 0)
@@ -74,27 +77,33 @@ func (tr *Trace) Series(from Time) []TracePoint {
 	return pts
 }
 
-// Window sums traffic within [from, to) and returns average read, write
-// and total bandwidth in MB/s.
+// Window returns the average read, write and total bandwidth in MB/s over
+// [from, to). A bucket the window covers only in part contributes its
+// traffic in proportion to the overlap, as if spread evenly over the
+// bucket; the last bucket ends at the latest recorded traffic. A window
+// of whole buckets therefore sums them exactly, and one narrower than a
+// bucket reads that bucket's rate, not all of its bytes over the window.
 func (tr *Trace) Window(from, to Time) (read, write, total float64) {
 	if to <= from {
 		return 0, 0, 0
 	}
-	var rb, wb int64
-	lo := int(from / tr.bucket)
-	hi := int((to + tr.bucket - 1) / tr.bucket)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(tr.read) {
-		hi = len(tr.read)
-	}
+	var rb, wb int64   // buckets inside the window
+	var rf, wf float64 // shares of the buckets it covers in part
+	lo := max(int(from/tr.bucket), 0)
+	hi := min(int((to+tr.bucket-1)/tr.bucket), len(tr.read))
 	for i := lo; i < hi; i++ {
-		rb += tr.read[i]
-		wb += tr.write[i]
+		s, e := Time(i)*tr.bucket, min(Time(i+1)*tr.bucket, tr.end)
+		if s >= from && e <= to {
+			rb += tr.read[i]
+			wb += tr.write[i]
+		} else if ov := min(e, to) - max(s, from); ov > 0 {
+			f := float64(ov) / float64(e-s)
+			rf += float64(tr.read[i]) * f
+			wf += float64(tr.write[i]) * f
+		}
 	}
 	dur := float64(to-from) / float64(Second)
-	read = float64(rb) / 1e6 / dur
-	write = float64(wb) / 1e6 / dur
+	read = (float64(rb) + rf) / 1e6 / dur
+	write = (float64(wb) + wf) / 1e6 / dur
 	return read, write, read + write
 }

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,37 @@ func TestTraceSeriesAndWindowAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTraceWindowPartialBuckets: a bucket the window covers in part counts
+// in proportion to the overlap, so a window narrower than one bucket reads
+// that bucket's rate, and one straddling two averages their halves. The
+// last bucket spans only up to the latest traffic.
+func TestTraceWindowPartialBuckets(t *testing.T) {
+	tr := &Trace{bucket: 1000}
+	tr.add(100, 4000, false) // bucket 0: 4000 B read, 2000 B written
+	tr.add(900, 2000, true)
+	tr.add(1500, 8000, false) // bucket 1: 8000 B read
+	tr.add(2499, 64, true)    // bucket 2, the last, ends at 2500
+	const mbps = 1e3          // bytes per ns to MB/s
+	cases := []struct {
+		name        string
+		from, to    Time
+		read, write float64 // MB/s
+	}{
+		{"narrower than a bucket", 200, 300, 4000.0 / 1000 * mbps, 2000.0 / 1000 * mbps},
+		{"straddling two buckets", 500, 1500, (2000.0 + 4000) / 1000 * mbps, 1000.0 / 1000 * mbps},
+		{"whole buckets", 0, 2000, 12000.0 / 2000 * mbps, 2000.0 / 2000 * mbps},
+		{"last bucket", 2200, 2600, 0, 64 * 300.0 / 500 / 400 * mbps},
+		{"past the trace", 2500, 4000, 0, 0},
+		{"before time 0", -1000, 1000, 4000.0 / 2000 * mbps, 2000.0 / 2000 * mbps},
+	}
+	for _, c := range cases {
+		r, w, tot := tr.Window(c.from, c.to)
+		if math.Abs(r-c.read) > 1e-9*c.read || math.Abs(w-c.write) > 1e-9*c.write || tot != r+w {
+			t.Errorf("%s: Window(%d, %d) = (%g, %g, %g), want (%g, %g)", c.name, c.from, c.to, r, w, tot, c.read, c.write)
+		}
 	}
 }
 
