@@ -97,7 +97,8 @@ fleet-smoke: build
 	$(GO) run ./cmd/gcsim -fleet -fleet-instances 2 -config all
 
 # fuzz-smoke replays the checked-in crash-recovery corpus and fuzzes for
-# 30s on top (regression net for the crash points earlier PRs fixed), then
+# 30s on top (under persist barriers every recovered heap must hold the
+# pre-GC graph and pass the post-GC invariant checker), then
 # does the same for 10s with the fleet's traffic parameters (hostile
 # sizes, rates and times must come back as errors, and every replay that
 # does come back must be whole), for 10s with the fleet merge's series
@@ -108,8 +109,10 @@ fleet-smoke: build
 # binary-search timeline and plain-scan pool's), for 10s each with the
 # two inputs a user types: -profile-file JSON (never a panic, nothing out
 # of range accepted) and -topology lists (every accepted list builds), and
-# for 10s with fuzzed object headers and slots (every reader of a heap
-# image reports a region that does not parse, none panics).
+# for 10s with fuzzed object headers and slots (CheckInvariants,
+# Capture and AtBoundary never panic, Capture fails exactly when
+# CheckInvariants does, and CheckInvariants reports every region that
+# does not parse).
 fuzz-smoke: build
 	$(GO) test ./internal/gc -run FuzzCrashRecovery -fuzz FuzzCrashRecovery -fuzztime 30s
 	$(GO) test ./internal/fleet -run FuzzSimulateTraffic -fuzz FuzzSimulateTraffic -fuzztime 10s

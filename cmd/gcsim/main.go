@@ -153,14 +153,10 @@ func main() {
 					attr = "persistent+eadr"
 				}
 			}
-			extra := ""
-			if s.Interleave > 0 {
-				extra = fmt.Sprintf("  interleave %d", s.Interleave)
-			}
-			fmt.Printf("%-12s %-15s read %3dns/%2.0fGB/s  write %3dns/%2.0fGB/s (nt %2.0f)  gran %3dB%s\n",
+			fmt.Printf("%-12s %-15s read %3dns/%2.0fGB/s  write %3dns/%2.0fGB/s (nt %2.0f)  gran %3dB\n",
 				s.Name, attr, s.Profile.ReadLatency, s.Profile.PeakReadBW,
 				s.Profile.WriteLatency, s.Profile.PeakWriteBW, s.Profile.NTWriteBW,
-				s.Profile.Granularity, extra)
+				s.Profile.Granularity)
 		}
 		return
 	}

@@ -135,6 +135,7 @@ func TestHeapConfigModes(t *testing.T) {
 	} {
 		spec := Params{}.host(gc.Vanilla())
 		spec.Heap.Placement = tc.place
+		spec.Heap.MetaBytes = 4 << 10 // a metadata area for DevOf(MetaBase()) to land in
 		host, err := workload.NewHost(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +149,7 @@ func TestHeapConfigModes(t *testing.T) {
 		dev := func(name string) *memsim.Device { tier, _ := m.Tier(name); return tier.Device }
 		// Humongous has no device accessor; its tier name is checked above.
 		for i, d := range []*memsim.Device{h.EdenDevice(), h.SurvivorDevice(), h.OldDevice(), nil,
-			h.CacheDevice(), h.AuxDevice(), h.MetaDevice()} {
+			h.CacheDevice(), h.AuxDevice(), h.DevOf(h.MetaBase())} {
 			if d != nil && d != dev(tc.want[i]) {
 				t.Errorf("%s: area %d on %s, want %s", tc.name, i, d.Name(), tc.want[i])
 			}

@@ -173,9 +173,6 @@ func (tl *Timeline) Inverse(a memsim.Time) memsim.Time {
 	return a + tl.prefix[idx]
 }
 
-// PauseTime returns the total paused time in the timeline.
-func (tl *Timeline) PauseTime() memsim.Time { return tl.prefix[len(tl.pauses)] }
-
 // MaxServers is the largest server pool a Queue picks from its winner
 // tree: the server index rides in a key's low 8 bits. A larger pool is
 // served by the plain scan; the fleet holds its pools to this size.

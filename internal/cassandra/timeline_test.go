@@ -68,8 +68,8 @@ func TestTimelineInverseRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if got, want := tl.PauseTime(), totalPause(ps); got != want {
-			t.Fatalf("trial %d: PauseTime %d, want %d", trial, got, want)
+		if got, want := tl.prefix[len(tl.pauses)], totalPause(ps); got != want {
+			t.Fatalf("trial %d: paused time %d, want %d", trial, got, want)
 		}
 	}
 }
@@ -151,7 +151,7 @@ func TestValidateTailPercentiles(t *testing.T) {
 // on small random pause sets that overlap, nest, touch, repeat, and
 // include empty and inverted intervals: Active(x) is the number of
 // unpaused nanoseconds before x, Inverse(a) the unpaused nanosecond at
-// which that count reaches a, and PauseTime the size of the union.
+// which that count reaches a, and the last prefix sum the size of the union.
 // Summing overlapping durations used to drive Active negative.
 func TestTimelineNormalizes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 1))
@@ -181,8 +181,8 @@ func TestTimelineNormalizes(t *testing.T) {
 			}
 			active++
 		}
-		if got := tl.PauseTime(); got != total {
-			t.Fatalf("%v: PauseTime %d, union %d", ps, got, total)
+		if got := tl.prefix[len(tl.pauses)]; got != total {
+			t.Fatalf("%v: paused time %d, union %d", ps, got, total)
 		}
 	}
 }

@@ -43,10 +43,9 @@ const pokeRecord = 10
 // FuzzHeapImage overwrites object headers and slots of a small heap with
 // fuzzed words, the shapes a torn or lost line leaves in a post-crash
 // image, and runs every uncharged reader of the image over it:
-// CheckInvariants, Capture, AtBoundary(PreGC) and ScanPostCrash. None may
-// panic; Capture fails exactly when CheckInvariants does (they share one
-// walk and one trace); and a region whose walk fails is reported both by
-// CheckInvariants and, as corrupt, by ScanPostCrash.
+// CheckInvariants, Capture and AtBoundary(PreGC). None may panic; Capture
+// fails exactly when CheckInvariants does (they share one walk and one
+// trace); and CheckInvariants reports every region whose walk fails.
 func FuzzHeapImage(f *testing.F) {
 	poke := func(idx uint16, v uint64) []byte {
 		b := binary.LittleEndian.AppendUint16(nil, idx)
@@ -78,24 +77,13 @@ func FuzzHeapImage(f *testing.F) {
 			t.Fatalf("CheckInvariants says %v but Capture says %v", invErr, capErr)
 		}
 		_ = AtBoundary(PreGC, State{Heap: h})
-		scan := h.ScanPostCrash()
-		class := make(map[int]heap.RegionClass, len(scan.Regions))
-		for _, rs := range scan.Regions {
-			class[rs.Index] = rs.Class
-		}
 		for _, r := range h.Regions() {
 			if !r.Generational() {
 				continue
 			}
 			err := h.WalkRegion(r, func(heap.Address, *heap.Klass, int64) error { return nil })
-			if err == nil {
-				continue
-			}
-			if invErr == nil {
+			if err != nil && invErr == nil {
 				t.Fatalf("CheckInvariants passed a region whose walk fails: %v", err)
-			}
-			if class[r.Index] != heap.RegionCorrupt {
-				t.Fatalf("ScanPostCrash calls region %d %v, but its walk fails: %v", r.Index, class[r.Index], err)
 			}
 		}
 	})

@@ -129,7 +129,7 @@ func newEnv(c Config) (workload.Host, error) {
 	hc := &s.Heap
 	if c.Topology == "3tier" {
 		s.Machine.Tiers = append(s.Machine.Tiers,
-			memsim.TierSpec{Name: "remote-dram", Profile: memsim.RemoteDRAMProfile(), Interleave: 6})
+			memsim.TierSpec{Name: "remote-dram", Profile: memsim.RemoteDRAMProfile()})
 		hc.Placement.Cache = "remote-dram"
 	}
 	if c.Fault.Enabled() {
@@ -330,13 +330,9 @@ func failsWith(c Config, ref Config) func([]Op) bool {
 	}
 }
 
-// RunSeed generates one uniform-selection trace and replays it through
-// the reference and every real configuration, returning the first
-// failure (shrunk) or nil.
-func RunSeed(seed uint64, nops int) *Failure { return RunSeedDist(seed, nops, "uniform") }
-
-// RunSeedDist is RunSeed with the named object-id distribution (see
-// TraceDists).
+// RunSeedDist generates one trace with the named object-id distribution
+// (see TraceDists) and replays it through the reference and every real
+// configuration, returning the first failure (shrunk) or nil.
 func RunSeedDist(seed uint64, nops int, dist string) *Failure {
 	ops := GenerateDist(seed, nops, dist)
 	fail := func(c Config, err error) *Failure {

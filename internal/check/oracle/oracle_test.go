@@ -10,8 +10,8 @@ import (
 // TestGenerateDeterministic: the trace generator is a pure function of
 // its seed.
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(42, 300)
-	b := Generate(42, 300)
+	a := GenerateDist(42, 300, "uniform")
+	b := GenerateDist(42, 300, "uniform")
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -20,7 +20,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("op %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
-	c := Generate(43, 300)
+	c := GenerateDist(43, 300, "uniform")
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
@@ -38,7 +38,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // TestReferenceSelfConsistent: the reference collector replayed twice on
 // the same trace produces identical snapshots, and both topologies agree.
 func TestReferenceSelfConsistent(t *testing.T) {
-	ops := Generate(7, 300)
+	ops := GenerateDist(7, 300, "uniform")
 	r1, err := RunTrace(refConfig("2tier"), ops)
 	if err != nil {
 		t.Fatalf("reference replay: %v", err)
@@ -70,7 +70,7 @@ func TestRunSeedMatrix(t *testing.T) {
 	}
 	for i := 0; i < runs; i++ {
 		seed := uint64(1 + i)
-		if f := RunSeed(seed, nops); f != nil {
+		if f := RunSeedDist(seed, nops, "uniform"); f != nil {
 			t.Fatalf("differential failure:\n%s", f)
 		}
 	}
@@ -81,7 +81,7 @@ func TestRunSeedMatrix(t *testing.T) {
 func TestPersistReplayStatsSane(t *testing.T) {
 	opt := gc.Vanilla()
 	opt.Persist, opt.Check = gc.PersistADR, true
-	if _, err := RunTrace(Config{Name: "g1-vanilla+adr/2tier", Collector: "g1", Opt: opt, Topology: "2tier"}, Generate(7, 400)); err != nil {
+	if _, err := RunTrace(Config{Name: "g1-vanilla+adr/2tier", Collector: "g1", Opt: opt, Topology: "2tier"}, GenerateDist(7, 400, "uniform")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +92,7 @@ func TestPersistReplayStatsSane(t *testing.T) {
 // every case the live graph must still match the fault-free reference —
 // that differential equality is the self-healing claim.
 func TestFaultArmInjects(t *testing.T) {
-	ops := Generate(11, 400)
+	ops := GenerateDist(11, 400, "uniform")
 	ref, err := RunTrace(refConfig("2tier"), ops)
 	if err != nil {
 		t.Fatalf("reference replay: %v", err)
@@ -171,7 +171,7 @@ func TestCampaignRejectsNegativeCounts(t *testing.T) {
 // TestShrinkMinimizes: chunk-removal shrinking finds the minimal
 // sub-trace for a synthetic predicate ("contains ops 3 and 17").
 func TestShrinkMinimizes(t *testing.T) {
-	ops := Generate(5, 60)
+	ops := GenerateDist(5, 60, "uniform")
 	need1, need2 := ops[3], ops[17]
 	fails := func(sub []Op) bool {
 		have1, have2 := false, false

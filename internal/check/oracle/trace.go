@@ -86,10 +86,6 @@ func FormatTrace(ops []Op) string {
 // tail) go through the same scrutiny as uniform ones.
 func TraceDists() []string { return []string{"uniform", "zipfian", "hotspot"} }
 
-// Generate builds a seeded random workload trace of n ops with uniform
-// object-id selection.
-func Generate(seed uint64, n int) []Op { return GenerateDist(seed, n, "uniform") }
-
 // GenerateDist builds a seeded random workload trace of n ops. The
 // generator tracks a rough model (allocation count, live root count)
 // only to keep traces interesting — the replayer makes every op

@@ -388,7 +388,7 @@ func TestDeadObjectsReclaimed(t *testing.T) {
 	if len(h.Survivors()) != 0 {
 		t.Fatalf("empty GC created %d survivor regions", len(h.Survivors()))
 	}
-	if h.FreeHeapRegions() == 0 {
+	if len(h.FreeHeapRegionIndices()) == 0 {
 		t.Fatal("regions not reclaimed")
 	}
 }

@@ -71,7 +71,7 @@ func TestPSLABGapsAreFilled(t *testing.T) {
 			if k == nil {
 				t.Fatalf("survivor region %d: malformed at %#x", r.Index, a)
 			}
-			if k == h.FillerKlass() {
+			if k == h.Klasses.ByName("<filler>") {
 				fillers++
 			}
 			a += heap.Address(size) * heap.WordBytes

@@ -51,7 +51,6 @@ func (o RecoveryOutcome) String() string {
 // RecoveryReport summarizes one recovery pass.
 type RecoveryReport struct {
 	Outcome RecoveryOutcome
-	Scan    heap.PostCrashScan // classification of the raw post-crash image
 
 	JournalActive bool // the journal header recorded an open collection
 	EntriesUndone int  // journal undo records applied
@@ -73,7 +72,8 @@ type CrashRun struct {
 // heap's machine and runs one young collection. If the plan fired, it
 // materializes the post-crash image and runs recoverHeap, as a restarted
 // runtime would. Either way it then proves the heap against pre
-// (check.VerifyRecovered), so a collection the plan never interrupted is
+// (check.VerifyRecovered) and holds the restored state to the PostGC
+// phase-boundary checker, so a collection the plan never interrupted is
 // checked as strictly as a recovered one. Whether a failed verdict is a
 // bug is the caller's policy: it is one under persist barriers, the
 // expected result for PersistNone. The returned error is reserved for
@@ -95,21 +95,25 @@ func (b *base) CollectThroughCrash(threads int, plan memsim.FaultPlan, pre *chec
 	if run.Err == nil {
 		run.Err = check.VerifyRecovered(b.h, pre)
 	}
+	if run.Err == nil {
+		run.Err = b.checkBoundary(check.PostGC, false)
+	}
 	return run, nil
 }
 
 // recoverHeap runs the collector's post-crash recovery pass, after
 // memsim.Machine.MaterializeCrash has produced the post-crash NVM image
 // (Collect having returned ErrCrashed). Only CollectThroughCrash calls it,
-// so every recovery is followed by the graph proof.
+// so every recovery is followed by the graph proof and the PostGC
+// phase-boundary checker.
 //
 // The pass mirrors what a restarted runtime would do from the durable
-// image alone:
+// image alone — the journal header, the journal entries and the
+// collection set's marks:
 //
-//  1. classify every region (heap.ScanPostCrash),
-//  2. if no collection was open, rebuild volatile structures and return;
-//  3. if the journal had committed, roll the finished collection forward;
-//  4. otherwise undo the journal (restoring root slots, old-space slots,
+//  1. if no collection was open, rebuild volatile structures and return;
+//  2. if the journal had committed, roll the finished collection forward;
+//  3. otherwise undo the journal (restoring root slots, old-space slots,
 //     and from-space headers to their pre-GC values), sweep any residual
 //     forwarding state (only possible without a journal, i.e.
 //     PersistNone), discard the regions the interrupted GC had claimed,
@@ -118,10 +122,11 @@ func (b *base) CollectThroughCrash(threads int, plan memsim.FaultPlan, pre *chec
 // Recovery charges no virtual time. It returns an error — with outcome
 // RecoveryUnrecoverable — when the restored heap fails its structural
 // invariants; CollectThroughCrash then proves full graph isomorphism
-// via check.VerifyRecovered against a pre-GC snapshot.
+// via check.VerifyRecovered against a pre-GC snapshot and runs the PostGC
+// checker on what recovery restored.
 func (b *base) recoverHeap() (RecoveryReport, error) {
 	h := b.h
-	rep := RecoveryReport{Scan: h.ScanPostCrash()}
+	var rep RecoveryReport
 
 	finishVolatile := func() {
 		if b.hm != nil {

@@ -198,26 +198,3 @@ func (l Log) Summarize() Summary {
 	}
 	return s
 }
-
-// Render returns the log as a human-readable table.
-func (l Log) Render() string {
-	t := metrics.Table{
-		Title: "GC log",
-		Columns: []string{"#", "kind", "pause (ms)", "read-mostly", "write-only",
-			"copied (MB)", "promoted", "nvm r/w (MB)", "hm hits", "wc regions"},
-	}
-	for _, e := range l {
-		kind := "young"
-		switch {
-		case e.Full:
-			kind = "full"
-		case e.Mixed:
-			kind = "mixed"
-		}
-		t.AddRow(e.Seq, kind, e.PauseMs, e.ReadMostlyMs, e.WriteOnlyMs,
-			float64(e.BytesCopied)/1e6, e.ObjectsPromoted,
-			fmt.Sprintf("%.1f/%.1f", e.NVMReadMB, e.NVMWriteMB),
-			e.HeaderMapHits, e.CacheRegionsUsed)
-	}
-	return t.Render()
-}

@@ -80,15 +80,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestRender(t *testing.T) {
-	out := sampleLog().Render()
-	for _, want := range []string{"young", "full", "pause (ms)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestFromCollections(t *testing.T) {
 	cs := []gc.CollectionStats{{Pause: 1e6}, {Pause: 2e6}}
 	l := FromCollections("ps", gc.Vanilla(), 4, cs)

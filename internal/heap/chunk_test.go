@@ -214,7 +214,7 @@ func TestNewHeapIsLazy(t *testing.T) {
 
 	// Filling eden regions materialises the chunks they overlap and no other.
 	arr, _ := h.Klasses.DefineArray("long[]", false)
-	for len(h.eden) < 40 || h.edenCur.Free() >= 512*WordBytes {
+	for len(h.eden) < 40 || h.edenCur.End-h.edenCur.Top >= 512*WordBytes {
 		if _, ok := h.AllocateEden(nil, arr, 512); !ok {
 			t.Fatal("eden exhausted early")
 		}

@@ -31,7 +31,7 @@ func TestAddressPredicates(t *testing.T) {
 	if h.RegionOf(aux) != nil {
 		t.Fatal("aux space has no region")
 	}
-	if h.InYoung(aux) {
+	if h.KindAt(aux) != RegionFree {
 		t.Fatal("aux space is not young")
 	}
 }
@@ -85,7 +85,7 @@ func TestFillerParses(t *testing.T) {
 	a, _ := r.Alloc(8)
 	h.WriteFiller(a, 8)
 	k, size := h.PeekObject(a)
-	if k != h.FillerKlass() || size != 8 {
+	if k != h.Klasses.ByName("<filler>") || size != 8 {
 		t.Fatalf("filler parse: %v %d", k, size)
 	}
 	if err := h.CheckInvariants(); err != nil {
@@ -169,7 +169,7 @@ func TestRootSetCapacity(t *testing.T) {
 			t.Error("third add should fail at capacity 2")
 		}
 	})
-	if h.Roots.Cap() != 2 {
+	if h.Config().RootSlots != 2 || len(h.Roots.Slots()) != 2 {
 		t.Fatal("cap mismatch")
 	}
 }

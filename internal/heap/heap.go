@@ -388,9 +388,6 @@ func (h *Heap) CacheDevice() *memsim.Device { return h.cacheDev }
 // AuxDevice returns the device backing the aux area (roots, header map).
 func (h *Heap) AuxDevice() *memsim.Device { return h.auxDev }
 
-// MetaDevice returns the device backing the metadata/journal area.
-func (h *Heap) MetaDevice() *memsim.Device { return h.metaDev }
-
 // PlacementDevices returns the distinct devices the placement policy
 // binds, in policy-field order (eden, survivor, old, humongous, cache,
 // aux, meta). The collector walks this order when a degraded tier forces
@@ -518,12 +515,6 @@ func (h *Heap) RegionMirrorError() error {
 		}
 	}
 	return nil
-}
-
-// InYoung reports whether addr is inside an eden or survivor region.
-func (h *Heap) InYoung(addr Address) bool {
-	r := h.RegionOf(addr)
-	return r != nil && (r.Kind == RegionEden || r.Kind == RegionSurvivor)
 }
 
 // DevOf returns the device backing addr, following the placement policy:

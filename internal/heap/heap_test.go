@@ -145,7 +145,7 @@ func TestAllocateEden(t *testing.T) {
 		if h.Peek(SlotAddr(a1, 2)) != 0 {
 			t.Error("payload should be zeroed")
 		}
-		if !h.InYoung(a1) {
+		if h.KindAt(a1) != RegionEden {
 			t.Error("eden object should be in young")
 		}
 	})
@@ -188,7 +188,7 @@ func TestAllocateOld(t *testing.T) {
 		if r := h.RegionOf(a); r.Kind != RegionOld {
 			t.Errorf("region kind = %v", r.Kind)
 		}
-		if h.InYoung(a) {
+		if h.KindAt(a) != RegionOld {
 			t.Error("old object must not be young")
 		}
 	})
@@ -196,12 +196,12 @@ func TestAllocateOld(t *testing.T) {
 
 func TestClaimRetireRoundtrip(t *testing.T) {
 	h, _ := testHeap(t)
-	freeBefore := h.FreeHeapRegions()
+	freeBefore := len(h.FreeHeapRegionIndices())
 	r, ok := h.ClaimRegion(RegionSurvivor, nil)
 	if !ok {
 		t.Fatal("claim failed")
 	}
-	if h.FreeHeapRegions() != freeBefore-1 {
+	if len(h.FreeHeapRegionIndices()) != freeBefore-1 {
 		t.Fatal("free count should drop")
 	}
 	if r.Kind != RegionSurvivor || len(h.Survivors()) != 1 {
@@ -212,7 +212,7 @@ func TestClaimRetireRoundtrip(t *testing.T) {
 	if r.Kind != RegionFree || r.Top != r.Start {
 		t.Fatal("retire should reset the region")
 	}
-	if h.FreeHeapRegions() != freeBefore {
+	if len(h.FreeHeapRegionIndices()) != freeBefore {
 		t.Fatal("free count should be restored")
 	}
 	// Poisoning: retired memory is recognizably dead.
@@ -294,16 +294,13 @@ func TestRootSet(t *testing.T) {
 			return
 		}
 		s2, _ := h.Roots.Add(w, b)
-		if h.Roots.Live() != 2 {
-			t.Errorf("live = %d", h.Roots.Live())
-		}
 		got := h.Roots.Slots()
 		if len(got) != 2 || got[0] != s1 || got[1] != s2 {
 			t.Errorf("slots = %v", got)
 		}
 		h.Roots.Clear(w, s1)
-		if h.Roots.Live() != 1 {
-			t.Errorf("live after clear = %d", h.Roots.Live())
+		if n := len(h.Roots.Slots()); n != 1 {
+			t.Errorf("live after clear = %d", n)
 		}
 		// Slot reuse.
 		s3, _ := h.Roots.Add(w, b)

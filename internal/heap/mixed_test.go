@@ -113,7 +113,7 @@ func TestBeginFullCollectionDetachesEverything(t *testing.T) {
 		}
 	}
 	h.FinishCollection(cset)
-	if h.FreeHeapRegions() != h.Config().HeapRegions {
+	if len(h.FreeHeapRegionIndices()) != h.Config().HeapRegions {
 		t.Fatal("regions not all reclaimed")
 	}
 }
@@ -128,6 +128,7 @@ func TestYoungPlacement(t *testing.T) {
 	hc.EdenRegions = 8
 	hc.SurvivorRegions = 4
 	hc.Placement = PlacementPolicy{Eden: "dram", Survivor: "dram"}
+	hc.MetaBytes = 4 << 10 // a metadata area for DevOf(MetaBase()) to land in
 	h, err := New(m, hc)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestYoungPlacement(t *testing.T) {
 		{"old region", old.Dev, m.NVM},
 		{"cache", h.CacheDevice(), m.DRAM},
 		{"aux", h.AuxDevice(), m.DRAM},
-		{"meta", h.MetaDevice(), m.NVM},
+		{"meta", h.DevOf(h.MetaBase()), m.NVM},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s on %s, want %s", c.area, c.got.Name(), c.want.Name())

@@ -163,11 +163,6 @@ func (h *Heap) checkSize(k *Klass, sizeWords int64) error {
 	return nil
 }
 
-// FillerKlass returns the reserved primitive-array class used to plug
-// allocation gaps (e.g. retired LAB tails) so regions always parse into
-// contiguous well-formed objects.
-func (h *Heap) FillerKlass() *Klass { return h.filler }
-
 // WriteFiller formats [addr, addr+sizeWords) as an unreachable filler
 // object (uncharged; gaps are metadata-sized and cache-resident).
 func (h *Heap) WriteFiller(addr Address, sizeWords int64) {

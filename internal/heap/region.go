@@ -94,9 +94,6 @@ func (r *Region) Bytes() int64 { return int64(r.End - r.Start) }
 // UsedBytes returns the bytes consumed by the bump pointer.
 func (r *Region) UsedBytes() int64 { return int64(r.Top - r.Start) }
 
-// Free returns the bytes remaining.
-func (r *Region) Free() int64 { return int64(r.End - r.Top) }
-
 // Alloc bumps the region pointer by nWords words. It returns the address
 // and true on success, or 0 and false if the region is full. Alloc itself
 // charges no virtual time; callers account initialization/copy traffic.
@@ -249,15 +246,6 @@ func (h *Heap) NoteBadLine(addr Address) bool {
 	return true
 }
 
-// RetiredRegions returns the wear-retired regions in retirement order.
-func (h *Heap) RetiredRegions() []*Region {
-	out := make([]*Region, len(h.retired))
-	for i, idx := range h.retired {
-		out[i] = h.regions[idx]
-	}
-	return out
-}
-
 // RetiredCount returns the number of wear-retired regions.
 func (h *Heap) RetiredCount() int { return len(h.retired) }
 
@@ -273,9 +261,6 @@ func (h *Heap) BadLinedOld() []*Region {
 	}
 	return out
 }
-
-// FreeHeapRegions returns the number of free Java-heap regions.
-func (h *Heap) FreeHeapRegions() int { return len(h.freeHeap) }
 
 // FreeCacheRegions returns the number of free DRAM cache-pool regions.
 func (h *Heap) FreeCacheRegions() int { return len(h.freeCache) }

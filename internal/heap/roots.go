@@ -15,7 +15,6 @@ type RootSet struct {
 	cap   int
 	used  int   // high-water mark of slots ever used
 	free  []int // indices of cleared slots below the high-water mark
-	live  int
 }
 
 func newRootSet(h *Heap, slots int) (*RootSet, error) {
@@ -25,12 +24,6 @@ func newRootSet(h *Heap, slots int) (*RootSet, error) {
 	}
 	return &RootSet{h: h, start: a, cap: slots}, nil
 }
-
-// Cap returns the root-set capacity in slots.
-func (rs *RootSet) Cap() int { return rs.cap }
-
-// Live returns the number of non-nil root slots.
-func (rs *RootSet) Live() int { return rs.live }
 
 // Add stores ref into a free root slot and returns the slot address.
 // It returns 0, false when the root set is full.
@@ -48,7 +41,6 @@ func (rs *RootSet) Add(w *memsim.Worker, ref Address) (Address, bool) {
 	}
 	slot := rs.start + Address(idx)*WordBytes
 	rs.h.WriteWord(w, slot, ref)
-	rs.live++
 	return slot, true
 }
 
@@ -56,9 +48,6 @@ func (rs *RootSet) Add(w *memsim.Worker, ref Address) (Address, bool) {
 func (rs *RootSet) Clear(w *memsim.Worker, slot Address) {
 	if slot < rs.start || slot >= rs.start+Address(rs.cap)*WordBytes {
 		panic("heap: Clear of a non-root slot")
-	}
-	if rs.h.Peek(slot) != 0 {
-		rs.live--
 	}
 	rs.h.WriteWord(w, slot, 0)
 	rs.free = append(rs.free, int((slot-rs.start)/WordBytes))
@@ -78,7 +67,7 @@ func (rs *RootSet) ForEach(fn func(slot Address)) {
 
 // Slots returns the addresses of all non-nil root slots.
 func (rs *RootSet) Slots() []Address {
-	out := make([]Address, 0, rs.live)
+	var out []Address
 	rs.ForEach(func(slot Address) { out = append(out, slot) })
 	return out
 }

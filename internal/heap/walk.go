@@ -8,8 +8,8 @@ import (
 // The heap's one uncharged reading of its own object format: WalkRegion
 // parses a region into objects, RefSlots lists an object's reference
 // slots, and TraceLive follows them from the roots. The invariant checker,
-// the post-crash scanner, remembered-set rebuilding and the GC recovery
-// pass all read the heap through these three. The collector's charged
+// remembered-set rebuilding and the GC recovery pass all read the heap
+// through these three. The collector's charged
 // traversal and the reference collector keep their own loops: the first
 // is timed, the second is the model the collectors are checked against.
 

@@ -185,11 +185,6 @@ func dirtyFlags(write, seq bool) uint8 {
 	return flagDirty
 }
 
-// CapacityBytes returns the modeled cache capacity.
-func (c *Cache) CapacityBytes() int64 {
-	return int64(c.numSets) * int64(c.assoc) * LineSize
-}
-
 // CacheStats is a snapshot of hit/miss counters.
 type CacheStats struct {
 	Hits       int64

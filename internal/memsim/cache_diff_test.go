@@ -291,8 +291,8 @@ func TestVictimOrder(t *testing.T) {
 
 func TestCacheBounds(t *testing.T) {
 	d := NewDevice("nvm", OptaneProfile(), 0)
-	if c := NewCache(1<<20, 1000, 15); c.assoc != maxAssoc || c.CapacityBytes() != 1<<20 {
-		t.Fatalf("assoc 1000 gave %d ways, %d bytes; want a clamp to %d", c.assoc, c.CapacityBytes(), maxAssoc)
+	if c := NewCache(1<<20, 1000, 15); c.assoc != maxAssoc || c.numSets*c.assoc*LineSize != 1<<20 {
+		t.Fatalf("assoc 1000 gave %d ways, %d sets; want a clamp to %d", c.assoc, c.numSets, maxAssoc)
 	}
 	if c := NewCache(1<<20, -3, 15); c.assoc != 1 {
 		t.Fatalf("assoc -3 gave %d ways", c.assoc)

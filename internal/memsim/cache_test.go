@@ -145,13 +145,13 @@ func TestMissingLinesIsReadOnly(t *testing.T) {
 
 func TestCacheCapacity(t *testing.T) {
 	c := NewCache(1<<20, 16, 10)
-	if c.CapacityBytes() != 1<<20 {
-		t.Fatalf("capacity = %d", c.CapacityBytes())
+	if got := c.numSets * c.assoc * LineSize; got != 1<<20 {
+		t.Fatalf("capacity = %d", got)
 	}
 	// Non-power-of-two set counts round down.
 	c = NewCache(3*64*4, 4, 10)
-	if c.CapacityBytes() != 2*64*4 {
-		t.Fatalf("capacity = %d", c.CapacityBytes())
+	if got := c.numSets * c.assoc * LineSize; got != 2*64*4 {
+		t.Fatalf("capacity = %d", got)
 	}
 }
 

@@ -28,21 +28,17 @@ type Config struct {
 	// either way — the golden determinism tests assert it — which is what
 	// makes this mode the oracle the default one is checked against.
 	EagerYield bool
-
-	// WatchdogSpins bounds consecutive Spin iterations before the deadlock
-	// watchdog inspects the phase: if every unfinished worker is also
-	// spinning, the phase can never progress and Run panics with a
-	// *WatchdogError carrying a per-worker state dump instead of
-	// busy-looping the host forever. 0 selects the default threshold;
-	// a negative value disables the watchdog.
-	WatchdogSpins int64
 }
 
-// defaultWatchdogSpins is large enough that legitimate all-spinning
+// watchdogSpins bounds consecutive Spin iterations before the deadlock
+// watchdog inspects the phase: if every unfinished worker is also
+// spinning, the phase can never progress and Run panics with a
+// *WatchdogError carrying a per-worker state dump instead of busy-looping
+// the host forever. It is large enough that legitimate all-spinning
 // windows (barrier arrival, work-stealing termination detection) resolve
 // orders of magnitude earlier, yet a true deadlock trips in microseconds
 // of host time.
-const defaultWatchdogSpins = 1 << 14
+const watchdogSpins = 1 << 14
 
 // DefaultConfig returns the calibrated default machine: a volatile "dram"
 // tier of server DRAM, a persistent "nvm" tier of six interleaved Optane
@@ -96,9 +92,8 @@ type Machine struct {
 	crashTime Time
 	halted    bool // workers unwind via crashSignal until cleared
 
-	// Deadlock watchdog (see Config.WatchdogSpins).
-	wdSpins int64
-	wdErr   *WatchdogError
+	// Deadlock watchdog (see watchdogSpins).
+	wdErr *WatchdogError
 
 	// switches counts the real coroutine switches (parks) of every parallel
 	// phase so far. It is a pure function of the simulation (tests pin it).
@@ -113,10 +108,6 @@ type Machine struct {
 // (no tiers, empty or duplicate names) is a programming error and panics;
 // command-line front ends validate tier lists before building machines.
 func NewMachine(cfg Config) *Machine {
-	wd := cfg.WatchdogSpins
-	if wd == 0 {
-		wd = defaultWatchdogSpins
-	}
 	topo, err := NewTopology(cfg.Tiers, cfg.TraceBucket)
 	if err != nil {
 		panic(err)
@@ -125,7 +116,6 @@ func NewMachine(cfg Config) *Machine {
 		topo:       topo,
 		LLC:        NewCache(cfg.LLCBytes, cfg.LLCAssoc, cfg.LLCHitLatency),
 		eagerYield: cfg.EagerYield,
-		wdSpins:    wd,
 		pipe:       new(pipeline),
 	}
 	m.LLC.pipe = m.pipe

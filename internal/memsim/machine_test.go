@@ -153,9 +153,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			}
 		}},
 		{"watchdog", func() {
-			cfg := DefaultConfig()
-			cfg.WatchdogSpins = 256
-			m := NewMachine(cfg)
+			m := NewMachine(DefaultConfig())
 			defer func() {
 				if _, ok := recover().(*WatchdogError); !ok {
 					t.Error("watchdog: deadlocked phase did not panic with *WatchdogError")

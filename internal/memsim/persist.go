@@ -41,9 +41,6 @@ type FaultPlan struct {
 	KeepPending bool
 }
 
-// active reports whether the plan has any trigger armed.
-func (p FaultPlan) active() bool { return p.CrashAtTime > 0 || p.CrashAtStore > 0 }
-
 // PersistStats counts persistence-domain traffic and crash outcomes.
 type PersistStats struct {
 	TrackedStores int64 // cached stores to the tracked device
@@ -422,9 +419,6 @@ func (m *Machine) InjectFault(plan FaultPlan) {
 // Crashed reports whether an injected fault has fired and the post-crash
 // image has not yet been materialized.
 func (m *Machine) Crashed() bool { return m.crashed }
-
-// CrashTime returns the virtual time at which the fault fired.
-func (m *Machine) CrashTime() Time { return m.crashTime }
 
 // triggerCrash halts the machine: every subsequent worker operation
 // unwinds via crashSignal, so Run drains and returns.

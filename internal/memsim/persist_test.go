@@ -244,7 +244,7 @@ func TestCrashAtTimeUnwindsParallelPhase(t *testing.T) {
 	if !e.m.Crashed() {
 		t.Fatal("time trigger did not fire")
 	}
-	if ct := e.m.CrashTime(); ct < 5*Microsecond {
+	if ct := e.m.crashTime; ct < 5*Microsecond {
 		t.Errorf("crash time %d before trigger point", ct)
 	}
 }

@@ -10,9 +10,8 @@ import (
 // instance built from a Profile plus the attributes the GC stack reads
 // instead of asking "is this DRAM?" — persistence-domain membership and
 // the eADR property (workload.NewHost builds the persistence domain from
-// the persistent tier's). Interleave is descriptive configuration
-// (reported by tooling; the bandwidth model already folds interleaving
-// into the profile's aggregate numbers).
+// the persistent tier's). The profile's aggregate bandwidth numbers fold
+// in DIMM interleaving.
 type TierSpec struct {
 	Name    string
 	Profile Profile
@@ -25,8 +24,6 @@ type TierSpec struct {
 	// EADR marks a persistent tier whose platform extends the persistence
 	// domain over the CPU caches (stores are durable at execution).
 	EADR bool
-
-	Interleave int // DIMM interleave ways; 0 = unspecified
 
 	// Fault is the tier's media-fault model (see fault.go). The zero value
 	// leaves the tier immortal and changes nothing.
@@ -151,8 +148,8 @@ func builtinTiers() []TierSpec {
 	return []TierSpec{
 		{Name: "local-dram", Profile: DRAMProfile()},
 		{Name: "remote-dram", Profile: RemoteDRAMProfile()},
-		{Name: "optane", Profile: OptaneProfile(), Persistent: true, Interleave: 6},
-		{Name: "eadr-nvm", Profile: OptaneProfile(), Persistent: true, EADR: true, Interleave: 6},
+		{Name: "optane", Profile: OptaneProfile(), Persistent: true},
+		{Name: "eadr-nvm", Profile: OptaneProfile(), Persistent: true, EADR: true},
 	}
 }
 

@@ -73,7 +73,7 @@ func (w *Worker) watchdogCheck() {
 		workers = w.sched.all
 	}
 	for i := range workers {
-		if o := &workers[i]; !o.finished && o.spinStreak < m.wdSpins {
+		if o := &workers[i]; !o.finished && o.spinStreak < watchdogSpins {
 			return
 		}
 	}

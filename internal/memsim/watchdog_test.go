@@ -13,7 +13,6 @@ import (
 func TestWatchdogDetectsDeadlock(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TraceBucket = 0
-	cfg.WatchdogSpins = 256
 	m := NewMachine(cfg)
 
 	defer func() {
@@ -28,7 +27,7 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 			if wd.Done {
 				t.Errorf("worker %d reported finished in a full deadlock", wd.ID)
 			}
-			if wd.Spins < 256 {
+			if wd.Spins < watchdogSpins {
 				t.Errorf("worker %d dumped with streak %d < threshold", wd.ID, wd.Spins)
 			}
 			if wd.LastOp != "read" {
@@ -60,7 +59,6 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 func TestWatchdogDumpNamesLastAccess(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TraceBucket = 0
-	cfg.WatchdogSpins = 64
 	m := NewMachine(cfg)
 	addr := func(id int) uint64 { return 1<<32 + uint64(id)*4096 + 8 }
 
@@ -92,23 +90,26 @@ func TestWatchdogDumpNamesLastAccess(t *testing.T) {
 
 // TestWatchdogSparesLegitimateWaits runs a phase where one worker spins on
 // a flag another worker is actively working toward: the working worker's
-// streak stays zero, so the watchdog must not fire.
+// streak stays zero, so the watchdog must not fire. The worker keeps
+// working until the waiter's streak has passed the threshold, so the
+// watchdog does inspect the phase.
 func TestWatchdogSparesLegitimateWaits(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TraceBucket = 0
-	cfg.WatchdogSpins = 512
 	m := NewMachine(cfg)
 
 	var done bool
+	var spins int64
 	m.Run(2, func(w *Worker) {
 		if w.ID() == 0 {
-			for i := 0; i < 200; i++ {
-				w.Read(m.DRAM, uint64(i)*8, 8, false)
+			for i := 0; spins <= watchdogSpins; i++ {
+				w.Read(m.DRAM, uint64(i%512)*8, 8, false)
 			}
 			done = true
 			return
 		}
 		for !done {
+			spins++
 			w.Spin(60)
 		}
 	})
@@ -122,7 +123,6 @@ func TestWatchdogSparesLegitimateWaits(t *testing.T) {
 func TestWatchdogSingleWorker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TraceBucket = 0
-	cfg.WatchdogSpins = 128
 	m := NewMachine(cfg)
 
 	defer func() {

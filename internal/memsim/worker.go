@@ -425,14 +425,13 @@ func (w *Worker) execOp() {
 // results are bit-identical to resuming it for every quantum (the
 // eager-yield golden tests cross-check this).
 func (w *Worker) advanceSpin() bool {
-	m := w.m
 	if w.spinCond() {
 		return false
 	}
 	if w.spinStreak == 0 {
 		w.spinSince = w.now
 	}
-	if w.spinStreak++; w.spinStreak >= m.wdSpins && m.wdSpins > 0 {
+	if w.spinStreak++; w.spinStreak >= watchdogSpins {
 		w.watchdogCheck()
 	}
 	w.now += w.spinQuantum
@@ -489,7 +488,7 @@ func (w *Worker) Spin(d Time) {
 	if w.spinStreak == 0 {
 		w.spinSince = w.now
 	}
-	if w.spinStreak++; w.spinStreak >= w.m.wdSpins && w.m.wdSpins > 0 {
+	if w.spinStreak++; w.spinStreak >= watchdogSpins {
 		w.watchdogCheck()
 	}
 	w.now += d

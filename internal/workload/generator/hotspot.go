@@ -95,7 +95,3 @@ func (e *Exponential) Next() int64 {
 
 // Last returns the most recent draw.
 func (e *Exponential) Last() int64 { return e.last }
-
-// Mean returns the distribution mean 1/γ (used by goodness-of-fit
-// tests).
-func (e *Exponential) Mean() float64 { return 1 / e.gamma }

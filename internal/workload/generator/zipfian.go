@@ -98,9 +98,6 @@ func (z *Zipfian) ForItems(n int64) {
 	z.eta = z.computeEta()
 }
 
-// Items returns the current item count.
-func (z *Zipfian) Items() int64 { return z.items }
-
 // Next draws the next rank (base+0 is the hottest).
 func (z *Zipfian) Next() int64 {
 	// The 53 bits rand.Float64 keeps: it returns k / 2^53.
