@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify loc archives bench-e2e bench-gate profile suite-quick suite-cmp crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fleet-smoke fuzz-smoke cover
+.PHONY: build test verify loc archives bench-e2e bench-gate profile suite-quick suite-cmp crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -12,8 +12,9 @@ test: build
 # everything, fail on any file gofmt would rewrite, then run the
 # simulator core (its Steps tests included), the heap on it, the host
 # pool, the bench harness, the workload run loop and host assembly, the
-# fleet and the two packages whose hot-path helpers it shares
-# (cassandra.Queue, the generators), and the collector's
+# fleet-serve benchmark's traffic replay (internal/fleet) and the two
+# packages whose hot-path helpers it shares (cassandra.Queue, the
+# generators), and the collector's
 # eager-vs-default equivalence sweeps and step-form differential tests
 # under the race detector, plus the pipelined single-worker phase against
 # its synchronous reference at -cpu 1,2 (the accountant sharing the
@@ -87,19 +88,10 @@ workload-smoke: build
 		.bench_build/gcsim -app ycsb-e -ycsb-dist $$d -scale 0.05 || exit 1; \
 	done
 
-# fleet-smoke runs the fleet serving experiment in quick mode: collector
-# configurations x fleet sizes under open-loop zipfian traffic with
-# hedging and retries, reporting fleet-wide p99/p999/p9999 (archived by
-# make archives as results/BENCH_fleet.json). A 2-instance gcsim
-# run exercises the CLI path on top.
-fleet-smoke: build
-	$(GO) run ./cmd/nvmbench -run fleet -quick
-	$(GO) run ./cmd/gcsim -fleet -fleet-instances 2 -config all
-
 # fuzz-smoke replays the checked-in crash-recovery corpus and fuzzes for
 # 30s on top (under persist barriers every recovered heap must hold the
 # pre-GC graph and pass the post-GC invariant checker), then
-# does the same for 10s with the fleet's traffic parameters (hostile
+# does the same for 10s with the fleet replay's traffic parameters (hostile
 # sizes, rates and times must come back as errors, and every replay that
 # does come back must be whole), for 10s with the fleet merge's series
 # shapes (the merge must equal the stable sort of the concatenation, bit
@@ -131,14 +123,13 @@ cover:
 	$(GO) test -short -covermode=atomic -coverpkg=./internal/... -coverprofile=cover.out ./internal/...
 	./scripts/cover_check.sh cover.out
 
-# archives regenerates the four checked-in experiment archives under
+# archives regenerates the three checked-in experiment archives under
 # results/ (quick mode, virtual-time numbers only; host time is bench-e2e).
 # On an unchanged model, git diff results/ is empty.
 archives: build
 	$(GO) run ./cmd/nvmbench -run tier-sweep -quick -format json -o results/BENCH_topology.json
 	$(GO) run ./cmd/nvmbench -run fault-sweep -quick -format json -o results/BENCH_faults.json
 	$(GO) run ./cmd/nvmbench -run workload-sweep -quick -format json -o results/BENCH_workloads.json
-	$(GO) run ./cmd/nvmbench -run fleet -quick -format json -o results/BENCH_fleet.json
 
 # bench-e2e runs the repository benchmark (BENCHMARK.json: four workloads,
 # one child process each) and archives every run's full record under

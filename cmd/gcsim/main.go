@@ -10,7 +10,6 @@
 //	gcsim -app als -config writecache -trace
 //	gcsim -app page-rank,als,movie-lens -parallel 3
 //	gcsim -app page-rank -fault-wear 4096 -fault-ppm 100 -seed 7
-//	gcsim -fleet -fleet-instances 8 -fleet-qps 240000 -config all
 //	gcsim -selfcheck -selfcheck-runs 50
 package main
 
@@ -52,7 +51,6 @@ type options struct {
 // gcsim's run modes, as bits of a flag's flagModes entry.
 const (
 	appMode       = 1 << iota // one or more -app runs (the default)
-	fleetMode                 // -fleet
 	selfcheckMode             // -selfcheck
 )
 
@@ -62,14 +60,9 @@ var flagModes = map[string]int{
 	"app": appMode, "profile-file": appMode, "ycsb-records": appMode, "ycsb-ops": appMode,
 	"ycsb-dist": appMode, "ycsb-theta": appMode, "collector": appMode, "device": appMode,
 	"young-tier": appMode, "cache-tier": appMode, "meta-tier": appMode, "trace": appMode,
-	"json": appMode, "mixed-every": appMode, "full-every": appMode,
-
-	"config": appMode | fleetMode, "topology": appMode | fleetMode, "threads": appMode | fleetMode,
-	"scale": appMode | fleetMode, "fault-wear": appMode | fleetMode, "fault-ppm": appMode | fleetMode,
-	"eager-yield": appMode | fleetMode, "cpuprofile": appMode, "memprofile": appMode,
-
-	"fleet": fleetMode, "fleet-instances": fleetMode, "fleet-qps": fleetMode, "fleet-hedge": fleetMode,
-	"fleet-retry": fleetMode, "fleet-retries": fleetMode, "fleet-workload": fleetMode,
+	"json": appMode, "mixed-every": appMode, "full-every": appMode, "config": appMode,
+	"topology": appMode, "threads": appMode, "scale": appMode, "fault-wear": appMode,
+	"fault-ppm": appMode, "eager-yield": appMode, "cpuprofile": appMode, "memprofile": appMode,
 
 	"selfcheck": selfcheckMode, "selfcheck-runs": selfcheckMode, "selfcheck-ops": selfcheckMode,
 }
@@ -102,14 +95,6 @@ func main() {
 		faultWear = flag.Int64("fault-wear", 0, "mean per-line write budget before a hard UE on the persistent tier (0 disables wear-out; seeded by -seed)")
 		faultPPM  = flag.Int64("fault-ppm", 0, "transient read-fault probability on the persistent tier, parts per million (0 disables; seeded by -seed)")
 
-		fleetF         = flag.Bool("fleet", false, "run the fleet serving simulator (N instances, open-loop zipfian traffic, hedging/retries, fleet-wide tail percentiles) and exit")
-		fleetInstances = flag.Int("fleet-instances", 4, "with -fleet: number of server instances")
-		fleetQPS       = flag.Float64("fleet-qps", 240_000, "with -fleet: fleet-wide open-loop arrival rate, requests per virtual second")
-		fleetHedge     = flag.Int64("fleet-hedge", 2000, "with -fleet: hedge a request to the next replica after this many virtual microseconds (0 disables hedging)")
-		fleetRetry     = flag.Int64("fleet-retry", 2500, "with -fleet: per-attempt client timeout in virtual microseconds (0 disables retries)")
-		fleetRetries   = flag.Int("fleet-retries", 2, "with -fleet: retry budget per request")
-		fleetWorkload  = flag.String("fleet-workload", "cassandra-write", "with -fleet: workload scenario each instance runs (see -list-workloads)")
-
 		selfcheck     = flag.Bool("selfcheck", false, "run the differential selfcheck campaign (seeded random workloads through the reference collector vs every real configuration) and exit non-zero on divergence")
 		selfcheckRuns = flag.Int("selfcheck-runs", 50, "with -selfcheck: number of seeded workload traces")
 		selfcheckOps  = flag.Int("selfcheck-ops", 400, "with -selfcheck: operations per workload trace")
@@ -127,10 +112,9 @@ func main() {
 	mode := appMode
 	if *selfcheck {
 		mode = selfcheckMode
-	} else if *fleetF {
-		mode = fleetMode
 	}
-	for _, err := range []error{checkModeFlags(mode, flag.CommandLine), checkThreads(*threads), checkScale(*scale)} {
+	for _, err := range []error{checkModeFlags(mode, flag.CommandLine), checkThreads(*threads), checkScale(*scale),
+		checkEvery("-mixed-every", *mixedEvery), checkEvery("-full-every", *fullEvery)} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gcsim:", err)
 			os.Exit(2)
@@ -174,7 +158,7 @@ func main() {
 	}
 
 	// The one host every run of this invocation gets: PaperHost with the host
-	// flags applied (-fleet instances take its machine and collector options).
+	// flags applied.
 	opt, err := parseConfig(*config)
 	if err != nil {
 		fatal(err)
@@ -224,23 +208,6 @@ func main() {
 		host: host, threads: *threads, scale: *scale, seed: *seed, trace: *trace,
 		tiered: tiers != nil, faulty: *faultWear > 0 || *faultPPM > 0,
 		jsonOut: *jsonOut, mixedEvery: *mixedEvery, fullEvery: *fullEvery,
-	}
-
-	if *fleetF {
-		fo := fleetOptions{
-			instances: *fleetInstances, qps: *fleetQPS,
-			hedgeUS: *fleetHedge, retryUS: *fleetRetry, retries: *fleetRetries,
-			workload: *fleetWorkload, parallel: *parallel, o: o,
-		}
-		// Up-front validation: reject bad fleet flags before any instance
-		// machine is built.
-		if err := fo.fleetConfig().Validate(); err != nil {
-			fatal(err)
-		}
-		if err := runFleet(os.Stdout, fo); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *cpuProf != "" {
@@ -379,7 +346,7 @@ func checkModeFlags(mode int, fs *flag.FlagSet) error {
 	if len(set) == 0 {
 		return nil
 	}
-	name := map[int]string{appMode: "an -app run", fleetMode: "-fleet", selfcheckMode: "-selfcheck"}[mode]
+	name := map[int]string{appMode: "an -app run", selfcheckMode: "-selfcheck"}[mode]
 	return fmt.Errorf("%s does not read %s (flags of another run mode)", name, strings.Join(set, ", "))
 }
 
@@ -578,6 +545,15 @@ func checkThreads(n int) error {
 func checkScale(s float64) error {
 	if !(s >= 0) || math.IsInf(s, 1) {
 		return fmt.Errorf("-scale %g: want a finite value >= 0 (0 = the workload default)", s)
+	}
+	return nil
+}
+
+// checkEvery rejects a negative collection cadence, which the runner
+// would otherwise treat as 0 (off).
+func checkEvery(name string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("%s %d: want a count of young GCs >= 0 (0 = off)", name, n)
 	}
 	return nil
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"os"
+	"os/exec"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +13,54 @@ import (
 	"nvmgc/internal/memsim"
 	"nvmgc/internal/workload"
 )
+
+// TestMain lets a test run this binary as gcsim: with GCSIM_MAIN=1 in the
+// environment it runs main on its arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("GCSIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// gcsim runs gcsim on args in a child process and returns its exit code
+// and standard error.
+func gcsim(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "GCSIM_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("gcsim %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestNegativeCadenceIsUsageError: a negative -mixed-every or -full-every
+// exits 2 naming the flag, rather than running with the cadence off.
+func TestNegativeCadenceIsUsageError(t *testing.T) {
+	for _, args := range [][]string{{"-mixed-every", "-1"}, {"-full-every", "-3"}} {
+		code, stderr := gcsim(t, append([]string{"-app", "page-rank", "-scale", "0.05"}, args...)...)
+		if code != 2 || !strings.Contains(stderr, args[0]+" "+args[1]) || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%v: exit %d, stderr %q: want exit 2 with one line naming the flag", args, code, stderr)
+		}
+	}
+}
+
+// TestHugeScaleIsAnError: a -scale whose op or byte budget does not fit in
+// an int64 exits 1 naming the scale, instead of an empty run that exits 0.
+func TestHugeScaleIsAnError(t *testing.T) {
+	for _, app := range []string{"page-rank", "ycsb-a"} {
+		code, stderr := gcsim(t, "-app", app, "-scale", "1e19")
+		if code != 1 || !strings.Contains(stderr, "scale 1e+19") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%s: exit %d, stderr %q: want exit 1 with one line naming the scale", app, code, stderr)
+		}
+	}
+}
 
 func TestParseConfig(t *testing.T) {
 	for _, name := range []string{"vanilla", "writecache", "all", "async"} {
@@ -196,4 +247,70 @@ func TestSelfcheckRejectsOtherModesFlags(t *testing.T) {
 	if code, stderr := gcsim(t, append(selfcheck, "-seed", "3", "-parallel", "1")...); code != 0 {
 		t.Errorf("selfcheck-read flags: exit %d, stderr %q", code, stderr)
 	}
+}
+
+// flagValues holds a value that parses for each non-boolean flag of
+// flagModes (what it means does not matter: the mode check runs first).
+var flagValues = map[string]string{"device": "dram", "young-tier": "dram", "cache-tier": "dram", "meta-tier": "nvm",
+	"collector": "ps", "json": "-", "mixed-every": "2", "full-every": "2", "profile-file": "p.json", "app": "als",
+	"ycsb-records": "64", "ycsb-ops": "64", "ycsb-dist": "uniform", "ycsb-theta": "0.5",
+	"config": "all", "topology": "local-dram,optane", "threads": "2", "scale": "0.1", "fault-wear": "64",
+	"fault-ppm": "10", "cpuprofile": "c.pb", "memprofile": "m.pb",
+	"selfcheck-runs": "1", "selfcheck-ops": "10"}
+
+// checkModeRejects runs gcsim in a mode (its flags in base) once with each
+// flag that mode does not read, and wants exit 2 with stderr naming it.
+// The -selfcheck switch is left out: setting it changes the mode.
+func checkModeRejects(t *testing.T, mode int, name string, base []string) {
+	t.Helper()
+	for flagName, modes := range flagModes {
+		if modes&mode != 0 || flagName == "selfcheck" {
+			continue
+		}
+		arg := "-" + flagName
+		if v, ok := flagValues[flagName]; ok {
+			arg += "=" + v
+		}
+		if code, stderr := gcsim(t, append(base, arg)...); code != 2 || !strings.Contains(stderr, name+" does not read -"+flagName+" (") {
+			t.Errorf("%s %s: exit %d, stderr %q", name, arg, code, stderr)
+		}
+	}
+}
+
+// TestFaultFlagsNeedPersistentTier: fault flags on a topology with no
+// persistent tier are a usage error naming both (exit 2), not a run that
+// reports zero faults.
+func TestFaultFlagsNeedPersistentTier(t *testing.T) {
+	code, stderr := gcsim(t, "-app", "page-rank", "-topology", "local-dram,remote-dram",
+		"-fault-wear", "64", "-fault-ppm", "5000", "-scale", "0.05")
+	if code != 2 || !strings.Contains(stderr, "-fault-wear/-fault-ppm") || !strings.Contains(stderr, `"local-dram,remote-dram"`) {
+		t.Errorf("exit %d, stderr %q: want exit 2 naming the flags and the topology", code, stderr)
+	}
+}
+
+// FuzzParseTopology: every tier list -topology accepts builds a machine
+// (NewMachine panics on the lists it rejects); the empty flag's nil list
+// keeps the default pair.
+func FuzzParseTopology(f *testing.F) {
+	for _, s := range []string{"", "local-dram,remote-dram,nvm=optane", "optane,optane", "local-dram,=optane",
+		"nvm=optane,nvm=remote-dram", "a=b=optane", " eadr-nvm , dram=local-dram", ","} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tiers, err := parseTopology(s)
+		if err != nil {
+			return
+		}
+		mc := memsim.DefaultConfig()
+		mc.TraceBucket = 0
+		if tiers != nil {
+			mc.Tiers = tiers
+		} else if s != "" {
+			t.Fatalf("%q: accepted as the default topology", s)
+		}
+		m := memsim.NewMachine(mc)
+		if got := len(m.Topology().Tiers()); got != len(mc.Tiers) {
+			t.Fatalf("%q: machine has %d tiers, want %d", s, got, len(mc.Tiers))
+		}
+	})
 }

@@ -6,7 +6,7 @@
 //	nvmbench -list
 //	nvmbench -run fig5 -scale 0.5 -threads 16
 //	nvmbench -run all -quick -format csv -o results.csv
-//	nvmbench -run fleet -quick -format json -o results/BENCH_fleet.json
+//	nvmbench -run workload-sweep -quick -format json -o results/BENCH_workloads.json
 //	nvmbench -run fig5 -parallel 1 -eager-yield   # reference schedule, serial
 package main
 
@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -130,8 +131,8 @@ func checkFlags(p bench.Params, format string) error {
 }
 
 // resolveRunIDs expands the -run flag into a validated experiment id
-// list: "all" means every registered experiment, anything else is a
-// comma-separated list where every id must exist.
+// list: "all" means every experiment of bench.All, anything else is a
+// comma-separated list where every id must be one of them.
 func resolveRunIDs(run string) ([]string, error) {
 	if run == "all" {
 		var ids []string
@@ -143,7 +144,7 @@ func resolveRunIDs(run string) ([]string, error) {
 	var ids []string
 	for _, id := range strings.Split(run, ",") {
 		id = strings.TrimSpace(id)
-		if _, ok := bench.ByID(id); !ok {
+		if !slices.ContainsFunc(bench.All(), func(e bench.Experiment) bool { return e.ID == id }) {
 			return nil, fmt.Errorf("unknown experiment %q (try -list)", id)
 		}
 		ids = append(ids, id)

@@ -34,13 +34,18 @@ func TestResolveRunIDsList(t *testing.T) {
 	}
 }
 
+// TestResolveRunIDsUnknown: an id outside bench.All is an error naming it,
+// including "fleet", which bench.ByID still resolves for the repository
+// benchmark's suite sample.
 func TestResolveRunIDsUnknown(t *testing.T) {
-	_, err := resolveRunIDs("fig5,fig99")
-	if err == nil {
-		t.Fatalf("unknown experiment id accepted")
-	}
-	if !strings.Contains(err.Error(), "fig99") || !strings.Contains(err.Error(), "-list") {
-		t.Errorf("error should name the id and point at -list: %v", err)
+	for _, run := range []string{"fig5,fig99", "fleet"} {
+		_, err := resolveRunIDs(run)
+		if err == nil {
+			t.Fatalf("%q: unknown experiment id accepted", run)
+		}
+		if bad := run[strings.LastIndex(run, ",")+1:]; !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "-list") {
+			t.Errorf("error should name %q and point at -list: %v", bad, err)
+		}
 	}
 }
 

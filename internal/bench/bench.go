@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"nvmgc/internal/fleet"
 	"nvmgc/internal/gc"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
@@ -187,19 +188,48 @@ func All() []Experiment {
 		{"tier-sweep", "Young generation and write cache across memory tiers", TierSweep},
 		{"fault-sweep", "Faulty-NVM campaign: survival and self-healing vs wear rate", FaultSweep},
 		{"workload-sweep", "Collector configurations across YCSB scenario mixes", WorkloadSweep},
-		{"fleet", "Fleet-scale tail latency under open-loop load", FleetBench},
 	}
 }
 
-// ByID returns the experiment with the given id.
+// ByID returns the experiment with the given id: one of All(), or
+// fleetSample.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range All() {
+	for _, e := range append(All(), fleetSample) {
 		if e.ID == id {
 			return e, true
 		}
 	}
 	return Experiment{}, false
 }
+
+// fleetSample is not a paper artifact, so it is not in All() (nor in
+// nvmbench's -run and -list): only the repository benchmark's suite
+// sample (suiteIDs in benchmarks/kernels.go) still names "fleet". It
+// replays the fleet-serve workload's traffic shape over four instances
+// under vanilla and +all; it goes when the suite sample drops it.
+var fleetSample = Experiment{"fleet", "Fleet replay (benchmark suite sample only)", func(p Params) (*Report, error) {
+	tbl := &metrics.Table{
+		Title:   "fleet replay: 4 cassandra-write instances, 240 kqps open loop",
+		Columns: []string{"config", "requests", "hedged", "retries", "p99 (ms)", "p999 (ms)", "p9999 (ms)"},
+	}
+	for _, opt := range []gc.Options{gc.Vanilla(), gc.Optimized()} {
+		insts, err := fleet.RunInstances(fleet.Config{Instances: 4, GCThreads: p.threads(16), Scale: p.scale(),
+			Seed: p.seed(), Opt: opt, QPS: 240e3, Parallel: p.Parallel})
+		if err != nil {
+			return nil, err
+		}
+		sr, err := fleet.Serve(insts, fleet.Traffic{QPS: 240e3, Service: 60 * memsim.Microsecond, Servers: 16,
+			Tenants: 256, Theta: 0.99, HedgeAfter: 2 * memsim.Millisecond, RetryAfter: 2500 * memsim.Microsecond,
+			MaxRetries: 2, Seed: p.seed()})
+		if err != nil {
+			return nil, err
+		}
+		s := sr.Summary
+		tbl.AddRow(opt.Label(), fmt.Sprint(s.Requests), fmt.Sprint(sr.Stats.Hedged), fmt.Sprint(sr.Stats.Retries),
+			s.P99ms, s.P999ms, s.P9999ms)
+	}
+	return &Report{ID: "fleet", Title: "Fleet replay", Tables: []*metrics.Table{tbl}}, nil
+}}
 
 // machineConfig is the standard simulated host for every experiment, and
 // the only place the run-wide machine parameters reach one: the scheduler

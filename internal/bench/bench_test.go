@@ -13,8 +13,8 @@ func quickParams() Params {
 
 func TestRegistry(t *testing.T) {
 	exps := All()
-	if len(exps) != 24 {
-		t.Fatalf("expected 24 experiments, got %d", len(exps))
+	if len(exps) != 23 {
+		t.Fatalf("expected 23 experiments, got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -32,6 +32,37 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("unknown id should fail")
+	}
+}
+
+// TestFleetSampleOnlyByID: "fleet" is outside All() (so outside -run
+// all), ByID still resolves it for the repository benchmark's suite
+// sample, and its render is the same serial and on two host workers.
+func TestFleetSampleOnlyByID(t *testing.T) {
+	for _, e := range All() {
+		if e.ID == "fleet" {
+			t.Fatal("fleet is listed in All()")
+		}
+	}
+	e, ok := ByID("fleet")
+	if !ok {
+		t.Fatal("ByID(fleet) failed")
+	}
+	var renders []string
+	for _, parallel := range []int{1, 2} {
+		p := quickParams()
+		p.Parallel = parallel
+		rep, err := e.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Tables) != 1 || len(rep.Tables[0].Rows) != 2 {
+			t.Fatalf("want one table of two rows:\n%s", rep.Render())
+		}
+		renders = append(renders, rep.Render())
+	}
+	if renders[0] != renders[1] {
+		t.Fatalf("render differs at Parallel 2:\n%s\n%s", renders[0], renders[1])
 	}
 }
 
@@ -121,7 +152,6 @@ var quickRenders = map[string]string{
 	"tier-sweep":      "d09e810e36f2128c",
 	"fault-sweep":     "5d9e51f7a560f15d",
 	"workload-sweep":  "122985b0c060dc1a",
-	"fleet":           "f82e800c04576f01",
 }
 
 // Every experiment must run end-to-end at quick scale, produce at least

@@ -10,8 +10,7 @@ import (
 // TestNVMTierReachesEveryFigureMachine: Params.NVMTier must change every
 // experiment that builds a machine without declaring its own topology.
 // fig8 and fig10 used to assemble their hosts by hand and silently
-// ignored it; fleet ignored the eADR bit of the tier it got, so its
-// persistent rows on eadr-nvm equalled optane's. The base renders are
+// ignored it. The base renders are
 // pinned so the fix cannot move them, and the tables themselves (not
 // just a note) must differ on the substituted tier.
 func TestNVMTierReachesEveryFigureMachine(t *testing.T) {
@@ -31,7 +30,6 @@ func TestNVMTierReachesEveryFigureMachine(t *testing.T) {
 	}{
 		{"fig8", Fig8, 0.2, "", "remote-dram", "45fdeb3474e9f380"},
 		{"fig10", Fig10, 0.1, "", "remote-dram", "9f149270873a8797"},
-		{"fleet", FleetBench, 0.2, "optane", "eadr-nvm", "894018c48c925e1f"},
 	} {
 		p := Params{Scale: tc.scale, Quick: true, Seed: 1, NVMTier: tc.base}
 		def, err := tc.run(p)

@@ -1,20 +1,18 @@
-// Package fleet scales the single-server cassandra-stress model
-// (internal/cassandra, the paper's Figure 8) to a sharded serving fleet:
-// N server instances — each its own memsim.Machine, heap, and collector,
-// running a registered workload scenario — behind a load balancer that
-// drives an open-loop request stream with zipfian tenant-to-shard skew,
-// request hedging, and bounded retries. Requests issued during a GC
-// pause queue instead of politely waiting, so collector choice shows up
-// exactly where the paper says it does: in the fleet-wide tail
-// (p99/p999/p9999), computed by deterministically merging the
-// per-instance latency series.
+// Package fleet replays an open-loop request stream over the GC pause
+// timelines of N server instances — each its own memsim.Machine, heap,
+// and collector, running a registered workload scenario — behind a load
+// balancer with zipfian tenant-to-shard skew, request hedging, and
+// bounded retries (Traffic). Requests issued during a GC pause queue
+// instead of waiting, so the pauses show in the fleet-wide tail
+// (p99/p999/p9999) of the deterministically merged per-instance latency
+// series. It is the host math the repository benchmark's fleet-serve
+// workload times; no figure reads it.
 //
-// Instances fan out over the internal/par host pool like the bench
-// harness: each instance is an independent machine, deterministic given
-// its derived seed, and the traffic simulation over the merged pause
-// timelines is host math whose draw producer goroutine decides no value
-// or order — so every fleet figure is byte-identical at any -parallel
-// setting, on any number of host cores, and in both scheduler modes.
+// Instances fan out over the internal/par host pool: each instance is an
+// independent machine, deterministic given its derived seed, and the
+// traffic replay is host math whose draw producer goroutine decides no
+// value or order — so every outcome is identical at any Parallel setting
+// and on any number of host cores.
 package fleet
 
 import (
@@ -49,24 +47,13 @@ type Config struct {
 	Opt gc.Options
 
 	// QPS is the fleet-wide open-loop arrival rate (requests per
-	// virtual second).
+	// virtual second) that Validate checks; Serve takes its rate from
+	// the Traffic it is given.
 	QPS float64
-	// HedgeAfter, RetryAfter, MaxRetries configure the router (see
-	// Traffic); zeros disable hedging and retries.
-	HedgeAfter memsim.Time
-	RetryAfter memsim.Time
-	MaxRetries int
 
 	// Parallel bounds the host pool that fans out instance runs
 	// (0 = NumCPU, 1 = serial); results are identical at any setting.
 	Parallel int
-	// EagerYield runs every instance machine in the reference
-	// scheduling mode; results are identical.
-	EagerYield bool
-	// Tiers, when non-nil, replaces each instance machine's default
-	// dram+nvm topology (e.g. to install a media-fault model or an eADR
-	// tier).
-	Tiers []memsim.TierSpec
 }
 
 // MaxInstances bounds the fleet size (a fleet is one machine per
@@ -91,7 +78,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate rejects a bad configuration up front, before any instance
-// machine is built (front ends call it right after flag parsing).
+// machine is built. QPS is checked as the rate of the cassandra write
+// phase's server side (60µs service, 16-way instances) under 256 zipfian
+// tenants at the standard YCSB skew.
 func (c Config) Validate() error {
 	d := c.withDefaults()
 	if c.Instances < 1 || c.Instances > MaxInstances {
@@ -109,23 +98,11 @@ func (c Config) Validate() error {
 	if _, err := workload.ScenarioByName(d.Scenario); err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
-	return d.traffic().Validate()
+	return Traffic{QPS: c.QPS, Service: 60 * memsim.Microsecond, Servers: 16,
+		Tenants: 256, Theta: generator.ZipfianConstant, Seed: d.Seed}.Validate()
 }
 
-// traffic projects the serving-side parameters: the router's from c, the
-// server side fixed at the cassandra write phase's (60µs service, 16-way
-// instances) under 256 zipfian tenants at the standard YCSB skew.
-func (c Config) traffic() Traffic {
-	return Traffic{
-		QPS: c.QPS, Service: 60 * memsim.Microsecond, Servers: 16,
-		Tenants: 256, Theta: generator.ZipfianConstant,
-		HedgeAfter: c.HedgeAfter, RetryAfter: c.RetryAfter, MaxRetries: c.MaxRetries,
-		Seed: c.Seed,
-	}
-}
-
-// Instance is one server's run: its pause timeline (run-window-relative)
-// plus the workload fingerprint the determinism suite compares.
+// Instance is one server's run: its pause timeline (run-window-relative).
 type Instance struct {
 	ID   int
 	Seed uint64
@@ -134,15 +111,6 @@ type Instance struct {
 	Pauses []cassandra.Interval
 	// Window is the instance's run window (virtual time).
 	Window memsim.Time
-	// Workload fingerprint: identical at any -parallel and in both
-	// scheduler modes.
-	Ops       int64
-	Allocated int64
-	GCs       int
-	MaxPause  memsim.Time
-	// Fault accounting (non-zero only under a fault-model topology).
-	Faults  gc.FaultCosts
-	Retired int
 }
 
 // instanceSeed derives instance i's workload seed: a splitmix64-style
@@ -181,15 +149,6 @@ func RunInstances(cfg Config) ([]Instance, error) {
 func runInstance(c Config, spec workload.Spec, id int) (Instance, error) {
 	s := workload.KeyedHost()
 	s.Machine.TraceBucket = 0
-	s.Machine.EagerYield = c.EagerYield
-	if c.Tiers != nil {
-		s.Machine.Tiers = c.Tiers
-	}
-	for _, ts := range c.Tiers {
-		if ts.Fault.Enabled() {
-			s.Heap.Poison = true // poison tracking, like the fault sweep
-		}
-	}
 	s.Opt = c.Opt
 	host, err := workload.NewHost(s)
 	if err != nil {
@@ -213,14 +172,7 @@ func runInstance(c Config, spec workload.Spec, id int) (Instance, error) {
 	for i, p := range raw {
 		pauses[i] = cassandra.Interval{Start: p.Start - runStart, End: p.End - runStart}
 	}
-	tot := res.GCTotals()
-	return Instance{
-		ID: id, Seed: seed,
-		Pauses: pauses, Window: res.Total,
-		Ops: res.Ops, Allocated: res.Allocated,
-		GCs: tot.Collections, MaxPause: tot.MaxPause,
-		Faults: tot.Faults, Retired: host.H.RetiredCount(),
-	}, nil
+	return Instance{ID: id, Seed: seed, Pauses: pauses, Window: res.Total}, nil
 }
 
 // Summary is the fleet-wide latency distribution (nearest-rank
@@ -264,7 +216,6 @@ type ServeResult struct {
 	Merged  []float64
 	Summary Summary
 	Stats   Stats
-	Traces  []RequestTrace
 }
 
 // Serve routes the open-loop stream over the instances' pause timelines.
@@ -280,33 +231,13 @@ func Serve(insts []Instance, tr Traffic) (*ServeResult, error) {
 			window = insts[i].Window
 		}
 	}
-	perInst, stats, traces, err := SimulateTraffic(tls, window, tr)
+	perInst, stats, _, err := SimulateTraffic(tls, window, tr)
 	if err != nil {
 		return nil, err
 	}
 	merged := MergeSorted(perInst)
 	return &ServeResult{
 		Window: window, PerInstance: perInst, Merged: merged,
-		Summary: Summarize(merged), Stats: stats, Traces: traces,
+		Summary: Summarize(merged), Stats: stats,
 	}, nil
-}
-
-// Result is one complete fleet run.
-type Result struct {
-	Instances []Instance
-	*ServeResult
-}
-
-// Run executes the whole fleet experiment: instances over the host
-// pool, then the traffic simulation over their merged timelines.
-func Run(cfg Config) (*Result, error) {
-	insts, err := RunInstances(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := Serve(insts, cfg.withDefaults().traffic())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Instances: insts, ServeResult: sr}, nil
 }

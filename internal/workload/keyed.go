@@ -82,9 +82,12 @@ func newKeyedMutator(h *heap.Heap, core Core, cfg Config) (*keyedMutator, error)
 		return nil, err
 	}
 	r := &keyedMutator{h: h, core: core, seed: cfg.Seed, keys: generator.NewAcknowledgedCounter(0)}
-	r.budget = max(int64(float64(core.Ops)*cfg.Scale), 1)
+	budget, err := scaledBudget("op", float64(core.Ops)*cfg.Scale, cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
+	r.budget = max(budget, 1)
 
-	var err error
 	defineArr := func(kname string, elemRef bool) *heap.Klass {
 		if k := h.Klasses.ByName(kname); k != nil {
 			return k

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"nvmgc/internal/gc"
@@ -152,9 +153,8 @@ func (r *Runner) Run() (Result, error) {
 // through root and old-holder anchors, churn before each collection, and
 // the profile's own compute and read traffic.
 type profileMutator struct {
-	h     *heap.Heap
-	p     Profile
-	scale float64
+	h *heap.Heap
+	p Profile
 
 	rng *rand.Rand
 
@@ -171,8 +171,9 @@ type profileMutator struct {
 
 	// byte budgets per allocation type
 	allocPrim, allocRef, allocTotal int64
-	// targetAlloc is the heap's allocation mark at which the run ends.
-	targetAlloc int64
+	// budget is the scaled eden-fill volume the run allocates past
+	// setup; targetAlloc is the heap's allocation mark at which it ends.
+	budget, targetAlloc int64
 
 	randReadDebt float64
 	seqReadDebt  float64
@@ -183,9 +184,13 @@ func newProfileMutator(h *heap.Heap, p Profile, cfg Config) (*profileMutator, er
 	if err := p.valid(); err != nil {
 		return nil, err
 	}
-	r := &profileMutator{h: h, p: p, scale: cfg.Scale,
+	edenBytes := int64(h.Config().EdenRegions) * h.RegionBytes()
+	budget, err := scaledBudget("byte", p.EdenFills*cfg.Scale*float64(edenBytes), cfg.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("workload %s: %w", p.Name, err)
+	}
+	r := &profileMutator{h: h, p: p, budget: budget,
 		rng: rand.New(rand.NewPCG(cfg.Seed, 0x9E3779B97F4A7C15))}
-	var err error
 	defineOrGet := func(name string, size int64, refs []int32) *heap.Klass {
 		if k := h.Klasses.ByName(name); k != nil {
 			return k
@@ -271,8 +276,8 @@ func (r *profileMutator) setup(w *memsim.Worker) error {
 			r.freeHolders = append(r.freeHolders, holderSlot{arr: a, off: off})
 		}
 	}
-	edenBytes := int64(r.h.Config().EdenRegions) * r.h.RegionBytes()
-	r.targetAlloc = r.h.AllocatedBytes() + int64(r.p.EdenFills*r.scale*float64(edenBytes))
+	alloc := r.h.AllocatedBytes()
+	r.targetAlloc = alloc + min(r.budget, math.MaxInt64-alloc)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"nvmgc/internal/gc"
@@ -21,9 +22,26 @@ type Spec struct {
 
 // NewRunner prepares the spec's run over the collector's heap; Run
 // executes it.
+// scaledBudget truncates a scaled op or byte budget v to an int64, or
+// reports that it does not fit in one: an overflowed budget would run
+// nothing and report success.
+func scaledBudget(what string, v, scale float64) (int64, error) {
+	if v < 0x1p63 {
+		return int64(v), nil
+	}
+	return 0, fmt.Errorf("scale %g makes the %s budget %g, past int64", scale, what, v)
+}
+
 func (s Spec) NewRunner(col gc.Collector, cfg Config) (*Runner, error) {
 	if s.Profile == nil && s.Core == nil {
 		return nil, fmt.Errorf("workload: scenario %q has no backing profile or core", s.Name)
+	}
+	if math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {
+		return nil, fmt.Errorf("workload %s: scale %g, want a finite value", s.Name, cfg.Scale)
+	}
+	if cfg.MixedGCEvery < 0 || cfg.FullGCEvery < 0 {
+		return nil, fmt.Errorf("workload %s: mixed GC every %d, full GC every %d young GCs: want counts >= 0 (0 = off)",
+			s.Name, cfg.MixedGCEvery, cfg.FullGCEvery)
 	}
 	if cfg.GCThreads <= 0 {
 		cfg.GCThreads = 8

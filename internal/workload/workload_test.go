@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"nvmgc/internal/gc"
@@ -328,6 +330,43 @@ func TestInvalidConfigRejected(t *testing.T) {
 	col, _ := gc.NewG1(h, gc.Vanilla())
 	if _, err := (Spec{Profile: &Profile{}}).NewRunner(col, Config{}); err == nil {
 		t.Fatal("empty profile should be rejected")
+	}
+}
+
+// TestHostileScaleRejected: NewRunner refuses a non-finite scale and one
+// whose byte (profile) or op (keyed) budget does not fit in an int64.
+// Before the check, the overflowed budget ran nothing (page-rank at 1e12:
+// zero collections) or one op (ycsb-a at 1e19) and reported success.
+func TestHostileScaleRejected(t *testing.T) {
+	for _, name := range []string{"page-rank", "ycsb-a"} {
+		scales := []float64{1e19, 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+		if name == "page-rank" {
+			scales = append(scales, 1e12)
+		}
+		for _, scale := range scales {
+			col, err := gc.NewG1(newEnv(t, "nvm"), gc.Vanilla())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = scenario(t, name).NewRunner(col, Config{Scale: scale})
+			if err == nil || !strings.Contains(err.Error(), "scale") || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s at scale %g: %v, want an error naming the scenario and the scale", name, scale, err)
+			}
+		}
+	}
+}
+
+// TestNegativeCadenceRejected: a negative MixedGCEvery or FullGCEvery is
+// an error, not a cadence that is silently off.
+func TestNegativeCadenceRejected(t *testing.T) {
+	for _, cfg := range []Config{{MixedGCEvery: -1}, {FullGCEvery: -3}} {
+		col, err := gc.NewG1(newEnv(t, "nvm"), gc.Vanilla())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scenario(t, "page-rank").NewRunner(col, cfg); err == nil {
+			t.Errorf("%+v: accepted", cfg)
+		}
 	}
 }
 
