@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify loc archives bench-e2e bench-gate profile suite-quick suite-cmp crash-smoke topology-smoke selfcheck-smoke fault-smoke workload-smoke fuzz-smoke cover
+.PHONY: build test verify loc archives bench-e2e bench-gate profile suite-quick suite-cmp crash-smoke topology-smoke selfcheck-smoke workload-smoke fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -68,12 +68,6 @@ topology-smoke: build
 selfcheck-smoke: build
 	$(GO) run ./cmd/gcsim -selfcheck -selfcheck-runs 50 -selfcheck-ops 400
 
-# fault-smoke runs the media-fault campaign in quick mode: wear-driven
-# line failures, region retirement, tier degradation, and survival-time
-# accounting under a churning mutator (full sweep: nvmbench -run fault-sweep).
-fault-smoke: build
-	$(GO) run ./cmd/nvmbench -run fault-sweep -quick -threads 4
-
 # workload-smoke runs the scenario-engine sweep in quick mode: collector
 # configurations across the YCSB core mixes driving keyed populations
 # (archived by make archives as results/BENCH_workloads.json). Then a
@@ -123,12 +117,11 @@ cover:
 	$(GO) test -short -covermode=atomic -coverpkg=./internal/... -coverprofile=cover.out ./internal/...
 	./scripts/cover_check.sh cover.out
 
-# archives regenerates the three checked-in experiment archives under
+# archives regenerates the two checked-in experiment archives under
 # results/ (quick mode, virtual-time numbers only; host time is bench-e2e).
 # On an unchanged model, git diff results/ is empty.
 archives: build
 	$(GO) run ./cmd/nvmbench -run tier-sweep -quick -format json -o results/BENCH_topology.json
-	$(GO) run ./cmd/nvmbench -run fault-sweep -quick -format json -o results/BENCH_faults.json
 	$(GO) run ./cmd/nvmbench -run workload-sweep -quick -format json -o results/BENCH_workloads.json
 
 # bench-e2e runs the repository benchmark (BENCHMARK.json: four workloads,

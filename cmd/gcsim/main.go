@@ -9,7 +9,6 @@
 //	gcsim -app naive-bayes -collector ps -config vanilla -device dram
 //	gcsim -app als -config writecache -trace
 //	gcsim -app page-rank,als,movie-lens -parallel 3
-//	gcsim -app page-rank -fault-wear 4096 -fault-ppm 100 -seed 7
 //	gcsim -selfcheck -selfcheck-runs 50
 package main
 
@@ -23,7 +22,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 
 	"nvmgc/internal/check/oracle"
@@ -42,7 +40,6 @@ type options struct {
 	seed       uint64
 	trace      bool
 	tiered     bool // an explicit -topology: report it and per-tier traffic
-	faulty     bool // -fault-wear or -fault-ppm: report the fault accounting
 	jsonOut    string
 	mixedEvery int
 	fullEvery  int
@@ -61,8 +58,8 @@ var flagModes = map[string]int{
 	"ycsb-dist": appMode, "ycsb-theta": appMode, "collector": appMode, "device": appMode,
 	"young-tier": appMode, "cache-tier": appMode, "meta-tier": appMode, "trace": appMode,
 	"json": appMode, "mixed-every": appMode, "full-every": appMode, "config": appMode,
-	"topology": appMode, "threads": appMode, "scale": appMode, "fault-wear": appMode,
-	"fault-ppm": appMode, "eager-yield": appMode, "cpuprofile": appMode, "memprofile": appMode,
+	"topology": appMode, "threads": appMode, "scale": appMode, "eager-yield": appMode,
+	"cpuprofile": appMode, "memprofile": appMode,
 
 	"selfcheck": selfcheckMode, "selfcheck-runs": selfcheckMode, "selfcheck-ops": selfcheckMode,
 }
@@ -91,9 +88,6 @@ func main() {
 		mixedEvery  = flag.Int("mixed-every", 0, "run a mixed GC after every N young GCs")
 		fullEvery   = flag.Int("full-every", 0, "run a full GC after every N young GCs")
 		profileFile = flag.String("profile-file", "", "load a custom workload profile from a JSON file (overrides -app)")
-
-		faultWear = flag.Int64("fault-wear", 0, "mean per-line write budget before a hard UE on the persistent tier (0 disables wear-out; seeded by -seed)")
-		faultPPM  = flag.Int64("fault-ppm", 0, "transient read-fault probability on the persistent tier, parts per million (0 disables; seeded by -seed)")
 
 		selfcheck     = flag.Bool("selfcheck", false, "run the differential selfcheck campaign (seeded random workloads through the reference collector vs every real configuration) and exit non-zero on divergence")
 		selfcheckRuns = flag.Int("selfcheck-runs", 50, "with -selfcheck: number of seeded workload traces")
@@ -179,18 +173,6 @@ func main() {
 	if tiers != nil {
 		host.Machine.Tiers = tiers
 	}
-	if *faultWear > 0 || *faultPPM > 0 {
-		if !slices.ContainsFunc(host.Machine.Tiers, func(t memsim.TierSpec) bool { return t.Persistent }) {
-			fmt.Fprintf(os.Stderr, "gcsim: -fault-wear/-fault-ppm: -topology %q has no persistent tier to fault\n", *topology)
-			os.Exit(2)
-		}
-		// One seed drives the wear thresholds and the transient draws, so
-		// a faulty run is exactly reproducible.
-		host.Machine.Tiers = memsim.WithFault(host.Machine.Tiers, memsim.FaultModel{
-			Seed: *seed, TransientReadPPM: *faultPPM, DegradeUETrip: 32,
-			WearThresholdMean: *faultWear, WearThresholdSpread: *faultWear / 4,
-		})
-	}
 	flagPlace := heap.PlacementPolicy{Eden: *youngTier, Survivor: *youngTier, Cache: *cacheTier, Meta: *metaTier}
 	if err := validatePlacement(flagPlace, host.Machine); err != nil {
 		fatal(err)
@@ -206,7 +188,7 @@ func main() {
 	host.Heap.Placement = place
 	o := options{
 		host: host, threads: *threads, scale: *scale, seed: *seed, trace: *trace,
-		tiered: tiers != nil, faulty: *faultWear > 0 || *faultPPM > 0,
+		tiered:  tiers != nil,
 		jsonOut: *jsonOut, mixedEvery: *mixedEvery, fullEvery: *fullEvery,
 	}
 
@@ -493,24 +475,6 @@ func runApp(w io.Writer, spec workload.Spec, o options) error {
 	fmt.Fprintf(w, "allocated: %.1f MiB\n", float64(res.Allocated)/(1<<20))
 	if res.Ops > 0 {
 		fmt.Fprintf(w, "ops: %d\n", res.Ops)
-	}
-
-	if o.faulty {
-		f := tot.Faults
-		fmt.Fprintf(w, "faults: %d transient (%d retries, %.3f ms backoff), %d UEs surfaced, %d copies re-routed, %d regions retired, %d tier fallbacks\n",
-			f.TransientFaults, f.Retries, ms(f.BackoffTime), f.UEsDiscovered, f.RedirectedCopies, f.RegionsRetired, f.TierFallbacks)
-		for _, t := range m.Topology().Tiers() {
-			if !t.FaultEnabled() {
-				continue
-			}
-			fs := t.FaultStats()
-			state := "healthy"
-			if fs.Degraded {
-				state = fmt.Sprintf("degraded at %.3f ms", ms(fs.DegradedAt))
-			}
-			fmt.Fprintf(w, "tier %s media: %d line writes (max %d per line), %d hard errors, %s\n",
-				t.Spec().Name, fs.LineWrites, fs.MaxLineWrites, fs.HardErrors, state)
-		}
 	}
 
 	if o.trace {

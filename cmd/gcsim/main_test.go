@@ -254,8 +254,8 @@ func TestSelfcheckRejectsOtherModesFlags(t *testing.T) {
 var flagValues = map[string]string{"device": "dram", "young-tier": "dram", "cache-tier": "dram", "meta-tier": "nvm",
 	"collector": "ps", "json": "-", "mixed-every": "2", "full-every": "2", "profile-file": "p.json", "app": "als",
 	"ycsb-records": "64", "ycsb-ops": "64", "ycsb-dist": "uniform", "ycsb-theta": "0.5",
-	"config": "all", "topology": "local-dram,optane", "threads": "2", "scale": "0.1", "fault-wear": "64",
-	"fault-ppm": "10", "cpuprofile": "c.pb", "memprofile": "m.pb",
+	"config": "all", "topology": "local-dram,optane", "threads": "2", "scale": "0.1",
+	"cpuprofile": "c.pb", "memprofile": "m.pb",
 	"selfcheck-runs": "1", "selfcheck-ops": "10"}
 
 // checkModeRejects runs gcsim in a mode (its flags in base) once with each
@@ -274,17 +274,6 @@ func checkModeRejects(t *testing.T, mode int, name string, base []string) {
 		if code, stderr := gcsim(t, append(base, arg)...); code != 2 || !strings.Contains(stderr, name+" does not read -"+flagName+" (") {
 			t.Errorf("%s %s: exit %d, stderr %q", name, arg, code, stderr)
 		}
-	}
-}
-
-// TestFaultFlagsNeedPersistentTier: fault flags on a topology with no
-// persistent tier are a usage error naming both (exit 2), not a run that
-// reports zero faults.
-func TestFaultFlagsNeedPersistentTier(t *testing.T) {
-	code, stderr := gcsim(t, "-app", "page-rank", "-topology", "local-dram,remote-dram",
-		"-fault-wear", "64", "-fault-ppm", "5000", "-scale", "0.05")
-	if code != 2 || !strings.Contains(stderr, "-fault-wear/-fault-ppm") || !strings.Contains(stderr, `"local-dram,remote-dram"`) {
-		t.Errorf("exit %d, stderr %q: want exit 2 naming the flags and the topology", code, stderr)
 	}
 }
 

@@ -186,7 +186,6 @@ func All() []Experiment {
 		{"abl-hm-threads", "Header-map threshold ablation (Section 3.3)", AblHeaderMapThreshold},
 		{"crash-sweep", "Power-failure campaign: recovery outcome x phase x config", CrashSweep},
 		{"tier-sweep", "Young generation and write cache across memory tiers", TierSweep},
-		{"fault-sweep", "Faulty-NVM campaign: survival and self-healing vs wear rate", FaultSweep},
 		{"workload-sweep", "Collector configurations across YCSB scenario mixes", WorkloadSweep},
 	}
 }

@@ -13,8 +13,8 @@ func quickParams() Params {
 
 func TestRegistry(t *testing.T) {
 	exps := All()
-	if len(exps) != 23 {
-		t.Fatalf("expected 23 experiments, got %d", len(exps))
+	if len(exps) != 22 {
+		t.Fatalf("expected 22 experiments, got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -150,7 +150,6 @@ var quickRenders = map[string]string{
 	"abl-hm-threads":  "ba21f4bb9ca523ed",
 	"crash-sweep":     "a099e7f064046ba6",
 	"tier-sweep":      "d09e810e36f2128c",
-	"fault-sweep":     "5d9e51f7a560f15d",
 	"workload-sweep":  "122985b0c060dc1a",
 }
 

@@ -152,50 +152,3 @@ func TestBenchWorkloadsJSONSchema(t *testing.T) {
 		}
 	}
 }
-
-func TestBenchFaultsJSONSchema(t *testing.T) {
-	doc := readJSON(t, "../../results/BENCH_faults.json")
-	wantTop := []string{"command", "generated_by", "rows"}
-	if got := keysOf(doc); strings.Join(got, ",") != strings.Join(wantTop, ",") {
-		t.Fatalf("top-level keys %v, want %v", got, wantTop)
-	}
-	var rows []map[string]any
-	if err := json.Unmarshal(doc["rows"], &rows); err != nil {
-		t.Fatalf("rows: %v", err)
-	}
-	if len(rows) == 0 {
-		t.Fatalf("archive has no rows")
-	}
-
-	// Rerun the experiment the archive was generated from (quick mode,
-	// like the script) and compare shape: same columns, same row count.
-	e, ok := ByID("fault-sweep")
-	if !ok {
-		t.Fatalf("fault-sweep experiment gone")
-	}
-	rep, err := e.Run(Params{Scale: 0.5, Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cols []string
-	live := 0
-	for _, line := range strings.Split(rep.CSV(), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if cols == nil {
-			cols = strings.Split(line, ",")
-			continue
-		}
-		live++
-	}
-	if live != len(rows) {
-		t.Fatalf("fault-sweep now yields %d rows, archive has %d (regenerate with make archives)", live, len(rows))
-	}
-	sort.Strings(cols)
-	for i, row := range rows {
-		if got := keysOf(row); strings.Join(got, ",") != strings.Join(cols, ",") {
-			t.Fatalf("archive row %d keys %v, experiment emits columns %v (regenerate with make archives)", i, got, cols)
-		}
-	}
-}

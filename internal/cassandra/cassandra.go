@@ -74,16 +74,12 @@ func ReadPhase() Phase {
 	return Phase{Name: "read", Scenario: "cassandra-read", Service: 45 * memsim.Microsecond, Servers: 16}
 }
 
-// StressResult is one point of the throughput-latency curve. P999ms and
-// P9999ms extend the paper's p95/p99 figure into the SLO percentiles the
-// fleet experiment reports; they are zero for results produced before
-// those fields existed (Validate skips the check then).
+// StressResult is one point of the throughput-latency curve.
 type StressResult struct {
-	ThroughputKQPS  float64
-	P95ms, P99ms    float64
-	P999ms, P9999ms float64
-	MeanMs          float64
-	Requests        int
+	ThroughputKQPS float64
+	P95ms, P99ms   float64
+	MeanMs         float64
+	Requests       int
 }
 
 // RunPhase executes the server-side workload under the given collector and
@@ -393,8 +389,6 @@ func Stress(pauses []Interval, window memsim.Time, phase Phase, throughputsKQPS 
 			ThroughputKQPS: kqps,
 			P95ms:          metrics.Quantile(l, 95),
 			P99ms:          metrics.Quantile(l, 99),
-			P999ms:         metrics.Quantile(l, 99.9),
-			P9999ms:        metrics.Quantile(l, 99.99),
 			MeanMs:         sum / float64(len(l)), // NaN for no requests
 			Requests:       len(l),
 		})
@@ -403,8 +397,7 @@ func Stress(pauses []Interval, window memsim.Time, phase Phase, throughputsKQPS 
 }
 
 // Validate sanity-checks a stress result series: latency percentiles must
-// be finite and non-decreasing in percentile order, through p999/p9999
-// when those fields are populated.
+// be finite and non-decreasing in percentile order.
 func Validate(rs []StressResult) error {
 	for _, r := range rs {
 		if math.IsNaN(r.P95ms) || math.IsNaN(r.P99ms) {
@@ -412,12 +405,6 @@ func Validate(rs []StressResult) error {
 		}
 		if r.P99ms < r.P95ms {
 			return fmt.Errorf("cassandra: p99 %.3f below p95 %.3f at %0.0f kqps", r.P99ms, r.P95ms, r.ThroughputKQPS)
-		}
-		if r.P999ms != 0 && !math.IsNaN(r.P999ms) && r.P999ms < r.P99ms {
-			return fmt.Errorf("cassandra: p999 %.3f below p99 %.3f at %0.0f kqps", r.P999ms, r.P99ms, r.ThroughputKQPS)
-		}
-		if r.P9999ms != 0 && !math.IsNaN(r.P9999ms) && r.P9999ms < r.P999ms {
-			return fmt.Errorf("cassandra: p9999 %.3f below p999 %.3f at %0.0f kqps", r.P9999ms, r.P999ms, r.ThroughputKQPS)
 		}
 	}
 	return nil

@@ -73,34 +73,18 @@ func regionAccounting(b Boundary, h *heap.Heap) error {
 		}
 		// Free heap regions keep the device of their last role (reset does
 		// not touch Dev), so placement is only checked for live regions.
-		// Fallback regions were deliberately routed off the policy device
-		// (graceful tier degradation) and are exempt from the exact-device
-		// assertions; eden and cache claims never fall back.
 		switch r.Kind {
 		case heap.RegionEden:
 			if r.Dev != h.EdenDevice() {
 				return violate(b, "region-device", "eden region %d on %s, placement says %s", r.Index, r.Dev.Name(), h.EdenDevice().Name())
 			}
 		case heap.RegionSurvivor:
-			if r.Dev != h.SurvivorDevice() && !r.Fallback {
+			if r.Dev != h.SurvivorDevice() {
 				return violate(b, "region-device", "survivor region %d on %s, placement says %s", r.Index, r.Dev.Name(), h.SurvivorDevice().Name())
 			}
 		case heap.RegionOld:
-			if r.Dev != h.OldDevice() && !r.Fallback {
+			if r.Dev != h.OldDevice() {
 				return violate(b, "region-device", "old region %d on %s, placement says %s", r.Index, r.Dev.Name(), h.OldDevice().Name())
-			}
-		case heap.RegionRetired:
-			if r.Top != r.Start {
-				return violate(b, "retired-fenced", "retired region %d not empty: bump pointer at %#x", r.Index, r.Top)
-			}
-			if r.RemSet.Len() != 0 {
-				return violate(b, "retired-fenced", "retired region %d still holds %d remembered-set entries", r.Index, r.RemSet.Len())
-			}
-			if r.BadLines == 0 {
-				return violate(b, "retired-fenced", "region %d retired without any recorded bad line", r.Index)
-			}
-			if r.InCSet || r.ClaimedInGC || r.MapTo != nil {
-				return violate(b, "retired-fenced", "retired region %d still participates in a collection", r.Index)
 			}
 		case heap.RegionCache:
 			if r.Dev != h.CacheDevice() {

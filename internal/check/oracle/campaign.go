@@ -22,13 +22,6 @@ type Config struct {
 	Collector string // "ref", "g1", or "ps"
 	Opt       gc.Options
 	Topology  string // "2tier" or "3tier"
-
-	// Fault, when enabled, is installed on the environment's NVM tier: the
-	// replay then also exercises the collector's media-fault resilience
-	// (retried reads, copy re-routing, region retirement). The reference
-	// replay stays fault-free — resilience must preserve the live graph
-	// exactly, so the differential comparison is unchanged.
-	Fault memsim.FaultModel
 }
 
 // refConfig returns the reference-collector configuration for a topology.
@@ -69,55 +62,6 @@ func Configs() []Config {
 	return out
 }
 
-// FaultConfigs returns the fault-injection arm of the campaign: the real
-// collector configurations replayed with a media-fault model on the NVM
-// tier — transient read faults on every config, plus wear-driven hard
-// errors (aggressive enough to retire regions within one trace) on the
-// write-heavy ones. The reference replay stays fault-free, so any graph
-// damage the resilience protocol fails to heal shows up as a differential
-// failure.
-func FaultConfigs() []Config {
-	transient := memsim.FaultModel{Seed: 0x5eed_fa17, TransientReadPPM: 2000}
-	// Oracle traces are tiny (hundreds of ops, a few hundred line writes
-	// per replay, hottest line in the low twenties), so the wear threshold
-	// sits low enough that hot lines die within one trace.
-	// The write-cache/header-map configs serve most GC reads from DRAM, so
-	// their NVM probe count is tiny — the transient rate is cranked up to
-	// still observe retried reads within one trace.
-	wear := memsim.FaultModel{
-		Seed:                0x5eed_fa17,
-		TransientReadPPM:    20000,
-		WearThresholdMean:   12,
-		WearThresholdSpread: 4,
-		DegradeUETrip:       8,
-	}
-	all := gc.Optimized()
-	all.HeaderMapMinThreads = 1
-	base := []struct {
-		name, col string
-		opt       gc.Options
-		fm        memsim.FaultModel
-	}{
-		{"g1-vanilla+transient", "g1", gc.Vanilla(), transient},
-		{"ps-vanilla+transient", "ps", gc.Vanilla(), transient},
-		{"g1-writecache+wear", "g1", gc.WithWriteCache(), wear},
-		{"g1-all+wear", "g1", all, wear},
-	}
-	var out []Config
-	for _, b := range base {
-		opt := b.opt
-		opt.Check = true
-		out = append(out, Config{
-			Name:      b.name + "/2tier",
-			Collector: b.col,
-			Opt:       opt,
-			Topology:  "2tier",
-			Fault:     b.fm,
-		})
-	}
-	return out
-}
-
 // newEnv builds a small, GC-frequent host for one replay of c: the
 // machine, the heap, and c's collector (an option-free G1 under the
 // reference replay, which ignores it). The 3-tier topology adds a remote-DRAM tier
@@ -131,9 +75,6 @@ func newEnv(c Config) (workload.Host, error) {
 		s.Machine.Tiers = append(s.Machine.Tiers,
 			memsim.TierSpec{Name: "remote-dram", Profile: memsim.RemoteDRAMProfile()})
 		hc.Placement.Cache = "remote-dram"
-	}
-	if c.Fault.Enabled() {
-		s.Machine.Tiers = memsim.WithFault(s.Machine.Tiers, c.Fault)
 	}
 	hc.RegionBytes = 4 << 10
 	hc.HeapRegions = 64
@@ -188,12 +129,6 @@ func RunTrace(c Config, ops []Op) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runTraceOn(c, host, ops)
-}
-
-// runTraceOn replays one trace on a caller-built environment (tests use
-// this to inspect the machine afterwards).
-func runTraceOn(c Config, host workload.Host, ops []Op) (*Result, error) {
 	h := host.H
 	var collect func(kind int) error
 	switch c.Collector {
@@ -352,7 +287,7 @@ func RunSeedDist(seed uint64, nops int, dist string) *Failure {
 	if err := diffResults(refs["3tier"], refs["2tier"]); err != nil {
 		return fail(refConfig("3tier"), err)
 	}
-	for _, c := range append(Configs(), FaultConfigs()...) {
+	for _, c := range Configs() {
 		res, err := RunTrace(c, ops)
 		if err != nil {
 			return fail(c, err)
@@ -414,7 +349,7 @@ func Campaign(runs, nops int, baseSeed uint64, parallel int) (*Report, error) {
 	}
 	rep := &Report{Runs: runs, Ops: nops, BaseSeed: baseSeed}
 	rep.Configs = append(rep.Configs, refConfig("2tier").Name, refConfig("3tier").Name)
-	for _, c := range append(Configs(), FaultConfigs()...) {
+	for _, c := range Configs() {
 		rep.Configs = append(rep.Configs, c.Name)
 	}
 	for _, f := range fails {

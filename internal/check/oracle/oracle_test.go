@@ -86,50 +86,6 @@ func TestPersistReplayStatsSane(t *testing.T) {
 	}
 }
 
-// TestFaultArmInjects: the fault-injection configurations are not vacuous.
-// The transient model must serve correctable faults, the wear model must
-// poison lines (and retire at least one region across the configs), and in
-// every case the live graph must still match the fault-free reference —
-// that differential equality is the self-healing claim.
-func TestFaultArmInjects(t *testing.T) {
-	ops := GenerateDist(11, 400, "uniform")
-	ref, err := RunTrace(refConfig("2tier"), ops)
-	if err != nil {
-		t.Fatalf("reference replay: %v", err)
-	}
-	var hardErrors, retired int
-	for _, c := range FaultConfigs() {
-		host, err := newEnv(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, h := host.M, host.H
-		res, err := runTraceOn(c, host, ops)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if err := diffResults(res, ref); err != nil {
-			t.Fatalf("%s: faulty replay diverged from the reference: %v", c.Name, err)
-		}
-		nvm, ok := m.Topology().Tier("nvm")
-		if !ok {
-			t.Fatal("no nvm tier")
-		}
-		fs := nvm.FaultStats()
-		if fs.TransientFaults == 0 {
-			t.Errorf("%s: no transient faults served", c.Name)
-		}
-		hardErrors += int(fs.HardErrors)
-		retired += h.RetiredCount()
-	}
-	if hardErrors == 0 {
-		t.Error("wear configs never poisoned a line; thresholds too high to exercise retirement")
-	}
-	if retired == 0 {
-		t.Error("wear configs never retired a region")
-	}
-}
-
 // TestCampaignDeterministic: two campaigns from the same base seed
 // render byte-identical reports.
 func TestCampaignDeterministic(t *testing.T) {

@@ -62,7 +62,7 @@ func (rc *RefCollector) Collect() error {
 					return a, true
 				}
 			}
-			if r, ok := h.ClaimRegion(heap.RegionSurvivor, nil); ok {
+			if r, ok := h.ClaimRegion(heap.RegionSurvivor); ok {
 				survCur = r
 				if a, ok := r.Alloc(size); ok {
 					return a, true
@@ -76,7 +76,7 @@ func (rc *RefCollector) Collect() error {
 				return a, true
 			}
 		}
-		if r, ok := h.ClaimRegion(heap.RegionOld, nil); ok {
+		if r, ok := h.ClaimRegion(heap.RegionOld); ok {
 			oldCur = r
 			if a, ok := r.Alloc(size); ok {
 				return a, true

@@ -154,25 +154,15 @@ func (b *base) collect(threads int, mode gcMode, oldCands []*heap.Region, markTi
 		}
 	}
 
-	// Self-healing: old regions that accumulated hard media errors join
-	// every collection set, so their survivors evacuate and the regions
-	// retire. badOld is empty (and costs nothing) without a fault model.
-	var badOld []*heap.Region
-	faulty := anyTierFaulty(m)
-	if faulty {
-		badOld = b.h.BadLinedOld()
-	}
-	retired0 := b.h.RetiredCount()
-
 	m.Mark("gc-start")
 	var cset []*heap.Region
 	switch mode {
 	case gcFull:
 		cset = b.h.BeginFullCollection()
 	case gcMixed:
-		cset = b.h.BeginMixedCollection(mergeBadOld(oldCands, badOld))
+		cset = b.h.BeginMixedCollection(oldCands)
 	default:
-		cset = b.h.BeginMixedCollection(badOld)
+		cset = b.h.BeginMixedCollection(nil)
 	}
 	c := newCycle(b.h, b.opt, threads, b.hm, b.pl, b.ps, &b.arena)
 	c.full = mode == gcFull
@@ -190,21 +180,11 @@ func (b *base) collect(threads int, mode gcMode, oldCands []*heap.Region, markTi
 	if c.err != nil {
 		return CollectionStats{}, c.err
 	}
-	if faulty {
-		// Drain the hard errors this cycle surfaced before the collection
-		// set retires: a cset region poisoned mid-cycle then goes straight
-		// to the retired state instead of rejoining the free pool.
-		b.noteNewUEs(&c.stats)
-	}
 	b.h.FinishCollection(cset)
-	if mode != gcYoung || len(badOld) > 0 {
-		// Mixed and full collections retire old regions (as does a young
-		// collection that absorbed bad-lined old regions); drop remembered
+	if mode != gcYoung {
+		// Mixed and full collections retire old regions; drop remembered
 		// set entries whose slots lived in them.
 		b.h.ScrubRemSets()
-	}
-	if faulty {
-		c.stats.Faults.RegionsRetired = int64(b.h.RetiredCount() - retired0)
 	}
 	if b.opt.Check {
 		if err := b.checkBoundary(check.PostGC, b.pl != nil); err != nil {

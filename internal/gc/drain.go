@@ -27,12 +27,10 @@ type drainState uint8
 const (
 	stNext      drainState = iota // take the next slot off the stack
 	stSlot                        // gw.slot chosen: load it (step 1, random read)
-	stSlotRead                    // slot loaded; a transient fault leaves for the retry
-	stSlotHave                    // referent in gw.val: evacuate, note an old-to-old edge, or skip
+	stSlotHave                    // slot loaded: evacuate its referent, note an old-to-old edge, or skip
 	stProbe                       // header-map probe under way (Get before the mark, Put after the copy)
 	stProbed                      // probe answered in gw.probe.result
-	stMarkRead                    // mark word loaded; a transient fault leaves for the retry
-	stMarkHave                    // mark in gw.val: forwarded already, else size the object up
+	stMarkHave                    // mark word loaded: forwarded already, else size the object up
 	stAlloc                       // claim destination space
 	stCopy                        // step 2: charge the copy's CPU cost, read the source
 	stCopyRead                    // source read charged: write the destination
@@ -54,14 +52,12 @@ const (
 type drainExit uint8
 
 const (
-	exitDone       drainExit = iota // the collection failed: stop draining
-	exitSteal                       // stack empty: trySteal (SpinWait) for work or termination
-	exitWaitValue                   // header-map entry in flight: spin until it publishes
-	exitFlush                       // a cache region went quiescent: write it back (AsyncFlush)
-	exitAlloc                       // destination full and retiring it may flush (AsyncFlush)
-	exitJournal                     // journal gw.jAddr's old value before mutating it
-	exitFaultRetry                  // transient read fault: back off and re-read
-	exitReroute                     // the copy landed on a poisoned line: abandon it, re-route
+	exitDone      drainExit = iota // the collection failed: stop draining
+	exitSteal                      // stack empty: trySteal (SpinWait) for work or termination
+	exitWaitValue                  // header-map entry in flight: spin until it publishes
+	exitFlush                      // a cache region went quiescent: write it back (AsyncFlush)
+	exitAlloc                      // destination full and retiring it may flush (AsyncFlush)
+	exitJournal                    // journal gw.jAddr's old value before mutating it
 	numDrainExits
 )
 
@@ -105,10 +101,6 @@ func (gw *gcWorker) drainLoop() {
 					gw.st = stSlotDone
 				}
 			}
-		case exitFaultRetry:
-			gw.val = gw.retryRead(gw.retryAddr, gw.val)
-		case exitReroute:
-			gw.afterAlloc(gw.reroute())
 		}
 	}
 }
@@ -131,16 +123,11 @@ func (gw *gcWorker) step(w *memsim.Worker) bool {
 			fallthrough
 		case stSlot:
 			h.IssueReadWord(w, gw.slot)
-			gw.st = stSlotRead
+			gw.st = stSlotHave
 			return true
 
-		case stSlotRead:
-			gw.st = stSlotHave
-			if gw.loaded(gw.slot) {
-				return gw.leave(exitFaultRetry)
-			}
 		case stSlotHave:
-			ref := gw.val
+			ref := h.Peek(gw.slot)
 			gw.ref, gw.st = ref, stSlotDone
 			if ref == 0 {
 				continue
@@ -194,13 +181,8 @@ func (gw *gcWorker) step(w *memsim.Worker) bool {
 				gw.st = stCAS
 			}
 
-		case stMarkRead:
-			gw.st = stMarkHave
-			if gw.loaded(heap.MarkAddr(gw.ref)) {
-				return gw.leave(exitFaultRetry)
-			}
 		case stMarkHave:
-			mark := gw.val
+			mark := h.Peek(heap.MarkAddr(gw.ref))
 			if heap.IsForwarded(mark) {
 				gw.newAddr, gw.st = heap.ForwardingAddr(mark), stEvacDone
 				continue
@@ -219,7 +201,6 @@ func (gw *gcWorker) step(w *memsim.Worker) bool {
 			// Mixed and full GCs compact old objects into fresh old regions;
 			// they never return to the young generation.
 			gw.promote = gw.age+1 >= promoteAge || h.KindAt(gw.ref) == heap.RegionOld
-			gw.reroutes = 0
 			gw.st = stAlloc
 		case stAlloc:
 			res := gw.allocCopy(false)
@@ -242,9 +223,6 @@ func (gw *gcWorker) step(w *memsim.Worker) bool {
 			return true
 		case stCopyWrote:
 			h.CommitCopy(gw.phys, gw.ref, gw.size)
-			if gw.copyPoisoned() {
-				return gw.leave(exitReroute)
-			}
 			newAge := gw.age + 1
 			if gw.promote {
 				newAge = 0
@@ -383,23 +361,7 @@ func (gw *gcWorker) step(w *memsim.Worker) bool {
 
 func (gw *gcWorker) issueMarkRead(w *memsim.Worker) bool {
 	gw.c.h.IssueReadWord(w, heap.MarkAddr(gw.ref))
-	gw.st = stMarkRead
-	return true
-}
-
-// loaded consumes a charged load of addr into gw.val and reports whether
-// the read drew a transient media fault, which the owner retries with
-// backoff (retryRead). With no fault model installed it is a Peek.
-func (gw *gcWorker) loaded(addr heap.Address) bool {
-	c, h := gw.c, gw.c.h
-	gw.val = h.Peek(addr)
-	if !c.faulty {
-		return false
-	}
-	if dev := h.DevOf(addr); !dev.FaultEnabled() || !dev.TransientReadFault(addr) {
-		return false
-	}
-	gw.retryAddr = addr
+	gw.st = stMarkHave
 	return true
 }
 

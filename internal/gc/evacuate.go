@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"errors"
 	"fmt"
 
 	"nvmgc/internal/check"
@@ -78,7 +79,6 @@ type cycle struct {
 	threads int
 	ps      bool // Parallel-Scavenge allocation policy (LABs + direct copies)
 	full    bool // full GC: the collection set covers the old space too
-	faulty  bool // some tier carries a media-fault model (see resilience.go)
 
 	hm           *HeaderMap // nil when disabled this cycle
 	pushPrefetch bool       // prefetch referents on work-stack push
@@ -149,7 +149,6 @@ func newCycle(h *heap.Heap, opt Options, threads int, hm *HeaderMap, pl *persist
 		opt:         opt,
 		threads:     threads,
 		ps:          ps,
-		faulty:      anyTierFaulty(h.Machine()),
 		arena:       ar,
 		cacheBudget: opt.writeCacheBudget(h.HeapBytes()),
 		labWords:    (4 << 10) / heap.WordBytes,
@@ -245,13 +244,17 @@ func (c *cycle) destOf(a heap.Address) *destRegion {
 	return nil
 }
 
+// ErrTierExhausted is returned (wrapped) when the collector needs a
+// destination region and the heap's free pool has none left.
+var ErrTierExhausted = errors.New("gc: every tier exhausted or degraded, no healthy region available")
+
 // newDest claims a fresh destination region of the given final kind,
 // fronting it with a DRAM cache region when the write cache is enabled
 // and within budget. Exhausted budget falls back to direct NVM placement
 // (Section 3.2: "the GC thread stops allocating new cache regions and
 // directly copies objects into NVM").
 func (c *cycle) newDest(w *memsim.Worker, kind heap.RegionKind, cacheable bool) (*destRegion, bool) {
-	final, ok := c.h.ClaimRegion(kind, c.destDevice(kind))
+	final, ok := c.h.ClaimRegion(kind)
 	if !ok {
 		c.fail(fmt.Errorf("gc: heap exhausted while claiming a %v region: %w", kind, ErrTierExhausted))
 		return nil, false
@@ -262,7 +265,7 @@ func (c *cycle) newDest(w *memsim.Worker, kind heap.RegionKind, cacheable bool) 
 	if cacheable && c.opt.WriteCache {
 		rb := c.h.RegionBytes()
 		if c.cacheUsed+rb <= c.cacheBudget {
-			if cr, ok := c.h.ClaimRegion(heap.RegionCache, nil); ok {
+			if cr, ok := c.h.ClaimRegion(heap.RegionCache); ok {
 				cr.MapTo = final
 				d.phys = cr
 				c.cacheUsed += rb
@@ -457,7 +460,7 @@ type gcWorker struct {
 	slot    heap.Address // slot being processed
 	ref     heap.Address // its referent
 	newAddr heap.Address // where the referent lives now
-	val     uint64       // word just loaded (slot, mark) or CAS witness
+	val     uint64       // CAS witness
 	mark    uint64       // referent's mark word as last seen
 	k       *heap.Klass  // referent's klass, size, age and target generation
 	size    int64
@@ -466,7 +469,6 @@ type gcWorker struct {
 
 	phys, final heap.Address // the copy: where its bytes go, what references record
 	winner      heap.Address // forwarding address that ended up installed
-	reroutes    int          // re-routes of this copy off poisoned lines so far
 	nextRef     int64        // reference slots of the copy visited so far
 	pushed      int64        // ... and pushed
 	pushSlot    heap.Address
@@ -475,8 +477,6 @@ type gcWorker struct {
 	flushDest *destRegion  // exitFlush: the region to write back
 	jAddr     heap.Address // exitJournal: the word about to be mutated
 	jOld      uint64       // ... and its current value
-	retryAddr heap.Address // exitFaultRetry: the address whose read faulted
-	badLine   uint64       // exitReroute: the poisoned line under the copy
 
 	// G1: one private destination per generation.
 	surv, old *destRegion

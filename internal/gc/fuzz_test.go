@@ -12,24 +12,21 @@ import (
 // FuzzCrashRecovery drives the whole fault-injection loop from a fuzzed
 // crash point: kill the machine before the Nth NVM store of a collection
 // (with fuzzed torn-line / keep-pending media behavior, a fuzzed
-// persistence-enabled configuration, a fuzzed tier placement for the
-// metadata/journal area, and optionally pre-poisoned media lines in the
-// journal/meta area), materialize the post-crash image, recover, and
+// persistence-enabled configuration and a fuzzed tier placement for the
+// metadata/journal area), materialize the post-crash image, recover, and
 // require that under ADR/eADR barriers the restored heap always holds the
 // pre-GC graph and passes the PostGC phase-boundary checker — wherever the
-// journal lives and however worn its media is.
+// journal lives.
 func FuzzCrashRecovery(f *testing.F) {
-	f.Add(int64(1), uint8(0), false, false, uint8(0), uint8(0))
-	f.Add(int64(37), uint8(1), true, false, uint8(1), uint8(0))
-	f.Add(int64(1000), uint8(2), true, true, uint8(2), uint8(0))
-	f.Add(int64(25000), uint8(3), false, true, uint8(0), uint8(0))
-	f.Add(int64(90000), uint8(2), true, false, uint8(1), uint8(0))
-	// Power failure on worn media: hard UEs planted in the journal/meta
-	// area before the crash.
-	f.Add(int64(500), uint8(0), false, false, uint8(0), uint8(1))
-	f.Add(int64(5000), uint8(2), true, false, uint8(1), uint8(3))
-	f.Add(int64(40000), uint8(3), true, true, uint8(2), uint8(7))
-	f.Fuzz(func(t *testing.T, storeN int64, cfgIdx uint8, torn, keepPending bool, metaPlace, poison uint8) {
+	f.Add(int64(1), uint8(0), false, false, uint8(0))
+	f.Add(int64(37), uint8(1), true, false, uint8(1))
+	f.Add(int64(1000), uint8(2), true, true, uint8(2))
+	f.Add(int64(25000), uint8(3), false, true, uint8(0))
+	f.Add(int64(90000), uint8(2), true, false, uint8(1))
+	f.Add(int64(500), uint8(0), false, false, uint8(0))
+	f.Add(int64(5000), uint8(2), true, false, uint8(1))
+	f.Add(int64(40000), uint8(3), true, true, uint8(2))
+	f.Fuzz(func(t *testing.T, storeN int64, cfgIdx uint8, torn, keepPending bool, metaPlace uint8) {
 		ccs := crashConfigs()
 		cc := ccs[int(cfgIdx)%len(ccs)]
 		if storeN < 0 {
@@ -46,17 +43,7 @@ func FuzzCrashRecovery(f *testing.F) {
 				mc.Tiers = append(mc.Tiers, memsim.TierSpec{Name: "nvm2", Profile: memsim.OptaneProfile(), Persistent: true})
 			}
 		}
-		h, m, g, pre := crashEnv(t, cc)
-		if poison > 0 {
-			// Pre-poison a few lines of the metadata/journal area: hard UEs
-			// on worn journal media must not block recovery.
-			dev := h.DevOf(h.MetaBase())
-			span := uint64(h.MetaBytes())
-			for i := 0; i < int(poison)%4+1; i++ {
-				off := (uint64(poison) * 0x9E3779B9 * uint64(i+1)) % span
-				dev.PoisonLine(m.Now(), uint64(h.MetaBase())+off)
-			}
-		}
+		_, m, g, pre := crashEnv(t, cc)
 		// The store counter accumulated the populate phase's stores; plant
 		// the crash relative to the collection's first store.
 		base := m.Persist().Stats().TrackedStores

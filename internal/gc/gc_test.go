@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 
@@ -508,6 +509,48 @@ func TestCollectErrors(t *testing.T) {
 	}
 	if _, err := NewG1(h, Options{AsyncFlush: true}); err == nil {
 		t.Fatal("AsyncFlush without WriteCache should error")
+	}
+}
+
+// TestTierExhaustedSurfaced: when survivors outgrow a tiny heap's free
+// pool the collector must fail with ErrTierExhausted — a diagnosable
+// error, not a panic or livelock.
+func TestTierExhaustedSurfaced(t *testing.T) {
+	cfg := memsim.DefaultConfig()
+	cfg.LLCBytes = 1 << 17
+	m := memsim.NewMachine(cfg)
+	hc := heap.DefaultConfig()
+	hc.RegionBytes = 16 << 10
+	hc.HeapRegions = 24
+	hc.CacheRegions = 8
+	hc.EdenRegions = 8
+	hc.SurvivorRegions = 4
+	hc.AuxBytes = 2 << 20
+	hc.RootSlots = 1 << 14
+	h, err := heap.New(m, hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewG1(h, Vanilla())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := defaultSpec()
+	spec.objects = 1500
+	spec.oldHolders = 0
+	spec.rootProb = 0.9 // nearly everything survives and is promoted
+	for i := 0; i < 64; i++ {
+		spec.seed = uint64(i + 1)
+		populate(t, h, m, spec)
+		if _, err = g.Collect(2); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		t.Fatal("64 rounds of near-total survival never exhausted a 24-region pool")
+	}
+	if !errors.Is(err, ErrTierExhausted) {
+		t.Fatalf("exhaustion surfaced as %v, want ErrTierExhausted", err)
 	}
 }
 

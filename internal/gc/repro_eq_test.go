@@ -14,7 +14,6 @@ import (
 type eqScenario struct {
 	name  string
 	tiers func() []memsim.TierSpec
-	fault bool // scenario carries a media-fault model (wear + transient)
 }
 
 func eqScenarios() []eqScenario {
@@ -26,14 +25,6 @@ func eqScenarios() []eqScenario {
 			nvm := memsim.MustBuiltinTier("optane")
 			nvm.Name = "nvm" // legacy placement defaults resolve onto it
 			return []memsim.TierSpec{local, remote, nvm}
-		}},
-		{name: "fault-arm", fault: true, tiers: func() []memsim.TierSpec {
-			return memsim.WithFault(memsim.DefaultConfig().Tiers, memsim.FaultModel{
-				Seed:                11,
-				TransientReadPPM:    20000,
-				WearThresholdMean:   48,
-				WearThresholdSpread: 9,
-			})
 		}},
 	}
 }
@@ -51,10 +42,10 @@ type eqRun struct {
 }
 
 // eqResult is everything a run decides: the final virtual time, the
-// collection stats (including fault outcomes), the per-tier traffic in
-// topology order, and how often the drain machine left for each of its
-// blocking sections. switches, the coroutine switches the collection
-// made, is host cost, not a decision: diff ignores it.
+// collection stats, the per-tier traffic in topology order, and how often
+// the drain machine left for each of its blocking sections. switches, the
+// coroutine switches the collection made, is host cost, not a decision:
+// diff ignores it.
 type eqResult struct {
 	now      memsim.Time
 	stats    CollectionStats
@@ -126,8 +117,6 @@ func (want eqResult) diff(got eqResult) string {
 	switch {
 	case got.now != want.now:
 		return fmt.Sprintf("final time %d, want %d", got.now, want.now)
-	case !reflect.DeepEqual(got.stats.Faults, want.stats.Faults):
-		return fmt.Sprintf("fault outcomes diverged:\n got %+v\nwant %+v", got.stats.Faults, want.stats.Faults)
 	case !reflect.DeepEqual(got.stats, want.stats):
 		return fmt.Sprintf("stats diverged:\n got %+v\nwant %+v", got.stats, want.stats)
 	case !reflect.DeepEqual(got.traffic, want.traffic):
@@ -172,20 +161,15 @@ func TestReproEquivalence(t *testing.T) {
 }
 
 // TestSchedulerModeEquivalence is the collector's golden equivalence
-// sweep: across the two-tier and three-tier topologies and a fault-armed
-// machine (seeded wear-out plus transient read faults), the default
+// sweep: across the two-tier and three-tier topologies, the default
 // scheduler must reproduce the eager-yield reference bit-for-bit: final
-// virtual time, per-tier device traffic, and every fault outcome in
-// CollectionStats.Faults.
+// virtual time, collection stats and per-tier device traffic.
 func TestSchedulerModeEquivalence(t *testing.T) {
 	for _, sc := range eqScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, th := range []int{4, 16} {
 				for _, seed := range []uint64{1, 2} {
 					want := eqRun{}.run(t, sc, true, th, seed)
-					if sc.fault && want.stats.Faults.TransientFaults == 0 && want.stats.Faults.UEsDiscovered == 0 {
-						t.Fatalf("th=%d seed=%d: fault arm fired no faults — the scenario exercises nothing", th, seed)
-					}
 					if d := want.diff(eqRun{}.run(t, sc, false, th, seed)); d != "" {
 						t.Errorf("th=%d seed=%d: %s", th, seed, d)
 					}
@@ -198,7 +182,8 @@ func TestSchedulerModeEquivalence(t *testing.T) {
 // TestDrainExitsEquivalence drives every blocking section the drain
 // machine leaves for — each must be taken (the counter proves it) and the
 // default scheduler, where peers run the steps around it, must still
-// reproduce the eager reference bit-for-bit.
+// reproduce the eager reference bit-for-bit. exitDone, the failed
+// collection's way out, is the one exit no case needs to take.
 func TestDrainExitsEquivalence(t *testing.T) {
 	all := Optimized()
 	all.HeaderMapMinThreads = 1
@@ -206,9 +191,6 @@ func TestDrainExitsEquivalence(t *testing.T) {
 	async.AsyncFlush = true
 	journal := Vanilla()
 	journal.Persist = PersistADR
-	wear := eqScenario{name: "wear", fault: true, tiers: func() []memsim.TierSpec {
-		return memsim.WithFault(memsim.DefaultConfig().Tiers, memsim.FaultModel{Seed: 3, WearThresholdMean: 4, WearThresholdSpread: 1})
-	}}
 	cases := []struct {
 		name string
 		sc   eqScenario
@@ -223,8 +205,17 @@ func TestDrainExitsEquivalence(t *testing.T) {
 		{"async flush", eqScenarios()[0], eqRun{opt: async, live: true}, []drainExit{exitFlush, exitAlloc}},
 		{"async flush, ps", eqScenarios()[0], eqRun{ps: true, opt: async, live: true}, []drainExit{exitFlush, exitAlloc}},
 		{"journal", eqScenarios()[0], eqRun{opt: journal, persist: true}, []drainExit{exitJournal}},
-		{"transient fault", eqScenarios()[2], eqRun{}, []drainExit{exitFaultRetry}},
-		{"poisoned copy", wear, eqRun{}, []drainExit{exitReroute}},
+	}
+	var covered [numDrainExits]bool
+	for _, tc := range cases {
+		for _, e := range tc.want {
+			covered[e] = true
+		}
+	}
+	for e := exitDone + 1; e < numDrainExits; e++ {
+		if !covered[e] {
+			t.Errorf("exit %d has no case that takes it", e)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

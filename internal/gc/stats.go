@@ -31,8 +31,10 @@ type CollectionStats struct {
 	StolenSlots         int64
 	RegionsStolenFrom   int64 // regions excluded from async flushing
 
-	// Faults records the media-fault resilience costs of the collection
-	// (all zero when no tier carries a FaultModel).
+	// Faults is never written. It stays, with FaultCosts, because
+	// benchmarks/sim.go fingerprints the %+v rendering of CollectionStats
+	// against benchmarks/expected.json, and dropping a field moves every
+	// pin there (ROADMAP item 6(a)).
 	Faults FaultCosts
 
 	// Crash-consistency costs (zero when Persist is PersistNone).
@@ -52,10 +54,7 @@ type CollectionStats struct {
 	Tiers []TierTraffic
 }
 
-// FaultCosts records what media faults cost one collection: correctable
-// read faults retried with backoff, hard errors discovered and the
-// regions they retired, copies re-routed around poisoned destinations,
-// and destination claims a degraded tier pushed onto a fallback tier.
+// FaultCosts is the frozen shape of CollectionStats.Faults (always zero).
 type FaultCosts struct {
 	TransientFaults  int64       // correctable read faults encountered
 	Retries          int64       // charged re-reads issued
@@ -64,23 +63,6 @@ type FaultCosts struct {
 	RedirectedCopies int64       // evacuation copies re-routed off a poisoned line
 	RegionsRetired   int64       // regions moved to the wear-retired state
 	TierFallbacks    int64       // destination claims served by a fallback tier
-}
-
-// Add returns the element-wise sum of two fault-cost records.
-func (a FaultCosts) Add(b FaultCosts) FaultCosts {
-	return addFaults(a, b)
-}
-
-func addFaults(a, b FaultCosts) FaultCosts {
-	return FaultCosts{
-		TransientFaults:  a.TransientFaults + b.TransientFaults,
-		Retries:          a.Retries + b.Retries,
-		BackoffTime:      a.BackoffTime + b.BackoffTime,
-		UEsDiscovered:    a.UEsDiscovered + b.UEsDiscovered,
-		RedirectedCopies: a.RedirectedCopies + b.RedirectedCopies,
-		RegionsRetired:   a.RegionsRetired + b.RegionsRetired,
-		TierFallbacks:    a.TierFallbacks + b.TierFallbacks,
-	}
 }
 
 // TierTraffic is one memory tier's device traffic during a collection.
@@ -96,7 +78,6 @@ type Totals struct {
 	Pause       memsim.Time
 	MaxPause    memsim.Time
 	BytesCopied int64
-	Faults      FaultCosts
 	NVM         memsim.DeviceStats
 	DRAM        memsim.DeviceStats
 
@@ -113,7 +94,6 @@ func (t *Totals) Accumulate(s CollectionStats) {
 		t.MaxPause = s.Pause
 	}
 	t.BytesCopied += s.BytesCopied
-	t.Faults = addFaults(t.Faults, s.Faults)
 	t.NVM = addStats(t.NVM, s.NVM)
 	t.DRAM = addStats(t.DRAM, s.DRAM)
 	for _, tt := range s.Tiers {

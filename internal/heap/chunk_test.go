@@ -184,7 +184,7 @@ func TestChunkedStoreMatchesFlatModel(t *testing.T) {
 	})
 
 	// Retire poisons a region that lies in two chunks.
-	r, ok := h.ClaimRegion(RegionOld, nil)
+	r, ok := h.ClaimRegion(RegionOld)
 	if !ok {
 		t.Fatal("no region to claim")
 	}

@@ -75,13 +75,13 @@ func TestWriteFillerPanicsWhenTooSmall(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	r, _ := h.ClaimRegion(RegionOld, nil)
+	r, _ := h.ClaimRegion(RegionOld)
 	h.WriteFiller(r.Start, 1)
 }
 
 func TestFillerParses(t *testing.T) {
 	h, _ := testHeap(t)
-	r, _ := h.ClaimRegion(RegionOld, nil)
+	r, _ := h.ClaimRegion(RegionOld)
 	a, _ := r.Alloc(8)
 	h.WriteFiller(a, 8)
 	k, size := h.PeekObject(a)
@@ -97,7 +97,7 @@ func TestCopyWordsNTUsesStreamingStores(t *testing.T) {
 	h, m := testHeap(t)
 	k := mustKlass(t, h, "node", 4, nil)
 	src, _ := h.AllocateEden(nil, k, 4)
-	r, _ := h.ClaimRegion(RegionOld, nil)
+	r, _ := h.ClaimRegion(RegionOld)
 	dst, _ := r.Alloc(4)
 	m.Run(1, func(w *memsim.Worker) {
 		h.CopyWordsNT(w, dst, src, 4)
@@ -137,7 +137,7 @@ func TestPoisonDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := h.ClaimRegion(RegionOld, nil)
+	r, _ := h.ClaimRegion(RegionOld)
 	h.Poke(r.Start, 42)
 	h.Retire(r)
 	if h.Peek(r.Start) != 42 {

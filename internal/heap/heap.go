@@ -93,7 +93,7 @@ type Config struct {
 
 	RootSlots int // capacity of the external root set
 
-	Poison bool // overwrite retired regions with a poison pattern
+	Poison bool // overwrite each region Retire returns to a free pool with a poison pattern
 }
 
 // DefaultConfig returns a laptop-scale heap: 1024 x 64 KiB regions (64 MiB
@@ -157,10 +157,6 @@ type Heap struct {
 	regions   []*Region // heap regions then cache regions
 	freeHeap  []int     // free heap-region indices (LIFO)
 	freeCache []int
-	retired   []int // wear-retired region indices (permanently fenced)
-
-	// badLines dedupes uncorrectable-error line reports (see NoteBadLine).
-	badLines map[Address]bool
 
 	// Struct-of-arrays mirrors of the hot per-region metadata, indexed by
 	// region id. The evacuation loop's kind/cset classification and DevOf
@@ -387,28 +383,6 @@ func (h *Heap) CacheDevice() *memsim.Device { return h.cacheDev }
 
 // AuxDevice returns the device backing the aux area (roots, header map).
 func (h *Heap) AuxDevice() *memsim.Device { return h.auxDev }
-
-// PlacementDevices returns the distinct devices the placement policy
-// binds, in policy-field order (eden, survivor, old, humongous, cache,
-// aux, meta). The collector walks this order when a degraded tier forces
-// destination placement onto a fallback tier.
-func (h *Heap) PlacementDevices() []*memsim.Device {
-	all := []*memsim.Device{h.edenDev, h.survDev, h.oldDev, h.humoDev, h.cacheDev, h.auxDev, h.metaDev}
-	out := all[:0]
-	for _, d := range all {
-		dup := false
-		for _, seen := range out {
-			if seen == d {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, d)
-		}
-	}
-	return out
-}
 
 func (h *Heap) rawPeek(addr uint64) uint64    { return h.load(h.index(addr)) }
 func (h *Heap) rawPoke(addr uint64, v uint64) { h.store(h.index(addr), v) }

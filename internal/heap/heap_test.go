@@ -197,7 +197,7 @@ func TestAllocateOld(t *testing.T) {
 func TestClaimRetireRoundtrip(t *testing.T) {
 	h, _ := testHeap(t)
 	freeBefore := len(h.FreeHeapRegionIndices())
-	r, ok := h.ClaimRegion(RegionSurvivor, nil)
+	r, ok := h.ClaimRegion(RegionSurvivor)
 	if !ok {
 		t.Fatal("claim failed")
 	}
@@ -223,7 +223,7 @@ func TestClaimRetireRoundtrip(t *testing.T) {
 
 func TestCacheRegionClaim(t *testing.T) {
 	h, _ := testHeap(t)
-	r, ok := h.ClaimRegion(RegionCache, nil)
+	r, ok := h.ClaimRegion(RegionCache)
 	if !ok {
 		t.Fatal("cache claim failed")
 	}
@@ -238,7 +238,7 @@ func TestCacheRegionClaim(t *testing.T) {
 
 func TestRegionAllocUnalloc(t *testing.T) {
 	h, _ := testHeap(t)
-	r, _ := h.ClaimRegion(RegionSurvivor, nil)
+	r, _ := h.ClaimRegion(RegionSurvivor)
 	a, ok := r.Alloc(8)
 	if !ok {
 		t.Fatal("alloc failed")
@@ -356,7 +356,7 @@ func TestCopyWordsChargesBothDevices(t *testing.T) {
 	src, _ := h.AllocateEden(nil, k, 4)
 	h.Poke(SlotAddr(src, 3), 9)
 	m.Run(1, func(w *memsim.Worker) {
-		cr, _ := h.ClaimRegion(RegionCache, nil)
+		cr, _ := h.ClaimRegion(RegionCache)
 		dst, _ := cr.Alloc(4)
 		nvmBefore := m.NVM.Stats()
 		dramBefore := m.DRAM.Stats()
@@ -393,7 +393,7 @@ func TestAllocAuxExhaustion(t *testing.T) {
 
 func TestBumpAllocationNeverOverlaps(t *testing.T) {
 	h, _ := testHeap(t)
-	r, _ := h.ClaimRegion(RegionSurvivor, nil)
+	r, _ := h.ClaimRegion(RegionSurvivor)
 	type span struct{ a, b Address }
 	var spans []span
 	f := func(sizes []uint8) bool {
@@ -435,7 +435,7 @@ func TestBeginFinishCollection(t *testing.T) {
 		t.Fatal("collection set should detach eden")
 	}
 	// A survivor claimed now belongs to the *next* young generation.
-	h.ClaimRegion(RegionSurvivor, nil)
+	h.ClaimRegion(RegionSurvivor)
 	h.FinishCollection(cset)
 	if cset[0].Kind != RegionFree {
 		t.Fatal("cset regions should be retired")

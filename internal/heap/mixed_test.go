@@ -62,7 +62,7 @@ func TestBeginMixedCollection(t *testing.T) {
 	}
 	h.FinishCollection(cset)
 	// Non-old regions passed as candidates are ignored.
-	r, _ := h.ClaimRegion(RegionSurvivor, nil)
+	r, _ := h.ClaimRegion(RegionSurvivor)
 	cset = h.BeginMixedCollection([]*Region{r})
 	for _, c := range cset {
 		if c == r && c.Kind == RegionOld {
@@ -81,7 +81,7 @@ func TestScrubRemSets(t *testing.T) {
 		target = h.RegionOf(a)
 	})
 	// One valid old slot, one stale slot inside a free region.
-	freeRegion, _ := h.ClaimRegion(RegionOld, nil)
+	freeRegion, _ := h.ClaimRegion(RegionOld)
 	staleSlot := SlotAddr(freeRegion.Start, 2)
 	h.Retire(freeRegion)
 	validSlot := SlotAddr(h.Old()[0].Start, 2)
@@ -133,9 +133,9 @@ func TestYoungPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eden, _ := h.ClaimRegion(RegionEden, nil)
-	surv, _ := h.ClaimRegion(RegionSurvivor, nil)
-	old, _ := h.ClaimRegion(RegionOld, nil)
+	eden, _ := h.ClaimRegion(RegionEden)
+	surv, _ := h.ClaimRegion(RegionSurvivor)
+	old, _ := h.ClaimRegion(RegionOld)
 	for _, c := range []struct {
 		area      string
 		got, want *memsim.Device

@@ -115,7 +115,7 @@ func (h *Heap) AllocateEden(w *memsim.Worker, k *Klass, sizeWords int64) (Addres
 		if len(h.eden) >= h.cfg.EdenRegions {
 			return 0, false
 		}
-		r, ok := h.ClaimRegion(RegionEden, nil)
+		r, ok := h.ClaimRegion(RegionEden)
 		if !ok {
 			return 0, false
 		}
@@ -138,7 +138,7 @@ func (h *Heap) AllocateOld(w *memsim.Worker, k *Klass, sizeWords int64) (Address
 				return a, true
 			}
 		}
-		r, ok := h.ClaimRegion(RegionOld, nil)
+		r, ok := h.ClaimRegion(RegionOld)
 		if !ok {
 			return 0, false
 		}

@@ -20,11 +20,6 @@ const (
 	RegionOld
 	// RegionCache is a DRAM write-cache region mapped to an NVM region.
 	RegionCache
-	// RegionRetired is a wear-retired region: its media carries at least
-	// one uncorrectable error, so it is permanently fenced from the
-	// allocator (never returned to a free list). Retired regions are
-	// always empty — survivors are evacuated out before retirement.
-	RegionRetired
 )
 
 // String returns the region kind's name.
@@ -40,8 +35,6 @@ func (k RegionKind) String() string {
 		return "old"
 	case RegionCache:
 		return "cache"
-	case RegionRetired:
-		return "retired"
 	default:
 		return fmt.Sprintf("RegionKind(%d)", uint8(k))
 	}
@@ -69,16 +62,6 @@ type Region struct {
 	// data and are discarded by the recovery pass; the flag is cleared
 	// when the collection finishes normally.
 	ClaimedInGC bool
-
-	// Fallback marks a region claimed on a device other than the one the
-	// placement policy declares for its kind — graceful tier degradation
-	// routed it to a healthy fallback tier.
-	Fallback bool
-
-	// BadLines counts the uncorrectable-error lines inside the region.
-	// Wear is permanent: the count survives reset, and Retire routes any
-	// bad-lined region to the retired state instead of a free list.
-	BadLines int
 
 	// MapTo is the NVM region a cache region will be flushed into
 	// (the write cache's region mapping).
@@ -118,15 +101,13 @@ func (r *Region) Unalloc(addr Address, nWords int64) bool {
 	return false
 }
 
-// reset returns the region to its pristine free state. BadLines survives:
-// media wear is permanent.
+// reset returns the region to its pristine free state.
 func (r *Region) reset() {
 	r.Kind = RegionFree
 	r.Top = r.Start
 	r.MapTo = nil
 	r.InCSet = false
 	r.ClaimedInGC = false
-	r.Fallback = false
 	r.RemSet.Clear()
 }
 
@@ -153,9 +134,8 @@ func (rs *RemSet) Clear() { rs.slots = rs.slots[:0] }
 // ClaimRegion takes a region from the free pool and assigns it a role.
 // For RegionCache it draws from the scratch cache pool; every other kind
 // draws from the heap pool. The region lands on the tier the heap's
-// placement policy declares for its kind, unless dev overrides it (pass
-// nil to follow the policy).
-func (h *Heap) ClaimRegion(kind RegionKind, dev *memsim.Device) (*Region, bool) {
+// placement policy declares for its kind.
+func (h *Heap) ClaimRegion(kind RegionKind) (*Region, bool) {
 	var pool *[]int
 	if kind == RegionCache {
 		pool = &h.freeCache
@@ -171,23 +151,16 @@ func (h *Heap) ClaimRegion(kind RegionKind, dev *memsim.Device) (*Region, bool) 
 	r := h.regions[idx]
 	r.Kind = kind
 	r.ClaimedInGC = h.inGC
-	var want *memsim.Device
 	switch kind {
 	case RegionCache:
-		want = h.cacheDev
+		r.Dev = h.cacheDev
 	case RegionEden:
-		want = h.edenDev
+		r.Dev = h.edenDev
 	case RegionSurvivor:
-		want = h.survDev
+		r.Dev = h.survDev
 	default:
-		want = h.oldDev
+		r.Dev = h.oldDev
 	}
-	if dev != nil && kind != RegionCache {
-		r.Dev = dev
-	} else {
-		r.Dev = want
-	}
-	r.Fallback = r.Dev != want
 	h.syncRegionMeta(r)
 	switch kind {
 	case RegionEden:
@@ -200,66 +173,19 @@ func (h *Heap) ClaimRegion(kind RegionKind, dev *memsim.Device) (*Region, bool) 
 	return r, true
 }
 
-// Retire returns a region to its free pool and clears its state — unless
-// the region's media has accumulated uncorrectable errors, in which case
-// it is routed to the permanently-fenced retired state instead: never on
-// a free list, never claimable again. (Only heap-pool regions wear-retire;
-// the DRAM scratch pool sits on volatile tiers without a fault model.)
+// Retire returns a region to its free pool and clears its state.
 func (h *Heap) Retire(r *Region) {
 	if h.cfg.Poison {
 		n := h.cfg.RegionBytes / WordBytes
 		h.fill(h.span(r.Start, n), int(n), 0xDEAD_DEAD_DEAD_DEAD)
 	}
 	r.reset()
-	if r.BadLines > 0 && !r.CachePool {
-		r.Kind = RegionRetired
-		h.syncRegionMeta(r)
-		h.retired = append(h.retired, r.Index)
-		return
-	}
 	h.syncRegionMeta(r)
 	if r.CachePool {
 		h.freeCache = append(h.freeCache, r.Index)
 	} else {
 		h.freeHeap = append(h.freeHeap, r.Index)
 	}
-}
-
-// NoteBadLine records an uncorrectable error on the 64-byte line
-// containing addr against its region's bad-line count. Duplicate reports
-// of the same line are ignored. It reports whether a new line was
-// recorded (false for duplicates and non-region addresses).
-func (h *Heap) NoteBadLine(addr Address) bool {
-	r := h.RegionOf(addr)
-	if r == nil {
-		return false
-	}
-	line := addr &^ (memsim.LineSize - 1)
-	if h.badLines == nil {
-		h.badLines = make(map[Address]bool)
-	}
-	if h.badLines[line] {
-		return false
-	}
-	h.badLines[line] = true
-	r.BadLines++
-	return true
-}
-
-// RetiredCount returns the number of wear-retired regions.
-func (h *Heap) RetiredCount() int { return len(h.retired) }
-
-// BadLinedOld returns the live old regions carrying uncorrectable-error
-// lines, in index order. The collector folds them into the next
-// collection set so their survivors are evacuated and the regions retire.
-func (h *Heap) BadLinedOld() []*Region {
-	var out []*Region
-	for _, r := range h.old {
-		if r.BadLines > 0 {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // FreeCacheRegions returns the number of free DRAM cache-pool regions.

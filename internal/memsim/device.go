@@ -169,10 +169,6 @@ type Device struct {
 	stats DeviceStats
 	trace *Trace
 
-	// fault is the media-fault state (nil when no FaultModel is installed;
-	// see fault.go). The nil check is the only cost a fault-free run pays.
-	fault *faultState
-
 	// pipe is the owning machine's pipeline, drained before a read of the
 	// state above; nil for a device outside any machine.
 	pipe *pipeline
@@ -290,13 +286,7 @@ func (d *Device) access(now Time, class opClass, bytes int64, seq bool) Time {
 		return now
 	}
 	amp := d.amplify(bytes, seq)
-	wf := d.writeFraction(now)
-	bw := d.effBW(class, wf)
-	if d.fault != nil && d.fault.degraded {
-		// Degraded mode: media management slows the whole tier down.
-		bw /= degradeBWX
-	}
-	transfer := Time(float64(amp) / bw)
+	transfer := Time(float64(amp) / d.effBW(class, d.writeFraction(now)))
 	if transfer < 1 {
 		transfer = 1
 	}
@@ -330,9 +320,6 @@ func (d *Device) access(now Time, class opClass, bytes int64, seq bool) Time {
 		lat = d.prof.ReadLatency
 	} else {
 		lat = d.prof.WriteLatency
-	}
-	if d.fault != nil && d.fault.degraded {
-		lat = Time(float64(lat) * degradeLatencyX)
 	}
 	return end + lat
 }

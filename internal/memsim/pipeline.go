@@ -20,10 +20,9 @@ import (
 //
 // Pipelining is off wherever host code reads accountant state per
 // operation: multi-worker phases (peers read each other's clocks at every
-// yield), EagerYield (the synchronous reference), a persistence domain, an
-// armed FaultPlan and any tier with a fault model (see Machine.mayPipeline).
-// Installing either of the last three during a phase detaches the pipeline
-// for the rest of it, and so does a first full batch that finds no idle
+// yield), EagerYield (the synchronous reference), a persistence domain and
+// an armed FaultPlan (see Machine.mayPipeline). Installing either of the
+// last two during a phase detaches the pipeline for the rest of it, and so does a first full batch that finds no idle
 // core (takeCore).
 //
 // Results are bit-identical to charging inline: the accountant runs the
@@ -78,15 +77,7 @@ type opBatch struct {
 // mayPipeline reports whether a single-worker phase may be charged on the
 // accountant: nothing in it reads accounting state per operation.
 func (m *Machine) mayPipeline() bool {
-	if m.eagerYield || m.pd != nil || m.fault != nil {
-		return false
-	}
-	for _, t := range m.topo.tiers {
-		if t.fault != nil {
-			return false
-		}
-	}
-	return true
+	return !m.eagerYield && m.pd == nil && m.fault == nil
 }
 
 // attach starts pipelining w's phase. No goroutine starts until the first

@@ -148,6 +148,10 @@ func TestPipelinedPhaseMatchesReference(t *testing.T) {
 
 // TestPipelinedPhaseLeavesNoGoroutine: the accountant is gone when Run
 // returns, and when it panics out of a body that had batches in flight.
+// Whether the accountant started is read from the pipeline itself (the
+// body is its producer): a goroutine count taken mid-body would miss the
+// start whenever a goroutine left over from an earlier test exited in the
+// same window. The baseline count is taken once such leftovers are gone.
 func TestPipelinedPhaseLeavesNoGoroutine(t *testing.T) {
 	type boom struct{}
 	settled := func(before int) bool {
@@ -156,12 +160,26 @@ func TestPipelinedPhaseLeavesNoGoroutine(t *testing.T) {
 		}
 		return runtime.NumGoroutine() <= before
 	}
+	// steady returns the goroutine count once it holds still for a few
+	// milliseconds (or after about a second).
+	steady := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			time.Sleep(5 * time.Millisecond)
+			k := runtime.NumGoroutine()
+			if k == n {
+				return n
+			}
+			n = k
+		}
+		return n
+	}
 	for _, panics := range []bool{false, true} {
 		if runtime.GOMAXPROCS(0) < 2 {
 			t.Skip("the accountant needs an idle core")
 		}
 		m := testMachine()
-		before := runtime.NumGoroutine()
+		before := steady()
 		started := false
 		var got any
 		func() {
@@ -170,7 +188,7 @@ func TestPipelinedPhaseLeavesNoGoroutine(t *testing.T) {
 				for i := 0; i < 3*batchOps; i++ {
 					w.ReadWord(m.NVM, uint64(i)*64)
 				}
-				started = runtime.NumGoroutine() > before
+				started = m.pipe.running
 				if panics {
 					panic(boom{})
 				}
@@ -249,13 +267,12 @@ func BenchmarkSoloPhase(b *testing.B) {
 	}
 }
 
-// TestMidPhaseSetupDetachesPipeline: installing a fault model, a fault
-// plan or a persistence domain inside a pipelined phase hands the rest of
-// the phase back to inline charging (their hooks read the clock and device
-// state per operation), and the phase still matches its eager twin.
+// TestMidPhaseSetupDetachesPipeline: installing a fault plan or a
+// persistence domain inside a pipelined phase hands the rest of the phase
+// back to inline charging (their hooks read the clock and device state per
+// operation), and the phase still matches its eager twin.
 func TestMidPhaseSetupDetachesPipeline(t *testing.T) {
 	installs := map[string]func(m *Machine, w *Worker){
-		"fault-model":    func(m *Machine, w *Worker) { m.NVM.PoisonLine(w.Now(), 1<<30) },
 		"fault-plan":     func(m *Machine, w *Worker) { m.InjectFault(FaultPlan{CrashAtTime: maxTime}) },
 		"persist-domain": func(m *Machine, w *Worker) { m.EnablePersist(m.NVM, false) },
 	}

@@ -146,61 +146,3 @@ func TestGoldenHostEffectOrder(t *testing.T) {
 		}
 	}
 }
-
-// wearSnapshot captures everything the fault layer decides during a run:
-// the final clock, the full per-device fault counters (DegradedAt pins
-// the virtual time the degraded-mode trip fired), and the poisoned lines
-// in poisoning order (victim identity and discovery order).
-type wearSnapshot struct {
-	now   Time
-	stats FaultStats
-	ues   []uint64
-}
-
-func runWearWorkload(workers int, eager bool) wearSnapshot {
-	cfg := DefaultConfig()
-	cfg.LLCBytes = 1 << 16
-	cfg.LLCAssoc = 4
-	cfg.EagerYield = eager
-	cfg.Tiers = WithFault(cfg.Tiers, FaultModel{Seed: 42, WearThresholdMean: 6, WearThresholdSpread: 2, DegradeUETrip: 4})
-	m := NewMachine(cfg)
-	m.Run(workers, func(w *Worker) {
-		base := uint64(w.ID()) << 18
-		for i := 0; i < 40; i++ {
-			for j := 0; j < 8; j++ {
-				// Hammer a small set of lines so seeded wear-out fires
-				// mid-run.
-				w.Write(m.NVM, base+uint64((i%10)*256+j*64), 16, false)
-				w.Advance(3)
-			}
-		}
-	})
-	return wearSnapshot{now: m.Now(), stats: m.NVM.FaultStats(), ues: m.NVM.DrainNewUEs()}
-}
-
-// TestFaultDeterminismUnderBatching proves the fault layer is invariant
-// under the scheduling mode: with a seeded wear model, every wear-out
-// fires on the same victim line, in the same order, with the tier's
-// degraded-mode trip at the same virtual time, whether each store's
-// accounting runs on its owner at issue (the eager reference) or is
-// delegated to a peer past the event horizon (the default). The name
-// dates from the batching layer this test outlived.
-func TestFaultDeterminismUnderBatching(t *testing.T) {
-	for _, workers := range []int{1, 4, 16} {
-		ref := runWearWorkload(workers, true)
-		if ref.stats.HardErrors == 0 {
-			t.Fatalf("workers=%d: wear model never fired — the test exercises nothing", workers)
-		}
-		if !ref.stats.Degraded {
-			t.Fatalf("workers=%d: degraded-mode trip never fired — DegradedAt is unpinned", workers)
-		}
-		got := runWearWorkload(workers, false)
-		if got.now != ref.now || got.stats != ref.stats {
-			t.Errorf("workers=%d: fault outcome diverged:\n got now=%d stats=%+v\nwant now=%d stats=%+v",
-				workers, got.now, got.stats, ref.now, ref.stats)
-		}
-		if !reflect.DeepEqual(got.ues, ref.ues) {
-			t.Errorf("workers=%d: victim lines diverged:\n got %x\nwant %x", workers, got.ues, ref.ues)
-		}
-	}
-}

@@ -2,7 +2,6 @@ package memsim
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -24,10 +23,6 @@ type TierSpec struct {
 	// EADR marks a persistent tier whose platform extends the persistence
 	// domain over the CPU caches (stores are durable at execution).
 	EADR bool
-
-	// Fault is the tier's media-fault model (see fault.go). The zero value
-	// leaves the tier immortal and changes nothing.
-	Fault FaultModel
 }
 
 // Tier is one instantiated memory tier: a Device plus its spec. The
@@ -71,9 +66,6 @@ func NewTopology(specs []TierSpec, traceBucket Time) (*Topology, error) {
 			return nil, fmt.Errorf("memsim: duplicate tier name %q", spec.Name)
 		}
 		t := &Tier{Device: NewDevice(spec.Name, spec.Profile, traceBucket), spec: spec}
-		if spec.Fault.Enabled() {
-			t.Device.SetFaultModel(spec.Fault)
-		}
 		tp.tiers = append(tp.tiers, t)
 		tp.byName[spec.Name] = t
 	}
@@ -122,19 +114,6 @@ func (tp *Topology) String() string {
 		parts[i] = t.spec.Name + ":" + attr
 	}
 	return strings.Join(parts, ", ")
-}
-
-// WithFault returns a copy of tiers with the media-fault model fm on
-// every persistent tier; volatile tiers and the caller's slice are left
-// as they are.
-func WithFault(tiers []TierSpec, fm FaultModel) []TierSpec {
-	out := slices.Clone(tiers)
-	for i := range out {
-		if out[i].Persistent {
-			out[i].Fault = fm
-		}
-	}
-	return out
 }
 
 // builtinTiers is the registry of named tier profiles selectable from the

@@ -372,18 +372,9 @@ func (w *Worker) execOp() {
 			cost = ready - w.now
 		}
 		w.now += cost
-		if op.write && op.dev.fault != nil {
-			// Wear model: cached stores consume line endurance when the
-			// dirty lines are eventually written back; counting them at
-			// store time keeps the accounting in global operation order.
-			op.dev.countLineWrites(w.now, op.addr, op.n)
-		}
 	case opNT:
 		c.invalidateRange(op.dev, op.addr, op.n)
 		w.now = op.dev.access(w.now, opWriteNT, op.n, true)
-		if op.dev.fault != nil {
-			op.dev.countLineWrites(w.now, op.addr, op.n)
-		}
 	case opPrefetch:
 		if miss := c.missingLines(op.dev, op.addr, op.n); miss > 0 {
 			done := op.dev.access(w.now, opRead, int64(miss)*LineSize, op.seq)

@@ -16,7 +16,7 @@ import (
 // "p999" for SLO reporting. The choice is load-bearing for the fleet's
 // property tests: the nearest-rank p-quantile of merged series is provably
 // sandwiched between the minimum and maximum of the per-series
-// p-quantiles (DESIGN.md §14), a bound that linearly interpolated sample
+// p-quantiles (DESIGN.md §13), a bound that linearly interpolated sample
 // quantiles violate on small inputs.
 
 // Percentile returns the nearest-rank p-quantile (0..100) of values, which

@@ -49,7 +49,7 @@ type Host struct {
 }
 
 // NewHost assembles machine → heap → collector, the one sequence every
-// figure, CLI, fleet instance, the fault sweep and the selfcheck run on. A
+// figure, CLI, fleet instance and the selfcheck run on. A
 // crash-consistent collector (Opt.Persist set) gets what it needs on the
 // way: a persistence domain tracking the machine's persistent tier,
 // attached before the heap exists so the heap registers its backing
