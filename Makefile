@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify loc archives bench-e2e bench-gate profile suite-quick suite-cmp crash-smoke topology-smoke selfcheck-smoke workload-smoke fuzz-smoke cover
+.PHONY: build test verify loc bench-e2e bench-gate profile suite-quick suite-cmp crash-smoke selfcheck-smoke workload-smoke fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -55,11 +55,6 @@ loc:
 crash-smoke: build
 	$(GO) run ./cmd/nvmbench -run crash-sweep -threads 4
 
-# topology-smoke runs the memory-tier sweep (young gen / write cache
-# across local DRAM, remote DRAM, and Optane) in quick mode.
-topology-smoke: build
-	$(GO) run ./cmd/nvmbench -run tier-sweep -quick
-
 # selfcheck-smoke runs the differential-oracle campaign: 50 seeded random
 # workload traces replayed through the naive reference collector and every
 # real configuration ({G1, PS, +writecache, +all} x {2-tier, 3-tier}) with
@@ -69,9 +64,8 @@ selfcheck-smoke: build
 	$(GO) run ./cmd/gcsim -selfcheck -selfcheck-runs 50 -selfcheck-ops 400
 
 # workload-smoke runs the scenario-engine sweep in quick mode: collector
-# configurations across the YCSB core mixes driving keyed populations
-# (archived by make archives as results/BENCH_workloads.json). Then a
-# scan/insert mix runs through gcsim under each of the six request
+# configurations across the YCSB core mixes driving keyed populations.
+# Then a scan/insert mix runs through gcsim under each of the six request
 # distributions, so every generator's wiring is driven from the CLI.
 workload-smoke: build
 	$(GO) run ./cmd/nvmbench -run workload-sweep -quick
@@ -116,13 +110,6 @@ fuzz-smoke: build
 cover:
 	$(GO) test -short -covermode=atomic -coverpkg=./internal/... -coverprofile=cover.out ./internal/...
 	./scripts/cover_check.sh cover.out
-
-# archives regenerates the two checked-in experiment archives under
-# results/ (quick mode, virtual-time numbers only; host time is bench-e2e).
-# On an unchanged model, git diff results/ is empty.
-archives: build
-	$(GO) run ./cmd/nvmbench -run tier-sweep -quick -format json -o results/BENCH_topology.json
-	$(GO) run ./cmd/nvmbench -run workload-sweep -quick -format json -o results/BENCH_workloads.json
 
 # bench-e2e runs the repository benchmark (BENCHMARK.json: four workloads,
 # one child process each) and archives every run's full record under

@@ -6,7 +6,6 @@
 //	nvmbench -list
 //	nvmbench -run fig5 -scale 0.5 -threads 16
 //	nvmbench -run all -quick -format csv -o results.csv
-//	nvmbench -run workload-sweep -quick -format json -o results/BENCH_workloads.json
 //	nvmbench -run fig5 -parallel 1 -eager-yield   # reference schedule, serial
 package main
 
@@ -32,7 +31,7 @@ func main() {
 		threads = flag.Int("threads", 0, "override GC thread count (0 = per-experiment default)")
 		seed    = flag.Uint64("seed", 1, "workload RNG seed")
 		quick   = flag.Bool("quick", false, "reduced app sets and sweeps")
-		format  = flag.String("format", "table", "output format: table, csv or json (one document per experiment; the results/BENCH_*.json archives)")
+		format  = flag.String("format", "table", "output format: table or csv")
 		out     = flag.String("o", "", "write output to file instead of stdout")
 
 		nvmTier  = flag.String("nvm-tier", "", "substitute a built-in tier profile for the persistent tier of every experiment machine (e.g. eadr-nvm; see gcsim -list-devices)")
@@ -98,8 +97,6 @@ func main() {
 		switch *format {
 		case "csv":
 			fmt.Fprint(w, rep.CSV())
-		case "json":
-			fmt.Fprint(w, rep.JSON("nvmbench "+strings.Join(os.Args[1:], " ")))
 		case "table":
 			fmt.Fprintln(w, rep.Render())
 		}
@@ -124,8 +121,8 @@ func checkFlags(p bench.Params, format string) error {
 	if p.Threads < 0 || p.Threads > memsim.MaxWorkers {
 		return fmt.Errorf("-threads %d: a collection runs 1 to %d GC threads (0 = per-experiment default)", p.Threads, memsim.MaxWorkers)
 	}
-	if format != "table" && format != "csv" && format != "json" {
-		return fmt.Errorf("-format %q: want table, csv or json", format)
+	if format != "table" && format != "csv" {
+		return fmt.Errorf("-format %q: want table or csv", format)
 	}
 	return p.Validate()
 }

@@ -80,7 +80,7 @@ func TestParamsValidate(t *testing.T) {
 // error naming the flag and the value, before any output file exists.
 func TestCheckFlags(t *testing.T) {
 	ok := bench.Params{Scale: 0.2}
-	for _, f := range []string{"table", "csv", "json"} {
+	for _, f := range []string{"table", "csv"} {
 		if err := checkFlags(ok, f); err != nil {
 			t.Errorf("-format %s: %v", f, err)
 		}
@@ -92,6 +92,7 @@ func TestCheckFlags(t *testing.T) {
 		want   string
 	}{
 		{"unknown format", ok, "xml", `-format "xml"`},
+		{"retired json format", ok, "json", `-format "json"`},
 		{"negative scale", bench.Params{Scale: -1}, "table", "scale -1"},
 		{"NaN scale", bench.Params{Scale: math.NaN()}, "table", "scale NaN"},
 		{"infinite scale", bench.Params{Scale: math.Inf(1)}, "table", "scale +Inf"},

@@ -6,10 +6,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"nvmgc/internal/fleet"
@@ -121,40 +119,6 @@ func (r *Report) CSV() string {
 	return b.String()
 }
 
-// JSON returns the rows of all tables as one JSON document — the format of
-// the results/BENCH_*.json archives. Each row is an object keyed by its
-// table's column names; a cell that is a JSON number literal stays bare,
-// every other cell is a string. command records how the report was made.
-func (r *Report) JSON(command string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "{\n  \"generated_by\": \"nvmbench -format json\",\n  \"command\": %s,\n  \"rows\": [", jsonString(command))
-	sep := "\n"
-	for _, t := range r.Tables {
-		for _, row := range t.Rows {
-			b.WriteString(sep + "    {")
-			sep = ",\n"
-			for i, cell := range row[:min(len(row), len(t.Columns))] {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				// Bare only if a number (ParseFloat) spelled JSON's way (not "+5", ".5", "Inf").
-				if _, err := strconv.ParseFloat(cell, 64); err != nil || !json.Valid([]byte(cell)) {
-					cell = jsonString(cell)
-				}
-				b.WriteString(jsonString(t.Columns[i]) + ": " + cell)
-			}
-			b.WriteByte('}')
-		}
-	}
-	b.WriteString("\n  ]\n}\n")
-	return b.String()
-}
-
-func jsonString(s string) string {
-	q, _ := json.Marshal(s) // a string always marshals
-	return string(q)
-}
-
 // Experiment regenerates one paper artifact.
 type Experiment struct {
 	ID    string
@@ -185,7 +149,6 @@ func All() []Experiment {
 		{"abl-flush-chunk", "Flush-granularity ablation (Section 4.2)", AblFlushChunk},
 		{"abl-hm-threads", "Header-map threshold ablation (Section 3.3)", AblHeaderMapThreshold},
 		{"crash-sweep", "Power-failure campaign: recovery outcome x phase x config", CrashSweep},
-		{"tier-sweep", "Young generation and write cache across memory tiers", TierSweep},
 		{"workload-sweep", "Collector configurations across YCSB scenario mixes", WorkloadSweep},
 	}
 }
@@ -421,7 +384,6 @@ var (
 	fig7Apps         = []string{"page-rank", "naive-bayes", "akka-uct"}
 	traversalApps    = []string{"page-rank", "movie-lens"}
 	writeBackApps    = []string{"naive-bayes", "page-rank"}
-	tierQuickApps    = []string{"als", "page-rank"}
 )
 
 // gcBandwidthMBps computes the average bandwidth of the named tier during

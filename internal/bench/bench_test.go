@@ -13,8 +13,8 @@ func quickParams() Params {
 
 func TestRegistry(t *testing.T) {
 	exps := All()
-	if len(exps) != 22 {
-		t.Fatalf("expected 22 experiments, got %d", len(exps))
+	if len(exps) != 21 {
+		t.Fatalf("expected 21 experiments, got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -149,7 +149,6 @@ var quickRenders = map[string]string{
 	"abl-flush-chunk": "9fede5294e5359f6",
 	"abl-hm-threads":  "ba21f4bb9ca523ed",
 	"crash-sweep":     "a099e7f064046ba6",
-	"tier-sweep":      "d09e810e36f2128c",
 	"workload-sweep":  "122985b0c060dc1a",
 }
 

@@ -108,6 +108,32 @@ func TestGoldenWorkloadSweepDeterminism(t *testing.T) {
 	}
 }
 
+// TestWorkloadSweepCoversYCSBMixes: the quick sweep keeps the full
+// scenario axis, so its rows cover every YCSB core mix A–F with both
+// zipfian and hotspot request skews among them.
+func TestWorkloadSweepCoversYCSBMixes(t *testing.T) {
+	rep, err := WorkloadSweep(Params{Scale: 0.05, Quick: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios, dists := map[string]bool{}, map[string]bool{}
+	for _, tbl := range rep.Tables {
+		for _, row := range tbl.Rows {
+			scenarios[row[0]], dists[row[1]] = true, true
+		}
+	}
+	for _, want := range []string{"ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f"} {
+		if !scenarios[want] {
+			t.Errorf("quick workload-sweep misses scenario %s (has %v)", want, scenarios)
+		}
+	}
+	for _, want := range []string{"zipfian", "hotspot"} {
+		if !dists[want] {
+			t.Errorf("quick workload-sweep misses %s-skewed rows (has %v)", want, dists)
+		}
+	}
+}
+
 // TestGoldenCollectionStats drills below the rendered table: the full
 // CollectionStats sequence and LLC counters of a run must be identical
 // between the horizon scheduler and the eager reference at several GC

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 
 	"nvmgc/internal/gc"
 	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
-	"nvmgc/internal/metrics"
 	"nvmgc/internal/workload"
 )
 
@@ -72,7 +69,7 @@ func TestAppList(t *testing.T) {
 // scenario backed by one of the paper's application profiles.
 func TestFigureAppsResolve(t *testing.T) {
 	for _, names := range [][]string{defaultQuickApps, fig1Apps, fig1QuickApps, fig7Apps,
-		traversalApps, writeBackApps, tierQuickApps} {
+		traversalApps, writeBackApps} {
 		specs, err := scenarios(names)
 		if err != nil {
 			t.Fatal(err)
@@ -169,49 +166,5 @@ func TestHeapConfigModes(t *testing.T) {
 	mc := p.machineConfig(false)
 	if !mc.EagerYield || len(mc.Tiers) != 2 || mc.Tiers[1].Name != "nvm" || !mc.Tiers[1].Persistent {
 		t.Fatalf("run-wide machine parameters not applied: %+v", mc)
-	}
-}
-
-// TestReportJSON: the archive format. A cell is a bare JSON number exactly
-// where it is one as written; what FormatFloat and the experiments emit
-// beside that ("-" for NaN, signed percentages, sizes) is a string, and so
-// is what only looks numeric to a laxer reader ("+5", ".5", "1e999").
-func TestReportJSON(t *testing.T) {
-	bare := []string{"13483", "0.0622", "-2.5", "1.00e-03", "0"}
-	quoted := []string{"-", "+5.0%", "4K", "vanilla", "", "+5", ".5", "5.", "0x10", "Inf", "NaN",
-		"1e999", "true", "null", `say "hi"\`}
-	tab := &metrics.Table{Title: "t", Columns: []string{"name", "v (ms)"}}
-	for _, c := range append(bare, quoted...) {
-		tab.Rows = append(tab.Rows, []string{"row", c})
-	}
-	rep := &Report{ID: "x", Tables: []*metrics.Table{tab, {Columns: []string{"other"}, Rows: [][]string{{"7"}}}}}
-	out := rep.JSON(`nvmbench -run "x"`)
-	var doc struct {
-		GeneratedBy string `json:"generated_by"`
-		Command     string
-		Rows        []map[string]json.RawMessage
-	}
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, out)
-	}
-	if doc.GeneratedBy == "" || doc.Command != `nvmbench -run "x"` || len(doc.Rows) != len(tab.Rows)+1 {
-		t.Fatalf("generated_by %q, command %q, %d rows:\n%s", doc.GeneratedBy, doc.Command, len(doc.Rows), out)
-	}
-	for i, row := range tab.Rows {
-		cell, raw := row[1], string(doc.Rows[i]["v (ms)"])
-		var str string
-		if i < len(bare) {
-			if _, err := strconv.ParseFloat(cell, 64); err != nil || raw != cell {
-				t.Errorf("cell %q: archived as %s, want the bare number", cell, raw)
-			}
-		} else if err := json.Unmarshal([]byte(raw), &str); err != nil || str != cell {
-			t.Errorf("cell %q: archived as %s, want that string", cell, raw)
-		}
-	}
-	if string(doc.Rows[len(tab.Rows)]["other"]) != "7" {
-		t.Errorf("second table's row keyed by its own columns: %v", doc.Rows[len(tab.Rows)])
-	}
-	if empty := (&Report{}).JSON(""); !json.Valid([]byte(empty)) {
-		t.Errorf("empty report is not valid JSON:\n%s", empty)
 	}
 }

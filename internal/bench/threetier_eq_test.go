@@ -9,20 +9,23 @@ import (
 	"nvmgc/internal/workload"
 )
 
-// TestTierSweepPointSchedulerEquivalence pins the scheduler-mode
-// equivalence contract on a full application run in the tier-sweep's
-// hardest configuration (young generation on remote DRAM inside the
-// three-tier topology): the eager-yield reference and the default
-// scheduler must produce the identical result — total time, GC time, and
-// per-tier traffic. The gc package's equivalence tests cover
-// collector-only cycles; this one covers the mutator/allocation path of a
-// whole workload, which is where a regression in the delegation
-// discipline would otherwise only surface as a silent drift in the
-// archived sweep figures.
-func TestTierSweepPointSchedulerEquivalence(t *testing.T) {
+// TestThreeTierRunSchedulerEquivalence pins the scheduler-mode
+// equivalence contract on a full application run with the young
+// generation on remote DRAM inside a three-tier topology (local DRAM, a
+// NUMA-remote DRAM node, Optane as the persistent "nvm" tier): the
+// eager-yield reference and the default scheduler must produce the
+// identical result — total time, GC time, and per-tier traffic. The gc
+// package's equivalence tests cover collector-only cycles; this one
+// covers the mutator/allocation path of a whole workload, where a
+// regression in the delegation discipline would otherwise only surface
+// as a silent drift in the figures.
+func TestThreeTierRunSchedulerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full app run; skipped in -short")
 	}
+	nvm := memsim.MustBuiltinTier("optane")
+	nvm.Name = "nvm" // old space and metadata keep their default tier name
+	tiers := []memsim.TierSpec{memsim.MustBuiltinTier("local-dram"), memsim.MustBuiltinTier("remote-dram"), nvm}
 	base := heap.PlacementPolicy{
 		Eden: "remote-dram", Survivor: "remote-dram",
 		Old: "nvm", Humongous: "nvm",
@@ -38,7 +41,7 @@ func TestTierSweepPointSchedulerEquivalence(t *testing.T) {
 	}
 	run := func(eager bool) snap {
 		h := Params{EagerYield: eager}.host(gc.Vanilla())
-		h.Machine.Tiers = tierSweepSpecs()
+		h.Machine.Tiers = tiers
 		h.Heap.Placement = base
 		host, res, err := runHost(runSpec{app: app, host: h, threads: 16, scale: 0.5, seed: 1})
 		if err != nil {

@@ -10,9 +10,9 @@ import (
 
 // workloadSweepScenarios returns the scenario grid: every registered
 // YCSB core mix (A–F plus the hotspot-skew variants), in registry
-// order. Quick mode keeps the full scenario axis — the archived sweep
-// must cover all the mixes — and trims the collector-config axis
-// instead.
+// order. Quick mode keeps the full scenario axis — the sweep must cover
+// all the mixes (TestWorkloadSweepCoversYCSBMixes) — and trims the
+// collector-config axis instead.
 func workloadSweepScenarios() []workload.Spec {
 	var out []workload.Spec
 	for _, s := range workload.Scenarios() {

@@ -244,9 +244,9 @@ func (c *cycle) destOf(a heap.Address) *destRegion {
 	return nil
 }
 
-// ErrTierExhausted is returned (wrapped) when the collector needs a
+// ErrHeapExhausted is returned (wrapped) when the collector needs a
 // destination region and the heap's free pool has none left.
-var ErrTierExhausted = errors.New("gc: every tier exhausted or degraded, no healthy region available")
+var ErrHeapExhausted = errors.New("gc: heap free pool is empty")
 
 // newDest claims a fresh destination region of the given final kind,
 // fronting it with a DRAM cache region when the write cache is enabled
@@ -256,7 +256,7 @@ var ErrTierExhausted = errors.New("gc: every tier exhausted or degraded, no heal
 func (c *cycle) newDest(w *memsim.Worker, kind heap.RegionKind, cacheable bool) (*destRegion, bool) {
 	final, ok := c.h.ClaimRegion(kind)
 	if !ok {
-		c.fail(fmt.Errorf("gc: heap exhausted while claiming a %v region: %w", kind, ErrTierExhausted))
+		c.fail(fmt.Errorf("gc: heap exhausted while claiming a %v region: %w", kind, ErrHeapExhausted))
 		return nil, false
 	}
 	w.Advance(250)

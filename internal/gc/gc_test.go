@@ -3,6 +3,7 @@ package gc
 import (
 	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"nvmgc/internal/check"
@@ -512,10 +513,10 @@ func TestCollectErrors(t *testing.T) {
 	}
 }
 
-// TestTierExhaustedSurfaced: when survivors outgrow a tiny heap's free
-// pool the collector must fail with ErrTierExhausted — a diagnosable
-// error, not a panic or livelock.
-func TestTierExhaustedSurfaced(t *testing.T) {
+// TestHeapExhaustedSurfaced: when survivors outgrow a tiny heap's free
+// pool the collector must fail with ErrHeapExhausted — a diagnosable
+// error, not a panic or livelock — whose text names the free pool.
+func TestHeapExhaustedSurfaced(t *testing.T) {
 	cfg := memsim.DefaultConfig()
 	cfg.LLCBytes = 1 << 17
 	m := memsim.NewMachine(cfg)
@@ -549,8 +550,11 @@ func TestTierExhaustedSurfaced(t *testing.T) {
 	if err == nil {
 		t.Fatal("64 rounds of near-total survival never exhausted a 24-region pool")
 	}
-	if !errors.Is(err, ErrTierExhausted) {
-		t.Fatalf("exhaustion surfaced as %v, want ErrTierExhausted", err)
+	if !errors.Is(err, ErrHeapExhausted) {
+		t.Fatalf("exhaustion surfaced as %v, want ErrHeapExhausted", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "free pool") || strings.Contains(msg, "tier") || strings.Contains(msg, "degraded") {
+		t.Fatalf("exhaustion error %q: want it to name the free pool, not a tier or degradation", msg)
 	}
 }
 

@@ -131,7 +131,7 @@ func TestChunkedStoreMatchesFlatModel(t *testing.T) {
 		return 1 + rng.Int63n(200)
 	}
 	k, _ := h.Klasses.DefineArray("blob", false)
-	ops := []string{"Poke", "CommitWord", "CASWord", "CommitCopy", "MoveWordsRaw", "overlapping copy", "initObject", "zero fill", "poison fill"}
+	ops := []string{"Poke", "CommitWord", "CAS", "CommitCopy", "MoveWordsRaw", "overlapping copy", "initObject", "zero fill", "poison fill"}
 	m.Run(1, func(w *memsim.Worker) {
 		for step := 0; step < steps; step++ {
 			op := rng.Intn(len(ops))
@@ -147,7 +147,7 @@ func TestChunkedStoreMatchesFlatModel(t *testing.T) {
 			case 2: // the expected value is right every other time
 				a := pick(1)
 				old := *ref.at(a) ^ uint64(step&1)
-				cur, ok := h.CASWord(w, a, old, v)
+				cur, ok := cas(h, w, a, old, v)
 				if cur != *ref.at(a) || ok != (step&1 == 0) {
 					t.Errorf("step %d: CAS at %#x saw %#x, %v; model has %#x", step, a, cur, ok, *ref.at(a))
 					return

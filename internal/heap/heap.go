@@ -652,18 +652,6 @@ func (h *Heap) IssueWriteWord(w *memsim.Worker, addr Address) {
 // CommitWord applies a store whose charge IssueWriteWord issued.
 func (h *Heap) CommitWord(addr Address, v uint64) { h.store(h.index(addr), v) }
 
-// CASWord models an atomic compare-and-swap on a word: it always pays a
-// random read; a successful swap additionally pays a random write.
-func (h *Heap) CASWord(w *memsim.Worker, addr Address, old, new uint64) (uint64, bool) {
-	cur, ok := h.IssueCAS(w, addr, old, new)
-	w.Exec()
-	if ok {
-		h.IssueCASStore(w, addr)
-		w.Exec()
-	}
-	return cur, ok
-}
-
 // IssueCAS applies the logical compare-and-swap to the backing store and
 // issues its read charge. The effect comes *before* the timing charges:
 // the charges yield to the scheduler, so applying the effect first is what

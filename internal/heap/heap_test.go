@@ -310,16 +310,28 @@ func TestRootSet(t *testing.T) {
 	})
 }
 
-func TestCASWord(t *testing.T) {
+// cas is a blocking compare-and-swap on a word: IssueCAS's read charge,
+// then IssueCASStore's write charge if the swap succeeded.
+func cas(h *Heap, w *memsim.Worker, addr Address, old, new uint64) (uint64, bool) {
+	cur, ok := h.IssueCAS(w, addr, old, new)
+	w.Exec()
+	if ok {
+		h.IssueCASStore(w, addr)
+		w.Exec()
+	}
+	return cur, ok
+}
+
+func TestCompareAndSwap(t *testing.T) {
 	h, m := testHeap(t)
 	k := mustKlass(t, h, "node", 4, nil)
 	m.Run(1, func(w *memsim.Worker) {
 		a, _ := h.AllocateEden(w, k, 4)
 		slot := SlotAddr(a, 2)
-		if _, ok := h.CASWord(w, slot, 0, 42); !ok {
+		if _, ok := cas(h, w, slot, 0, 42); !ok {
 			t.Error("CAS from zero should succeed")
 		}
-		if cur, ok := h.CASWord(w, slot, 0, 43); ok || cur != 42 {
+		if cur, ok := cas(h, w, slot, 0, 43); ok || cur != 42 {
 			t.Errorf("stale CAS should fail with current value: %d %v", cur, ok)
 		}
 	})

@@ -22,10 +22,7 @@ type FaultPlan struct {
 
 	// CrashAtStore kills the machine immediately before the Nth tracked
 	// store (1-based) to the persistence domain's device. 0 disables.
-	// If StoreLo < StoreHi, only stores whose address falls inside
-	// [StoreLo, StoreHi) are counted ("the Nth write to a region").
-	CrashAtStore     int64
-	StoreLo, StoreHi uint64
+	CrashAtStore int64
 
 	// TornLine tears the 256 B XPLine at the crash frontier (the most
 	// recently dirtied unpersisted line): lines of that XPLine before the
@@ -278,18 +275,10 @@ func (pd *PersistDomain) OnStore(dev *Device, addr uint64, n int64) {
 	if !ok {
 		return
 	}
-	if pd.plan != nil && pd.plan.CrashAtStore > 0 {
-		counted := pd.plan.StoreLo >= pd.plan.StoreHi ||
-			(addr >= pd.plan.StoreLo && addr < pd.plan.StoreHi)
-		if counted {
-			pd.stores++
-			if pd.stores >= pd.plan.CrashAtStore {
-				pd.m.triggerCrash(pd.m.now)
-				panic(crashSignal{})
-			}
-		}
-	} else {
-		pd.stores++
+	pd.stores++
+	if pd.plan != nil && pd.plan.CrashAtStore > 0 && pd.stores >= pd.plan.CrashAtStore {
+		pd.m.triggerCrash(pd.m.now)
+		panic(crashSignal{})
 	}
 	if pd.eADR {
 		return // LLC is persistent: the store is durable at execution

@@ -97,18 +97,10 @@ func (pd *refDomain) OnStore(dev *Device, addr uint64, n int64) {
 	if n <= 0 || !pd.tracks(dev, addr) {
 		return
 	}
-	if pd.plan != nil && pd.plan.CrashAtStore > 0 {
-		counted := pd.plan.StoreLo >= pd.plan.StoreHi ||
-			(addr >= pd.plan.StoreLo && addr < pd.plan.StoreHi)
-		if counted {
-			pd.stores++
-			if pd.stores >= pd.plan.CrashAtStore {
-				pd.m.triggerCrash(pd.m.now)
-				panic(crashSignal{})
-			}
-		}
-	} else {
-		pd.stores++
+	pd.stores++
+	if pd.plan != nil && pd.plan.CrashAtStore > 0 && pd.stores >= pd.plan.CrashAtStore {
+		pd.m.triggerCrash(pd.m.now)
+		panic(crashSignal{})
 	}
 	if pd.eADR {
 		return

@@ -210,29 +210,6 @@ func TestTornXPLineAtCrashFrontier(t *testing.T) {
 	}
 }
 
-func TestCrashAtStoreRangeFilter(t *testing.T) {
-	e := newPersistEnv(t, tinyCacheConfig(), false)
-	// Only stores into [4096, 8192) count; the second such store triggers.
-	e.m.InjectFault(FaultPlan{CrashAtStore: 2, StoreLo: 4096, StoreHi: 8192})
-	applied := 0
-	e.m.Run(1, func(w *Worker) {
-		e.store(w, 0, 1) // outside the window: not counted
-		applied++
-		e.store(w, 4096, 2) // first counted store
-		applied++
-		e.store(w, 64, 3) // outside: not counted
-		applied++
-		e.store(w, 4160, 4) // second counted store: crash
-		applied++
-	})
-	if applied != 3 {
-		t.Fatalf("applied %d stores before crash, want 3", applied)
-	}
-	if !e.m.Crashed() {
-		t.Fatal("range-filtered store trigger did not fire")
-	}
-}
-
 func TestCrashAtTimeUnwindsParallelPhase(t *testing.T) {
 	e := newPersistEnv(t, tinyCacheConfig(), false)
 	e.m.InjectFault(FaultPlan{CrashAtTime: 5 * Microsecond})
