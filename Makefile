@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify loc bench-e2e bench-gate profile suite-quick suite-cmp crash-smoke selfcheck-smoke workload-smoke fuzz-smoke cover
+.PHONY: build test verify loc bench-e2e bench-gate profile suite-quick suite-cmp selfcheck-smoke workload-smoke fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -47,13 +47,6 @@ loc:
 	@echo "non-test Go outside benchmarks/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l)"
 	@echo "benchmarks/ (non-test):          $$(find ./benchmarks -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "tests (*_test.go):               $$(find . -name '*_test.go' | xargs cat | wc -l)"
-
-# crash-smoke runs the full power-failure campaign (80 deterministic
-# crash points across the GC pause, every barrier configuration plus the
-# barrier-free baseline; under a second): post-crash recovery and
-# graph-isomorphism verification at each point.
-crash-smoke: build
-	$(GO) run ./cmd/nvmbench -run crash-sweep -threads 4
 
 # selfcheck-smoke runs the differential-oracle campaign: 50 seeded random
 # workload traces replayed through the naive reference collector and every

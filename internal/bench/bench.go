@@ -148,7 +148,6 @@ func All() []Experiment {
 		{"abl-nt", "Non-temporal write-back ablation (Section 4.1)", AblNonTemporal},
 		{"abl-flush-chunk", "Flush-granularity ablation (Section 4.2)", AblFlushChunk},
 		{"abl-hm-threads", "Header-map threshold ablation (Section 3.3)", AblHeaderMapThreshold},
-		{"crash-sweep", "Power-failure campaign: recovery outcome x phase x config", CrashSweep},
 		{"workload-sweep", "Collector configurations across YCSB scenario mixes", WorkloadSweep},
 	}
 }

@@ -13,8 +13,8 @@ func quickParams() Params {
 
 func TestRegistry(t *testing.T) {
 	exps := All()
-	if len(exps) != 21 {
-		t.Fatalf("expected 21 experiments, got %d", len(exps))
+	if len(exps) != 20 {
+		t.Fatalf("expected 20 experiments, got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -148,7 +148,6 @@ var quickRenders = map[string]string{
 	"abl-nt":          "e4fabe7291006133",
 	"abl-flush-chunk": "9fede5294e5359f6",
 	"abl-hm-threads":  "ba21f4bb9ca523ed",
-	"crash-sweep":     "a099e7f064046ba6",
 	"workload-sweep":  "122985b0c060dc1a",
 }
 

@@ -54,7 +54,7 @@ func TestDegradedConfigSurvivesCrash(t *testing.T) {
 	opt.Persist = PersistADR
 	fracs := []float64{0.20, 0.45, 0.70, 0.90}
 	rolledBack := false
-	for i, run := range crashAtFracs(t, crashConfig{"degraded+adr", opt, nil}, fracs...) {
+	for i, run := range crashAtFracs(t, crashConfig{"degraded+adr", opt, nil}, 1, fracs...) {
 		if run.Err != nil {
 			t.Fatalf("frac %v (crashed %v, outcome %v): %v", fracs[i], run.Crashed, run.Recovery.Outcome, run.Err)
 		}

@@ -71,7 +71,8 @@ type CrashRun struct {
 // CollectThroughCrash is the one crash-restart path. It arms plan on the
 // heap's machine and runs one young collection. If the plan fired, it
 // materializes the post-crash image and runs recoverHeap, as a restarted
-// runtime would. Either way it then proves the heap against pre
+// runtime would; a plan that never fired is disarmed, so it cannot strike
+// a later operation. Either way it then proves the heap against pre
 // (check.VerifyRecovered) and holds the restored state to the PostGC
 // phase-boundary checker, so a collection the plan never interrupted is
 // checked as strictly as a recovered one. Whether a failed verdict is a
@@ -89,8 +90,12 @@ func (b *base) CollectThroughCrash(threads int, plan memsim.FaultPlan, pre *chec
 			return run, err
 		}
 		run.Recovery, run.Err = b.recoverHeap()
-	} else if err != nil {
-		return run, err
+	} else {
+		// An unfired plan must not strike a later mutator op or collection.
+		m.InjectFault(memsim.FaultPlan{})
+		if err != nil {
+			return run, err
+		}
 	}
 	if run.Err == nil {
 		run.Err = check.VerifyRecovered(b.h, pre)

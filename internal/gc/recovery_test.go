@@ -100,17 +100,30 @@ func collectThroughCrash(t *testing.T, g *G1, plan memsim.FaultPlan, pre *check.
 	return run
 }
 
-// crashAtFracs runs one crash-restart cycle, torn line included, at each
-// fraction of cc's uninterrupted pause, each on a fresh environment.
-func crashAtFracs(t *testing.T, cc crashConfig, fracs ...float64) []CrashRun {
+// crashAtFracs runs one crash-restart cycle at each fraction of cc's
+// uninterrupted pause, each on a fresh environment. Point i tears the
+// XPLine at its crash frontier when i is a multiple of tornEvery: 1 tears
+// every point, 2 every other one, so the rest revert whole lines.
+func crashAtFracs(t *testing.T, cc crashConfig, tornEvery int, fracs ...float64) []CrashRun {
 	t.Helper()
 	start, s := dryRun(t, cc)
 	runs := make([]CrashRun, len(fracs))
 	for i, frac := range fracs {
 		_, _, g, pre := crashEnv(t, cc)
-		runs[i] = collectThroughCrash(t, g, memsim.FaultPlan{CrashAtTime: start + memsim.Time(frac*float64(s.Pause)), TornLine: true}, pre)
+		plan := memsim.FaultPlan{CrashAtTime: start + memsim.Time(frac*float64(s.Pause)), TornLine: i%tornEvery == 0}
+		runs[i] = collectThroughCrash(t, g, plan, pre)
 	}
 	return runs
+}
+
+// pauseFracs spreads 16 crash points evenly over [0.015, 0.985] of a
+// pause, so every sub-phase from the checkpoint to the cleanup tail is hit.
+func pauseFracs() []float64 {
+	fracs := make([]float64, 16)
+	for i := range fracs {
+		fracs[i] = 0.015 + 0.97*float64(i)/float64(len(fracs)-1)
+	}
+	return fracs
 }
 
 // TestCollectThroughCrashContract pins the routine's non-crash verdicts:
@@ -131,26 +144,50 @@ func TestCollectThroughCrashContract(t *testing.T) {
 	}
 }
 
+// TestUnfiredCrashPlanIsDisarmed plants a crash just past the end of a
+// collection, by time and by store count: CollectThroughCrash must report
+// an uncrashed run and leave nothing armed, so the next collection, which
+// passes both trigger points, runs to completion.
+func TestUnfiredCrashPlanIsDisarmed(t *testing.T) {
+	cc := crashConfigs()[0] // vanilla+adr
+	_, dry, g, _ := crashEnv(t, cc)
+	if _, err := g.Collect(4); err != nil {
+		t.Fatal(err)
+	}
+	end, stores := dry.Now(), dry.Persist().Stats().TrackedStores
+	for _, plan := range []memsim.FaultPlan{{CrashAtTime: end + 1}, {CrashAtStore: stores + 1}} {
+		h, m, g, pre := crashEnv(t, cc)
+		if run := collectThroughCrash(t, g, plan, pre); run.Crashed || run.Err != nil {
+			t.Fatalf("plan %+v fired inside the collection: crashed %v, err %v", plan, run.Crashed, run.Err)
+		}
+		collectAndVerify(t, h, g, 4)
+		if m.Crashed() {
+			t.Fatalf("plan %+v stayed armed and crashed the machine", plan)
+		}
+	}
+}
+
 // TestCrashRecoveryAcrossPhases is the core tentpole check: for every
 // persistence-enabled configuration, power failures planted throughout
 // the GC pause must always recover to a heap isomorphic to the pre-GC
 // live graph, and a collection that beats its crash point must leave
 // the graph intact.
 func TestCrashRecoveryAcrossPhases(t *testing.T) {
-	fracs := []float64{0.02, 0.10, 0.25, 0.40, 0.55, 0.70, 0.85, 0.93, 0.98}
+	fracs := pauseFracs()
 	for _, cc := range crashConfigs() {
 		t.Run(cc.name, func(t *testing.T) {
 			outcomes := map[RecoveryOutcome]int{}
-			for i, run := range crashAtFracs(t, cc, fracs...) {
+			for i, run := range crashAtFracs(t, cc, 2, fracs...) {
 				// Under persistence barriers every run recovers the graph and
 				// passes the PostGC checker.
 				if run.Err != nil {
-					t.Fatalf("frac %.2f (crashed %v, report %+v): %v", fracs[i], run.Crashed, run.Recovery, run.Err)
+					t.Fatalf("frac %.3f (crashed %v, report %+v): %v", fracs[i], run.Crashed, run.Recovery, run.Err)
 				}
 				if run.Crashed {
 					outcomes[run.Recovery.Outcome]++
 				}
 			}
+			t.Logf("%d crash points, outcomes of the crashed ones: %v", len(fracs), outcomes)
 			if outcomes[RecoveryRolledBack] == 0 {
 				t.Fatalf("no crash point exercised rollback: %v", outcomes)
 			}
@@ -225,9 +262,9 @@ func TestCrashAfterCommitRollsForward(t *testing.T) {
 // be flagged unrecoverable. A collection that beats its crash point must
 // still leave the graph intact.
 func TestCrashWithoutBarriersIsFlagged(t *testing.T) {
-	fracs := []float64{0.15, 0.30, 0.45, 0.60, 0.75, 0.90}
+	fracs := pauseFracs()
 	flagged := 0
-	for i, run := range crashAtFracs(t, crashConfig{"vanilla+none", Vanilla(), nil}, fracs...) {
+	for i, run := range crashAtFracs(t, crashConfig{"vanilla+none", Vanilla(), nil}, 2, fracs...) {
 		switch {
 		case !run.Crashed && run.Err != nil:
 			t.Fatalf("frac %v: uncrashed collection broke the graph: %v", fracs[i], run.Err)
@@ -242,6 +279,39 @@ func TestCrashWithoutBarriersIsFlagged(t *testing.T) {
 	}
 	if flagged == 0 {
 		t.Fatal("no unprotected crash point was flagged: fault injection is not biting")
+	}
+}
+
+// TestPersistBarrierOverhead holds what the persist barriers cost an
+// uninterrupted collection, from the dry runs of every crash configuration
+// and the barrier-free baseline: each ADR configuration pays a checkpoint,
+// a barrier, journal entries and flushed lines; the more of the
+// collection's writes the optimizations keep off the NVM, the fewer lines
+// the barrier flushes, and none under eADR; the baseline pays nothing;
+// and the sub-phases add up to the pause.
+func TestPersistBarrierOverhead(t *testing.T) {
+	stats := map[string]CollectionStats{}
+	for _, cc := range append(crashConfigs(), crashConfig{"vanilla+none", Vanilla(), nil}) {
+		_, s := dryRun(t, cc)
+		stats[cc.name] = s
+		if sum := s.ReadMostly + s.WriteOnly + s.PersistBarrier + s.Cleanup; sum != s.Pause {
+			t.Errorf("%s: sub-phases sum to %v, pause is %v", cc.name, sum, s.Pause)
+		}
+		if cc.opt.Persist == PersistADR && (s.Checkpoint == 0 || s.PersistBarrier == 0 || s.JournalEntries == 0 || s.PersistFlushedLines == 0) {
+			t.Errorf("%s: a barrier cost is zero: %+v", cc.name, s)
+		}
+	}
+	if s := stats["vanilla+none"]; s.Checkpoint != 0 || s.PersistBarrier != 0 || s.JournalEntries != 0 || s.JournalBytes != 0 || s.PersistFlushedLines != 0 {
+		t.Errorf("vanilla+none paid for barriers it does not run: %+v", s)
+	}
+	order := []string{"vanilla+adr", "writecache+adr", "all+adr", "all+eadr"}
+	for i := 1; i < len(order); i++ {
+		if a, b := stats[order[i-1]].PersistFlushedLines, stats[order[i]].PersistFlushedLines; b >= a {
+			t.Errorf("%s flushed %d lines, %s %d: want strictly fewer", order[i], b, order[i-1], a)
+		}
+	}
+	if n := stats["all+eadr"].PersistFlushedLines; n != 0 {
+		t.Errorf("all+eadr flushed %d lines: the LLC is persistent", n)
 	}
 }
 

@@ -392,16 +392,18 @@ func (pd *PersistDomain) PersistAll() {
 // the first worker operation at or past the plan's virtual time; the
 // store trigger fires inside the persistence domain's store hook. Either
 // way every worker unwinds, Run returns, and Machine.Crashed() reports
-// true until MaterializeCrash is called.
+// true until MaterializeCrash is called. A plan with neither trigger set
+// disarms whatever plan is armed and has not fired.
 func (m *Machine) InjectFault(plan FaultPlan) {
 	m.pipe.detach()
-	p := plan
-	m.fault = &p
-	if p.CrashAtTime > 0 {
-		m.faultTime = p.CrashAtTime
+	var p *FaultPlan
+	if plan.CrashAtTime > 0 || plan.CrashAtStore > 0 {
+		p = &plan
 	}
+	m.fault = p
+	m.faultTime = plan.CrashAtTime
 	if m.pd != nil {
-		m.pd.plan = &p
+		m.pd.plan = p
 	}
 }
 
