@@ -20,10 +20,12 @@ test: build
 # its synchronous reference at -cpu 1,2 (the accountant sharing the
 # body's core, then on its own). -short trims workload sizes (the golden
 # determinism tests still run, on reduced cases) so the gate finishes in
-# minutes even on a single-core host. The four host-allocation pins
-# (allocations per young collection, bytes per new heap, bytes per small
-# host run, none per ADR line capture) then run uncached and without the
-# race detector's overhead, and the young-collection kernel runs once, so
+# minutes even on a single-core host. The host-allocation pins
+# (allocations per young collection, bytes per new heap and per heap at
+# the address-space cap, no page for a zero store, only header pages for
+# a profile's long-lived arrays, bytes per small host run, none per ADR
+# line capture) then run uncached and without the race detector's
+# overhead, and the young-collection kernel runs once, so
 # its setup stays working. The LLC tests run once more without the race
 # detector: the reference-model diff with the AVX2 set-scan kernel on
 # (where the host has it) and forced off (its assoc=16-portable case), and
@@ -37,7 +39,7 @@ verify: build
 	$(GO) test -race -short -count=1 ./internal/memsim ./internal/heap ./internal/par ./internal/bench ./internal/workload ./internal/fleet ./internal/cassandra ./internal/workload/generator
 	$(GO) test -race -short -count=1 -run 'Equivalence|Golden|Steps' ./internal/gc
 	$(GO) test -race -short -count=1 -cpu 1,2 -run 'TestPipelinedPhaseMatchesReference' ./internal/memsim
-	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestHostFootprint|TestPersistCaptureAllocs' -count=1 ./internal/gc ./internal/heap ./internal/workload ./internal/memsim
+	$(GO) test -run 'TestYoungGCSteadyStateAllocs|TestNewHeapIsLazy|TestNewAtSpaceCap|TestZeroStoreMaterialisesNothing|TestSetupMaterialisesHeaderPages|TestHostFootprint|TestPersistCaptureAllocs' -count=1 ./internal/gc ./internal/heap ./internal/workload ./internal/memsim
 	$(GO) test -count=1 -run 'Cache|ScanKernel' ./internal/memsim
 	$(GO) test -run '^$$' -bench CollectYoung -benchtime 1x ./internal/gc
 

@@ -119,7 +119,8 @@ type Heap struct {
 	m   *memsim.Machine
 
 	base       Address
-	chunks     []*chunk // the address space; see chunk
+	pages      []*page // the address space; see page
+	slab       []page  // pages not yet handed out by touch
 	regionMask uint64
 	regionLog  uint
 
@@ -187,19 +188,31 @@ type Heap struct {
 	csetBuf []*Region
 }
 
-// chunk is the unit the address space materialises in: the first store into
-// a chunk allocates it and a load from one never stored to reads 0, so a
-// machine costs host memory for what its run touches, not for its size. 1 MiB,
-// not a 64 KiB region, which measured 14-20 % more host mallocs for 4 % less.
-type chunk [chunkWords]uint64
+// page is the unit the address space materialises in: the first nonzero
+// store into a page gives it host memory, and a load from one never stored
+// to reads 0, so a machine costs host memory for what its run writes, not
+// for its size. Pages are carved from slabs of slabPages, so the host sees
+// one malloc per 1 MiB as it did when 1 MiB was the unit. The size is
+// measured: gc-pagerank's benchmark run allocates 37.9 MB of host memory
+// with 4 KiB pages, 42.0 MB with 8 KiB, 50.4 MB with 16 KiB and 53.5 MB with
+// 1 MiB, because a 2048-word long-lived array is one header page and three
+// that are never stored to.
+type page [pageWords]uint64
+
+// PageBytes is the size of a page.
+const PageBytes = pageWords * WordBytes
 
 const (
-	chunkLog   = 17
-	chunkWords = 1 << chunkLog
-	chunkMask  = chunkWords - 1
-	// maxSpaceBytes caps base..metaEnd: addresses stay below the 2^46 that
-	// memsim's line keys hold, the chunk table at 2^20 entries or fewer.
-	maxSpaceBytes = 1 << 40
+	pageLog   = 9
+	pageWords = 1 << pageLog
+	pageMask  = pageWords - 1
+	slabPages = 256
+	// maxSpaceBytes caps base..metaEnd, so the page table New builds has
+	// 2^20 entries (8 MB) or fewer and addresses stay below the 2^46 that
+	// memsim's line keys hold. maxSizeField bounds each size on its own,
+	// so no sum or product of them wraps before the space is checked.
+	maxSpaceBytes = 1 << 32
+	maxSizeField  = 1 << 40
 )
 
 // New creates a heap on the given machine.
@@ -213,8 +226,8 @@ func New(m *memsim.Machine, cfg Config) (*Heap, error) {
 	// Each size is bounded on its own first, so no sum or product below wraps.
 	for _, n := range []int64{int64(cfg.HeapRegions), int64(cfg.CacheRegions), int64(cfg.EdenRegions),
 		int64(cfg.SurvivorRegions), int64(cfg.RootSlots), cfg.AuxBytes, cfg.MetaBytes} {
-		if n < 0 || n > maxSpaceBytes {
-			return nil, fmt.Errorf("heap: size %d is outside [0, %d]: %+v", n, int64(maxSpaceBytes), cfg)
+		if n < 0 || n > maxSizeField {
+			return nil, fmt.Errorf("heap: size %d is outside [0, %d]: %+v", n, int64(maxSizeField), cfg)
 		}
 	}
 	if cfg.AuxBytes%WordBytes != 0 || cfg.MetaBytes%WordBytes != 0 {
@@ -253,7 +266,7 @@ func New(m *memsim.Machine, cfg Config) (*Heap, error) {
 		return nil, err
 	}
 
-	h.chunks = make([]*chunk, ((h.metaEnd-h.base)/WordBytes+chunkMask)>>chunkLog)
+	h.pages = make([]*page, ((h.metaEnd-h.base)/WordBytes+pageMask)>>pageLog)
 
 	total := cfg.HeapRegions + cfg.CacheRegions
 	h.regions = make([]*Region, total)
@@ -528,19 +541,34 @@ func (h *Heap) span(addr Address, nWords int64) int {
 
 // load returns word i of the address space: 0 until something is stored.
 func (h *Heap) load(i int) uint64 {
-	if c := h.chunks[i>>chunkLog]; c != nil {
-		return c[i&chunkMask]
+	if p := h.pages[i>>pageLog]; p != nil {
+		return p[i&pageMask]
 	}
 	return 0
 }
 
-// store sets word i; touch returns its chunk, allocating it on first use.
-func (h *Heap) store(i int, v uint64) { h.touch(i)[i&chunkMask] = v }
-func (h *Heap) touch(i int) *chunk {
-	if h.chunks[i>>chunkLog] == nil {
-		h.chunks[i>>chunkLog] = new(chunk)
+// store sets word i. Storing 0 to a page never stored to is a no-op: the
+// word already reads 0.
+func (h *Heap) store(i int, v uint64) {
+	if p := h.pages[i>>pageLog]; p != nil {
+		p[i&pageMask] = v
+	} else if v != 0 {
+		h.touch(i)[i&pageMask] = v
 	}
-	return h.chunks[i>>chunkLog]
+}
+
+// touch returns word i's page, materialising it on first use.
+func (h *Heap) touch(i int) *page {
+	if p := h.pages[i>>pageLog]; p != nil {
+		return p
+	}
+	if len(h.slab) == 0 {
+		h.slab = make([]page, slabPages)
+	}
+	p := &h.slab[0]
+	h.slab = h.slab[1:]
+	h.pages[i>>pageLog] = p
+	return p
 }
 
 // prefetchWord starts a host-cache fill of the line holding the word at
@@ -548,27 +576,27 @@ func (h *Heap) touch(i int) *chunk {
 // the step that consumes the operation Peeks it, or CommitCopy moves it.
 // Simulated and host memory stall alike: this is the GC's own prefetch
 // (paper §4.3) applied to the simulator. It is a hint only: it never
-// materialises a chunk, and an address outside [base, metaEnd) is ignored,
+// materialises a page, and an address outside [base, metaEnd) is ignored,
 // not a panic.
 func (h *Heap) prefetchWord(addr Address) {
 	if addr < h.base || addr >= h.metaEnd {
 		return
 	}
 	i := int((addr - h.base) / WordBytes)
-	c := h.chunks[i>>chunkLog]
-	if c == nil {
+	p := h.pages[i>>pageLog]
+	if p == nil {
 		return
 	}
-	prefetch(&c[i&chunkMask])
+	prefetch(&p[i&pageMask])
 }
 
-// fill sets the n words from word i to v, one chunk-contained run at a
-// time. Zero-filling a chunk never stored to materialises nothing.
+// fill sets the n words from word i to v, one page-contained run at a
+// time. Zero-filling a page never stored to materialises nothing.
 func (h *Heap) fill(i, n int, v uint64) {
 	for n > 0 {
-		off := i & chunkMask
-		k := min(n, chunkWords-off)
-		if v != 0 || h.chunks[i>>chunkLog] != nil {
+		off := i & pageMask
+		k := min(n, pageWords-off)
+		if v != 0 || h.pages[i>>pageLog] != nil {
 			run := h.touch(i)[off : off+k]
 			for j := range run {
 				run[j] = v
@@ -597,6 +625,10 @@ func (h *Heap) pdStoreQuiet(addr Address, n int64) {
 // Peek reads a word without charging virtual time (verification only).
 func (h *Heap) Peek(addr Address) uint64 { return h.load(h.index(addr)) }
 
+// Materialised reports whether the page holding addr has host memory, which
+// it gets at its first nonzero store (diagnostics; nothing simulated reads it).
+func (h *Heap) Materialised(addr Address) bool { return h.pages[h.index(addr)>>pageLog] != nil }
+
 // Poke writes a word without charging virtual time (setup/verification).
 func (h *Heap) Poke(addr Address, v uint64) {
 	h.pdStoreQuiet(addr, WordBytes)
@@ -605,7 +637,7 @@ func (h *Heap) Poke(addr Address, v uint64) {
 
 // PokeZero zeroes nWords words at addr without charging virtual time: the
 // bulk form of a Poke(…, 0) loop, with one persistence-domain hook for the
-// whole range. Zeroing a chunk never stored to materialises nothing.
+// whole range. Zeroing a page never stored to materialises nothing.
 func (h *Heap) PokeZero(addr Address, nWords int64) {
 	i := h.span(addr, nWords)
 	h.pdStoreQuiet(addr, nWords*WordBytes)
@@ -705,7 +737,7 @@ func (h *Heap) IssueCopyWrite(w *memsim.Worker, dst Address, nWords int64) {
 }
 
 // CommitCopy moves the backing data of a copy whose charges were issued, run
-// by chunk-contained run; a source chunk never stored to copies as zeros.
+// by page-contained run; a source page never stored to copies as zeros.
 func (h *Heap) CommitCopy(dst, src Address, nWords int64) {
 	d, s, n := h.span(dst, nWords), h.span(src, nWords), int(nWords)
 	if s < d && d < s+n { // overlapping with the destination above: back to front
@@ -715,10 +747,10 @@ func (h *Heap) CommitCopy(dst, src Address, nWords int64) {
 		return
 	}
 	for n > 0 {
-		do, so := d&chunkMask, s&chunkMask
-		k := min(n, chunkWords-do, chunkWords-so)
-		if sc := h.chunks[s>>chunkLog]; sc != nil {
-			copy(h.touch(d)[do:do+k], sc[so:so+k])
+		do, so := d&pageMask, s&pageMask
+		k := min(n, pageWords-do, pageWords-so)
+		if sp := h.pages[s>>pageLog]; sp != nil {
+			copy(h.touch(d)[do:do+k], sp[so:so+k])
 		} else {
 			h.fill(d, k, 0)
 		}

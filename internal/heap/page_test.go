@@ -10,7 +10,7 @@ import (
 	"nvmgc/internal/memsim"
 )
 
-// The address space is a table of lazily materialised chunks; these tests
+// The address space is a table of lazily materialised pages; these tests
 // hold it to what the flat zeroed slab it replaced did.
 
 const poison = 0xDEAD_DEAD_DEAD_DEAD
@@ -36,10 +36,11 @@ func (f *flatRef) fill(a Address, n int64, v uint64) {
 	}
 }
 
-// chunkedHeap builds a three-chunk space whose one 2 MiB region straddles
-// the first chunk boundary and whose aux and meta areas leave the last
-// chunk mostly unused, ending off any chunk or line boundary.
-func chunkedHeap(t *testing.T, mutate func(*memsim.Machine)) (*Heap, *memsim.Machine) {
+// pagedHeap builds a three-page space whose one 8 KiB region straddles the
+// first page boundary, whose aux area ends mid-line, and whose meta area
+// leaves the last page mostly unused and ends on a line, as a persistent
+// heap must.
+func pagedHeap(t *testing.T, mutate func(*memsim.Machine)) (*Heap, *memsim.Machine) {
 	t.Helper()
 	mc := memsim.DefaultConfig()
 	mc.TraceBucket = 0
@@ -48,22 +49,22 @@ func chunkedHeap(t *testing.T, mutate func(*memsim.Machine)) (*Heap, *memsim.Mac
 		mutate(m)
 	}
 	h, err := New(m, Config{
-		RegionBytes: 2 << 20, HeapRegions: 1,
-		AuxBytes: 64<<10 + 24, RootSlots: 16, MetaBytes: 40,
+		RegionBytes: 2 * PageBytes, HeapRegions: 1,
+		AuxBytes: 2<<10 + 24, RootSlots: 16, MetaBytes: 40,
 		Placement: PlacementPolicy{Eden: "nvm", Survivor: "nvm", Old: "nvm", Meta: "nvm"}, Poison: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.chunks) != 3 {
-		t.Fatalf("test geometry spans %d chunks, want 3", len(h.chunks))
+	if len(h.pages) != 3 {
+		t.Fatalf("test geometry spans %d pages, want 3", len(h.pages))
 	}
 	return h, m
 }
 
 func materialised(h *Heap) (n int) {
-	for _, c := range h.chunks {
-		if c != nil {
+	for _, p := range h.pages {
+		if p != nil {
 			n++
 		}
 	}
@@ -74,36 +75,36 @@ func materialised(h *Heap) (n int) {
 // the flat model with one seeded random stream and compares the whole
 // space through Peek after every step.
 func TestChunkedStoreMatchesFlatModel(t *testing.T) {
-	h, m := chunkedHeap(t, nil)
+	h, m := pagedHeap(t, nil)
 	ref := &flatRef{base: h.base, words: make([]uint64, (h.metaEnd-h.base)/WordBytes)}
 	total := int64(len(ref.words))
 	same := func(step int, what string) bool {
 		for i, want := range ref.words {
 			if got := h.Peek(h.base + Address(i)*WordBytes); got != want {
-				t.Errorf("step %d (%s): word %d (chunk %d) = %#x, model has %#x", step, what, i, i>>chunkLog, got, want)
+				t.Errorf("step %d (%s): word %d (page %d) = %#x, model has %#x", step, what, i, i>>pageLog, got, want)
 				return false
 			}
 		}
 		return true
 	}
 
-	// The rules the random stream cannot be relied on to hit while a chunk
+	// The rules the random stream cannot be relied on to hit while a page
 	// is still untouched.
-	far := h.base + 2*chunkWords*WordBytes + 64 // in the last chunk
+	far := h.base + 2*pageWords*WordBytes + 64 // in the last page
 	if h.Peek(far) != 0 || materialised(h) != 0 {
-		t.Fatalf("a load materialised a chunk (%d) or read non-zero", materialised(h))
+		t.Fatalf("a load materialised a page (%d) or read non-zero", materialised(h))
 	}
 	h.fill(h.span(h.base, total), int(total), 0)
-	h.CommitCopy(h.base+8, far, 1000)
+	h.CommitCopy(h.base+(pageWords-100)*WordBytes, far, 200) // onto two pages
 	if materialised(h) != 0 {
-		t.Fatalf("zero-fill and a copy between untouched chunks materialised %d chunks", materialised(h))
+		t.Fatalf("zero-fill and a copy between untouched pages materialised %d pages", materialised(h))
 	}
 	h.Poke(h.base+16, 7)
 	*ref.at(h.base + 16) = 7
 	h.CommitCopy(h.base, far, 8) // untouched source over a touched destination
 	ref.fill(h.base, 8, 0)
-	if materialised(h) != 1 || !same(-1, "copy from an untouched chunk") {
-		t.Fatalf("copy from an untouched chunk: %d chunks materialised", materialised(h))
+	if materialised(h) != 1 || !same(-1, "copy from an untouched page") {
+		t.Fatalf("copy from an untouched page: %d pages materialised", materialised(h))
 	}
 
 	steps := 600
@@ -111,12 +112,12 @@ func TestChunkedStoreMatchesFlatModel(t *testing.T) {
 		steps = 150
 	}
 	rng := rand.New(rand.NewSource(21))
-	// Half of all addresses land within 64 words of a chunk boundary or of
+	// Half of all addresses land within 64 words of a page boundary or of
 	// either end of the space.
 	pick := func(room int64) Address {
 		i := rng.Int63n(total - room + 1)
 		if rng.Intn(2) == 0 {
-			edge := int64(rng.Intn(len(h.chunks)+1)) * chunkWords
+			edge := int64(rng.Intn(len(h.pages)+1)) * pageWords
 			i = min(max(edge+rng.Int63n(129)-64-room*int64(rng.Intn(2)), 0), total-room)
 		}
 		return h.base + Address(i)*WordBytes
@@ -124,7 +125,7 @@ func TestChunkedStoreMatchesFlatModel(t *testing.T) {
 	length := func() int64 {
 		switch rng.Intn(8) {
 		case 0:
-			return rng.Int63n(chunkWords + chunkWords/2) // may cross two boundaries
+			return rng.Int63n(pageWords + pageWords/2) // may cross two boundaries
 		case 1:
 			return 0
 		}
@@ -183,7 +184,7 @@ func TestChunkedStoreMatchesFlatModel(t *testing.T) {
 		}
 	})
 
-	// Retire poisons a region that lies in two chunks.
+	// Retire poisons a region that lies in two pages.
 	r, ok := h.ClaimRegion(RegionOld)
 	if !ok {
 		t.Fatal("no region to claim")
@@ -193,9 +194,9 @@ func TestChunkedStoreMatchesFlatModel(t *testing.T) {
 	same(steps, "Retire")
 }
 
-// TestNewHeapIsLazy pins what the chunk table is for: a heap costs host
-// memory for the chunks its run stores into, and the persistence domain's
-// raw accessors work on chunks that do not exist yet.
+// TestNewHeapIsLazy pins what the page table is for: a heap costs host
+// memory for the pages its run stores into, and the persistence domain's
+// raw accessors work on pages that do not exist yet.
 func TestNewHeapIsLazy(t *testing.T) {
 	m := memsim.NewMachine(memsim.DefaultConfig())
 	var before, after runtime.MemStats
@@ -209,10 +210,10 @@ func TestNewHeapIsLazy(t *testing.T) {
 		t.Fatalf("heap.New(DefaultConfig()) allocated %d bytes, want < 1 MiB", got)
 	}
 	if materialised(h) != 0 {
-		t.Fatalf("a new heap has %d chunks materialised", materialised(h))
+		t.Fatalf("a new heap has %d pages materialised", materialised(h))
 	}
 
-	// Filling eden regions materialises the chunks they overlap and no other.
+	// Filling eden regions materialises the pages they overlap and no other.
 	arr, _ := h.Klasses.DefineArray("long[]", false)
 	for len(h.eden) < 40 || h.edenCur.End-h.edenCur.Top >= 512*WordBytes {
 		if _, ok := h.AllocateEden(nil, arr, 512); !ok {
@@ -221,48 +222,110 @@ func TestNewHeapIsLazy(t *testing.T) {
 	}
 	overlapped := map[int]bool{}
 	for _, r := range h.eden {
-		for c := h.index(r.Start) >> chunkLog; c <= h.index(r.End-WordBytes)>>chunkLog; c++ {
+		for c := h.index(r.Start) >> pageLog; c <= h.index(r.End-WordBytes)>>pageLog; c++ {
 			overlapped[c] = true
 		}
 	}
-	for c := range h.chunks {
-		if h.chunks[c] != nil && !overlapped[c] {
-			t.Errorf("chunk %d is materialised but no eden region overlaps it", c)
+	for c := range h.pages {
+		if h.pages[c] != nil && !overlapped[c] {
+			t.Errorf("page %d is materialised but no eden region overlaps it", c)
 		}
 	}
 	if got := materialised(h); got == 0 || got > len(overlapped) {
-		t.Fatalf("%d eden regions materialised %d chunks, want 1..%d", len(h.eden), got, len(overlapped))
+		t.Fatalf("%d eden regions materialised %d pages, want 1..%d", len(h.eden), got, len(overlapped))
 	}
 
 	// A crash reverts a line through rawPeek/rawPoke: the shadow of a line
-	// in a chunk never stored to is zeros, and restoring it reads back so.
-	ph, pm := chunkedHeap(t, func(m *memsim.Machine) { m.EnablePersist(m.NVM, false) })
-	first, second := ph.base+64, ph.base+chunkWords*WordBytes+64
-	pm.InjectFault(memsim.FaultPlan{CrashAtStore: 2})
+	// in a page never stored to is zeros, even in a shadow slot that last
+	// held nonzero words, that of a line in a page with host memory is its
+	// persisted words, and restoring either reads back so.
+	ph, pm := pagedHeap(t, func(m *memsim.Machine) { m.EnablePersist(m.NVM, false) })
+	first, second, kept := ph.base+64, ph.base+PageBytes+64, ph.MetaBase() // pages 0, 1 and 2
+	pd := pm.Persist()
+	ph.Poke(kept, 5)
+	pd.PersistAll()
+	ph.Poke(kept, 6) // its shadow slot, holding the 5, is free again after
+	pd.PersistAll()
+	pm.InjectFault(memsim.FaultPlan{CrashAtStore: 3})
 	pm.Run(1, func(w *memsim.Worker) {
 		ph.WriteWord(w, first, 7)
+		ph.WriteWord(w, kept, 8)
 		ph.WriteWord(w, second, 9) // the crash strikes before it applies
 		t.Error("store past the crash trigger executed")
 	})
-	if ph.Peek(first) != 7 || materialised(ph) != 1 {
-		t.Fatalf("before the crash: word = %d, %d chunks", ph.Peek(first), materialised(ph))
+	if ph.Peek(first) != 7 || ph.Peek(kept) != 8 || materialised(ph) != 2 {
+		t.Fatalf("before the crash: words %d and %d, %d pages", ph.Peek(first), ph.Peek(kept), materialised(ph))
 	}
 	rep, err := pm.MaterializeCrash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RevertedLines != 1 || ph.Peek(first) != 0 || ph.Peek(second) != 0 || ph.chunks[1] != nil {
-		t.Fatalf("after the crash: %d lines reverted, words %d and %d, second chunk materialised: %v",
-			rep.RevertedLines, ph.Peek(first), ph.Peek(second), ph.chunks[1] != nil)
+	if rep.RevertedLines != 2 || ph.Peek(kept) != 6 || ph.Peek(second) != 0 || ph.pages[1] != nil {
+		t.Fatalf("after the crash: %d lines reverted, words %d (want 6) and %d, second page materialised: %v",
+			rep.RevertedLines, ph.Peek(kept), ph.Peek(second), ph.pages[1] != nil)
+	}
+	for a := first; a < first+memsim.LineSize; a += WordBytes {
+		if ph.Peek(a) != 0 {
+			t.Fatalf("after the crash: word %#x of a line never stored to before reads %d", a, ph.Peek(a))
+		}
+	}
+}
+
+// TestZeroStoreMaterialisesNothing: a word of a page never stored to already
+// reads 0, so no path that stores 0 there gives the page host memory, nor
+// does copying from another such page; the first nonzero store does.
+func TestZeroStoreMaterialisesNothing(t *testing.T) {
+	h, m := pagedHeap(t, nil)
+	a := h.base + PageBytes + 8 // in the middle page
+	src := h.base + 256         // in the first page
+	h.Poke(a, 0)
+	h.CommitWord(a, 0)
+	h.PokeZero(a, 16)
+	h.CommitCopy(a, src, 16)
+	h.MoveWordsRaw(a, src, 16)
+	h.CommitCopy(a+WordBytes, a, 16) // overlapping: word by word, back to front
+	m.Run(1, func(w *memsim.Worker) {
+		if _, ok := cas(h, w, a, 0, 0); !ok {
+			t.Error("CAS 0 -> 0 failed on a page never stored to")
+		}
+		h.WriteWord(w, a+64, 0)
+		h.CopyWords(w, a, src, 16)
+	})
+	if h.Materialised(a) || materialised(h) != 0 {
+		t.Fatalf("zero stores materialised the page: %v, %d pages in all", h.Materialised(a), materialised(h))
+	}
+	h.Poke(a, 3)
+	if !h.Materialised(a) || h.Peek(a) != 3 || h.Peek(a+WordBytes) != 0 {
+		t.Fatalf("the first nonzero store: materialised %v, words %d %d", h.Materialised(a), h.Peek(a), h.Peek(a+WordBytes))
+	}
+}
+
+// TestNewAtSpaceCap: the largest address space New accepts, 4 GiB, costs
+// its page table of 2^20 entries and little more up front.
+func TestNewAtSpaceCap(t *testing.T) {
+	m := memsim.NewMachine(memsim.DefaultConfig())
+	cfg := Config{RegionBytes: 1 << 30, HeapRegions: 3, AuxBytes: 1 << 30, RootSlots: 16, EdenRegions: 1, SurvivorRegions: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h, err := New(m, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.pages) != 1<<20 {
+		t.Fatalf("a 4 GiB space has %d pages, want 2^20", len(h.pages))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 9e6 {
+		t.Fatalf("New at the space cap allocated %d bytes, want < 9 MB", got)
 	}
 }
 
 // TestRangeOpsCheckBothEnds: a multi-word operation that runs off either
 // end of the address space, or has a negative length, dies with the heap's
 // own message — not a slice-bounds runtime error, and not by materialising
-// or indexing past the chunk table.
+// or indexing past the page table.
 func TestRangeOpsCheckBothEnds(t *testing.T) {
-	h, m := chunkedHeap(t, nil)
+	h, m := pagedHeap(t, nil)
 	k, _ := h.Klasses.DefineArray("blob", false)
 	lo, hi := h.base, h.metaEnd
 	charged := func(f func(w *memsim.Worker)) func() { return func() { m.Run(1, f) } }
@@ -309,27 +372,27 @@ func TestRangeOpsCheckBothEnds(t *testing.T) {
 			c.f()
 		}()
 	}
-	if materialised(h) > 2 { // the in-range cases above touch the first and last chunk
-		t.Fatalf("rejected operations materialised chunks: %d", materialised(h))
+	if materialised(h) > 2 { // the in-range cases above touch the first and last page
+		t.Fatalf("rejected operations materialised pages: %d", materialised(h))
 	}
 }
 
 // TestPokeZeroMatchesPokeLoop: the bulk clear is the per-word Poke(…, 0)
-// loop it replaces. It materialises no chunk that was never stored to, and
+// loop it replaces. It materialises no page that was never stored to, and
 // on a range the persistence domain tracks it leaves the same dirty lines
 // and, after a crash that tears the frontier line, the same image.
 func TestPokeZeroMatchesPokeLoop(t *testing.T) {
-	h, _ := chunkedHeap(t, nil)
-	h.PokeZero(h.base, 2*chunkWords+5)
+	h, _ := pagedHeap(t, nil)
+	h.PokeZero(h.base, 2*pageWords+5)
 	if materialised(h) != 0 {
-		t.Fatalf("zeroing untouched chunks materialised %d", materialised(h))
+		t.Fatalf("zeroing untouched pages materialised %d", materialised(h))
 	}
 
 	const words = 203
 	run := func(bulk bool) (dirty []uint64, rep memsim.CrashReport, image []uint64) {
-		h, m := chunkedHeap(t, func(m *memsim.Machine) { m.EnablePersist(m.NVM, false) })
-		// Starts and ends mid-line and crosses a chunk boundary.
-		from := h.base + chunkWords*WordBytes - 100*WordBytes + 24
+		h, m := pagedHeap(t, func(m *memsim.Machine) { m.EnablePersist(m.NVM, false) })
+		// Starts and ends mid-line and crosses a page boundary.
+		from := h.base + pageWords*WordBytes - 100*WordBytes + 24
 		for i := int64(-20); i < words+20; i++ {
 			h.Poke(from+Address(i*WordBytes), uint64(i)+1)
 		}
@@ -388,6 +451,10 @@ func TestNewRejectsHostileConfig(t *testing.T) {
 		{"negative meta", func(c *Config) { c.MetaBytes = -8 }, "outside"},
 		{"2^40 regions", func(c *Config) { c.HeapRegions = 1 << 40 }, "exceeds"},
 		{"cache pool past the cap", func(c *Config) { c.CacheRegions = 1 << 30 }, "exceeds"},
+		{"address space of 4 GiB and a word", func(c *Config) {
+			c.HeapRegions = int((1<<32-c.AuxBytes)/c.RegionBytes) - c.CacheRegions
+			c.MetaBytes = WordBytes
+		}, "exceeds"},
 		{"region count times size wraps", func(c *Config) { c.RegionBytes, c.HeapRegions = 1<<62, 4 }, "exceeds"},
 		{"aux past the cap", func(c *Config) { c.AuxBytes = 1 << 62 }, "outside"},
 		{"meta past the cap", func(c *Config) { c.MetaBytes = 1<<40 + 8 }, "outside"},

@@ -7,26 +7,26 @@ import (
 )
 
 // TestPrefetchIsInert holds the host prefetch that charged loads and copies
-// issue to being a hint: on a chunk never stored to it allocates nothing
+// issue to being a hint: on a page never stored to it allocates nothing
 // and materialises nothing, outside [base, metaEnd) it does not panic, and
 // no word reads back differently, whether it is called alone or from the
 // charged loads and copies that issue it.
 func TestPrefetchIsInert(t *testing.T) {
-	h, m := chunkedHeap(t, nil)
-	untouched := h.base + chunkWords*WordBytes + 8
+	h, m := pagedHeap(t, nil)
+	untouched := h.base + pageWords*WordBytes + 8
 	if n := testing.AllocsPerRun(100, func() { h.prefetchWord(untouched) }); n != 0 {
-		t.Errorf("prefetching an untouched chunk allocated %v times", n)
+		t.Errorf("prefetching an untouched page allocated %v times", n)
 	}
 	if got := materialised(h); got != 0 {
-		t.Fatalf("prefetching materialised %d chunks", got)
+		t.Fatalf("prefetching materialised %d pages", got)
 	}
 
 	for _, a := range []Address{0, h.base - WordBytes, h.metaEnd, h.metaEnd + 1<<20, ^Address(0), ^Address(0) - 7} {
 		h.prefetchWord(a)
 	}
-	chunkEnd := h.base + chunkWords*WordBytes
+	pageEnd := h.base + pageWords*WordBytes
 
-	want := map[Address]uint64{h.base: 1, h.base + 56: 2, h.base + 64: 3, chunkEnd - WordBytes: 5, h.metaEnd - WordBytes: 4}
+	want := map[Address]uint64{h.base: 1, h.base + 56: 2, h.base + 64: 3, pageEnd - WordBytes: 5, h.metaEnd - WordBytes: 4}
 	for a, v := range want {
 		h.Poke(a, v)
 	}
@@ -52,6 +52,6 @@ func TestPrefetchIsInert(t *testing.T) {
 		}
 	}
 	if got := h.Peek(untouched); got != 0 || materialised(h) != before {
-		t.Errorf("a charged load of an untouched chunk read %d and left %d chunks, want 0 and %d", got, materialised(h), before)
+		t.Errorf("a charged load of an untouched page read %d and left %d pages, want 0 and %d", got, materialised(h), before)
 	}
 }

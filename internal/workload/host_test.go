@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nvmgc/internal/gc"
+	"nvmgc/internal/heap"
 	"nvmgc/internal/memsim"
 )
 
@@ -97,11 +98,11 @@ func nvmTier(tiers []memsim.TierSpec, builtin string) []memsim.TierSpec {
 
 // TestHostFootprint pins the host memory one small run costs. The default
 // geometry is a 92 MB address space (64 MiB heap, 8 MiB cache pool, 16 MiB
-// aux); the heap materialises it by the 1 MiB chunk on first store, so a
-// run that fills eden once and collects pays for the chunks it reaches
-// plus the machine's own slabs (34.6 MB measured). A regression that
-// materialises the whole space again — per machine, so per point of every
-// sweep — costs 94 MB.
+// aux); the heap materialises it by the 4 KiB page on the first nonzero
+// store, so a run that fills eden once and collects pays for the pages it
+// writes plus the machine's own slabs (21.6 MB measured; 35.0 MB when the
+// unit was a 1 MiB chunk). A regression that materialises the whole space
+// again — per machine, so per point of every sweep — costs 94 MB.
 func TestHostFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -125,8 +126,44 @@ func TestHostFootprint(t *testing.T) {
 	}
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 	t.Logf("NewHost + naive-bayes at scale 0.2: %.1f MB allocated, %d collections", mb, len(res.Collections))
-	const maxMB = 48
+	const maxMB = 28
 	if mb > maxMB {
 		t.Fatalf("one small host allocated %.1f MB, want <= %d (is the address space materialised up front again?)", mb, maxMB)
+	}
+}
+
+// TestSetupMaterialisesHeaderPages: a profile's setup writes each
+// long-lived long[] array's header and never its payload, so of the pages
+// an array covers only its header's gets host memory.
+func TestSetupMaterialisesHeaderPages(t *testing.T) {
+	host, err := NewHost(PaperHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := scenario(t, "naive-bayes").NewRunner(host.Col, Config{GCThreads: 1, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := r.mut.(*profileMutator)
+	r.m.Run(1, func(w *memsim.Worker) { err = p.setup(w) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.longLived) < 2 {
+		t.Fatalf("setup built %d long-lived arrays", len(p.longLived))
+	}
+	for _, a := range p.longLived {
+		_, words := r.h.PeekObject(a)
+		if a%heap.PageBytes != 0 || words*heap.WordBytes <= heap.PageBytes {
+			t.Fatalf("array at %#x of %d words does not start a page and cover more: the case tests nothing", a, words)
+		}
+		if !r.h.Materialised(a) {
+			t.Fatalf("the header page of the array at %#x has no host memory", a)
+		}
+		for off := heap.Address(heap.PageBytes); off < heap.Address(words*heap.WordBytes); off += heap.PageBytes {
+			if r.h.Materialised(a + off) {
+				t.Fatalf("the array at %#x has host memory at +%d, which setup never stores to", a, off)
+			}
+		}
 	}
 }
